@@ -12,10 +12,8 @@
 //!
 //! The sweep carries two kinds of cells. *Trace-mix* cells replay the
 //! profile's own read/write decisions; *read-heavy* cells force a 95/5
-//! read mix and run **twice** — once on the lock-free epoch-snapshot read
-//! path and once on the explicitly-locked mutex baseline
-//! (`read_entries_collect_locked`) — so the snapshot path's speedup is a
-//! CSV column, not a claim.
+//! read mix, the serving regime the lock-free epoch-snapshot read path
+//! targets.
 //!
 //! Wall-clock scaling depends on the machine: with `P` hardware threads,
 //! the `min(shards, clients, P)` parallel compression streams are where the
@@ -44,7 +42,7 @@ const BATCH: usize = 64;
 const READ_HEAVY_PCT: u8 = 95;
 
 /// One point of the sweep grid: the structural axes, the churn/retarget
-/// activity knobs, and the read-mix/read-path configuration.
+/// activity knobs, and the read mix.
 #[derive(Debug, Clone, Copy)]
 pub struct CellSpec {
     /// Shard count of the pool under test.
@@ -58,13 +56,10 @@ pub struct CellSpec {
     /// `None` replays the trace's own read/write mix; `Some(p)` forces a
     /// deterministic `p`% read mix.
     pub read_pct: Option<u8>,
-    /// Serve reads through the explicitly-locked mutex baseline instead of
-    /// the epoch-snapshot path (the before/after comparison axis).
-    pub locked_reads: bool,
 }
 
 impl CellSpec {
-    /// A trace-mix cell on the snapshot path.
+    /// A trace-mix cell.
     const fn trace_mix(shards: usize, clients: usize, churn: u64, retarget: u64) -> Self {
         Self {
             shards,
@@ -72,19 +67,17 @@ impl CellSpec {
             churn_every: churn,
             retarget_every: retarget,
             read_pct: None,
-            locked_reads: false,
         }
     }
 
-    /// A 95/5 read-heavy cell on the chosen read path.
-    const fn read_heavy(shards: usize, clients: usize, locked: bool) -> Self {
+    /// A 95/5 read-heavy cell.
+    const fn read_heavy(shards: usize, clients: usize) -> Self {
         Self {
             shards,
             clients,
             churn_every: 0,
             retarget_every: 0,
             read_pct: Some(READ_HEAVY_PCT),
-            locked_reads: locked,
         }
     }
 }
@@ -102,8 +95,7 @@ pub struct Cell {
 }
 
 /// Runs one cell of the sweep: builds a pool sized to the clients'
-/// footprint and replays the trace through it with the spec's mix and
-/// read path.
+/// footprint and replays the trace through it with the spec's mix.
 pub fn measure(
     codec: CodecKind,
     spec: CellSpec,
@@ -138,7 +130,6 @@ pub fn measure(
         retarget_every: spec.retarget_every,
         churn_every: spec.churn_every,
         read_pct: spec.read_pct,
-        locked_reads: spec.locked_reads,
     };
     let report = replay(&pool, profile, &cfg).expect("sized pool hosts every client"); // lint-allow(no-unwrap): the pool is sized with 2x headroom for every client
     Cell {
@@ -150,9 +141,7 @@ pub fn measure(
 }
 
 /// The sweep grid: trace-mix scaling cells, one churn + retarget cell, then
-/// the read-heavy snapshot-vs-locked pairs. Each pair shares its shard and
-/// client counts so the two rows differ only in which read path served the
-/// 95% reads.
+/// the read-heavy cells.
 fn grid(quick: bool) -> Vec<CellSpec> {
     if quick {
         vec![
@@ -160,8 +149,7 @@ fn grid(quick: bool) -> Vec<CellSpec> {
             CellSpec::trace_mix(2, 2, 0, 0),
             CellSpec::trace_mix(4, 4, 0, 0),
             CellSpec::trace_mix(2, 2, 8, 4),
-            CellSpec::read_heavy(4, 4, false),
-            CellSpec::read_heavy(4, 4, true),
+            CellSpec::read_heavy(4, 4),
         ]
     } else {
         vec![
@@ -172,12 +160,9 @@ fn grid(quick: bool) -> Vec<CellSpec> {
             CellSpec::trace_mix(4, 4, 0, 0),
             CellSpec::trace_mix(8, 8, 0, 0),
             CellSpec::trace_mix(4, 4, 8, 4),
-            CellSpec::read_heavy(4, 4, false),
-            CellSpec::read_heavy(4, 4, true),
-            CellSpec::read_heavy(4, 16, false),
-            CellSpec::read_heavy(4, 16, true),
-            CellSpec::read_heavy(4, 64, false),
-            CellSpec::read_heavy(4, 64, true),
+            CellSpec::read_heavy(4, 4),
+            CellSpec::read_heavy(4, 16),
+            CellSpec::read_heavy(4, 64),
         ]
     }
 }
@@ -199,7 +184,6 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<()> {
         "shards",
         "clients",
         "read_pct",
-        "read_path",
         "entries",
         "errored_batches",
         "elapsed_ms",
@@ -228,9 +212,6 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<()> {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut breakdown: Vec<Vec<String>> = Vec::new();
     let mut headline_scaling = None;
-    // (shards, clients) -> (snapshot entries/s, locked entries/s) for the
-    // default codec's read-heavy pairs.
-    let mut read_pairs: Vec<(usize, usize, Option<f64>, Option<f64>)> = Vec::new();
     for &codec in &codecs {
         let mut baseline = None;
         for &spec in &grid(cfg.quick) {
@@ -273,35 +254,12 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<()> {
             {
                 headline_scaling = Some(scaling);
             }
-            if codec == cfg.codec && spec.read_pct.is_some() {
-                let entry = read_pairs
-                    .iter_mut()
-                    .find(|(s, c, _, _)| *s == spec.shards && *c == spec.clients);
-                let entry = match entry {
-                    Some(e) => e,
-                    None => {
-                        read_pairs.push((spec.shards, spec.clients, None, None));
-                        read_pairs.last_mut().expect("just pushed") // lint-allow(no-unwrap): just pushed
-                    }
-                };
-                if spec.locked_reads {
-                    entry.3 = Some(r.entries_per_sec);
-                } else {
-                    entry.2 = Some(r.entries_per_sec);
-                }
-            }
             rows.push(vec![
                 codec.to_string(),
                 spec.shards.to_string(),
                 spec.clients.to_string(),
                 spec.read_pct
                     .map_or_else(|| "trace".to_string(), |p| p.to_string()),
-                if spec.locked_reads {
-                    "locked"
-                } else {
-                    "snapshot"
-                }
-                .to_string(),
                 r.entries_processed.to_string(),
                 r.errored_batches.to_string(),
                 format!("{:.1}", r.elapsed.as_secs_f64() * 1e3),
@@ -337,16 +295,6 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<()> {
         );
         println!("  Parallel speedup tracks min(shards, clients, hardware threads); on a");
         println!("  single-core host the sweep still validates the concurrent data path.");
-    }
-    for (shards, clients, snapshot, locked) in &read_pairs {
-        if let (Some(snap), Some(lock)) = (snapshot, locked) {
-            println!(
-                "  {} read-heavy ({READ_HEAVY_PCT}/5) {shards} shards x {clients} clients: \
-                 snapshot {snap:.0} entries/s vs locked {lock:.0} entries/s ({:.2}x)",
-                cfg.codec,
-                snap / lock
-            );
-        }
     }
     write_csv(
         &cfg.results_dir,
@@ -403,33 +351,11 @@ mod tests {
     }
 
     #[test]
-    fn read_heavy_pair_does_identical_work_on_both_paths() {
-        // The snapshot and locked rows of a read-heavy pair must replay
-        // the same deterministic operation stream — same traffic, zero
-        // errors — or the speedup column compares different work.
-        let snap = measure(
-            CodecKind::Bpc,
-            CellSpec::read_heavy(2, 2, false),
-            256,
-            16,
-            11,
-        );
-        let lock = measure(
-            CodecKind::Bpc,
-            CellSpec::read_heavy(2, 2, true),
-            256,
-            16,
-            11,
-        );
-        assert_eq!(
-            snap.report.stats.total_accesses(),
-            lock.report.stats.total_accesses()
-        );
-        assert_eq!(snap.report.entries_processed, lock.report.entries_processed);
-        assert_eq!(snap.report.errored_batches, 0);
-        assert_eq!(lock.report.errored_batches, 0);
+    fn read_heavy_cell_completes_every_batch_and_is_read_dominated() {
+        let cell = measure(CodecKind::Bpc, CellSpec::read_heavy(2, 2), 256, 16, 11);
+        assert_eq!(cell.report.errored_batches, 0);
         // 95% reads: reads dominate writes in the merged stats.
-        let s = &snap.report.stats;
+        let s = &cell.report.stats;
         let reads = s.reads_device_only + s.reads_with_buddy;
         let writes = s.writes_device_only + s.writes_with_buddy;
         assert!(
@@ -452,7 +378,7 @@ mod tests {
         let csv = std::fs::read_to_string(dir.join("pool_throughput.csv")).unwrap();
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
-        assert!(header.starts_with("codec,shards,clients,read_pct,read_path"));
+        assert!(header.starts_with("codec,shards,clients,read_pct,entries"));
         for col in [
             "errored_batches",
             "churn_cycles",
@@ -462,15 +388,14 @@ mod tests {
             assert!(header.contains(col), "header is missing {col}");
         }
         // Quick grid: (1,1), (2,2), (4,4), the churn cell, and the
-        // read-heavy snapshot/locked pair, default codec.
+        // read-heavy cell, default codec.
         let rows: Vec<&str> = lines.collect();
-        assert_eq!(rows.len(), 6);
-        assert_eq!(rows.iter().filter(|r| r.contains(",95,")).count(), 2);
-        assert_eq!(rows.iter().filter(|r| r.contains(",locked,")).count(), 1);
+        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.iter().filter(|r| r.contains(",95,")).count(), 1);
         // Non-churn rows completed every batch.
         for row in &rows {
-            let errored = row.split(',').nth(6).unwrap();
-            let churn = row.split(',').nth(16).unwrap();
+            let errored = row.split(',').nth(5).unwrap();
+            let churn = row.split(',').nth(15).unwrap();
             if churn == "0" {
                 assert_eq!(errored, "0", "non-churn row dropped batches: {row}");
             }

@@ -29,22 +29,25 @@ const ID_RAW: u64 = 15;
 /// # Example
 ///
 /// ```
-/// use bpc::{BaseDeltaImmediate, BlockCompressor};
+/// use bpc::{BaseDeltaImmediate, Codec, CompressedBuf};
 ///
 /// let codec = BaseDeltaImmediate::new();
 /// let mut entry = [0u8; 128];
 /// for (i, w) in entry.chunks_exact_mut(8).enumerate() {
 ///     w.copy_from_slice(&(0x1000_0000u64 + i as u64).to_le_bytes());
 /// }
-/// let compressed = codec.compress(&entry);
-/// assert!(compressed.bytes() < 64);
-/// assert_eq!(codec.decompress(&compressed).unwrap(), entry);
+/// let mut buf = CompressedBuf::new();
+/// codec.compress_into(&entry, &mut buf);
+/// assert!(buf.bytes() < 64);
+/// let mut out = [0u8; 128];
+/// codec.decompress_into(buf.data(), buf.bits(), &mut out).unwrap();
+/// assert_eq!(out, entry);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BaseDeltaImmediate;
 
 impl BaseDeltaImmediate {
-    /// Algorithm name used in [`crate::Compressed::algorithm`].
+    /// Stable algorithm name returned by [`Codec::name`].
     pub const NAME: &'static str = "bdi";
 
     /// Creates the codec.
@@ -148,7 +151,7 @@ impl Codec for BaseDeltaImmediate {
 
         if entry.iter().all(|&b| b == 0) {
             w.push_bits(ID_ZEROS, 4);
-            out.finish(Self::NAME, w);
+            out.finish(w);
             return;
         }
 
@@ -157,7 +160,7 @@ impl Codec for BaseDeltaImmediate {
         if (1..ENTRY_BYTES / 8).all(|i| Self::element_at(entry, 8, i) == first) {
             w.push_bits(ID_REPEAT, 4);
             w.push_bits(first, 64);
-            out.finish(Self::NAME, w);
+            out.finish(w);
             return;
         }
 
@@ -178,7 +181,7 @@ impl Codec for BaseDeltaImmediate {
         if let Some((idx, base)) = best {
             if best_bits < 4 + ENTRY_BYTES * 8 {
                 Self::encode_scheme(&mut w, entry, idx, base);
-                out.finish(Self::NAME, w);
+                out.finish(w);
                 return;
             }
         }
@@ -188,7 +191,7 @@ impl Codec for BaseDeltaImmediate {
         for &b in entry.iter() {
             w.push_bits(b as u64, 8);
         }
-        out.finish(Self::NAME, w);
+        out.finish(w);
     }
 
     fn decompress_into(
@@ -252,12 +255,14 @@ impl Codec for BaseDeltaImmediate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockCompressor, Compressed};
 
     fn round_trip(entry: &Entry) -> usize {
         let codec = BaseDeltaImmediate::new();
-        let c = codec.compress(entry);
-        assert_eq!(&codec.decompress(&c).unwrap(), entry);
+        let mut c = CompressedBuf::new();
+        codec.compress_into(entry, &mut c);
+        let mut out = [0xFFu8; 128];
+        codec.decompress_into(c.data(), c.bits(), &mut out).unwrap();
+        assert_eq!(&out, entry);
         c.bits()
     }
 
@@ -334,20 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn wrong_algorithm_rejected() {
-        let c = Compressed::new("bpc", 8, vec![0]);
-        assert!(matches!(
-            BaseDeltaImmediate::new().decompress(&c),
-            Err(DecodeError::WrongAlgorithm { .. })
-        ));
-    }
-
-    #[test]
     fn invalid_scheme_rejected() {
         // Scheme id 9 is unused (2..=7 valid, 0, 1, 15 special).
-        let c = Compressed::new(BaseDeltaImmediate::NAME, 4, vec![0b1001_0000]);
         assert!(matches!(
-            BaseDeltaImmediate::new().decompress(&c),
+            BaseDeltaImmediate::new().decompress_into(&[0b1001_0000], 4, &mut [0u8; 128]),
             Err(DecodeError::InvalidCode { .. })
         ));
     }

@@ -55,20 +55,23 @@ const DELTA_MASK: u64 = 0x1_FFFF_FFFF;
 /// # Example
 ///
 /// ```
-/// use bpc::{BitPlane, BlockCompressor};
+/// use bpc::{BitPlane, Codec, CompressedBuf};
 ///
 /// let codec = BitPlane::new();
 /// let zeros = [0u8; 128];
-/// let compressed = codec.compress(&zeros);
+/// let mut buf = CompressedBuf::new();
+/// codec.compress_into(&zeros, &mut buf);
 /// // base flag (1) + one run code covering all 33 planes (8) = 9 bits.
-/// assert_eq!(compressed.bits(), 9);
-/// assert_eq!(codec.decompress(&compressed).unwrap(), zeros);
+/// assert_eq!(buf.bits(), 9);
+/// let mut out = [0xFFu8; 128];
+/// codec.decompress_into(buf.data(), buf.bits(), &mut out).unwrap();
+/// assert_eq!(out, zeros);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BitPlane;
 
 impl BitPlane {
-    /// Algorithm name used in [`crate::Compressed::algorithm`].
+    /// Stable algorithm name returned by [`Codec::name`].
     pub const NAME: &'static str = "bpc";
 
     /// Creates the codec.
@@ -260,7 +263,7 @@ impl Codec for BitPlane {
             w.push_bits(symbols[0] as u64, 32);
         }
         Self::encode_planes(&mut w, &dbp, &dbx);
-        out.finish(Self::NAME, w);
+        out.finish(w);
     }
 
     fn decompress_into(
@@ -292,7 +295,6 @@ impl Codec for BitPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockCompressor, Compressed};
 
     fn entry_from_words(mut f: impl FnMut(usize) -> u32) -> Entry {
         let mut symbols = [0u32; SYMBOLS];
@@ -304,8 +306,11 @@ mod tests {
 
     fn round_trip(entry: &Entry) -> usize {
         let codec = BitPlane::new();
-        let c = codec.compress(entry);
-        assert_eq!(&codec.decompress(&c).unwrap(), entry, "round-trip mismatch");
+        let mut c = CompressedBuf::new();
+        codec.compress_into(entry, &mut c);
+        let mut out = [0xFFu8; 128];
+        codec.decompress_into(c.data(), c.bits(), &mut out).unwrap();
+        assert_eq!(&out, entry, "round-trip mismatch");
         c.bits()
     }
 
@@ -384,22 +389,13 @@ mod tests {
     }
 
     #[test]
-    fn wrong_algorithm_is_rejected() {
-        let c = Compressed::new("other", 8, vec![0xFF]);
-        assert!(matches!(
-            BitPlane::new().decompress(&c),
-            Err(DecodeError::WrongAlgorithm { .. })
-        ));
-    }
-
-    #[test]
     fn truncated_stream_is_rejected() {
         let codec = BitPlane::new();
         let entry = entry_from_words(|i| i as u32 * 977);
-        let c = codec.compress(&entry);
-        let truncated = Compressed::new(BitPlane::NAME, c.bits() / 2, c.data().to_vec());
+        let mut c = CompressedBuf::new();
+        codec.compress_into(&entry, &mut c);
         assert!(matches!(
-            codec.decompress(&truncated),
+            codec.decompress_into(c.data(), c.bits() / 2, &mut [0u8; 128]),
             Err(DecodeError::Truncated)
         ));
     }

@@ -9,55 +9,41 @@
 //! the compressor as a swappable pipeline stage the same way (e.g. the
 //! Compressing DMA Engine of Rhu et al., MICRO 2017).
 //!
-//! # The two compression paths
-//!
-//! * **Allocating** — [`BlockCompressor::compress`] returns an owned
-//!   [`Compressed`] block. Convenient for one-off use; costs one `Vec`
-//!   allocation per entry.
-//! * **Zero-allocation** — [`Codec::compress_into`] encodes into a
-//!   caller-owned [`CompressedBuf`]. After the first call the buffer's
-//!   capacity is reused, so hot loops (the device write path, the snapshot
-//!   samplers, the figure harnesses) compress millions of entries without
-//!   touching the heap.
-//!
-//! [`BlockCompressor`] is kept as a compatibility shim: every [`Codec`]
-//! implements it automatically (see the blanket impl), so existing
-//! `compress`/`decompress` call sites keep working unchanged.
+//! [`Codec::compress_into`] encodes into a caller-owned [`CompressedBuf`].
+//! After the first call the buffer's capacity is reused, so hot loops (the
+//! device write path, the snapshot samplers, the figure harnesses) compress
+//! millions of entries without touching the heap.
 //!
 //! # Example
 //!
 //! ```
-//! use bpc::{codec_by_name, Codec, CodecKind, CompressedBuf, ENTRY_BYTES};
+//! use bpc::{Codec, CodecKind, CompressedBuf, ENTRY_BYTES};
 //!
-//! let codec = codec_by_name("bdi").expect("bdi is registered");
+//! // CodecKind is the Copy-able handle the device model stores.
+//! let codec = CodecKind::from_name("bdi").expect("bdi is registered");
+//! assert_eq!(codec, CodecKind::Bdi);
 //! let entry = [0u8; ENTRY_BYTES];
 //! let mut buf = CompressedBuf::new();
 //! codec.compress_into(&entry, &mut buf);
-//! assert_eq!(buf.algorithm(), "bdi");
 //!
 //! let mut restored = [0xFFu8; ENTRY_BYTES];
 //! codec.decompress_into(buf.data(), buf.bits(), &mut restored).unwrap();
 //! assert_eq!(restored, entry);
-//!
-//! // CodecKind is the Copy-able handle the device model stores.
-//! assert_eq!(CodecKind::from_name("bdi"), Some(CodecKind::Bdi));
 //! ```
 
 use crate::bits::BitWriter;
 use crate::{
-    BaseDeltaImmediate, BitPlane, BlockCompressor, Compressed, DecodeError, Entry, FrequentPattern,
-    SizeClass, ZeroRle, ENTRY_BYTES,
+    BaseDeltaImmediate, BitPlane, DecodeError, Entry, FrequentPattern, SizeClass, ZeroRle,
 };
 use std::fmt;
 
 /// A reusable buffer holding one compressed entry.
 ///
-/// This is the zero-allocation counterpart of [`Compressed`]: the byte
-/// buffer's capacity survives across [`Codec::compress_into`] calls, so a
-/// loop that compresses many entries allocates at most once.
+/// The byte buffer's capacity survives across [`Codec::compress_into`]
+/// calls, so a loop that compresses many entries allocates at most once.
+/// The bitstream is only meaningful to the codec that produced it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompressedBuf {
-    algorithm: &'static str,
     bits: usize,
     data: Vec<u8>,
 }
@@ -69,19 +55,13 @@ impl CompressedBuf {
     }
 
     /// Creates a buffer with room for `bytes` bytes of bitstream, enough to
-    /// avoid any allocation if sized at [`ENTRY_BYTES`] + slack.
+    /// avoid any allocation if sized a little above
+    /// [`ENTRY_BYTES`](crate::ENTRY_BYTES).
     pub fn with_capacity(bytes: usize) -> Self {
         Self {
-            algorithm: "",
             bits: 0,
             data: Vec::with_capacity(bytes),
         }
-    }
-
-    /// Name of the algorithm that last encoded into this buffer (empty
-    /// before the first [`Codec::compress_into`]).
-    pub fn algorithm(&self) -> &'static str {
-        self.algorithm
     }
 
     /// Exact compressed size in bits.
@@ -115,47 +95,32 @@ impl CompressedBuf {
     /// Codec implementations use this; callers normally only pass the buffer
     /// to [`Codec::compress_into`].
     pub fn begin(&mut self) -> BitWriter {
-        self.algorithm = "";
         self.bits = 0;
         BitWriter::reusing(std::mem::take(&mut self.data))
     }
 
-    /// Completes an encode started with [`begin`](Self::begin), recording
-    /// the producing algorithm and taking the bitstream back.
+    /// Completes an encode started with [`begin`](Self::begin), taking the
+    /// bitstream back.
     ///
     /// # Panics
     ///
     /// Panics if the writer's bitstream is shorter than its declared bit
     /// length (impossible for streams produced via [`BitWriter`]).
-    pub fn finish(&mut self, algorithm: &'static str, writer: BitWriter) {
+    pub fn finish(&mut self, writer: BitWriter) {
         let (data, bits) = writer.into_parts();
         assert!(
             data.len() * 8 >= bits,
             "bitstream shorter than declared: {} bytes for {bits} bits",
             data.len()
         );
-        self.algorithm = algorithm;
         self.bits = bits;
         self.data = data;
-    }
-
-    /// Copies the held bitstream into an owned [`Compressed`] block.
-    pub fn to_compressed(&self) -> Compressed {
-        Compressed::new(self.algorithm, self.bits, self.data.clone())
-    }
-
-    /// Converts the buffer into an owned [`Compressed`] block without
-    /// copying the bitstream.
-    pub fn into_compressed(self) -> Compressed {
-        Compressed::new(self.algorithm, self.bits, self.data)
     }
 }
 
 /// An object-safe, allocation-free lossless compressor for 128-byte
 /// memory-entries.
 ///
-/// This is the primary compression interface; [`BlockCompressor`] is a
-/// compatibility shim implemented for every `Codec` via a blanket impl.
 /// Implementations must satisfy the round-trip law: for every entry `e` and
 /// buffer `b`, `compress_into(&e, &mut b)` followed by
 /// `decompress_into(b.data(), b.bits(), &mut out)` must succeed with
@@ -171,23 +136,23 @@ impl CompressedBuf {
 /// nothing.
 pub trait Codec: Sync {
     /// Short stable name of the algorithm (used in reports, metadata and
-    /// the [`codec_by_name`] registry).
+    /// [`CodecKind::from_name`]).
     fn name(&self) -> &'static str;
 
     /// Compresses one entry into `out`, reusing `out`'s backing storage.
     ///
-    /// On return `out` holds the full bitstream, its exact bit length and
-    /// this codec's name. Steady-state this path performs no heap
-    /// allocation (the buffer grows once to its high-water mark).
+    /// On return `out` holds the full bitstream and its exact bit length.
+    /// Steady-state this path performs no heap allocation (the buffer grows
+    /// once to its high-water mark).
     fn compress_into(&self, entry: &Entry, out: &mut CompressedBuf);
 
     /// Decodes a bitstream previously produced by this codec into `out`.
     ///
     /// `bits` bounds how many bits of `data` are valid; decoders may read
     /// fewer (trailing padding, e.g. from sector-aligned storage, is
-    /// ignored). Unlike [`BlockCompressor::decompress`], no algorithm tag
-    /// is checked: the caller owns the association between stored streams
-    /// and the codec that wrote them, as `BuddyDevice` does.
+    /// ignored). Streams carry no algorithm tag: the caller owns the
+    /// association between stored streams and the codec that wrote them,
+    /// as `BuddyDevice` does.
     ///
     /// # Errors
     ///
@@ -208,33 +173,6 @@ pub trait Codec: Sync {
             self.compress_into(entry, scratch);
             scratch.size_class()
         }
-    }
-}
-
-/// Every [`Codec`] is a [`BlockCompressor`]: the legacy allocating API is a
-/// thin shim over the zero-allocation one, so code written against
-/// `BlockCompressor` (and trait objects, via `?Sized`) keeps working.
-impl<C: Codec + ?Sized> BlockCompressor for C {
-    fn name(&self) -> &'static str {
-        Codec::name(self)
-    }
-
-    fn compress(&self, entry: &Entry) -> Compressed {
-        let mut buf = CompressedBuf::new();
-        self.compress_into(entry, &mut buf);
-        buf.into_compressed()
-    }
-
-    fn decompress(&self, compressed: &Compressed) -> Result<Entry, DecodeError> {
-        if compressed.algorithm() != Codec::name(self) {
-            return Err(DecodeError::WrongAlgorithm {
-                found: compressed.algorithm(),
-                expected: Codec::name(self),
-            });
-        }
-        let mut entry = [0u8; ENTRY_BYTES];
-        self.decompress_into(compressed.data(), compressed.bits(), &mut entry)?;
-        Ok(entry)
     }
 }
 
@@ -329,18 +267,10 @@ impl fmt::Display for CodecKind {
     }
 }
 
-/// The registry behind CLI codec selection: resolves a stable name to its
-/// static [`Codec`] instance, or `None` for unknown names.
-///
-/// Binaries pass `--codec <name>` strings straight through here; the known
-/// names are those of [`CodecKind::ALL`].
-pub fn codec_by_name(name: &str) -> Option<&'static dyn Codec> {
-    CodecKind::from_name(name).map(CodecKind::as_codec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ENTRY_BYTES;
 
     /// The trait must stay object-safe: the registry and the device model
     /// both hand out `&dyn Codec`.
@@ -359,13 +289,12 @@ mod tests {
     #[test]
     fn registry_resolves_all_names() {
         for kind in CodecKind::ALL {
-            let name = Codec::name(&kind);
-            let codec = codec_by_name(name).expect("registered");
-            assert_eq!(codec.name(), name);
+            let name = kind.name();
+            assert_eq!(kind.as_codec().name(), name);
             assert_eq!(CodecKind::from_name(name), Some(kind));
             assert_eq!(kind.to_string(), name);
         }
-        assert!(codec_by_name("lz4").is_none());
+        assert!(CodecKind::from_name("lz4").is_none());
         assert_eq!(CodecKind::from_name("zero-rle"), Some(CodecKind::Zero));
     }
 
@@ -379,27 +308,8 @@ mod tests {
             (CodecKind::Zero, "Zero-RLE"),
         ] {
             assert_eq!(CodecKind::from_name(upper), Some(kind), "{upper}");
-            assert_eq!(
-                codec_by_name(upper).map(|c| c.name()),
-                Some(Codec::name(&kind))
-            );
         }
         assert!(CodecKind::from_name("LZ4").is_none());
-    }
-
-    #[test]
-    fn compress_into_matches_allocating_path() {
-        let entry = ramp_entry();
-        let mut buf = CompressedBuf::new();
-        for kind in CodecKind::ALL {
-            kind.compress_into(&entry, &mut buf);
-            let owned = kind.compress(&entry);
-            assert_eq!(buf.bits(), owned.bits(), "{kind}: bit length differs");
-            assert_eq!(buf.data(), owned.data(), "{kind}: bitstream differs");
-            assert_eq!(buf.algorithm(), owned.algorithm());
-            assert_eq!(buf.size_class(), owned.size_class());
-            assert_eq!(buf.sectors(), owned.sectors());
-        }
     }
 
     #[test]
@@ -448,24 +358,13 @@ mod tests {
         );
         let entry = ramp_entry();
         for kind in CodecKind::ALL {
+            let class = kind.size_class_into(&entry, &mut buf);
             assert_eq!(
-                kind.size_class_into(&entry, &mut buf),
-                kind.size_class_of(&entry),
-                "{kind}: classification paths disagree"
+                class,
+                SizeClass::for_bits(buf.bits()),
+                "{kind}: class must be that of the stream left in scratch"
             );
         }
-    }
-
-    #[test]
-    fn shim_rejects_wrong_algorithm() {
-        let c = Compressed::new("bdi", 4, vec![0]);
-        assert!(matches!(
-            CodecKind::Bpc.decompress(&c),
-            Err(DecodeError::WrongAlgorithm {
-                found: "bdi",
-                expected: "bpc",
-            })
-        ));
     }
 
     #[test]
@@ -473,7 +372,6 @@ mod tests {
         let buf = CompressedBuf::with_capacity(160);
         assert_eq!(buf.bits(), 0);
         assert_eq!(buf.bytes(), 0);
-        assert_eq!(buf.algorithm(), "");
         assert!(buf.data().is_empty());
         assert_eq!(buf.size_class(), SizeClass::B0);
     }

@@ -24,14 +24,17 @@ use crate::{from_symbols, to_symbols, Codec, CompressedBuf, DecodeError, Entry};
 /// # Example
 ///
 /// ```
-/// use bpc::{FrequentPattern, BlockCompressor};
+/// use bpc::{Codec, CompressedBuf, FrequentPattern};
 ///
 /// let codec = FrequentPattern::new();
 /// let entry = [0u8; 128];
-/// let compressed = codec.compress(&entry);
+/// let mut buf = CompressedBuf::new();
+/// codec.compress_into(&entry, &mut buf);
 /// // 32 zero words collapse into 4 zero-run codes of 8 words each.
-/// assert_eq!(compressed.bits(), 4 * 6);
-/// assert_eq!(codec.decompress(&compressed).unwrap(), entry);
+/// assert_eq!(buf.bits(), 4 * 6);
+/// let mut out = [0xFFu8; 128];
+/// codec.decompress_into(buf.data(), buf.bits(), &mut out).unwrap();
+/// assert_eq!(out, entry);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrequentPattern;
@@ -43,7 +46,7 @@ fn fits_signed(v: u32, bits: u32) -> bool {
 }
 
 impl FrequentPattern {
-    /// Algorithm name used in [`crate::Compressed::algorithm`].
+    /// Stable algorithm name returned by [`Codec::name`].
     pub const NAME: &'static str = "fpc";
 
     /// Creates the codec.
@@ -102,7 +105,7 @@ impl Codec for FrequentPattern {
             }
             i += 1;
         }
-        out.finish(Self::NAME, w);
+        out.finish(w);
     }
 
     fn decompress_into(
@@ -169,7 +172,6 @@ impl Codec for FrequentPattern {
 mod tests {
     use super::*;
     use crate::bits::BitWriter;
-    use crate::{BlockCompressor, Compressed};
 
     fn entry_from_words(f: impl Fn(usize) -> u32) -> Entry {
         let mut words = [0u32; 32];
@@ -181,8 +183,11 @@ mod tests {
 
     fn round_trip(entry: &Entry) -> usize {
         let codec = FrequentPattern::new();
-        let c = codec.compress(entry);
-        assert_eq!(&codec.decompress(&c).unwrap(), entry);
+        let mut c = CompressedBuf::new();
+        codec.compress_into(entry, &mut c);
+        let mut out = [0xFFu8; 128];
+        codec.decompress_into(c.data(), c.bits(), &mut out).unwrap();
+        assert_eq!(&out, entry);
         c.bits()
     }
 
@@ -261,9 +266,8 @@ mod tests {
             w.push_bits(6, 3);
         }
         let (data, bits) = w.into_parts();
-        let c = Compressed::new(FrequentPattern::NAME, bits, data);
         assert!(matches!(
-            FrequentPattern::new().decompress(&c),
+            FrequentPattern::new().decompress_into(&data, bits, &mut [0u8; 128]),
             Err(DecodeError::InvalidCode { .. })
         ));
     }

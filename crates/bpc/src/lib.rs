@@ -20,16 +20,15 @@
 //! and into 32 B *sectors*, the GPU DRAM access granularity that Buddy
 //! Compression stripes entries by (Figure 4).
 //!
-//! Every algorithm is exposed through two interfaces: the object-safe,
-//! zero-allocation [`Codec`] API ([`Codec::compress_into`] encoding into a
-//! reusable [`CompressedBuf`], with the [`CodecKind`]/[`codec_by_name`]
-//! registry for runtime selection), and the allocating [`BlockCompressor`]
-//! compatibility shim layered on top of it.
+//! Every algorithm is exposed through the object-safe, zero-allocation
+//! [`Codec`] API: [`Codec::compress_into`] encodes into a reusable
+//! [`CompressedBuf`], and the [`CodecKind`] registry selects an algorithm at
+//! runtime.
 //!
 //! # Example
 //!
 //! ```
-//! use bpc::{BitPlane, BlockCompressor, SizeClass, ENTRY_BYTES};
+//! use bpc::{BitPlane, Codec, CompressedBuf, ENTRY_BYTES};
 //!
 //! // A smooth ramp of 32-bit integers compresses extremely well under BPC.
 //! let mut entry = [0u8; ENTRY_BYTES];
@@ -37,12 +36,14 @@
 //!     w.copy_from_slice(&(1000u32 + 3 * i as u32).to_le_bytes());
 //! }
 //! let codec = BitPlane::new();
-//! let compressed = codec.compress(&entry);
-//! assert!(compressed.bits() < 8 * ENTRY_BYTES);
-//! assert_eq!(codec.decompress(&compressed).unwrap(), entry);
+//! let mut buf = CompressedBuf::new();
+//! codec.compress_into(&entry, &mut buf);
+//! assert!(buf.bits() < 8 * ENTRY_BYTES);
+//! let mut restored = [0u8; ENTRY_BYTES];
+//! codec.decompress_into(buf.data(), buf.bits(), &mut restored).unwrap();
+//! assert_eq!(restored, entry);
 //!
-//! let class = SizeClass::for_bits(compressed.bits());
-//! assert!(class.bytes() <= 32);
+//! assert!(buf.size_class().bytes() <= 32);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +59,7 @@ pub mod zero;
 
 pub use bdi::BaseDeltaImmediate;
 pub use bitplane::BitPlane;
-pub use codec::{codec_by_name, Codec, CodecKind, CompressedBuf};
+pub use codec::{Codec, CodecKind, CompressedBuf};
 pub use fpc::FrequentPattern;
 pub use size_class::{SizeClass, SizeHistogram};
 pub use zero::ZeroRle;
@@ -83,87 +84,6 @@ pub const SECTORS_PER_ENTRY: usize = ENTRY_BYTES / SECTOR_BYTES;
 /// One uncompressed 128-byte memory-entry.
 pub type Entry = [u8; ENTRY_BYTES];
 
-/// The result of compressing one [`Entry`].
-///
-/// Holds the encoded bitstream and its exact length in bits. The bitstream is
-/// only meaningful to the algorithm that produced it; capacity accounting via
-/// [`SizeClass`] is algorithm-independent.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Compressed {
-    algorithm: &'static str,
-    bits: usize,
-    data: Vec<u8>,
-}
-
-impl Compressed {
-    /// Creates a compressed block from raw encoder output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` holds fewer than `bits` bits. A block that declares
-    /// more payload than it carries would make every downstream consumer
-    /// unsound — decoders would mistake the truncation for in-band data and
-    /// capacity accounting would charge phantom bytes — so the invariant is
-    /// enforced in release builds too, not just debug.
-    pub fn new(algorithm: &'static str, bits: usize, data: Vec<u8>) -> Self {
-        assert!(
-            data.len() * 8 >= bits,
-            "bitstream shorter than declared: {} bytes cannot hold {bits} bits",
-            data.len()
-        );
-        Self {
-            algorithm,
-            bits,
-            data,
-        }
-    }
-
-    /// Name of the algorithm that produced this block.
-    pub fn algorithm(&self) -> &'static str {
-        self.algorithm
-    }
-
-    /// Exact compressed size in bits.
-    pub fn bits(&self) -> usize {
-        self.bits
-    }
-
-    /// Compressed size rounded up to whole bytes.
-    pub fn bytes(&self) -> usize {
-        self.bits.div_ceil(8)
-    }
-
-    /// The encoded bitstream (MSB-first within each byte).
-    pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// The capacity size class this block falls into.
-    pub fn size_class(&self) -> SizeClass {
-        SizeClass::for_bits(self.bits)
-    }
-
-    /// Number of 32 B sectors needed to store this block, between 1 and 4.
-    ///
-    /// Incompressible blocks (more than 96 B) are stored raw and occupy all
-    /// four sectors.
-    pub fn sectors(&self) -> u8 {
-        self.size_class().sectors().max(1)
-    }
-}
-
-impl fmt::Display for Compressed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} bits ({})",
-            self.algorithm,
-            self.bits,
-            self.size_class()
-        )
-    }
-}
-
 /// Error returned when a compressed bitstream cannot be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
@@ -174,13 +94,6 @@ pub enum DecodeError {
         /// Bit offset at which the invalid code was encountered.
         bit_offset: usize,
     },
-    /// The block was compressed by a different algorithm.
-    WrongAlgorithm {
-        /// Algorithm that produced the block.
-        found: &'static str,
-        /// Algorithm attempting the decode.
-        expected: &'static str,
-    },
 }
 
 impl fmt::Display for DecodeError {
@@ -190,59 +103,11 @@ impl fmt::Display for DecodeError {
             DecodeError::InvalidCode { bit_offset } => {
                 write!(f, "invalid code word at bit offset {bit_offset}")
             }
-            DecodeError::WrongAlgorithm { found, expected } => {
-                write!(f, "block was compressed with {found}, not {expected}")
-            }
         }
     }
 }
 
 impl Error for DecodeError {}
-
-/// A lossless compressor for 128-byte memory-entries (allocating API).
-///
-/// Implementations must satisfy `decompress(compress(e)) == e` for every
-/// entry `e`; this invariant is property-tested for every algorithm in this
-/// crate.
-///
-/// This trait is now a **compatibility shim** over the zero-allocation
-/// [`Codec`] interface: every `Codec` gets a `BlockCompressor`
-/// implementation via the blanket impl in [`codec`], so existing call sites
-/// keep working while hot paths migrate to [`Codec::compress_into`]. Do not
-/// implement `BlockCompressor` directly for new algorithms — implement
-/// [`Codec`] instead.
-pub trait BlockCompressor {
-    /// Short stable name of the algorithm (used in reports and metadata).
-    fn name(&self) -> &'static str;
-
-    /// Compresses one memory-entry into a bitstream.
-    fn compress(&self, entry: &Entry) -> Compressed;
-
-    /// Decompresses a bitstream produced by [`compress`](Self::compress).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] if the block was produced by a different
-    /// algorithm or the bitstream is malformed.
-    fn decompress(&self, compressed: &Compressed) -> Result<Entry, DecodeError>;
-
-    /// Convenience: the exact compressed size of `entry` in bits.
-    fn compressed_bits(&self, entry: &Entry) -> usize {
-        self.compress(entry).bits()
-    }
-
-    /// Convenience: the capacity size class of `entry` under this algorithm.
-    ///
-    /// All-zero entries map to [`SizeClass::B0`]: the paper's capacity study
-    /// (Figure 3) counts tracked-zero entries as occupying no data storage.
-    fn size_class_of(&self, entry: &Entry) -> SizeClass {
-        if entry.iter().all(|&b| b == 0) {
-            SizeClass::B0
-        } else {
-            SizeClass::for_bits(self.compressed_bits(entry))
-        }
-    }
-}
 
 /// Interprets a 128-byte entry as 32 little-endian 32-bit symbols.
 pub(crate) fn to_symbols(entry: &Entry) -> [u32; 32] {
@@ -277,21 +142,15 @@ mod tests {
 
     #[test]
     fn compressed_accessors() {
-        let c = Compressed::new("test", 12, vec![0xAB, 0xC0]);
-        assert_eq!(c.algorithm(), "test");
+        let mut c = CompressedBuf::new();
+        let mut w = c.begin();
+        w.push_bits(0xABC, 12);
+        c.finish(w);
         assert_eq!(c.bits(), 12);
         assert_eq!(c.bytes(), 2);
+        assert_eq!(c.data(), [0xAB, 0xC0]);
         assert_eq!(c.size_class(), SizeClass::B8);
         assert_eq!(c.sectors(), 1);
-        assert_eq!(c.to_string(), "test: 12 bits (8B)");
-    }
-
-    #[test]
-    #[should_panic(expected = "bitstream shorter than declared")]
-    fn over_declared_bits_are_rejected() {
-        // Two bytes can hold at most 16 bits; declaring 17 must panic in
-        // release builds too (the invariant is a real assert, not debug).
-        let _ = Compressed::new("test", 17, vec![0xAB, 0xC0]);
     }
 
     #[test]
@@ -303,14 +162,6 @@ mod tests {
         assert_eq!(
             DecodeError::InvalidCode { bit_offset: 5 }.to_string(),
             "invalid code word at bit offset 5"
-        );
-        assert_eq!(
-            DecodeError::WrongAlgorithm {
-                found: "a",
-                expected: "b"
-            }
-            .to_string(),
-            "block was compressed with a, not b"
         );
     }
 }

@@ -14,17 +14,20 @@ use crate::{Codec, CompressedBuf, DecodeError, Entry, ENTRY_BYTES};
 /// # Example
 ///
 /// ```
-/// use bpc::{ZeroRle, BlockCompressor};
+/// use bpc::{Codec, CompressedBuf, ZeroRle};
 ///
 /// let codec = ZeroRle::new();
-/// assert_eq!(codec.compress(&[0u8; 128]).bits(), 1);
-/// assert_eq!(codec.compress(&[1u8; 128]).bits(), 1 + 1024);
+/// let mut buf = CompressedBuf::new();
+/// codec.compress_into(&[0u8; 128], &mut buf);
+/// assert_eq!(buf.bits(), 1);
+/// codec.compress_into(&[1u8; 128], &mut buf);
+/// assert_eq!(buf.bits(), 1 + 1024);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ZeroRle;
 
 impl ZeroRle {
-    /// Algorithm name used in [`crate::Compressed::algorithm`].
+    /// Stable algorithm name returned by [`Codec::name`].
     pub const NAME: &'static str = "zero";
 
     /// Creates the codec.
@@ -48,7 +51,7 @@ impl Codec for ZeroRle {
                 w.push_bits(b as u64, 8);
             }
         }
-        out.finish(Self::NAME, w);
+        out.finish(w);
     }
 
     fn decompress_into(
@@ -71,40 +74,33 @@ impl Codec for ZeroRle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockCompressor, Compressed};
+
+    fn round_trip(entry: &Entry) -> usize {
+        let codec = ZeroRle::new();
+        let mut c = CompressedBuf::new();
+        codec.compress_into(entry, &mut c);
+        let mut out = [0xFFu8; 128];
+        codec.decompress_into(c.data(), c.bits(), &mut out).unwrap();
+        assert_eq!(&out, entry);
+        c.bits()
+    }
 
     #[test]
     fn zero_round_trip() {
-        let codec = ZeroRle::new();
-        let c = codec.compress(&[0u8; 128]);
-        assert_eq!(c.bits(), 1);
-        assert_eq!(codec.decompress(&c).unwrap(), [0u8; 128]);
+        assert_eq!(round_trip(&[0u8; 128]), 1);
     }
 
     #[test]
     fn nonzero_round_trip() {
-        let codec = ZeroRle::new();
         let mut entry = [0u8; 128];
         entry[127] = 1;
-        let c = codec.compress(&entry);
-        assert_eq!(c.bits(), 1025);
-        assert_eq!(codec.decompress(&c).unwrap(), entry);
-    }
-
-    #[test]
-    fn wrong_algorithm_rejected() {
-        let c = Compressed::new("bpc", 1, vec![0]);
-        assert!(matches!(
-            ZeroRle::new().decompress(&c),
-            Err(DecodeError::WrongAlgorithm { .. })
-        ));
+        assert_eq!(round_trip(&entry), 1025);
     }
 
     #[test]
     fn truncated_rejected() {
-        let c = Compressed::new(ZeroRle::NAME, 0, vec![]);
         assert!(matches!(
-            ZeroRle::new().decompress(&c),
+            ZeroRle::new().decompress_into(&[], 0, &mut [0u8; 128]),
             Err(DecodeError::Truncated)
         ));
     }

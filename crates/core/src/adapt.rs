@@ -411,7 +411,7 @@ mod tests {
                         c.copy_from_slice(&w.to_le_bytes());
                     }
                 }
-                dev.write_entry(a, i, &e).unwrap();
+                dev.write_entries(a, i, &[e]).unwrap();
             }
             let window = dev.state_window(a).unwrap();
             if let Some(next) = policy.recommend(current, &window) {

@@ -756,32 +756,10 @@ impl BuddyDevice {
         Ok((&a.name, a.view.target, a.view.entries))
     }
 
-    /// Writes one 128 B entry, compressing it and updating only this entry's
-    /// device bytes, buddy slot and metadata nibble.
-    ///
-    /// Returns the [`EntryState`] recorded in metadata.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// for invalid handles.
-    pub fn write_entry(
-        &mut self,
-        id: AllocId,
-        index: u64,
-        entry: &Entry,
-    ) -> Result<EntryState, DeviceError> {
-        self.shared
-            .write_single(id, index, entry, &mut self.scratch)
-    }
-
-    /// Writes a contiguous run of entries starting at `start`, reusing one
-    /// compression buffer across the whole batch and folding the traffic
-    /// counters in with a single stats update.
-    ///
-    /// Semantically identical to calling [`write_entry`](Self::write_entry)
-    /// per element, but without the per-call bookkeeping — the figure
-    /// harnesses push millions of entries through this path.
+    /// Writes a contiguous run of entries starting at `start`: each entry is
+    /// compressed and updates only its own device bytes, buddy slot and
+    /// metadata nibble. One compression buffer is reused across the whole
+    /// batch and the traffic counters fold in with a single stats update.
     ///
     /// # Errors
     ///
@@ -794,83 +772,38 @@ impl BuddyDevice {
         start: u64,
         entries: &[Entry],
     ) -> Result<(), DeviceError> {
-        self.write_entries_collect(id, start, entries).map(|_| ())
-    }
-
-    /// [`write_entries`](Self::write_entries), additionally returning the
-    /// traffic this batch generated (the same delta that is merged into the
-    /// device-wide [`stats`](Self::stats)).
-    ///
-    /// The multi-tenant service layer uses the returned delta for per-tenant
-    /// accounting: the batch already computes it locally, so attribution
-    /// costs nothing extra on the hot path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`write_entries`](Self::write_entries).
-    pub fn write_entries_collect(
-        &mut self,
-        id: AllocId,
-        start: u64,
-        entries: &[Entry],
-    ) -> Result<AccessStats, DeviceError> {
-        let stats = self
-            .shared
+        self.shared
             .write_batch(id, start, entries, &mut self.scratch)?;
         // Entry writes must never move reservations — the design's fixed
         // buddy-offset invariant — so the mirror needs no update, only a
         // revalidation.
         #[cfg(feature = "audit")]
         self.audit_check();
-        Ok(stats)
-    }
-
-    /// Reads one 128 B entry, decompressing from device and (if the entry
-    /// overflowed its target) buddy memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// for invalid handles.
-    pub fn read_entry(&mut self, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
-        let mut out = [0u8; ENTRY_BYTES];
-        self.shared
-            .read_batch(id, index, std::slice::from_mut(&mut out))?;
-        Ok(out)
+        Ok(())
     }
 
     /// Reads a contiguous run of entries starting at `start` into `out`,
-    /// folding the traffic counters in with a single stats update.
+    /// decompressing each from device and (if it overflowed its target)
+    /// buddy memory, and folding the traffic counters in with a single
+    /// stats update.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// (the latter if the run extends past the allocation); on error `out`
-    /// is untouched.
+    /// (the latter if the run extends past the allocation). The contract
+    /// is the engine's, shared with [`DeviceHandle::read_entries`]: an
+    /// error is detected against a consistent snapshot before that attempt
+    /// writes to `out`, so `out` holds partial bytes only if an earlier
+    /// attempt was abandoned by the seqlock and a structural operation
+    /// then invalidated the id. `&mut self` excludes structural
+    /// operations, so here an error leaves `out` untouched.
     pub fn read_entries(
         &mut self,
         id: AllocId,
         start: u64,
         out: &mut [Entry],
     ) -> Result<(), DeviceError> {
-        self.read_entries_collect(id, start, out).map(|_| ())
-    }
-
-    /// [`read_entries`](Self::read_entries), additionally returning the
-    /// traffic this batch generated (the same delta that is merged into the
-    /// device-wide [`stats`](Self::stats)). See
-    /// [`write_entries_collect`](Self::write_entries_collect).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`read_entries`](Self::read_entries).
-    pub fn read_entries_collect(
-        &mut self,
-        id: AllocId,
-        start: u64,
-        out: &mut [Entry],
-    ) -> Result<AccessStats, DeviceError> {
-        self.shared.read_batch(id, start, out)
+        self.shared.read_batch(id, start, out).map(|_| ())
     }
 
     /// Per-entry state without touching traffic counters (for analysis).
@@ -1163,31 +1096,21 @@ impl DeviceHandle {
         self.shared.epoch()
     }
 
-    /// Lock-free [`BuddyDevice::read_entry`]: resolves `id` against the
-    /// current published epoch without taking any device-wide lock.
+    /// Lock-free [`BuddyDevice::read_entries`]: resolves `id` against the
+    /// current published epoch without taking any device-wide lock, and
+    /// the whole batch lands inside one consistent epoch (old or new
+    /// around any racing structural operation, never a blend).
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
     /// for invalid handles; a handle racing a `free` observes
     /// [`DeviceError::BadAllocation`] once the tombstone epoch publishes.
-    pub fn read_entry(&self, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
-        let _op = self.shared.enter_op();
-        let mut out = [0u8; ENTRY_BYTES];
-        self.shared
-            .read_batch(id, index, std::slice::from_mut(&mut out))?;
-        Ok(out)
-    }
-
-    /// Lock-free [`BuddyDevice::read_entries`]: the whole batch resolves
-    /// against one consistent epoch (old or new around any racing
-    /// structural operation, never a blend).
-    ///
-    /// # Errors
-    ///
-    /// As [`read_entry`](Self::read_entry); on error `out` may hold
-    /// partially-read bytes from an abandoned attempt, but the call
-    /// reports the failure.
+    /// An error is detected against a consistent snapshot before that
+    /// attempt writes to `out`, but an earlier attempt abandoned by the
+    /// seqlock (a racing write, `retarget` or `free`) may already have
+    /// decoded entries into it: on error `out` may hold partial bytes and
+    /// must not be used.
     pub fn read_entries(
         &self,
         id: AllocId,
@@ -1198,8 +1121,10 @@ impl DeviceHandle {
     }
 
     /// [`read_entries`](Self::read_entries), additionally returning the
-    /// traffic this batch generated (also folded into the shared
-    /// [`BuddyDevice::stats`] counters).
+    /// traffic this batch generated (the same delta that is folded into
+    /// the shared [`BuddyDevice::stats`] counters). The batch computes it
+    /// locally anyway, so the service layer's per-tenant attribution costs
+    /// nothing extra on the hot path.
     ///
     /// # Errors
     ///
@@ -1214,27 +1139,10 @@ impl DeviceHandle {
         self.shared.read_batch(id, start, out)
     }
 
-    /// [`BuddyDevice::write_entry`] through the handle: serializes on the
-    /// allocation's write lock only — writes to other allocations and all
-    /// reads proceed concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// for invalid handles.
-    pub fn write_entry(
-        &self,
-        id: AllocId,
-        index: u64,
-        entry: &Entry,
-    ) -> Result<EntryState, DeviceError> {
-        let _op = self.shared.enter_op();
-        let mut scratch = CompressedBuf::with_capacity(ENTRY_BYTES + ENTRY_BYTES / 4);
-        self.shared.write_single(id, index, entry, &mut scratch)
-    }
-
     /// [`BuddyDevice::write_entries`] through the handle (one compression
-    /// buffer per batch; per-allocation write lock, no device-wide lock).
+    /// buffer per batch). The batch serializes on the allocation's write
+    /// lock only — writes to other allocations and all reads proceed
+    /// concurrently, and no device-wide lock is taken.
     ///
     /// # Errors
     ///
@@ -1251,7 +1159,8 @@ impl DeviceHandle {
     }
 
     /// [`write_entries`](Self::write_entries), additionally returning the
-    /// traffic this batch generated.
+    /// traffic this batch generated (see
+    /// [`read_entries_collect`](Self::read_entries_collect)).
     ///
     /// # Errors
     ///
@@ -1302,6 +1211,24 @@ mod tests {
         e
     }
 
+    /// Single-entry write as a batch of one, returning the recorded state.
+    fn write1(
+        dev: &mut BuddyDevice,
+        id: AllocId,
+        index: u64,
+        entry: &Entry,
+    ) -> Result<EntryState, DeviceError> {
+        dev.write_entries(id, index, std::slice::from_ref(entry))?;
+        dev.entry_state(id, index)
+    }
+
+    /// Single-entry read as a batch of one.
+    fn read1(dev: &mut BuddyDevice, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
+        let mut out = [[0u8; ENTRY_BYTES]];
+        dev.read_entries(id, index, &mut out)?;
+        Ok(out[0])
+    }
+
     fn small_device() -> BuddyDevice {
         BuddyDevice::new(DeviceConfig {
             device_capacity: 1 << 20,
@@ -1313,9 +1240,9 @@ mod tests {
     fn zero_entries_cost_nothing_to_read() {
         let mut dev = small_device();
         let a = dev.alloc("a", 16, TargetRatio::R2).unwrap();
-        dev.write_entry(a, 3, &[0u8; 128]).unwrap();
+        write1(&mut dev, a, 3, &[0u8; 128]).unwrap();
         dev.reset_stats();
-        assert_eq!(dev.read_entry(a, 3).unwrap(), [0u8; 128]);
+        assert_eq!(read1(&mut dev, a, 3).unwrap(), [0u8; 128]);
         let s = dev.stats();
         assert_eq!(s.device_sectors, 0);
         assert_eq!(s.buddy_sectors, 0);
@@ -1327,10 +1254,10 @@ mod tests {
         let mut dev = small_device();
         let a = dev.alloc("a", 16, TargetRatio::R2).unwrap();
         let entry = entry_of_words(|i| 1000 + i as u32); // ramp → 1 sector
-        let state = dev.write_entry(a, 0, &entry).unwrap();
+        let state = write1(&mut dev, a, 0, &entry).unwrap();
         assert_eq!(state, EntryState::Compressed { sectors: 1 });
         dev.reset_stats();
-        assert_eq!(dev.read_entry(a, 0).unwrap(), entry);
+        assert_eq!(read1(&mut dev, a, 0).unwrap(), entry);
         assert_eq!(dev.stats().buddy_sectors, 0);
     }
 
@@ -1343,10 +1270,10 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             (state >> 32) as u32
         });
-        let st = dev.write_entry(a, 5, &entry).unwrap();
+        let st = write1(&mut dev, a, 5, &entry).unwrap();
         assert_eq!(st, EntryState::Compressed { sectors: 4 });
         dev.reset_stats();
-        assert_eq!(dev.read_entry(a, 5).unwrap(), entry);
+        assert_eq!(read1(&mut dev, a, 5).unwrap(), entry);
         let s = dev.stats();
         assert_eq!(s.device_sectors, 2); // target 2x keeps 2 sectors local
         assert_eq!(s.buddy_sectors, 2); // and 2 come over the link
@@ -1360,7 +1287,7 @@ mod tests {
         let a = dev.alloc("a", 8, TargetRatio::R2).unwrap();
         let ramp = entry_of_words(|i| 7 * i as u32);
         for i in 0..8 {
-            dev.write_entry(a, i, &ramp).unwrap();
+            write1(&mut dev, a, i, &ramp).unwrap();
         }
         // Make entry 4 incompressible; neighbours must read back unchanged.
         let mut x = 99u64;
@@ -1370,10 +1297,10 @@ mod tests {
                 .wrapping_add(0x14057B7EF767814F);
             (x >> 30) as u32
         });
-        dev.write_entry(a, 4, &noisy).unwrap();
+        write1(&mut dev, a, 4, &noisy).unwrap();
         for i in 0..8 {
             let expect = if i == 4 { noisy } else { ramp };
-            assert_eq!(dev.read_entry(a, i).unwrap(), expect, "entry {i}");
+            assert_eq!(read1(&mut dev, a, i).unwrap(), expect, "entry {i}");
         }
     }
 
@@ -1384,10 +1311,10 @@ mod tests {
         // Constant entry: 41 bits → 6 bytes → fits the 8 B granule.
         let constant = entry_of_words(|_| 0xABCD_1234);
         assert_eq!(
-            dev.write_entry(a, 0, &constant).unwrap(),
+            write1(&mut dev, a, 0, &constant).unwrap(),
             EntryState::ZeroPageFit
         );
-        assert_eq!(dev.read_entry(a, 0).unwrap(), constant);
+        assert_eq!(read1(&mut dev, a, 0).unwrap(), constant);
         // A ramp costs more than 8 B? No — still tiny. Use noisy data.
         let mut x = 3u64;
         let noisy = entry_of_words(|_| {
@@ -1395,13 +1322,13 @@ mod tests {
             (x >> 24) as u32
         });
         assert_eq!(
-            dev.write_entry(a, 1, &noisy).unwrap(),
+            write1(&mut dev, a, 1, &noisy).unwrap(),
             EntryState::ZeroPageOverflow
         );
-        assert_eq!(dev.read_entry(a, 1).unwrap(), noisy);
+        assert_eq!(read1(&mut dev, a, 1).unwrap(), noisy);
         // Overflow reads are pure buddy traffic.
         dev.reset_stats();
-        dev.read_entry(a, 1).unwrap();
+        read1(&mut dev, a, 1).unwrap();
         assert_eq!(dev.stats().buddy_sectors, 4);
         assert_eq!(dev.stats().device_sectors, 0);
     }
@@ -1491,7 +1418,8 @@ mod tests {
         let mut dev = small_device();
         let a = dev.alloc("a", 4, TargetRatio::R1).unwrap();
         assert!(matches!(
-            dev.read_entry(
+            read1(
+                &mut dev,
                 AllocId {
                     slot: 7,
                     generation: 0
@@ -1501,7 +1429,7 @@ mod tests {
             Err(DeviceError::BadAllocation)
         ));
         assert!(matches!(
-            dev.read_entry(a, 4),
+            read1(&mut dev, a, 4),
             Err(DeviceError::BadIndex {
                 index: 4,
                 entries: 4
@@ -1513,7 +1441,7 @@ mod tests {
     fn fresh_allocation_reads_zero() {
         let mut dev = small_device();
         let a = dev.alloc("a", 4, TargetRatio::R4).unwrap();
-        assert_eq!(dev.read_entry(a, 2).unwrap(), [0u8; 128]);
+        assert_eq!(read1(&mut dev, a, 2).unwrap(), [0u8; 128]);
     }
 
     #[test]
@@ -1583,10 +1511,10 @@ mod tests {
         let mut single = small_device();
         let b = single.alloc("a", 16, TargetRatio::R2).unwrap();
         for (i, e) in entries.iter().enumerate() {
-            single.write_entry(b, i as u64, e).unwrap();
+            write1(&mut single, b, i as u64, e).unwrap();
         }
         for i in 0..16u64 {
-            assert_eq!(single.read_entry(b, i).unwrap(), entries[i as usize]);
+            assert_eq!(read1(&mut single, b, i).unwrap(), entries[i as usize]);
         }
         assert_eq!(
             batched.stats(),
@@ -1724,8 +1652,7 @@ mod tests {
         let a = dev.alloc("w", 16, TargetRatio::R2).unwrap();
         // 8 zeros (untouched), 4 one-sector ramps, 4 incompressible.
         for i in 0..4u64 {
-            dev.write_entry(a, i, &entry_of_words(|j| 500 + j as u32))
-                .unwrap();
+            write1(&mut dev, a, i, &entry_of_words(|j| 500 + j as u32)).unwrap();
         }
         let mut s = 1u64;
         let noisy = entry_of_words(|_| {
@@ -1733,7 +1660,7 @@ mod tests {
             (s >> 32) as u32
         });
         for i in 4..8u64 {
-            dev.write_entry(a, i, &noisy).unwrap();
+            write1(&mut dev, a, i, &noisy).unwrap();
         }
         let before = dev.stats();
         let window = dev.state_window(a).unwrap();
@@ -1752,7 +1679,7 @@ mod tests {
             .map(|i| dev.alloc(&format!("a{i}"), 64, TargetRatio::R2).unwrap())
             .collect();
         for &id in &ids {
-            dev.write_entry(id, 0, &data).unwrap();
+            write1(&mut dev, id, 0, &data).unwrap();
         }
         assert_eq!(dev.device_used(), 8 * 64 * 64);
         for &id in &ids {
@@ -1768,7 +1695,7 @@ mod tests {
         let big = dev.alloc("big", entries, TargetRatio::R1).unwrap();
         assert_eq!(dev.device_used(), dev.config().device_capacity);
         // Recycled storage reads as zero despite the earlier writes.
-        assert_eq!(dev.read_entry(big, 0).unwrap(), [0u8; ENTRY_BYTES]);
+        assert_eq!(read1(&mut dev, big, 0).unwrap(), [0u8; ENTRY_BYTES]);
     }
 
     #[test]
@@ -1780,9 +1707,9 @@ mod tests {
         // must not alias it.
         let b = dev.alloc("b", 16, TargetRatio::R2).unwrap();
         assert_ne!(a, b, "generation must distinguish reused slots");
-        assert_eq!(dev.read_entry(a, 0), Err(DeviceError::BadAllocation));
+        assert_eq!(read1(&mut dev, a, 0), Err(DeviceError::BadAllocation));
         assert_eq!(
-            dev.write_entry(a, 0, &[1u8; ENTRY_BYTES]),
+            write1(&mut dev, a, 0, &[1u8; ENTRY_BYTES]),
             Err(DeviceError::BadAllocation)
         );
         assert_eq!(
@@ -1792,7 +1719,7 @@ mod tests {
         assert_eq!(dev.state_window(a), Err(DeviceError::BadAllocation));
         assert_eq!(dev.free(a), Err(DeviceError::BadAllocation), "double free");
         // The live handle still works.
-        assert_eq!(dev.read_entry(b, 0).unwrap(), [0u8; ENTRY_BYTES]);
+        assert_eq!(read1(&mut dev, b, 0).unwrap(), [0u8; ENTRY_BYTES]);
         assert_eq!(dev.allocation_ids(), vec![b]);
     }
 
@@ -1802,8 +1729,8 @@ mod tests {
         let first = dev.alloc("tensor", 8, TargetRatio::R2).unwrap();
         let second = dev.alloc("tensor", 8, TargetRatio::R2).unwrap();
         dev.free_by_name("tensor").unwrap();
-        assert_eq!(dev.read_entry(second, 0), Err(DeviceError::BadAllocation));
-        assert!(dev.read_entry(first, 0).is_ok());
+        assert_eq!(read1(&mut dev, second, 0), Err(DeviceError::BadAllocation));
+        assert!(read1(&mut dev, first, 0).is_ok());
         dev.free_by_name("tensor").unwrap();
         assert_eq!(
             dev.free_by_name("tensor"),
@@ -1833,11 +1760,11 @@ mod tests {
         let big = dev.alloc("big", 128, TargetRatio::R2).unwrap();
         assert_eq!(dev.device_used(), dev.config().device_capacity);
         let data = entry_of_words(|j| 5 + j as u32);
-        dev.write_entry(big, 127, &data).unwrap();
-        assert_eq!(dev.read_entry(big, 127).unwrap(), data);
+        write1(&mut dev, big, 127, &data).unwrap();
+        assert_eq!(read1(&mut dev, big, 127).unwrap(), data);
         // Neighbours at the edges were never touched.
-        assert!(dev.read_entry(ids[0], 0).is_ok());
-        assert!(dev.read_entry(ids[3], 0).is_ok());
+        assert!(read1(&mut dev, ids[0], 0).is_ok());
+        assert!(read1(&mut dev, ids[3], 0).is_ok());
     }
 
     #[test]

@@ -1014,28 +1014,6 @@ impl SharedState {
         Ok(stats)
     }
 
-    /// Writes one entry (see [`write_batch`](Self::write_batch)),
-    /// returning the recorded [`EntryState`].
-    pub(crate) fn write_single(
-        &self,
-        id: AllocId,
-        index: u64,
-        entry: &Entry,
-        scratch: &mut CompressedBuf,
-    ) -> Result<EntryState, DeviceError> {
-        let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
-        let _guard = lock_recover(&cell.write_lock);
-        let view = cell.load_raw().validate(id)?;
-        check_index(&view, index)?;
-        let mut stats = AccessStats::default();
-        let window = SeqWindow::open(cell);
-        let state = self.write_one(&view, index, entry, scratch);
-        drop(window);
-        record_write(&mut stats, view.target, state);
-        self.stats.add(&stats);
-        Ok(state)
-    }
-
     /// Per-entry state against a consistent epoch, without touching the
     /// traffic counters.
     pub(crate) fn entry_state(&self, id: AllocId, index: u64) -> Result<EntryState, DeviceError> {

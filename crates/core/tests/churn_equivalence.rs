@@ -19,7 +19,7 @@
 //!    recycled by later allocations (generational ids).
 
 use bpc::{CodecKind, ENTRY_BYTES};
-use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, TargetRatio};
+use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, EntryState, TargetRatio};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,6 +30,24 @@ const CONFIG: DeviceConfig = DeviceConfig {
     device_capacity: 64 << 10,
     carve_out_factor: 3,
 };
+
+/// Single-entry read as a batch of one.
+fn read1(dev: &mut BuddyDevice, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
+    let mut out = [[0u8; ENTRY_BYTES]];
+    dev.read_entries(id, index, &mut out)?;
+    Ok(out[0])
+}
+
+/// Single-entry write as a batch of one, returning the recorded state.
+fn write1(
+    dev: &mut BuddyDevice,
+    id: AllocId,
+    index: u64,
+    entry: &Entry,
+) -> Result<EntryState, DeviceError> {
+    dev.write_entries(id, index, std::slice::from_ref(entry))?;
+    dev.entry_state(id, index)
+}
 
 /// Entries spanning the compressibility spectrum (zero / constant /
 /// small-noise / random), as in the sibling equivalence suites.
@@ -76,9 +94,9 @@ fn occupancy(dev: &BuddyDevice) -> (u64, u64, u64, String) {
 
 /// Asserts that a handle is dead on every path.
 fn assert_stale(dev: &mut BuddyDevice, id: AllocId) {
-    assert_eq!(dev.read_entry(id, 0), Err(DeviceError::BadAllocation));
+    assert_eq!(read1(dev, id, 0), Err(DeviceError::BadAllocation));
     assert_eq!(
-        dev.write_entry(id, 0, &[1u8; ENTRY_BYTES]),
+        write1(dev, id, 0, &[1u8; ENTRY_BYTES]),
         Err(DeviceError::BadAllocation)
     );
     assert_eq!(
@@ -144,7 +162,7 @@ proptest! {
                     let shadow = &mut live[pick];
                     let index = (b / 7) % shadow.contents.len() as u64;
                     let entry = entry_of_kind(kind, b ^ a);
-                    dev.write_entry(shadow.id, index, &entry).unwrap();
+                    write1(&mut dev, shadow.id, index, &entry).unwrap();
                     shadow.contents[index as usize] = entry;
                 }
                 // Re-target a random live allocation.
@@ -226,7 +244,7 @@ proptest! {
         let entries = CONFIG.device_capacity / ENTRY_BYTES as u64;
         let big = dev.alloc("big", entries, TargetRatio::R1).unwrap();
         prop_assert_eq!(dev.device_used(), CONFIG.device_capacity);
-        prop_assert_eq!(dev.read_entry(big, entries - 1).unwrap(), [0u8; ENTRY_BYTES]);
+        prop_assert_eq!(read1(&mut dev, big, entries - 1).unwrap(), [0u8; ENTRY_BYTES]);
     }
 
     /// Free-then-realloc into the holes round-trips bytes even when the
@@ -289,8 +307,7 @@ fn n_cycles_of_churn_return_to_empty() {
             let id = dev
                 .alloc(&format!("c{cycle}-{k}"), entries, target)
                 .expect("working set fits");
-            dev.write_entry(id, 0, &[cycle as u8 + 1; ENTRY_BYTES])
-                .unwrap();
+            write1(&mut dev, id, 0, &[cycle as u8 + 1; ENTRY_BYTES]).unwrap();
             ids.push(id);
         }
         // ...frees half of it in creation order, allocates replacements

@@ -12,7 +12,7 @@
 //! invariants must hold whichever algorithm backs the data path.
 
 use bpc::{CodecKind, ENTRY_BYTES};
-use buddy_core::{BuddyDevice, DeviceConfig, EntryState, TargetRatio};
+use buddy_core::{AccessStats, AllocId, BuddyDevice, DeviceConfig, EntryState, TargetRatio};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -62,6 +62,67 @@ fn device_with(codec: CodecKind) -> BuddyDevice {
     )
 }
 
+/// Single-entry write as a batch of one, returning the recorded state.
+fn write1(dev: &mut BuddyDevice, id: AllocId, index: u64, entry: &Entry) -> EntryState {
+    dev.write_entries(id, index, std::slice::from_ref(entry))
+        .unwrap();
+    dev.entry_state(id, index).unwrap()
+}
+
+/// Single-entry read as a batch of one.
+fn read1(dev: &mut BuddyDevice, id: AllocId, index: u64) -> Entry {
+    let mut out = [[0u8; ENTRY_BYTES]];
+    dev.read_entries(id, index, &mut out).unwrap();
+    out[0]
+}
+
+/// The two entry-I/O surfaces over the one batch engine: the device's
+/// `&mut self` methods and the lock-free [`buddy_core::DeviceHandle`].
+#[derive(Debug, Clone, Copy)]
+enum Surface {
+    Device,
+    Handle,
+}
+
+impl Surface {
+    /// Writes one batch through this surface; on the handle the batch's
+    /// own traffic delta is folded into `delta`.
+    fn write(
+        self,
+        dev: &mut BuddyDevice,
+        id: AllocId,
+        start: u64,
+        entries: &[Entry],
+        delta: &mut AccessStats,
+    ) {
+        match self {
+            Surface::Device => dev.write_entries(id, start, entries).unwrap(),
+            Surface::Handle => delta.merge(
+                &dev.handle()
+                    .write_entries_collect(id, start, entries)
+                    .unwrap(),
+            ),
+        }
+    }
+
+    /// Reads one batch through this surface (see [`write`](Self::write)).
+    fn read(
+        self,
+        dev: &mut BuddyDevice,
+        id: AllocId,
+        start: u64,
+        out: &mut [Entry],
+        delta: &mut AccessStats,
+    ) {
+        match self {
+            Surface::Device => dev.read_entries(id, start, out).unwrap(),
+            Surface::Handle => {
+                delta.merge(&dev.handle().read_entries_collect(id, start, out).unwrap())
+            }
+        }
+    }
+}
+
 #[test]
 fn storage_ranges_are_data_independent() {
     let mut dev = device();
@@ -69,7 +130,7 @@ fn storage_ranges_are_data_independent() {
     let before: Vec<_> = (0..64).map(|i| dev.storage_ranges(a, i).unwrap()).collect();
     // Write wildly different data everywhere.
     for i in 0..64 {
-        dev.write_entry(a, i, &entry_of_kind(i as u8, i)).unwrap();
+        write1(&mut dev, a, i, &entry_of_kind(i as u8, i));
     }
     let after: Vec<_> = (0..64).map(|i| dev.storage_ranges(a, i).unwrap()).collect();
     assert_eq!(before, after, "storage mapping must not depend on data");
@@ -93,17 +154,13 @@ fn compressibility_change_never_disturbs_neighbors() {
             // Cycle entry 7 through every compressibility kind.
             for kind in 0..8u8 {
                 let update = entry_of_kind(kind, 7777 + kind as u64);
-                dev.write_entry(a, 7, &update).unwrap();
+                write1(&mut dev, a, 7, &update);
                 for (i, e) in initial.iter().enumerate() {
                     if i == 7 {
-                        assert_eq!(
-                            dev.read_entry(a, 7).unwrap(),
-                            update,
-                            "{codec}/{target}: self"
-                        );
+                        assert_eq!(read1(&mut dev, a, 7), update, "{codec}/{target}: self");
                     } else {
                         assert_eq!(
-                            dev.read_entry(a, i as u64).unwrap(),
+                            read1(&mut dev, a, i as u64),
                             *e,
                             "{codec}/{target}: entry {i}"
                         );
@@ -121,22 +178,14 @@ fn allocations_do_not_interfere() {
     let b = dev.alloc("b", 16, TargetRatio::R2).unwrap();
     let c = dev.alloc("c", 16, TargetRatio::ZeroPage16).unwrap();
     for i in 0..16u64 {
-        dev.write_entry(a, i, &entry_of_kind(i as u8, i)).unwrap();
-        dev.write_entry(b, i, &entry_of_kind((i + 1) as u8, 100 + i))
-            .unwrap();
-        dev.write_entry(c, i, &entry_of_kind((i + 2) as u8, 200 + i))
-            .unwrap();
+        write1(&mut dev, a, i, &entry_of_kind(i as u8, i));
+        write1(&mut dev, b, i, &entry_of_kind((i + 1) as u8, 100 + i));
+        write1(&mut dev, c, i, &entry_of_kind((i + 2) as u8, 200 + i));
     }
     for i in 0..16u64 {
-        assert_eq!(dev.read_entry(a, i).unwrap(), entry_of_kind(i as u8, i));
-        assert_eq!(
-            dev.read_entry(b, i).unwrap(),
-            entry_of_kind((i + 1) as u8, 100 + i)
-        );
-        assert_eq!(
-            dev.read_entry(c, i).unwrap(),
-            entry_of_kind((i + 2) as u8, 200 + i)
-        );
+        assert_eq!(read1(&mut dev, a, i), entry_of_kind(i as u8, i));
+        assert_eq!(read1(&mut dev, b, i), entry_of_kind((i + 1) as u8, 100 + i));
+        assert_eq!(read1(&mut dev, c, i), entry_of_kind((i + 2) as u8, 200 + i));
     }
 }
 
@@ -147,11 +196,11 @@ fn buddy_fraction_tracks_overflow_rate() {
     // Half the entries compress to one sector, half do not.
     for i in 0..100u64 {
         let kind = if i % 2 == 0 { 1 } else { 3 };
-        dev.write_entry(a, i, &entry_of_kind(kind, i)).unwrap();
+        write1(&mut dev, a, i, &entry_of_kind(kind, i));
     }
     dev.reset_stats();
     for i in 0..100u64 {
-        dev.read_entry(a, i).unwrap();
+        read1(&mut dev, a, i);
     }
     let frac = dev.stats().buddy_access_fraction();
     assert!(
@@ -180,17 +229,19 @@ proptest! {
         let mut shadow: Vec<Entry> = vec![[0u8; ENTRY_BYTES]; 24];
         for (idx, kind, seed) in ops {
             let entry = entry_of_kind(kind, seed);
-            dev.write_entry(a, idx, &entry).unwrap();
+            write1(&mut dev, a, idx, &entry);
             shadow[idx as usize] = entry;
         }
         for (i, expect) in shadow.iter().enumerate() {
-            prop_assert_eq!(&dev.read_entry(a, i as u64).unwrap(), expect);
+            prop_assert_eq!(&read1(&mut dev, a, i as u64), expect);
         }
     }
 
-    /// The batched paths are equivalent to per-entry I/O under every codec
-    /// × target: same read-back, same traffic counters, including when
-    /// batches interleave with single-entry rewrites.
+    /// A batch of N is equivalent to N batches of one under every codec ×
+    /// target, on both the device and the handle surface: same read-back,
+    /// same metadata states, same traffic counters (and, on the handle,
+    /// the same per-batch deltas), including when batches interleave with
+    /// single-entry rewrites.
     #[test]
     fn batched_io_equals_per_entry_io(
         codec_idx in 0usize..4,
@@ -206,26 +257,44 @@ proptest! {
             .iter()
             .map(|&(kind, seed)| entry_of_kind(kind, seed))
             .collect();
-
-        let mut batched = device_with(codec);
-        let a = batched.alloc("b", 24, target).unwrap();
-        batched.write_entries(a, start, &batch).unwrap();
         let (ri, rk, rs) = rewrite;
-        batched.write_entry(a, ri, &entry_of_kind(rk, rs)).unwrap();
-        let mut got = vec![[0u8; ENTRY_BYTES]; 24];
-        batched.read_entries(a, 0, &mut got).unwrap();
+        let rewritten = entry_of_kind(rk, rs);
 
-        let mut single = device_with(codec);
-        let b = single.alloc("b", 24, target).unwrap();
-        for (i, e) in batch.iter().enumerate() {
-            single.write_entry(b, start + i as u64, e).unwrap();
+        for via in [Surface::Device, Surface::Handle] {
+            let mut batched = device_with(codec);
+            let a = batched.alloc("b", 24, target).unwrap();
+            let mut batched_delta = AccessStats::default();
+            via.write(&mut batched, a, start, &batch, &mut batched_delta);
+            via.write(&mut batched, a, ri, &[rewritten], &mut batched_delta);
+            let mut got = vec![[0u8; ENTRY_BYTES]; 24];
+            via.read(&mut batched, a, 0, &mut got, &mut batched_delta);
+
+            let mut single = device_with(codec);
+            let b = single.alloc("b", 24, target).unwrap();
+            let mut single_delta = AccessStats::default();
+            for (i, e) in batch.iter().enumerate() {
+                via.write(&mut single, b, start + i as u64, &[*e], &mut single_delta);
+            }
+            via.write(&mut single, b, ri, &[rewritten], &mut single_delta);
+            for (i, slot) in got.iter().enumerate() {
+                let mut one = [[0u8; ENTRY_BYTES]];
+                via.read(&mut single, b, i as u64, &mut one, &mut single_delta);
+                prop_assert_eq!(slot, &one[0],
+                    "{}/{} via {:?}: entry {} diverges between batched and single I/O",
+                    codec, target, via, i);
+                prop_assert_eq!(
+                    batched.entry_state(a, i as u64).unwrap(),
+                    single.entry_state(b, i as u64).unwrap(),
+                    "{}/{} via {:?}: state of entry {}", codec, target, via, i);
+            }
+            prop_assert_eq!(batched.stats(), single.stats());
+            prop_assert_eq!(batched_delta, single_delta);
+            if let Surface::Handle = via {
+                // The deltas a handle returns are exactly what it folded
+                // into the device-wide counters.
+                prop_assert_eq!(batched_delta, batched.stats());
+            }
         }
-        single.write_entry(b, ri, &entry_of_kind(rk, rs)).unwrap();
-        for (i, slot) in got.iter().enumerate() {
-            prop_assert_eq!(slot, &single.read_entry(b, i as u64).unwrap(),
-                "{}/{}: entry {} diverges between batched and single I/O", codec, target, i);
-        }
-        prop_assert_eq!(batched.stats(), single.stats());
     }
 
     /// Batched I/O boundary behaviour under every codec: a batch is
@@ -263,7 +332,7 @@ proptest! {
             prop_assert!(read_result.is_err());
             prop_assert_eq!(dev.stats(), stats_before);
             for i in 0..entries {
-                prop_assert_eq!(&dev.read_entry(a, i).unwrap(), &pattern);
+                prop_assert_eq!(&read1(&mut dev, a, i), &pattern);
             }
         } else if len == 0 {
             // Zero-length batches never touch counters, even at the end.
@@ -284,8 +353,7 @@ proptest! {
         let mut dev = device();
         let a = dev.alloc("m", 4, TargetRatio::R2).unwrap();
         let entry = entry_of_kind(kind, seed);
-        let state = dev.write_entry(a, 0, &entry).unwrap();
-        prop_assert_eq!(dev.entry_state(a, 0).unwrap(), state);
+        let state = write1(&mut dev, a, 0, &entry);
         match state {
             EntryState::Zero => prop_assert!(entry.iter().all(|&b| b == 0)),
             EntryState::Compressed { sectors } => prop_assert!((1..=4).contains(&sectors)),

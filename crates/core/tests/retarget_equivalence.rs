@@ -17,7 +17,7 @@
 //! changes and the no-op diagonal) is exercised on every case.
 
 use bpc::{CodecKind, ENTRY_BYTES};
-use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, TargetRatio};
+use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, EntryState, TargetRatio};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,6 +30,24 @@ const CONFIG: DeviceConfig = DeviceConfig {
     device_capacity: 64 << 10,
     carve_out_factor: 3,
 };
+
+/// Single-entry read as a batch of one.
+fn read1(dev: &mut BuddyDevice, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
+    let mut out = [[0u8; ENTRY_BYTES]];
+    dev.read_entries(id, index, &mut out)?;
+    Ok(out[0])
+}
+
+/// Single-entry write as a batch of one, returning the recorded state.
+fn write1(
+    dev: &mut BuddyDevice,
+    id: AllocId,
+    index: u64,
+    entry: &Entry,
+) -> Result<EntryState, DeviceError> {
+    dev.write_entries(id, index, std::slice::from_ref(entry))?;
+    dev.entry_state(id, index)
+}
 
 /// Entries spanning the compressibility spectrum (zero / constant /
 /// small-noise / random), like the `no_movement` suite uses.
@@ -115,8 +133,8 @@ proptest! {
 
                     // (2) Errors: invalid accesses fail identically.
                     prop_assert_eq!(
-                        migrated.read_entry(m, n),
-                        direct.read_entry(d, n),
+                        read1(&mut migrated, m, n),
+                        read1(&mut direct, d, n),
                         "{}: out-of-range error", &combo
                     );
                     prop_assert_eq!(
@@ -126,8 +144,8 @@ proptest! {
                     );
                     let foreign = foreign_handle();
                     prop_assert_eq!(
-                        migrated.read_entry(foreign, 0),
-                        direct.read_entry(foreign, 0),
+                        read1(&mut migrated, foreign, 0),
+                        read1(&mut direct, foreign, 0),
                         "{}: bad-handle error", &combo
                     );
                     prop_assert_eq!(
@@ -246,15 +264,15 @@ proptest! {
         for &(index, kind, seed) in &after {
             let entry = entry_of_kind(kind, seed);
             prop_assert_eq!(
-                migrated.write_entry(m, index, &entry),
-                direct.write_entry(d, index, &entry)
+                write1(&mut migrated, m, index, &entry),
+                write1(&mut direct, d, index, &entry)
             );
         }
         prop_assert_eq!(migrated.stats(), direct.stats());
         for i in 0..n {
             prop_assert_eq!(
-                migrated.read_entry(m, i).unwrap(),
-                direct.read_entry(d, i).unwrap(),
+                read1(&mut migrated, m, i).unwrap(),
+                read1(&mut direct, d, i).unwrap(),
                 "entry {} after post-migration writes", i
             );
         }

@@ -15,8 +15,8 @@
 //!
 //! 1. **The published half** — compressed bytes, per-entry metadata
 //!    nibbles, and a per-allocation seqlock-protected descriptor table
-//!    (target, entry count, region bases, generation). [`read_entry`],
-//!    [`read_entries`], [`read_entries_collect`], [`entry_state`] and
+//!    (target, entry count, region bases, generation). [`read_entries`],
+//!    [`read_entries_collect`], [`entry_state`] and
 //!    [`state_window`] resolve against one consistent published epoch and
 //!    never touch a shard mutex: a read racing a `free` or `retarget`
 //!    observes the old epoch in full, the new epoch in full, or
@@ -39,7 +39,6 @@
 //! [`BuddyDevice`]**: same bytes on every read, same traffic counters —
 //! property-tested in `tests/pool_equivalence.rs`.
 //!
-//! [`read_entry`]: BuddyPool::read_entry
 //! [`read_entries`]: BuddyPool::read_entries
 //! [`read_entries_collect`]: BuddyPool::read_entries_collect
 //! [`entry_state`]: BuddyPool::entry_state
@@ -330,27 +329,11 @@ impl BuddyPool {
         self.guard_of(id)?.free(id.inner)
     }
 
-    /// Writes one entry ([`DeviceHandle::write_entry`] semantics): the
-    /// write serializes on the target allocation's write lock only — no
-    /// shard lock is taken, so writes to other allocations of the same
-    /// shard and all reads proceed concurrently.
-    ///
-    /// # Errors
-    ///
-    /// As [`BuddyDevice::write_entry`].
-    pub fn write_entry(
-        &self,
-        id: PoolAllocId,
-        index: u64,
-        entry: &Entry,
-    ) -> Result<EntryState, DeviceError> {
-        self.handle_of(id)?.write_entry(id.inner, index, entry)
-    }
-
     /// Writes a contiguous run of entries ([`DeviceHandle::write_entries`]
     /// semantics; the whole batch executes under the allocation's write
     /// lock, so it is atomic with respect to other writers of the same
-    /// allocation — no shard lock is taken).
+    /// allocation — no shard lock is taken, so writes to other allocations
+    /// of the same shard and all reads proceed concurrently).
     ///
     /// # Errors
     ///
@@ -385,25 +368,16 @@ impl BuddyPool {
             .write_entries_collect(id.inner, start, entries)
     }
 
-    /// Reads one entry against the shard's current published epoch
-    /// ([`DeviceHandle::read_entry`] semantics) — lock-free: no shard
-    /// mutex is taken and no `shard_lock_wait` span fires.
-    ///
-    /// # Errors
-    ///
-    /// As [`BuddyDevice::read_entry`].
-    pub fn read_entry(&self, id: PoolAllocId, index: u64) -> Result<Entry, DeviceError> {
-        self.handle_of(id)?.read_entry(id.inner, index)
-    }
-
     /// Reads a contiguous run of entries against one consistent published
-    /// epoch ([`DeviceHandle::read_entries`] semantics) — lock-free. A
-    /// batch racing a structural operation observes the old or the new
-    /// epoch in full, never a blend.
+    /// epoch ([`DeviceHandle::read_entries`] semantics) — lock-free: no
+    /// shard mutex is taken and no `shard_lock_wait` span fires. A batch
+    /// racing a structural operation observes the old or the new epoch in
+    /// full, never a blend.
     ///
     /// # Errors
     ///
-    /// As [`BuddyDevice::read_entries`].
+    /// As [`DeviceHandle::read_entries`] (on error `out` may hold partial
+    /// bytes from an abandoned attempt and must not be used).
     pub fn read_entries(
         &self,
         id: PoolAllocId,
@@ -420,7 +394,7 @@ impl BuddyPool {
     ///
     /// # Errors
     ///
-    /// As [`BuddyDevice::read_entries`].
+    /// As [`read_entries`](Self::read_entries).
     pub fn read_entries_collect(
         &self,
         id: PoolAllocId,
@@ -428,25 +402,6 @@ impl BuddyPool {
         out: &mut [Entry],
     ) -> Result<AccessStats, DeviceError> {
         self.handle_of(id)?
-            .read_entries_collect(id.inner, start, out)
-    }
-
-    /// [`read_entries_collect`](Self::read_entries_collect) forced through
-    /// the shard mutex — the pre-snapshot code path, kept as the
-    /// measurement baseline for the `pool-throughput` harness's
-    /// locked-vs-snapshot comparison. Not part of the data-path API;
-    /// production readers use the lock-free methods above.
-    ///
-    /// # Errors
-    ///
-    /// As [`BuddyDevice::read_entries`].
-    pub fn read_entries_collect_locked(
-        &self,
-        id: PoolAllocId,
-        start: u64,
-        out: &mut [Entry],
-    ) -> Result<AccessStats, DeviceError> {
-        self.guard_of(id)?
             .read_entries_collect(id.inner, start, out)
     }
 
@@ -676,6 +631,13 @@ mod tests {
         })
     }
 
+    /// Single-entry read as a batch of one.
+    fn read1(pool: &BuddyPool, id: PoolAllocId, index: u64) -> Result<Entry, DeviceError> {
+        let mut out = [[0u8; ENTRY_BYTES]];
+        pool.read_entries(id, index, &mut out)?;
+        Ok(out[0])
+    }
+
     fn entry_of_words(mut f: impl FnMut(usize) -> u32) -> Entry {
         let mut e = [0u8; ENTRY_BYTES];
         for (i, c) in e.chunks_exact_mut(4).enumerate() {
@@ -824,13 +786,13 @@ mod tests {
         let h = big.alloc("x", 16, TargetRatio::R2).unwrap();
         if h.shard() >= small.shard_count() {
             assert!(matches!(
-                small.read_entry(h, 0),
+                read1(&small, h, 0),
                 Err(DeviceError::BadAllocation)
             ));
         }
         // Out-of-range entry index reports through unchanged.
         assert!(matches!(
-            big.read_entry(h, 16),
+            read1(&big, h, 16),
             Err(DeviceError::BadIndex { .. })
         ));
     }
@@ -899,20 +861,21 @@ mod tests {
             })
             .collect();
         assert!(pool.alloc("extra", 64, TargetRatio::R1).is_err());
-        pool.write_entry(ids[0], 0, &[9u8; ENTRY_BYTES]).unwrap();
+        pool.write_entries(ids[0], 0, &[[9u8; ENTRY_BYTES]])
+            .unwrap();
         pool.free(ids[0]).unwrap();
         assert_eq!(pool.device_used(), 64 * 128, "one shard's worth released");
         // The stale handle is dead on every path, even after the slot is
         // reused by the replacement allocation.
         let replacement = pool.alloc("again", 64, TargetRatio::R1).unwrap();
-        assert_eq!(pool.read_entry(ids[0], 0), Err(DeviceError::BadAllocation));
+        assert_eq!(read1(&pool, ids[0], 0), Err(DeviceError::BadAllocation));
         assert_eq!(
             pool.retarget(ids[0], TargetRatio::R2),
             Err(DeviceError::BadAllocation)
         );
         assert_eq!(pool.free(ids[0]), Err(DeviceError::BadAllocation));
         // The recycled storage reads as zero, not the freed bytes.
-        assert_eq!(pool.read_entry(replacement, 0).unwrap(), [0u8; ENTRY_BYTES]);
+        assert_eq!(read1(&pool, replacement, 0).unwrap(), [0u8; ENTRY_BYTES]);
     }
 
     #[test]

@@ -104,11 +104,6 @@ pub struct LoadgenConfig {
     /// a deterministic per-`(seed, client, batch)` stream — how the bench
     /// harness dials in a 95/5 read-heavy mix independent of the profile.
     pub read_pct: Option<u8>,
-    /// Route read batches through the shard-mutex baseline
-    /// ([`BuddyPool::read_entries_collect_locked`]) instead of the
-    /// lock-free snapshot path — the "before" side of the
-    /// locked-vs-snapshot scaling comparison. Writes are unaffected.
-    pub locked_reads: bool,
 }
 
 impl Default for LoadgenConfig {
@@ -123,7 +118,6 @@ impl Default for LoadgenConfig {
             retarget_every: 0,
             churn_every: 0,
             read_pct: None,
-            locked_reads: false,
         }
     }
 }
@@ -194,29 +188,6 @@ pub struct LoadReport {
     /// Traffic this replay added to the pool (delta of the merged
     /// counters, exact — taken after a [`BuddyPool::drain`] barrier).
     pub stats: AccessStats,
-}
-
-/// Linearly interpolated percentile (quantile type 7, the R/NumPy
-/// default) of an **ascending-sorted** sample of nanosecond latencies,
-/// returned in microseconds. Returns 0 for an empty sample.
-///
-/// The previous nearest-rank rule biased small-sample upper percentiles
-/// low: with 32 samples per client, `ceil(0.99 × 32) = 32` made "p99" the
-/// plain maximum of rank 32 out of 32 — every tail percentile collapsed
-/// onto the same order statistic. Interpolating on `q · (n − 1)` keeps
-/// distinct quantiles distinct down to the smallest samples.
-pub fn percentile_us(sorted_nanos: &[u64], q: f64) -> f64 {
-    if sorted_nanos.is_empty() {
-        return 0.0;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted_nanos.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = (lo + 1).min(sorted_nanos.len() - 1);
-    let frac = pos - lo as f64;
-    let nanos =
-        sorted_nanos[lo] as f64 + frac * (sorted_nanos[hi] as f64 - sorted_nanos[lo] as f64);
-    nanos / 1_000.0
 }
 
 /// The write palette: a ring of entries spanning the compressibility
@@ -416,9 +387,6 @@ fn client_run(
         let outcome = if is_write {
             let window = &palette[(op as usize) % ring..][..cfg.batch_entries];
             pool.write_entries(handle, start, window)
-        } else if cfg.locked_reads {
-            pool.read_entries_collect_locked(handle, start, &mut read_buf)
-                .map(|_| ())
         } else {
             pool.read_entries(handle, start, &mut read_buf)
         };
@@ -574,33 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_interpolate_between_order_statistics() {
-        let sample: Vec<u64> = (1..=100).map(|i| i * 1000).collect();
-        // Type-7: position q·(n−1) into the sorted sample, interpolated.
-        assert_eq!(percentile_us(&sample, 0.50), 50.5);
-        assert!((percentile_us(&sample, 0.95) - 95.05).abs() < 1e-9);
-        assert!((percentile_us(&sample, 0.99) - 99.01).abs() < 1e-9);
-        assert_eq!(percentile_us(&sample, 1.0), 100.0);
-        assert_eq!(percentile_us(&sample, 0.0), 1.0);
-        assert_eq!(percentile_us(&[], 0.5), 0.0);
-        assert_eq!(percentile_us(&[5000], 0.99), 5.0);
-    }
-
-    #[test]
-    fn small_sample_tail_percentiles_no_longer_collapse() {
-        // Regression for the nearest-rank bias: with 32 samples,
-        // ceil(0.99·32) = 32 made p99 the plain maximum, identical to p100
-        // and far from distinct from p95. Interpolation keeps the tail
-        // quantiles strictly ordered on a strictly increasing sample.
-        let sample: Vec<u64> = (1..=32).map(|i| i * 1000).collect();
-        let p95 = percentile_us(&sample, 0.95);
-        let p99 = percentile_us(&sample, 0.99);
-        let p100 = percentile_us(&sample, 1.0);
-        assert!(p95 < p99, "p95 {p95} must stay below p99 {p99}");
-        assert!(p99 < p100, "p99 {p99} must stay below the max {p100}");
-    }
-
-    #[test]
     fn retarget_sweep_fixes_mis_targeted_allocations() {
         // Clients start on the 16x zero-page target, but the palette is
         // only ~25% zero entries: the sweep must demote each client's
@@ -728,25 +669,6 @@ mod tests {
             reads > writes * 8,
             "the mix must be read-dominated: {reads} reads vs {writes} writes"
         );
-    }
-
-    #[test]
-    fn locked_reads_baseline_does_the_same_work() {
-        // The mutex-baseline read path must complete the identical replay
-        // with identical traffic — it is the same semantics, only slower
-        // under contention.
-        let snapshot_cfg = LoadgenConfig {
-            read_pct: Some(95),
-            ..quick_cfg(3)
-        };
-        let locked_cfg = LoadgenConfig {
-            locked_reads: true,
-            ..snapshot_cfg
-        };
-        let snapshot = replay(&pool(2), AccessProfile::streaming_dl(), &snapshot_cfg).unwrap();
-        let locked = replay(&pool(2), AccessProfile::streaming_dl(), &locked_cfg).unwrap();
-        assert_eq!(snapshot.stats, locked.stats);
-        assert_eq!(locked.errored_batches, 0);
     }
 
     #[test]

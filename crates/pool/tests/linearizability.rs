@@ -128,13 +128,18 @@ fn run_history(scripts: &[Vec<Step>; THREADS], shards: usize) -> Vec<Operation> 
                         let recorded = match op % 6 {
                             0 => shared_id.map(|id| {
                                 record(clock, Call::Write { name, index, fill }, || {
-                                    ok_or_fail(pool.write_entry(id, index, &[fill; ENTRY_BYTES]))
+                                    ok_or_fail(pool.write_entries(
+                                        id,
+                                        index,
+                                        &[[fill; ENTRY_BYTES]],
+                                    ))
                                 })
                             }),
                             1 => shared_id.map(|id| {
                                 record(clock, Call::Read { name, index }, || {
-                                    match pool.read_entry(id, index) {
-                                        Ok(entry) => Outcome::Value(entry),
+                                    let mut out = [[0u8; ENTRY_BYTES]];
+                                    match pool.read_entries(id, index, &mut out) {
+                                        Ok(()) => Outcome::Value(out[0]),
                                         Err(e) => fail(&e),
                                     }
                                 })
@@ -172,8 +177,9 @@ fn run_history(scripts: &[Vec<Step>; THREADS], shards: usize) -> Vec<Operation> 
                             )),
                             _ => own_id.map(|id| {
                                 record(clock, Call::Read { name: own, index }, || {
-                                    match pool.read_entry(id, index) {
-                                        Ok(entry) => Outcome::Value(entry),
+                                    let mut out = [[0u8; ENTRY_BYTES]];
+                                    match pool.read_entries(id, index, &mut out) {
+                                        Ok(()) => Outcome::Value(out[0]),
                                         Err(e) => fail(&e),
                                     }
                                 })

@@ -44,10 +44,10 @@ pub enum Call {
     },
     /// `free(name)`.
     Free { name: usize },
-    /// `write_entry(name, index, fill)` — entries are single-byte fills so
+    /// `write_entries(name, index, [fill])` — entries are single-byte fills so
     /// outcomes are compact and self-describing.
     Write { name: usize, index: u64, fill: u8 },
-    /// `read_entry(name, index)`.
+    /// `read_entries(name, index, [_])`.
     Read { name: usize, index: u64 },
     /// `retarget(name, target)`.
     Retarget { name: usize, target: TargetRatio },
@@ -157,17 +157,20 @@ impl Oracle {
                 None => stale,
             },
             Call::Write { name, index, fill } => match self.handles[name] {
-                Some(id) => match self.device.write_entry(id, index, &[fill; ENTRY_BYTES]) {
-                    Ok(_) => Outcome::Ok,
+                Some(id) => match self.device.write_entries(id, index, &[[fill; ENTRY_BYTES]]) {
+                    Ok(()) => Outcome::Ok,
                     Err(e) => Outcome::Failed(ErrorKind::of(&e)),
                 },
                 None => stale,
             },
             Call::Read { name, index } => match self.handles[name] {
-                Some(id) => match self.device.read_entry(id, index) {
-                    Ok(entry) => Outcome::Value(entry),
-                    Err(e) => Outcome::Failed(ErrorKind::of(&e)),
-                },
+                Some(id) => {
+                    let mut out = [[0u8; ENTRY_BYTES]];
+                    match self.device.read_entries(id, index, &mut out) {
+                        Ok(()) => Outcome::Value(out[0]),
+                        Err(e) => Outcome::Failed(ErrorKind::of(&e)),
+                    }
+                }
                 None => stale,
             },
             Call::Retarget { name, target } => match self.handles[name] {

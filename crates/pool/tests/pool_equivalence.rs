@@ -4,9 +4,10 @@
 //! sequence. This is the pool's correctness anchor — sharding and locking
 //! may only ever *distribute* the device semantics, never change them.
 
+use buddy_core::AllocId;
 use buddy_pool::{
-    AccessStats, BuddyDevice, BuddyPool, CodecKind, DeviceConfig, DeviceError, Entry, PoolAllocId,
-    PoolConfig, TargetRatio, ENTRY_BYTES,
+    AccessStats, BuddyDevice, BuddyPool, CodecKind, DeviceConfig, DeviceError, Entry, EntryState,
+    PoolAllocId, PoolConfig, TargetRatio, ENTRY_BYTES,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -26,6 +27,42 @@ fn pair(codec: CodecKind) -> (BuddyPool, BuddyDevice) {
     });
     let device = BuddyDevice::with_codec(SHARD_CONFIG, codec);
     (pool, device)
+}
+
+/// Single-entry pool write as a batch of one, returning the recorded state.
+fn pool_write1(
+    pool: &BuddyPool,
+    id: PoolAllocId,
+    index: u64,
+    entry: &Entry,
+) -> Result<EntryState, DeviceError> {
+    pool.write_entries(id, index, std::slice::from_ref(entry))?;
+    pool.entry_state(id, index)
+}
+
+/// Single-entry pool read as a batch of one.
+fn pool_read1(pool: &BuddyPool, id: PoolAllocId, index: u64) -> Result<Entry, DeviceError> {
+    let mut out = [[0u8; ENTRY_BYTES]];
+    pool.read_entries(id, index, &mut out)?;
+    Ok(out[0])
+}
+
+/// [`pool_write1`] on the bare reference device.
+fn dev_write1(
+    device: &mut BuddyDevice,
+    id: AllocId,
+    index: u64,
+    entry: &Entry,
+) -> Result<EntryState, DeviceError> {
+    device.write_entries(id, index, std::slice::from_ref(entry))?;
+    device.entry_state(id, index)
+}
+
+/// [`pool_read1`] on the bare reference device.
+fn dev_read1(device: &mut BuddyDevice, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
+    let mut out = [[0u8; ENTRY_BYTES]];
+    device.read_entries(id, index, &mut out)?;
+    Ok(out[0])
 }
 
 /// Entries spanning the compressibility spectrum, like the core tests use.
@@ -104,14 +141,14 @@ proptest! {
                 2 => {
                     let entry = entry_of_kind(data_seed as u8, data_seed);
                     prop_assert_eq!(
-                        pool.write_entry(pool_id, start, &entry),
-                        device.write_entry(dev_id, start, &entry)
+                        pool_write1(&pool, pool_id, start, &entry),
+                        dev_write1(&mut device, dev_id, start, &entry)
                     );
                 }
                 3 => {
                     prop_assert_eq!(
-                        pool.read_entry(pool_id, start),
-                        device.read_entry(dev_id, start)
+                        pool_read1(&pool, pool_id, start),
+                        dev_read1(&mut device, dev_id, start)
                     );
                 }
                 4 => {
@@ -190,8 +227,8 @@ fn same_trace_through_pool_and_device() {
         // Final memory images agree entry for entry.
         for index in 0..ENTRIES {
             assert_eq!(
-                pool.read_entry(pool_id, index).unwrap(),
-                device.read_entry(dev_id, index).unwrap(),
+                pool_read1(&pool, pool_id, index).unwrap(),
+                dev_read1(&mut device, dev_id, index).unwrap(),
                 "{codec}: final image at {index}"
             );
         }
@@ -429,11 +466,11 @@ fn multi_shard_stats_merge_is_lossless() {
             .unwrap();
         for i in 0..64 {
             let entry = entry_of_kind((c + i) as u8, c * 1000 + i);
-            pool.write_entry(pool_id, i, &entry).unwrap();
-            device.write_entry(dev_id, i, &entry).unwrap();
+            pool_write1(&pool, pool_id, i, &entry).unwrap();
+            dev_write1(&mut device, dev_id, i, &entry).unwrap();
             assert_eq!(
-                pool.read_entry(pool_id, i).unwrap(),
-                device.read_entry(dev_id, i).unwrap()
+                pool_read1(&pool, pool_id, i).unwrap(),
+                dev_read1(&mut device, dev_id, i).unwrap()
             );
         }
         reference.merge(&device.stats());

@@ -1,17 +1,11 @@
 //! Known-bad corpus for the `read-path-lock` rule: the pool read path
-//! (`read_entry` / `read_entries` / `read_entries_collect` / `entry_state`
-//! / `state_window`) must resolve against epoch-published snapshots via
-//! `handle_of`; shard guards inside those bodies must be flagged. The
-//! explicitly-locked baseline (`*_locked`) and structural operations may
-//! still lock.
+//! (`read_entries*` / `entry_state` / `state_window`) must resolve against
+//! epoch-published snapshots via `handle_of`; shard guards inside those
+//! bodies must be flagged, whatever suffix the name carries. Structural
+//! operations may still lock.
 #![forbid(unsafe_code)]
 
 impl Pool {
-    fn read_entry(&self, id: AllocId, index: u64) -> Result<Entry, Error> {
-        let device = self.shard(id.shard()); // expect(read-path-lock)
-        device.read_entry(id, index)
-    }
-
     fn read_entries(&self, id: AllocId, start: u64, out: &mut [Entry]) -> Result<(), Error> {
         self.guard_of(id)?.read_entries(id, start, out) // expect(read-path-lock)
     }
@@ -30,8 +24,9 @@ impl Pool {
         self.guard_of(id)?.read_entries_collect(start, n)
     }
 
-    fn read_entries_collect_locked(&self, id: AllocId, start: u64, n: u64) -> Result<Stats, Error> {
-        self.guard_of(id)?.read_entries_collect(start, n)
+    fn read_entries_via_guard(&self, id: AllocId, start: u64, n: u64) -> Result<Stats, Error> {
+        let device = self.shard(id.shard()); // expect(read-path-lock)
+        device.read_entries_collect(start, n)
     }
 
     fn alloc(&self, entries: u64) -> Result<AllocId, Error> {

@@ -307,16 +307,10 @@ fn check_nested_lock(file: &SourceFile, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// Signatures of the pool's lock-free read path. The trailing `(` is part
-/// of the needle, so `fn read_entries_collect(` does *not* match the
-/// explicitly-locked baseline `fn read_entries_collect_locked(`.
-const READ_PATH_FNS: [&str; 5] = [
-    "fn read_entry(",
-    "fn read_entries(",
-    "fn read_entries_collect(",
-    "fn entry_state(",
-    "fn state_window(",
-];
+/// Signatures of the pool's lock-free read path. `fn read_entries` is a
+/// prefix needle: it covers `read_entries_collect` and any other suffixed
+/// variant, so no name exempts a batch read from the rule.
+const READ_PATH_FNS: [&str; 3] = ["fn read_entries", "fn entry_state(", "fn state_window("];
 
 /// Tokens whose presence inside a read-path body means a shard lock was
 /// taken: the probe helpers that return a guard, and a guard type spelled
@@ -325,13 +319,11 @@ const READ_PATH_LOCK_TOKENS: [&str; 3] = ["self.shard(", "self.guard_of(", "Mute
 
 fn check_read_path_lock(file: &SourceFile, out: &mut Vec<RawFinding>) {
     // The lock-free invariant from the epoch-snapshot redesign: the read
-    // path (`read_entry` / `read_entries` / `read_entries_collect` /
-    // `entry_state` / `state_window`) resolves against published snapshots
-    // via `handle_of`, never through the shard mutex. A future refactor
-    // that quietly reintroduces a guard would still pass every functional
+    // path (`read_entries` / `read_entries_collect` / `entry_state` /
+    // `state_window`) resolves against published snapshots via
+    // `handle_of`, never through the shard mutex. A future refactor that
+    // quietly reintroduces a guard would still pass every functional
     // test — only the scaling collapses — so the invariant is pinned here.
-    // The explicitly-locked baseline keeps its own `_locked` name and is
-    // out of scope by construction.
     let mut depth: i64 = 0;
     // Some((floor, opened)): inside a read-path fn; the body is every line
     // until depth returns to `floor` after having exceeded it.
@@ -351,9 +343,8 @@ fn check_read_path_lock(file: &SourceFile, out: &mut Vec<RawFinding>) {
                         line: idx + 1,
                         message: format!(
                             "`{token}` on the pool read path — reads must resolve through the \
-                             epoch-published snapshot (`handle_of`), never a shard guard; use \
-                             an explicitly `_locked`-suffixed baseline or waive with why this \
-                             lock cannot serialize readers"
+                             epoch-published snapshot (`handle_of`), never a shard guard; \
+                             waive with why this lock cannot serialize readers"
                         ),
                     });
                 }
@@ -687,7 +678,7 @@ mod tests {
     #[test]
     fn read_path_lock_flags_guards_only_inside_read_fns() {
         let shard_guard =
-            "impl P {\n    fn read_entry(&self) -> u64 {\n        let g = self.shard(0);\n        g.read()\n    }\n}";
+            "impl P {\n    fn read_entries(&self) -> u64 {\n        let g = self.shard(0);\n        g.read()\n    }\n}";
         assert_eq!(run("read-path-lock", shard_guard).len(), 1);
         let guard_of = "fn read_entries(&self) -> u64 {\n    self.guard_of(id)?.read()\n}";
         assert_eq!(run("read-path-lock", guard_of).len(), 1);
@@ -697,11 +688,10 @@ mod tests {
         // The snapshot path is the required shape and is clean.
         let snapshot = "fn read_entries(&self) -> u64 {\n    self.handle_of(id)?.read()\n}";
         assert!(run("read-path-lock", snapshot).is_empty());
-        // The explicitly-locked baseline keeps its `_locked` name and is
-        // out of scope: the trailing `(` in the needle refuses the match.
-        let locked_baseline =
-            "fn read_entries_collect_locked(&self) -> u64 {\n    self.guard_of(id)?.read()\n}";
-        assert!(run("read-path-lock", locked_baseline).is_empty());
+        // No suffix exempts a batch read: the needle is a prefix.
+        let suffixed =
+            "fn read_entries_via_guard(&self) -> u64 {\n    self.guard_of(id)?.read()\n}";
+        assert_eq!(run("read-path-lock", suffixed).len(), 1);
         // Structural operations may lock all they like.
         let structural = "fn alloc(&self) -> u64 {\n    let g = self.shard(0);\n    g.alloc()\n}";
         assert!(run("read-path-lock", structural).is_empty());
@@ -709,7 +699,7 @@ mod tests {
         let multiline = "pub fn read_entries(\n    &self,\n    id: AllocId,\n) -> u64 {\n    self.shard(0).read()\n}";
         assert_eq!(run("read-path-lock", multiline).len(), 1);
         // The body ends at its closing brace: a lock in the *next* fn is fine.
-        let after_body = "impl P {\n    fn read_entry(&self) -> u64 {\n        self.handle_of(id)?.read()\n    }\n    fn free(&self) {\n        let g = self.shard(0);\n    }\n}";
+        let after_body = "impl P {\n    fn read_entries(&self) -> u64 {\n        self.handle_of(id)?.read()\n    }\n    fn free(&self) {\n        let g = self.shard(0);\n    }\n}";
         assert!(run("read-path-lock", after_body).is_empty());
     }
 

@@ -33,7 +33,7 @@ fn main() {
                 let id = dev
                     .alloc(&format!("act{key}"), entries, TargetRatio::R2)
                     .expect("working set fits");
-                dev.write_entry(id, 0, &[key as u8 + 1; 128])
+                dev.write_entries(id, 0, &[[key as u8 + 1; 128]])
                     .expect("in range");
                 handles.insert(key, id);
                 allocs += 1;
@@ -62,7 +62,10 @@ fn main() {
     let a = dev.alloc("scratch", 256, TargetRatio::R4).expect("fits");
     dev.free(a).expect("live handle");
     let _b = dev.alloc("recycled", 256, TargetRatio::R4).expect("fits");
-    assert_eq!(dev.read_entry(a, 0), Err(DeviceError::BadAllocation));
+    assert_eq!(
+        dev.read_entries(a, 0, &mut [[0u8; 128]]),
+        Err(DeviceError::BadAllocation)
+    );
     println!("stale handle after free + slot reuse: BadAllocation (generational ids)");
 
     // The whole arena is still allocatable in one piece after churn.

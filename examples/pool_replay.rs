@@ -33,10 +33,8 @@ fn main() {
         // Alloc/free churn every 64 batches: each client turns its whole
         // footprint over mid-replay (see the churn_lifecycle example).
         churn_every: 64,
-        // Take the read/write mix from the trace and serve reads on the
-        // default lock-free snapshot path.
+        // Take the read/write mix from the trace.
         read_pct: None,
-        locked_reads: false,
     };
     let report = replay(&pool, bench.access, &cfg).expect("pool hosts all clients");
 

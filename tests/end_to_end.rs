@@ -2,7 +2,7 @@
 //! workload data through BPC, the profiler, the functional device and the
 //! performance simulator.
 
-use buddy_compression::bpc::{BitPlane, BlockCompressor, CodecKind, ENTRY_BYTES};
+use buddy_compression::bpc::{BitPlane, Codec, CodecKind, CompressedBuf, ENTRY_BYTES};
 use buddy_compression::buddy_core::{
     choose_naive, choose_targets, BuddyDevice, DeviceConfig, ProfileConfig, TargetRatio,
 };
@@ -38,8 +38,10 @@ fn profile_allocate_write_read_round_trip() {
         let alloc_seed = buddy_compression::workloads::entry_gen::mix(&[3, 0]);
         for i in 0..n {
             let entry = spec.entry_at(alloc_seed, i, 0.5);
-            device.write_entry(alloc, i, &entry).expect("write");
-            assert_eq!(device.read_entry(alloc, i).expect("read"), entry);
+            device.write_entries(alloc, i, &[entry]).expect("write");
+            let mut out = [[0u8; ENTRY_BYTES]];
+            device.read_entries(alloc, i, &mut out).expect("read");
+            assert_eq!(out[0], entry);
         }
     }
     assert!(device.effective_ratio() > 1.5, "356.sp compresses well");
@@ -161,7 +163,7 @@ fn profiler_prediction_matches_device_behavior() {
         let alloc_seed = buddy_compression::workloads::entry_gen::mix(&[5, idx as u64]);
         for i in 0..n {
             device
-                .write_entry(alloc, i, &spec.entry_at(alloc_seed, i, 0.5))
+                .write_entries(alloc, i, &[spec.entry_at(alloc_seed, i, 0.5)])
                 .expect("write");
         }
         predicted += n as f64 * choice.overflow_frac;
@@ -208,7 +210,13 @@ fn suite_compression_matches_paper_shape() {
     let bench = test_bench("351.palm");
     let spec = &bench.allocations[0];
     let entry = spec.entry_at(1, 0, 0.5);
-    assert_eq!(codec.decompress(&codec.compress(&entry)).unwrap(), entry);
+    let mut buf = CompressedBuf::new();
+    codec.compress_into(&entry, &mut buf);
+    let mut restored = [0u8; ENTRY_BYTES];
+    codec
+        .decompress_into(buf.data(), buf.bits(), &mut restored)
+        .unwrap();
+    assert_eq!(restored, entry);
 }
 
 /// Final-design targets dominate the naive single-target policy on the
