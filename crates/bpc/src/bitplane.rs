@@ -32,7 +32,10 @@
 //! The base symbol is coded as `0` when zero, else `1` + 32 raw bits (a minor
 //! simplification of the original base encoder, documented in DESIGN.md §2).
 //!
-//! Decoding inverts every step exactly; round-trip is property-tested.
+//! Decoding inverts every step exactly; round-trip is property-tested, and
+//! the stream is pinned bit for bit to the scalar reference kept under
+//! `#[cfg(test)]` at the end of this file (the kernels here work a word at a
+//! time; DESIGN.md §2 describes them).
 
 use crate::bits::{BitReader, BitWriter};
 use crate::{from_symbols, to_symbols, Codec, CompressedBuf, DecodeError, Entry};
@@ -45,8 +48,10 @@ pub const DELTAS: usize = SYMBOLS - 1;
 pub const PLANES: usize = 33;
 /// Mask selecting the 31 valid bits of one plane.
 const PLANE_MASK: u32 = 0x7FFF_FFFF;
-/// Mask selecting the 33 valid bits of one delta.
-const DELTA_MASK: u64 = 0x1_FFFF_FFFF;
+/// The code word of a constant entry: `001` + 5-bit (33 − 2), one zero run
+/// over all 33 planes. Both directions special-case it, because it is the
+/// one stream with nothing to transpose.
+const ALL_PLANES_ZERO: u32 = 0b001 << 5 | (PLANES as u32 - 2);
 
 /// The Bit-Plane Compression codec.
 ///
@@ -79,29 +84,64 @@ impl BitPlane {
         Self
     }
 
-    /// Computes the 31 successive 33-bit deltas of the symbol stream.
+    /// Transposes a 32 × 32 bit matrix: bit `i` of row `b` of the result is
+    /// bit `b` of `rows[i]`.
     ///
-    /// Each delta is `symbols[i+1] - symbols[i]` in 33-bit two's complement,
-    /// stored in the low 33 bits of a `u64`.
-    fn deltas(symbols: &[u32; SYMBOLS]) -> [u64; DELTAS] {
-        let mut deltas = [0u64; DELTAS];
-        for i in 0..DELTAS {
-            let d = symbols[i + 1] as i64 - symbols[i] as i64;
-            deltas[i] = (d as u64) & DELTA_MASK;
+    /// Five stages of masked block swaps (Hacker's Delight fig. 7-3), with
+    /// bit 0 as column 0 so that row and bit indices keep their meaning, and
+    /// two rows per 64-bit word (row `2k` low, row `2k + 1` high) so that
+    /// every step moves 64 matrix bits. Stage `j` (16, 8, 4, 2, 1) pairs the
+    /// rows `j` apart and trades the upper row's columns `c + j` for the
+    /// lower row's columns `c`, over the `c` that `mask` selects; for
+    /// `j = 1` the two rows share a word. The transposition is its own
+    /// inverse; encode and decode share it.
+    fn transpose32(rows: &[u32; SYMBOLS]) -> [u32; SYMBOLS] {
+        const WORDS: usize = SYMBOLS / 2;
+        let mut words = [0u64; WORDS];
+        for (k, word) in words.iter_mut().enumerate() {
+            *word = rows[2 * k] as u64 | (rows[2 * k + 1] as u64) << 32;
         }
-        deltas
+        let mut j = SYMBOLS / 2;
+        let mut mask = 0x0000_FFFF_0000_FFFFu64;
+        while j > 1 {
+            let step = j / 2; // rows `j` apart are words `j / 2` apart
+            for block in (0..WORDS).step_by(2 * step) {
+                for k in block..block + step {
+                    let t = ((words[k] >> j) ^ words[k + step]) & mask;
+                    words[k] ^= t << j;
+                    words[k + step] ^= t;
+                }
+            }
+            j /= 2;
+            mask ^= mask << j;
+        }
+        let mut out = [0u32; SYMBOLS];
+        for (k, &word) in words.iter().enumerate() {
+            let t = ((word >> 1) ^ (word >> 32)) & 0x5555_5555;
+            let word = word ^ (t << 1) ^ (t << 32);
+            out[2 * k] = word as u32;
+            out[2 * k + 1] = (word >> 32) as u32;
+        }
+        out
     }
 
-    /// Transposes deltas into 33 delta bit-planes of 31 bits each.
-    fn delta_bit_planes(deltas: &[u64; DELTAS]) -> [u32; PLANES] {
-        let mut planes = [0u32; PLANES];
-        for (b, plane) in planes.iter_mut().enumerate() {
-            let mut p = 0u32;
-            for (i, &d) in deltas.iter().enumerate() {
-                p |= (((d >> b) & 1) as u32) << i;
-            }
-            *plane = p;
+    /// Computes the 33 delta bit-planes of the symbol stream.
+    ///
+    /// Delta `i` is `symbols[i+1] - symbols[i]` in 33-bit two's complement.
+    /// Its low 32 bits are the wrapping `u32` difference, so planes 0–31 are
+    /// the transposed difference matrix (row 31 is empty: there are only 31
+    /// deltas); its sign bit is the borrow of that subtraction, so plane 32
+    /// is the mask of positions where the stream steps down.
+    fn delta_bit_planes(symbols: &[u32; SYMBOLS]) -> [u32; PLANES] {
+        let mut rows = [0u32; SYMBOLS];
+        let mut borrows = 0u32;
+        for i in 0..DELTAS {
+            rows[i] = symbols[i + 1].wrapping_sub(symbols[i]);
+            borrows |= ((symbols[i + 1] < symbols[i]) as u32) << i;
         }
+        let mut planes = [0u32; PLANES];
+        planes[..SYMBOLS].copy_from_slice(&Self::transpose32(&rows));
+        planes[PLANES - 1] = borrows;
         planes
     }
 
@@ -120,8 +160,230 @@ impl BitPlane {
         let mut b = PLANES; // iterate b-1 from 32 down to 0
         while b > 0 {
             b -= 1;
-            if dbx[b] == 0 {
+            let x = dbx[b];
+            if x == 0 {
                 // Count the zero run downward (including plane b).
+                let mut run = 1usize;
+                while b > 0 && dbx[b - 1] == 0 {
+                    b -= 1;
+                    run += 1;
+                }
+                if run == 1 {
+                    w.push_bits(0b01, 2);
+                } else {
+                    w.push_bits(0b001 << 5 | (run - 2) as u64, 8);
+                }
+            } else if dbp[b] == 0 {
+                w.push_bits(0b00001, 5);
+            } else if x == PLANE_MASK {
+                w.push_bits(0b00000, 5);
+            } else if x & (x - 1) == 0 {
+                // A single one.
+                w.push_bits(0b00011 << 5 | x.trailing_zeros() as u64, 10);
+            } else if x == 0b11 << x.trailing_zeros() {
+                // Two consecutive ones.
+                w.push_bits(0b00010 << 5 | x.trailing_zeros() as u64, 10);
+            } else {
+                // `1` + the 31 raw bits.
+                w.push_bits(1 << DELTAS | x as u64, 32);
+            }
+        }
+    }
+
+    /// Decodes the 33 DBP planes from the bitstream.
+    ///
+    /// Each code word is classified from one 32-bit look-ahead (no code is
+    /// longer) and then skipped at its full width, so a stream that ends
+    /// inside a code is `Truncated` before the code's payload is judged.
+    fn decode_planes(r: &mut BitReader<'_>) -> Result<[u32; PLANES], DecodeError> {
+        let mut dbp = [0u32; PLANES];
+        let mut prev_dbp = 0u32; // DBP[b+1]; zero above the top plane.
+        let mut b = PLANES;
+        while b > 0 {
+            b -= 1;
+            let code = r.peek32();
+            // The 5-bit field behind a 3- or 5-bit prefix.
+            let field = |prefix: u32| (code >> (27 - prefix)) & 0b11111;
+            let dbx_val = if code >> 31 == 1 {
+                // `1` + 31 raw bits: uncompressed plane.
+                r.skip(32)?;
+                code & PLANE_MASK
+            } else if code >> 30 == 0b01 {
+                // `01`: single all-zero DBX plane.
+                r.skip(2)?;
+                0
+            } else if code >> 29 == 0b001 {
+                // `001` + 5: run of 2–33 all-zero DBX planes.
+                r.skip(8)?;
+                let run = field(3) as usize + 2;
+                if run > b + 1 {
+                    // Run longer than the planes remaining (plane `b` plus
+                    // the `b` planes below it).
+                    return Err(DecodeError::InvalidCode {
+                        bit_offset: r.bit_offset(),
+                    });
+                }
+                // DBX == 0 means DBP[b] == DBP[b+1] for every plane in the
+                // run. Leave `b` at the last plane of the run so the outer
+                // loop steps to the next unprocessed plane.
+                b -= run - 1;
+                dbp[b..b + run].fill(prev_dbp);
+                // `prev_dbp` is unchanged; continue with the next code.
+                continue;
+            } else {
+                // `000` + 2 more bits: one of the four 5-bit codes.
+                match (code >> 27) & 0b11 {
+                    0b00 => {
+                        r.skip(5)?;
+                        PLANE_MASK // all-ones
+                    }
+                    0b01 => {
+                        // DBX != 0 but DBP == 0.
+                        r.skip(5)?;
+                        dbp[b] = 0;
+                        prev_dbp = 0;
+                        continue;
+                    }
+                    two_ones_or_one => {
+                        r.skip(10)?;
+                        // `00010`: two consecutive ones; `00011`: a single one.
+                        let (ones, last) = if two_ones_or_one == 0b10 {
+                            (0b11, 29)
+                        } else {
+                            (0b1, 30)
+                        };
+                        let pos = field(5);
+                        if pos > last {
+                            return Err(DecodeError::InvalidCode {
+                                bit_offset: r.bit_offset(),
+                            });
+                        }
+                        ones << pos
+                    }
+                }
+            };
+            dbp[b] = dbx_val ^ prev_dbp;
+            prev_dbp = dbp[b];
+        }
+        Ok(dbp)
+    }
+
+    /// Rebuilds the symbols from the base and the decoded bit-planes.
+    ///
+    /// Transposing planes 0–31 back gives the low 32 bits of every delta,
+    /// and symbols are 32-bit, so a wrapping prefix sum restores them; the
+    /// sign plane only ever selected between `+d` and `+d - 2^32`.
+    fn planes_to_symbols(base: u32, dbp: &[u32; PLANES]) -> [u32; SYMBOLS] {
+        let mut rows = [0u32; SYMBOLS];
+        rows.copy_from_slice(&dbp[..SYMBOLS]);
+        let rows = Self::transpose32(&rows);
+        let mut symbols = [0u32; SYMBOLS];
+        symbols[0] = base;
+        for i in 0..DELTAS {
+            symbols[i + 1] = symbols[i].wrapping_add(rows[i]);
+        }
+        symbols
+    }
+}
+
+impl Codec for BitPlane {
+    fn name(&self) -> &'static str {
+        Self::NAME
+    }
+
+    fn compress_into(&self, entry: &Entry, out: &mut CompressedBuf) {
+        let symbols = to_symbols(entry);
+        let mut w = out.begin();
+        // Base symbol: `0` when zero, else `1` + 32 raw bits.
+        if symbols[0] == 0 {
+            w.push_bit(false);
+        } else {
+            w.push_bit(true);
+            w.push_bits(symbols[0] as u64, 32);
+        }
+        if symbols.iter().all(|&s| s == symbols[0]) {
+            // A constant entry has no deltas: one run code covers all 33
+            // planes, and there is nothing to transpose.
+            w.push_bits(ALL_PLANES_ZERO as u64, 8);
+        } else {
+            let dbp = Self::delta_bit_planes(&symbols);
+            Self::encode_planes(&mut w, &dbp, &Self::dbx(&dbp));
+        }
+        out.finish(w);
+    }
+
+    fn decompress_into(
+        &self,
+        data: &[u8],
+        bits: usize,
+        out: &mut Entry,
+    ) -> Result<(), DecodeError> {
+        let mut r = BitReader::new(data, bits);
+        let base = if r.read_bit()? {
+            r.read_bits(32)? as u32
+        } else {
+            0
+        };
+        let symbols = if r.peek32() >> 24 == ALL_PLANES_ZERO {
+            // No deltas: the entry repeats its base.
+            r.skip(8)?;
+            [base; SYMBOLS]
+        } else {
+            Self::planes_to_symbols(base, &Self::decode_planes(&mut r)?)
+        };
+        *out = from_symbols(&symbols);
+        Ok(())
+    }
+}
+
+/// The scalar codec this module used before its kernels went word-parallel,
+/// kept verbatim (one bit per step, byte-at-a-time bit I/O) as the oracle:
+/// the codec above must produce and accept the bit-identical stream. A
+/// mirrored transpose would still round-trip, so the tests compare against
+/// this, not only against themselves.
+#[cfg(test)]
+mod reference {
+    use super::{DELTAS, PLANES, PLANE_MASK, SYMBOLS};
+    use crate::bits::reference::{ByteReader, ByteWriter};
+    use crate::{from_symbols, to_symbols, DecodeError, Entry};
+
+    const DELTA_MASK: u64 = 0x1_FFFF_FFFF;
+
+    pub(super) fn deltas(symbols: &[u32; SYMBOLS]) -> [u64; DELTAS] {
+        let mut deltas = [0u64; DELTAS];
+        for i in 0..DELTAS {
+            let d = symbols[i + 1] as i64 - symbols[i] as i64;
+            deltas[i] = (d as u64) & DELTA_MASK;
+        }
+        deltas
+    }
+
+    pub(super) fn delta_bit_planes(deltas: &[u64; DELTAS]) -> [u32; PLANES] {
+        let mut planes = [0u32; PLANES];
+        for (b, plane) in planes.iter_mut().enumerate() {
+            let mut p = 0u32;
+            for (i, &d) in deltas.iter().enumerate() {
+                p |= (((d >> b) & 1) as u32) << i;
+            }
+            *plane = p;
+        }
+        planes
+    }
+
+    fn dbx(dbp: &[u32; PLANES]) -> [u32; PLANES] {
+        let mut dbx = [0u32; PLANES];
+        for b in 0..PLANES - 1 {
+            dbx[b] = dbp[b] ^ dbp[b + 1];
+        }
+        dbx[PLANES - 1] = dbp[PLANES - 1];
+        dbx
+    }
+
+    fn encode_planes(w: &mut ByteWriter, dbp: &[u32; PLANES], dbx: &[u32; PLANES]) {
+        let mut b = PLANES;
+        while b > 0 {
+            b -= 1;
+            if dbx[b] == 0 {
                 let mut run = 1usize;
                 while b > 0 && dbx[b - 1] == 0 && run < PLANES {
                     b -= 1;
@@ -156,46 +418,34 @@ impl BitPlane {
         }
     }
 
-    /// Decodes the 33 DBP planes from the bitstream.
-    fn decode_planes(r: &mut BitReader<'_>) -> Result<[u32; PLANES], DecodeError> {
+    fn decode_planes(r: &mut ByteReader<'_>) -> Result<[u32; PLANES], DecodeError> {
         let mut dbp = [0u32; PLANES];
-        let mut prev_dbp = 0u32; // DBP[b+1]; zero above the top plane.
+        let mut prev_dbp = 0u32;
         let mut b = PLANES;
         while b > 0 {
             b -= 1;
             let dbx_val: u32;
             if r.read_bit()? {
-                // `1` + 31 raw bits: uncompressed plane.
                 dbx_val = r.read_bits(31)? as u32;
             } else if r.read_bit()? {
-                // `01`: single all-zero DBX plane.
                 dbx_val = 0;
             } else if r.read_bit()? {
-                // `001` + 5: run of 2–33 all-zero DBX planes.
                 let run = r.read_bits(5)? as usize + 2;
                 if run > b + 1 {
-                    // Run longer than the planes remaining (plane `b` plus
-                    // the `b` planes below it).
                     return Err(DecodeError::InvalidCode {
                         bit_offset: r.bit_offset(),
                     });
                 }
-                // DBX == 0 means DBP[b] == DBP[b+1] for every plane in the
-                // run. Leave `b` at the last plane of the run so the outer
-                // loop steps to the next unprocessed plane.
                 dbp[b] = prev_dbp;
                 for _ in 1..run {
                     b -= 1;
                     dbp[b] = prev_dbp;
                 }
-                // `prev_dbp` is unchanged; continue with the next code.
                 continue;
             } else {
-                // `000` + 2 more bits: one of the four 5-bit codes.
                 match r.read_bits(2)? {
-                    0b00 => dbx_val = PLANE_MASK, // all-ones
+                    0b00 => dbx_val = PLANE_MASK,
                     0b01 => {
-                        // DBX != 0 but DBP == 0.
                         dbp[b] = 0;
                         prev_dbp = 0;
                         continue;
@@ -207,7 +457,7 @@ impl BitPlane {
                                 bit_offset: r.bit_offset(),
                             });
                         }
-                        dbx_val = 0b11 << pos; // two consecutive ones
+                        dbx_val = 0b11 << pos;
                     }
                     _ => {
                         let pos = r.read_bits(5)? as u32;
@@ -216,7 +466,7 @@ impl BitPlane {
                                 bit_offset: r.bit_offset(),
                             });
                         }
-                        dbx_val = 1 << pos; // single one
+                        dbx_val = 1 << pos;
                     }
                 }
             }
@@ -226,8 +476,7 @@ impl BitPlane {
         Ok(dbp)
     }
 
-    /// Rebuilds the deltas from decoded bit-planes.
-    fn planes_to_deltas(dbp: &[u32; PLANES]) -> [u64; DELTAS] {
+    pub(super) fn planes_to_deltas(dbp: &[u32; PLANES]) -> [u64; DELTAS] {
         let mut deltas = [0u64; DELTAS];
         for (b, &plane) in dbp.iter().enumerate() {
             for (i, delta) in deltas.iter_mut().enumerate() {
@@ -237,64 +486,50 @@ impl BitPlane {
         deltas
     }
 
-    /// Sign-extends a 33-bit two's-complement value to `i64`.
-    fn sign_extend_33(v: u64) -> i64 {
+    pub(super) fn sign_extend_33(v: u64) -> i64 {
         ((v << 31) as i64) >> 31
     }
-}
 
-impl Codec for BitPlane {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-
-    fn compress_into(&self, entry: &Entry, out: &mut CompressedBuf) {
+    /// The reference encoder: the packed stream and its bit length.
+    pub(super) fn compress(entry: &Entry) -> (Vec<u8>, usize) {
         let symbols = to_symbols(entry);
-        let deltas = Self::deltas(&symbols);
-        let dbp = Self::delta_bit_planes(&deltas);
-        let dbx = Self::dbx(&dbp);
-
-        let mut w = out.begin();
-        // Base symbol: `0` when zero, else `1` + 32 raw bits.
+        let dbp = delta_bit_planes(&deltas(&symbols));
+        let dbx = dbx(&dbp);
+        let mut w = ByteWriter::default();
         if symbols[0] == 0 {
             w.push_bit(false);
         } else {
             w.push_bit(true);
             w.push_bits(symbols[0] as u64, 32);
         }
-        Self::encode_planes(&mut w, &dbp, &dbx);
-        out.finish(w);
+        encode_planes(&mut w, &dbp, &dbx);
+        w.into_parts()
     }
 
-    fn decompress_into(
-        &self,
-        data: &[u8],
-        bits: usize,
-        out: &mut Entry,
-    ) -> Result<(), DecodeError> {
-        let mut r = BitReader::new(data, bits);
+    /// The reference decoder.
+    pub(super) fn decompress(data: &[u8], bits: usize) -> Result<Entry, DecodeError> {
+        let mut r = ByteReader::new(data, bits);
         let base = if r.read_bit()? {
             r.read_bits(32)? as u32
         } else {
             0
         };
-        let dbp = Self::decode_planes(&mut r)?;
-        let deltas = Self::planes_to_deltas(&dbp);
-
+        let deltas = planes_to_deltas(&decode_planes(&mut r)?);
         let mut symbols = [0u32; SYMBOLS];
         symbols[0] = base;
         for i in 0..DELTAS {
-            let d = Self::sign_extend_33(deltas[i]);
+            let d = sign_extend_33(deltas[i]);
             symbols[i + 1] = (symbols[i] as i64).wrapping_add(d) as u32;
         }
-        *out = from_symbols(&symbols);
-        Ok(())
+        Ok(from_symbols(&symbols))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SizeClass, ENTRY_BYTES};
+    use proptest::prelude::*;
 
     fn entry_from_words(mut f: impl FnMut(usize) -> u32) -> Entry {
         let mut symbols = [0u32; SYMBOLS];
@@ -402,19 +637,23 @@ mod tests {
 
     #[test]
     fn sign_extension_is_correct() {
-        assert_eq!(BitPlane::sign_extend_33(0), 0);
-        assert_eq!(BitPlane::sign_extend_33(1), 1);
-        assert_eq!(BitPlane::sign_extend_33(0x0_FFFF_FFFF), 0x0_FFFF_FFFFi64);
-        assert_eq!(BitPlane::sign_extend_33(0x1_0000_0000), -(0x1_0000_0000i64));
-        assert_eq!(BitPlane::sign_extend_33(0x1_FFFF_FFFF), -1);
+        use reference::sign_extend_33;
+        assert_eq!(sign_extend_33(0), 0);
+        assert_eq!(sign_extend_33(1), 1);
+        assert_eq!(sign_extend_33(0x0_FFFF_FFFF), 0x0_FFFF_FFFFi64);
+        assert_eq!(sign_extend_33(0x1_0000_0000), -(0x1_0000_0000i64));
+        assert_eq!(sign_extend_33(0x1_FFFF_FFFF), -1);
     }
 
     #[test]
     fn delta_bitplane_transpose_inverts() {
         let symbols: [u32; SYMBOLS] = std::array::from_fn(|i| (i as u32).wrapping_mul(0x1234_5677));
-        let deltas = BitPlane::deltas(&symbols);
-        let dbp = BitPlane::delta_bit_planes(&deltas);
-        assert_eq!(BitPlane::planes_to_deltas(&dbp), deltas);
+        let deltas = reference::deltas(&symbols);
+        let dbp = BitPlane::delta_bit_planes(&symbols);
+        // Bit for bit the planes of the scalar transposition, not a mirror.
+        assert_eq!(dbp, reference::delta_bit_planes(&deltas));
+        assert_eq!(reference::planes_to_deltas(&dbp), deltas);
+        assert_eq!(BitPlane::planes_to_symbols(symbols[0], &dbp), symbols);
     }
 
     #[test]
@@ -429,5 +668,132 @@ mod tests {
             rebuilt[b] = dbx[b] ^ rebuilt[b + 1];
         }
         assert_eq!(rebuilt, planes);
+    }
+
+    /// The nine generators of `workloads::entry_gen` (one per size class,
+    /// plus the ramp), rebuilt here because that crate sits above this one:
+    /// zeros, a base in `2^28..2^30` plus 0/1/4/10/15/19 bits of per-word
+    /// noise, random words, and `base + i * stride`.
+    fn palette_entry(class: usize, a: u32, words: &[u32; SYMBOLS]) -> Entry {
+        const NOISE_BITS: [u32; 6] = [0, 1, 4, 10, 15, 19];
+        match class {
+            0 => [0u8; ENTRY_BYTES],
+            1..=6 => {
+                let base = (1 << 28) + a % (3 << 28);
+                let mask = (1u32 << NOISE_BITS[class - 1]) - 1;
+                entry_from_words(|i| base.wrapping_add(words[i] & mask))
+            }
+            7 => entry_from_words(|i| words[i]),
+            _ => {
+                let stride = 1 + words[0] % ((1 << 24) - 1);
+                entry_from_words(|i| (a % (1 << 28)).wrapping_add(stride.wrapping_mul(i as u32)))
+            }
+        }
+    }
+
+    /// Random, structured, float, sparse and palette entries (the families
+    /// of `tests/roundtrip.rs` plus the palette above), one family per draw.
+    fn oracle_entry() -> impl Strategy<Value = Entry> {
+        (
+            0usize..5,
+            proptest::array::uniform32(any::<u32>()),
+            any::<u32>(),
+            any::<u32>(),
+        )
+            .prop_map(|(family, words, a, b)| match family {
+                0 => entry_from_words(|i| words[i]),
+                1 => entry_from_words(|i| {
+                    a.wrapping_add((b % 1024).wrapping_mul(i as u32))
+                        .wrapping_add(words[i] % 256)
+                }),
+                2 => {
+                    let start = (a as f32 / u32::MAX as f32 - 0.5) * 2e6;
+                    let step = b as f32 / u32::MAX as f32 * 2.0 - 1.0;
+                    entry_from_words(|i| (start + step * i as f32).to_bits())
+                }
+                3 => entry_from_words(|i| if words[i] % 8 == 0 { words[31 - i] } else { 0 }),
+                _ => palette_entry(b as usize % 9, a, &words),
+            })
+    }
+
+    /// Encodes with the codec under test and checks `(data, bits)` against
+    /// the reference; decodes the stream, bare and sector-padded, with both.
+    fn assert_matches_reference(entry: &Entry) -> usize {
+        let codec = BitPlane::new();
+        let mut c = CompressedBuf::new();
+        codec.compress_into(entry, &mut c);
+        let (data, bits) = reference::compress(entry);
+        assert_eq!((c.data(), c.bits()), (&data[..], bits), "stream differs");
+
+        let mut padded = data.clone();
+        padded.resize(data.len().next_multiple_of(crate::SECTOR_BYTES), 0);
+        for (data, bits) in [(&data, bits), (&padded, padded.len() * 8)] {
+            let mut out = [0xFFu8; ENTRY_BYTES];
+            codec.decompress_into(data, bits, &mut out).unwrap();
+            assert_eq!(&out, entry);
+            assert_eq!(reference::decompress(data, bits).as_ref(), Ok(entry));
+        }
+        bits
+    }
+
+    #[test]
+    fn palette_matches_reference_in_all_eight_size_classes() {
+        let codec = BitPlane::new();
+        let mut scratch = CompressedBuf::new();
+        let mut seen = Vec::new();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for round in 0..64 {
+            let words: [u32; SYMBOLS] = std::array::from_fn(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 16) as u32
+            });
+            let entry = palette_entry(round % 9, words[1], &words);
+            assert_matches_reference(&entry);
+            seen.push(codec.size_class_into(&entry, &mut scratch));
+        }
+        for class in SizeClass::ALL {
+            assert!(seen.contains(&class), "palette never produced {class:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn encoder_matches_reference(entry in oracle_entry()) {
+            assert_matches_reference(&entry);
+        }
+
+        /// Same `Ok(bytes)`, same error variant, same offset — on streams
+        /// that are mostly invalid and on lengths beyond the data.
+        #[test]
+        fn decoder_matches_reference_on_garbage(
+            data in proptest::collection::vec(any::<u8>(), 0..160),
+            bits in 0usize..1300,
+        ) {
+            let mut out = [0xFFu8; ENTRY_BYTES];
+            let got = BitPlane::new().decompress_into(&data, bits, &mut out).map(|()| out);
+            prop_assert_eq!(got, reference::decompress(&data, bits));
+        }
+
+        /// Valid streams cut short or with one bit flipped: the error paths
+        /// next to the streams the device actually stores.
+        #[test]
+        fn decoder_matches_reference_on_damaged_streams(
+            entry in oracle_entry(),
+            cut in any::<usize>(),
+            flip in any::<usize>(),
+        ) {
+            let (mut data, bits) = reference::compress(&entry);
+            let flip = flip % bits;
+            data[flip / 8] ^= 0x80 >> (flip % 8);
+            for bits in [bits, cut % (bits + 1)] {
+                let mut out = [0xFFu8; ENTRY_BYTES];
+                let got = BitPlane::new().decompress_into(&data, bits, &mut out).map(|()| out);
+                prop_assert_eq!(got, reference::decompress(&data, bits));
+            }
+        }
     }
 }

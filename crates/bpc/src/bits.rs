@@ -5,10 +5,18 @@ use crate::DecodeError;
 /// An append-only bit buffer. Bits are packed MSB-first within each byte,
 /// matching how hardware serializers are usually drawn in the compression
 /// literature.
+///
+/// Bits accumulate in a 64-bit word that is appended to the byte buffer
+/// whole (big-endian, so the byte order is the MSB-first bit order);
+/// [`into_parts`](Self::into_parts) flushes the partial last word.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitWriter {
+    /// Whole words already emitted.
     buf: Vec<u8>,
-    len_bits: usize,
+    /// Pending bits, left-aligned: the next bit lands at bit `63 - fill`.
+    acc: u64,
+    /// Number of pending bits in `acc`, always below 64.
+    fill: usize,
 }
 
 impl BitWriter {
@@ -19,10 +27,7 @@ impl BitWriter {
 
     /// Creates an empty bit buffer with room for `bits` bits.
     pub fn with_capacity(bits: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(bits.div_ceil(8)),
-            len_bits: 0,
-        }
+        Self::reusing(Vec::with_capacity(bits.div_ceil(8)))
     }
 
     /// Creates an empty bit buffer on top of an existing byte buffer,
@@ -33,63 +38,65 @@ impl BitWriter {
     /// never touches the heap.
     pub fn reusing(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        Self { buf, len_bits: 0 }
+        Self {
+            buf,
+            acc: 0,
+            fill: 0,
+        }
     }
 
     /// Appends the low `n` bits of `value`, most-significant bit first.
+    /// Bits of `value` above bit `n` are ignored.
     ///
-    /// Writes byte-at-a-time rather than bit-at-a-time: this is the inner
-    /// loop of every encoder, and chunked writes are what keep the
-    /// compression paths at memory speed.
+    /// This is the inner loop of every encoder: one shift-or into the
+    /// pending word, and one 8-byte append each time it fills.
     ///
     /// # Panics
     ///
     /// Panics if `n > 64`.
     pub fn push_bits(&mut self, value: u64, n: usize) {
         assert!(n <= 64, "cannot push more than 64 bits at once");
-        let mut remaining = n;
-        while remaining > 0 {
-            let bit_pos = self.len_bits % 8;
-            if bit_pos == 0 {
-                self.buf.push(0);
-            }
-            let byte_idx = self.len_bits / 8;
-            let space = 8 - bit_pos;
-            let take = space.min(remaining);
-            // The top `take` of the `remaining` unwritten bits, aligned to
-            // the byte's free space.
-            let chunk = ((value >> (remaining - take)) as u8) & ((1u16 << take) - 1) as u8;
-            self.buf[byte_idx] |= chunk << (space - take);
-            self.len_bits += take;
-            remaining -= take;
+        if n == 0 {
+            return;
+        }
+        let value = value & (u64::MAX >> (64 - n));
+        let free = 64 - self.fill;
+        if n < free {
+            self.acc |= value << (free - n);
+            self.fill += n;
+        } else {
+            // The top `free` bits complete the pending word; the `spill`
+            // bits below them start the next one.
+            let spill = n - free;
+            self.buf
+                .extend_from_slice(&(self.acc | (value >> spill)).to_be_bytes());
+            self.acc = if spill == 0 { 0 } else { value << (64 - spill) };
+            self.fill = spill;
         }
     }
 
     /// Appends one bit.
     pub fn push_bit(&mut self, bit: bool) {
-        let byte_idx = self.len_bits / 8;
-        if byte_idx == self.buf.len() {
-            self.buf.push(0);
-        }
-        if bit {
-            self.buf[byte_idx] |= 0x80 >> (self.len_bits % 8);
-        }
-        self.len_bits += 1;
+        self.push_bits(bit as u64, 1);
     }
 
     /// Number of bits written so far.
     pub fn len_bits(&self) -> usize {
-        self.len_bits
+        self.buf.len() * 8 + self.fill
     }
 
     /// Whether no bits have been written.
     pub fn is_empty(&self) -> bool {
-        self.len_bits == 0
+        self.len_bits() == 0
     }
 
     /// Consumes the writer, returning the packed bytes and the bit length.
-    pub fn into_parts(self) -> (Vec<u8>, usize) {
-        (self.buf, self.len_bits)
+    /// The unused low bits of the last byte are zero.
+    pub fn into_parts(mut self) -> (Vec<u8>, usize) {
+        let len_bits = self.len_bits();
+        self.buf
+            .extend_from_slice(&self.acc.to_be_bytes()[..self.fill.div_ceil(8)]);
+        (self.buf, len_bits)
     }
 }
 
@@ -121,27 +128,62 @@ impl<'a> BitReader<'a> {
         self.len_bits - self.pos
     }
 
+    /// The eight bytes starting at `byte` as one big-endian word, padded
+    /// with zeros past the end of `data` (the 8-byte granule and the tail
+    /// of the last sector take the same path as everything else).
+    fn window(&self, byte: usize) -> u64 {
+        if let Some(full) = self.data.get(byte..byte + 8) {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(full);
+            return u64::from_be_bytes(word);
+        }
+        self.data[byte..]
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (i, &b)| acc | (b as u64) << (56 - 8 * i))
+    }
+
+    /// The next 32 bits without consuming them, zero-padded past the end of
+    /// `data`. Bits past the declared length are whatever `data` holds
+    /// there: [`skip`](Self::skip) is what checks the length, so a decoder
+    /// classifies a code word from this and then skips its full width.
+    pub(crate) fn peek32(&self) -> u32 {
+        ((self.window(self.pos / 8) << (self.pos % 8)) >> 32) as u32
+    }
+
+    /// Consumes `n` bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Truncated`] if fewer than `n` bits remain; the
+    /// read position does not move.
+    pub(crate) fn skip(&mut self, n: usize) -> Result<(), DecodeError> {
+        if self.remaining() < n {
+            return Err(DecodeError::Truncated);
+        }
+        self.pos += n;
+        Ok(())
+    }
+
     /// Reads one bit.
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError::Truncated`] at end of stream.
     pub fn read_bit(&mut self) -> Result<bool, DecodeError> {
-        if self.pos >= self.len_bits {
-            return Err(DecodeError::Truncated);
-        }
-        let bit = (self.data[self.pos / 8] >> (7 - self.pos % 8)) & 1 == 1;
-        self.pos += 1;
-        Ok(bit)
+        Ok(self.read_bits(1)? == 1)
     }
 
     /// Reads `n` bits MSB-first into the low bits of the result.
     ///
-    /// Byte-at-a-time, mirroring [`BitWriter::push_bits`].
+    /// One 64-bit window load and a shift, mirroring
+    /// [`BitWriter::push_bits`]; a read of more than 57 bits that starts
+    /// mid-byte takes its last few bits from a ninth byte.
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError::Truncated`] if fewer than `n` bits remain.
+    /// Returns [`DecodeError::Truncated`] if fewer than `n` bits remain; the
+    /// read position does not move.
     ///
     /// # Panics
     ///
@@ -151,19 +193,118 @@ impl<'a> BitReader<'a> {
         if self.remaining() < n {
             return Err(DecodeError::Truncated);
         }
-        let mut value = 0u64;
-        let mut remaining = n;
-        while remaining > 0 {
-            let bit_pos = self.pos % 8;
-            let avail = 8 - bit_pos;
-            let take = avail.min(remaining);
-            let byte = self.data[self.pos / 8];
-            let chunk = (byte >> (avail - take)) & ((1u16 << take) - 1) as u8;
-            value = (value << take) | chunk as u64;
-            self.pos += take;
-            remaining -= take;
+        if n == 0 {
+            return Ok(0);
         }
+        let (byte, shift) = (self.pos / 8, self.pos % 8);
+        let mut value = (self.window(byte) << shift) >> (64 - n);
+        if shift + n > 64 {
+            // `remaining() >= n` puts the ninth byte inside `data`.
+            value |= (self.data[byte + 8] as u64) >> (72 - shift - n);
+        }
+        self.pos += n;
         Ok(value)
+    }
+}
+
+/// The byte-at-a-time bit I/O this module used before it went word-wide,
+/// kept verbatim as the oracle the tests hold [`BitWriter`] and
+/// [`BitReader`] to: same bytes, same values, same errors, same offsets.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::DecodeError;
+
+    #[derive(Debug, Default)]
+    pub(crate) struct ByteWriter {
+        buf: Vec<u8>,
+        len_bits: usize,
+    }
+
+    impl ByteWriter {
+        pub(crate) fn push_bits(&mut self, value: u64, n: usize) {
+            assert!(n <= 64, "cannot push more than 64 bits at once");
+            let mut remaining = n;
+            while remaining > 0 {
+                let bit_pos = self.len_bits % 8;
+                if bit_pos == 0 {
+                    self.buf.push(0);
+                }
+                let byte_idx = self.len_bits / 8;
+                let space = 8 - bit_pos;
+                let take = space.min(remaining);
+                // The top `take` of the `remaining` unwritten bits, aligned to
+                // the byte's free space.
+                let chunk = ((value >> (remaining - take)) as u8) & ((1u16 << take) - 1) as u8;
+                self.buf[byte_idx] |= chunk << (space - take);
+                self.len_bits += take;
+                remaining -= take;
+            }
+        }
+
+        pub(crate) fn push_bit(&mut self, bit: bool) {
+            let byte_idx = self.len_bits / 8;
+            if byte_idx == self.buf.len() {
+                self.buf.push(0);
+            }
+            if bit {
+                self.buf[byte_idx] |= 0x80 >> (self.len_bits % 8);
+            }
+            self.len_bits += 1;
+        }
+
+        pub(crate) fn into_parts(self) -> (Vec<u8>, usize) {
+            (self.buf, self.len_bits)
+        }
+    }
+
+    #[derive(Debug)]
+    pub(crate) struct ByteReader<'a> {
+        data: &'a [u8],
+        pos: usize,
+        len_bits: usize,
+    }
+
+    impl<'a> ByteReader<'a> {
+        pub(crate) fn new(data: &'a [u8], len_bits: usize) -> Self {
+            Self {
+                data,
+                pos: 0,
+                len_bits: len_bits.min(data.len() * 8),
+            }
+        }
+
+        pub(crate) fn bit_offset(&self) -> usize {
+            self.pos
+        }
+
+        pub(crate) fn read_bit(&mut self) -> Result<bool, DecodeError> {
+            if self.pos >= self.len_bits {
+                return Err(DecodeError::Truncated);
+            }
+            let bit = (self.data[self.pos / 8] >> (7 - self.pos % 8)) & 1 == 1;
+            self.pos += 1;
+            Ok(bit)
+        }
+
+        pub(crate) fn read_bits(&mut self, n: usize) -> Result<u64, DecodeError> {
+            assert!(n <= 64, "cannot read more than 64 bits at once");
+            if self.len_bits - self.pos < n {
+                return Err(DecodeError::Truncated);
+            }
+            let mut value = 0u64;
+            let mut remaining = n;
+            while remaining > 0 {
+                let bit_pos = self.pos % 8;
+                let avail = 8 - bit_pos;
+                let take = avail.min(remaining);
+                let byte = self.data[self.pos / 8];
+                let chunk = (byte >> (avail - take)) & ((1u16 << take) - 1) as u8;
+                value = (value << take) | chunk as u64;
+                self.pos += take;
+                remaining -= take;
+            }
+            Ok(value)
+        }
     }
 }
 
@@ -228,6 +369,155 @@ mod tests {
         let (bytes, bits) = w.into_parts();
         assert_eq!(bits, 3);
         assert_eq!(bytes, vec![0b1010_0000]);
+        assert_eq!(bytes.capacity(), cap);
+    }
+
+    /// A fixed byte pattern with no two equal neighbours.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(0x9D) ^ 0x5A)
+            .collect()
+    }
+
+    /// A reader and the reference reader, both `start` bits into `data`.
+    fn readers_at(
+        data: &[u8],
+        len_bits: usize,
+        start: usize,
+    ) -> (BitReader<'_>, reference::ByteReader<'_>) {
+        let mut r = BitReader::new(data, len_bits);
+        let mut oracle = reference::ByteReader::new(data, len_bits);
+        let mut left = start;
+        while left > 0 {
+            let n = left.min(64);
+            assert_eq!(r.read_bits(n), oracle.read_bits(n));
+            left -= n;
+        }
+        (r, oracle)
+    }
+
+    #[test]
+    fn every_width_at_every_alignment_writes_the_reference_bytes() {
+        // All 64 bits set: whatever lies above bit `n` must be ignored.
+        let garbage = 0xF0F1_F2F3_F4F5_F6F7u64 | 1 << 63;
+        for align in 0..8 {
+            for n in 0..=64 {
+                let mut w = BitWriter::new();
+                let mut oracle = reference::ByteWriter::default();
+                w.push_bits(0b010_1101, align);
+                oracle.push_bits(0b010_1101, align);
+                w.push_bits(garbage, n);
+                oracle.push_bits(garbage, n);
+                assert_eq!(w.len_bits(), align + n);
+                w.push_bit(true);
+                oracle.push_bit(true);
+                w.push_bits(garbage, 64);
+                oracle.push_bits(garbage, 64);
+                assert_eq!(
+                    w.into_parts(),
+                    oracle.into_parts(),
+                    "align {align} width {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn long_mixed_stream_writes_the_reference_bytes() {
+        let mut w = BitWriter::new();
+        let mut oracle = reference::ByteWriter::default();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..500 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let n = (state >> 58) as usize + (state & 1) as usize; // 0..=64
+            w.push_bits(state, n);
+            oracle.push_bits(state, n);
+        }
+        assert_eq!(w.into_parts(), oracle.into_parts());
+    }
+
+    #[test]
+    fn every_read_matches_the_reference_reader() {
+        // Every data length around the 8-byte window, every start bit
+        // (so every alignment, and every start inside the last 7 bytes),
+        // every width — including the ones that overrun the stream.
+        for len in 0..=18 {
+            let data = pattern(len);
+            for len_bits in [len * 8, (len * 8).saturating_sub(5), len * 8 + 100] {
+                let valid = len_bits.min(len * 8);
+                for start in 0..=valid {
+                    for n in 0..=64 {
+                        let (mut r, mut oracle) = readers_at(&data, len_bits, start);
+                        let got = r.read_bits(n);
+                        assert_eq!(
+                            got,
+                            oracle.read_bits(n),
+                            "len {len} start {start} width {n}"
+                        );
+                        assert_eq!(got.is_err(), n > valid - start);
+                        assert_eq!(r.bit_offset(), oracle.bit_offset());
+                        assert_eq!(r.remaining(), valid - r.bit_offset());
+                    }
+                    let (mut r, mut oracle) = readers_at(&data, len_bits, start);
+                    assert_eq!(r.read_bit(), oracle.read_bit());
+                    assert_eq!(r.bit_offset(), oracle.bit_offset());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn peek_is_the_next_32_bits_zero_padded_and_skip_checks_the_length() {
+        for len in 0..=13 {
+            let data = pattern(len);
+            for start in 0..=len * 8 {
+                let (mut r, mut oracle) = readers_at(&data, len * 8, start);
+                let left = (len * 8 - start).min(32);
+                let expect = (oracle.read_bits(left).unwrap() << (32 - left)) as u32;
+                assert_eq!(r.peek32(), expect, "len {len} start {start}");
+                assert_eq!(r.bit_offset(), start, "peek must not consume");
+                assert_eq!(r.skip(len * 8 - start + 1), Err(DecodeError::Truncated));
+                assert_eq!(r.bit_offset(), start, "failed skip must not move");
+                r.skip(left).unwrap();
+                assert_eq!(r.bit_offset(), start + left);
+            }
+        }
+        // Peek looks at `data`, not at the declared length; skip enforces it.
+        let mut r = BitReader::new(&[0xFF, 0xFF], 3);
+        assert_eq!(r.peek32(), 0xFFFF_0000);
+        assert_eq!(r.skip(4), Err(DecodeError::Truncated));
+        r.skip(3).unwrap();
+    }
+
+    #[test]
+    fn declared_length_clamps_to_the_data() {
+        let mut r = BitReader::new(&[0xAB, 0xCD], 1000);
+        assert_eq!(r.remaining(), 16);
+        assert_eq!(r.read_bits(17), Err(DecodeError::Truncated));
+        assert_eq!(r.bit_offset(), 0);
+        assert_eq!(r.read_bits(16).unwrap(), 0xABCD);
+        assert_eq!(r.read_bit(), Err(DecodeError::Truncated));
+        assert_eq!(r.bit_offset(), 16);
+    }
+
+    #[test]
+    fn into_parts_pads_the_last_byte_with_zeros() {
+        let mut w = BitWriter::new();
+        w.push_bits(u64::MAX, 64);
+        w.push_bits(u64::MAX, 13);
+        let (bytes, bits) = w.into_parts();
+        assert_eq!(bits, 77);
+        assert_eq!(bytes.len(), 10, "no more bytes than the bits need");
+        assert_eq!(bytes[8..], [0xFF, 0xF8]);
+        // A recycled buffer full of ones leaves nothing behind the new bits:
+        // the device stores the padded bytes and decodes them again.
+        let cap = bytes.capacity();
+        let mut w = BitWriter::reusing(bytes);
+        w.push_bit(true);
+        let (bytes, bits) = w.into_parts();
+        assert_eq!((bytes.as_slice(), bits), (&[0x80u8][..], 1));
         assert_eq!(bytes.capacity(), cap);
     }
 

@@ -142,6 +142,11 @@ proptest! {
         let _ = FrequentPattern::new().decompress_into(&data, bits, &mut [0u8; ENTRY_BYTES]);
     }
 
+    #[test]
+    fn zero_decoder_total_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..160), bits in 0usize..1300) {
+        let _ = ZeroRle::new().decompress_into(&data, bits, &mut [0u8; ENTRY_BYTES]);
+    }
+
     /// BPC never reports fewer than 9 bits (base flag + minimal plane code)
     /// and is the best of the four algorithms on smooth numeric ramps.
     #[test]

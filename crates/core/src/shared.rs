@@ -124,6 +124,17 @@ pub(crate) fn check_range(view: &AllocView, start: u64, len: u64) -> Result<(), 
     }
 }
 
+/// Whether every byte of `entry` is zero: sixteen 64-bit words ORed
+/// together, where a byte-wise scan of an all-zero entry took 128 steps.
+fn is_zero(entry: &Entry) -> bool {
+    let any = entry.chunks_exact(8).fold(0u64, |acc, chunk| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        acc | u64::from_ne_bytes(word)
+    });
+    any == 0
+}
+
 pub(crate) fn buddy_sectors_of(target: TargetRatio, state: EntryState) -> u64 {
     match state {
         EntryState::Zero | EntryState::ZeroPageFit => 0,
@@ -878,7 +889,7 @@ impl SharedState {
         entry: &Entry,
         scratch: &mut CompressedBuf,
     ) -> EntryState {
-        let state = if entry.iter().all(|&b| b == 0) {
+        let state = if is_zero(entry) {
             EntryState::Zero
         } else {
             let compress_span = trace::span(SpanKind::CodecCompress);
