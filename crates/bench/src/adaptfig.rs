@@ -217,8 +217,8 @@ fn mean(rows: &[PhaseRow], f: impl Fn(&PhaseRow) -> f64) -> f64 {
     rows.iter().map(&f).sum::<f64>() / rows.len() as f64
 }
 
-/// The `adaptive-retarget` binary: static-profile vs adaptive-policy sweep
-/// over the drift workload, with a CSV artifact (also in `reproduce-all`).
+/// The `adaptive-retarget` harness: static-profile vs adaptive-policy sweep
+/// over the drift workload, with a CSV artifact.
 pub fn adaptive_retarget(cfg: &RunConfig) -> io::Result<()> {
     let (static_rows, adaptive_rows, _) = run_study(cfg);
 

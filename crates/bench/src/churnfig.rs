@@ -234,8 +234,8 @@ pub fn run_distribution(label: &'static str, lifetime: Lifetime, cfg: &RunConfig
     rows
 }
 
-/// The `churn` binary: steady-state churn sweep over the lifetime
-/// distributions, with a CSV artifact (also in `reproduce-all`).
+/// The `churn` harness: steady-state churn sweep over the lifetime
+/// distributions, with a CSV artifact.
 pub fn churn(cfg: &RunConfig) -> io::Result<()> {
     let header = [
         "lifetime",

@@ -1,11 +1,12 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md §5 for the experiment index).
 //!
-//! Each figure has a binary (`cargo run -p buddy-bench --release --bin
-//! fig11`) and all of them run together via `--bin reproduce-all`. Every
-//! harness prints an aligned table with the paper's reported numbers next
-//! to the measured ones and writes a CSV under `results/`. Pass `--quick`
-//! for a reduced smoke run.
+//! There is one binary, `reproduce-all`: without arguments it runs every
+//! harness of [`FIGURES`] in order, with figure names it runs only those
+//! (`cargo run -p buddy-bench --release --bin reproduce-all -- fig11
+//! table1`). Every harness prints an aligned table with the paper's
+//! reported numbers next to the measured ones and writes a CSV under
+//! `results/`. Pass `--quick` for a reduced smoke run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,32 +28,108 @@ pub use report::RunConfig;
 
 use std::io;
 
-/// Runs every table and figure in order (the `reproduce-all` binary).
-pub fn reproduce_all(cfg: &RunConfig) -> io::Result<()> {
-    tables::table1(cfg)?;
-    tables::table2(cfg)?;
-    capacity::fig03(cfg)?;
-    performance::fig05b(cfg)?;
-    capacity::fig06(cfg)?;
-    capacity::fig07(cfg)?;
-    capacity::fig08(cfg)?;
-    capacity::fig09(cfg)?;
-    performance::fig10(cfg)?;
-    performance::fig11(cfg)?;
-    umfig::fig12(cfg)?;
-    dlfig::fig13a(cfg)?;
-    dlfig::fig13b(cfg)?;
-    dlfig::fig13c(cfg)?;
-    dlfig::fig13d(cfg)?;
-    ablation::ablation(cfg)?;
-    poolfig::pool_throughput(cfg)?;
-    adaptfig::adaptive_retarget(cfg)?;
-    churnfig::churn(cfg)?;
-    tenantfig::tenancy(cfg)?;
-    tenantfig::service_report(cfg)?;
-    println!(
-        "\nAll tables and figures regenerated into {:?}.",
-        cfg.results_dir
-    );
+/// A harness: writes its artifacts under the configuration and hands back
+/// its rows for the shared `results/obs_breakdown.csv` (all but
+/// `pool-throughput` and `tenancy` have none).
+pub type FigureFn = fn(&RunConfig) -> io::Result<Vec<Vec<String>>>;
+
+/// Every harness by its command-line name, in run order.
+pub const FIGURES: [(&str, FigureFn); 21] = [
+    ("table1", |cfg| tables::table1(cfg).map(no_rows)),
+    ("table2", |cfg| tables::table2(cfg).map(no_rows)),
+    ("fig03", |cfg| capacity::fig03(cfg).map(no_rows)),
+    ("fig05b", |cfg| performance::fig05b(cfg).map(no_rows)),
+    ("fig06", |cfg| capacity::fig06(cfg).map(no_rows)),
+    ("fig07", |cfg| capacity::fig07(cfg).map(no_rows)),
+    ("fig08", |cfg| capacity::fig08(cfg).map(no_rows)),
+    ("fig09", |cfg| capacity::fig09(cfg).map(no_rows)),
+    ("fig10", |cfg| performance::fig10(cfg).map(no_rows)),
+    ("fig11", |cfg| performance::fig11(cfg).map(no_rows)),
+    ("fig12", |cfg| umfig::fig12(cfg).map(no_rows)),
+    ("fig13a", |cfg| dlfig::fig13a(cfg).map(no_rows)),
+    ("fig13b", |cfg| dlfig::fig13b(cfg).map(no_rows)),
+    ("fig13c", |cfg| dlfig::fig13c(cfg).map(no_rows)),
+    ("fig13d", |cfg| dlfig::fig13d(cfg).map(no_rows)),
+    ("ablation", |cfg| ablation::ablation(cfg).map(no_rows)),
+    ("pool-throughput", poolfig::pool_throughput),
+    ("adaptive-retarget", |cfg| {
+        adaptfig::adaptive_retarget(cfg).map(no_rows)
+    }),
+    ("churn", |cfg| churnfig::churn(cfg).map(no_rows)),
+    ("tenancy", tenantfig::tenancy),
+    ("service-report", |cfg| {
+        tenantfig::service_report(cfg).map(no_rows)
+    }),
+];
+
+fn no_rows<T>(_: T) -> Vec<Vec<String>> {
+    Vec::new()
+}
+
+/// Runs the harnesses of [`FIGURES`] that `names` selects — all of them
+/// when it is empty — in table order, then writes the span-time breakdown
+/// they handed back, so `obs_breakdown.csv` holds exactly this run's rows.
+/// A name outside the table selects nothing; [`RunConfig::from_args`]
+/// rejects those before they get here.
+pub fn reproduce_all(cfg: &RunConfig, names: &[&str]) -> io::Result<()> {
+    let mut breakdown = Vec::new();
+    for (name, figure) in FIGURES {
+        if names.is_empty() || names.contains(&name) {
+            breakdown.extend(figure(cfg)?);
+        }
+    }
+    if !breakdown.is_empty() {
+        let path = obsfig::write_breakdown(cfg, &breakdown)?;
+        if buddy_compression::buddy_obs::trace::is_enabled() {
+            println!("\nspan breakdown (lock wait / codec / IO per cell) -> {path:?}");
+        } else {
+            println!(
+                "\nspan breakdown written with zeros ({path:?}); rebuild with \
+                 --features obs-trace for real attribution"
+            );
+        }
+    }
+    if names.is_empty() {
+        println!(
+            "\nAll tables and figures regenerated into {:?}.",
+            cfg.results_dir
+        );
+    }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_table_is_the_parent_run_order() {
+        // Equal to 21 distinct non-empty literals, so unique and non-empty.
+        assert_eq!(
+            FIGURES.map(|(name, _)| name),
+            [
+                "table1",
+                "table2",
+                "fig03",
+                "fig05b",
+                "fig06",
+                "fig07",
+                "fig08",
+                "fig09",
+                "fig10",
+                "fig11",
+                "fig12",
+                "fig13a",
+                "fig13b",
+                "fig13c",
+                "fig13d",
+                "ablation",
+                "pool-throughput",
+                "adaptive-retarget",
+                "churn",
+                "tenancy",
+                "service-report",
+            ]
+        );
+    }
 }

@@ -10,12 +10,12 @@
 //! shape is stable either way, so CI can assert on it in both modes.
 //!
 //! [`MetricsEmitter`] is the `--metrics-out` implementation shared by the
-//! `pool-throughput`, `tenancy` and `churn` binaries: a
+//! `pool-throughput`, `tenancy` and `churn` harnesses: a
 //! [`MetricsRegistry`] plus a background time-series sampler, flushed to
 //! `<base>.prom` (Prometheus text exposition) and `<base>.csv` (one row
 //! per sampled metric per tick) when the harness finishes.
 
-use crate::report::{append_csv, f3, write_csv, RunConfig};
+use crate::report::{f3, write_csv, RunConfig};
 use buddy_compression::buddy_obs::metrics::sample_every;
 use buddy_compression::buddy_obs::trace;
 use buddy_compression::buddy_obs::{MetricsRegistry, SamplerHandle, SpanKind, SpanTotals};
@@ -72,17 +72,10 @@ pub fn breakdown_row(
     ]
 }
 
-/// Truncate-writes the breakdown artifact. The first harness of a
-/// `reproduce-all` run (`pool-throughput`) uses this so every run starts
-/// the artifact fresh.
+/// Writes the breakdown artifact; `reproduce_all` calls this once per run
+/// with the rows its harnesses handed back.
 pub fn write_breakdown(cfg: &RunConfig, rows: &[Vec<String>]) -> io::Result<PathBuf> {
     write_csv(&cfg.results_dir, BREAKDOWN_NAME, &BREAKDOWN_HEADER, rows)
-}
-
-/// Appends to the breakdown artifact (creating it if needed) — for the
-/// harnesses that run after `pool-throughput` or standalone.
-pub fn append_breakdown(cfg: &RunConfig, rows: &[Vec<String>]) -> io::Result<PathBuf> {
-    append_csv(&cfg.results_dir, BREAKDOWN_NAME, &BREAKDOWN_HEADER, rows)
 }
 
 /// Sampling interval of the `--metrics-out` time series. Coarse enough to
@@ -167,25 +160,6 @@ mod tests {
         for cell in &row[5..] {
             assert_eq!(cell, "0.000");
         }
-    }
-
-    #[test]
-    fn truncate_then_append_protocol() {
-        let dir = std::env::temp_dir().join("buddy-bench-obsfig");
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = RunConfig {
-            results_dir: dir.clone(),
-            ..Default::default()
-        };
-        let row = |s: &str| vec![breakdown_row(s, "bpc", 1, 1, &SpanTotals::default())];
-        write_breakdown(&cfg, &row("pool_throughput")).unwrap();
-        write_breakdown(&cfg, &row("pool_throughput")).unwrap();
-        append_breakdown(&cfg, &row("tenancy")).unwrap();
-        let text = std::fs::read_to_string(dir.join("obs_breakdown.csv")).unwrap();
-        // The second truncate-write reset the file; the append added to it.
-        assert_eq!(text.lines().count(), 3, "header + one of each source");
-        assert!(text.lines().nth(1).unwrap().starts_with("pool_throughput,"));
-        assert!(text.lines().nth(2).unwrap().starts_with("tenancy,"));
     }
 
     #[test]

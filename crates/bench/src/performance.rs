@@ -6,16 +6,10 @@ use buddy_compression::gpu_sim::{
     Engine, EntryPlacement, ExecConfig, Fidelity, GpuConfig, Lookup, MemRequest, MemoryMode,
     SectoredCache, SimStats, UniformLayout,
 };
+use buddy_compression::workloads::entry_gen::splitmix64;
 use buddy_compression::workloads::{all_benchmarks, geomean};
 use buddy_compression::{benchmark_requests, profile_benchmark, BenchmarkLayout};
 use std::io;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Figure 5b: metadata cache hit rate as a function of total metadata
 /// cache capacity. Paper: most benchmarks hit well; 351.palm and

@@ -20,7 +20,7 @@
 //! speedup comes from, so the summary prints the detected parallelism next
 //! to the measured scaling factor.
 
-use crate::obsfig::{breakdown_row, write_breakdown, MetricsEmitter};
+use crate::obsfig::{breakdown_row, MetricsEmitter};
 use crate::report::{f3, pct, print_table, write_csv, RunConfig};
 use buddy_compression::bpc::CodecKind;
 use buddy_compression::buddy_core::{DeviceConfig, TargetRatio};
@@ -167,9 +167,11 @@ fn grid(quick: bool) -> Vec<CellSpec> {
     }
 }
 
-/// Runs the shard × client × codec throughput sweep (the `pool-throughput`
-/// binary; also part of `reproduce-all`).
-pub fn pool_throughput(cfg: &RunConfig) -> io::Result<()> {
+/// Runs the shard × client × codec throughput sweep (`reproduce-all
+/// pool-throughput`) and hands back one span-time breakdown row per cell.
+/// With obs-trace off the rows are all-zero (`trace_enabled=false`) but
+/// structurally identical — the artifact shape is stable.
+pub fn pool_throughput(cfg: &RunConfig) -> io::Result<Vec<Vec<String>>> {
     // Equal work per cell so entries/s columns are directly comparable.
     let total_entries = cfg.scaled(2_000_000);
     let entries_per_client = if cfg.quick { 1024 } else { 4096 };
@@ -302,23 +304,10 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<()> {
         &header,
         &rows,
     )?;
-    // Truncate-write: pool-throughput runs first in reproduce-all, so each
-    // run starts the shared breakdown artifact fresh; later harnesses
-    // append. With obs-trace off the rows are structurally identical but
-    // all-zero (trace_enabled=false) — the artifact shape is stable.
-    let breakdown_path = write_breakdown(cfg, &breakdown)?;
-    if trace::is_enabled() {
-        println!("  span breakdown (lock wait / codec / IO per cell) -> {breakdown_path:?}");
-    } else {
-        println!(
-            "  span breakdown written with zeros ({breakdown_path:?}); rebuild with \
-             --features obs-trace for real attribution"
-        );
-    }
     if let Some((prom, csv)) = emitter.finish()? {
         println!("  metrics -> {prom:?} and {csv:?}");
     }
-    Ok(())
+    Ok(breakdown)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Result reporting: aligned console tables and CSV files under `results/`.
 
+use crate::FIGURES;
 use buddy_compression::bpc::CodecKind;
 use std::fmt::Display;
 use std::fs;
@@ -38,59 +39,63 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Builds the configuration from process arguments (`--quick`,
-    /// `--codec <name>`, `--metrics-out <path>`).
+    /// Builds the configuration and the selected figure names from the
+    /// process arguments: `[--quick] [--codec C] [--metrics-out BASE]
+    /// [NAME …]`, names being those of [`FIGURES`].
     ///
-    /// Exits with status 2 and the list of registered codecs on stderr if
-    /// `--codec` names an unknown algorithm, or if either option is
-    /// missing its value — a usage error, not a harness bug, so no
-    /// backtrace.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick");
-        let usage_error = |message: String| -> ! {
+    /// An unknown flag, figure name or codec, or an option missing its
+    /// value, prints the valid flags, codecs and names to stderr and exits
+    /// with status 2 — a usage error, not a harness bug, so no backtrace.
+    pub fn from_args() -> (Self, Vec<&'static str>) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let (cfg, names) = Self::parse(&args).unwrap_or_else(|message| {
             eprintln!("error: {message}");
+            eprintln!("usage: reproduce-all [--quick] [--codec C] [--metrics-out BASE] [NAME ...]");
+            eprintln!(
+                "  codecs: {}",
+                CodecKind::ALL.map(|k| k.to_string()).join(", ")
+            );
+            eprintln!("  names:  {}", FIGURES.map(|(name, _)| name).join(", "));
             std::process::exit(2);
-        };
-        let codec = match args.iter().position(|a| a == "--codec") {
-            None => CodecKind::Bpc,
-            Some(i) => {
-                let Some(name) = args.get(i + 1) else {
-                    usage_error(format!("--codec needs a value: one of {}", codec_names()));
-                };
-                match CodecKind::from_name(name) {
-                    Some(codec) => codec,
-                    None => usage_error(format!(
-                        "unknown codec {name:?}: expected one of {}",
-                        codec_names()
-                    )),
-                }
-            }
-        };
-        let metrics_out = match args.iter().position(|a| a == "--metrics-out") {
-            None => None,
-            Some(i) => match args.get(i + 1) {
-                Some(path) => Some(PathBuf::from(path)),
-                None => usage_error(
-                    "--metrics-out needs a value: the base path for the .prom/.csv artifacts"
-                        .to_string(),
-                ),
-            },
-        };
-        if codec != CodecKind::Bpc {
+        });
+        if cfg.codec != CodecKind::Bpc {
             println!(
                 "note: --codec {codec} applies to the capacity harnesses (fig03, \
                  fig06-fig09; their artifacts gain a _{codec} suffix) and the \
                  ablation sweeps all codecs regardless; every other harness \
-                 models BPC"
+                 models BPC",
+                codec = cfg.codec
             );
         }
-        Self {
-            quick,
-            codec,
-            metrics_out,
-            ..Self::default()
+        (cfg, names)
+    }
+
+    fn parse(args: &[String]) -> Result<(Self, Vec<&'static str>), String> {
+        let mut cfg = Self::default();
+        let mut names = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" => cfg.quick = true,
+                "--codec" => {
+                    let name = args.next().ok_or("--codec needs a value")?;
+                    cfg.codec = CodecKind::from_name(name)
+                        .ok_or_else(|| format!("unknown codec {name:?}"))?;
+                }
+                "--metrics-out" => {
+                    let base = args.next().ok_or(
+                        "--metrics-out needs a value: the base path for the .prom/.csv artifacts",
+                    )?;
+                    cfg.metrics_out = Some(PathBuf::from(base));
+                }
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+                name => match FIGURES.iter().find(|(known, _)| *known == name) {
+                    Some((known, _)) => names.push(*known),
+                    None => return Err(format!("unknown figure {name:?}")),
+                },
+            }
         }
+        Ok((cfg, names))
     }
 
     /// Artifact base name tagged with the selected codec: `name` under the
@@ -114,12 +119,6 @@ impl RunConfig {
     }
 }
 
-/// Comma-separated list of registered codec names (for CLI diagnostics),
-/// derived from the registry so it can never drift from it.
-fn codec_names() -> String {
-    CodecKind::ALL.map(|k| k.to_string()).join(", ")
-}
-
 /// Writes rows of display-able cells as CSV into `results/<name>.csv`.
 pub fn write_csv<C: Display>(
     dir: &Path,
@@ -132,35 +131,6 @@ pub fn write_csv<C: Display>(
     let mut out = String::new();
     out.push_str(&header.join(","));
     out.push('\n');
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(|c| c.to_string()).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
-    fs::write(&path, out)?;
-    Ok(path)
-}
-
-/// Appends rows to `results/<name>.csv`, creating it (with `header`) when
-/// it does not exist yet. If the existing file's first line does not match
-/// `header` — a stale artifact from an older format — the file is rewritten
-/// from scratch rather than corrupted by appending mismatched columns.
-///
-/// This is how several harnesses share one artifact (`obs_breakdown.csv`):
-/// the first writer of a `reproduce-all` run truncates, later ones append.
-pub fn append_csv<C: Display>(
-    dir: &Path,
-    name: &str,
-    header: &[&str],
-    rows: &[Vec<C>],
-) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    let header_line = header.join(",");
-    let existing = fs::read_to_string(&path)
-        .ok()
-        .filter(|text| text.lines().next() == Some(header_line.as_str()));
-    let mut out = existing.unwrap_or_else(|| format!("{header_line}\n"));
     for row in rows {
         let cells: Vec<String> = row.iter().map(|c| c.to_string()).collect();
         out.push_str(&cells.join(","));
@@ -251,18 +221,25 @@ mod tests {
     }
 
     #[test]
-    fn append_csv_creates_then_appends_then_resets_on_header_change() {
-        let dir = std::env::temp_dir().join("buddy-bench-append-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let row = |s: &str| vec![vec![s.to_string(), "1".to_string()]];
-        append_csv(&dir, "t", &["name", "value"], &row("a")).unwrap();
-        let path = append_csv(&dir, "t", &["name", "value"], &row("b")).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "name,value\na,1\nb,1\n");
-        // A header change means the old artifact is stale: start over.
-        append_csv(&dir, "t", &["name", "count"], &row("c")).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "name,count\nc,1\n");
+    fn parse_accepts_known_arguments_and_rejects_the_rest() {
+        let parse = |args: &[&str]| {
+            RunConfig::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        };
+        let (cfg, names) = parse(&["fig11", "--quick", "--codec", "bdi", "table1"]).unwrap();
+        assert!(cfg.quick);
+        assert_eq!(cfg.codec, CodecKind::Bdi);
+        assert_eq!(names, ["fig11", "table1"]);
+        let (cfg, names) = parse(&[]).unwrap();
+        assert!(!cfg.quick && cfg.metrics_out.is_none() && names.is_empty());
+        for bad in [
+            &["--quik"][..],
+            &["nosuchfig"],
+            &["--codec"],
+            &["--codec", "lz4"],
+            &["--metrics-out"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Multi-tenant service figures: the open-loop overload knee and quota
-//! enforcement under a noisy neighbour (the `tenancy` binary), plus the
-//! per-tenant telemetry ledger (the `service-report` binary).
+//! enforcement under a noisy neighbour (the `tenancy` harness), plus the
+//! per-tenant telemetry ledger (the `service-report` harness).
 //!
 //! The tenancy sweep runs three phases against [`buddy_service`]:
 //!
@@ -21,7 +21,7 @@
 //!
 //! [`buddy_service`]: buddy_compression::buddy_service
 
-use crate::obsfig::{append_breakdown, breakdown_row, MetricsEmitter};
+use crate::obsfig::{breakdown_row, MetricsEmitter};
 use crate::report::{f3, pct, print_table, write_csv, RunConfig};
 use buddy_compression::buddy_obs::trace;
 use buddy_compression::buddy_service::loadgen::{
@@ -141,9 +141,9 @@ fn noisy_plan(ops: u64, policy: AdmissionPolicy) -> TenantPlan {
     plan
 }
 
-/// Runs the full tenancy sweep and writes `results/tenancy.csv` (the
-/// `tenancy` binary; also part of `reproduce-all`).
-pub fn tenancy(cfg: &RunConfig) -> io::Result<()> {
+/// Runs the full tenancy sweep (`reproduce-all tenancy`), writes
+/// `results/tenancy.csv` and hands back its span-time breakdown row.
+pub fn tenancy(cfg: &RunConfig) -> io::Result<Vec<Vec<String>>> {
     let emitter = MetricsEmitter::start(cfg);
     let offered_counter = emitter.registry().counter(
         "tenancy_offered_total",
@@ -300,11 +300,10 @@ pub fn tenancy(cfg: &RunConfig) -> io::Result<()> {
     let path = write_csv(&cfg.results_dir, &cfg.tagged("tenancy"), &header, &table)?;
     println!("  wrote {path:?}");
 
-    // One breakdown row for the whole sweep (appended after
-    // pool-throughput's truncate-write in a reproduce-all run): the sweep
-    // multiplexes phases over the same 2-shard pool, so per-phase span
-    // deltas would mostly re-measure the timer floor. queue_wait is the
-    // column this source uniquely exercises.
+    // One breakdown row for the whole sweep: it multiplexes phases over
+    // the same 2-shard pool, so per-phase span deltas would mostly
+    // re-measure the timer floor. queue_wait is the column this source
+    // uniquely exercises.
     capacity_gauge.set(capacity as u64);
     for row in &rows {
         offered_counter.add(row.report.offered);
@@ -319,14 +318,13 @@ pub fn tenancy(cfg: &RunConfig) -> io::Result<()> {
         2,
         &span_delta,
     )];
-    append_breakdown(cfg, &breakdown)?;
     if let Some((prom, csv)) = emitter.finish()? {
         println!("  metrics -> {prom:?} and {csv:?}");
     }
-    Ok(())
+    Ok(breakdown)
 }
 
-/// Scripted mixed-tenant scenario behind the `service-report` binary: the
+/// Scripted mixed-tenant scenario behind the `service-report` harness: the
 /// telemetry registry must account for every alloc, free, rejection,
 /// demotion, transfer and denial the script performs.
 pub fn service_report(cfg: &RunConfig) -> io::Result<()> {

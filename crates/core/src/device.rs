@@ -10,7 +10,7 @@
 //! which `tests/no_movement.rs` verifies.
 
 use crate::adapt::StateWindow;
-use crate::metadata::{EntryState, Gbbr};
+use crate::metadata::EntryState;
 use crate::region::RegionAllocator;
 use crate::shared::{self, AllocView, RawSlot, SharedState};
 use crate::target::TargetRatio;
@@ -248,14 +248,11 @@ pub struct RetargetReport {
     pub buddy_bytes_delta: i64,
 }
 
-/// Internal bookkeeping for one allocation: the display name, the POD
-/// addressing fields, and the creation sequence number (the `*_by_name`
-/// paths address the most recently *created* allocation under a name,
-/// which slot reuse would otherwise scramble).
+/// Internal bookkeeping for one allocation: the display name (for
+/// `allocation_info`, audit and error text) and the POD addressing fields.
 #[derive(Debug, Clone)]
 struct Allocation {
     name: String,
-    seq: u64,
     view: AllocView,
 }
 
@@ -337,13 +334,10 @@ pub struct BuddyDevice {
     /// engine against this state, so the two are equivalent by
     /// construction.
     shared: Arc<SharedState>,
-    gbbr: Gbbr,
     /// Allocation slot map; freed slots are recycled through `free_slots`
     /// with their generation bumped, so stale [`AllocId`]s stay dead.
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
-    /// Monotonic creation counter feeding `Allocation::seq`.
-    alloc_seq: u64,
     /// Region allocators for the three storage regions (bytes for the two
     /// data arrays, entries for metadata). First-fit with coalescing — the
     /// full allocation lifecycle runs on these.
@@ -422,10 +416,8 @@ impl BuddyDevice {
                 buddy_capacity,
                 metadata_entries,
             )),
-            gbbr: Gbbr(0),
             slots: Vec::new(),
             free_slots: Vec::new(),
-            alloc_seq: 0,
             device_region: RegionAllocator::new(config.device_capacity),
             buddy_region: RegionAllocator::new(buddy_capacity),
             metadata_region: RegionAllocator::new(metadata_entries),
@@ -470,11 +462,6 @@ impl BuddyDevice {
         self.config
     }
 
-    /// The Global Buddy Base-address Register.
-    pub fn gbbr(&self) -> Gbbr {
-        self.gbbr
-    }
-
     /// Device bytes consumed by live allocations.
     pub fn device_used(&self) -> u64 {
         self.device_region.used()
@@ -516,8 +503,10 @@ impl BuddyDevice {
 
     /// Uncompressed bytes represented by all live allocations.
     pub fn logical_bytes(&self) -> u64 {
-        self.live_allocations()
-            .map(|(_, a)| a.view.entries * ENTRY_BYTES as u64)
+        self.slots
+            .iter()
+            .filter_map(|s| s.alloc.as_ref())
+            .map(|a| a.view.entries * ENTRY_BYTES as u64)
             .sum()
     }
 
@@ -529,25 +518,6 @@ impl BuddyDevice {
             return 1.0;
         }
         self.logical_bytes() as f64 / used as f64
-    }
-
-    /// Iterates the live slots as `(slot index, allocation)`.
-    fn live_allocations(&self) -> impl Iterator<Item = (u32, &Allocation)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.alloc.as_ref().map(|a| (i as u32, a))) // lint-allow(lossy-cast): slot indices are created as u32, so slots.len() never exceeds u32::MAX
-    }
-
-    /// Resolves a name to the most recently created live allocation.
-    fn find_by_name(&self, name: &str) -> Option<AllocId> {
-        self.live_allocations()
-            .filter(|(_, a)| a.name == name)
-            .max_by_key(|(_, a)| a.seq)
-            .map(|(slot, _)| AllocId {
-                slot,
-                generation: self.slots[slot as usize].generation,
-            })
     }
 
     /// Traffic counters accumulated since the last [`reset_stats`].
@@ -627,8 +597,6 @@ impl BuddyDevice {
                 (self.slots.len() - 1) as u32 // lint-allow(lossy-cast): 2^32 live slots would need a 32 GiB device of 8 B zero-page entries first
             }
         };
-        let seq = self.alloc_seq;
-        self.alloc_seq += 1;
         let view = AllocView {
             target,
             entries,
@@ -638,7 +606,6 @@ impl BuddyDevice {
         };
         self.slots[slot as usize].alloc = Some(Allocation {
             name: name.to_owned(),
-            seq,
             view,
         });
         let generation = self.slots[slot as usize].generation;
@@ -719,18 +686,6 @@ impl BuddyDevice {
                     .expect("grown metadata region hosts the request") // lint-allow(no-unwrap): the region was just grown past the request
             }
         }
-    }
-
-    /// [`free`](Self::free) addressed by allocation name (the most recently
-    /// created live allocation wins if a name was reused).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] for a name with no live
-    /// allocation.
-    pub fn free_by_name(&mut self, name: &str) -> Result<(), DeviceError> {
-        let id = self.find_by_name(name).ok_or(DeviceError::BadAllocation)?;
-        self.free(id)
     }
 
     /// Resolves a generational id to its live allocation — the single
@@ -1032,24 +987,6 @@ impl BuddyDevice {
         Ok((device_base, buddy_base))
     }
 
-    /// [`retarget`](Self::retarget) addressed by allocation name (the most
-    /// recently created live allocation wins if a name was reused).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] for an unknown name — pinned
-    /// alongside the zero-entry `alloc` behaviour so every invalid
-    /// re-target request fails the same way on every path — plus the
-    /// capacity errors of [`retarget`](Self::retarget).
-    pub fn retarget_by_name(
-        &mut self,
-        name: &str,
-        new_target: TargetRatio,
-    ) -> Result<RetargetReport, DeviceError> {
-        let id = self.find_by_name(name).ok_or(DeviceError::BadAllocation)?;
-        self.retarget(id, new_target)
-    }
-
     /// Summarizes the live metadata states of an allocation into a
     /// [`StateWindow`] for the [`adapt`](crate::adapt) policy. A pure
     /// metadata scan: records no traffic (4 bits per entry — the
@@ -1060,25 +997,6 @@ impl BuddyDevice {
     /// Returns [`DeviceError::BadAllocation`] for invalid handles.
     pub fn state_window(&self, id: AllocId) -> Result<StateWindow, DeviceError> {
         self.shared.state_window(id)
-    }
-
-    /// Handles of every live allocation, in creation order (for policy
-    /// sweeps over a whole device). Freed allocations do not appear.
-    pub fn allocation_ids(&self) -> Vec<AllocId> {
-        let mut live: Vec<(u64, AllocId)> = self
-            .live_allocations()
-            .map(|(slot, a)| {
-                (
-                    a.seq,
-                    AllocId {
-                        slot,
-                        generation: self.slots[slot as usize].generation,
-                    },
-                )
-            })
-            .collect();
-        live.sort_unstable_by_key(|&(seq, _)| seq);
-        live.into_iter().map(|(_, id)| id).collect()
     }
 }
 
@@ -1362,12 +1280,7 @@ mod tests {
         }
         assert_eq!(dev.allocation_count(), 0);
         assert_eq!(dev.device_used(), 0);
-        // Re-targeting an unknown name fails the same pinned way every
-        // invalid handle does.
-        assert_eq!(
-            dev.retarget_by_name("never-allocated", TargetRatio::R2),
-            Err(DeviceError::BadAllocation)
-        );
+        // Re-targeting an invalid handle fails the same pinned way.
         assert_eq!(
             dev.retarget(
                 AllocId {
@@ -1637,16 +1550,6 @@ mod tests {
     }
 
     #[test]
-    fn retarget_by_name_addresses_the_latest_allocation() {
-        let mut dev = small_device();
-        let first = dev.alloc("tensor", 8, TargetRatio::R2).unwrap();
-        let second = dev.alloc("tensor", 8, TargetRatio::R2).unwrap();
-        dev.retarget_by_name("tensor", TargetRatio::R4).unwrap();
-        assert_eq!(dev.allocation_info(first).unwrap().1, TargetRatio::R2);
-        assert_eq!(dev.allocation_info(second).unwrap().1, TargetRatio::R4);
-    }
-
-    #[test]
     fn state_window_reflects_metadata_without_traffic() {
         let mut dev = small_device();
         let a = dev.alloc("w", 16, TargetRatio::R2).unwrap();
@@ -1668,7 +1571,7 @@ mod tests {
         assert_eq!(window.total(), 16);
         assert!((window.zero_fraction() - 0.5).abs() < 1e-12);
         assert!((window.overflow_fraction(TargetRatio::R2) - 0.25).abs() < 1e-12);
-        assert_eq!(dev.allocation_ids(), vec![a]);
+        assert_eq!(dev.allocation_count(), 1);
     }
 
     #[test]
@@ -1720,23 +1623,7 @@ mod tests {
         assert_eq!(dev.free(a), Err(DeviceError::BadAllocation), "double free");
         // The live handle still works.
         assert_eq!(read1(&mut dev, b, 0).unwrap(), [0u8; ENTRY_BYTES]);
-        assert_eq!(dev.allocation_ids(), vec![b]);
-    }
-
-    #[test]
-    fn free_by_name_releases_the_latest_creation() {
-        let mut dev = small_device();
-        let first = dev.alloc("tensor", 8, TargetRatio::R2).unwrap();
-        let second = dev.alloc("tensor", 8, TargetRatio::R2).unwrap();
-        dev.free_by_name("tensor").unwrap();
-        assert_eq!(read1(&mut dev, second, 0), Err(DeviceError::BadAllocation));
-        assert!(read1(&mut dev, first, 0).is_ok());
-        dev.free_by_name("tensor").unwrap();
-        assert_eq!(
-            dev.free_by_name("tensor"),
-            Err(DeviceError::BadAllocation),
-            "no live allocation left under the name"
-        );
+        assert_eq!(dev.allocation_count(), 1);
     }
 
     #[test]

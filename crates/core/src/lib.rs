@@ -13,8 +13,8 @@
 //!   from device memory; otherwise the overflow sectors sit at a *fixed*
 //!   pre-reserved buddy offset — compressibility changes never move any
 //!   other data (the design's key invariant, §3.3).
-//! * 4 bits of metadata per entry ([`metadata::MetadataStore`]) record the
-//!   compressed size; translation is a trivial base+offset through the
+//! * 4 bits of metadata per entry ([`EntryState`]) record the compressed
+//!   size; translation is a trivial base+offset through the
 //!   [`metadata::Gbbr`].
 //! * A profiling pass ([`profile`]) picks per-allocation targets subject to
 //!   the **Buddy Threshold** — the maximum tolerated fraction of entries
@@ -74,7 +74,7 @@ pub use device::{
     AccessStats, AllocId, BuddyDevice, DeviceConfig, DeviceError, DeviceHandle, RetargetReport,
     StorageRanges,
 };
-pub use metadata::{EntryState, Gbbr, MetadataStore, ENTRIES_PER_METADATA_LINE};
+pub use metadata::{EntryState, Gbbr, ENTRIES_PER_METADATA_LINE};
 pub use profile::{
     best_achievable, choose_naive, choose_targets, AllocationProfile, ProfileConfig,
     ProfileOutcome, TargetChoice,

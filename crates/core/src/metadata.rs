@@ -70,124 +70,10 @@ impl fmt::Display for EntryState {
     }
 }
 
-/// The dedicated device-memory region holding 4 bits per 128 B entry.
-///
-/// Packed two entries per byte. One 32 B metadata cache line covers 64
-/// consecutive entries (8 KB of data) — the prefetch granularity §3.2
-/// describes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetadataStore {
-    nibbles: Vec<u8>,
-    entries: u64,
-}
-
-/// Number of 128 B entries covered by one 32 B metadata line.
+/// Number of 128 B entries covered by one 32 B metadata line: the
+/// dedicated device-memory region holds 4 bits per entry, so one line
+/// covers 8 KB of data — the prefetch granularity §3.2 describes.
 pub const ENTRIES_PER_METADATA_LINE: u64 = 64;
-
-impl MetadataStore {
-    /// Creates metadata for `entries` memory-entries, all initially zero.
-    pub fn new(entries: u64) -> Self {
-        Self {
-            nibbles: vec![0u8; entries.div_ceil(2) as usize],
-            entries,
-        }
-    }
-
-    /// Number of entries tracked.
-    pub fn entries(&self) -> u64 {
-        self.entries
-    }
-
-    /// Size of the metadata region in bytes (the 0.4% overhead).
-    pub fn storage_bytes(&self) -> u64 {
-        self.nibbles.len() as u64
-    }
-
-    /// Reads the state of entry `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or holds a reserved encoding
-    /// (impossible through [`set`](Self::set)).
-    pub fn get(&self, index: u64) -> EntryState {
-        assert!(index < self.entries, "metadata index {index} out of range");
-        let byte = self.nibbles[(index / 2) as usize];
-        let nibble = if index % 2 == 0 {
-            byte & 0x0F
-        } else {
-            byte >> 4
-        };
-        EntryState::decode(nibble).expect("stored nibble is always valid") // lint-allow(no-unwrap): set() stores only encoded nibbles, so decode cannot fail
-    }
-
-    /// Writes the state of entry `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn set(&mut self, index: u64, state: EntryState) {
-        assert!(index < self.entries, "metadata index {index} out of range");
-        let slot = &mut self.nibbles[(index / 2) as usize];
-        let nibble = state.encode();
-        if index % 2 == 0 {
-            *slot = (*slot & 0xF0) | nibble;
-        } else {
-            *slot = (*slot & 0x0F) | (nibble << 4);
-        }
-    }
-
-    /// Extends the store to cover `new_entries` entries; the added tail
-    /// reads as [`EntryState::Zero`]. Existing states are untouched (no
-    /// copy — the nibble array is extended in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_entries` is smaller than the current size.
-    pub fn grow(&mut self, new_entries: u64) {
-        assert!(
-            new_entries >= self.entries,
-            "metadata grow cannot shrink ({} -> {new_entries})",
-            self.entries
-        );
-        self.nibbles.resize(new_entries.div_ceil(2) as usize, 0);
-        self.entries = new_entries;
-    }
-
-    /// Resets `[start, start + len)` to [`EntryState::Zero`] — the state
-    /// of a fresh allocation. Byte-aligned interior nibble pairs are
-    /// cleared with a fill; the unaligned edges nibble-by-nibble.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range extends past the tracked entries.
-    pub fn clear_range(&mut self, start: u64, len: u64) {
-        let end = start.checked_add(len).expect("range end overflows"); // lint-allow(no-unwrap): the overflow panic is this method's documented contract
-        assert!(
-            end <= self.entries,
-            "metadata range {start}+{len} out of range"
-        );
-        let mut i = start;
-        while i < end && i % 2 == 1 {
-            self.set(i, EntryState::Zero);
-            i += 1;
-        }
-        let aligned_end = end - end % 2;
-        if i < aligned_end {
-            self.nibbles[(i / 2) as usize..(aligned_end / 2) as usize].fill(0);
-            i = aligned_end;
-        }
-        while i < end {
-            self.set(i, EntryState::Zero);
-            i += 1;
-        }
-    }
-
-    /// The metadata line index covering entry `index` (the unit cached by
-    /// the metadata cache).
-    pub fn line_of(index: u64) -> u64 {
-        index / ENTRIES_PER_METADATA_LINE
-    }
-}
 
 /// The Global Buddy Base-address Register: base physical address of this
 /// GPU's carve-out in the buddy memory (§3.2).
@@ -237,80 +123,17 @@ mod tests {
     }
 
     #[test]
-    fn store_set_get_adjacent_nibbles() {
-        let mut store = MetadataStore::new(10);
-        store.set(0, EntryState::Compressed { sectors: 3 });
-        store.set(1, EntryState::ZeroPageOverflow);
-        assert_eq!(store.get(0), EntryState::Compressed { sectors: 3 });
-        assert_eq!(store.get(1), EntryState::ZeroPageOverflow);
-        // Overwrite one half; the other is untouched.
-        store.set(0, EntryState::Zero);
-        assert_eq!(store.get(0), EntryState::Zero);
-        assert_eq!(store.get(1), EntryState::ZeroPageOverflow);
-    }
-
-    #[test]
     fn overhead_is_0_4_percent() {
-        let store = MetadataStore::new(1 << 20);
-        let data_bytes = (1u64 << 20) * 128;
-        let overhead = store.storage_bytes() as f64 / data_bytes as f64;
+        // One 32 B metadata line per 64 entries of 128 B: 4 bits / 1024 bits.
+        let overhead = 32.0 / (ENTRIES_PER_METADATA_LINE * 128) as f64;
         assert!((overhead - 0.00390625).abs() < 1e-9);
         assert!((METADATA_OVERHEAD - overhead).abs() < 1e-9);
-    }
-
-    #[test]
-    fn line_covers_64_entries() {
-        assert_eq!(MetadataStore::line_of(0), 0);
-        assert_eq!(MetadataStore::line_of(63), 0);
-        assert_eq!(MetadataStore::line_of(64), 1);
-        assert_eq!(ENTRIES_PER_METADATA_LINE * 4 / 8, 32); // 32 B per line
-    }
-
-    #[test]
-    fn grow_preserves_states_and_zeroes_the_tail() {
-        let mut store = MetadataStore::new(5);
-        store.set(0, EntryState::Compressed { sectors: 4 });
-        store.set(4, EntryState::ZeroPageFit);
-        store.grow(12);
-        assert_eq!(store.entries(), 12);
-        assert_eq!(store.get(0), EntryState::Compressed { sectors: 4 });
-        assert_eq!(store.get(4), EntryState::ZeroPageFit);
-        for i in 5..12 {
-            assert_eq!(store.get(i), EntryState::Zero, "entry {i}");
-        }
-    }
-
-    #[test]
-    fn clear_range_resets_only_the_range() {
-        let mut store = MetadataStore::new(16);
-        for i in 0..16 {
-            store.set(i, EntryState::Compressed { sectors: 2 });
-        }
-        // Odd start, odd end: exercises both unaligned edges and the
-        // byte-aligned interior fill.
-        store.clear_range(3, 7);
-        for i in 0..16 {
-            let expect = if (3..10).contains(&i) {
-                EntryState::Zero
-            } else {
-                EntryState::Compressed { sectors: 2 }
-            };
-            assert_eq!(store.get(i), expect, "entry {i}");
-        }
-        // Zero-length clears are no-ops, even at the end.
-        store.clear_range(16, 0);
     }
 
     #[test]
     fn gbbr_translation_is_offset_based() {
         let gbbr = Gbbr(0x1_0000_0000);
         assert_eq!(gbbr.translate(0x2000, 96), 0x1_0000_2060);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_get_panics() {
-        MetadataStore::new(4).get(4);
     }
 
     #[test]

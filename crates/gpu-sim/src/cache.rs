@@ -6,6 +6,8 @@
 //! uncompressed baseline fill individual sectors while the compressed
 //! configurations always fill whole lines (compression granularity).
 
+use crate::splitmix64;
+
 /// Outcome of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
@@ -46,13 +48,6 @@ pub struct SectoredCache {
     hits: u64,
     partial_hits: u64,
     misses: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl SectoredCache {

@@ -19,6 +19,7 @@
 use crate::cache::{Lookup, SectoredCache};
 use crate::config::GpuConfig;
 use crate::layout::MemoryLayout;
+use crate::splitmix64;
 use crate::stats::SimStats;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -105,13 +106,6 @@ impl Ord for Time {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Bandwidth-latency queue for one resource (DRAM channel or link

@@ -74,37 +74,6 @@ impl MemoryLayout for UniformLayout {
     }
 }
 
-/// Layout backed by closures (the facade crate's bridge).
-pub struct FnLayout<F> {
-    entries: u64,
-    f: F,
-}
-
-impl<F: Fn(u64) -> EntryPlacement> FnLayout<F> {
-    /// Wraps `f` as the placement oracle for `entries` entries.
-    pub fn new(entries: u64, f: F) -> Self {
-        Self { entries, f }
-    }
-}
-
-impl<F: Fn(u64) -> EntryPlacement> MemoryLayout for FnLayout<F> {
-    fn total_entries(&self) -> u64 {
-        self.entries
-    }
-
-    fn placement(&self, entry: u64) -> EntryPlacement {
-        (self.f)(entry)
-    }
-}
-
-impl<F> std::fmt::Debug for FnLayout<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnLayout")
-            .field("entries", &self.entries)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,23 +103,6 @@ mod tests {
         assert_eq!(l.total_entries(), 10);
         assert_eq!(l.placement(7).device_sectors, 1);
         assert_eq!(l.compressed_sectors(7), 1);
-    }
-
-    #[test]
-    fn fn_layout_dispatches() {
-        let l = FnLayout::new(100, |e| {
-            if e % 2 == 0 {
-                EntryPlacement::device(1)
-            } else {
-                EntryPlacement {
-                    device_sectors: 2,
-                    buddy_sectors: 2,
-                }
-            }
-        });
-        assert_eq!(l.placement(0).total(), 1);
-        assert_eq!(l.placement(1).total(), 4);
-        assert!(l.placement(1).touches_buddy());
-        assert!(format!("{l:?}").contains("100"));
+        assert!(!l.placement(7).touches_buddy());
     }
 }

@@ -59,5 +59,14 @@ pub mod stats;
 pub use cache::{Eviction, Lookup, SectoredCache};
 pub use config::GpuConfig;
 pub use engine::{Engine, ExecConfig, Fidelity, MemRequest, MemoryMode};
-pub use layout::{EntryPlacement, FnLayout, MemoryLayout, UniformLayout};
+pub use layout::{EntryPlacement, MemoryLayout, UniformLayout};
 pub use stats::SimStats;
+
+/// SplitMix64 finalizer: the hash spreading entries over channels, banks,
+/// L2 slices and cache sets.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}

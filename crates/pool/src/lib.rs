@@ -155,7 +155,7 @@ pub struct BuddyPool {
     /// Monotonic allocation sequence number, folded into the shard hash so
     /// repeated allocations under one name still spread across shards.
     // lint-allow(raw-atomic-metric): allocation sequence for shard routing, not a metric
-    alloc_seq: AtomicU64,
+    route_seq: AtomicU64,
     /// Shard locks acquired by [`alloc`](Self::alloc) (home attempt + ring
     /// probes). Pins the probe discipline: a non-capacity home error must
     /// not walk the ring.
@@ -194,7 +194,7 @@ impl BuddyPool {
             shards,
             handles,
             config,
-            alloc_seq: AtomicU64::new(0), // lint-allow(raw-atomic-metric): shard-routing sequence, not a metric
+            route_seq: AtomicU64::new(0), // lint-allow(raw-atomic-metric): shard-routing sequence, not a metric
             alloc_shard_probes: Counter::default(),
         }
     }
@@ -276,7 +276,7 @@ impl BuddyPool {
         if entries == 0 {
             return Err(DeviceError::EmptyAllocation);
         }
-        let seq = self.alloc_seq.fetch_add(1, Ordering::Relaxed); // Relaxed: the sequence only feeds shard hashing with unique ids; no memory is published through it
+        let seq = self.route_seq.fetch_add(1, Ordering::Relaxed); // Relaxed: the sequence only feeds shard hashing with unique ids; no memory is published through it
         let home = (shard_hash(name, seq) % self.shards.len() as u64) as usize;
         // The home shard is probed first and is the one whose error the
         // pool reports when every shard is exhausted.

@@ -61,7 +61,7 @@ fn main() {
     // after their slots and bytes are recycled by new allocations.
     let a = dev.alloc("scratch", 256, TargetRatio::R4).expect("fits");
     dev.free(a).expect("live handle");
-    let _b = dev.alloc("recycled", 256, TargetRatio::R4).expect("fits");
+    let b = dev.alloc("recycled", 256, TargetRatio::R4).expect("fits");
     assert_eq!(
         dev.read_entries(a, 0, &mut [[0u8; 128]]),
         Err(DeviceError::BadAllocation)
@@ -69,7 +69,7 @@ fn main() {
     println!("stale handle after free + slot reuse: BadAllocation (generational ids)");
 
     // The whole arena is still allocatable in one piece after churn.
-    dev.free_by_name("recycled").expect("live name");
+    dev.free(b).expect("live handle");
     let entries = dev.config().device_capacity / 128;
     dev.alloc("everything", entries, TargetRatio::R1)
         .expect("coalesced free space hosts a full-capacity allocation");

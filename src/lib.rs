@@ -27,10 +27,10 @@
 //!    Prometheus-text rendering and time-series sampling.
 //!
 //! The glue items here ([`profile_benchmark`], [`BenchmarkLayout`],
-//! [`benchmark_requests`], [`run_performance_sim`]) connect a workload to
-//! the profiler and the simulator — the full §3.5 flow: profile on
-//! snapshots, choose per-allocation targets under the Buddy Threshold, then
-//! run with compression enabled.
+//! [`benchmark_requests`]) connect a workload to the profiler and the
+//! simulator — the full §3.5 flow: profile on snapshots, choose
+//! per-allocation targets under the Buddy Threshold, then run with
+//! compression enabled.
 //!
 //! # Quickstart
 //!
@@ -62,7 +62,7 @@ pub use buddy_core::{ProfileConfig, ProfileOutcome, TargetRatio};
 
 use bpc::CodecKind;
 use buddy_core::AllocationProfile;
-use gpu_sim::{EntryPlacement, MemRequest, MemoryLayout, SimStats};
+use gpu_sim::{EntryPlacement, MemRequest, MemoryLayout};
 use workloads::snapshot::{capture, ten_phases, SnapshotConfig};
 use workloads::Benchmark;
 
@@ -348,40 +348,6 @@ pub fn benchmark_requests(bench: &Benchmark, seed: u64) -> impl Iterator<Item = 
     })
 }
 
-/// End-to-end performance run: profile → choose targets → simulate.
-///
-/// Returns `(stats, outcome)` so callers can report both performance and
-/// compression results.
-pub fn run_performance_sim(
-    bench: &Benchmark,
-    mode: gpu_sim::MemoryMode,
-    gpu: gpu_sim::GpuConfig,
-    accesses: u64,
-    seed: u64,
-) -> (SimStats, ProfileOutcome) {
-    let profiles = profile_benchmark(bench, 2048, seed);
-    let outcome = buddy_core::choose_targets(&profiles, &ProfileConfig::default());
-    let exec = gpu_sim::ExecConfig::from_profile(
-        &gpu,
-        bench.access.mlp,
-        bench.access.compute_per_access as f64,
-        accesses,
-    );
-    let stats = match mode {
-        gpu_sim::MemoryMode::Uncompressed => {
-            let layout = BenchmarkLayout::uncompressed(bench);
-            gpu_sim::Engine::new(gpu, exec, mode, gpu_sim::Fidelity::Fast, &layout)
-                .run(&mut benchmark_requests(bench, seed))
-        }
-        _ => {
-            let layout = BenchmarkLayout::new(bench, &outcome, 0.5, seed);
-            gpu_sim::Engine::new(gpu, exec, mode, gpu_sim::Fidelity::Fast, &layout)
-                .run(&mut benchmark_requests(bench, seed))
-        }
-    };
-    (stats, outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,14 +426,36 @@ mod tests {
     #[test]
     fn end_to_end_sim_runs_for_buddy_and_baseline() {
         let bench = test_bench("356.sp");
+        let profiles = profile_benchmark(&bench, 2048, 5);
+        let outcome = buddy_core::choose_targets(&profiles, &ProfileConfig::default());
+        assert!(outcome.device_compression_ratio() > 1.0);
         let gpu = gpu_sim::GpuConfig::p100();
-        let (base, _) =
-            run_performance_sim(&bench, gpu_sim::MemoryMode::Uncompressed, gpu, 20_000, 5);
-        let (buddy, outcome) =
-            run_performance_sim(&bench, gpu_sim::MemoryMode::Buddy, gpu, 20_000, 5);
+        let exec = gpu_sim::ExecConfig::from_profile(
+            &gpu,
+            bench.access.mlp,
+            bench.access.compute_per_access as f64,
+            20_000,
+        );
+        let base_layout = BenchmarkLayout::uncompressed(&bench);
+        let base = gpu_sim::Engine::new(
+            gpu,
+            exec,
+            gpu_sim::MemoryMode::Uncompressed,
+            gpu_sim::Fidelity::Fast,
+            &base_layout,
+        )
+        .run(&mut benchmark_requests(&bench, 5));
+        let buddy_layout = BenchmarkLayout::new(&bench, &outcome, 0.5, 5);
+        let buddy = gpu_sim::Engine::new(
+            gpu,
+            exec,
+            gpu_sim::MemoryMode::Buddy,
+            gpu_sim::Fidelity::Fast,
+            &buddy_layout,
+        )
+        .run(&mut benchmark_requests(&bench, 5));
         assert_eq!(base.accesses, 20_000);
         assert_eq!(buddy.accesses, 20_000);
-        assert!(outcome.device_compression_ratio() > 1.0);
         // Compression should be within a sane band of the baseline.
         let speedup = buddy.speedup_vs(&base);
         assert!((0.5..2.0).contains(&speedup), "sp speedup {speedup:.2}");
