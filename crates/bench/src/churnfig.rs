@@ -20,10 +20,10 @@
 //! the device to zero bytes used with zero fragmentation (leak freedom —
 //! the same property `churn_equivalence.rs` proves exhaustively).
 
-use crate::obsfig::MetricsEmitter;
 use crate::report::{f3, pct, print_table, write_csv, RunConfig};
 use buddy_compression::bpc::ENTRY_BYTES;
 use buddy_compression::buddy_core::{BuddyDevice, DeviceConfig, DeviceError, TargetRatio};
+use buddy_compression::buddy_obs::MetricsRegistry;
 use buddy_compression::workloads::entry_gen::{mix, EntryClass};
 use buddy_compression::workloads::{ChurnConfig, ChurnOp, ChurnTrace, Lifetime};
 use std::collections::HashMap;
@@ -236,7 +236,7 @@ pub fn run_distribution(label: &'static str, lifetime: Lifetime, cfg: &RunConfig
 
 /// The `churn` harness: steady-state churn sweep over the lifetime
 /// distributions, with a CSV artifact.
-pub fn churn(cfg: &RunConfig) -> io::Result<()> {
+pub fn churn(cfg: &RunConfig, metrics: &MetricsRegistry) -> io::Result<()> {
     let header = [
         "lifetime",
         "cycle",
@@ -249,16 +249,15 @@ pub fn churn(cfg: &RunConfig) -> io::Result<()> {
         "alloc_failures",
         "failure_rate",
     ];
-    let emitter = MetricsEmitter::start(cfg);
-    let attempts_counter = emitter.registry().counter(
+    let attempts_counter = metrics.counter(
         "churn_alloc_attempts_total",
         "allocation attempts across all lifetime distributions",
     );
-    let failures_counter = emitter.registry().counter(
+    let failures_counter = metrics.counter(
         "churn_alloc_failures_total",
         "allocation rejections across all lifetime distributions",
     );
-    let frag_gauge = emitter.registry().gauge(
+    let frag_gauge = metrics.gauge(
         "churn_fragmentation_ppm",
         "last sampled free-space fragmentation, parts per million",
     );
@@ -310,9 +309,6 @@ pub fn churn(cfg: &RunConfig) -> io::Result<()> {
     println!("  Every run ends with a drain check: freeing the survivors returns the");
     println!("  device to 0 bytes used with fully coalesced free space (leak freedom).");
     write_csv(&cfg.results_dir, &cfg.tagged("churn"), &header, &rows)?;
-    if let Some((prom, csv)) = emitter.finish()? {
-        println!("  metrics -> {prom:?} and {csv:?}");
-    }
     Ok(())
 }
 
@@ -332,7 +328,7 @@ mod tests {
     fn harness_writes_the_csv_artifact() {
         let cfg = quick_cfg("buddy-bench-churnfig");
         let _ = std::fs::remove_dir_all(&cfg.results_dir);
-        churn(&cfg).unwrap();
+        churn(&cfg, &MetricsRegistry::new()).unwrap();
         let csv = std::fs::read_to_string(cfg.results_dir.join("churn.csv")).unwrap();
         let mut lines = csv.lines();
         assert!(lines.next().unwrap().starts_with("lifetime,cycle,ops"));

@@ -26,38 +26,43 @@ pub mod umfig;
 
 pub use report::RunConfig;
 
+use buddy_compression::buddy_obs::MetricsRegistry;
 use std::io;
 
-/// A harness: writes its artifacts under the configuration and hands back
-/// its rows for the shared `results/obs_breakdown.csv` (all but
-/// `pool-throughput` and `tenancy` have none).
-pub type FigureFn = fn(&RunConfig) -> io::Result<Vec<Vec<String>>>;
+/// A harness: writes its artifacts under the configuration, registers any
+/// `--metrics-out` metrics on the run's registry (`pool-throughput`,
+/// `churn` and `tenancy` do), and hands back its rows for the shared
+/// `results/obs_breakdown.csv` (all but `pool-throughput` and `tenancy`
+/// have none).
+pub type FigureFn = fn(&RunConfig, &MetricsRegistry) -> io::Result<Vec<Vec<String>>>;
 
 /// Every harness by its command-line name, in run order.
 pub const FIGURES: [(&str, FigureFn); 21] = [
-    ("table1", |cfg| tables::table1(cfg).map(no_rows)),
-    ("table2", |cfg| tables::table2(cfg).map(no_rows)),
-    ("fig03", |cfg| capacity::fig03(cfg).map(no_rows)),
-    ("fig05b", |cfg| performance::fig05b(cfg).map(no_rows)),
-    ("fig06", |cfg| capacity::fig06(cfg).map(no_rows)),
-    ("fig07", |cfg| capacity::fig07(cfg).map(no_rows)),
-    ("fig08", |cfg| capacity::fig08(cfg).map(no_rows)),
-    ("fig09", |cfg| capacity::fig09(cfg).map(no_rows)),
-    ("fig10", |cfg| performance::fig10(cfg).map(no_rows)),
-    ("fig11", |cfg| performance::fig11(cfg).map(no_rows)),
-    ("fig12", |cfg| umfig::fig12(cfg).map(no_rows)),
-    ("fig13a", |cfg| dlfig::fig13a(cfg).map(no_rows)),
-    ("fig13b", |cfg| dlfig::fig13b(cfg).map(no_rows)),
-    ("fig13c", |cfg| dlfig::fig13c(cfg).map(no_rows)),
-    ("fig13d", |cfg| dlfig::fig13d(cfg).map(no_rows)),
-    ("ablation", |cfg| ablation::ablation(cfg).map(no_rows)),
+    ("table1", |cfg, _| tables::table1(cfg).map(no_rows)),
+    ("table2", |cfg, _| tables::table2(cfg).map(no_rows)),
+    ("fig03", |cfg, _| capacity::fig03(cfg).map(no_rows)),
+    ("fig05b", |cfg, _| performance::fig05b(cfg).map(no_rows)),
+    ("fig06", |cfg, _| capacity::fig06(cfg).map(no_rows)),
+    ("fig07", |cfg, _| capacity::fig07(cfg).map(no_rows)),
+    ("fig08", |cfg, _| capacity::fig08(cfg).map(no_rows)),
+    ("fig09", |cfg, _| capacity::fig09(cfg).map(no_rows)),
+    ("fig10", |cfg, _| performance::fig10(cfg).map(no_rows)),
+    ("fig11", |cfg, _| performance::fig11(cfg).map(no_rows)),
+    ("fig12", |cfg, _| umfig::fig12(cfg).map(no_rows)),
+    ("fig13a", |cfg, _| dlfig::fig13a(cfg).map(no_rows)),
+    ("fig13b", |cfg, _| dlfig::fig13b(cfg).map(no_rows)),
+    ("fig13c", |cfg, _| dlfig::fig13c(cfg).map(no_rows)),
+    ("fig13d", |cfg, _| dlfig::fig13d(cfg).map(no_rows)),
+    ("ablation", |cfg, _| ablation::ablation(cfg).map(no_rows)),
     ("pool-throughput", poolfig::pool_throughput),
-    ("adaptive-retarget", |cfg| {
+    ("adaptive-retarget", |cfg, _| {
         adaptfig::adaptive_retarget(cfg).map(no_rows)
     }),
-    ("churn", |cfg| churnfig::churn(cfg).map(no_rows)),
+    ("churn", |cfg, metrics| {
+        churnfig::churn(cfg, metrics).map(no_rows)
+    }),
     ("tenancy", tenantfig::tenancy),
-    ("service-report", |cfg| {
+    ("service-report", |cfg, _| {
         tenantfig::service_report(cfg).map(no_rows)
     }),
 ];
@@ -67,16 +72,21 @@ fn no_rows<T>(_: T) -> Vec<Vec<String>> {
 }
 
 /// Runs the harnesses of [`FIGURES`] that `names` selects — all of them
-/// when it is empty — in table order, then writes the span-time breakdown
-/// they handed back, so `obs_breakdown.csv` holds exactly this run's rows.
-/// A name outside the table selects nothing; [`RunConfig::from_args`]
-/// rejects those before they get here.
+/// when it is empty — in table order, then writes what they handed back
+/// once per run: the span-time breakdown, so `obs_breakdown.csv` holds
+/// exactly this run's rows, and under `--metrics-out` the one `.prom`/`.csv`
+/// pair with every harness's metrics. A name outside the table selects
+/// nothing; [`RunConfig::from_args`] rejects those before they get here.
 pub fn reproduce_all(cfg: &RunConfig, names: &[&str]) -> io::Result<()> {
+    let emitter = obsfig::MetricsEmitter::start(cfg);
     let mut breakdown = Vec::new();
     for (name, figure) in FIGURES {
         if names.is_empty() || names.contains(&name) {
-            breakdown.extend(figure(cfg)?);
+            breakdown.extend(figure(cfg, emitter.registry())?);
         }
+    }
+    if let Some((prom, csv)) = emitter.finish()? {
+        println!("\nmetrics -> {prom:?} and {csv:?}");
     }
     if !breakdown.is_empty() {
         let path = obsfig::write_breakdown(cfg, &breakdown)?;

@@ -9,11 +9,12 @@
 //! the columns are all zero and `trace_enabled` says so — the artifact
 //! shape is stable either way, so CI can assert on it in both modes.
 //!
-//! [`MetricsEmitter`] is the `--metrics-out` implementation shared by the
-//! `pool-throughput`, `tenancy` and `churn` harnesses: a
-//! [`MetricsRegistry`] plus a background time-series sampler, flushed to
-//! `<base>.prom` (Prometheus text exposition) and `<base>.csv` (one row
-//! per sampled metric per tick) when the harness finishes.
+//! [`MetricsEmitter`] is the `--metrics-out` implementation: one
+//! [`MetricsRegistry`] per run, which the `pool-throughput`, `tenancy` and
+//! `churn` harnesses register on, plus a background time-series sampler,
+//! flushed once to `<base>.prom` (Prometheus text exposition) and
+//! `<base>.csv` (one row per sampled metric per tick) when the run
+//! finishes.
 
 use crate::report::{f3, write_csv, RunConfig};
 use buddy_compression::buddy_obs::metrics::sample_every;
@@ -83,11 +84,12 @@ pub fn write_breakdown(cfg: &RunConfig, rows: &[Vec<String>]) -> io::Result<Path
 /// `--quick` harness run lands several ticks.
 const SAMPLE_INTERVAL: Duration = Duration::from_millis(50);
 
-/// The `--metrics-out` half of a harness run: a registry the harness
-/// populates, with a background sampler ticking while it works. When the
-/// run configuration carries no `metrics_out` path the sampler never
-/// starts and [`finish`](Self::finish) is a no-op, so harnesses call this
-/// unconditionally.
+/// The `--metrics-out` half of a run: a registry the harnesses populate,
+/// with a background sampler ticking while they work. `reproduce_all`
+/// starts it before the first harness and finishes it after the last, so
+/// one file pair carries every harness's metrics. When the run
+/// configuration carries no `metrics_out` path the sampler never starts
+/// and [`finish`](Self::finish) is a no-op.
 pub struct MetricsEmitter {
     registry: Arc<MetricsRegistry>,
     sampler: Option<SamplerHandle>,
@@ -110,8 +112,8 @@ impl MetricsEmitter {
         }
     }
 
-    /// The registry the harness registers its counters/gauges/histograms
-    /// on.
+    /// The registry the harnesses register their
+    /// counters/gauges/histograms on.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }

@@ -6,9 +6,8 @@
 //! threads replaying the same workload trace (same master seed, same
 //! per-client splitting rule), sweeping shard count × client count × codec.
 //! Each cell reports aggregate throughput (entries/s, logical GB/s) and
-//! per-batch latency percentiles from the `pool::loadgen` replay harness,
-//! plus the scaling factor against the 1-shard/1-client cell of the same
-//! codec.
+//! per-batch latency percentiles, plus the scaling factor against the
+//! 1-shard/1-client cell of the same codec.
 //!
 //! The sweep carries two kinds of cells. *Trace-mix* cells replay the
 //! profile's own read/write decisions; *read-heavy* cells force a 95/5
@@ -19,16 +18,34 @@
 //! the `min(shards, clients, P)` parallel compression streams are where the
 //! speedup comes from, so the summary prints the detected parallelism next
 //! to the measured scaling factor.
+//!
+//! # The replay driver
+//!
+//! Each client owns one allocation (its private partition of the replayed
+//! footprint) and drives it, closed-loop, with a
+//! [`TraceGenerator::per_client`] stream seeded deterministically from
+//! `(seed, client)`, so a replay's *work* — every access, every written
+//! byte, every traffic counter — is exactly reproducible; only wall-clock
+//! timing varies.
+//!
+//! Latency is sampled per **entry-batch** (one `write_entries` or
+//! `read_entries` call), not per entry: single-entry timings at ~100 ns are
+//! dominated by timer and scheduling noise. Each client records into its
+//! own fixed-size [`Histogram`] and the snapshots are merged; percentile
+//! error is bounded by the histogram's documented 12.5 % bucket width.
 
-use crate::obsfig::{breakdown_row, MetricsEmitter};
-use crate::report::{f3, pct, print_table, write_csv, RunConfig};
-use buddy_compression::bpc::CodecKind;
-use buddy_compression::buddy_core::{DeviceConfig, TargetRatio};
-use buddy_compression::buddy_obs::trace;
-use buddy_compression::buddy_pool::loadgen::{replay, LoadReport, LoadgenConfig};
-use buddy_compression::buddy_pool::{BuddyPool, PoolConfig};
-use buddy_compression::workloads::by_name;
+use crate::obsfig::breakdown_row;
+use crate::report::{f3, pct, print_table, write_csv, LatencyPercentiles, RunConfig};
+use buddy_compression::bpc::{CodecKind, Entry, ENTRY_BYTES};
+use buddy_compression::buddy_core::{
+    AccessStats, AdaptConfig, DeviceConfig, DeviceError, RetargetPolicy, TargetRatio,
+};
+use buddy_compression::buddy_obs::{trace, Histogram, HistogramSnapshot, MetricsRegistry};
+use buddy_compression::buddy_pool::{BuddyPool, PoolAllocId, PoolConfig};
+use buddy_compression::workloads::entry_gen::splitmix64;
+use buddy_compression::workloads::{by_name, AccessProfile, TraceGenerator};
 use std::io;
+use std::time::{Duration, Instant};
 
 /// The benchmark whose access profile drives the replay (a SpecAccel
 /// stencil with a realistic read/write mix).
@@ -36,6 +53,9 @@ const TRACE_BENCH: &str = "356.sp";
 
 /// Entries per batched operation.
 const BATCH: usize = 64;
+
+/// Target compression ratio of the swept cells' allocations.
+const TARGET: TargetRatio = TargetRatio::R2;
 
 /// Read percentage of the read-heavy cells: the serving regime the
 /// epoch-snapshot redesign targets (reads dominate, writes trickle).
@@ -49,12 +69,22 @@ pub struct CellSpec {
     pub shards: usize,
     /// Concurrent client threads.
     pub clients: usize,
-    /// Churn period in batches (`0` = off), forwarded to [`LoadgenConfig`].
+    /// Churn period in batches (`0` = off): every `churn_every` batches a
+    /// client frees its allocation and allocates a fresh, zeroed one of the
+    /// same size and target (DL-iteration activation turnover, DESIGN.md
+    /// §9) while other clients keep hammering the same shards.
     pub churn_every: u64,
-    /// Re-targeting period in batches (`0` = off), forwarded likewise.
+    /// Re-targeting sweep period in batches (`0` = off): every
+    /// `retarget_every` batches a client applies the default
+    /// [`RetargetPolicy`]'s recommendation for its allocation's state
+    /// window (DESIGN.md §8). Decisions depend only on the client's own
+    /// write stream and a migration re-encodes only its own allocation, so
+    /// every counter, [`AccessStats::moved_sectors`] included, replays
+    /// identically whatever the thread interleaving.
     pub retarget_every: u64,
-    /// `None` replays the trace's own read/write mix; `Some(p)` forces a
-    /// deterministic `p`% read mix.
+    /// `None` replays the trace's own read/write mix; `Some(p)` forces each
+    /// batch to be a read with probability `p`% from a deterministic
+    /// per-`(seed, client, batch)` stream.
     pub read_pct: Option<u8>,
 }
 
@@ -83,11 +113,33 @@ impl CellSpec {
 }
 
 /// One measured cell of the sweep.
+#[derive(Debug, Clone)]
 pub struct Cell {
-    /// Codec under test.
-    pub codec: CodecKind,
-    /// Loadgen report for this (shards, clients) point.
-    pub report: LoadReport,
+    /// Total 128 B entries moved (reads + writes).
+    pub entries_processed: u64,
+    /// Total batched operations issued.
+    pub batches: u64,
+    /// Wall-clock duration of the replay phase (allocations excluded).
+    pub elapsed: Duration,
+    /// Aggregate throughput in entries per second.
+    pub entries_per_sec: f64,
+    /// Aggregate logical (uncompressed) throughput in GB/s (10⁹ bytes).
+    pub logical_gb_per_sec: f64,
+    /// Per-batch latency percentiles across all clients.
+    pub latency: LatencyPercentiles,
+    /// The merged per-batch latency distribution the percentiles were read
+    /// from.
+    pub latency_hist: HistogramSnapshot,
+    /// Alloc/free churn cycles the clients performed (`0` without churn).
+    pub churn_cycles: u64,
+    /// Entry batches that returned a [`DeviceError`] instead of
+    /// completing. Errored batches are excluded from the latency histogram
+    /// and from `entries_processed`, and counted here so the sweep can
+    /// *assert* on it. Non-churn cells must see zero.
+    pub errored_batches: u64,
+    /// Traffic this replay added to the pool (delta of the merged
+    /// counters, exact — taken after a [`BuddyPool::drain`] barrier).
+    pub stats: AccessStats,
     /// End-of-replay pool fragmentation (`BuddyPool::fragmentation`).
     pub fragmentation: f64,
     /// End-of-replay largest contiguous free device region, in bytes.
@@ -104,14 +156,14 @@ pub fn measure(
     seed: u64,
 ) -> Cell {
     let profile = by_name(TRACE_BENCH).expect("trace benchmark exists").access; // lint-allow(no-unwrap): the trace benchmark is compiled into the suite
-                                                                                // Size shards to the replay footprint (with 2× headroom) instead of a
-                                                                                // flat multi-MB capacity: the backing arrays are zero-initialized, and
-                                                                                // across a 24-cell sweep a fixed large capacity would spend more time
-                                                                                // in memset than in compression.
+
+    // Size shards to the replay footprint (with 2× headroom) instead of a
+    // flat multi-MB capacity: the backing arrays are zero-initialized, and
+    // across a 24-cell sweep a fixed large capacity would spend more time
+    // in memset than in compression.
     let clients_per_shard = spec.clients.div_ceil(spec.shards) as u64;
-    let target = TargetRatio::R2;
     let device_need =
-        clients_per_shard * entries_per_client * target.device_bytes_per_entry() as u64;
+        clients_per_shard * entries_per_client * TARGET.device_bytes_per_entry() as u64;
     let pool = BuddyPool::new(PoolConfig {
         shards: spec.shards,
         shard_config: DeviceConfig {
@@ -120,24 +172,227 @@ pub fn measure(
         },
         codec,
     });
-    let cfg = LoadgenConfig {
-        clients: spec.clients,
-        batches_per_client,
-        batch_entries: BATCH,
+    replay(
+        &pool,
+        profile,
+        spec,
+        TARGET,
         entries_per_client,
-        target,
+        batches_per_client,
         seed,
-        retarget_every: spec.retarget_every,
-        churn_every: spec.churn_every,
-        read_pct: spec.read_pct,
+    )
+    .expect("sized pool hosts every client") // lint-allow(no-unwrap): the pool is sized with 2x headroom for every client
+}
+
+/// The write palette: a ring of entries spanning the compressibility
+/// spectrum (zero / constant / ramp / noise), generated deterministically
+/// from `seed`. Sized `ring + BATCH` so any batch is a contiguous window —
+/// write paths borrow straight from the palette with no per-op copying.
+/// The seed goes through splitmix64 first, so the adjacent per-client
+/// seeds the replay hands out do not collapse to one palette.
+fn write_palette(seed: u64) -> Vec<Entry> {
+    const RING: usize = 256;
+    let mut palette = Vec::with_capacity(RING + BATCH);
+    let mut state = splitmix64(seed);
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state
     };
-    let report = replay(&pool, profile, &cfg).expect("sized pool hosts every client"); // lint-allow(no-unwrap): the pool is sized with 2x headroom for every client
-    Cell {
-        codec,
-        report,
+    for slot in 0..RING {
+        let mut entry = [0u8; ENTRY_BYTES];
+        match slot % 4 {
+            0 => {} // zero entry
+            1 => {
+                let word = (slot as u32).wrapping_mul(0x9E37_79B9);
+                for c in entry.chunks_exact_mut(4) {
+                    c.copy_from_slice(&word.to_le_bytes());
+                }
+            }
+            2 => {
+                for (j, c) in entry.chunks_exact_mut(4).enumerate() {
+                    let v = 1_000_000u32.wrapping_add((slot * 64 + j * 3) as u32);
+                    c.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            _ => {
+                for b in entry.iter_mut() {
+                    *b = (next() >> 33) as u8;
+                }
+            }
+        }
+        palette.push(entry);
+    }
+    // Mirror the head onto the tail so window `i` equals window `i % RING`.
+    palette.extend_from_within(..BATCH);
+    palette
+}
+
+/// Replays `spec.clients` concurrent trace streams with `profile`'s access
+/// statistics against `pool`, in [`BATCH`]-entry operations.
+///
+/// Setup (outside the timed window): each client gets one private
+/// allocation of `entries_per_client` entries at `target`. Replay (timed):
+/// every access of the client's trace becomes one batched operation
+/// anchored at the access's entry index (clamped to the allocation): writes
+/// draw from a seeded compressibility palette, reads decompress into a
+/// reusable buffer (read *correctness* under concurrency is the pool
+/// crate's `tests/pool_equivalence.rs`, not re-checked in the timed loop).
+///
+/// Returns the first *structural* [`DeviceError`] any client hits (the pool
+/// is too small for `clients × entries_per_client`, or a churn/retarget
+/// cycle failed). Entry-batch errors do not abort the replay: they are
+/// counted into [`Cell::errored_batches`]. Panics on a degenerate request:
+/// zero clients, zero batches, or a footprint smaller than one batch.
+fn replay(
+    pool: &BuddyPool,
+    profile: AccessProfile,
+    spec: CellSpec,
+    target: TargetRatio,
+    entries_per_client: u64,
+    batches_per_client: u64,
+    seed: u64,
+) -> Result<Cell, DeviceError> {
+    assert!(spec.clients > 0, "replay needs at least one client");
+    assert!(batches_per_client > 0, "replay needs at least one batch");
+    assert!(
+        BATCH as u64 <= entries_per_client,
+        "batch ({BATCH}) must fit entries_per_client ({entries_per_client})"
+    );
+
+    let handles: Vec<PoolAllocId> = (0..spec.clients)
+        .map(|c| pool.alloc(&format!("loadgen-client-{c}"), entries_per_client, target))
+        .collect::<Result<_, _>>()?;
+
+    // One client thread: walks its deterministic trace, issuing one batched
+    // op per access and timing each batch into a thread-local histogram.
+    // Returns the latency snapshot plus the count of batches that errored
+    // (counted, skipped from the sample, never silently dropped).
+    let client_run =
+        |client: u64, mut handle: PoolAllocId| -> Result<(HistogramSnapshot, u64), DeviceError> {
+            let palette = write_palette(seed.wrapping_add(client));
+            let ring = palette.len() - BATCH;
+            let mut trace = TraceGenerator::per_client(profile, entries_per_client, seed, client);
+            let mut read_buf = vec![[0u8; ENTRY_BYTES]; BATCH];
+            let latencies = Histogram::new();
+            let mut errored_batches = 0u64;
+            let max_start = entries_per_client - BATCH as u64;
+            let policy = RetargetPolicy::new(AdaptConfig::default());
+            let mut current_target = target;
+            let mut cycle = 0u64;
+
+            for op in 0..batches_per_client {
+                let access = trace.next().expect("trace generators are infinite"); // lint-allow(no-unwrap): trace generators are infinite
+                let start = access.entry.min(max_start);
+                // The profile decides read-vs-write unless `read_pct` pins the
+                // mix (deterministic per (seed, client, batch), like everything
+                // else).
+                let is_write = match spec.read_pct {
+                    Some(pct) => {
+                        let roll = splitmix64(seed ^ (client << 32).wrapping_add(op)) % 100;
+                        roll >= u64::from(pct.min(100))
+                    }
+                    None => access.write,
+                };
+                let timer = Instant::now();
+                let outcome = if is_write {
+                    let window = &palette[(op as usize) % ring..][..BATCH];
+                    pool.write_entries(handle, start, window)
+                } else {
+                    pool.read_entries(handle, start, &mut read_buf)
+                };
+                match outcome {
+                    Ok(()) => {
+                        std::hint::black_box(&read_buf);
+                        latencies.record_duration(timer.elapsed());
+                    }
+                    // An errored batch is counted and excluded from the latency
+                    // sample — not propagated (that would abort the whole
+                    // replay on a transient race) and not dropped (that would
+                    // silently under-count real regressions).
+                    Err(_) => errored_batches += 1,
+                }
+
+                // Between batches: the optional re-targeting sweep. Outside the
+                // latency sample (migration is a background maintenance cost,
+                // not an access), inside the replay window (it contends for the
+                // shard lock exactly like production migration would).
+                if spec.retarget_every > 0 && (op + 1) % spec.retarget_every == 0 {
+                    let window = pool.state_window(handle)?;
+                    if let Some(next) = policy.recommend(current_target, &window) {
+                        pool.retarget(handle, next)?;
+                        current_target = next;
+                    }
+                }
+
+                // Between batches: the optional churn cycle — the client
+                // releases its allocation and takes a fresh one of the same
+                // size, back on the configured target.
+                if spec.churn_every > 0 && (op + 1) % spec.churn_every == 0 {
+                    pool.free(handle)?;
+                    cycle += 1;
+                    handle = pool.alloc(
+                        &format!("loadgen-client-{client}-cycle-{cycle}"),
+                        entries_per_client,
+                        target,
+                    )?;
+                    current_target = target;
+                }
+            }
+            Ok((latencies.snapshot(), errored_batches))
+        };
+
+    let before = pool.drain();
+    let started = Instant::now();
+
+    let per_client: Vec<Result<(HistogramSnapshot, u64), DeviceError>> =
+        std::thread::scope(|scope| {
+            let client_run = &client_run;
+            let workers: Vec<_> = handles
+                .iter()
+                .enumerate()
+                .map(|(c, &handle)| scope.spawn(move || client_run(c as u64, handle)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("replay client panicked")) // lint-allow(no-unwrap): a client panic must fail the whole harness run
+                .collect()
+        });
+
+    let elapsed = started.elapsed();
+    let stats = pool.drain().since(&before);
+
+    let mut latency_hist = HistogramSnapshot::default();
+    let mut errored_batches = 0u64;
+    for result in per_client {
+        let (hist, errored) = result?;
+        latency_hist.merge(&hist);
+        errored_batches += errored;
+    }
+
+    let batches = spec.clients as u64 * batches_per_client;
+    let entries_processed = (batches - errored_batches) * BATCH as u64;
+    let secs = elapsed.as_secs_f64().max(1e-9);
+    // Every cycle either completed or surfaced its error above, so the
+    // count is a closed form, not something the clients need to report.
+    let churn_cycles = batches_per_client
+        .checked_div(spec.churn_every)
+        .map_or(0, |cycles| spec.clients as u64 * cycles);
+    Ok(Cell {
+        entries_processed,
+        batches,
+        elapsed,
+        entries_per_sec: entries_processed as f64 / secs,
+        logical_gb_per_sec: (entries_processed * ENTRY_BYTES as u64) as f64 / secs / 1e9,
+        latency: LatencyPercentiles::from_snapshot(&latency_hist),
+        latency_hist,
+        churn_cycles,
+        errored_batches,
+        stats,
         fragmentation: pool.fragmentation(),
         largest_free_region: pool.largest_free_region(),
-    }
+    })
 }
 
 /// The sweep grid: trace-mix scaling cells, one churn + retarget cell, then
@@ -171,7 +426,7 @@ fn grid(quick: bool) -> Vec<CellSpec> {
 /// pool-throughput`) and hands back one span-time breakdown row per cell.
 /// With obs-trace off the rows are all-zero (`trace_enabled=false`) but
 /// structurally identical — the artifact shape is stable.
-pub fn pool_throughput(cfg: &RunConfig) -> io::Result<Vec<Vec<String>>> {
+pub fn pool_throughput(cfg: &RunConfig, metrics: &MetricsRegistry) -> io::Result<Vec<Vec<String>>> {
     // Equal work per cell so entries/s columns are directly comparable.
     let total_entries = cfg.scaled(2_000_000);
     let entries_per_client = if cfg.quick { 1024 } else { 4096 };
@@ -203,11 +458,9 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<Vec<Vec<String>>> {
         "largest_free_mb",
         "scaling_vs_1s1c",
     ];
-    let emitter = MetricsEmitter::start(cfg);
-    let entries_counter = emitter
-        .registry()
-        .counter("pool_entries_total", "entries moved across all sweep cells");
-    let latency_metric = emitter.registry().histogram(
+    let entries_counter =
+        metrics.counter("pool_entries_total", "entries moved across all sweep cells");
+    let latency_metric = metrics.histogram(
         "pool_batch_latency_ns",
         "per-batch replay latency across all sweep cells",
     );
@@ -219,7 +472,7 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<Vec<Vec<String>>> {
         for &spec in &grid(cfg.quick) {
             let batches_per_client = (total_entries / (spec.clients as u64 * BATCH as u64)).max(1);
             let span_before = trace::totals();
-            let cell = measure(
+            let r = measure(
                 codec,
                 spec,
                 entries_per_client,
@@ -234,7 +487,6 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<Vec<Vec<String>>> {
                 spec.clients,
                 &span_delta,
             ));
-            let r = &cell.report;
             // Only churn can legitimately error a batch (a freed-and-
             // reallocated handle racing a client); every other cell must
             // complete every batch or the throughput columns lie.
@@ -275,8 +527,8 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<Vec<Vec<String>>> {
                 pct(r.stats.buddy_access_fraction()),
                 r.churn_cycles.to_string(),
                 r.stats.retargets.to_string(),
-                f3(cell.fragmentation),
-                f3(cell.largest_free_region as f64 / (1 << 20) as f64),
+                f3(r.fragmentation),
+                f3(r.largest_free_region as f64 / (1 << 20) as f64),
                 f3(scaling),
             ]);
         }
@@ -304,9 +556,6 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<Vec<Vec<String>>> {
         &header,
         &rows,
     )?;
-    if let Some((prom, csv)) = emitter.finish()? {
-        println!("  metrics -> {prom:?} and {csv:?}");
-    }
     Ok(breakdown)
 }
 
@@ -314,27 +563,233 @@ pub fn pool_throughput(cfg: &RunConfig) -> io::Result<Vec<Vec<String>>> {
 mod tests {
     use super::*;
 
+    fn pool(shards: usize) -> BuddyPool {
+        BuddyPool::new(PoolConfig {
+            shards,
+            shard_config: DeviceConfig {
+                device_capacity: 4 << 20,
+                carve_out_factor: 3,
+            },
+            codec: CodecKind::Bpc,
+        })
+    }
+
+    const SEED: u64 = 0xB0DD7;
+
+    /// A short replay: 32 batches per client over 512-entry footprints at
+    /// the sweep's target.
+    fn quick(pool: &BuddyPool, profile: AccessProfile, spec: CellSpec) -> Cell {
+        replay(pool, profile, spec, TARGET, 512, 32, SEED).unwrap()
+    }
+
+    #[test]
+    fn replay_accounts_every_entry() {
+        let spec = CellSpec::trace_mix(2, 3, 0, 0);
+        let report = quick(&pool(2), AccessProfile::streaming_dl(), spec);
+        assert_eq!(report.batches, 3 * 32);
+        assert_eq!(report.entries_processed, 3 * 32 * BATCH as u64);
+        assert_eq!(
+            report.errored_batches, 0,
+            "a non-churn sweep must complete every batch"
+        );
+        // One traffic-counter access per entry moved.
+        assert_eq!(report.stats.total_accesses(), report.entries_processed);
+        assert!(report.entries_per_sec > 0.0);
+        assert!(report.logical_gb_per_sec > 0.0);
+        assert!(report.latency.p50_us <= report.latency.p95_us);
+        assert!(report.latency.p95_us <= report.latency.p99_us);
+        assert!(report.latency.p99_us <= report.latency.p999_us);
+        assert!(report.latency.p999_us <= report.latency.max_us);
+        assert!(report.latency.max_us > 0.0);
+    }
+
+    #[test]
+    fn replay_work_is_deterministic() {
+        // Same seed on fresh pools ⇒ identical traffic, whatever the
+        // thread interleaving was.
+        let (sparse, spec) = (
+            AccessProfile::random_sparse(),
+            CellSpec::trace_mix(4, 4, 0, 0),
+        );
+        let a = quick(&pool(4), sparse, spec);
+        let b = quick(&pool(4), sparse, spec);
+        assert_eq!(a.stats, b.stats);
+        // Different seed ⇒ different access mix (with overwhelming odds).
+        let c = replay(&pool(4), sparse, spec, TARGET, 512, 32, 7).unwrap();
+        assert_ne!(a.stats, c.stats);
+    }
+
+    #[test]
+    fn stats_are_a_delta_not_a_total() {
+        let pool = pool(1);
+        let spec = CellSpec::trace_mix(1, 1, 0, 0);
+        let first = quick(&pool, AccessProfile::stencil(), spec);
+        let second = quick(&pool, AccessProfile::stencil(), spec);
+        // The second replay allocates fresh regions but reports only its
+        // own traffic, not the pool's lifetime counters.
+        assert_eq!(first.stats.total_accesses(), second.stats.total_accesses());
+        assert_eq!(
+            pool.stats().total_accesses(),
+            first.stats.total_accesses() + second.stats.total_accesses()
+        );
+    }
+
+    #[test]
+    fn undersized_pool_reports_allocation_failure() {
+        let tiny = BuddyPool::new(PoolConfig {
+            shards: 1,
+            shard_config: DeviceConfig {
+                device_capacity: 4096,
+                carve_out_factor: 3,
+            },
+            codec: CodecKind::Bpc,
+        });
+        let spec = CellSpec::trace_mix(1, 2, 0, 0);
+        let err = replay(&tiny, AccessProfile::stencil(), spec, TARGET, 512, 32, SEED).unwrap_err();
+        assert!(matches!(err, DeviceError::OutOfDeviceMemory { .. }));
+    }
+
+    #[test]
+    fn retarget_sweep_fixes_mis_targeted_allocations() {
+        // Clients start on the 16x zero-page target, but the palette is
+        // only ~25% zero entries: the sweep must demote each client's
+        // allocation (to a standard target) exactly once and then hold.
+        let (dl, spec) = (
+            AccessProfile::streaming_dl(),
+            CellSpec::trace_mix(2, 3, 0, 4),
+        );
+        let report = replay(&pool(2), dl, spec, TargetRatio::ZeroPage16, 512, 96, SEED).unwrap();
+        assert_eq!(
+            report.stats.retargets, 3,
+            "each client demotes its zero-page allocation exactly once"
+        );
+        assert!(report.stats.moved_sectors > 0);
+        // Sweeps never lose data: every batch still completed.
+        assert_eq!(report.entries_processed, 3 * 96 * BATCH as u64);
+    }
+
+    #[test]
+    fn retarget_sweep_is_deterministic_and_off_by_default() {
+        let sweep = CellSpec::trace_mix(4, 4, 0, 8);
+        let a = quick(&pool(4), AccessProfile::stencil(), sweep);
+        let b = quick(&pool(4), AccessProfile::stencil(), sweep);
+        // Every per-client decision — accesses, states, migration count,
+        // and since a migration re-encodes only its own allocation, even
+        // `moved_sectors` — replays identically whatever the scheduler did.
+        assert_eq!(
+            a.stats, b.stats,
+            "sweep decisions and costs must replay identically for a fixed seed"
+        );
+        assert!(a.stats.retargets > 0, "the sweep must actually migrate");
+        let plain = CellSpec::trace_mix(4, 4, 0, 0);
+        let off = quick(&pool(4), AccessProfile::stencil(), plain);
+        assert_eq!(off.stats.retargets, 0, "no sweep without opting in");
+        assert_eq!(off.stats.moved_sectors, 0);
+    }
+
+    #[test]
+    fn adjacent_seeds_generate_distinct_palettes() {
+        // Regression: the palette generator used `state = seed | 1`, so
+        // seeds differing only in bit 0 — exactly the adjacent per-client
+        // seeds `seed + client` hands out — produced byte-identical
+        // palettes and two clients replayed identical traffic.
+        for seed in [0u64, 2, 0xB0DD6, 0xFFFF_FFFF_FFFF_FFFE] {
+            assert_ne!(
+                write_palette(seed),
+                write_palette(seed | 1),
+                "palettes for seeds {seed} and {} must differ",
+                seed | 1
+            );
+        }
+        // Still deterministic for a fixed seed.
+        assert_eq!(write_palette(42), write_palette(42));
+    }
+
+    #[test]
+    fn churn_mode_turns_the_footprint_over_without_leaking() {
+        let pool = pool(2);
+        let (dl, spec) = (
+            AccessProfile::streaming_dl(),
+            CellSpec::trace_mix(2, 3, 8, 0),
+        );
+        let report = replay(&pool, dl, spec, TARGET, 512, 64, SEED).unwrap();
+        assert_eq!(report.churn_cycles, 3 * (64 / 8));
+        // A client only churns its *own* allocation between its own
+        // batches, so even under churn no batch hits a dead handle.
+        assert_eq!(report.errored_batches, 0);
+        assert_eq!(report.entries_processed, 3 * 64 * BATCH as u64);
+        // Every client ends with exactly one live allocation: all churned
+        // regions were freed, so the pool's footprint is the steady-state
+        // 3 × 512 entries, not 3 × (cycles + 1) × 512.
+        let live: usize = pool.occupancy().iter().map(|o| o.allocations).sum();
+        assert_eq!(live, 3);
+        assert_eq!(
+            pool.device_used(),
+            3 * 512 * TARGET.device_bytes_per_entry() as u64
+        );
+    }
+
+    #[test]
+    fn churn_replay_is_deterministic() {
+        let spec = CellSpec::trace_mix(4, 4, 4, 8);
+        let a = quick(&pool(4), AccessProfile::stencil(), spec);
+        let b = quick(&pool(4), AccessProfile::stencil(), spec);
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.churn_cycles, b.churn_cycles);
+        let plain = CellSpec::trace_mix(4, 4, 0, 0);
+        let off = quick(&pool(4), AccessProfile::stencil(), plain);
+        assert_eq!(off.churn_cycles, 0, "no churn without opting in");
+    }
+
+    #[test]
+    fn read_pct_overrides_the_profile_mix() {
+        // 100% reads: no write traffic at all, whatever the profile says.
+        let all_reads = CellSpec {
+            read_pct: Some(100),
+            ..CellSpec::read_heavy(2, 2)
+        };
+        let report = quick(&pool(2), AccessProfile::streaming_dl(), all_reads);
+        assert_eq!(report.errored_batches, 0);
+        assert_eq!(report.stats.writes_device_only, 0);
+        assert_eq!(report.stats.writes_with_buddy, 0);
+        assert_eq!(report.stats.total_accesses(), report.entries_processed);
+        // A 95/5 mix produces *some* writes but stays read-dominated.
+        let (dl, spec) = (AccessProfile::streaming_dl(), CellSpec::read_heavy(2, 2));
+        let report = replay(&pool(2), dl, spec, TARGET, 512, 128, SEED).unwrap();
+        let writes = report.stats.writes_device_only + report.stats.writes_with_buddy;
+        let reads = report.stats.reads_device_only + report.stats.reads_with_buddy;
+        assert!(writes > 0, "a 95/5 mix still writes");
+        assert!(
+            reads > writes * 8,
+            "the mix must be read-dominated: {reads} reads vs {writes} writes"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "batch")]
+    fn oversized_batch_is_rejected() {
+        // A footprint smaller than one batch cannot host any operation.
+        let (stencil, spec) = (AccessProfile::stencil(), CellSpec::trace_mix(1, 1, 0, 0));
+        let _ = replay(&pool(1), stencil, spec, TARGET, BATCH as u64 / 2, 32, SEED);
+    }
+
     #[test]
     fn measure_cell_is_consistent() {
-        let cell = measure(CodecKind::Bpc, CellSpec::trace_mix(2, 2, 0, 0), 256, 16, 11);
-        let r = &cell.report;
-        assert_eq!(r.shards, 2);
-        assert_eq!(r.clients, 2);
+        let r = measure(CodecKind::Bpc, CellSpec::trace_mix(2, 2, 0, 0), 256, 16, 11);
         assert_eq!(r.entries_processed, 2 * 16 * BATCH as u64);
         assert_eq!(r.stats.total_accesses(), r.entries_processed);
         assert!(r.entries_per_sec > 0.0);
         assert_eq!(r.churn_cycles, 0);
         assert_eq!(r.errored_batches, 0);
-        assert!((0.0..=1.0).contains(&cell.fragmentation));
-        assert!(cell.largest_free_region > 0, "pool has 2x headroom free");
+        assert!((0.0..=1.0).contains(&r.fragmentation));
+        assert!(r.largest_free_region > 0, "pool has 2x headroom free");
     }
 
     #[test]
     fn churn_and_retarget_activity_reaches_the_report() {
         // The grid's churn cell must produce nonzero churn/retarget columns;
         // this is the plumbing the CSV relies on.
-        let cell = measure(CodecKind::Bpc, CellSpec::trace_mix(2, 2, 8, 4), 256, 16, 11);
-        let r = &cell.report;
+        let r = measure(CodecKind::Bpc, CellSpec::trace_mix(2, 2, 8, 4), 256, 16, 11);
         assert!(r.churn_cycles > 0, "churn_every=8 over 16 batches cycles");
         assert!(r.stats.retargets > 0, "retarget_every=4 migrates");
     }
@@ -342,9 +797,9 @@ mod tests {
     #[test]
     fn read_heavy_cell_completes_every_batch_and_is_read_dominated() {
         let cell = measure(CodecKind::Bpc, CellSpec::read_heavy(2, 2), 256, 16, 11);
-        assert_eq!(cell.report.errored_batches, 0);
+        assert_eq!(cell.errored_batches, 0);
         // 95% reads: reads dominate writes in the merged stats.
-        let s = &cell.report.stats;
+        let s = &cell.stats;
         let reads = s.reads_device_only + s.reads_with_buddy;
         let writes = s.writes_device_only + s.writes_with_buddy;
         assert!(
@@ -363,7 +818,7 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        pool_throughput(&cfg).unwrap();
+        pool_throughput(&cfg, &MetricsRegistry::new()).unwrap();
         let csv = std::fs::read_to_string(dir.join("pool_throughput.csv")).unwrap();
         let mut lines = csv.lines();
         let header = lines.next().unwrap();

@@ -2,6 +2,7 @@
 
 use crate::FIGURES;
 use buddy_compression::bpc::CodecKind;
+use buddy_compression::buddy_obs::HistogramSnapshot;
 use std::fmt::Display;
 use std::fs;
 use std::io;
@@ -19,10 +20,11 @@ pub struct RunConfig {
     /// Compression algorithm the capacity figures characterize with
     /// (`--codec <name>`; BPC by default, matching the paper).
     pub codec: CodecKind,
-    /// Base path for metric artifacts (`--metrics-out <path>`): the
-    /// instrumented harnesses (`pool-throughput`, `tenancy`, `churn`)
-    /// write a Prometheus text snapshot to `<path>.prom` and the
-    /// time-series sampler's CSV to `<path>.csv`. `None` disables both.
+    /// Base path for metric artifacts (`--metrics-out <path>`): the run
+    /// writes one Prometheus text snapshot to `<path>.prom` and the
+    /// time-series sampler's CSV to `<path>.csv`, carrying whatever the
+    /// instrumented harnesses it ran (`pool-throughput`, `tenancy`,
+    /// `churn`) registered. `None` disables both.
     pub metrics_out: Option<PathBuf>,
 }
 
@@ -172,6 +174,36 @@ pub fn print_table<C: Display>(title: &str, header: &[&str], rows: &[Vec<C>]) {
     line(&header.iter().map(|h| h.to_string()).collect::<Vec<_>>());
     for row in &rendered {
         line(row);
+    }
+}
+
+/// Latency percentiles read out of a histogram, in microseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LatencyPercentiles {
+    /// Median latency.
+    pub p50_us: f64,
+    /// 95th-percentile latency.
+    pub p95_us: f64,
+    /// 99th-percentile latency.
+    pub p99_us: f64,
+    /// 99.9th-percentile latency.
+    pub p999_us: f64,
+    /// Largest single latency (exact, not bucketed).
+    pub max_us: f64,
+}
+
+impl LatencyPercentiles {
+    /// Reads the standard percentile set out of a histogram snapshot.
+    /// Every estimate obeys the histogram's one-sided ≤ 12.5 % bound; the
+    /// max is exact.
+    pub fn from_snapshot(snap: &HistogramSnapshot) -> Self {
+        Self {
+            p50_us: snap.percentile_us(0.50),
+            p95_us: snap.percentile_us(0.95),
+            p99_us: snap.percentile_us(0.99),
+            p999_us: snap.percentile_us(0.999),
+            max_us: snap.max() as f64 / 1_000.0,
+        }
     }
 }
 

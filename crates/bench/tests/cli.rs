@@ -31,6 +31,32 @@ fn named_figures_write_only_their_artifacts() {
 }
 
 #[test]
+fn metrics_out_is_one_file_pair_for_the_whole_run() {
+    let (dir, output) = run(
+        "metrics",
+        &[
+            "--quick",
+            "--metrics-out",
+            "m",
+            "pool-throughput",
+            "churn",
+            "tenancy",
+        ],
+    );
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(stdout.matches("metrics -> ").count(), 1, "{stdout}");
+    // Every instrumented harness of the run is in the one snapshot, not
+    // just the last to finish.
+    let prom = std::fs::read_to_string(dir.join("m.prom")).expect("m.prom written");
+    for metric in ["pool_entries_total", "churn_", "tenancy_offered_total"] {
+        assert!(prom.contains(metric), "{metric} missing from:\n{prom}");
+    }
+    let csv = std::fs::read_to_string(dir.join("m.csv")).expect("m.csv written");
+    assert!(csv.starts_with("tick,elapsed_ms,metric,value"));
+}
+
+#[test]
 fn unknown_arguments_are_usage_errors_naming_the_valid_ones() {
     for (case, args, unknown, valid) in [
         (

@@ -382,7 +382,7 @@ mod tests {
 
     /// End-to-end no-oscillation: a device fed a *constant-compressibility*
     /// data mix, swept repeatedly by the policy, retargets at most once and
-    /// then never again (the satellite guarantee for the loadgen hook).
+    /// then never again (the guarantee the replay sweep relies on).
     #[test]
     fn constant_compressibility_never_oscillates() {
         let mut dev = BuddyDevice::new(DeviceConfig {

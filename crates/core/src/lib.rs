@@ -80,4 +80,5 @@ pub use profile::{
     ProfileOutcome, TargetChoice,
 };
 pub use region::RegionAllocator;
+pub use shared::SharedStats;
 pub use target::TargetRatio;

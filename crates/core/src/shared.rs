@@ -653,20 +653,29 @@ impl fmt::Debug for SlotTable {
     }
 }
 
-/// Device-wide traffic counters as atomics, so lock-free accesses fold
-/// their per-batch deltas in without `&mut` access to the device.
-pub(crate) struct SharedStats {
+/// An [`AccessStats`] made of atomics, so concurrent accesses fold their
+/// per-batch deltas in through `&self`: a device's traffic counters, and
+/// the per-tenant ones `buddy-service` attributes on top. The only atomic
+/// `AccessStats` in the workspace.
+///
+/// A [`snapshot`](Self::snapshot) taken while writers are active may split
+/// one delta across its fields; totals are exact once writers are
+/// quiescent.
+pub struct SharedStats {
     counters: [AtomicU64; 8],
 }
 
-impl SharedStats {
-    fn new() -> Self {
+impl Default for SharedStats {
+    fn default() -> Self {
         Self {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
+}
 
-    pub(crate) fn add(&self, delta: &AccessStats) {
+impl SharedStats {
+    /// Adds `delta` to the counters.
+    pub fn add(&self, delta: &AccessStats) {
         for (c, v) in self.counters.iter().zip(delta.to_array()) {
             if v != 0 {
                 // Relaxed: statistical counters; exact totals are read only
@@ -676,7 +685,8 @@ impl SharedStats {
         }
     }
 
-    pub(crate) fn snapshot(&self) -> AccessStats {
+    /// The counters as a plain value.
+    pub fn snapshot(&self) -> AccessStats {
         let mut out = [0u64; 8];
         for (o, c) in out.iter_mut().zip(self.counters.iter()) {
             // Relaxed: statistical snapshot; exact once writers are
@@ -754,7 +764,7 @@ impl SharedState {
             buddy: AtomicBytes::new(buddy_capacity),
             metadata: AtomicNibbles::new(metadata_entries),
             slots: SlotTable::new(),
-            stats: SharedStats::new(),
+            stats: SharedStats::default(),
             epoch: AtomicU64::new(0),
             ops_entered: AtomicU64::new(0),
             ops_exited: AtomicU64::new(0),
@@ -1082,6 +1092,29 @@ impl SharedState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shared_stats_adds_like_merge() {
+        let delta = AccessStats {
+            reads_device_only: 1,
+            reads_with_buddy: 2,
+            writes_device_only: 3,
+            writes_with_buddy: 4,
+            device_sectors: 5,
+            buddy_sectors: 6,
+            retargets: 7,
+            moved_sectors: 8,
+        };
+        let shared = SharedStats::default();
+        shared.add(&delta);
+        shared.add(&delta);
+        let mut twice = AccessStats::default();
+        twice.merge(&delta);
+        twice.merge(&delta);
+        assert_eq!(shared.snapshot(), twice);
+        // `since` undoes `merge`, field by field.
+        assert_eq!(twice.since(&delta), delta);
+    }
 
     #[test]
     fn atomic_bytes_round_trip_words() {

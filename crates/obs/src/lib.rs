@@ -4,15 +4,15 @@
 //!
 //! The crate deliberately has **no dependency** on any other workspace
 //! crate so every layer — `buddy-core`'s device hot paths, `buddy-pool`'s
-//! shard locks, `buddy-service`'s admission queues — can instrument itself
-//! without dependency cycles. Three building blocks:
+//! shard locks, `buddy-bench`'s open-loop arrival queues — can instrument
+//! itself without dependency cycles. Three building blocks:
 //!
 //! * [`Histogram`] — an HdrHistogram-style log-bucketed latency histogram
 //!   in a fixed ~2 KB footprint: 256 atomic buckets, 8 sub-buckets per
 //!   octave, recording is wait-free (`fetch_add`), snapshots are mergeable
 //!   across threads, and percentile estimates carry a one-sided ≤ 12.5 %
 //!   relative error bound (see [`hist`] for the derivation). It replaces
-//!   the unbounded collect-sort-index percentile paths the load generators
+//!   the unbounded collect-sort-index percentile paths the load drivers
 //!   started with.
 //! * [`trace`] — a span tracer over a static taxonomy ([`SpanKind`]).
 //!   Behind the `obs-trace` feature flag: when disabled (the default)
@@ -26,8 +26,7 @@
 //!   [`MetricsRegistry`] with a Prometheus-text renderer and a
 //!   deterministic-interval [`metrics::sample_every`] background sampler
 //!   that snapshots every registered metric into a tick-indexed
-//!   [`TimeSeries`] CSV. `buddy-service`'s telemetry module re-exports the
-//!   primitives from here — this crate is the only one in the workspace
+//!   [`TimeSeries`] CSV. This crate is the only one in the workspace
 //!   allowed to own raw atomics for metrics (enforced by the
 //!   `raw-atomic-metric` xtask lint).
 

@@ -1,9 +1,9 @@
 //! Metric primitives and a registry with a Prometheus-text renderer and
 //! a deterministic-interval time-series sampler.
 //!
-//! [`Counter`] and [`Gauge`] are the same lock-free primitives
-//! `buddy-service`'s telemetry module used to own (it now re-exports
-//! them from here); [`Histogram`] completes the set.
+//! [`Counter`] and [`Gauge`] are the workspace's lock-free event count
+//! and last-value primitives (`buddy-pool` and `buddy-service` count
+//! their events with them); [`Histogram`] completes the set.
 //! A [`MetricsRegistry`] names them: registration and rendering lock a
 //! mutex, updates through the returned `Arc` handles never do.
 //!
@@ -325,6 +325,34 @@ pub fn sample_every(registry: Arc<MetricsRegistry>, interval: Duration) -> Sampl
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counters_and_gauges_do_arithmetic() {
+        let c = Counter::default();
+        c.incr();
+        c.add(4);
+        assert_eq!(c.get(), 5);
+        let g = Gauge::default();
+        g.set(7);
+        assert_eq!(g.get(), 7);
+        g.set(3);
+        assert_eq!(g.get(), 3);
+    }
+
+    #[test]
+    fn updates_from_many_threads_all_land() {
+        let c = Counter::default();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..10_000 {
+                        c.incr();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 40_000);
+    }
 
     #[test]
     fn registry_renders_prometheus_text() {

@@ -63,12 +63,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod loadgen;
-
 pub use bpc::{CodecKind, Entry, ENTRY_BYTES};
 pub use buddy_core::{
     AccessStats, AdaptConfig, BuddyDevice, DeviceConfig, DeviceError, DeviceHandle, EntryState,
-    RetargetPolicy, RetargetReport, StateWindow, TargetRatio,
+    RetargetPolicy, RetargetReport, SharedStats, StateWindow, TargetRatio,
 };
 
 use buddy_core::sync::{AtomicU64, Mutex, MutexGuard, Ordering};

@@ -1,6 +1,6 @@
 //! Multi-tenant service layer over the Buddy-Compression pool: per-tenant
-//! capacity quotas, admission control, ownership-checked handles, lock-free
-//! telemetry, and an open-loop overload harness.
+//! capacity quotas, admission control, ownership-checked handles, and one
+//! per-tenant ledger.
 //!
 //! Buddy Compression's value is letting a fixed device-memory budget serve
 //! more than it physically holds (Choukse et al., ISCA 2020). Once that
@@ -25,13 +25,10 @@
 //!   at the least-aggressive target that fits both the quota and the pool.
 //!   Demotion trades the tenant's bandwidth for admission, the paper's
 //!   target-ratio tradeoff turned into policy.
-//! * [`telemetry`] is the lock-free per-tenant metric registry (the only
-//!   module allowed to own raw atomics — see the `raw-atomic-metric`
-//!   lint); per-batch [`AccessStats`] deltas from the pool's `*_collect`
-//!   paths are attributed to the issuing tenant at zero extra cost.
-//! * [`loadgen`] is the open-loop load harness: offered arrival rate is
-//!   fixed by a deterministic schedule, so overload shows up as measured
-//!   queueing delay and shed load instead of closed-loop slowdown.
+//! * [`BuddyService::tenants`] reads the ledger: one [`TenantRow`] per
+//!   tenant, built from the same state admission charges against. Event
+//!   counts and per-batch [`AccessStats`] deltas from the pool's
+//!   `*_collect` paths are attributed to the issuing tenant lock-free.
 //!
 //! # Example
 //!
@@ -57,16 +54,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod loadgen;
-pub mod telemetry;
-
 pub use buddy_pool::{
     AccessStats, CodecKind, DeviceConfig, DeviceError, Entry, PoolConfig, RetargetReport,
     TargetRatio, ENTRY_BYTES,
 };
-pub use telemetry::{TelemetryRegistry, TenantRow, TenantTelemetry};
 
-use buddy_pool::{BuddyPool, PoolAllocId};
+use buddy_obs::Counter;
+use buddy_pool::{BuddyPool, PoolAllocId, SharedStats};
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -174,6 +168,21 @@ impl From<DeviceError> for ServiceError {
     }
 }
 
+/// What is counted per tenant outside the write lock: entry I/O folds its
+/// traffic in after the service lock is released, and denials are counted
+/// under the read lock. The event counts ride along so one `Arc` clone
+/// covers everything an operation bumps.
+#[derive(Debug, Default)]
+struct TenantCounters {
+    allocs: Counter,
+    frees: Counter,
+    rejections: Counter,
+    demotions: Counter,
+    transfers: Counter,
+    cross_tenant_denials: Counter,
+    traffic: SharedStats,
+}
+
 /// Per-tenant accounting state (behind the service lock).
 #[derive(Debug)]
 struct TenantState {
@@ -181,7 +190,72 @@ struct TenantState {
     quota_bytes: u64,
     policy: AdmissionPolicy,
     used_bytes: u64,
-    telemetry: Arc<TenantTelemetry>,
+    logical_bytes: u64,
+    allocations: u64,
+    counters: Arc<TenantCounters>,
+}
+
+impl TenantState {
+    fn headroom(&self) -> u64 {
+        self.quota_bytes.saturating_sub(self.used_bytes)
+    }
+
+    /// Charges one allocation to the ledger.
+    fn charge(&mut self, alloc: &ServiceAlloc) {
+        self.used_bytes += alloc.device_bytes;
+        self.logical_bytes += alloc.logical_bytes();
+        self.allocations += 1;
+    }
+
+    /// Refunds what [`charge`](Self::charge) charged.
+    fn refund(&mut self, alloc: &ServiceAlloc) {
+        self.used_bytes = self.used_bytes.saturating_sub(alloc.device_bytes);
+        self.logical_bytes = self.logical_bytes.saturating_sub(alloc.logical_bytes());
+        self.allocations = self.allocations.saturating_sub(1);
+    }
+}
+
+/// One tenant's line of the ledger, as [`BuddyService::tenants`] reports
+/// it.
+#[derive(Debug, Clone)]
+pub struct TenantRow {
+    /// Tenant name.
+    pub name: String,
+    /// Successful allocations.
+    pub allocs: u64,
+    /// Successful frees.
+    pub frees: u64,
+    /// Admission rejections.
+    pub rejections: u64,
+    /// Demoted admissions.
+    pub demotions: u64,
+    /// Ownership transfers.
+    pub transfers: u64,
+    /// Cross-tenant denials.
+    pub cross_tenant_denials: u64,
+    /// Compressed device bytes charged.
+    pub used_bytes: u64,
+    /// Quota in compressed device bytes.
+    pub quota_bytes: u64,
+    /// Quota headroom (`quota − used`, saturating).
+    pub quota_headroom: u64,
+    /// Uncompressed bytes represented.
+    pub logical_bytes: u64,
+    /// Live allocations.
+    pub allocations: u64,
+    /// Traffic counters.
+    pub stats: AccessStats,
+}
+
+impl TenantRow {
+    /// Effective compression ratio of the tenant's live footprint
+    /// (`logical / used`; 1.0 when nothing is charged).
+    pub fn effective_ratio(&self) -> f64 {
+        if self.used_bytes == 0 {
+            return 1.0;
+        }
+        self.logical_bytes as f64 / self.used_bytes as f64
+    }
 }
 
 /// One live allocation's bookkeeping.
@@ -194,6 +268,13 @@ struct ServiceAlloc {
     target: TargetRatio,
 }
 
+impl ServiceAlloc {
+    /// Uncompressed bytes the allocation represents.
+    fn logical_bytes(&self) -> u64 {
+        self.entries * ENTRY_BYTES as u64
+    }
+}
+
 /// One entry of the service slot map.
 #[derive(Debug, Clone, Copy)]
 struct ServiceSlot {
@@ -201,8 +282,9 @@ struct ServiceSlot {
     alloc: Option<ServiceAlloc>,
 }
 
-/// Registry + slot map behind one RwLock: reads (I/O resolution) share,
-/// writes (alloc/free/retarget/transfer, which move quota charges) exclude.
+/// Tenant ledger + slot map behind one RwLock: reads (I/O resolution)
+/// share, writes (alloc/free/retarget/transfer, which move quota charges)
+/// exclude.
 #[derive(Debug, Default)]
 struct ServiceState {
     tenants: Vec<TenantState>,
@@ -220,7 +302,6 @@ struct ServiceState {
 #[derive(Debug)]
 pub struct BuddyService {
     pool: BuddyPool,
-    telemetry: TelemetryRegistry,
     state: RwLock<ServiceState>,
 }
 
@@ -241,7 +322,6 @@ impl BuddyService {
     pub fn new(config: PoolConfig) -> Self {
         Self {
             pool: BuddyPool::new(config),
-            telemetry: TelemetryRegistry::new(),
             state: RwLock::new(ServiceState::default()),
         }
     }
@@ -252,10 +332,36 @@ impl BuddyService {
         &self.pool
     }
 
-    /// The telemetry registry ([`snapshot`](TelemetryRegistry::snapshot)
-    /// is the `service-report` data source).
-    pub fn telemetry(&self) -> &TelemetryRegistry {
-        &self.telemetry
+    /// One row per tenant, in registration order (the `service-report`
+    /// data source).
+    ///
+    /// The rows are built under one read lock from the state admission
+    /// itself charges against, so the ledger fields (`used_bytes`,
+    /// `quota_bytes`, `quota_headroom`, `logical_bytes`, `allocations`)
+    /// are mutually consistent within a row and across rows. The event
+    /// counts and `stats` are lock-free counters: they still race
+    /// in-flight operations, and are exact once those are quiescent.
+    pub fn tenants(&self) -> Vec<TenantRow> {
+        let state = self.read();
+        state
+            .tenants
+            .iter()
+            .map(|t| TenantRow {
+                name: t.name.clone(),
+                allocs: t.counters.allocs.get(),
+                frees: t.counters.frees.get(),
+                rejections: t.counters.rejections.get(),
+                demotions: t.counters.demotions.get(),
+                transfers: t.counters.transfers.get(),
+                cross_tenant_denials: t.counters.cross_tenant_denials.get(),
+                used_bytes: t.used_bytes,
+                quota_bytes: t.quota_bytes,
+                quota_headroom: t.headroom(),
+                logical_bytes: t.logical_bytes,
+                allocations: t.allocations,
+                stats: t.counters.traffic.snapshot(),
+            })
+            .collect()
     }
 
     /// Read-locks the state, recovering from poisoning: every mutation
@@ -293,17 +399,28 @@ impl BuddyService {
         if state.tenants.iter().any(|t| t.name == name) {
             return Err(ServiceError::DuplicateTenant);
         }
-        let telemetry = self.telemetry.register(name);
-        telemetry.quota_bytes.set(quota_bytes);
         let id = u32::try_from(state.tenants.len()).map_err(|_| ServiceError::UnknownTenant)?;
         state.tenants.push(TenantState {
             name: name.to_string(),
             quota_bytes,
             policy,
             used_bytes: 0,
-            telemetry,
+            logical_bytes: 0,
+            allocations: 0,
+            counters: Arc::default(),
         });
         Ok(TenantId(id))
+    }
+
+    /// Reads one tenant's state under the read lock.
+    fn tenant<T>(
+        &self,
+        tenant: TenantId,
+        read: impl FnOnce(&TenantState) -> T,
+    ) -> Result<T, ServiceError> {
+        let state = self.read();
+        let t = state.tenants.get(tenant.0 as usize);
+        t.map(read).ok_or(ServiceError::UnknownTenant)
     }
 
     /// The tenant's registered name.
@@ -312,12 +429,7 @@ impl BuddyService {
     ///
     /// Returns [`ServiceError::UnknownTenant`] for a foreign id.
     pub fn tenant_name(&self, tenant: TenantId) -> Result<String, ServiceError> {
-        let state = self.read();
-        state
-            .tenants
-            .get(tenant.0 as usize)
-            .map(|t| t.name.clone())
-            .ok_or(ServiceError::UnknownTenant)
+        self.tenant(tenant, |t| t.name.clone())
     }
 
     /// Compressed device bytes currently charged against the tenant.
@@ -326,12 +438,7 @@ impl BuddyService {
     ///
     /// Returns [`ServiceError::UnknownTenant`] for a foreign id.
     pub fn used_bytes(&self, tenant: TenantId) -> Result<u64, ServiceError> {
-        let state = self.read();
-        state
-            .tenants
-            .get(tenant.0 as usize)
-            .map(|t| t.used_bytes)
-            .ok_or(ServiceError::UnknownTenant)
+        self.tenant(tenant, |t| t.used_bytes)
     }
 
     /// Quota headroom remaining for the tenant, in compressed device bytes.
@@ -340,27 +447,18 @@ impl BuddyService {
     ///
     /// Returns [`ServiceError::UnknownTenant`] for a foreign id.
     pub fn quota_headroom(&self, tenant: TenantId) -> Result<u64, ServiceError> {
-        let state = self.read();
-        state
-            .tenants
-            .get(tenant.0 as usize)
-            .map(|t| t.quota_bytes.saturating_sub(t.used_bytes))
-            .ok_or(ServiceError::UnknownTenant)
+        self.tenant(tenant, TenantState::headroom)
     }
 
     /// Traffic attributed to the tenant so far (exact once the tenant's
-    /// operations are quiescent; see [`telemetry`] for the race contract).
+    /// operations are quiescent; see [`tenants`](Self::tenants) for the race
+    /// contract).
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::UnknownTenant`] for a foreign id.
     pub fn tenant_stats(&self, tenant: TenantId) -> Result<AccessStats, ServiceError> {
-        let state = self.read();
-        state
-            .tenants
-            .get(tenant.0 as usize)
-            .map(|t| t.telemetry.stats())
-            .ok_or(ServiceError::UnknownTenant)
+        self.tenant(tenant, |t| t.counters.traffic.snapshot())
     }
 
     /// The admission ladder for a request at `asked`: the asked target
@@ -406,8 +504,7 @@ impl BuddyService {
             .get(tenant_index)
             .ok_or(ServiceError::UnknownTenant)?;
         let policy = t.policy;
-        let headroom = t.quota_bytes.saturating_sub(t.used_bytes);
-        let telemetry = Arc::clone(&t.telemetry);
+        let headroom = t.headroom();
 
         let asked_bytes = entry_bytes(entries, target)?;
         let mut quota_blocked = false;
@@ -433,7 +530,7 @@ impl BuddyService {
         }
 
         let Some((pool_id, granted_target, device_bytes)) = granted else {
-            telemetry.rejections.incr();
+            state.tenants[tenant_index].counters.rejections.incr();
             // Quota is the admission-layer verdict; a pool capacity error
             // surfaces only when quota never blocked any rung.
             return Err(if quota_blocked {
@@ -480,16 +577,11 @@ impl BuddyService {
         state.slots[slot as usize].alloc = Some(alloc);
         let generation = state.slots[slot as usize].generation;
         let t = &mut state.tenants[tenant_index];
-        t.used_bytes += device_bytes;
-        telemetry.allocs.incr();
+        t.charge(&alloc);
+        t.counters.allocs.incr();
         if demoted {
-            telemetry.demotions.incr();
+            t.counters.demotions.incr();
         }
-        telemetry.used_bytes.set(t.used_bytes);
-        telemetry
-            .logical_bytes
-            .set(telemetry.logical_bytes.get() + entries * ENTRY_BYTES as u64);
-        telemetry.allocations.set(telemetry.allocations.get() + 1);
         Ok(AllocGrant {
             id: ServiceAllocId { slot, generation },
             target: granted_target,
@@ -519,7 +611,7 @@ impl BuddyService {
             // Denials are charged to the *caller*: they are the tenant
             // whose behaviour (or bug) the counter should expose.
             state.tenants[tenant.0 as usize]
-                .telemetry
+                .counters
                 .cross_tenant_denials
                 .incr();
             return Err(ServiceError::CrossTenant {
@@ -528,6 +620,20 @@ impl BuddyService {
             });
         }
         Ok(alloc)
+    }
+
+    /// Resolves a handle under the read lock and hands back what entry I/O
+    /// needs once the lock is released: the pool id and the tenant's
+    /// counters.
+    fn resolve_for_io(
+        &self,
+        tenant: TenantId,
+        id: ServiceAllocId,
+    ) -> Result<(PoolAllocId, Arc<TenantCounters>), ServiceError> {
+        let state = self.read();
+        let alloc = Self::resolve(&state, tenant, id)?;
+        let counters = Arc::clone(&state.tenants[tenant.0 as usize].counters);
+        Ok((alloc.pool_id, counters))
     }
 
     /// Releases an allocation and refunds its quota charge.
@@ -545,18 +651,8 @@ impl BuddyService {
         slot.alloc = None;
         state.free_slots.push(id.slot);
         let t = &mut state.tenants[tenant.0 as usize];
-        t.used_bytes = t.used_bytes.saturating_sub(alloc.device_bytes);
-        t.telemetry.frees.incr();
-        t.telemetry.used_bytes.set(t.used_bytes);
-        t.telemetry.logical_bytes.set(
-            t.telemetry
-                .logical_bytes
-                .get()
-                .saturating_sub(alloc.entries * ENTRY_BYTES as u64),
-        );
-        t.telemetry
-            .allocations
-            .set(t.telemetry.allocations.get().saturating_sub(1));
+        t.refund(&alloc);
+        t.counters.frees.incr();
         Ok(())
     }
 
@@ -575,16 +671,11 @@ impl BuddyService {
         start: u64,
         entries: &[Entry],
     ) -> Result<(), ServiceError> {
-        let (pool_id, telemetry) = {
-            let state = self.read();
-            let alloc = Self::resolve(&state, tenant, id)?;
-            let telemetry = Arc::clone(&state.tenants[tenant.0 as usize].telemetry);
-            (alloc.pool_id, telemetry)
-        };
+        let (pool_id, counters) = self.resolve_for_io(tenant, id)?;
         // The pool call runs outside the service lock; a racing free is
         // caught by the pool's generational id.
         let delta = self.pool.write_entries_collect(pool_id, start, entries)?;
-        telemetry.record_stats(&delta);
+        counters.traffic.add(&delta);
         Ok(())
     }
 
@@ -603,14 +694,9 @@ impl BuddyService {
         start: u64,
         out: &mut [Entry],
     ) -> Result<(), ServiceError> {
-        let (pool_id, telemetry) = {
-            let state = self.read();
-            let alloc = Self::resolve(&state, tenant, id)?;
-            let telemetry = Arc::clone(&state.tenants[tenant.0 as usize].telemetry);
-            (alloc.pool_id, telemetry)
-        };
+        let (pool_id, counters) = self.resolve_for_io(tenant, id)?;
         let delta = self.pool.read_entries_collect(pool_id, start, out)?;
-        telemetry.record_stats(&delta);
+        counters.traffic.add(&delta);
         Ok(())
     }
 
@@ -635,9 +721,9 @@ impl BuddyService {
         let alloc = Self::resolve(&state, tenant, id)?;
         let new_bytes = entry_bytes(alloc.entries, new_target)?;
         let t = &state.tenants[tenant.0 as usize];
-        let headroom = t.quota_bytes.saturating_sub(t.used_bytes);
+        let headroom = t.headroom();
         if new_bytes > alloc.device_bytes && new_bytes - alloc.device_bytes > headroom {
-            t.telemetry.rejections.incr();
+            t.counters.rejections.incr();
             return Err(ServiceError::QuotaExceeded {
                 requested: new_bytes - alloc.device_bytes,
                 headroom,
@@ -651,9 +737,11 @@ impl BuddyService {
         }
         let t = &mut state.tenants[tenant.0 as usize];
         t.used_bytes = t.used_bytes.saturating_sub(alloc.device_bytes) + new_bytes;
-        t.telemetry.used_bytes.set(t.used_bytes);
-        t.telemetry.retargets.incr();
-        t.telemetry.moved_sectors.add(report.moved_sectors);
+        t.counters.traffic.add(&AccessStats {
+            retargets: 1,
+            moved_sectors: report.moved_sectors,
+            ..AccessStats::default()
+        });
         Ok(report)
     }
 
@@ -680,15 +768,14 @@ impl BuddyService {
             .tenants
             .get(to.0 as usize)
             .ok_or(ServiceError::UnknownTenant)?;
-        let headroom = recipient.quota_bytes.saturating_sub(recipient.used_bytes);
+        let headroom = recipient.headroom();
         if alloc.device_bytes > headroom {
-            recipient.telemetry.rejections.incr();
+            recipient.counters.rejections.incr();
             return Err(ServiceError::QuotaExceeded {
                 requested: alloc.device_bytes,
                 headroom,
             });
         }
-        let logical = alloc.entries * ENTRY_BYTES as u64;
         let slot = &mut state.slots[id.slot as usize];
         slot.generation += 1;
         let new_id = ServiceAllocId {
@@ -698,26 +785,11 @@ impl BuddyService {
         if let Some(a) = slot.alloc.as_mut() {
             a.owner = to.0;
         }
-        let f = &mut state.tenants[from.0 as usize];
-        f.used_bytes = f.used_bytes.saturating_sub(alloc.device_bytes);
-        f.telemetry.transfers.incr();
-        f.telemetry.used_bytes.set(f.used_bytes);
-        f.telemetry
-            .logical_bytes
-            .set(f.telemetry.logical_bytes.get().saturating_sub(logical));
-        f.telemetry
-            .allocations
-            .set(f.telemetry.allocations.get().saturating_sub(1));
-        let r = &mut state.tenants[to.0 as usize];
-        r.used_bytes += alloc.device_bytes;
-        r.telemetry.transfers.incr();
-        r.telemetry.used_bytes.set(r.used_bytes);
-        r.telemetry
-            .logical_bytes
-            .set(r.telemetry.logical_bytes.get() + logical);
-        r.telemetry
-            .allocations
-            .set(r.telemetry.allocations.get() + 1);
+        for party in [from, to] {
+            state.tenants[party.0 as usize].counters.transfers.incr();
+        }
+        state.tenants[from.0 as usize].refund(&alloc);
+        state.tenants[to.0 as usize].charge(&alloc);
         Ok(new_id)
     }
 }
@@ -760,7 +832,7 @@ mod tests {
                 headroom: 0
             }
         );
-        assert_eq!(s.telemetry().snapshot()[0].rejections, 1);
+        assert_eq!(s.tenants()[0].rejections, 1);
     }
 
     #[test]
@@ -775,7 +847,7 @@ mod tests {
         assert!(grant.demoted);
         assert_eq!(grant.target, TargetRatio::R4);
         assert_eq!(s.used_bytes(t).unwrap(), quota);
-        let rows = s.telemetry().snapshot();
+        let rows = s.tenants();
         assert_eq!(rows[0].demotions, 1);
         assert_eq!(rows[0].rejections, 0);
         // Even ZeroPage16 does not fit zero headroom: now it rejects.
@@ -807,7 +879,7 @@ mod tests {
             s.read_entries(b, grant.id, 0, &mut out),
             Err(ServiceError::CrossTenant { .. })
         ));
-        assert_eq!(s.telemetry().snapshot()[1].cross_tenant_denials, 3);
+        assert_eq!(s.tenants()[1].cross_tenant_denials, 3);
         // The owner is unaffected.
         s.write_entries(a, grant.id, 0, &[entry]).unwrap();
         s.free(a, grant.id).unwrap();
@@ -947,7 +1019,102 @@ mod tests {
             err,
             ServiceError::Device(DeviceError::OutOfDeviceMemory { .. })
         ));
-        assert_eq!(s.telemetry().snapshot()[0].rejections, 1);
+        assert_eq!(s.tenants()[0].rejections, 1);
+    }
+
+    #[test]
+    fn snapshot_reports_headroom_and_ratio() {
+        let s = service(1 << 20);
+        // 1000 B of quota; 8 entries at R2 charge 512 B for 1024 logical.
+        let t = s
+            .register_tenant("tenant-a", 1000, AdmissionPolicy::Reject)
+            .unwrap();
+        let grant = s.alloc(t, "a", 8, TargetRatio::R2).unwrap();
+        let rows = s.tenants();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].name, "tenant-a");
+        assert_eq!(rows[0].quota_headroom, 488);
+        assert!((rows[0].effective_ratio() - 2.0).abs() < 1e-9);
+        // Nothing charged: the whole quota is headroom and the ratio is 1.
+        s.free(t, grant.id).unwrap();
+        let rows = s.tenants();
+        assert_eq!(rows[0].quota_headroom, 1000);
+        assert!((rows[0].effective_ratio() - 1.0).abs() < 1e-9);
+    }
+
+    /// One ledger cannot drift: after every step of a script that takes
+    /// each path which moves a charge, every `tenants()` row agrees with
+    /// the per-tenant accessors and with a recount of the live grants.
+    #[test]
+    fn ledger_rows_agree_with_the_accessors_and_a_recount() {
+        let s = service(1 << 20);
+        let quota = 64 * 1024;
+        let a = s
+            .register_tenant("a", quota, AdmissionPolicy::Reject)
+            .unwrap();
+        let b = s
+            .register_tenant("b", 96 * 32, AdmissionPolicy::Demote)
+            .unwrap();
+        // Live grants as (owner, id, entries), maintained by the script.
+        let mut live: Vec<(TenantId, ServiceAllocId, u64)> = Vec::new();
+        let check = |live: &[(TenantId, ServiceAllocId, u64)]| {
+            let rows = s.tenants();
+            assert_eq!(rows.len(), 2);
+            for (tenant, row) in [a, b].into_iter().zip(&rows) {
+                assert_eq!(row.used_bytes, s.used_bytes(tenant).unwrap());
+                assert_eq!(row.quota_headroom, s.quota_headroom(tenant).unwrap());
+                assert_eq!(row.quota_headroom, row.quota_bytes - row.used_bytes);
+                assert_eq!(row.stats, s.tenant_stats(tenant).unwrap());
+                let mine = live.iter().filter(|(owner, ..)| *owner == tenant);
+                assert_eq!(row.allocations, mine.clone().count() as u64);
+                assert_eq!(
+                    row.logical_bytes,
+                    mine.map(|(_, _, entries)| entries * ENTRY_BYTES as u64)
+                        .sum::<u64>()
+                );
+            }
+            rows
+        };
+
+        // Alloc + traffic.
+        let first = s.alloc(a, "first", 64, TargetRatio::R2).unwrap();
+        live.push((a, first.id, 64));
+        s.write_entries(a, first.id, 0, &[[9u8; ENTRY_BYTES]; 8])
+            .unwrap();
+        let second = s.alloc(a, "second", 32, TargetRatio::R1).unwrap();
+        live.push((a, second.id, 32));
+        check(&live);
+        // Demote: b's quota fits 96 entries at R4 only.
+        let demoted = s.alloc(b, "demoted", 96, TargetRatio::R2).unwrap();
+        assert!(demoted.demoted);
+        live.push((b, demoted.id, 96));
+        check(&live);
+        // Reject: b is full, at every rung.
+        s.alloc(b, "rejected", 96, TargetRatio::R2).unwrap_err();
+        check(&live);
+        // Free.
+        s.free(a, second.id).unwrap();
+        live.retain(|(_, id, _)| *id != second.id);
+        check(&live);
+        // Retarget, granted and refused.
+        s.retarget(a, first.id, TargetRatio::R4).unwrap();
+        s.retarget(b, demoted.id, TargetRatio::R1).unwrap_err();
+        check(&live);
+        // Transfer, refused (b has no headroom) and granted (after a free).
+        s.transfer(a, first.id, b).unwrap_err();
+        s.free(b, demoted.id).unwrap();
+        live.retain(|(_, id, _)| *id != demoted.id);
+        let moved = s.transfer(a, first.id, b).unwrap();
+        live.retain(|(_, id, _)| *id != first.id);
+        live.push((b, moved, 64));
+        let rows = check(&live);
+
+        let counts = |r: &TenantRow| (r.allocs, r.frees, r.transfers, r.demotions, r.rejections);
+        assert_eq!(counts(&rows[0]), (2, 1, 1, 0, 0));
+        assert_eq!(counts(&rows[1]), (1, 1, 1, 1, 3));
+        assert_eq!(rows[0].stats.retargets, 1);
+        assert_eq!(rows[0].used_bytes, 0);
+        assert_eq!(rows[1].used_bytes, 64 * 32);
     }
 
     #[test]

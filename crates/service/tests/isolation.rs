@@ -217,7 +217,7 @@ fn cross_tenant_handles_are_rejected_on_every_path() {
         .expect("owner reads");
     assert_eq!(out[0], payload);
     // Denials were charged to the intruder, not the owner.
-    let rows = service.telemetry().snapshot();
+    let rows = service.tenants();
     assert_eq!(rows[0].cross_tenant_denials, 0);
     assert_eq!(rows[1].cross_tenant_denials, 5);
 }
@@ -329,7 +329,7 @@ fn quota_enforcement_punishes_only_the_offender() {
     assert_eq!(baseline, contended, "victim observed the noisy neighbour");
 
     // And the ledger says so: only the offender shows rejections.
-    let rows = shared.telemetry().snapshot();
+    let rows = shared.tenants();
     assert_eq!(rows[0].rejections, 12);
     assert_eq!(rows[1].rejections, 0);
     assert_eq!(rows[0].quota_headroom, 0);

@@ -1,6 +1,6 @@
 //! Deterministic open-loop arrival schedules.
 //!
-//! Closed-loop load generation (the `buddy-pool` loadgen) lets the system
+//! Closed-loop load generation (the `pool-throughput` replay) lets the system
 //! under test set the pace: a slow server simply slows its clients down,
 //! and overload never shows up as anything worse than reduced throughput.
 //! An **open-loop** generator instead fixes the *offered* arrival rate in
@@ -12,7 +12,7 @@
 //! The schedule itself is pure virtual time: a Poisson process with
 //! exponential inter-arrival gaps drawn from splitmix64, yielding absolute
 //! arrival offsets in nanoseconds. Nothing here reads a clock — replaying
-//! a schedule is the *caller's* job (the service loadgen paces real
+//! a schedule is the *caller's* job (the `tenancy` driver paces real
 //! threads against it), so two runs with one seed offer byte-identical
 //! arrival sequences no matter what the machine was doing.
 

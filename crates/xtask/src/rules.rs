@@ -711,7 +711,6 @@ mod tests {
             .find(|r| r.id == "read-path-lock")
             .expect("rule registered");
         assert!((rule.applies)("crates/pool/src/lib.rs"));
-        assert!((rule.applies)("crates/pool/src/loadgen.rs"));
         // Core and service define their own read fns against different
         // locking disciplines; the invariant is the *pool's*.
         assert!(!(rule.applies)("crates/core/src/device.rs"));
@@ -781,11 +780,10 @@ mod tests {
             .find(|r| r.id == "raw-atomic-metric")
             .expect("rule registered");
         // Everything is in scope now that the primitives live in buddy_obs —
-        // including service::telemetry (which re-exports, no longer owns,
-        // the atomics) and the core crate.
+        // including the service (which counts with them, owning no atomics),
+        // the bench drivers and the core crate.
         assert!((rule.applies)("crates/service/src/lib.rs"));
-        assert!((rule.applies)("crates/service/src/telemetry.rs"));
-        assert!((rule.applies)("crates/service/src/loadgen.rs"));
+        assert!((rule.applies)("crates/bench/src/tenantfig.rs"));
         assert!((rule.applies)("crates/pool/src/lib.rs"));
         assert!((rule.applies)("crates/core/src/device.rs"));
         assert!((rule.applies)("src/lib.rs"));
@@ -852,7 +850,7 @@ mod tests {
             .expect("rule registered");
         assert!((rule.applies)("crates/core/src/shared.rs"));
         assert!((rule.applies)("crates/pool/src/lib.rs"));
-        assert!((rule.applies)("crates/service/src/telemetry.rs"));
+        assert!((rule.applies)("crates/service/src/lib.rs"));
         // The three legitimate homes of raw std::sync: the facade itself,
         // the obs metric primitives, and the checker shims.
         assert!(!(rule.applies)("crates/core/src/sync.rs"));

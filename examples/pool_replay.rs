@@ -5,9 +5,15 @@
 //! Run with `cargo run --example pool_replay`.
 
 use buddy_compression::buddy_core::{DeviceConfig, TargetRatio};
-use buddy_compression::buddy_pool::loadgen::{replay, LoadgenConfig};
-use buddy_compression::buddy_pool::{BuddyPool, CodecKind, PoolConfig};
-use buddy_compression::workloads::by_name;
+use buddy_compression::buddy_pool::{BuddyPool, CodecKind, PoolConfig, ENTRY_BYTES};
+use buddy_compression::workloads::{by_name, EntryClass, TraceGenerator};
+use std::time::Instant;
+
+const CLIENTS: u64 = 4;
+const BATCHES_PER_CLIENT: u64 = 128;
+const BATCH: u64 = 32;
+const ENTRIES_PER_CLIENT: u64 = 1024;
+const SEED: u64 = 0xB0DD7;
 
 fn main() {
     let bench = by_name("356.sp").expect("356.sp is in the suite");
@@ -20,39 +26,59 @@ fn main() {
         codec: CodecKind::Bpc,
     });
 
-    let cfg = LoadgenConfig {
-        clients: 4,
-        batches_per_client: 128,
-        batch_entries: 32,
-        entries_per_client: 1024,
-        target: TargetRatio::R2,
-        seed: 0xB0DD7,
-        // Between-batch adaptive re-targeting sweep (0 disables); see the
-        // adaptive_retarget example for the single-device walkthrough.
-        retarget_every: 32,
-        // Alloc/free churn every 64 batches: each client turns its whole
-        // footprint over mid-replay (see the churn_lifecycle example).
-        churn_every: 64,
-        // Take the read/write mix from the trace.
-        read_pct: None,
-    };
-    let report = replay(&pool, bench.access, &cfg).expect("pool hosts all clients");
+    // Each client owns one allocation and walks its own deterministic
+    // trace: every access becomes one batched read or write anchored at
+    // the access's entry. Entry I/O takes no shard lock, so the four
+    // threads only meet in the allocator.
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let pool = &pool;
+            scope.spawn(move || {
+                let name = format!("client-{client}");
+                let id = pool
+                    .alloc(&name, ENTRIES_PER_CLIENT, TargetRatio::R2)
+                    .expect("pool hosts all clients");
+                // Every fourth entry is incompressible and overflows its R2
+                // slot into buddy memory.
+                let classes = [EntryClass::Noisy { noise_bits: 8 }, EntryClass::Random];
+                let payload: Vec<_> = (0..BATCH)
+                    .map(|i| classes[usize::from(i % 4 == 3)].generate(SEED ^ i))
+                    .collect();
+                let mut out = vec![[0u8; ENTRY_BYTES]; payload.len()];
+                let trace =
+                    TraceGenerator::per_client(bench.access, ENTRIES_PER_CLIENT, SEED, client);
+                for access in trace.take(BATCHES_PER_CLIENT as usize) {
+                    let start = access.entry.min(ENTRIES_PER_CLIENT - BATCH);
+                    if access.write {
+                        pool.write_entries(id, start, &payload)
+                    } else {
+                        pool.read_entries(id, start, &mut out)
+                    }
+                    .expect("batch is in range");
+                }
+            });
+        }
+    });
+    let secs = started.elapsed().as_secs_f64();
+    // `drain` waits out in-flight I/O, so the merged counters are exact.
+    let stats = pool.drain();
 
+    let batches = CLIENTS * BATCHES_PER_CLIENT;
+    let entries = batches * BATCH;
     println!(
-        "replayed {} entries in {} batches from {} clients over {} shards",
-        report.entries_processed, report.batches, report.clients, report.shards
+        "replayed {entries} entries in {batches} batches from {CLIENTS} clients over {} shards",
+        pool.shard_count()
     );
     println!(
-        "throughput {:.0} entries/s ({:.3} logical GB/s); batch latency p50 {:.1} us, p99 {:.1} us",
-        report.entries_per_sec,
-        report.logical_gb_per_sec,
-        report.latency.p50_us,
-        report.latency.p99_us
+        "throughput {:.0} entries/s ({:.3} logical GB/s)",
+        entries as f64 / secs,
+        (entries * ENTRY_BYTES as u64) as f64 / secs / 1e9
     );
     println!(
         "merged traffic: {} accesses, buddy fraction {:.2}%",
-        report.stats.total_accesses(),
-        100.0 * report.stats.buddy_access_fraction()
+        stats.total_accesses(),
+        100.0 * stats.buddy_access_fraction()
     );
     for shard in pool.occupancy() {
         println!(

@@ -1,7 +1,7 @@
 //! Multi-tenant service walkthrough: two tenants with different quotas
 //! and admission policies share one [`BuddyService`]; the quota-pinched
 //! tenant gets demoted down the target-ratio ladder, a cross-tenant poke
-//! is denied, an allocation changes owners, and the telemetry ledger
+//! is denied, an allocation changes owners, and the service's ledger
 //! accounts for all of it.
 //!
 //! Run with `cargo run --example tenant_service`.
@@ -83,7 +83,7 @@ fn main() {
         }) => println!("transfer rejected first: needs {requested} B, batch headroom {headroom} B"),
         other => panic!("expected QuotaExceeded, got {other:?}"),
     }
-    let rows = service.telemetry().snapshot();
+    let rows = service.tenants();
     assert_eq!(
         rows[0].used_bytes,
         512 * 64,
@@ -110,7 +110,7 @@ fn main() {
 
     // The ledger saw everything.
     println!("\ntenant ledger:");
-    for row in service.telemetry().snapshot() {
+    for row in service.tenants() {
         println!(
             "  {:>5}: allocs {} rejections {} demotions {} denials {} used {} B of {} B \
              (effective ratio {:.2})",

@@ -15,12 +15,12 @@
 //! 4. [`gpu_sim`] — the dependency-driven performance simulator (Table 2),
 //! 5. [`unified_memory`] — the UM oversubscription model (Figure 12),
 //! 6. [`dl_model`] — the DL training case study (Figure 13),
-//! 7. [`buddy_pool`] — a sharded, thread-safe pool of `BuddyDevice`s with a
-//!    concurrent trace-replay load harness (multi-tenant scaling),
+//! 7. [`buddy_pool`] — a sharded, thread-safe pool of `BuddyDevice`s whose
+//!    entry I/O takes no shard lock (multi-tenant scaling),
 //! 8. [`buddy_service`] — the multi-tenant service layer over the pool:
 //!    per-tenant quotas, admission control (reject or demote down the
-//!    target-ratio ladder), ownership-checked generational handles,
-//!    lock-free telemetry, and an open-loop overload harness,
+//!    target-ratio ladder), ownership-checked generational handles, and
+//!    one per-tenant ledger ([`buddy_service::BuddyService::tenants`]),
 //! 9. [`buddy_obs`] — the observability layer: lock-free latency
 //!    histograms, the feature-gated (`obs-trace`) span tracer with
 //!    Chrome-trace export, and the metrics registry with
