@@ -19,7 +19,8 @@
 //! [`models`] holds the protocol models distilled from `core::shared`
 //! (seqlock read vs. batched write, free-tombstone vs. stale reader,
 //! retarget republish vs. concurrent read, drain barrier vs. in-flight
-//! op), each with seeded mutations that the integration suite requires
+//! op, shared metadata edge unit vs. its neighbouring owners), each with
+//! seeded mutations that the integration suite requires
 //! the checker to catch — the checker is itself checked.
 //!
 //! See DESIGN.md §13 for scope, limits, and how to read a counterexample.

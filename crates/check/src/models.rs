@@ -3,7 +3,8 @@
 //!
 //! Each model is a closure for [`crate::explore`] that builds its state,
 //! runs two model threads against each other, and asserts the protocol
-//! invariant whenever the reader's validation accepts a snapshot. Each
+//! invariant whenever the reader's validation accepts a snapshot (the
+//! `edge_unit` model has writers only and asserts on the joined state). Each
 //! model also takes a *mutation*: a seeded protocol bug (dropped
 //! tombstone, skipped odd-seq bump, downgraded `Release`, removed fence)
 //! that the checker must turn into a counterexample schedule — the
@@ -292,5 +293,64 @@ pub fn drain(mutation: DrainMutation) -> impl Fn() + Send + Sync + Clone + 'stat
             );
         }
         op.join();
+    }
+}
+
+/// Seeded bugs for [`edge_unit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeUnitMutation {
+    /// The correct protocol.
+    None,
+    /// The owner of the first nibble writes the shared edge unit the way
+    /// it writes an interior one — load, merge, plain store — so a
+    /// neighbour's RMW landing in between is overwritten.
+    PlainEdgeStore,
+}
+
+/// Shared metadata edge unit vs. its neighbouring owners
+/// (`AtomicNibbles::write_units`): two allocations whose metadata ranges
+/// meet inside one storage unit each store their own nibble under their
+/// own slot lock, while `alloc` zeroes the abutting recycled range in the
+/// same unit. Every nibble must end as its owner's last write.
+///
+/// Nibble 0 belongs to allocation A (the main thread), nibble 1 to
+/// allocation B, nibbles 2.. to the range being cleared; all start out
+/// holding stale states. The masked `fetch_and`/`fetch_or` pair never
+/// alters a bit outside its mask, so the three owners commute.
+pub fn edge_unit(mutation: EdgeUnitMutation) -> impl Fn() + Send + Sync + Clone + 'static {
+    const STALE: u64 = 0x6666_6666_6666_6611;
+    const A_MASK: u64 = 0x0F;
+    const A_STATE: u64 = 0x03;
+    const B_MASK: u64 = 0xF0;
+    const B_STATE: u64 = 0x50;
+    move || {
+        let unit = Arc::new(AtomicU64::labelled("edge_unit", STALE));
+
+        let b_unit = Arc::clone(&unit);
+        let writer_b = spawn(move || {
+            b_unit.fetch_and(!B_MASK, Relaxed);
+            b_unit.fetch_or(B_STATE, Relaxed);
+        });
+        let c_unit = Arc::clone(&unit);
+        let clearer = spawn(move || {
+            c_unit.fetch_and(A_MASK | B_MASK, Relaxed);
+        });
+
+        if mutation == EdgeUnitMutation::PlainEdgeStore {
+            let seen = unit.load(Relaxed);
+            unit.store((seen & !A_MASK) | A_STATE, Relaxed);
+        } else {
+            unit.fetch_and(!A_MASK, Relaxed);
+            unit.fetch_or(A_STATE, Relaxed);
+        }
+
+        writer_b.join();
+        clearer.join();
+        let end = unit.load(Relaxed);
+        assert_eq!(
+            end,
+            A_STATE | B_STATE,
+            "lost update in a shared edge unit: {end:#x}"
+        );
     }
 }

@@ -8,8 +8,8 @@
 //! so each mutation test demands a counterexample and replays it.
 
 use buddy_check::models::{
-    drain, retarget, seqlock, tombstone, DrainMutation, RetargetMutation, SeqlockMutation,
-    TombstoneMutation,
+    drain, edge_unit, retarget, seqlock, tombstone, DrainMutation, EdgeUnitMutation,
+    RetargetMutation, SeqlockMutation, TombstoneMutation,
 };
 use buddy_check::{explore, Config, Outcome};
 
@@ -144,4 +144,17 @@ fn drain_mutation_skip_wait_is_caught() {
 #[test]
 fn drain_mutation_exit_relaxed_is_caught() {
     assert_mutation_caught("drain[exit-relaxed]", drain(DrainMutation::ExitRelaxed));
+}
+
+#[test]
+fn edge_unit_protocol_holds() {
+    assert_protocol_holds("edge-unit", edge_unit(EdgeUnitMutation::None));
+}
+
+#[test]
+fn edge_unit_mutation_plain_edge_store_is_caught() {
+    assert_mutation_caught(
+        "edge-unit[plain-edge-store]",
+        edge_unit(EdgeUnitMutation::PlainEdgeStore),
+    );
 }

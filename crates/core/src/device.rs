@@ -16,6 +16,7 @@ use crate::shared::{self, AllocView, RawSlot, SharedState};
 use crate::target::TargetRatio;
 use bpc::{CodecKind, CompressedBuf, Entry, ENTRY_BYTES};
 use buddy_obs::{trace, SpanKind};
+use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -377,6 +378,16 @@ pub struct DeviceHandle {
     shared: Arc<SharedState>,
 }
 
+thread_local! {
+    /// Compression scratch for [`DeviceHandle`] writes, one per thread: a
+    /// handle is `&self` and shared across threads, so it cannot own the
+    /// buffer the way a [`BuddyDevice`] does, and building one per call
+    /// would be a `malloc`/`free` on every write — paid even by all-zero
+    /// entries, which never reach the codec.
+    static HANDLE_SCRATCH: RefCell<CompressedBuf> =
+        RefCell::new(CompressedBuf::with_capacity(ENTRY_BYTES + ENTRY_BYTES / 4));
+}
+
 // The device owns its mutable bookkeeping (plain `Vec`s and POD fields)
 // and shares the published half through `Arc<SharedState>` (atomics +
 // per-slot seqlocks), so both it and its handles can move across worker
@@ -592,7 +603,7 @@ impl BuddyDevice {
         let metadata_base = self.alloc_metadata(entries);
         // A recycled metadata range may hold a dead allocation's states;
         // fresh entries must read as zero.
-        self.shared.metadata.clear_range(metadata_base, entries);
+        self.shared.metadata.zero_range(metadata_base, entries);
 
         let slot = match self.free_slots.pop() {
             Some(slot) => slot,
@@ -852,7 +863,12 @@ impl BuddyDevice {
             .checked_mul(new_target.buddy_bytes_per_entry() as u64)
             .ok_or(DeviceError::RequestOverflow)?;
 
-        // The whole migration runs inside the slot's publication window
+        // Staging for the decoded contents, allocated and zero-filled
+        // before the window opens: it touches no shared state, so readers
+        // of this allocation must not spin through it.
+        let mut contents = vec![[0u8; ENTRY_BYTES]; entries as usize];
+
+        // The migration itself runs inside the slot's publication window
         // (`SharedState::republish`): entry writers are parked on the slot
         // write lock and concurrent snapshot readers spin until the new
         // epoch is published — required because on a tight device the new
@@ -866,7 +882,6 @@ impl BuddyDevice {
             //    No entry-access traffic is recorded — migration cost is
             //    `moved_sectors`. Nothing is mutated yet: a failed
             //    placement below leaves the device byte-for-byte as it was.
-            let mut contents = vec![[0u8; ENTRY_BYTES]; entries as usize];
             for (i, slot) in contents.iter_mut().enumerate() {
                 if published.read_one(&view, i as u64, slot).is_err() {
                     unreachable!("own streams decode: entry writers are parked on the write lock");
@@ -876,14 +891,13 @@ impl BuddyDevice {
             // 2. Place the new reservations on the allocator, plus a fresh
             //    metadata range — the published metadata base moves with
             //    the epoch, so a failed placement leaves the old nibbles
-            //    untouched.
+            //    untouched. No clear: step 3 stores every nibble of it.
             let (device_base, buddy_base) = self.place_retarget_regions(
                 &view,
                 (old_device, old_buddy),
                 (new_device, new_buddy),
             )?;
             let metadata_base = self.alloc_metadata(entries);
-            published.metadata.clear_range(metadata_base, entries);
             let new_view = AllocView {
                 target: new_target,
                 entries,
@@ -894,11 +908,10 @@ impl BuddyDevice {
 
             // 3. Re-encode every entry under the new target.
             let mut moved_sectors = 0u64;
-            for (i, entry) in contents.iter().enumerate() {
-                let state = published.write_one(&new_view, i as u64, entry, &mut self.scratch);
+            published.write_run(&new_view, 0, &contents, &mut self.scratch, |state| {
                 moved_sectors += shared::device_sectors_of(new_target, state)
                     + shared::buddy_sectors_of(new_target, state);
-            }
+            });
 
             // 4. Update the mutable half and hand the new epoch back for
             //    publication.
@@ -1090,6 +1103,11 @@ impl DeviceHandle {
     /// # Errors
     ///
     /// Same contract as [`write_entries`](Self::write_entries).
+    // Never inlined: the thread-local access carries its lazy-init and
+    // destructor-registration paths with it, and inlined through pool and
+    // service into a client's op loop that bulk cost the loop 4 % on
+    // `read_heavy` — on the reads too, through its register allocation.
+    #[inline(never)]
     pub fn write_entries_collect(
         &self,
         id: AllocId,
@@ -1097,8 +1115,8 @@ impl DeviceHandle {
         entries: &[Entry],
     ) -> Result<AccessStats, DeviceError> {
         let _op = self.shared.enter_op();
-        let mut scratch = CompressedBuf::with_capacity(ENTRY_BYTES + ENTRY_BYTES / 4);
-        self.shared.write_batch(id, start, entries, &mut scratch)
+        HANDLE_SCRATCH
+            .with_borrow_mut(|scratch| self.shared.write_batch(id, start, entries, scratch))
     }
 
     /// Lock-free [`BuddyDevice::entry_state`].

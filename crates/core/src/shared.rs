@@ -13,7 +13,8 @@
 //! * The **published half** lives here, in one [`SharedState`] per device,
 //!   reachable through `Arc` from both the device and any number of
 //!   [`DeviceHandle`](crate::device::DeviceHandle)s: the data arrays as
-//!   atomic words, the per-entry metadata nibbles as atomic bytes, and a
+//!   atomic words, the per-entry metadata nibbles packed sixteen to an
+//!   atomic word ([`AtomicNibbles`], written a range at a time), and a
 //!   [`SlotCell`] per allocation slot carrying the addressing facts
 //!   (generation, entry count, target ratio, region bases) behind a
 //!   per-slot **seqlock**.
@@ -35,6 +36,20 @@
 //! slot's `write_lock` (shared with structural publications) and wrap the
 //! byte/nibble stores in the same odd/even sequence window so concurrent
 //! readers of the same allocation retry instead of tearing.
+//!
+//! # The metadata plane is range-granular
+//!
+//! Data ranges are word-aligned per allocation, so no two allocations
+//! ever share a data word. Metadata is not: an allocation's nibbles start
+//! wherever the previous reservation ended, so the first and last 64-bit
+//! unit of a metadata range may also hold a *neighbour's* nibbles, written
+//! concurrently under a different slot lock. Every metadata write is
+//! therefore a range operation ([`AtomicNibbles::zero_range`] for `alloc`,
+//! [`AtomicNibbles::store_run`] for entry batches and `retarget`) that
+//! overwrites the units wholly inside the range with one plain store each
+//! — they belong to exactly one allocation, whose writers are serialized —
+//! and touches only the at most two shared edge units with masked atomic
+//! RMWs. There is no per-nibble write path.
 //!
 //! # Ordering evidence
 //!
@@ -248,41 +263,79 @@ const NIBBLE_CHUNKS: usize = 40;
 const SLOT_CHUNKS: usize = 28;
 const SLOT_CHUNK0: u32 = 64;
 
-/// The 4-bit-per-entry metadata array as atomic bytes, grown by publishing
-/// power-of-two chunks — existing chunks are never moved, so concurrent
-/// readers keep their references valid across growth.
+/// State nibbles per [`AtomicNibbles`] storage unit: one 64-bit word holds
+/// the metadata of 16 entries, so the paper's 32 B metadata line (64
+/// entries, [`ENTRIES_PER_METADATA_LINE`](crate::metadata::ENTRIES_PER_METADATA_LINE))
+/// is four units.
+const UNIT_NIBBLES: u64 = 16;
+
+/// The bits of nibbles `[lo, hi)` of one storage unit
+/// (`lo < hi ≤ UNIT_NIBBLES`).
+fn unit_mask(lo: u64, hi: u64) -> u64 {
+    debug_assert!(lo < hi && hi <= UNIT_NIBBLES);
+    (u64::MAX >> ((UNIT_NIBBLES - (hi - lo)) * 4)) << (lo * 4)
+}
+
+/// The 4-bit-per-entry metadata array as atomic 64-bit words, grown by
+/// publishing power-of-two chunks — existing chunks are never moved, so
+/// concurrent readers keep their references valid across growth.
+///
+/// # Range granularity
+///
+/// Metadata is written a range at a time ([`zero_range`](Self::zero_range),
+/// [`store_run`](Self::store_run)), the way the paper's memory controller
+/// moves it a line at a time, not a nibble at a time. A range resolves its
+/// chunk once per contiguous run and then distinguishes two kinds of
+/// storage unit:
+///
+/// * **Interior units** lie wholly inside the range. A range is always a
+///   sub-range of one allocation's metadata reservation, so every nibble
+///   of an interior unit belongs to that one allocation: its entry writers
+///   serialize on the slot `write_lock`, its structural operations hold
+///   `&mut BuddyDevice`, and a range being cleared by `alloc` is not
+///   published yet. Nobody else stores to the unit, so it is overwritten
+///   with one plain `Relaxed` store.
+/// * **Edge units** (at most two per range: the first and the last) also
+///   hold nibbles outside the range, which may belong to a *neighbouring*
+///   allocation whose writers run concurrently under a different slot
+///   lock. They keep the masked `fetch_and`/`fetch_or` pair, which never
+///   alters a bit outside the mask — a plain store there would be a lost
+///   update (`crates/check`'s `edge_unit` model, `PlainEdgeStore`).
+///
+/// Readers need no distinction: every load is re-validated by the slot
+/// seqlock, exactly as for the data bytes.
 pub(crate) struct AtomicNibbles {
-    /// Bytes covered by chunk 0; chunk `k ≥ 1` covers `base << (k-1)` more.
-    base_bytes: u64,
-    chunks: Box<[OnceLock<Box<[AtomicU8]>>]>,
+    /// Units covered by chunk 0; chunk `k ≥ 1` covers `base << (k-1)` more.
+    base_units: u64,
+    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
 }
 
 impl AtomicNibbles {
     pub(crate) fn new(initial_entries: u64) -> Self {
-        let base_bytes = initial_entries.div_ceil(2).max(64);
-        let chunks: Box<[OnceLock<Box<[AtomicU8]>>]> =
+        let base_units = initial_entries.div_ceil(UNIT_NIBBLES).max(8);
+        let chunks: Box<[OnceLock<Box<[AtomicU64]>>]> =
             (0..NIBBLE_CHUNKS).map(|_| OnceLock::new()).collect();
-        let this = Self { base_bytes, chunks };
+        let this = Self { base_units, chunks };
         this.ensure(initial_entries);
         this
     }
 
     fn chunk_len(&self, k: usize) -> u64 {
         if k == 0 {
-            self.base_bytes
+            self.base_units
         } else {
-            self.base_bytes << (k - 1)
+            self.base_units << (k - 1)
         }
     }
 
-    /// Maps a byte index to `(chunk, offset-in-chunk)`.
-    fn locate(&self, byte: u64) -> (usize, usize) {
-        if byte < self.base_bytes {
-            (0, byte as usize)
+    /// Maps a unit index to `(chunk, offset-in-chunk)`.
+    fn locate(&self, unit: u64) -> (usize, usize) {
+        if unit < self.base_units {
+            (0, unit as usize)
         } else {
-            let k = (byte / self.base_bytes).ilog2() as usize + 1;
-            let start = self.base_bytes << (k - 1);
-            (k, (byte - start) as usize)
+            let k = (unit / self.base_units).ilog2() as usize + 1;
+            let start = self.base_units << (k - 1);
+            (k, (unit - start) as usize)
         }
     }
 
@@ -293,10 +346,19 @@ impl AtomicNibbles {
         if entries == 0 {
             return;
         }
-        let (last, _) = self.locate(entries.div_ceil(2) - 1);
+        let (last, _) = self.locate(entries.div_ceil(UNIT_NIBBLES) - 1);
         for k in 0..=last {
             let len = self.chunk_len(k);
-            self.chunks[k].get_or_init(|| (0..len).map(|_| AtomicU8::new(0)).collect());
+            // Zeroed `u64`s re-wrapped in place rather than `AtomicU64::new`
+            // per element: the allocation comes from `alloc_zeroed`, so the
+            // pages of metadata no allocation ever uses are never touched
+            // (a 64 MiB device reserves 4 MiB of nibbles up front).
+            self.chunks[k].get_or_init(|| {
+                vec![0u64; len as usize]
+                    .into_iter()
+                    .map(AtomicU64::new)
+                    .collect()
+            });
         }
     }
 
@@ -304,50 +366,90 @@ impl AtomicNibbles {
     /// raced a mutation into an unreachable encoding — callers re-validate
     /// the slot sequence and retry.
     pub(crate) fn get(&self, index: u64) -> Option<EntryState> {
-        let (k, off) = self.locate(index / 2);
+        let (k, off) = self.locate(index / UNIT_NIBBLES);
         let cell = self.chunks[k].get()?.get(off)?;
         // Relaxed: the seqlock reader re-validates the slot sequence after
         // this load; a racing write forces a retry.
-        let byte = cell.load(Ordering::Relaxed);
-        let nibble = if index % 2 == 0 {
-            byte & 0x0F
-        } else {
-            byte >> 4
-        };
-        EntryState::decode(nibble)
+        let word = cell.load(Ordering::Relaxed);
+        let shifted = word >> ((index % UNIT_NIBBLES) * 4);
+        EntryState::decode(shifted.to_le_bytes()[0] & 0x0F)
     }
 
-    /// Writes the state nibble of entry `index`. The clear-then-set pair
-    /// of atomic RMWs preserves the neighbouring nibble under concurrent
-    /// writers to adjacent entries; the transient intermediate value of
-    /// *this* nibble is `Zero` (a valid state), and same-entry races are
-    /// excluded by the slot `write_lock`.
-    pub(crate) fn set(&self, index: u64, state: EntryState) {
-        let (k, off) = self.locate(index / 2);
-        let cell = &self.chunks[k].get().expect("published metadata chunk")[off]; // lint-allow(no-unwrap): writers only address ranges published by their allocation
-        let nibble = state.encode();
-        if index % 2 == 0 {
-            // Relaxed: bracketed by the writer's odd/even sequence window.
-            cell.fetch_and(0xF0, Ordering::Relaxed);
-            if nibble != 0 {
-                // Relaxed: as above.
-                cell.fetch_or(nibble, Ordering::Relaxed);
-            }
-        } else {
-            // Relaxed: bracketed by the writer's odd/even sequence window.
-            cell.fetch_and(0x0F, Ordering::Relaxed);
-            if nibble != 0 {
-                // Relaxed: as above.
-                cell.fetch_or(nibble << 4, Ordering::Relaxed);
-            }
-        }
+    /// Resets `[start, start + len)` to [`EntryState::Zero`] — what `alloc`
+    /// does to a recycled metadata range, at the cost of a memset rather
+    /// than an RMW per entry.
+    pub(crate) fn zero_range(&self, start: u64, len: u64) {
+        self.write_units(start, len, |_, _| 0);
     }
 
-    /// Resets `[start, start + len)` to [`EntryState::Zero`]. Only called
-    /// for ranges exclusively owned by the calling structural operation.
-    pub(crate) fn clear_range(&self, start: u64, len: u64) {
-        for i in start..start + len {
-            self.set(i, EntryState::Zero);
+    /// Stores `state_of(i)` as the state of every entry `i` in
+    /// `[start, start + len)`. `state_of` runs exactly once per entry, in
+    /// ascending order — the write path compresses and stores the entry's
+    /// bytes inside it, so a unit's sixteen states are gathered in a
+    /// register and land in one store. The caller owns the range: it holds
+    /// the slot `write_lock` of the allocation the range belongs to, inside
+    /// an open sequence window.
+    pub(crate) fn store_run(
+        &self,
+        start: u64,
+        len: u64,
+        mut state_of: impl FnMut(u64) -> EntryState,
+    ) {
+        self.write_units(start, len, |lo, hi| {
+            (lo..hi).fold(0u64, |word, i| {
+                word | u64::from(state_of(i).encode()) << ((i % UNIT_NIBBLES) * 4)
+            })
+        });
+    }
+
+    /// The one range writer behind [`zero_range`](Self::zero_range) and
+    /// [`store_run`](Self::store_run): walks the storage units overlapping
+    /// nibbles `[start, start + len)`, resolving the chunk once per
+    /// contiguous run. `word_of(lo, hi)` returns the unit's new nibbles
+    /// `[lo, hi)` (global indices, all inside one unit), already shifted
+    /// into place. See the type docs for why interior units take a plain
+    /// store and edge units a masked RMW pair.
+    fn write_units(&self, start: u64, len: u64, mut word_of: impl FnMut(u64, u64) -> u64) {
+        let end = start + len;
+        let mut lo = start;
+        while lo < end {
+            let (k, off) = self.locate(lo / UNIT_NIBBLES);
+            let chunk = self.chunks[k].get().expect("published metadata chunk"); // lint-allow(no-unwrap): writers only address ranges published by their allocation
+            for cell in &chunk[off..] {
+                let unit_base = lo - lo % UNIT_NIBBLES;
+                let hi = end.min(unit_base + UNIT_NIBBLES);
+                let word = word_of(lo, hi);
+                if hi - lo == UNIT_NIBBLES {
+                    // Relaxed: bracketed by the owner's odd/even sequence
+                    // window (entry writes, retarget) or ahead of the
+                    // publication that first exposes the range (alloc).
+                    // A plain store, not an RMW: every nibble of this unit
+                    // belongs to the one allocation whose write lock /
+                    // `&mut` the caller holds, so there is no concurrent
+                    // store to lose.
+                    cell.store(word, Ordering::Relaxed);
+                } else {
+                    let mask = unit_mask(lo - unit_base, hi - unit_base);
+                    // Relaxed: bracketed as above. The clear-then-set pair
+                    // of RMWs never alters a bit outside `mask`, so a
+                    // neighbouring allocation's nibbles in this unit
+                    // survive its concurrent writers; the transient value
+                    // of *these* nibbles is `Zero` (a valid state), and
+                    // same-range races are excluded by the slot
+                    // `write_lock`. Model: `edge_unit`; replacing the pair
+                    // with a plain store (`PlainEdgeStore`) loses an
+                    // update.
+                    cell.fetch_and(!mask, Ordering::Relaxed);
+                    if word != 0 {
+                        // Relaxed: as above.
+                        cell.fetch_or(word, Ordering::Relaxed);
+                    }
+                }
+                lo = hi;
+                if lo == end {
+                    return;
+                }
+            }
         }
     }
 }
@@ -356,7 +458,7 @@ impl fmt::Debug for AtomicNibbles {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ready = self.chunks.iter().filter(|c| c.get().is_some()).count();
         f.debug_struct("AtomicNibbles")
-            .field("base_bytes", &self.base_bytes)
+            .field("base_units", &self.base_units)
             .field("chunks_ready", &ready)
             .finish()
     }
@@ -800,14 +902,18 @@ impl SharedState {
         }
     }
 
+    /// The cell a structural operation publishes through.
+    fn structural_cell(&self, slot: u32) -> &SlotCell {
+        self.slots
+            .cell(slot)
+            .expect("structural ops ensure the slot before publishing") // lint-allow(no-unwrap): alloc calls SlotTable::ensure before any publish
+    }
+
     /// Publishes new addressing facts for a slot under its write lock,
     /// inside an `epoch_publish` span. This is the only way slot contents
     /// change, so readers see epochs, never blends.
     pub(crate) fn publish(&self, slot: u32, raw: RawSlot) {
-        let cell = self
-            .slots
-            .cell(slot)
-            .expect("structural ops ensure the slot before publishing"); // lint-allow(no-unwrap): alloc calls SlotTable::ensure before any publish
+        let cell = self.structural_cell(slot);
         let _guard = lock_recover(&cell.write_lock);
         let _span = trace::span(SpanKind::EpochPublish);
         let window = SeqWindow::open(cell);
@@ -829,10 +935,7 @@ impl SharedState {
         slot: u32,
         mutate: impl FnOnce() -> Result<(RawSlot, R), DeviceError>,
     ) -> Result<R, DeviceError> {
-        let cell = self
-            .slots
-            .cell(slot)
-            .expect("structural ops ensure the slot before publishing"); // lint-allow(no-unwrap): alloc calls SlotTable::ensure before any publish
+        let cell = self.structural_cell(slot);
         let _guard = lock_recover(&cell.write_lock);
         let _span = trace::span(SpanKind::EpochPublish);
         let window = SeqWindow::open(cell);
@@ -890,16 +993,17 @@ impl SharedState {
         Ok(state)
     }
 
-    /// Compresses and stores one entry; the caller records traffic and
-    /// holds the slot's write lock + sequence window.
-    pub(crate) fn write_one(
+    /// Compresses and stores one entry's bytes and returns the state its
+    /// metadata nibble must take; [`write_run`](Self::write_run) stores
+    /// those a unit at a time.
+    fn write_one(
         &self,
         view: &AllocView,
         index: u64,
         entry: &Entry,
         scratch: &mut CompressedBuf,
     ) -> EntryState {
-        let state = if is_zero(entry) {
+        if is_zero(entry) {
             EntryState::Zero
         } else {
             let compress_span = trace::span(SpanKind::CodecCompress);
@@ -935,9 +1039,31 @@ impl SharedState {
                     }
                 }
             }
-        };
-        self.metadata.set(view.metadata_base + index, state);
-        state
+        }
+    }
+
+    /// Compresses and stores a contiguous run of entries and their states,
+    /// handing each state to `record`. Metadata moves a range at a time:
+    /// the states land through one [`AtomicNibbles::store_run`], a whole
+    /// unit per store. The caller holds the slot's write lock and an open
+    /// sequence window.
+    pub(crate) fn write_run(
+        &self,
+        view: &AllocView,
+        start: u64,
+        entries: &[Entry],
+        scratch: &mut CompressedBuf,
+        mut record: impl FnMut(EntryState),
+    ) {
+        let first = view.metadata_base + start;
+        self.metadata
+            .store_run(first, entries.len() as u64, |nibble| {
+                let offset = nibble - first;
+                let state =
+                    self.write_one(view, start + offset, &entries[offset as usize], scratch);
+                record(state);
+                state
+            });
     }
 
     /// Stores `sectors` sectors of `data`, the first `device_sectors` in
@@ -1026,10 +1152,9 @@ impl SharedState {
         check_range(&view, start, entries.len() as u64)?;
         let mut stats = AccessStats::default();
         let window = SeqWindow::open(cell);
-        for (i, entry) in entries.iter().enumerate() {
-            let state = self.write_one(&view, start + i as u64, entry, scratch);
-            record_write(&mut stats, view.target, state);
-        }
+        self.write_run(&view, start, entries, scratch, |state| {
+            record_write(&mut stats, view.target, state)
+        });
         drop(window);
         self.stats.add(&stats);
         Ok(stats)
@@ -1092,6 +1217,7 @@ impl SharedState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn shared_stats_adds_like_merge() {
@@ -1130,13 +1256,31 @@ mod tests {
         assert_eq!(head, vec![0u8; 16]);
     }
 
+    /// The per-nibble implementation the range primitives replaced, kept
+    /// as their oracle: one `locate` and one masked RMW pair per entry.
+    impl AtomicNibbles {
+        fn set(&self, index: u64, state: EntryState) {
+            let (k, off) = self.locate(index / UNIT_NIBBLES);
+            let cell = &self.chunks[k].get().expect("published metadata chunk")[off];
+            let shift = (index % UNIT_NIBBLES) * 4;
+            cell.fetch_and(!(0xF << shift), Ordering::Relaxed);
+            cell.fetch_or(u64::from(state.encode()) << shift, Ordering::Relaxed);
+        }
+
+        fn clear_range(&self, start: u64, len: u64) {
+            for i in start..start + len {
+                self.set(i, EntryState::Zero);
+            }
+        }
+    }
+
     #[test]
     fn nibble_chunks_cover_growth_without_moving() {
         let nibbles = AtomicNibbles::new(16);
-        nibbles.set(3, EntryState::Compressed { sectors: 2 });
+        nibbles.store_run(3, 1, |_| EntryState::Compressed { sectors: 2 });
         // Grow far past the base chunk; earlier states stay addressable.
         nibbles.ensure(100_000);
-        nibbles.set(99_999, EntryState::ZeroPageFit);
+        nibbles.store_run(99_999, 1, |_| EntryState::ZeroPageFit);
         assert_eq!(nibbles.get(3), Some(EntryState::Compressed { sectors: 2 }));
         assert_eq!(nibbles.get(99_999), Some(EntryState::ZeroPageFit));
         assert_eq!(nibbles.get(50_000), Some(EntryState::Zero));
@@ -1144,15 +1288,99 @@ mod tests {
 
     #[test]
     fn nibble_locate_is_contiguous_across_chunk_edges() {
-        let nibbles = AtomicNibbles::new(128); // base 64 bytes
+        let nibbles = AtomicNibbles::new(128); // base 8 units
         let mut seen = std::collections::HashSet::new();
-        for byte in 0..1024u64 {
-            let (k, off) = nibbles.locate(byte);
-            assert!(seen.insert((k, off)), "byte {byte} collides at ({k},{off})");
+        for unit in 0..1024u64 {
+            let (k, off) = nibbles.locate(unit);
+            assert!(seen.insert((k, off)), "unit {unit} collides at ({k},{off})");
             assert!(
                 (off as u64) < nibbles.chunk_len(k),
-                "byte {byte} out of chunk"
+                "unit {unit} out of chunk"
             );
+        }
+    }
+
+    #[test]
+    fn unit_masks_cover_exactly_their_nibbles() {
+        assert_eq!(unit_mask(0, 16), u64::MAX);
+        assert_eq!(unit_mask(0, 1), 0xF);
+        assert_eq!(unit_mask(15, 16), 0xF << 60);
+        assert_eq!(unit_mask(3, 5), 0xFF << 12);
+    }
+
+    /// Every nibble of `nibbles` and of the per-nibble `oracle` equals the
+    /// plain model.
+    fn assert_matches_model(nibbles: &AtomicNibbles, oracle: &AtomicNibbles, model: &[u8]) {
+        for (i, &want) in model.iter().enumerate() {
+            let want = EntryState::decode(want);
+            assert_eq!(nibbles.get(i as u64), want, "range path, nibble {i}");
+            assert_eq!(oracle.get(i as u64), want, "per-nibble oracle, nibble {i}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any sequence of range-zero / range-store ops (single nibbles are
+        /// runs of one) leaves every nibble equal to a plain `Vec<u8>` model
+        /// — so nibbles outside each range are untouched — and equal to the
+        /// per-nibble oracle applied to a second array. Starts and lengths
+        /// are drawn so that odd starts, odd ends, `len` 0/1/2, whole-unit
+        /// runs and runs across the chunk edges at 128 / 256 / 512 nibbles
+        /// all occur, and the upper half is only addressable after the
+        /// mid-sequence `ensure` growth.
+        #[test]
+        fn range_primitives_match_the_per_nibble_oracle(
+            ops in proptest::collection::vec(
+                (0u8..2, any::<u64>(), any::<u64>(), any::<u64>()),
+                1..48,
+            ),
+        ) {
+            const SMALL: u64 = 512;
+            const GROWN: u64 = 2048;
+            let nibbles = AtomicNibbles::new(128); // base chunk: 8 units
+            let oracle = AtomicNibbles::new(128);
+            nibbles.ensure(SMALL);
+            oracle.ensure(SMALL);
+            let mut model = vec![0u8; SMALL as usize];
+            let grow_at = ops.len() / 2;
+            for (step, (kind, a, b, seed)) in ops.into_iter().enumerate() {
+                if step == grow_at {
+                    nibbles.ensure(GROWN);
+                    oracle.ensure(GROWN);
+                    model.resize(GROWN as usize, 0);
+                }
+                let limit = model.len() as u64;
+                let start = a % limit;
+                // Short runs half the time, anything up to the end otherwise.
+                let len = if b % 2 == 0 {
+                    (b / 2) % 4
+                } else {
+                    (b / 2) % (limit - start + 1)
+                }
+                .min(limit - start);
+                let states: Vec<EntryState> = (0..len)
+                    .map(|i| {
+                        let code = (seed.rotate_left((i % 61) as u32).wrapping_add(i) % 7) as u8;
+                        EntryState::decode(code).expect("codes 0..7 are states")
+                    })
+                    .collect();
+                match kind {
+                    0 => {
+                        nibbles.zero_range(start, len);
+                        oracle.clear_range(start, len);
+                        model[start as usize..(start + len) as usize].fill(0);
+                    }
+                    _ => {
+                        nibbles.store_run(start, len, |i| states[(i - start) as usize]);
+                        for (i, state) in states.iter().enumerate() {
+                            oracle.set(start + i as u64, *state);
+                            model[start as usize + i] = state.encode();
+                        }
+                    }
+                }
+                assert_matches_model(&nibbles, &oracle, &model);
+            }
         }
     }
 

@@ -1,0 +1,170 @@
+//! Shared metadata edge units under concurrency.
+//!
+//! The metadata plane packs sixteen 4-bit entry states into one 64-bit
+//! storage unit and writes it a range at a time: units wholly inside a
+//! range take one plain store, the at most two edge units a masked RMW
+//! pair (`core::shared::AtomicNibbles`). An allocation's metadata range
+//! starts wherever the previous reservation ended, so neighbouring
+//! allocations — written concurrently under *different* slot locks — meet
+//! inside one unit. This suite drives exactly that: three reservations
+//! packed into the device's first units, two of them written through
+//! lock-free handles while the third is allocated (cleared), written and
+//! freed in a loop. Every nibble must end as its own allocation's last
+//! write; a range primitive that stored an edge unit whole would lose a
+//! neighbour's update here (the distilled protocol and that mutation are
+//! `buddy_check::models::edge_unit`).
+
+use bpc::ENTRY_BYTES;
+use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceHandle, EntryState, TargetRatio};
+use std::sync::Barrier;
+
+type Entry = [u8; ENTRY_BYTES];
+
+fn entry_of_words(mut f: impl FnMut(usize) -> u32) -> Entry {
+    let mut e = [0u8; ENTRY_BYTES];
+    for (i, c) in e.chunks_exact_mut(4).enumerate() {
+        c.copy_from_slice(&f(i).to_le_bytes());
+    }
+    e
+}
+
+fn noisy(seed: u64) -> Entry {
+    let mut x = seed | 1;
+    entry_of_words(|_| {
+        x = x
+            .wrapping_mul(0x5851_F42D_4C95_7F2D)
+            .wrapping_add(0x1405_7B7E_F767_814F);
+        (x >> 32) as u32
+    })
+}
+
+/// What an allocation's writer stores: zero, a constant word and noise.
+/// The two non-zero states differ per allocation kind — `Compressed {1}` /
+/// `Compressed {4}` under `R2`, `ZeroPageFit` / `ZeroPageOverflow` under
+/// `ZeroPage16` — so a nibble that picked up a neighbour's state, or lost
+/// its own to a neighbour's store, is visible. Zero and the constant skip
+/// the codec's slow path, so most of a write is its metadata update.
+type Palette = [(Entry, EntryState); 3];
+
+fn palette(target: TargetRatio) -> Palette {
+    let zero = ([0u8; ENTRY_BYTES], EntryState::Zero);
+    let constant = entry_of_words(|_| 0xABCD_1234);
+    let noise = noisy(0xB0DD7);
+    match target {
+        TargetRatio::ZeroPage16 => [
+            zero,
+            (constant, EntryState::ZeroPageFit),
+            (noise, EntryState::ZeroPageOverflow),
+        ],
+        _ => [
+            zero,
+            (constant, EntryState::Compressed { sectors: 1 }),
+            (noise, EntryState::Compressed { sectors: 4 }),
+        ],
+    }
+}
+
+/// Writes seeded runs of `palette` entries over the allocation, checking
+/// after every write that each of the allocation's states still is what
+/// this — its only — writer last stored, so a lost update is caught when
+/// it happens rather than only if it is the final one. Returns, per entry,
+/// the palette index last written (`None`: never).
+fn hammer(
+    handle: &DeviceHandle,
+    id: AllocId,
+    entries: u64,
+    palette: &Palette,
+    rounds: u64,
+    mut seed: u64,
+) -> Vec<Option<usize>> {
+    let mut last = vec![None; entries as usize];
+    for _ in 0..rounds {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let start = (seed >> 33) % entries;
+        let len = 1 + (seed >> 45) % (entries - start);
+        let pick = [0, 0, 0, 1, 1, 1, 1, 2][(seed >> 61) as usize];
+        let batch = vec![palette[pick].0; len as usize];
+        handle.write_entries(id, start, &batch).expect("in range");
+        last[start as usize..(start + len) as usize].fill(Some(pick));
+        for (i, pick) in last.iter().enumerate() {
+            let want = pick.map_or(EntryState::Zero, |pick| palette[pick].1);
+            let got = handle.entry_state(id, i as u64).expect("live");
+            assert_eq!(got, want, "entry {i} lost its writer's state mid-run");
+        }
+    }
+    last
+}
+
+#[test]
+fn neighbours_sharing_a_unit_never_lose_a_nibble() {
+    const ROUNDS: u64 = 20_000;
+    let mut dev = BuddyDevice::new(DeviceConfig {
+        device_capacity: 1 << 20,
+        carve_out_factor: 3,
+    });
+    // First-fit on an empty metadata region: `a` takes nibbles [0, 5),
+    // `b` [5, 12), and every `c` below the abutting [12, 21) — so unit 0
+    // (nibbles 0..16) is shared by all three, and `b` is an allocation
+    // with no interior unit at all.
+    let (a_entries, b_entries, c_entries) = (5u64, 7u64, 9u64);
+    let a = dev.alloc("a", a_entries, TargetRatio::R2).unwrap();
+    let b = dev.alloc("b", b_entries, TargetRatio::ZeroPage16).unwrap();
+    let a_palette = palette(TargetRatio::R2);
+    let b_palette = palette(TargetRatio::ZeroPage16);
+    let c_fill = vec![entry_of_words(|_| 7); c_entries as usize];
+
+    let handle = dev.handle();
+    let start = Barrier::new(3);
+    let (a_last, b_last) = std::thread::scope(|scope| {
+        let a_writer = scope.spawn(|| {
+            start.wait();
+            hammer(&handle, a, a_entries, &a_palette, ROUNDS, 1)
+        });
+        let b_writer = scope.spawn(|| {
+            start.wait();
+            hammer(&handle, b, b_entries, &b_palette, ROUNDS, 2)
+        });
+        start.wait();
+        for round in 0..ROUNDS {
+            let c = dev.alloc("c", c_entries, TargetRatio::R4).unwrap();
+            // The recycled range held the previous round's states; the
+            // clear must have reset all of it and nothing else.
+            for i in 0..c_entries {
+                assert_eq!(
+                    dev.entry_state(c, i).unwrap(),
+                    EntryState::Zero,
+                    "round {round}: fresh entry {i} not zero"
+                );
+            }
+            dev.write_entries(c, 0, &c_fill).unwrap();
+            for i in 0..c_entries {
+                assert_eq!(
+                    dev.entry_state(c, i).unwrap(),
+                    EntryState::Compressed { sectors: 1 },
+                    "round {round}: entry {i} lost its state"
+                );
+            }
+            dev.free(c).unwrap();
+        }
+        (a_writer.join().unwrap(), b_writer.join().unwrap())
+    });
+
+    for (id, last, palette) in [(a, &a_last, &a_palette), (b, &b_last, &b_palette)] {
+        let mut out = vec![[0u8; ENTRY_BYTES]; last.len()];
+        dev.read_entries(id, 0, &mut out).unwrap();
+        for (i, pick) in last.iter().enumerate() {
+            let (want_entry, want_state) = match pick {
+                Some(pick) => palette[*pick],
+                None => ([0u8; ENTRY_BYTES], EntryState::Zero),
+            };
+            assert_eq!(
+                dev.entry_state(id, i as u64).unwrap(),
+                want_state,
+                "entry {i}: state is not the allocation's own last write"
+            );
+            assert_eq!(out[i], want_entry, "entry {i}: bytes");
+        }
+    }
+}
