@@ -152,7 +152,7 @@ pub fn fig07_points(cfg: &RunConfig) -> Vec<Fig7Point> {
 
 /// Figure 7: design-optimization sensitivity. Paper: naive 1.57×/1.18× with
 /// 8%/32% buddy accesses (HPC/DL); final 1.9×/1.5× with 0.08%/4%.
-pub fn fig07(cfg: &RunConfig) -> io::Result<Vec<Fig7Point>> {
+pub fn fig07(cfg: &RunConfig) -> io::Result<()> {
     let points = fig07_points(cfg);
     let rows: Vec<Vec<String>> = points
         .iter()
@@ -206,7 +206,7 @@ pub fn fig07(cfg: &RunConfig) -> io::Result<Vec<Fig7Point>> {
     }
     println!("  paper: naive 1.57/1.18 @ 8%/32%; final 1.9/1.5 @ 0.08%/4%");
     write_csv(&cfg.results_dir, &cfg.tagged("fig07"), &header, &rows)?;
-    Ok(points)
+    Ok(())
 }
 
 /// Figure 8: buddy-access fraction over one DL training iteration with

@@ -23,7 +23,6 @@
 use crate::report::{f3, pct, print_table, write_csv, RunConfig};
 use buddy_compression::bpc::ENTRY_BYTES;
 use buddy_compression::buddy_core::{BuddyDevice, DeviceConfig, DeviceError, TargetRatio};
-use buddy_compression::buddy_obs::MetricsRegistry;
 use buddy_compression::workloads::entry_gen::{mix, EntryClass};
 use buddy_compression::workloads::{ChurnConfig, ChurnOp, ChurnTrace, Lifetime};
 use std::collections::HashMap;
@@ -236,7 +235,7 @@ pub fn run_distribution(label: &'static str, lifetime: Lifetime, cfg: &RunConfig
 
 /// The `churn` harness: steady-state churn sweep over the lifetime
 /// distributions, with a CSV artifact.
-pub fn churn(cfg: &RunConfig, metrics: &MetricsRegistry) -> io::Result<()> {
+pub fn churn(cfg: &RunConfig) -> io::Result<()> {
     let header = [
         "lifetime",
         "cycle",
@@ -249,29 +248,10 @@ pub fn churn(cfg: &RunConfig, metrics: &MetricsRegistry) -> io::Result<()> {
         "alloc_failures",
         "failure_rate",
     ];
-    let attempts_counter = metrics.counter(
-        "churn_alloc_attempts_total",
-        "allocation attempts across all lifetime distributions",
-    );
-    let failures_counter = metrics.counter(
-        "churn_alloc_failures_total",
-        "allocation rejections across all lifetime distributions",
-    );
-    let frag_gauge = metrics.gauge(
-        "churn_fragmentation_ppm",
-        "last sampled free-space fragmentation, parts per million",
-    );
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut finals: Vec<ChurnRow> = Vec::new();
     for (label, lifetime) in distributions(live_target(cfg.quick)) {
         let sampled = run_distribution(label, lifetime, cfg);
-        if let Some(last) = sampled.last() {
-            // Attempt/failure counts are cumulative within a distribution,
-            // so the last sample carries the distribution's totals.
-            attempts_counter.add(last.alloc_attempts);
-            failures_counter.add(last.alloc_failures);
-            frag_gauge.set((last.fragmentation * 1e6) as u64);
-        }
         for row in &sampled {
             rows.push(vec![
                 row.lifetime.to_string(),
@@ -328,7 +308,7 @@ mod tests {
     fn harness_writes_the_csv_artifact() {
         let cfg = quick_cfg("buddy-bench-churnfig");
         let _ = std::fs::remove_dir_all(&cfg.results_dir);
-        churn(&cfg, &MetricsRegistry::new()).unwrap();
+        churn(&cfg).unwrap();
         let csv = std::fs::read_to_string(cfg.results_dir.join("churn.csv")).unwrap();
         let mut lines = csv.lines();
         assert!(lines.next().unwrap().starts_with("lifetime,cycle,ops"));

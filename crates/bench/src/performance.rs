@@ -231,7 +231,7 @@ pub fn fig11_points(cfg: &RunConfig) -> Vec<Fig11Point> {
 /// Figure 11: performance relative to the ideal large-capacity GPU.
 /// Paper: bandwidth-only +5.5% average; Buddy within 1% (HPC) / 2.2% (DL)
 /// at 150 GB/s; >20% average slowdown at 50 GB/s.
-pub fn fig11(cfg: &RunConfig) -> io::Result<Vec<Fig11Point>> {
+pub fn fig11(cfg: &RunConfig) -> io::Result<()> {
     let points = fig11_points(cfg);
     let rows: Vec<Vec<String>> = points
         .iter()
@@ -282,7 +282,7 @@ pub fn fig11(cfg: &RunConfig) -> io::Result<Vec<Fig11Point>> {
         gm(&|p| p.buddy[3], None)
     );
     write_csv(&cfg.results_dir, "fig11", &header, &rows)?;
-    Ok(points)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 
 use crate::FIGURES;
 use buddy_compression::bpc::CodecKind;
-use buddy_compression::buddy_obs::HistogramSnapshot;
 use std::fmt::Display;
 use std::fs;
 use std::io;
@@ -20,12 +19,6 @@ pub struct RunConfig {
     /// Compression algorithm the capacity figures characterize with
     /// (`--codec <name>`; BPC by default, matching the paper).
     pub codec: CodecKind,
-    /// Base path for metric artifacts (`--metrics-out <path>`): the run
-    /// writes one Prometheus text snapshot to `<path>.prom` and the
-    /// time-series sampler's CSV to `<path>.csv`, carrying whatever the
-    /// instrumented harnesses it ran (`pool-throughput`, `tenancy`,
-    /// `churn`) registered. `None` disables both.
-    pub metrics_out: Option<PathBuf>,
 }
 
 impl Default for RunConfig {
@@ -35,15 +28,14 @@ impl Default for RunConfig {
             results_dir: PathBuf::from("results"),
             seed: 0xB0DD7,
             codec: CodecKind::Bpc,
-            metrics_out: None,
         }
     }
 }
 
 impl RunConfig {
     /// Builds the configuration and the selected figure names from the
-    /// process arguments: `[--quick] [--codec C] [--metrics-out BASE]
-    /// [NAME …]`, names being those of [`FIGURES`].
+    /// process arguments: `[--quick] [--codec C] [NAME …]`, names being
+    /// those of [`FIGURES`].
     ///
     /// An unknown flag, figure name or codec, or an option missing its
     /// value, prints the valid flags, codecs and names to stderr and exits
@@ -52,7 +44,7 @@ impl RunConfig {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let (cfg, names) = Self::parse(&args).unwrap_or_else(|message| {
             eprintln!("error: {message}");
-            eprintln!("usage: reproduce-all [--quick] [--codec C] [--metrics-out BASE] [NAME ...]");
+            eprintln!("usage: reproduce-all [--quick] [--codec C] [NAME ...]");
             eprintln!(
                 "  codecs: {}",
                 CodecKind::ALL.map(|k| k.to_string()).join(", ")
@@ -63,9 +55,10 @@ impl RunConfig {
         if cfg.codec != CodecKind::Bpc {
             println!(
                 "note: --codec {codec} applies to the capacity harnesses (fig03, \
-                 fig06-fig09; their artifacts gain a _{codec} suffix) and the \
-                 ablation sweeps all codecs regardless; every other harness \
-                 models BPC",
+                 fig06-fig09) and the device/pool harnesses (pool-replay, \
+                 adaptive-retarget, churn, service-report); their artifacts \
+                 gain a _{codec} suffix. The ablation sweeps all codecs \
+                 regardless; every other harness models BPC",
                 codec = cfg.codec
             );
         }
@@ -83,12 +76,6 @@ impl RunConfig {
                     let name = args.next().ok_or("--codec needs a value")?;
                     cfg.codec = CodecKind::from_name(name)
                         .ok_or_else(|| format!("unknown codec {name:?}"))?;
-                }
-                "--metrics-out" => {
-                    let base = args.next().ok_or(
-                        "--metrics-out needs a value: the base path for the .prom/.csv artifacts",
-                    )?;
-                    cfg.metrics_out = Some(PathBuf::from(base));
                 }
                 flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
                 name => match FIGURES.iter().find(|(known, _)| *known == name) {
@@ -177,36 +164,6 @@ pub fn print_table<C: Display>(title: &str, header: &[&str], rows: &[Vec<C>]) {
     }
 }
 
-/// Latency percentiles read out of a histogram, in microseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LatencyPercentiles {
-    /// Median latency.
-    pub p50_us: f64,
-    /// 95th-percentile latency.
-    pub p95_us: f64,
-    /// 99th-percentile latency.
-    pub p99_us: f64,
-    /// 99.9th-percentile latency.
-    pub p999_us: f64,
-    /// Largest single latency (exact, not bucketed).
-    pub max_us: f64,
-}
-
-impl LatencyPercentiles {
-    /// Reads the standard percentile set out of a histogram snapshot.
-    /// Every estimate obeys the histogram's one-sided ≤ 12.5 % bound; the
-    /// max is exact.
-    pub fn from_snapshot(snap: &HistogramSnapshot) -> Self {
-        Self {
-            p50_us: snap.percentile_us(0.50),
-            p95_us: snap.percentile_us(0.95),
-            p99_us: snap.percentile_us(0.99),
-            p999_us: snap.percentile_us(0.999),
-            max_us: snap.max() as f64 / 1_000.0,
-        }
-    }
-}
-
 /// Formats a float with three significant decimals.
 pub fn f3(v: f64) -> String {
     format!("{v:.3}")
@@ -262,13 +219,12 @@ mod tests {
         assert_eq!(cfg.codec, CodecKind::Bdi);
         assert_eq!(names, ["fig11", "table1"]);
         let (cfg, names) = parse(&[]).unwrap();
-        assert!(!cfg.quick && cfg.metrics_out.is_none() && names.is_empty());
+        assert!(!cfg.quick && names.is_empty());
         for bad in [
             &["--quik"][..],
             &["nosuchfig"],
             &["--codec"],
             &["--codec", "lz4"],
-            &["--metrics-out"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }

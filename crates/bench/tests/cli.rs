@@ -2,7 +2,8 @@
 //! harnesses, and anything it does not know is a usage error (exit 2), not
 //! a silent paper-scale run.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// Runs the binary with `args` in a fresh temp cwd.
@@ -18,42 +19,52 @@ fn run(case: &str, args: &[&str]) -> (PathBuf, Output) {
     (dir, output)
 }
 
+/// The files under `dir/results`, by name, with their bytes.
+fn artifacts(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir.join("results"))
+        .expect("results dir")
+        .map(|e| {
+            let e = e.expect("entry");
+            let name = e.file_name().into_string().expect("utf-8");
+            (name, std::fs::read(e.path()).expect("artifact reads"))
+        })
+        .collect()
+}
+
 #[test]
 fn named_figures_write_only_their_artifacts() {
     let (dir, output) = run("named", &["--quick", "table1", "fig12"]);
     assert!(output.status.success(), "{output:?}");
-    let mut written: Vec<String> = std::fs::read_dir(dir.join("results"))
-        .expect("results dir")
-        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
-        .collect();
-    written.sort();
+    let written: Vec<String> = artifacts(&dir).into_keys().collect();
     assert_eq!(written, ["fig12.csv", "table1.csv"]);
 }
 
 #[test]
-fn metrics_out_is_one_file_pair_for_the_whole_run() {
-    let (dir, output) = run(
-        "metrics",
-        &[
-            "--quick",
-            "--metrics-out",
-            "m",
-            "pool-throughput",
-            "churn",
-            "tenancy",
-        ],
+fn two_runs_write_byte_identical_artifacts() {
+    // The four figures that drive allocators and the pool: placement, not
+    // just arithmetic, has to repeat.
+    let args = [
+        "--quick",
+        "pool-replay",
+        "churn",
+        "adaptive-retarget",
+        "service-report",
+    ];
+    let [first, second] = ["identity-a", "identity-b"].map(|case| {
+        let (dir, output) = run(case, &args);
+        assert!(output.status.success(), "{output:?}");
+        artifacts(&dir)
+    });
+    assert_eq!(
+        first.keys().collect::<Vec<_>>(),
+        [
+            "adaptive_retarget.csv",
+            "churn.csv",
+            "pool_replay.csv",
+            "service_report.csv"
+        ]
     );
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert_eq!(stdout.matches("metrics -> ").count(), 1, "{stdout}");
-    // Every instrumented harness of the run is in the one snapshot, not
-    // just the last to finish.
-    let prom = std::fs::read_to_string(dir.join("m.prom")).expect("m.prom written");
-    for metric in ["pool_entries_total", "churn_", "tenancy_offered_total"] {
-        assert!(prom.contains(metric), "{metric} missing from:\n{prom}");
-    }
-    let csv = std::fs::read_to_string(dir.join("m.csv")).expect("m.csv written");
-    assert!(csv.starts_with("tick,elapsed_ms,metric,value"));
+    assert!(first == second, "artifacts differ between two runs");
 }
 
 #[test]
@@ -66,6 +77,13 @@ fn unknown_arguments_are_usage_errors_naming_the_valid_ones() {
             "fig03",
         ),
         ("quik", &["--quik"], "--quik", "--quick"),
+        (
+            "metrics-out",
+            &["--quick", "--metrics-out", "m", "churn"],
+            "--metrics-out",
+            "--codec",
+        ),
+        ("tenancy", &["--quick", "tenancy"], "tenancy", "pool-replay"),
     ] {
         let (dir, output) = run(case, args);
         assert_eq!(output.status.code(), Some(2), "{case}");

@@ -1,11 +1,11 @@
 //! Observability layer for the Buddy Compression workspace: lock-free
 //! latency histograms, a feature-gated span tracer with Chrome-trace
-//! export, and a metrics registry with deterministic time-series sampling.
+//! export, and a metrics registry with a Prometheus-text renderer.
 //!
 //! The crate deliberately has **no dependency** on any other workspace
 //! crate so every layer — `buddy-core`'s device hot paths, `buddy-pool`'s
-//! shard locks, `buddy-bench`'s open-loop arrival queues — can instrument
-//! itself without dependency cycles. Three building blocks:
+//! shard locks, `buddy-service`'s tenant ledger — can instrument itself
+//! without dependency cycles. Three building blocks:
 //!
 //! * [`Histogram`] — an HdrHistogram-style log-bucketed latency histogram
 //!   in a fixed ~2 KB footprint: 256 atomic buckets, 8 sub-buckets per
@@ -23,12 +23,9 @@
 //!   [`trace::export_chrome_trace`] renders everything still in the rings
 //!   as Chrome trace-event JSON loadable in Perfetto.
 //! * [`metrics`] — [`Counter`] / [`Gauge`] / [`Histogram`] behind a
-//!   [`MetricsRegistry`] with a Prometheus-text renderer and a
-//!   deterministic-interval [`metrics::sample_every`] background sampler
-//!   that snapshots every registered metric into a tick-indexed
-//!   [`TimeSeries`] CSV. This crate is the only one in the workspace
-//!   allowed to own raw atomics for metrics (enforced by the
-//!   `raw-atomic-metric` xtask lint).
+//!   [`MetricsRegistry`] with a Prometheus-text renderer. This crate is
+//!   the only one in the workspace allowed to own raw atomics for metrics
+//!   (enforced by the `raw-atomic-metric` xtask lint).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,5 +35,5 @@ pub mod metrics;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use metrics::{Counter, Gauge, MetricsRegistry, SamplePoint, SamplerHandle, TimeSeries};
+pub use metrics::{Counter, Gauge, MetricsRegistry};
 pub use trace::{KindTotal, SpanGuard, SpanKind, SpanTotals};

@@ -1,5 +1,4 @@
-//! Metric primitives and a registry with a Prometheus-text renderer and
-//! a deterministic-interval time-series sampler.
+//! Metric primitives and a registry with a Prometheus-text renderer.
 //!
 //! [`Counter`] and [`Gauge`] are the workspace's lock-free event count
 //! and last-value primitives (`buddy-pool` and `buddy-service` count
@@ -10,20 +9,11 @@
 //! Snapshot semantics are the workspace-wide statistical contract: a
 //! render or sample taken while writers are active may split one logical
 //! update; totals are exact once writers are quiescent.
-//!
-//! The sampler ([`sample_every`]) snapshots every registered metric on a
-//! fixed tick grid (`tick × interval` from the sampler's start, not
-//! "interval after the previous sample finished"), so two runs of the
-//! same workload produce rows at the same nominal offsets regardless of
-//! how long each snapshot took. Ticks are the deterministic axis; the
-//! sampled *values* are as wall-clock as the run they observe.
 
 use crate::hist::Histogram;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Default)]
@@ -107,6 +97,8 @@ impl MetricsRegistry {
 
     /// Locks the entry list, recovering from poisoning (entries are plain
     /// data; a panicked registrant leaves the list structurally valid).
+    /// Deliberate (ROADMAP 2c): metrics must not take the service down,
+    /// whatever poison policy the data plane adopts.
     fn entries(&self) -> std::sync::MutexGuard<'_, Vec<MetricEntry>> {
         match self.entries.lock() {
             Ok(guard) => guard,
@@ -208,120 +200,6 @@ impl MetricsRegistry {
     }
 }
 
-/// One sampled value: the metric's series name at one tick.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SamplePoint {
-    /// 1-based tick index (nominal time = `tick × interval`).
-    pub tick: u64,
-    /// Series name (see [`MetricsRegistry::sample`]).
-    pub metric: String,
-    /// Sampled value.
-    pub value: f64,
-}
-
-/// The sampler's output: every registered metric at every tick.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries {
-    /// The tick interval the sampler ran on.
-    pub interval: Duration,
-    /// All sampled points, tick-major.
-    pub rows: Vec<SamplePoint>,
-}
-
-impl TimeSeries {
-    /// Renders `tick,elapsed_ms,metric,value` CSV. `elapsed_ms` is the
-    /// *nominal* tick offset (`tick × interval`), so the axis is
-    /// deterministic across runs.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("tick,elapsed_ms,metric,value\n");
-        let interval_ms = self.interval.as_secs_f64() * 1e3;
-        for p in &self.rows {
-            let _ = writeln!(
-                out,
-                "{},{:.3},{},{}",
-                p.tick,
-                p.tick as f64 * interval_ms,
-                p.metric,
-                p.value
-            );
-        }
-        out
-    }
-}
-
-/// Handle of a running sampler thread.
-#[derive(Debug)]
-pub struct SamplerHandle {
-    stop: Arc<AtomicBool>,
-    thread: JoinHandle<TimeSeries>,
-}
-
-impl SamplerHandle {
-    /// Stops the sampler and returns everything it collected. A final
-    /// sample is taken at stop time, so even runs shorter than one
-    /// interval produce at least one tick of data.
-    pub fn stop(self) -> TimeSeries {
-        // Relaxed: a one-way shutdown flag; the join below is the
-        // synchronization point for the collected rows.
-        self.stop.store(true, Ordering::Relaxed);
-        // A panicked sampler yields an empty series rather than poisoning
-        // the harness shutdown path.
-        self.thread.join().unwrap_or_default()
-    }
-}
-
-/// Spawns a background thread sampling `registry` every `interval`
-/// (clamped to ≥ 1 ms) on the deterministic tick grid described in the
-/// module docs. Stop it with [`SamplerHandle::stop`].
-pub fn sample_every(registry: Arc<MetricsRegistry>, interval: Duration) -> SamplerHandle {
-    let interval = interval.max(Duration::from_millis(1));
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_seen = Arc::clone(&stop);
-    let thread = std::thread::spawn(move || {
-        let started = Instant::now();
-        let mut rows = Vec::new();
-        let mut tick = 0u64;
-        // Relaxed: one-way flag; sampled data is handed over via join.
-        while !stop_seen.load(Ordering::Relaxed) {
-            tick += 1;
-            let deadline = interval.saturating_mul(u32::try_from(tick).unwrap_or(u32::MAX));
-            loop {
-                let elapsed = started.elapsed();
-                if elapsed >= deadline {
-                    break;
-                }
-                // Relaxed: one-way flag, as above.
-                if stop_seen.load(Ordering::Relaxed) {
-                    break;
-                }
-                // Short chunks keep `stop()` responsive without busy-spin.
-                std::thread::sleep((deadline - elapsed).min(Duration::from_millis(5)));
-            }
-            // Relaxed: one-way flag, as above.
-            if stop_seen.load(Ordering::Relaxed) {
-                break;
-            }
-            for (metric, value) in registry.sample() {
-                rows.push(SamplePoint {
-                    tick,
-                    metric,
-                    value,
-                });
-            }
-        }
-        // Final sample at stop time so short runs still produce data.
-        for (metric, value) in registry.sample() {
-            rows.push(SamplePoint {
-                tick,
-                metric,
-                value,
-            });
-        }
-        TimeSeries { interval, rows }
-    });
-    SamplerHandle { stop, thread }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,34 +264,5 @@ mod tests {
         assert!(names.contains(&"t_count".to_string()));
         assert!(names.contains(&"t_sum".to_string()));
         assert!(names.contains(&"t_q0.99".to_string()));
-    }
-
-    #[test]
-    fn sampler_produces_at_least_one_tick_and_a_csv() {
-        let r = Arc::new(MetricsRegistry::new());
-        let c = r.counter("ticks_seen", "test counter");
-        c.add(7);
-        let handle = sample_every(Arc::clone(&r), Duration::from_millis(5));
-        std::thread::sleep(Duration::from_millis(20));
-        let series = handle.stop();
-        assert!(!series.rows.is_empty(), "sampler collected nothing");
-        assert!(series.rows.iter().any(|p| p.metric == "ticks_seen"));
-        let csv = series.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("tick,elapsed_ms,metric,value"));
-        assert!(lines.next().is_some(), "no data rows");
-        assert!(csv.contains("ticks_seen"));
-    }
-
-    #[test]
-    fn stopping_immediately_still_samples_once() {
-        let r = Arc::new(MetricsRegistry::new());
-        r.counter("x", "test");
-        let handle = sample_every(Arc::clone(&r), Duration::from_secs(3600));
-        let series = handle.stop();
-        assert!(
-            series.rows.iter().any(|p| p.metric == "x"),
-            "final stop-time sample missing"
-        );
     }
 }

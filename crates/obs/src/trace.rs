@@ -267,6 +267,8 @@ mod imp {
         })
     }
 
+    /// Recovers from poison deliberately (ROADMAP 2c): the ring list is
+    /// append-only plain data and tracing must not take the service down.
     fn rings_of(t: &Tracer) -> std::sync::MutexGuard<'_, Vec<Arc<ThreadRing>>> {
         match t.rings.lock() {
             Ok(guard) => guard,

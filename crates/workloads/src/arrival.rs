@@ -1,20 +1,20 @@
 //! Deterministic open-loop arrival schedules.
 //!
-//! Closed-loop load generation (the `pool-throughput` replay) lets the system
-//! under test set the pace: a slow server simply slows its clients down,
+//! Closed-loop load generation lets the system under test set the pace: a slow server simply slows its clients down,
 //! and overload never shows up as anything worse than reduced throughput.
 //! An **open-loop** generator instead fixes the *offered* arrival rate in
 //! advance — requests arrive when the schedule says they arrive, whether
 //! or not the server has kept up — so overload manifests honestly as
-//! queueing delay and shed load (the regime the multi-tenant service
-//! harness measures; DESIGN.md §11).
+//! queueing delay and shed load (the regime the repo benchmark's
+//! `tenant_mixed` queue replay measures; DESIGN.md §11).
 //!
 //! The schedule itself is pure virtual time: a Poisson process with
 //! exponential inter-arrival gaps drawn from splitmix64, yielding absolute
 //! arrival offsets in nanoseconds. Nothing here reads a clock — replaying
-//! a schedule is the *caller's* job (the `tenancy` driver paces real
-//! threads against it), so two runs with one seed offer byte-identical
-//! arrival sequences no matter what the machine was doing.
+//! a schedule is the *caller's* job (`benchmark/` replays recorded
+//! service times against it in virtual time), so two runs with one seed
+//! offer byte-identical arrival sequences no matter what the machine was
+//! doing.
 
 use crate::entry_gen::{mix, splitmix64, unit_from_hash};
 

@@ -164,8 +164,8 @@ impl TraceGenerator {
     /// profile: the same access statistics over a per-client footprint,
     /// driven by a seed derived deterministically from `(seed, client)`.
     ///
-    /// Concurrent replays (the `pool-throughput` driver in `buddy-bench`)
-    /// give each client thread its own generator this way: runs are reproducible for a fixed
+    /// Multi-client replays (the `pool-replay` driver in `buddy-bench`)
+    /// give each client its own generator this way: runs are reproducible for a fixed
     /// master seed and client count, while distinct clients explore
     /// statistically independent streams.
     ///

@@ -94,8 +94,11 @@ pub fn registry() -> Vec<Rule> {
         Rule {
             id: "wallclock-in-replay",
             severity: Severity::Deny,
-            summary: "no Instant/SystemTime inside deterministic trace/replay code (workloads)",
-            applies: |p| p.starts_with("crates/workloads/src/"),
+            summary: "no Instant/SystemTime inside deterministic trace/replay code (workloads, \
+                      bench)",
+            applies: |p| {
+                p.starts_with("crates/workloads/src/") || p.starts_with("crates/bench/src/")
+            },
             check: check_wallclock,
         },
         Rule {
@@ -742,6 +745,25 @@ mod tests {
         );
         assert!(run("wallclock-in-replay", "let instants = 3;").is_empty());
         assert!(run("wallclock-in-replay", "use std::time::Duration;").is_empty());
+    }
+
+    #[test]
+    fn wallclock_scope_is_the_replay_and_figure_code() {
+        let rules = registry();
+        let rule = rules
+            .iter()
+            .find(|r| r.id == "wallclock-in-replay")
+            .expect("rule registered");
+        // The trace generators and every figure harness: `reproduce-all`'s
+        // artifacts must be reproducible from seeds alone.
+        assert!((rule.applies)("crates/workloads/src/arrival.rs"));
+        assert!((rule.applies)("crates/bench/src/poolfig.rs"));
+        assert!((rule.applies)("crates/bench/src/bin/reproduce-all.rs"));
+        // Timing is the simulator's and the tracer's business, and the
+        // harness's own tests may spawn and wait.
+        assert!(!(rule.applies)("crates/gpu-sim/src/engine.rs"));
+        assert!(!(rule.applies)("crates/obs/src/trace.rs"));
+        assert!(!(rule.applies)("crates/bench/tests/cli.rs"));
     }
 
     #[test]
