@@ -41,30 +41,34 @@ fn named_figures_write_only_their_artifacts() {
 
 #[test]
 fn two_runs_write_byte_identical_artifacts() {
-    // The four figures that drive allocators and the pool: placement, not
-    // just arithmetic, has to repeat.
+    // The four figures that drive allocators and the pool — placement, not
+    // just arithmetic, has to repeat — and the one that once printed the
+    // simulator's wall seconds: stdout has to repeat too.
     let args = [
         "--quick",
+        "fig10",
         "pool-replay",
         "churn",
         "adaptive-retarget",
         "service-report",
     ];
-    let [first, second] = ["identity-a", "identity-b"].map(|case| {
+    let [(first, first_out), (second, second_out)] = ["identity-a", "identity-b"].map(|case| {
         let (dir, output) = run(case, &args);
         assert!(output.status.success(), "{output:?}");
-        artifacts(&dir)
+        (artifacts(&dir), output.stdout)
     });
     assert_eq!(
         first.keys().collect::<Vec<_>>(),
         [
             "adaptive_retarget.csv",
             "churn.csv",
+            "fig10.csv",
             "pool_replay.csv",
             "service_report.csv"
         ]
     );
     assert!(first == second, "artifacts differ between two runs");
+    assert!(first_out == second_out, "stdout differs between two runs");
 }
 
 #[test]

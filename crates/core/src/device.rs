@@ -15,7 +15,6 @@ use crate::region::RegionAllocator;
 use crate::shared::{self, AllocView, RawSlot, SharedState};
 use crate::target::TargetRatio;
 use bpc::{CodecKind, CompressedBuf, Entry, ENTRY_BYTES};
-use buddy_obs::{trace, SpanKind};
 use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
@@ -584,8 +583,6 @@ impl BuddyDevice {
         entries
             .checked_mul(ENTRY_BYTES as u64)
             .ok_or(DeviceError::RequestOverflow)?;
-        // Placement + slot bookkeeping; drops on every exit path.
-        let _span = trace::span(SpanKind::RegionAlloc);
         let device_base =
             self.device_region
                 .alloc(device_need)
@@ -852,8 +849,6 @@ impl BuddyDevice {
                 buddy_bytes_delta: 0,
             });
         }
-        // The free same-target no-op above records no migration span.
-        let _span = trace::span(SpanKind::RetargetMigrate);
         let old_device = entries * old_target.device_bytes_per_entry() as u64;
         let old_buddy = entries * old_target.buddy_bytes_per_entry() as u64;
         let new_device = entries
@@ -971,7 +966,6 @@ impl BuddyDevice {
         (old_device, old_buddy): (u64, u64),
         (new_device, new_buddy): (u64, u64),
     ) -> Result<(u64, u64), DeviceError> {
-        let _span = trace::span(SpanKind::RegionAlloc);
         if let Some(device_base) = self.device_region.alloc(new_device) {
             if let Some(buddy_base) = self.buddy_region.alloc(new_buddy) {
                 self.device_region.free(view.device_base, old_device);

@@ -75,7 +75,6 @@ use crate::sync::{
 };
 use crate::target::TargetRatio;
 use bpc::{Codec, CodecKind, CompressedBuf, Entry, SizeClass, ENTRY_BYTES, SECTOR_BYTES};
-use buddy_obs::{trace, SpanKind};
 use std::fmt;
 
 /// The `Copy`-able addressing facts of one allocation — the per-epoch
@@ -909,13 +908,12 @@ impl SharedState {
             .expect("structural ops ensure the slot before publishing") // lint-allow(no-unwrap): alloc calls SlotTable::ensure before any publish
     }
 
-    /// Publishes new addressing facts for a slot under its write lock,
-    /// inside an `epoch_publish` span. This is the only way slot contents
-    /// change, so readers see epochs, never blends.
+    /// Publishes new addressing facts for a slot under its write lock.
+    /// This is the only way slot contents change, so readers see epochs,
+    /// never blends.
     pub(crate) fn publish(&self, slot: u32, raw: RawSlot) {
         let cell = self.structural_cell(slot);
         let _guard = lock_recover(&cell.write_lock);
-        let _span = trace::span(SpanKind::EpochPublish);
         let window = SeqWindow::open(cell);
         cell.store_raw(&raw);
         drop(window);
@@ -937,7 +935,6 @@ impl SharedState {
     ) -> Result<R, DeviceError> {
         let cell = self.structural_cell(slot);
         let _guard = lock_recover(&cell.write_lock);
-        let _span = trace::span(SpanKind::EpochPublish);
         let window = SeqWindow::open(cell);
         let (raw, result) = mutate()?;
         cell.store_raw(&raw);
@@ -950,7 +947,6 @@ impl SharedState {
     /// from sector alignment is ignored by every decoder. Fails (for
     /// retry) when a racing write tore the stream.
     fn decode(&self, data: &[u8], out: &mut Entry) -> Result<(), TornRead> {
-        let _span = trace::span(SpanKind::CodecDecompress);
         self.codec
             .decompress_into(data, data.len() * 8, out)
             .map_err(|_| TornRead)
@@ -1006,9 +1002,7 @@ impl SharedState {
         if is_zero(entry) {
             EntryState::Zero
         } else {
-            let compress_span = trace::span(SpanKind::CodecCompress);
             self.codec.compress_into(entry, scratch);
-            drop(compress_span);
             match view.target {
                 TargetRatio::ZeroPage16 => {
                     if scratch.bytes() <= 8 {
@@ -1018,7 +1012,6 @@ impl SharedState {
                         self.device.write(view.device_offset(index), &granule);
                         EntryState::ZeroPageFit
                     } else {
-                        let _span = trace::span(SpanKind::BuddyIo);
                         self.buddy.write(view.buddy_offset(index), entry);
                         EntryState::ZeroPageOverflow
                     }
@@ -1069,7 +1062,6 @@ impl SharedState {
     /// Stores `sectors` sectors of `data`, the first `device_sectors` in
     /// device memory and the remainder in the entry's buddy slot.
     fn store_sectors(&self, view: &AllocView, index: u64, data: &[u8], sectors: u8) {
-        let _span = trace::span(SpanKind::BuddyIo);
         let device_sectors = view.target.device_sectors().min(sectors);
         let split = device_sectors as usize * SECTOR_BYTES;
         self.device.write(view.device_offset(index), &data[..split]);
@@ -1082,7 +1074,6 @@ impl SharedState {
     /// Gathers an entry's sectors into `out` (device-resident first, then
     /// any buddy overflow). `out` must be exactly `sectors × 32` bytes.
     fn load_sectors(&self, view: &AllocView, index: u64, sectors: u8, out: &mut [u8]) {
-        let _span = trace::span(SpanKind::BuddyIo);
         let device_sectors = view.target.device_sectors().min(sectors);
         let split = device_sectors as usize * SECTOR_BYTES;
         let total = sectors as usize * SECTOR_BYTES;

@@ -23,7 +23,6 @@ use crate::splitmix64;
 use crate::stats::SimStats;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// One memory access fed to the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,7 +438,6 @@ impl<'a> Engine<'a> {
 
     /// Runs the engine over `trace` and returns the statistics.
     pub fn run(mut self, trace: &mut dyn Iterator<Item = MemRequest>) -> SimStats {
-        let wall_start = Instant::now();
         let mut trace = trace.take(self.exec.accesses as usize);
         let mut heap: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
         // Stagger lane start times so the cold machine fills smoothly.
@@ -458,7 +456,6 @@ impl<'a> Engine<'a> {
             }
         }
         self.stats.cycles = last_completion;
-        self.stats.wall_seconds = wall_start.elapsed().as_secs_f64();
         self.stats
     }
 }
@@ -768,6 +765,41 @@ mod tests {
             (0.5..2.0).contains(&ratio),
             "fast and detailed should agree within 2x: {ratio:.2}"
         );
+    }
+
+    #[test]
+    fn same_seed_runs_yield_equal_stats() {
+        let entries = 64 * 1024;
+        let layout = UniformLayout {
+            entries,
+            placement: EntryPlacement::device(2),
+        };
+        let cfg = GpuConfig::p100();
+        let exec = ExecConfig {
+            lanes: 512,
+            compute_cycles: 20.0,
+            accesses: 20_000,
+        };
+        let seeded_trace = |seed: u64| {
+            (0..).map(move |i| {
+                let h = splitmix64(seed ^ i);
+                MemRequest {
+                    entry: h % entries,
+                    sector_mask: 0b0011,
+                    write: h >> 60 == 0,
+                    to_host: false,
+                }
+            })
+        };
+        for fidelity in [Fidelity::Fast, Fidelity::Detailed] {
+            let run = || {
+                Engine::new(cfg, exec, MemoryMode::Buddy, fidelity, &layout)
+                    .run(&mut seeded_trace(0xB0DD7))
+            };
+            let first = run();
+            assert_eq!(first, run(), "{fidelity:?}");
+            assert!(first.cycles > 0.0 && first.writes > 0);
+        }
     }
 
     #[test]

@@ -31,8 +31,6 @@ pub struct SimStats {
     pub link_sectors_out: u64,
     /// Accesses that natively targeted host memory.
     pub host_native_accesses: u64,
-    /// Wall-clock seconds the simulation took (Figure 10's speed metric).
-    pub wall_seconds: f64,
 }
 
 impl SimStats {
@@ -82,16 +80,6 @@ impl SimStats {
             0.0
         } else {
             self.buddy_accesses as f64 / self.accesses as f64
-        }
-    }
-
-    /// Simulated cycles per wall-clock second — the simulator speed metric
-    /// of Figure 10 (right).
-    pub fn sim_cycles_per_second(&self) -> f64 {
-        if self.wall_seconds == 0.0 {
-            0.0
-        } else {
-            self.cycles / self.wall_seconds
         }
     }
 }
@@ -162,7 +150,6 @@ mod tests {
         assert_eq!(s.l2_hit_rate(), 0.0);
         assert_eq!(s.md_hit_rate(), 0.0);
         assert_eq!(s.buddy_fraction(), 0.0);
-        assert_eq!(s.sim_cycles_per_second(), 0.0);
     }
 
     #[test]

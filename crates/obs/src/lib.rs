@@ -1,11 +1,12 @@
 //! Observability layer for the Buddy Compression workspace: lock-free
-//! latency histograms, a feature-gated span tracer with Chrome-trace
-//! export, and a metrics registry with a Prometheus-text renderer.
+//! latency histograms and a metrics registry with a Prometheus-text
+//! renderer. It reads no clock: "where did the time go" is answered by
+//! the repo benchmark's tracer (`benchmark -- run --trace 1`).
 //!
 //! The crate deliberately has **no dependency** on any other workspace
-//! crate so every layer — `buddy-core`'s device hot paths, `buddy-pool`'s
-//! shard locks, `buddy-service`'s tenant ledger — can instrument itself
-//! without dependency cycles. Three building blocks:
+//! crate so any layer — `buddy-pool`'s placement counters,
+//! `buddy-service`'s tenant ledger — can use it without dependency
+//! cycles. Two building blocks:
 //!
 //! * [`Histogram`] — an HdrHistogram-style log-bucketed latency histogram
 //!   in a fixed ~2 KB footprint: 256 atomic buckets, 8 sub-buckets per
@@ -14,14 +15,6 @@
 //!   relative error bound (see [`hist`] for the derivation). It replaces
 //!   the unbounded collect-sort-index percentile paths the load drivers
 //!   started with.
-//! * [`trace`] — a span tracer over a static taxonomy ([`SpanKind`]).
-//!   Behind the `obs-trace` feature flag: when disabled (the default)
-//!   every entry point is an inlined no-op and [`SpanGuard`] has no `Drop`
-//!   impl, so instrumented hot paths compile to exactly the uninstrumented
-//!   code; when enabled, spans land in per-thread single-writer ring
-//!   buffers plus always-exact per-kind totals, and
-//!   [`trace::export_chrome_trace`] renders everything still in the rings
-//!   as Chrome trace-event JSON loadable in Perfetto.
 //! * [`metrics`] — [`Counter`] / [`Gauge`] / [`Histogram`] behind a
 //!   [`MetricsRegistry`] with a Prometheus-text renderer. This crate is
 //!   the only one in the workspace allowed to own raw atomics for metrics
@@ -36,4 +29,3 @@ pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge, MetricsRegistry};
-pub use trace::{KindTotal, SpanGuard, SpanKind, SpanTotals};

@@ -32,8 +32,7 @@
 //!
 //! Contention on the structural path is bounded by sharding (allocations
 //! hash across shards); the entry data path has no pool-level contention
-//! at all — `shard_lock_wait` spans no longer fire on reads, and the
-//! `read-path-lock` xtask lint pins the read path lock-free.
+//! at all — the `read-path-lock` xtask lint pins the read path lock-free.
 //!
 //! A pool with **one shard is observably identical to a bare
 //! [`BuddyDevice`]**: same bytes on every read, same traffic counters —
@@ -71,7 +70,7 @@ pub use buddy_core::{
 
 use buddy_core::sync::{AtomicU64, Mutex, MutexGuard, Ordering};
 use buddy_core::AllocId;
-use buddy_obs::{trace, Counter, SpanKind};
+use buddy_obs::Counter;
 
 /// Configuration of a [`BuddyPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,16 +216,10 @@ impl BuddyPool {
     /// mid-batch (plain `Vec` storage, no unsafe invariants), so the state
     /// behind a poison is still usable.
     fn shard(&self, index: usize) -> MutexGuard<'_, BuddyDevice> {
-        // The span covers only the wait: it is dropped the moment the
-        // guard exists, so `shard_lock_wait` measures contention, not the
-        // critical section.
-        let wait = trace::span_with_arg(SpanKind::ShardLockWait, index as u64);
-        let guard = match self.shards[index].lock() {
+        match self.shards[index].lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
-        };
-        drop(wait);
-        guard
+        }
     }
 
     /// Resolves a handle to its shard, rejecting handles from a differently
@@ -368,9 +361,8 @@ impl BuddyPool {
 
     /// Reads a contiguous run of entries against one consistent published
     /// epoch ([`DeviceHandle::read_entries`] semantics) — lock-free: no
-    /// shard mutex is taken and no `shard_lock_wait` span fires. A batch
-    /// racing a structural operation observes the old or the new epoch in
-    /// full, never a blend.
+    /// shard mutex is taken. A batch racing a structural operation
+    /// observes the old or the new epoch in full, never a blend.
     ///
     /// # Errors
     ///

@@ -94,11 +94,9 @@ pub fn registry() -> Vec<Rule> {
         Rule {
             id: "wallclock-in-replay",
             severity: Severity::Deny,
-            summary: "no Instant/SystemTime inside deterministic trace/replay code (workloads, \
-                      bench)",
-            applies: |p| {
-                p.starts_with("crates/workloads/src/") || p.starts_with("crates/bench/src/")
-            },
+            summary: "no Instant/SystemTime in library or figure code (src/ and every \
+                      crates/*/src/ but xtask's) — timing lives in benchmark/",
+            applies: is_clock_free_source,
             check: check_wallclock,
         },
         Rule {
@@ -169,6 +167,16 @@ fn library_tokens(file: &SourceFile) -> Vec<Token> {
 /// `examples/`, which the walker does not visit anyway).
 fn is_library_source(path: &str) -> bool {
     path.ends_with(".rs")
+}
+
+/// Where `wallclock-in-replay` applies: the facade `src/` and every
+/// `crates/*/src/` except xtask's own (whose rule text names the types).
+fn is_clock_free_source(path: &str) -> bool {
+    path.starts_with("src/")
+        || path
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(krate, rest)| krate != "xtask" && rest.starts_with("src/"))
 }
 
 /// Crate roots whose attributes the hygiene rule inspects.
@@ -406,9 +414,9 @@ fn check_wallclock(file: &SourceFile, out: &mut Vec<RawFinding>) {
             out.push(RawFinding {
                 line: t.line,
                 message: format!(
-                    "`{}` in deterministic trace/replay code — replay must be \
-                     reproducible from seeds alone; thread timing through the caller \
-                     or waive with why this cannot perturb a trace",
+                    "`{}` in library or figure code — every result must be \
+                     reproducible from seeds alone; time it from `benchmark/` \
+                     or waive with why this cannot perturb a result",
                     t.text
                 ),
             });
@@ -759,10 +767,17 @@ mod tests {
         assert!((rule.applies)("crates/workloads/src/arrival.rs"));
         assert!((rule.applies)("crates/bench/src/poolfig.rs"));
         assert!((rule.applies)("crates/bench/src/bin/reproduce-all.rs"));
-        // Timing is the simulator's and the tracer's business, and the
-        // harness's own tests may spawn and wait.
-        assert!(!(rule.applies)("crates/gpu-sim/src/engine.rs"));
-        assert!(!(rule.applies)("crates/obs/src/trace.rs"));
+        // And the whole library under them: the simulator, the lock-free
+        // plane and the observability crate read no clock either.
+        assert!((rule.applies)("crates/gpu-sim/src/engine.rs"));
+        assert!((rule.applies)("crates/core/src/shared.rs"));
+        assert!((rule.applies)("crates/obs/src/trace.rs"));
+        assert!((rule.applies)("src/lib.rs"));
+        // Timing is the benchmark's and the examples' business, the rule's
+        // own text names the types, and tests may spawn and wait.
+        assert!(!(rule.applies)("crates/xtask/src/rules.rs"));
+        assert!(!(rule.applies)("examples/pool_replay.rs"));
+        assert!(!(rule.applies)("benchmark/src/run.rs"));
         assert!(!(rule.applies)("crates/bench/tests/cli.rs"));
     }
 

@@ -22,9 +22,7 @@
 //!    target-ratio ladder), ownership-checked generational handles, and
 //!    one per-tenant ledger ([`buddy_service::BuddyService::tenants`]),
 //! 9. [`buddy_obs`] — the observability layer: lock-free latency
-//!    histograms, the feature-gated (`obs-trace`) span tracer with
-//!    Chrome-trace export, and the metrics registry with
-//!    Prometheus-text rendering and time-series sampling.
+//!    histograms and the metrics registry with Prometheus-text rendering.
 //!
 //! The glue items here ([`profile_benchmark`], [`BenchmarkLayout`],
 //! [`benchmark_requests`]) connect a workload to the profiler and the
@@ -144,19 +142,9 @@ pub fn profile_benchmark_with(
     merged
 }
 
-/// Profiles a benchmark at a single phase (used by the Figure 8 temporal
-/// study, which holds targets fixed while the data evolves). Shorthand for
-/// [`profile_benchmark_at_with`] with [`CodecKind::Bpc`].
-pub fn profile_benchmark_at(
-    bench: &Benchmark,
-    phase: f64,
-    sample_cap: u64,
-    seed: u64,
-) -> Vec<AllocationProfile> {
-    profile_benchmark_at_with(bench, CodecKind::Bpc, phase, sample_cap, seed)
-}
-
-/// [`profile_benchmark_at`] under an arbitrary codec.
+/// Profiles a benchmark at a single phase under `codec` (used by the
+/// Figure 8 temporal study, which holds targets fixed while the data
+/// evolves).
 pub fn profile_benchmark_at_with(
     bench: &Benchmark,
     codec: CodecKind,
