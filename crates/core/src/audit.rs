@@ -5,7 +5,10 @@
 //! The auditor never trusts the [`RegionAllocator`]s it audits: it keeps its
 //! own `(base, len)` map per region, fed only by the *requests* the device
 //! makes (alloc / free / retarget), and after each mutation checks that the
-//! allocator's view of the world and the shadow's agree exactly:
+//! allocator's view of the world and the shadow's agree exactly. Metadata
+//! has no allocator to mirror — nibble indices are derived from device
+//! addresses — so its map holds the derived ranges and checks only that no
+//! two live allocations' nibbles overlap, independently of the device map:
 //!
 //! * **No overlapping reservations** — shadow reservations and the
 //!   allocator's free runs must tile `[0, capacity)` with no gap and no
@@ -42,8 +45,6 @@ pub struct ShadowAlloc {
     pub device_base: u64,
     /// Byte offset in the buddy carve-out.
     pub buddy_base: u64,
-    /// First entry index in the metadata array.
-    pub metadata_base: u64,
 }
 
 impl ShadowAlloc {
@@ -53,6 +54,12 @@ impl ShadowAlloc {
 
     fn buddy_len(&self) -> u64 {
         self.entries * self.target.buddy_bytes_per_entry() as u64
+    }
+
+    /// First nibble index of the allocation, derived from its device base
+    /// the way the device derives it.
+    fn first_nibble(&self) -> u64 {
+        self.device_base / TargetRatio::MIN_DEVICE_BYTES_PER_ENTRY
     }
 }
 
@@ -196,9 +203,10 @@ impl ShadowRegion {
     }
 }
 
-/// The device-level auditor: one [`ShadowRegion`] per storage region plus
-/// the generation mirror. Owned by `BuddyDevice` behind
-/// `cfg(feature = "audit")` and fed by hooks in every mutating operation.
+/// The device-level auditor: one [`ShadowRegion`] per region allocator, one
+/// for the derived metadata ranges, plus the generation mirror. Owned by
+/// `BuddyDevice` behind `cfg(feature = "audit")` and fed by hooks in every
+/// mutating operation.
 #[derive(Debug, Clone)]
 pub struct DeviceAuditor {
     device: ShadowRegion,
@@ -217,7 +225,7 @@ impl DeviceAuditor {
         Self {
             device: ShadowRegion::new("device region"),
             buddy: ShadowRegion::new("buddy region"),
-            metadata: ShadowRegion::new("metadata region"),
+            metadata: ShadowRegion::new("metadata ranges"),
             live: BTreeMap::new(),
             next_generation: BTreeMap::new(),
         }
@@ -244,7 +252,7 @@ impl DeviceAuditor {
         );
         self.device.reserve(alloc.device_base, alloc.device_len());
         self.buddy.reserve(alloc.buddy_base, alloc.buddy_len());
-        self.metadata.reserve(alloc.metadata_base, alloc.entries);
+        self.metadata.reserve(alloc.first_nibble(), alloc.entries);
         self.live.insert(slot, alloc);
     }
 
@@ -260,7 +268,7 @@ impl DeviceAuditor {
         );
         self.device.release(alloc.device_base, alloc.device_len());
         self.buddy.release(alloc.buddy_base, alloc.buddy_len());
-        self.metadata.release(alloc.metadata_base, alloc.entries);
+        self.metadata.release(alloc.first_nibble(), alloc.entries);
         let next = generation.wrapping_add(1);
         if let Some(&floor) = self.next_generation.get(&slot) {
             assert!(
@@ -271,12 +279,9 @@ impl DeviceAuditor {
         self.next_generation.insert(slot, next);
     }
 
-    /// Mirrors a successful `retarget`: the old device/buddy/metadata
-    /// reservations are swapped for the new ones; the entry count and the
-    /// generation are unchanged (migration is not a free). The metadata
-    /// range moves because retarget re-encodes into a *fresh* metadata
-    /// region — an old-epoch reader must never pair new-layout nibbles
-    /// with old-layout bytes.
+    /// Mirrors a successful `retarget`: the old device/buddy reservations
+    /// and nibble range are swapped for the new ones; the entry count and
+    /// the generation are unchanged (migration is not a free).
     pub fn record_retarget(&mut self, slot: u32, updated: ShadowAlloc) {
         let Some(old) = self.live.get(&slot).copied() else {
             // lint-allow(no-unwrap): the auditor's whole job is to abort on divergence
@@ -292,26 +297,22 @@ impl DeviceAuditor {
         );
         self.device.release(old.device_base, old.device_len());
         self.buddy.release(old.buddy_base, old.buddy_len());
-        self.metadata.release(old.metadata_base, old.entries);
+        self.metadata.release(old.first_nibble(), old.entries);
         self.device
             .reserve(updated.device_base, updated.device_len());
         self.buddy.reserve(updated.buddy_base, updated.buddy_len());
         self.metadata
-            .reserve(updated.metadata_base, updated.entries);
+            .reserve(updated.first_nibble(), updated.entries);
         self.live.insert(slot, updated);
     }
 
-    /// Validates every mirrored region against the real allocators. Called
-    /// by the device after each mutating operation.
-    pub fn validate(
-        &self,
-        device_region: &RegionAllocator,
-        buddy_region: &RegionAllocator,
-        metadata_region: &RegionAllocator,
-    ) {
+    /// Validates both mirrored regions against the real allocators. Called
+    /// by the device after each mutating operation. (The metadata ranges
+    /// have no allocator to agree with; their overlap check runs in
+    /// `reserve`.)
+    pub fn validate(&self, device_region: &RegionAllocator, buddy_region: &RegionAllocator) {
         self.device.validate(device_region);
         self.buddy.validate(buddy_region);
-        self.metadata.validate(metadata_region);
     }
 }
 
@@ -385,7 +386,6 @@ mod tests {
             entries: 4,
             device_base: 0,
             buddy_base: 0,
-            metadata_base: 0,
         };
         auditor.record_alloc(7, alloc);
         auditor.record_free(7, 0);
@@ -410,7 +410,6 @@ mod tests {
             entries: 1,
             device_base: 0,
             buddy_base: 0,
-            metadata_base: 0,
         };
         auditor.record_alloc(3, alloc);
         auditor.record_free(3, 0);

@@ -345,12 +345,12 @@ pub struct BuddyDevice {
     /// with their generation bumped, so stale [`AllocId`]s stay dead.
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
-    /// Region allocators for the three storage regions (bytes for the two
-    /// data arrays, entries for metadata). First-fit with coalescing — the
-    /// full allocation lifecycle runs on these.
+    /// Region allocators for the two data arrays, in bytes. First-fit with
+    /// coalescing — the full allocation lifecycle runs on these. Metadata
+    /// has none: an entry's nibble is addressed from its device offset
+    /// ([`AllocView::metadata_index`]).
     device_region: RegionAllocator,
     buddy_region: RegionAllocator,
-    metadata_region: RegionAllocator,
     /// Shadow-state mirror (`--features audit`): independently tracks every
     /// reservation and revalidates structural invariants after each
     /// mutating operation, aborting at the mutation that diverges.
@@ -423,7 +423,6 @@ impl BuddyDevice {
         let buddy_capacity = config
             .buddy_capacity()
             .expect("device_capacity x carve_out_factor overflows u64"); // lint-allow(no-unwrap): the overflow check is this constructor's documented panic contract
-        let metadata_entries = config.device_capacity / 8; // worst case: 16x entries
         Self {
             scratch: CompressedBuf::with_capacity(ENTRY_BYTES + ENTRY_BYTES / 4),
             config,
@@ -431,13 +430,11 @@ impl BuddyDevice {
                 codec,
                 config.device_capacity,
                 buddy_capacity,
-                metadata_entries,
             )),
             slots: Vec::new(),
             free_slots: Vec::new(),
             device_region: RegionAllocator::new(config.device_capacity),
             buddy_region: RegionAllocator::new(buddy_capacity),
-            metadata_region: RegionAllocator::new(metadata_entries),
             #[cfg(feature = "audit")]
             auditor: crate::audit::DeviceAuditor::new(),
         }
@@ -459,14 +456,11 @@ impl BuddyDevice {
         self.shared.wait_quiescent();
     }
 
-    /// Revalidates the shadow mirror against all three region allocators.
+    /// Revalidates the shadow mirror against both region allocators.
     #[cfg(feature = "audit")]
     fn audit_check(&self) {
-        self.auditor.validate(
-            &self.device_region,
-            &self.buddy_region,
-            &self.metadata_region,
-        );
+        self.auditor
+            .validate(&self.device_region, &self.buddy_region);
     }
 
     /// The codec this device compresses with.
@@ -597,11 +591,6 @@ impl BuddyDevice {
                 available: self.buddy_region.largest_free(),
             });
         };
-        let metadata_base = self.alloc_metadata(entries);
-        // A recycled metadata range may hold a dead allocation's states;
-        // fresh entries must read as zero.
-        self.shared.metadata.zero_range(metadata_base, entries);
-
         let slot = match self.free_slots.pop() {
             Some(slot) => slot,
             None => {
@@ -617,8 +606,12 @@ impl BuddyDevice {
             entries,
             device_base,
             buddy_base,
-            metadata_base,
         };
+        // A recycled device range still carries a dead allocation's
+        // nibbles; fresh entries must read as zero.
+        self.shared
+            .metadata
+            .zero_range(view.metadata_index(0), entries);
         self.slots[slot as usize].alloc = Some(Allocation {
             name: name.to_owned(),
             view,
@@ -639,7 +632,6 @@ impl BuddyDevice {
                     entries,
                     device_base,
                     buddy_base,
-                    metadata_base,
                 },
             );
             self.audit_check();
@@ -647,8 +639,8 @@ impl BuddyDevice {
         Ok(AllocId { slot, generation })
     }
 
-    /// Releases an allocation: its device, buddy and metadata reservations
-    /// return to the free lists (coalescing with adjacent free runs) and
+    /// Releases an allocation: its device and buddy reservations return to
+    /// the free lists (coalescing with adjacent free runs) and
     /// the id's slot generation is bumped, so `id` — and every copy of it —
     /// is dead from here on: any further use returns
     /// [`DeviceError::BadAllocation`], even after the slot is reused.
@@ -674,33 +666,12 @@ impl BuddyDevice {
             .free(view.device_base, view.entries * view.device_stride());
         self.buddy_region
             .free(view.buddy_base, view.entries * view.buddy_stride());
-        self.metadata_region.free(view.metadata_base, view.entries);
         #[cfg(feature = "audit")]
         {
             self.auditor.record_free(id.slot, id.generation);
             self.audit_check();
         }
         Ok(())
-    }
-
-    /// Places `entries` metadata entries, growing the metadata region (and
-    /// publishing the matching nibble chunks) when the current capacity
-    /// cannot host them. Growth is additive — published chunks never move,
-    /// so concurrent snapshot readers are unaffected.
-    fn alloc_metadata(&mut self, entries: u64) -> u64 {
-        match self.metadata_region.alloc(entries) {
-            Some(base) => base,
-            None => {
-                // Grow the metadata region (functional model only; the 0.4%
-                // overhead accounting is reported separately).
-                let grown = (self.metadata_region.capacity() + entries).next_power_of_two();
-                self.shared.metadata.ensure(grown);
-                self.metadata_region.grow(grown);
-                self.metadata_region
-                    .alloc(entries)
-                    .expect("grown metadata region hosts the request") // lint-allow(no-unwrap): the region was just grown past the request
-            }
-        }
     }
 
     /// Resolves a generational id to its live allocation — the single
@@ -796,8 +767,7 @@ impl BuddyDevice {
     /// fresh regions: the new device/buddy reservations are allocated, the
     /// preserved bytes are re-encoded into them, and the old reservations
     /// are freed back to the allocator (alloc-new / re-encode / free-old).
-    /// **No other allocation is touched** — the old tail-`memmove`
-    /// relocation of every later allocation is gone, so migration cost is
+    /// **No other allocation is touched**, so migration cost is
     /// proportional to the migrated allocation alone. This is the online
     /// escape hatch from a stale profiling decision (the paper picks
     /// targets once, §3.5; see DESIGN.md §8 and the
@@ -817,10 +787,9 @@ impl BuddyDevice {
     /// The cost is accounted in [`AccessStats::retargets`] /
     /// [`AccessStats::moved_sectors`] and in the returned
     /// [`RetargetReport`] — not in the entry-access counters, which keep
-    /// their read/write meaning. `moved_sectors` now prices exactly the
-    /// re-encoded allocation's stored sectors (no relocated neighbours
-    /// exist any more). Re-targeting to the current target is a free
-    /// no-op.
+    /// their read/write meaning. `moved_sectors` prices exactly the
+    /// re-encoded allocation's stored sectors. Re-targeting to the current
+    /// target is a free no-op.
     ///
     /// # Errors
     ///
@@ -883,22 +852,22 @@ impl BuddyDevice {
                 }
             }
 
-            // 2. Place the new reservations on the allocator, plus a fresh
-            //    metadata range — the published metadata base moves with
-            //    the epoch, so a failed placement leaves the old nibbles
-            //    untouched. No clear: step 3 stores every nibble of it.
+            // 2. Place the new reservations on the allocator. The nibbles
+            //    follow the device base, so a failed placement leaves the
+            //    old ones untouched; on the tight-fit path the new nibble
+            //    range may overlap the old one exactly as the device bytes
+            //    may, under this same window. No clear: step 3 stores
+            //    every nibble of the new range.
             let (device_base, buddy_base) = self.place_retarget_regions(
                 &view,
                 (old_device, old_buddy),
                 (new_device, new_buddy),
             )?;
-            let metadata_base = self.alloc_metadata(entries);
             let new_view = AllocView {
                 target: new_target,
                 entries,
                 device_base,
                 buddy_base,
-                metadata_base,
             };
 
             // 3. Re-encode every entry under the new target.
@@ -910,7 +879,6 @@ impl BuddyDevice {
 
             // 4. Update the mutable half and hand the new epoch back for
             //    publication.
-            self.metadata_region.free(view.metadata_base, entries);
             let alloc = self.slots[id.slot as usize]
                 .alloc
                 .as_mut()
@@ -937,7 +905,6 @@ impl BuddyDevice {
                     entries,
                     device_base: new_view.device_base,
                     buddy_base: new_view.buddy_base,
-                    metadata_base: new_view.metadata_base,
                 },
             );
             self.audit_check();
@@ -1018,14 +985,6 @@ impl DeviceHandle {
     /// The codec the shared device compresses with.
     pub fn codec(&self) -> CodecKind {
         self.shared.codec()
-    }
-
-    /// The device's publication epoch: one tick per structural operation
-    /// (`alloc`/`free`/`retarget`) published since the device was created.
-    /// Monotonic; useful for asserting that a batch of reads landed inside
-    /// one epoch.
-    pub fn epoch(&self) -> u64 {
-        self.shared.epoch()
     }
 
     /// Lock-free [`BuddyDevice::read_entries`]: resolves `id` against the
@@ -1594,7 +1553,7 @@ mod tests {
     }
 
     #[test]
-    fn free_reclaims_all_three_regions() {
+    fn free_reclaims_both_regions_and_clears_the_nibbles() {
         let mut dev = small_device();
         let data = entry_of_words(|j| 31 * j as u32);
         let ids: Vec<AllocId> = (0..8)
@@ -1618,6 +1577,59 @@ mod tests {
         assert_eq!(dev.device_used(), dev.config().device_capacity);
         // Recycled storage reads as zero despite the earlier writes.
         assert_eq!(read1(&mut dev, big, 0).unwrap(), [0u8; ENTRY_BYTES]);
+    }
+
+    #[test]
+    fn recycled_device_ranges_read_zero_beside_intact_neighbours() {
+        // Sixteen 16x / 1x pairs carpet the device, the 1x halves are
+        // freed and sixteen more 16x allocations land in their holes: each
+        // recycled range needs 4000 nibbles where its dead tenant used 250,
+        // all of them addressed from the device offset — nothing to
+        // allocate, so nothing to run out of or grow.
+        let mut dev = BuddyDevice::new(DeviceConfig {
+            device_capacity: 1 << 20,
+            carve_out_factor: 16,
+        });
+        let fit = |salt: u32| vec![entry_of_words(|_| 0xABCD_0000 + salt); 4000];
+        let mut x = 7u64;
+        let noisy = entry_of_words(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (x >> 32) as u32
+        });
+        let mut survivors = Vec::new();
+        let mut holes = Vec::new();
+        for pair in 0..16u32 {
+            let zp = dev.alloc("zp", 4000, TargetRatio::ZeroPage16).unwrap();
+            dev.write_entries(zp, 0, &fit(pair)).unwrap();
+            survivors.push((zp, pair));
+            let r1 = dev.alloc("r1", 250, TargetRatio::R1).unwrap();
+            dev.write_entries(r1, 0, &vec![noisy; 250]).unwrap();
+            holes.push(r1);
+        }
+        for r1 in holes {
+            dev.free(r1).unwrap();
+        }
+        for pair in 16..32u32 {
+            let zp = dev
+                .alloc("recycled", 4000, TargetRatio::ZeroPage16)
+                .unwrap();
+            let mut out = vec![[9u8; ENTRY_BYTES]; 4000];
+            dev.read_entries(zp, 0, &mut out).unwrap();
+            assert!(
+                out.iter().all(|e| *e == [0u8; ENTRY_BYTES]),
+                "placement {pair}: a dead allocation's nibbles leaked through"
+            );
+            let states = dev.state_window(zp).unwrap();
+            assert_eq!(states.zero_fraction(), 1.0, "placement {pair}: states");
+            dev.write_entries(zp, 0, &fit(pair)).unwrap();
+            survivors.push((zp, pair));
+        }
+        assert_eq!(survivors.len(), 32);
+        for (zp, salt) in survivors {
+            let mut out = vec![[0u8; ENTRY_BYTES]; 4000];
+            dev.read_entries(zp, 0, &mut out).unwrap();
+            assert_eq!(out, fit(salt), "survivor {salt}");
+        }
     }
 
     #[test]

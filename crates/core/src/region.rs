@@ -1,18 +1,18 @@
 //! A first-fit free-list region allocator with neighbour coalescing.
 //!
-//! The device's three storage regions (device memory, the buddy carve-out
-//! and the per-entry metadata array) all hand out contiguous runs that are
-//! later returned by [`BuddyDevice::free`](crate::BuddyDevice::free). A
-//! bump cursor cannot reclaim anything, so each region is managed by one of
-//! these allocators instead: allocation is a first-fit scan of the sorted
-//! free list, and freeing merges the returned run with adjacent free
-//! neighbours immediately — after every live run is freed, the free list
-//! collapses back to one capacity-sized region, which the churn suite pins
-//! as the leak-freedom property.
+//! The device's two storage regions (device memory and the buddy
+//! carve-out) both hand out contiguous runs that are later returned by
+//! [`BuddyDevice::free`](crate::BuddyDevice::free). The per-entry metadata
+//! array needs no allocator: a nibble's index is derived from its entry's
+//! device address. A bump cursor cannot reclaim anything, so each region is
+//! managed by one of these allocators instead: allocation is a first-fit
+//! scan of the sorted free list, and freeing merges the returned run with
+//! adjacent free neighbours immediately — after every live run is freed,
+//! the free list collapses back to one capacity-sized region, which the
+//! churn suite pins as the leak-freedom property.
 //!
 //! Offsets and lengths are plain `u64`s in whatever unit the caller uses
-//! (bytes for the storage arrays, entries for metadata), so the same code
-//! backs all three regions.
+//! (bytes, for both storage arrays).
 
 /// One contiguous free run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,29 +209,6 @@ impl RegionAllocator {
         }
         self.used -= len;
     }
-
-    /// Extends the managed range to `new_capacity` (metadata growth). The
-    /// added tail is free and coalesces with a trailing free run.
-    pub fn grow(&mut self, new_capacity: u64) {
-        assert!(
-            new_capacity >= self.capacity,
-            "grow cannot shrink ({} -> {new_capacity})",
-            self.capacity
-        );
-        let added = new_capacity - self.capacity;
-        if added == 0 {
-            return;
-        }
-        let old_capacity = self.capacity;
-        self.capacity = new_capacity;
-        match self.free.last_mut() {
-            Some(last) if last.offset + last.len == old_capacity => last.len += added,
-            _ => self.free.push(FreeRun {
-                offset: old_capacity,
-                len: added,
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -326,25 +303,6 @@ mod tests {
         assert!(!r.reserve_at(25, 10));
         assert!(!r.reserve_at(90, 20), "past capacity");
         check(&r);
-    }
-
-    #[test]
-    fn grow_extends_and_coalesces_the_tail() {
-        let mut r = RegionAllocator::new(50);
-        let a = r.alloc(50).unwrap();
-        r.grow(80);
-        check(&r);
-        assert_eq!(r.capacity(), 80);
-        assert_eq!(r.alloc(30), Some(50));
-        r.free(a, 50);
-        r.grow(100);
-        check(&r);
-        // Tail extension merges with the trailing free run created above?
-        // [0,50) free, [50,80) used, [80,100) free — two runs.
-        assert_eq!(r.largest_free(), 50);
-        r.free(50, 30);
-        check(&r);
-        assert_eq!(r.largest_free(), 100, "full coalesce across the grow seam");
     }
 
     #[test]

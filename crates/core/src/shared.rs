@@ -16,8 +16,9 @@
 //!   atomic words, the per-entry metadata nibbles packed sixteen to an
 //!   atomic word ([`AtomicNibbles`], written a range at a time), and a
 //!   [`SlotCell`] per allocation slot carrying the addressing facts
-//!   (generation, entry count, target ratio, region bases) behind a
-//!   per-slot **seqlock**.
+//!   (generation, entry count, target ratio, device and buddy base — what
+//!   the paper's page-table extension holds) behind a per-slot
+//!   **seqlock**.
 //!
 //! # Publication protocol
 //!
@@ -39,12 +40,19 @@
 //!
 //! # The metadata plane is range-granular
 //!
-//! Data ranges are word-aligned per allocation, so no two allocations
-//! ever share a data word. Metadata is not: an allocation's nibbles start
-//! wherever the previous reservation ended, so the first and last 64-bit
-//! unit of a metadata range may also hold a *neighbour's* nibbles, written
-//! concurrently under a different slot lock. Every metadata write is
-//! therefore a range operation ([`AtomicNibbles::zero_range`] for `alloc`,
+//! Metadata is addressed, not allocated: entry `i` of an allocation owns
+//! nibble `device_base / 8 + i` ([`AllocView::metadata_index`]), so
+//! disjoint device reservations have disjoint nibble ranges inside the
+//! `device_capacity / 8` states the device builds up front, and nothing
+//! records where an allocation's metadata lives. Data ranges are
+//! word-aligned per allocation, so no two allocations ever share a data
+//! word. Metadata units are not exclusive: a 64-bit unit holds the nibbles
+//! of 128 device bytes, so wherever two reservations meet inside such a
+//! span — `ZeroPage16` neighbours whose entry counts are not multiples of
+//! sixteen, or any allocation smaller than 128 device bytes — the first
+//! or last unit of a metadata range also holds a *neighbour's* nibbles,
+//! written concurrently under a different slot lock. Every metadata write
+//! is therefore a range operation ([`AtomicNibbles::zero_range`] for `alloc`,
 //! [`AtomicNibbles::store_run`] for entry batches and `retarget`) that
 //! overwrites the units wholly inside the range with one plain store each
 //! — they belong to exactly one allocation, whose writers are serialized —
@@ -87,8 +95,6 @@ pub(crate) struct AllocView {
     pub(crate) device_base: u64,
     /// Byte offset of this allocation's slots in the buddy carve-out.
     pub(crate) buddy_base: u64,
-    /// Index of this allocation's first entry in the global metadata array.
-    pub(crate) metadata_base: u64,
 }
 
 impl AllocView {
@@ -106,6 +112,14 @@ impl AllocView {
 
     pub(crate) fn buddy_offset(&self, index: u64) -> u64 {
         self.buddy_base + index * self.buddy_stride()
+    }
+
+    /// Index of entry `index`'s state nibble in the device's metadata
+    /// array, derived from the device address (see
+    /// [`TargetRatio::MIN_DEVICE_BYTES_PER_ENTRY`] for why it cannot
+    /// collide with another allocation's).
+    pub(crate) fn metadata_index(&self, index: u64) -> u64 {
+        self.device_base / TargetRatio::MIN_DEVICE_BYTES_PER_ENTRY + index
     }
 }
 
@@ -255,10 +269,9 @@ impl fmt::Debug for AtomicBytes {
     }
 }
 
-/// Number of lazily-published chunk slots in [`AtomicNibbles`] and
-/// [`SlotTable`]. Chunk `k` doubles the covered capacity, so a few dozen
-/// slots cover any physically reachable size.
-const NIBBLE_CHUNKS: usize = 40;
+/// Number of lazily-published chunk slots in [`SlotTable`]. Chunk `k`
+/// doubles the covered capacity, so a few dozen slots cover any physically
+/// reachable size.
 const SLOT_CHUNKS: usize = 28;
 const SLOT_CHUNK0: u32 = 64;
 
@@ -275,21 +288,19 @@ fn unit_mask(lo: u64, hi: u64) -> u64 {
     (u64::MAX >> ((UNIT_NIBBLES - (hi - lo)) * 4)) << (lo * 4)
 }
 
-/// The 4-bit-per-entry metadata array as atomic 64-bit words, grown by
-/// publishing power-of-two chunks — existing chunks are never moved, so
-/// concurrent readers keep their references valid across growth.
+/// The 4-bit-per-entry metadata array as one flat slice of atomic 64-bit
+/// words, sized once for the whole device (`device_capacity / 8` states).
 ///
 /// # Range granularity
 ///
 /// Metadata is written a range at a time ([`zero_range`](Self::zero_range),
 /// [`store_run`](Self::store_run)), the way the paper's memory controller
-/// moves it a line at a time, not a nibble at a time. A range resolves its
-/// chunk once per contiguous run and then distinguishes two kinds of
-/// storage unit:
+/// moves it a line at a time, not a nibble at a time. A range
+/// distinguishes two kinds of storage unit:
 ///
 /// * **Interior units** lie wholly inside the range. A range is always a
-///   sub-range of one allocation's metadata reservation, so every nibble
-///   of an interior unit belongs to that one allocation: its entry writers
+///   sub-range of one allocation's nibbles, so every nibble of an interior
+///   unit belongs to that one allocation: its entry writers
 ///   serialize on the slot `write_lock`, its structural operations hold
 ///   `&mut BuddyDevice`, and a range being cleared by `alloc` is not
 ///   published yet. Nobody else stores to the unit, so it is overwritten
@@ -304,69 +315,28 @@ fn unit_mask(lo: u64, hi: u64) -> u64 {
 /// Readers need no distinction: every load is re-validated by the slot
 /// seqlock, exactly as for the data bytes.
 pub(crate) struct AtomicNibbles {
-    /// Units covered by chunk 0; chunk `k ≥ 1` covers `base << (k-1)` more.
-    base_units: u64,
-    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
+    units: Box<[AtomicU64]>,
 }
 
 impl AtomicNibbles {
-    pub(crate) fn new(initial_entries: u64) -> Self {
-        let base_units = initial_entries.div_ceil(UNIT_NIBBLES).max(8);
-        let chunks: Box<[OnceLock<Box<[AtomicU64]>>]> =
-            (0..NIBBLE_CHUNKS).map(|_| OnceLock::new()).collect();
-        let this = Self { base_units, chunks };
-        this.ensure(initial_entries);
-        this
+    pub(crate) fn new(entries: u64) -> Self {
+        // Zeroed `u64`s re-wrapped in place rather than `AtomicU64::new`
+        // per element: the allocation comes from `alloc_zeroed`, so the
+        // pages of metadata no allocation ever uses are never touched (a
+        // 64 MiB device reserves 4 MiB of nibbles up front).
+        let units = vec![0u64; entries.div_ceil(UNIT_NIBBLES) as usize]
+            .into_iter()
+            .map(AtomicU64::new)
+            .collect();
+        Self { units }
     }
 
-    fn chunk_len(&self, k: usize) -> u64 {
-        if k == 0 {
-            self.base_units
-        } else {
-            self.base_units << (k - 1)
-        }
-    }
-
-    /// Maps a unit index to `(chunk, offset-in-chunk)`.
-    fn locate(&self, unit: u64) -> (usize, usize) {
-        if unit < self.base_units {
-            (0, unit as usize)
-        } else {
-            let k = (unit / self.base_units).ilog2() as usize + 1;
-            let start = self.base_units << (k - 1);
-            (k, (unit - start) as usize)
-        }
-    }
-
-    /// Publishes chunks until at least `entries` nibbles are addressable.
-    /// Called only under the device's structural lock (serialized), but
-    /// safe against concurrent readers of already-published chunks.
-    pub(crate) fn ensure(&self, entries: u64) {
-        if entries == 0 {
-            return;
-        }
-        let (last, _) = self.locate(entries.div_ceil(UNIT_NIBBLES) - 1);
-        for k in 0..=last {
-            let len = self.chunk_len(k);
-            // Zeroed `u64`s re-wrapped in place rather than `AtomicU64::new`
-            // per element: the allocation comes from `alloc_zeroed`, so the
-            // pages of metadata no allocation ever uses are never touched
-            // (a 64 MiB device reserves 4 MiB of nibbles up front).
-            self.chunks[k].get_or_init(|| {
-                vec![0u64; len as usize]
-                    .into_iter()
-                    .map(AtomicU64::new)
-                    .collect()
-            });
-        }
-    }
-
-    /// Reads the state nibble of entry `index`. `None` only when the load
-    /// raced a mutation into an unreachable encoding — callers re-validate
-    /// the slot sequence and retry.
+    /// Reads the state nibble of entry `index`. `None` when the nibble is
+    /// not a state encoding or `index` lies past the array — neither
+    /// happens under a stable slot sequence, so callers re-validate it and
+    /// retry.
     pub(crate) fn get(&self, index: u64) -> Option<EntryState> {
-        let (k, off) = self.locate(index / UNIT_NIBBLES);
-        let cell = self.chunks[k].get()?.get(off)?;
+        let cell = self.units.get((index / UNIT_NIBBLES) as usize)?;
         // Relaxed: the seqlock reader re-validates the slot sequence after
         // this load; a racing write forces a retry.
         let word = cell.load(Ordering::Relaxed);
@@ -375,8 +345,8 @@ impl AtomicNibbles {
     }
 
     /// Resets `[start, start + len)` to [`EntryState::Zero`] — what `alloc`
-    /// does to a recycled metadata range, at the cost of a memset rather
-    /// than an RMW per entry.
+    /// does to the nibbles of a recycled device range, at the cost of a
+    /// memset rather than an RMW per entry.
     pub(crate) fn zero_range(&self, start: u64, len: u64) {
         self.write_units(start, len, |_, _| 0);
     }
@@ -403,62 +373,55 @@ impl AtomicNibbles {
 
     /// The one range writer behind [`zero_range`](Self::zero_range) and
     /// [`store_run`](Self::store_run): walks the storage units overlapping
-    /// nibbles `[start, start + len)`, resolving the chunk once per
-    /// contiguous run. `word_of(lo, hi)` returns the unit's new nibbles
-    /// `[lo, hi)` (global indices, all inside one unit), already shifted
-    /// into place. See the type docs for why interior units take a plain
-    /// store and edge units a masked RMW pair.
+    /// nibbles `[start, start + len)`. `word_of(lo, hi)` returns the
+    /// unit's new nibbles `[lo, hi)` (global indices, all inside one
+    /// unit), already shifted into place. See the type docs for why
+    /// interior units take a plain store and edge units a masked RMW pair.
     fn write_units(&self, start: u64, len: u64, mut word_of: impl FnMut(u64, u64) -> u64) {
+        if len == 0 {
+            return;
+        }
         let end = start + len;
+        let first = (start / UNIT_NIBBLES) as usize;
         let mut lo = start;
-        while lo < end {
-            let (k, off) = self.locate(lo / UNIT_NIBBLES);
-            let chunk = self.chunks[k].get().expect("published metadata chunk"); // lint-allow(no-unwrap): writers only address ranges published by their allocation
-            for cell in &chunk[off..] {
-                let unit_base = lo - lo % UNIT_NIBBLES;
-                let hi = end.min(unit_base + UNIT_NIBBLES);
-                let word = word_of(lo, hi);
-                if hi - lo == UNIT_NIBBLES {
-                    // Relaxed: bracketed by the owner's odd/even sequence
-                    // window (entry writes, retarget) or ahead of the
-                    // publication that first exposes the range (alloc).
-                    // A plain store, not an RMW: every nibble of this unit
-                    // belongs to the one allocation whose write lock /
-                    // `&mut` the caller holds, so there is no concurrent
-                    // store to lose.
-                    cell.store(word, Ordering::Relaxed);
-                } else {
-                    let mask = unit_mask(lo - unit_base, hi - unit_base);
-                    // Relaxed: bracketed as above. The clear-then-set pair
-                    // of RMWs never alters a bit outside `mask`, so a
-                    // neighbouring allocation's nibbles in this unit
-                    // survive its concurrent writers; the transient value
-                    // of *these* nibbles is `Zero` (a valid state), and
-                    // same-range races are excluded by the slot
-                    // `write_lock`. Model: `edge_unit`; replacing the pair
-                    // with a plain store (`PlainEdgeStore`) loses an
-                    // update.
-                    cell.fetch_and(!mask, Ordering::Relaxed);
-                    if word != 0 {
-                        // Relaxed: as above.
-                        cell.fetch_or(word, Ordering::Relaxed);
-                    }
-                }
-                lo = hi;
-                if lo == end {
-                    return;
+        for cell in &self.units[first..end.div_ceil(UNIT_NIBBLES) as usize] {
+            let unit_base = lo - lo % UNIT_NIBBLES;
+            let hi = end.min(unit_base + UNIT_NIBBLES);
+            let word = word_of(lo, hi);
+            if hi - lo == UNIT_NIBBLES {
+                // Relaxed: bracketed by the owner's odd/even sequence
+                // window (entry writes, retarget) or ahead of the
+                // publication that first exposes the range (alloc). A
+                // plain store, not an RMW: every nibble of this unit
+                // belongs to the one allocation whose write lock / `&mut`
+                // the caller holds, so there is no concurrent store to
+                // lose.
+                cell.store(word, Ordering::Relaxed);
+            } else {
+                let mask = unit_mask(lo - unit_base, hi - unit_base);
+                // Relaxed: bracketed as above. The clear-then-set pair of
+                // RMWs never alters a bit outside `mask`, so a
+                // neighbouring allocation's nibbles in this unit survive
+                // its concurrent writers; the transient value of *these*
+                // nibbles is `Zero` (a valid state), and same-range races
+                // are excluded by the slot `write_lock`. Model:
+                // `edge_unit`; replacing the pair with a plain store
+                // (`PlainEdgeStore`) loses an update.
+                cell.fetch_and(!mask, Ordering::Relaxed);
+                if word != 0 {
+                    // Relaxed: as above.
+                    cell.fetch_or(word, Ordering::Relaxed);
                 }
             }
+            lo = hi;
         }
     }
 }
 
 impl fmt::Debug for AtomicNibbles {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ready = self.chunks.iter().filter(|c| c.get().is_some()).count();
         f.debug_struct("AtomicNibbles")
-            .field("base_units", &self.base_units)
-            .field("chunks_ready", &ready)
+            .field("entries", &(self.units.len() as u64 * UNIT_NIBBLES))
             .finish()
     }
 }
@@ -498,7 +461,6 @@ pub(crate) struct SlotCell {
     entries: AtomicU64,
     device_base: AtomicU64,
     buddy_base: AtomicU64,
-    metadata_base: AtomicU64,
     target: AtomicU8,
     /// Serializes entry-write batches and structural publications on this
     /// slot. Never held while taking any other lock.
@@ -513,7 +475,6 @@ impl SlotCell {
             entries: AtomicU64::new(0),
             device_base: AtomicU64::new(0),
             buddy_base: AtomicU64::new(0),
-            metadata_base: AtomicU64::new(0),
             target: AtomicU8::new(0),
             write_lock: Mutex::new(()),
         }
@@ -524,10 +485,10 @@ impl SlotCell {
     fn begin_read(&self) -> u64 {
         let mut spins = 0u32;
         loop {
-            // Acquire (was SeqCst): pairs with `seq_release`'s closing
-            // bump — observing an even sequence inherits every store of
-            // that window, so the Relaxed field loads that follow cannot
-            // be older than this epoch. Model: `seqlock` passes
+            // Acquire: pairs with `seq_release`'s closing bump — observing
+            // an even sequence inherits every store of that window, so the
+            // Relaxed field loads that follow cannot be older than this
+            // epoch. Model: `seqlock` passes
             // exhaustively with Acquire; `CloseRelaxed` (breaking the
             // pairing) has a counterexample.
             let s = seq_acquire(&self.seq);
@@ -546,14 +507,13 @@ impl SlotCell {
     /// True when the sequence still matches `seen` — everything loaded
     /// since `begin_read` returned `seen` is a consistent snapshot.
     ///
-    /// Acquire fence + Relaxed re-load (was `SeqCst` fence + `SeqCst`
-    /// load): the fence upgrades the Relaxed data loads since
-    /// `begin_read`, so any value written inside a later window drags
-    /// that window's odd sequence into view and the re-load must see it
-    /// — the happens-before edge is data-store → (writer release fence)
-    /// → (this acquire fence) → sequence re-load. Model: removing the
-    /// fence (`NoReaderFence`) lets a torn snapshot validate; the
-    /// Acquire version passes exhaustively, so SeqCst bought nothing.
+    /// Acquire fence + Relaxed re-load: the fence upgrades the Relaxed
+    /// data loads since `begin_read`, so any value written inside a later
+    /// window drags that window's odd sequence into view and the re-load
+    /// must see it — the happens-before edge is data-store → (writer
+    /// release fence) → (this acquire fence) → sequence re-load. Model:
+    /// removing the fence (`NoReaderFence`) lets a torn snapshot validate;
+    /// the Acquire version passes exhaustively.
     fn still(&self, seen: u64) -> bool {
         seq_revalidate(&self.seq) == seen
     }
@@ -561,8 +521,8 @@ impl SlotCell {
     /// Copies the published fields (caller brackets with `begin_read` /
     /// `still`).
     fn load_raw(&self) -> RawSlot {
-        // Relaxed (was SeqCst): these loads sit between `begin_read`'s
-        // acquire of the sequence and `still`'s re-validation — a stale
+        // Relaxed: these loads sit between `begin_read`'s acquire of the
+        // sequence and `still`'s re-validation — a stale
         // value here either predates the acquired epoch (impossible, the
         // close-bump published it) or belongs to a later window, whose
         // odd sequence then fails `still`. Model: the `seqlock` and
@@ -575,15 +535,14 @@ impl SlotCell {
             target: self.target.load(Ordering::Relaxed), // Relaxed: same
             device_base: ld(&self.device_base),
             buddy_base: ld(&self.buddy_base),
-            metadata_base: ld(&self.metadata_base),
         }
     }
 
     /// Stores new addressing facts. Caller must hold `write_lock` and an
     /// open [`SeqWindow`].
     fn store_raw(&self, raw: &RawSlot) {
-        // Relaxed (was SeqCst): bracketed by the open window — `seq_open`'s
-        // release fence attaches the odd sequence to each of these stores
+        // Relaxed: bracketed by the open window — `seq_open`'s release
+        // fence attaches the odd sequence to each of these stores
         // (readers that see one re-validate and retry) and `seq_release`
         // publishes them wholesale to readers of the closed sequence.
         // Model: `NoWriterFence` / `CloseRelaxed` are the mutations that
@@ -594,7 +553,6 @@ impl SlotCell {
         self.target.store(raw.target, Ordering::Relaxed); // Relaxed: same
         st(&self.device_base, raw.device_base);
         st(&self.buddy_base, raw.buddy_base);
-        st(&self.metadata_base, raw.metadata_base);
     }
 }
 
@@ -618,7 +576,6 @@ pub(crate) struct RawSlot {
     target: u8,
     pub(crate) device_base: u64,
     pub(crate) buddy_base: u64,
-    pub(crate) metadata_base: u64,
 }
 
 impl RawSlot {
@@ -629,7 +586,6 @@ impl RawSlot {
             target: encode_target(view.target),
             device_base: view.device_base,
             buddy_base: view.buddy_base,
-            metadata_base: view.metadata_base,
         }
     }
 
@@ -642,7 +598,6 @@ impl RawSlot {
             target: 0,
             device_base: 0,
             buddy_base: 0,
-            metadata_base: 0,
         }
     }
 
@@ -658,7 +613,6 @@ impl RawSlot {
             entries: self.entries,
             device_base: self.device_base,
             buddy_base: self.buddy_base,
-            metadata_base: self.metadata_base,
         })
     }
 }
@@ -672,13 +626,13 @@ pub(crate) struct SeqWindow<'a> {
 
 impl<'a> SeqWindow<'a> {
     fn open(cell: &'a SlotCell) -> Self {
-        // Relaxed bump + Release fence (was SeqCst bump + SeqCst fence):
-        // the fence orders the odd bump before every store inside the
-        // window, so a reader that observes any of them cannot
-        // re-validate against the old even sequence. The bump itself
-        // needs no ordering — `write_lock` serializes writers. Model:
-        // `SkipOddBump` (no odd marker) and `NoWriterFence` (no fence)
-        // each have a counterexample; this pair passes exhaustively.
+        // Relaxed bump + Release fence: the fence orders the odd bump
+        // before every store inside the window, so a reader that observes
+        // any of them cannot re-validate against the old even sequence.
+        // The bump itself needs no ordering — `write_lock` serializes
+        // writers. Model: `SkipOddBump` (no odd marker) and
+        // `NoWriterFence` (no fence) each have a counterexample; this pair
+        // passes exhaustively.
         seq_open(&cell.seq);
         Self { seq: &cell.seq }
     }
@@ -686,18 +640,17 @@ impl<'a> SeqWindow<'a> {
 
 impl Drop for SeqWindow<'_> {
     fn drop(&mut self) {
-        // Release bump, no fence (was SeqCst fence + SeqCst bump): a
-        // single Release RMW already orders every store inside the window
-        // before the closing bump, which is the edge `begin_read`'s
-        // Acquire pairs with — the old leading fence duplicated exactly
-        // that. Model: downgrading this to Relaxed (`CloseRelaxed`) has a
-        // counterexample; Release alone passes exhaustively.
+        // Release bump, no fence: a single Release RMW already orders
+        // every store inside the window before the closing bump, which is
+        // the edge `begin_read`'s Acquire pairs with. Model: downgrading
+        // this to Relaxed (`CloseRelaxed`) has a counterexample; Release
+        // alone passes exhaustively.
         seq_release(self.seq);
     }
 }
 
-/// The allocation slot table: chunked like [`AtomicNibbles`] so published
-/// cells never move while the table grows.
+/// The allocation slot table, grown by publishing power-of-two chunks so
+/// published cells never move while the table grows.
 pub(crate) struct SlotTable {
     chunks: Box<[OnceLock<Box<[SlotCell]>>]>,
 }
@@ -833,8 +786,6 @@ pub(crate) struct SharedState {
     pub(crate) metadata: AtomicNibbles,
     pub(crate) slots: SlotTable,
     pub(crate) stats: SharedStats,
-    /// Monotonic publication counter: one tick per structural epoch.
-    epoch: AtomicU64,
     ops_entered: AtomicU64,
     ops_exited: AtomicU64,
 }
@@ -843,7 +794,6 @@ impl fmt::Debug for SharedState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedState")
             .field("codec", &self.codec)
-            .field("epoch", &self.epoch.load(Ordering::SeqCst))
             .field("device", &self.device)
             .field("buddy", &self.buddy)
             .field("metadata", &self.metadata)
@@ -853,20 +803,14 @@ impl fmt::Debug for SharedState {
 }
 
 impl SharedState {
-    pub(crate) fn new(
-        codec: CodecKind,
-        device_capacity: u64,
-        buddy_capacity: u64,
-        metadata_entries: u64,
-    ) -> Self {
+    pub(crate) fn new(codec: CodecKind, device_capacity: u64, buddy_capacity: u64) -> Self {
         let state = Self {
             codec,
             device: AtomicBytes::new(device_capacity),
             buddy: AtomicBytes::new(buddy_capacity),
-            metadata: AtomicNibbles::new(metadata_entries),
+            metadata: AtomicNibbles::new(device_capacity / TargetRatio::MIN_DEVICE_BYTES_PER_ENTRY),
             slots: SlotTable::new(),
             stats: SharedStats::default(),
-            epoch: AtomicU64::new(0),
             ops_entered: AtomicU64::new(0),
             ops_exited: AtomicU64::new(0),
         };
@@ -876,11 +820,6 @@ impl SharedState {
 
     pub(crate) fn codec(&self) -> CodecKind {
         self.codec
-    }
-
-    /// Current epoch counter (one tick per structural publication).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
     }
 
     /// Marks a lock-free handle operation in flight (released on drop).
@@ -909,24 +848,19 @@ impl SharedState {
     }
 
     /// Publishes new addressing facts for a slot under its write lock.
-    /// This is the only way slot contents change, so readers see epochs,
-    /// never blends.
     pub(crate) fn publish(&self, slot: u32, raw: RawSlot) {
-        let cell = self.structural_cell(slot);
-        let _guard = lock_recover(&cell.write_lock);
-        let window = SeqWindow::open(cell);
-        cell.store_raw(&raw);
-        drop(window);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
+        // Cannot fail: the closure only hands `raw` over.
+        let _ = self.republish(slot, || Ok((raw, ())));
     }
 
     /// Runs `mutate` while holding the slot's write lock **and** an open
     /// sequence window, then publishes the returned [`RawSlot`] before
-    /// closing both. `retarget` migrates inside this: its re-encode may
-    /// write into regions that overlap the old reservation (tight-fit
-    /// placement), so concurrent readers of this one allocation must spin
-    /// through the whole migration instead of sampling half-rewritten
-    /// bytes under an unchanged sequence. On error the window closes with
+    /// closing both. This is the only way slot contents change, so readers
+    /// see epochs, never blends. `retarget` migrates inside this: its
+    /// re-encode may write into regions that overlap the old reservation
+    /// (tight-fit placement), so concurrent readers of this one allocation
+    /// must spin through the whole migration instead of sampling
+    /// half-rewritten bytes under an unchanged sequence. On error the window closes with
     /// the cell unchanged (readers retry once and see the old epoch).
     pub(crate) fn republish<R>(
         &self,
@@ -939,7 +873,6 @@ impl SharedState {
         let (raw, result) = mutate()?;
         cell.store_raw(&raw);
         drop(window);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
         Ok(result)
     }
 
@@ -962,7 +895,7 @@ impl SharedState {
     ) -> Result<EntryState, TornRead> {
         let state = self
             .metadata
-            .get(view.metadata_base + index)
+            .get(view.metadata_index(index))
             .ok_or(TornRead)?;
         match state {
             EntryState::Zero => *out = [0u8; ENTRY_BYTES],
@@ -1048,7 +981,7 @@ impl SharedState {
         scratch: &mut CompressedBuf,
         mut record: impl FnMut(EntryState),
     ) {
-        let first = view.metadata_base + start;
+        let first = view.metadata_index(start);
         self.metadata
             .store_run(first, entries.len() as u64, |nibble| {
                 let offset = nibble - first;
@@ -1086,6 +1019,44 @@ impl SharedState {
         }
     }
 
+    /// The seqlock read protocol, said once: runs `body` against one
+    /// consistent epoch of `id`'s entries `[start, start + len)`, retrying
+    /// until the slot sequence is unchanged across the descriptor copy
+    /// *and* everything `body` loaded. `body` must be repeatable — an
+    /// abandoned attempt's result is dropped — and reports a load it could
+    /// not make sense of as [`TornRead`], which a moved sequence explains
+    /// and retries.
+    fn read_epoch<R>(
+        &self,
+        id: AllocId,
+        start: u64,
+        len: u64,
+        mut body: impl FnMut(&AllocView) -> Result<R, TornRead>,
+    ) -> Result<R, DeviceError> {
+        let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
+        loop {
+            let seen = cell.begin_read();
+            let raw = cell.load_raw();
+            if !cell.still(seen) {
+                continue;
+            }
+            // The snapshot is consistent from here on: errors are the
+            // truthful observation of this epoch, not torn state.
+            let view = raw.validate(id)?;
+            check_range(&view, start, len)?;
+            let result = body(&view);
+            if !cell.still(seen) {
+                continue;
+            }
+            match result {
+                Ok(result) => return Ok(result),
+                Err(TornRead) => {
+                    unreachable!("stored state failed to decode under a stable snapshot")
+                }
+            }
+        }
+    }
+
     /// Reads a contiguous run of entries against one consistent epoch.
     /// Lock-free: retries through the slot seqlock until a full batch
     /// lands inside a stable snapshot.
@@ -1095,35 +1066,16 @@ impl SharedState {
         start: u64,
         out: &mut [Entry],
     ) -> Result<AccessStats, DeviceError> {
-        let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
-        'attempt: loop {
-            let seen = cell.begin_read();
-            let raw = cell.load_raw();
-            if !cell.still(seen) {
-                continue;
-            }
-            // The snapshot is consistent from here on: errors are the
-            // truthful observation of this epoch, not torn state.
-            let view = raw.validate(id)?;
-            check_range(&view, start, out.len() as u64)?;
+        let stats = self.read_epoch(id, start, out.len() as u64, |view| {
             let mut stats = AccessStats::default();
             for (i, slot_out) in out.iter_mut().enumerate() {
-                match self.read_one(&view, start + i as u64, slot_out) {
-                    Ok(state) => record_read(&mut stats, view.target, state),
-                    Err(TornRead) => {
-                        if cell.still(seen) {
-                            unreachable!("stored stream failed to decode under a stable snapshot");
-                        }
-                        continue 'attempt;
-                    }
-                }
+                let state = self.read_one(view, start + i as u64, slot_out)?;
+                record_read(&mut stats, view.target, state);
             }
-            if !cell.still(seen) {
-                continue;
-            }
-            self.stats.add(&stats);
-            return Ok(stats);
-        }
+            Ok(stats)
+        })?;
+        self.stats.add(&stats);
+        Ok(stats)
     }
 
     /// Writes a contiguous run of entries under the slot's write lock and
@@ -1154,54 +1106,23 @@ impl SharedState {
     /// Per-entry state against a consistent epoch, without touching the
     /// traffic counters.
     pub(crate) fn entry_state(&self, id: AllocId, index: u64) -> Result<EntryState, DeviceError> {
-        let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
-        loop {
-            let seen = cell.begin_read();
-            let raw = cell.load_raw();
-            if !cell.still(seen) {
-                continue;
-            }
-            let view = raw.validate(id)?;
-            check_index(&view, index)?;
-            let state = self.metadata.get(view.metadata_base + index);
-            if !cell.still(seen) {
-                continue;
-            }
-            match state {
-                Some(state) => return Ok(state),
-                None => unreachable!("published metadata decodes under a stable snapshot"),
-            }
-        }
+        self.read_epoch(id, index, 1, |view| {
+            self.metadata
+                .get(view.metadata_index(index))
+                .ok_or(TornRead)
+        })
     }
 
     /// Summarizes the live metadata states of an allocation into a
     /// [`StateWindow`] against one consistent epoch.
     pub(crate) fn state_window(&self, id: AllocId) -> Result<StateWindow, DeviceError> {
-        let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
-        'attempt: loop {
-            let seen = cell.begin_read();
-            let raw = cell.load_raw();
-            if !cell.still(seen) {
-                continue;
-            }
-            let view = raw.validate(id)?;
+        self.read_epoch(id, 0, 0, |view| {
             let mut window = StateWindow::new();
             for i in 0..view.entries {
-                match self.metadata.get(view.metadata_base + i) {
-                    Some(state) => window.observe(state),
-                    None => {
-                        if cell.still(seen) {
-                            unreachable!("published metadata decodes under a stable snapshot");
-                        }
-                        continue 'attempt;
-                    }
-                }
+                window.observe(self.metadata.get(view.metadata_index(i)).ok_or(TornRead)?);
             }
-            if !cell.still(seen) {
-                continue;
-            }
-            return Ok(window);
-        }
+            Ok(window)
+        })
     }
 }
 
@@ -1248,11 +1169,10 @@ mod tests {
     }
 
     /// The per-nibble implementation the range primitives replaced, kept
-    /// as their oracle: one `locate` and one masked RMW pair per entry.
+    /// as their oracle: one masked RMW pair per entry.
     impl AtomicNibbles {
         fn set(&self, index: u64, state: EntryState) {
-            let (k, off) = self.locate(index / UNIT_NIBBLES);
-            let cell = &self.chunks[k].get().expect("published metadata chunk")[off];
+            let cell = &self.units[(index / UNIT_NIBBLES) as usize];
             let shift = (index % UNIT_NIBBLES) * 4;
             cell.fetch_and(!(0xF << shift), Ordering::Relaxed);
             cell.fetch_or(u64::from(state.encode()) << shift, Ordering::Relaxed);
@@ -1262,32 +1182,6 @@ mod tests {
             for i in start..start + len {
                 self.set(i, EntryState::Zero);
             }
-        }
-    }
-
-    #[test]
-    fn nibble_chunks_cover_growth_without_moving() {
-        let nibbles = AtomicNibbles::new(16);
-        nibbles.store_run(3, 1, |_| EntryState::Compressed { sectors: 2 });
-        // Grow far past the base chunk; earlier states stay addressable.
-        nibbles.ensure(100_000);
-        nibbles.store_run(99_999, 1, |_| EntryState::ZeroPageFit);
-        assert_eq!(nibbles.get(3), Some(EntryState::Compressed { sectors: 2 }));
-        assert_eq!(nibbles.get(99_999), Some(EntryState::ZeroPageFit));
-        assert_eq!(nibbles.get(50_000), Some(EntryState::Zero));
-    }
-
-    #[test]
-    fn nibble_locate_is_contiguous_across_chunk_edges() {
-        let nibbles = AtomicNibbles::new(128); // base 8 units
-        let mut seen = std::collections::HashSet::new();
-        for unit in 0..1024u64 {
-            let (k, off) = nibbles.locate(unit);
-            assert!(seen.insert((k, off)), "unit {unit} collides at ({k},{off})");
-            assert!(
-                (off as u64) < nibbles.chunk_len(k),
-                "unit {unit} out of chunk"
-            );
         }
     }
 
@@ -1317,9 +1211,7 @@ mod tests {
         /// — so nibbles outside each range are untouched — and equal to the
         /// per-nibble oracle applied to a second array. Starts and lengths
         /// are drawn so that odd starts, odd ends, `len` 0/1/2, whole-unit
-        /// runs and runs across the chunk edges at 128 / 256 / 512 nibbles
-        /// all occur, and the upper half is only addressable after the
-        /// mid-sequence `ensure` growth.
+        /// runs and runs to the very end of the array all occur.
         #[test]
         fn range_primitives_match_the_per_nibble_oracle(
             ops in proptest::collection::vec(
@@ -1327,21 +1219,12 @@ mod tests {
                 1..48,
             ),
         ) {
-            const SMALL: u64 = 512;
-            const GROWN: u64 = 2048;
-            let nibbles = AtomicNibbles::new(128); // base chunk: 8 units
-            let oracle = AtomicNibbles::new(128);
-            nibbles.ensure(SMALL);
-            oracle.ensure(SMALL);
-            let mut model = vec![0u8; SMALL as usize];
-            let grow_at = ops.len() / 2;
-            for (step, (kind, a, b, seed)) in ops.into_iter().enumerate() {
-                if step == grow_at {
-                    nibbles.ensure(GROWN);
-                    oracle.ensure(GROWN);
-                    model.resize(GROWN as usize, 0);
-                }
-                let limit = model.len() as u64;
+            const NIBBLES: u64 = 2048;
+            let nibbles = AtomicNibbles::new(NIBBLES);
+            let oracle = AtomicNibbles::new(NIBBLES);
+            let mut model = vec![0u8; NIBBLES as usize];
+            for (kind, a, b, seed) in ops {
+                let limit = NIBBLES;
                 let start = a % limit;
                 // Short runs half the time, anything up to the end otherwise.
                 let len = if b % 2 == 0 {
@@ -1390,7 +1273,7 @@ mod tests {
 
     #[test]
     fn dead_cells_reject_every_generation() {
-        let state = SharedState::new(CodecKind::Bpc, 1 << 16, 3 << 16, 1 << 13);
+        let state = SharedState::new(CodecKind::Bpc, 1 << 16, 3 << 16);
         let id = AllocId {
             slot: 0,
             generation: 0,
@@ -1413,13 +1296,12 @@ mod tests {
 
     #[test]
     fn publish_then_read_round_trips() {
-        let state = SharedState::new(CodecKind::Bpc, 1 << 16, 3 << 16, 1 << 13);
+        let state = SharedState::new(CodecKind::Bpc, 1 << 16, 3 << 16);
         let view = AllocView {
             target: TargetRatio::R2,
             entries: 8,
             device_base: 0,
             buddy_base: 0,
-            metadata_base: 0,
         };
         state.publish(0, RawSlot::from_view(1, &view));
         let id = AllocId {
@@ -1440,6 +1322,5 @@ mod tests {
             state.read_batch(id, 2, &mut out),
             Err(DeviceError::BadAllocation)
         );
-        assert!(state.epoch() >= 2);
     }
 }

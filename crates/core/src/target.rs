@@ -47,6 +47,16 @@ impl TargetRatio {
         TargetRatio::R1,
     ];
 
+    /// The smallest device reservation any target makes per entry (the
+    /// zero-page granule). Every target's device stride is a multiple of
+    /// it and every device reservation is aligned to it, so an entry's
+    /// metadata nibble is addressed straight from its allocation's device
+    /// base — `device_base / MIN_DEVICE_BYTES_PER_ENTRY + i` — the way the
+    /// paper's memory controller indexes its metadata region (§3.2):
+    /// disjoint device reservations give disjoint nibble ranges, all inside
+    /// `device_capacity / MIN_DEVICE_BYTES_PER_ENTRY` states.
+    pub(crate) const MIN_DEVICE_BYTES_PER_ENTRY: u64 = 8;
+
     /// Device bytes reserved per 128 B entry.
     pub fn device_bytes_per_entry(self) -> u32 {
         match self {
@@ -127,6 +137,15 @@ mod tests {
         assert_eq!(TargetRatio::R2.device_sectors(), 2);
         assert_eq!(TargetRatio::R4.device_sectors(), 1);
         assert_eq!(TargetRatio::ZeroPage16.device_bytes_per_entry(), 8);
+    }
+
+    #[test]
+    fn every_device_stride_is_a_multiple_of_the_metadata_granule() {
+        for t in TargetRatio::DESCENDING {
+            let stride = u64::from(t.device_bytes_per_entry());
+            assert!(stride >= TargetRatio::MIN_DEVICE_BYTES_PER_ENTRY, "{t}");
+            assert_eq!(stride % TargetRatio::MIN_DEVICE_BYTES_PER_ENTRY, 0, "{t}");
+        }
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //! 3. **Stale ids stay dead.** Every id invalidated by a `free` returns
 //!    `BadAllocation` on every path forever, even after its slot has been
 //!    recycled by later allocations (generational ids).
+//! 4. **Metadata needs no allocator.** Entry `i` of an allocation owns the
+//!    state nibble at `device offset / 8 + i` (DESIGN.md §7); after every
+//!    step the live allocations' nibble ranges are pairwise disjoint and
+//!    inside the `device_capacity / 8` states the device builds up front.
 
 use bpc::{CodecKind, ENTRY_BYTES};
 use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, EntryState, TargetRatio};
@@ -90,6 +94,33 @@ fn occupancy(dev: &BuddyDevice) -> (u64, u64, u64, String) {
         dev.logical_bytes(),
         format!("{:.12}", dev.effective_ratio()),
     )
+}
+
+/// Asserts guarantee 4 for the allocations `ids`, deriving each nibble
+/// range from the device offset of the allocation's first entry.
+fn assert_nibble_ranges_disjoint(dev: &BuddyDevice, ids: impl Iterator<Item = AllocId>) {
+    let mut ranges: Vec<(u64, u64)> = ids
+        .map(|id| {
+            let ((device_offset, _), _) = dev.storage_ranges(id, 0).unwrap();
+            let (_, _, entries) = dev.allocation_info(id).unwrap();
+            (device_offset / 8, entries)
+        })
+        .collect();
+    ranges.sort_unstable();
+    for pair in ranges.windows(2) {
+        assert!(
+            pair[0].0 + pair[0].1 <= pair[1].0,
+            "nibble ranges {:?} and {:?} overlap",
+            pair[0],
+            pair[1]
+        );
+    }
+    if let Some(&(first, entries)) = ranges.last() {
+        assert!(
+            first + entries <= dev.config().device_capacity / 8,
+            "nibble range [{first}, +{entries}) leaves the metadata array"
+        );
+    }
 }
 
 /// Asserts that a handle is dead on every path.
@@ -184,6 +215,7 @@ proptest! {
                 }
                 _ => {}
             }
+            assert_nibble_ranges_disjoint(&dev, live.iter().map(|shadow| shadow.id));
         }
 
         // (3) Stale ids are dead, even though later allocations may have
@@ -345,4 +377,59 @@ fn n_cycles_of_churn_return_to_empty() {
     let entries = CONFIG.device_capacity / ENTRY_BYTES as u64;
     dev.alloc("full", entries, TargetRatio::R1).unwrap();
     assert_eq!(dev.device_used(), CONFIG.device_capacity);
+}
+
+/// Guarantee 4 on `retarget`'s tight-fit path, for every pair of targets:
+/// on a completely full device the migrating allocation is placed over its
+/// own old bytes, so its new nibble range overlaps its old one — both
+/// shrinking and growing back — while unit-sharing neighbours on either
+/// side keep every state and byte.
+#[test]
+fn tight_fit_retargets_keep_nibble_ranges_disjoint() {
+    const MIDDLE: u64 = 100;
+    let (left_entries, right_entries) = (5u64, 7u64);
+    let targets = TargetRatio::DESCENDING;
+    for (s, &small) in targets.iter().enumerate() {
+        for &big in &targets[s + 1..] {
+            let big_stride = u64::from(big.device_bytes_per_entry());
+            let mut dev = BuddyDevice::new(DeviceConfig {
+                device_capacity: (left_entries + right_entries) * 8 + MIDDLE * big_stride,
+                carve_out_factor: 16,
+            });
+            let left = dev
+                .alloc("left", left_entries, TargetRatio::ZeroPage16)
+                .unwrap();
+            let middle = dev.alloc("middle", MIDDLE, big).unwrap();
+            let right = dev
+                .alloc("right", right_entries, TargetRatio::ZeroPage16)
+                .unwrap();
+            assert_eq!(dev.device_free(), 0, "{big}: the device must be full");
+            let contents: Vec<(AllocId, Vec<Entry>)> = [left, middle, right]
+                .into_iter()
+                .zip([left_entries, MIDDLE, right_entries])
+                .map(|(id, entries)| {
+                    let data: Vec<Entry> = (0..entries)
+                        .map(|i| entry_of_kind((i % 4) as u8, i ^ entries))
+                        .collect();
+                    dev.write_entries(id, 0, &data).unwrap();
+                    (id, data)
+                })
+                .collect();
+            let placed = dev.storage_ranges(middle, 0).unwrap().0 .0;
+            for to in [small, big] {
+                dev.retarget(middle, to).unwrap();
+                assert_eq!(
+                    dev.storage_ranges(middle, 0).unwrap().0 .0,
+                    placed,
+                    "{big} <-> {small}: only the tight-fit path re-places in situ"
+                );
+                assert_nibble_ranges_disjoint(&dev, contents.iter().map(|(id, _)| *id));
+                for (id, data) in &contents {
+                    let mut out = vec![[9u8; ENTRY_BYTES]; data.len()];
+                    dev.read_entries(*id, 0, &mut out).unwrap();
+                    assert_eq!(&out, data, "{big} <-> {small}: bytes after -> {to}");
+                }
+            }
+        }
+    }
 }

@@ -3,11 +3,14 @@
 //! The metadata plane packs sixteen 4-bit entry states into one 64-bit
 //! storage unit and writes it a range at a time: units wholly inside a
 //! range take one plain store, the at most two edge units a masked RMW
-//! pair (`core::shared::AtomicNibbles`). An allocation's metadata range
-//! starts wherever the previous reservation ended, so neighbouring
-//! allocations — written concurrently under *different* slot locks — meet
-//! inside one unit. This suite drives exactly that: three reservations
-//! packed into the device's first units, two of them written through
+//! pair (`core::shared::AtomicNibbles`). Entry `i` of an allocation owns
+//! the nibble at `device offset / 8 + i`, so one unit covers 128 device
+//! bytes and neighbouring allocations — written concurrently under
+//! *different* slot locks — meet inside a unit wherever their device
+//! reservations meet inside such a span: `ZeroPage16` neighbours whose
+//! entry counts are not multiples of sixteen, and any allocation of fewer
+//! than 128 device bytes. This suite drives both: three reservations
+//! packed into the device's first two units, two of them written through
 //! lock-free handles while the third is allocated (cleared), written and
 //! freed in a loop. Every nibble must end as its own allocation's last
 //! write; a range primitive that stored an edge unit whole would lose a
@@ -40,7 +43,7 @@ fn noisy(seed: u64) -> Entry {
 
 /// What an allocation's writer stores: zero, a constant word and noise.
 /// The two non-zero states differ per allocation kind — `Compressed {1}` /
-/// `Compressed {4}` under `R2`, `ZeroPageFit` / `ZeroPageOverflow` under
+/// `Compressed {4}` under `R4`, `ZeroPageFit` / `ZeroPageOverflow` under
 /// `ZeroPage16` — so a nibble that picked up a neighbour's state, or lost
 /// its own to a neighbour's store, is visible. Zero and the constant skip
 /// the codec's slow path, so most of a write is its metadata update.
@@ -97,6 +100,13 @@ fn hammer(
     last
 }
 
+/// The metadata storage unit holding the state of entry `index` of `id`:
+/// nibble `device offset of entry 0 / 8 + index`, sixteen nibbles a unit.
+fn unit_of(dev: &BuddyDevice, id: AllocId, index: u64) -> u64 {
+    let ((first_entry_offset, _), _) = dev.storage_ranges(id, 0).unwrap();
+    (first_entry_offset / 8 + index) / 16
+}
+
 #[test]
 fn neighbours_sharing_a_unit_never_lose_a_nibble() {
     const ROUNDS: u64 = 20_000;
@@ -104,14 +114,19 @@ fn neighbours_sharing_a_unit_never_lose_a_nibble() {
         device_capacity: 1 << 20,
         carve_out_factor: 3,
     });
-    // First-fit on an empty metadata region: `a` takes nibbles [0, 5),
-    // `b` [5, 12), and every `c` below the abutting [12, 21) — so unit 0
-    // (nibbles 0..16) is shared by all three, and `b` is an allocation
-    // with no interior unit at all.
-    let (a_entries, b_entries, c_entries) = (5u64, 7u64, 9u64);
-    let a = dev.alloc("a", a_entries, TargetRatio::R2).unwrap();
+    // First-fit on an empty device: `a` (3 × 32 B) takes device bytes
+    // [0, 96) and so nibbles [0, 3), `b` bytes [96, 152) and nibbles
+    // [12, 19), and every `c` below the abutting bytes [152, 224) and
+    // nibbles [19, 28) — so unit 0 (nibbles 0..16) is shared by `a` and
+    // `b`, unit 1 by `b` and `c`, and `b` is an allocation with no interior
+    // unit at all. R2 / R4 neighbours of sixteen entries or more never
+    // share a unit, so the sharing is asserted, not assumed.
+    let (a_entries, b_entries, c_entries) = (3u64, 7u64, 9u64);
+    let a = dev.alloc("a", a_entries, TargetRatio::R4).unwrap();
     let b = dev.alloc("b", b_entries, TargetRatio::ZeroPage16).unwrap();
-    let a_palette = palette(TargetRatio::R2);
+    assert_eq!(unit_of(&dev, a, a_entries - 1), unit_of(&dev, b, 0));
+    assert_ne!(unit_of(&dev, b, 0), unit_of(&dev, b, b_entries - 1));
+    let a_palette = palette(TargetRatio::R4);
     let b_palette = palette(TargetRatio::ZeroPage16);
     let c_fill = vec![entry_of_words(|_| 7); c_entries as usize];
 
@@ -128,7 +143,8 @@ fn neighbours_sharing_a_unit_never_lose_a_nibble() {
         });
         start.wait();
         for round in 0..ROUNDS {
-            let c = dev.alloc("c", c_entries, TargetRatio::R4).unwrap();
+            let c = dev.alloc("c", c_entries, TargetRatio::ZeroPage16).unwrap();
+            assert_eq!(unit_of(&dev, b, b_entries - 1), unit_of(&dev, c, 0));
             // The recycled range held the previous round's states; the
             // clear must have reset all of it and nothing else.
             for i in 0..c_entries {
@@ -142,7 +158,7 @@ fn neighbours_sharing_a_unit_never_lose_a_nibble() {
             for i in 0..c_entries {
                 assert_eq!(
                     dev.entry_state(c, i).unwrap(),
-                    EntryState::Compressed { sectors: 1 },
+                    EntryState::ZeroPageFit,
                     "round {round}: entry {i} lost its state"
                 );
             }

@@ -564,12 +564,22 @@ impl BuddyPool {
     /// pool whose free space is spread evenly over many shards reports
     /// *higher* fragmentation than any single shard — which is exactly the
     /// placement reality a large request faces.
+    ///
+    /// Each shard's free total and largest free run are sampled under one
+    /// acquisition of its lock, so every shard contributes `largest ≤ free`
+    /// and the result stays in range while other threads alloc and free.
     pub fn fragmentation(&self) -> f64 {
-        let free = self.device_free();
+        let (free, largest) = (0..self.shards.len()).fold((0u64, 0u64), |(free, largest), i| {
+            let shard = self.shard(i);
+            (
+                free + shard.device_free(),
+                largest.max(shard.largest_free_region()),
+            )
+        });
         if free == 0 {
             return 0.0;
         }
-        1.0 - self.largest_free_region() as f64 / free as f64
+        1.0 - largest as f64 / free as f64
     }
 
     /// Pool-wide effective compression ratio (logical bytes / device bytes
@@ -672,6 +682,38 @@ mod tests {
             occupied >= 3,
             "32 hashed allocations should land on ≥3 of 4 shards, got {occupied}"
         );
+    }
+
+    #[test]
+    fn fragmentation_stays_in_range_while_a_shard_churns() {
+        // One shard that a 64-entry R1 allocation all but fills: a `free`
+        // landing between a sample of the free total (128 B) and a sample
+        // of the largest run (the whole shard) would read as -64.
+        let pool = BuddyPool::new(PoolConfig {
+            shards: 1,
+            shard_config: DeviceConfig {
+                device_capacity: 65 * 128,
+                carve_out_factor: 3,
+            },
+            codec: CodecKind::Bpc,
+        });
+        let start = std::sync::Barrier::new(2);
+        let churning = std::sync::atomic::AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..20_000 {
+                    let id = pool.alloc("filler", 64, TargetRatio::R1).unwrap();
+                    pool.free(id).unwrap();
+                }
+                churning.store(false, std::sync::atomic::Ordering::SeqCst);
+            });
+            start.wait();
+            while churning.load(std::sync::atomic::Ordering::SeqCst) {
+                let f = pool.fragmentation();
+                assert!((0.0..=1.0).contains(&f), "fragmentation {f} out of range");
+            }
+        });
     }
 
     #[test]
