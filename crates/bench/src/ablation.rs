@@ -193,7 +193,6 @@ mod tests {
             quick: true,
             results_dir: std::env::temp_dir().join("buddy-bench-ablation"),
             seed: 23,
-            ..Default::default()
         }
     }
 

@@ -57,7 +57,7 @@ struct PhaseRow {
     targets: String,
 }
 
-/// Profiles the drift specs by compressing sampled entries at each given
+/// Profiles the drift specs by BPC-compressing sampled entries at each given
 /// phase and merging the histograms — `phases = all` is the paper's
 /// static whole-run profile, a single late phase is the post-drift oracle
 /// the convergence test compares against.
@@ -65,7 +65,6 @@ pub fn profile_drift(
     specs: &[AllocationSpec],
     entries: u64,
     seed: u64,
-    codec: CodecKind,
     phases: &[f64],
 ) -> Vec<AllocationProfile> {
     let mut scratch = CompressedBuf::new();
@@ -80,7 +79,7 @@ pub fn profile_drift(
                 let mut i = 0;
                 while i < entries {
                     let entry = spec.entry_at(alloc_seed, i, phase);
-                    histogram.record(codec.size_class_into(&entry, &mut scratch));
+                    histogram.record(CodecKind::Bpc.size_class_into(&entry, &mut scratch));
                     i += stride;
                 }
             }
@@ -101,18 +100,14 @@ fn run_arm(
     initial: &[TargetRatio],
     entries: u64,
     seed: u64,
-    codec: CodecKind,
     phase_list: &[f64],
 ) -> (Vec<PhaseRow>, Vec<TargetRatio>) {
     const BATCH: usize = 256;
-    let mut dev = BuddyDevice::with_codec(
-        DeviceConfig {
-            // Sized so every allocation fits even fully demoted to 1x.
-            device_capacity: specs.len() as u64 * entries * ENTRY_BYTES as u64,
-            carve_out_factor: 3,
-        },
-        codec,
-    );
+    let mut dev = BuddyDevice::new(DeviceConfig {
+        // Sized so every allocation fits even fully demoted to 1x.
+        device_capacity: specs.len() as u64 * entries * ENTRY_BYTES as u64,
+        carve_out_factor: 3,
+    });
     let ids: Vec<_> = specs
         .iter()
         .zip(initial.iter())
@@ -189,27 +184,11 @@ fn run_study(cfg: &RunConfig) -> (Vec<PhaseRow>, Vec<PhaseRow>, Vec<TargetRatio>
     let specs = drift_allocations();
     let entries = entries_per_alloc(cfg.quick);
     let phase_list = phases(cfg.quick);
-    let profiles = profile_drift(&specs, entries, cfg.seed, cfg.codec, &phase_list);
+    let profiles = profile_drift(&specs, entries, cfg.seed, &phase_list);
     let outcome = choose_targets(&profiles, &ProfileConfig::default());
     let initial: Vec<TargetRatio> = outcome.choices.iter().map(|c| c.target).collect();
-    let (static_rows, _) = run_arm(
-        false,
-        &specs,
-        &initial,
-        entries,
-        cfg.seed,
-        cfg.codec,
-        &phase_list,
-    );
-    let (adaptive_rows, finals) = run_arm(
-        true,
-        &specs,
-        &initial,
-        entries,
-        cfg.seed,
-        cfg.codec,
-        &phase_list,
-    );
+    let (static_rows, _) = run_arm(false, &specs, &initial, entries, cfg.seed, &phase_list);
+    let (adaptive_rows, finals) = run_arm(true, &specs, &initial, entries, cfg.seed, &phase_list);
     (static_rows, adaptive_rows, finals)
 }
 
@@ -258,12 +237,7 @@ pub fn adaptive_retarget(cfg: &RunConfig) -> io::Result<()> {
     );
     println!("  The paper freezes targets at profiling time (3.5); the adaptive policy tracks");
     println!("  the drift each phase, paying only the migration traffic priced above.");
-    write_csv(
-        &cfg.results_dir,
-        &cfg.tagged("adaptive_retarget"),
-        &header,
-        &rows,
-    )?;
+    write_csv(&cfg.results_dir, "adaptive_retarget", &header, &rows)?;
     Ok(())
 }
 
@@ -332,7 +306,7 @@ mod tests {
         let cfg = quick_cfg("buddy-bench-adaptfig-conv");
         let specs = drift_allocations();
         let entries = entries_per_alloc(true);
-        let post_drift = profile_drift(&specs, entries, cfg.seed, cfg.codec, &[1.0]);
+        let post_drift = profile_drift(&specs, entries, cfg.seed, &[1.0]);
         let oracle = choose_targets(&post_drift, &ProfileConfig::default());
         let (_, _, finals) = run_study(&cfg);
         for (choice, (&final_target, spec)) in

@@ -1,14 +1,14 @@
 //! Compression-capacity figures: Figures 3, 6, 7, 8 and 9.
 //!
-//! All five harnesses honour `--codec <name>`: they capture, profile and
-//! choose targets under the selected algorithm (BPC by default, matching
-//! the paper's published numbers).
+//! All five harnesses capture, profile and choose targets under BPC, the
+//! algorithm behind the paper's published numbers; the `ablation` harness
+//! is where the other codecs are compared.
 
 use crate::report::{f3, pct, print_table, write_csv, write_text, RunConfig};
 use buddy_compression::buddy_core::{best_achievable, choose_naive, choose_targets, ProfileConfig};
 use buddy_compression::workloads::snapshot::{capture, heatmap, ten_phases, SnapshotConfig};
 use buddy_compression::workloads::{all_benchmarks, geomean, Benchmark};
-use buddy_compression::{profile_benchmark_at_with, profile_benchmark_with};
+use buddy_compression::{profile_benchmark, profile_benchmark_at};
 use std::io;
 
 fn sample_cap(cfg: &RunConfig) -> u64 {
@@ -34,7 +34,7 @@ pub fn fig03(cfg: &RunConfig) -> io::Result<()> {
                     phase,
                     seed: cfg.seed,
                     sample_cap: sample_cap(cfg),
-                    codec: cfg.codec,
+                    ..Default::default()
                 },
             );
             snapshot_bytes.push(128.0 / stats.compression_ratio());
@@ -66,7 +66,7 @@ pub fn fig03(cfg: &RunConfig) -> io::Result<()> {
         &rows,
     );
     println!("  GMEAN_HPC {gm_hpc:.2} (paper 2.51)   GMEAN_DL {gm_dl:.2} (paper 1.85)");
-    write_csv(&cfg.results_dir, &cfg.tagged("fig03"), &header, &rows)?;
+    write_csv(&cfg.results_dir, "fig03", &header, &rows)?;
     Ok(())
 }
 
@@ -75,8 +75,8 @@ pub fn fig06(cfg: &RunConfig) -> io::Result<()> {
     let pages = if cfg.quick { 64 } else { 512 };
     let mut rows = Vec::new();
     for bench in all_benchmarks() {
-        let map = heatmap(&bench, cfg.codec, cfg.seed, 0.5, pages);
-        let file = cfg.tagged(&format!("fig06_{}", bench.name.replace('.', "_"))) + ".pgm";
+        let map = heatmap(&bench, cfg.seed, 0.5, pages);
+        let file = format!("fig06_{}.pgm", bench.name.replace('.', "_"));
         write_text(&cfg.results_dir, &file, &map.to_pgm())?;
         let dist = map.sector_distribution();
         let mut row = vec![bench.name.to_string()];
@@ -96,12 +96,7 @@ pub fn fig06(cfg: &RunConfig) -> io::Result<()> {
         &header,
         &rows,
     );
-    write_csv(
-        &cfg.results_dir,
-        &cfg.tagged("fig06_distribution"),
-        &header,
-        &rows,
-    )?;
+    write_csv(&cfg.results_dir, "fig06_distribution", &header, &rows)?;
     Ok(())
 }
 
@@ -126,7 +121,7 @@ pub fn fig07_points(cfg: &RunConfig) -> Vec<Fig7Point> {
     all_benchmarks()
         .iter()
         .map(|bench| {
-            let profiles = profile_benchmark_with(bench, cfg.codec, sample_cap(cfg), cfg.seed);
+            let profiles = profile_benchmark(bench, sample_cap(cfg), cfg.seed);
             let naive = choose_naive(&profiles, &config);
             let per_alloc = choose_targets(&profiles, &ProfileConfig::per_allocation_only());
             let final_design = choose_targets(&profiles, &config);
@@ -205,7 +200,7 @@ pub fn fig07(cfg: &RunConfig) -> io::Result<()> {
         );
     }
     println!("  paper: naive 1.57/1.18 @ 8%/32%; final 1.9/1.5 @ 0.08%/4%");
-    write_csv(&cfg.results_dir, &cfg.tagged("fig07"), &header, &rows)?;
+    write_csv(&cfg.results_dir, "fig07", &header, &rows)?;
     Ok(())
 }
 
@@ -219,14 +214,14 @@ pub fn fig08(cfg: &RunConfig) -> io::Result<()> {
             .into_iter()
             .find(|b| b.name == name)
             .expect("benchmark exists"); // lint-allow(no-unwrap): benchmark names are compiled into all_benchmarks()
-                                         // Profile across the run (the paper's static targets), then measure
-                                         // per-snapshot overflow with those targets held fixed.
-        let profiles = profile_benchmark_with(&bench, cfg.codec, sample_cap(cfg), cfg.seed);
+
+        // Profile across the run (the paper's static targets), then measure
+        // per-snapshot overflow with those targets held fixed.
+        let profiles = profile_benchmark(&bench, sample_cap(cfg), cfg.seed);
         let outcome = choose_targets(&profiles, &ProfileConfig::default());
         let mut row = vec![name.to_string(), f3(outcome.device_compression_ratio())];
         for phase in ten_phases() {
-            let at_phase =
-                profile_benchmark_at_with(&bench, cfg.codec, phase, sample_cap(cfg), cfg.seed);
+            let at_phase = profile_benchmark_at(&bench, phase, sample_cap(cfg), cfg.seed);
             let mut weighted = 0.0;
             let mut total = 0.0;
             for (profile, choice) in at_phase.iter().zip(outcome.choices.iter()) {
@@ -246,7 +241,7 @@ pub fn fig08(cfg: &RunConfig) -> io::Result<()> {
         &rows,
     );
     println!("  paper: constant ratios 1.49 (SqueezeNet) / 1.64 (ResNet50), flat access lines");
-    write_csv(&cfg.results_dir, &cfg.tagged("fig08"), &header, &rows)?;
+    write_csv(&cfg.results_dir, "fig08", &header, &rows)?;
     Ok(())
 }
 
@@ -257,7 +252,7 @@ pub fn fig09(cfg: &RunConfig) -> io::Result<()> {
     let mut rows = Vec::new();
     let benches: Vec<Benchmark> = all_benchmarks();
     for bench in &benches {
-        let profiles = profile_benchmark_with(bench, cfg.codec, sample_cap(cfg), cfg.seed);
+        let profiles = profile_benchmark(bench, sample_cap(cfg), cfg.seed);
         let mut row = vec![bench.name.to_string()];
         for &t in &thresholds {
             let outcome = choose_targets(&profiles, &ProfileConfig::with_threshold(t));
@@ -280,7 +275,7 @@ pub fn fig09(cfg: &RunConfig) -> io::Result<()> {
         "best_achievable",
     ];
     print_table("Figure 9: Buddy Threshold sensitivity", &header, &rows);
-    write_csv(&cfg.results_dir, &cfg.tagged("fig09"), &header, &rows)?;
+    write_csv(&cfg.results_dir, "fig09", &header, &rows)?;
 
     // The one benchmark that cannot reach its best-achievable marker at 30%
     // should be FF_HPGMG (§3.4).
@@ -304,7 +299,6 @@ mod tests {
             quick: true,
             results_dir: std::env::temp_dir().join("buddy-bench-capacity"),
             seed: 9,
-            ..Default::default()
         }
     }
 

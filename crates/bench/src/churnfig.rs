@@ -148,13 +148,10 @@ pub fn run_distribution(label: &'static str, lifetime: Lifetime, cfg: &RunConfig
     let mean_entries = (MIN_ENTRIES + MAX_ENTRIES) / 2;
     let mean_device_bytes = 53; // the target mix's weighted bytes/entry
     let steady = live as u64 * mean_entries * mean_device_bytes;
-    let mut dev = BuddyDevice::with_codec(
-        DeviceConfig {
-            device_capacity: steady * 10 / 9,
-            carve_out_factor: 3,
-        },
-        cfg.codec,
-    );
+    let mut dev = BuddyDevice::new(DeviceConfig {
+        device_capacity: steady * 10 / 9,
+        carve_out_factor: 3,
+    });
 
     let ops_per_cycle = live as u64 * 2;
     let total_ops = cycles(cfg.quick) * ops_per_cycle;
@@ -288,7 +285,7 @@ pub fn churn(cfg: &RunConfig) -> io::Result<()> {
     }
     println!("  Every run ends with a drain check: freeing the survivors returns the");
     println!("  device to 0 bytes used with fully coalesced free space (leak freedom).");
-    write_csv(&cfg.results_dir, &cfg.tagged("churn"), &header, &rows)?;
+    write_csv(&cfg.results_dir, "churn", &header, &rows)?;
     Ok(())
 }
 

@@ -158,7 +158,6 @@ mod tests {
             quick: true,
             results_dir: std::env::temp_dir().join("buddy-bench-dl"),
             seed: 13,
-            ..Default::default()
         };
         fig13a(&cfg).unwrap();
         fig13b(&cfg).unwrap();

@@ -322,7 +322,6 @@ mod tests {
             quick: true,
             results_dir: std::env::temp_dir().join("buddy-bench-perf"),
             seed: 3,
-            ..Default::default()
         };
         let profiles = profile_benchmark(&bench, 1024, cfg.seed);
         let outcome = choose_targets(&profiles, &ProfileConfig::default());

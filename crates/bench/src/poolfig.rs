@@ -370,15 +370,16 @@ fn grid(quick: bool) -> Vec<CellSpec> {
 }
 
 /// Runs the shard × client × codec replay sweep (`reproduce-all
-/// pool-replay`) and writes `results/pool_replay.csv`.
+/// pool-replay`; BPC alone under `--quick`) and writes
+/// `results/pool_replay.csv`.
 pub fn pool_replay(cfg: &RunConfig) -> io::Result<()> {
     // Equal work per cell so the traffic columns are directly comparable.
     let total_entries = cfg.scaled(2_000_000);
     let entries_per_client = if cfg.quick { 1024 } else { 4096 };
-    let codecs: Vec<CodecKind> = if cfg.quick {
-        vec![cfg.codec]
+    let codecs: &[CodecKind] = if cfg.quick {
+        &[CodecKind::Bpc]
     } else {
-        CodecKind::ALL.to_vec()
+        &CodecKind::ALL
     };
 
     let header = [
@@ -395,7 +396,7 @@ pub fn pool_replay(cfg: &RunConfig) -> io::Result<()> {
         "largest_free_mb",
     ];
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for &codec in &codecs {
+    for &codec in codecs {
         for &spec in &grid(cfg.quick) {
             let batches_per_client = (total_entries / (spec.clients as u64 * BATCH as u64)).max(1);
             let r = measure(
@@ -429,7 +430,7 @@ pub fn pool_replay(cfg: &RunConfig) -> io::Result<()> {
         &header,
         &rows,
     );
-    write_csv(&cfg.results_dir, &cfg.tagged("pool_replay"), &header, &rows)?;
+    write_csv(&cfg.results_dir, "pool_replay", &header, &rows)?;
     Ok(())
 }
 
@@ -687,7 +688,6 @@ mod tests {
             quick: true,
             results_dir: dir.clone(),
             seed: 5,
-            ..Default::default()
         };
         pool_replay(&cfg).unwrap();
         let csv = std::fs::read_to_string(dir.join("pool_replay.csv")).unwrap();

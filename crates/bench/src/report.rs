@@ -1,7 +1,13 @@
-//! Result reporting: aligned console tables and CSV files under `results/`.
+//! Result reporting: aligned console tables and CSV files under `results/`,
+//! and the run configuration every harness reads.
+//!
+//! The configuration is run-wide (`--quick`, output directory, seed) and
+//! carries no codec: the harnesses model BPC, as the paper does, and the
+//! two that compare algorithms (`ablation`, the full `pool-replay` sweep)
+//! iterate [`CodecKind::ALL`](buddy_compression::bpc::CodecKind::ALL)
+//! themselves.
 
 use crate::FIGURES;
-use buddy_compression::bpc::CodecKind;
 use std::fmt::Display;
 use std::fs;
 use std::io;
@@ -16,9 +22,6 @@ pub struct RunConfig {
     pub results_dir: PathBuf,
     /// Master seed (all randomness derives from it).
     pub seed: u64,
-    /// Compression algorithm the capacity figures characterize with
-    /// (`--codec <name>`; BPC by default, matching the paper).
-    pub codec: CodecKind,
 }
 
 impl Default for RunConfig {
@@ -27,56 +30,34 @@ impl Default for RunConfig {
             quick: false,
             results_dir: PathBuf::from("results"),
             seed: 0xB0DD7,
-            codec: CodecKind::Bpc,
         }
     }
 }
 
 impl RunConfig {
     /// Builds the configuration and the selected figure names from the
-    /// process arguments: `[--quick] [--codec C] [NAME …]`, names being
-    /// those of [`FIGURES`].
+    /// process arguments: `[--quick] [NAME …]`, names being those of
+    /// [`FIGURES`].
     ///
-    /// An unknown flag, figure name or codec, or an option missing its
-    /// value, prints the valid flags, codecs and names to stderr and exits
-    /// with status 2 — a usage error, not a harness bug, so no backtrace.
+    /// An unknown flag or figure name prints the valid flag and names to
+    /// stderr and exits with status 2 — a usage error, not a harness bug,
+    /// so no backtrace.
     pub fn from_args() -> (Self, Vec<&'static str>) {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let (cfg, names) = Self::parse(&args).unwrap_or_else(|message| {
+        Self::parse(&args).unwrap_or_else(|message| {
             eprintln!("error: {message}");
-            eprintln!("usage: reproduce-all [--quick] [--codec C] [NAME ...]");
-            eprintln!(
-                "  codecs: {}",
-                CodecKind::ALL.map(|k| k.to_string()).join(", ")
-            );
+            eprintln!("usage: reproduce-all [--quick] [NAME ...]");
             eprintln!("  names:  {}", FIGURES.map(|(name, _)| name).join(", "));
             std::process::exit(2);
-        });
-        if cfg.codec != CodecKind::Bpc {
-            println!(
-                "note: --codec {codec} applies to the capacity harnesses (fig03, \
-                 fig06-fig09) and the device/pool harnesses (pool-replay, \
-                 adaptive-retarget, churn, service-report); their artifacts \
-                 gain a _{codec} suffix. The ablation sweeps all codecs \
-                 regardless; every other harness models BPC",
-                codec = cfg.codec
-            );
-        }
-        (cfg, names)
+        })
     }
 
     fn parse(args: &[String]) -> Result<(Self, Vec<&'static str>), String> {
         let mut cfg = Self::default();
         let mut names = Vec::new();
-        let mut args = args.iter();
-        while let Some(arg) = args.next() {
+        for arg in args {
             match arg.as_str() {
                 "--quick" => cfg.quick = true,
-                "--codec" => {
-                    let name = args.next().ok_or("--codec needs a value")?;
-                    cfg.codec = CodecKind::from_name(name)
-                        .ok_or_else(|| format!("unknown codec {name:?}"))?;
-                }
                 flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
                 name => match FIGURES.iter().find(|(known, _)| *known == name) {
                     Some((known, _)) => names.push(*known),
@@ -85,17 +66,6 @@ impl RunConfig {
             }
         }
         Ok((cfg, names))
-    }
-
-    /// Artifact base name tagged with the selected codec: `name` under the
-    /// default BPC (the paper's published numbers keep their filenames),
-    /// `name_<codec>` otherwise so codec sweeps never overwrite them.
-    pub fn tagged(&self, name: &str) -> String {
-        if self.codec == CodecKind::Bpc {
-            name.to_string()
-        } else {
-            format!("{name}_{}", self.codec)
-        }
     }
 
     /// Scales an iteration/access count down in quick mode.
@@ -214,9 +184,8 @@ mod tests {
         let parse = |args: &[&str]| {
             RunConfig::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
         };
-        let (cfg, names) = parse(&["fig11", "--quick", "--codec", "bdi", "table1"]).unwrap();
+        let (cfg, names) = parse(&["fig11", "--quick", "table1"]).unwrap();
         assert!(cfg.quick);
-        assert_eq!(cfg.codec, CodecKind::Bdi);
         assert_eq!(names, ["fig11", "table1"]);
         let (cfg, names) = parse(&[]).unwrap();
         assert!(!cfg.quick && names.is_empty());
@@ -225,6 +194,7 @@ mod tests {
             &["nosuchfig"],
             &["--codec"],
             &["--codec", "lz4"],
+            &["--codec", "bdi"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }

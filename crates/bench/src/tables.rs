@@ -91,7 +91,6 @@ mod tests {
             quick: true,
             results_dir: std::env::temp_dir().join("buddy-bench-tables"),
             seed: 1,
-            ..Default::default()
         };
         table1(&cfg).unwrap();
         table2(&cfg).unwrap();

@@ -17,14 +17,14 @@ use std::io;
 /// Pool sizing for the scenario: ample for the working sets involved, so
 /// pressure manifests as quota enforcement — never as pool capacity
 /// exhaustion muddying the attribution.
-fn pool(cfg: &RunConfig) -> PoolConfig {
+fn pool() -> PoolConfig {
     PoolConfig {
         shards: 2,
         shard_config: DeviceConfig {
             device_capacity: 4 << 20,
             carve_out_factor: 3,
         },
-        codec: cfg.codec,
+        ..PoolConfig::default()
     }
 }
 
@@ -32,7 +32,7 @@ fn pool(cfg: &RunConfig) -> PoolConfig {
 /// service's ledger must account for every alloc, free, rejection,
 /// demotion, transfer and denial the script performs.
 pub fn service_report(cfg: &RunConfig) -> io::Result<()> {
-    let service = BuddyService::new(pool(cfg));
+    let service = BuddyService::new(pool());
     let roomy = 512 * 1024;
     let alpha = service
         .register_tenant("alpha", roomy, AdmissionPolicy::Reject)
@@ -147,12 +147,7 @@ pub fn service_report(cfg: &RunConfig) -> io::Result<()> {
         })
         .collect();
     print_table("Service report: per-tenant ledger", &header, &rows);
-    let path = write_csv(
-        &cfg.results_dir,
-        &cfg.tagged("service_report"),
-        &header,
-        &rows,
-    )?;
+    let path = write_csv(&cfg.results_dir, "service_report", &header, &rows)?;
     println!("  wrote {path:?}");
     Ok(())
 }

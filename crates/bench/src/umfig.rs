@@ -72,7 +72,6 @@ mod tests {
             quick: true,
             results_dir: std::env::temp_dir().join("buddy-bench-um"),
             seed: 5,
-            ..Default::default()
         };
         fig12(&cfg).unwrap();
         let csv = std::fs::read_to_string(cfg.results_dir.join("fig12.csv")).unwrap();

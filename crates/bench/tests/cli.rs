@@ -85,7 +85,13 @@ fn unknown_arguments_are_usage_errors_naming_the_valid_ones() {
             "metrics-out",
             &["--quick", "--metrics-out", "m", "churn"],
             "--metrics-out",
+            "--quick",
+        ),
+        (
+            "codec",
+            &["--quick", "--codec", "bdi", "fig03"],
             "--codec",
+            "--quick",
         ),
         ("tenancy", &["--quick", "tenancy"], "tenancy", "pool-replay"),
     ] {

@@ -1,6 +1,6 @@
 //! The codec-agnostic compression API: an object-safe [`Codec`] trait with a
 //! zero-allocation encode path, a reusable [`CompressedBuf`] scratch buffer,
-//! and a [`CodecKind`] registry for selecting algorithms by name.
+//! and [`CodecKind`], the `Copy` handle that selects one algorithm.
 //!
 //! The paper picks BPC only after "comparing several algorithms" (§2.4);
 //! this layer lets the rest of the system — the functional `BuddyDevice`,
@@ -20,8 +20,8 @@
 //! use bpc::{Codec, CodecKind, CompressedBuf, ENTRY_BYTES};
 //!
 //! // CodecKind is the Copy-able handle the device model stores.
-//! let codec = CodecKind::from_name("bdi").expect("bdi is registered");
-//! assert_eq!(codec, CodecKind::Bdi);
+//! let codec = CodecKind::Bdi;
+//! assert_eq!(codec.to_string(), "bdi");
 //! let entry = [0u8; ENTRY_BYTES];
 //! let mut buf = CompressedBuf::new();
 //! codec.compress_into(&entry, &mut buf);
@@ -135,8 +135,8 @@ impl CompressedBuf {
 /// once. All implementations are stateless unit structs, so this costs
 /// nothing.
 pub trait Codec: Sync {
-    /// Short stable name of the algorithm (used in reports, metadata and
-    /// [`CodecKind::from_name`]).
+    /// Short stable name of the algorithm (used in reports and as
+    /// [`CodecKind`]'s `Display`).
     fn name(&self) -> &'static str;
 
     /// Compresses one entry into `out`, reusing `out`'s backing storage.
@@ -211,24 +211,6 @@ impl CodecKind {
             CodecKind::Zero => &ZeroRle,
         }
     }
-
-    /// Looks a codec up by its stable name (`"bpc"`, `"bdi"`, `"fpc"`,
-    /// `"zero"`; `"zero-rle"` is accepted as an alias). Matching is
-    /// ASCII-case-insensitive, so CLI values like `--codec BPC` resolve.
-    pub fn from_name(name: &str) -> Option<Self> {
-        let eq = |canonical: &str| name.eq_ignore_ascii_case(canonical);
-        if eq("bpc") {
-            Some(CodecKind::Bpc)
-        } else if eq("bdi") {
-            Some(CodecKind::Bdi)
-        } else if eq("fpc") {
-            Some(CodecKind::Fpc)
-        } else if eq("zero") || eq("zero-rle") {
-            Some(CodecKind::Zero)
-        } else {
-            None
-        }
-    }
 }
 
 // The registry's static codec instances are shared by reference across
@@ -291,25 +273,8 @@ mod tests {
         for kind in CodecKind::ALL {
             let name = kind.name();
             assert_eq!(kind.as_codec().name(), name);
-            assert_eq!(CodecKind::from_name(name), Some(kind));
             assert_eq!(kind.to_string(), name);
         }
-        assert!(CodecKind::from_name("lz4").is_none());
-        assert_eq!(CodecKind::from_name("zero-rle"), Some(CodecKind::Zero));
-    }
-
-    #[test]
-    fn registry_lookup_is_case_insensitive() {
-        for (kind, upper) in [
-            (CodecKind::Bpc, "BPC"),
-            (CodecKind::Bdi, "Bdi"),
-            (CodecKind::Fpc, "fPc"),
-            (CodecKind::Zero, "ZERO"),
-            (CodecKind::Zero, "Zero-RLE"),
-        ] {
-            assert_eq!(CodecKind::from_name(upper), Some(kind), "{upper}");
-        }
-        assert!(CodecKind::from_name("LZ4").is_none());
     }
 
     #[test]

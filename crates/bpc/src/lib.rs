@@ -22,7 +22,7 @@
 //!
 //! Every algorithm is exposed through the object-safe, zero-allocation
 //! [`Codec`] API: [`Codec::compress_into`] encodes into a reusable
-//! [`CompressedBuf`], and the [`CodecKind`] registry selects an algorithm at
+//! [`CompressedBuf`], and the [`CodecKind`] handle selects an algorithm at
 //! runtime.
 //!
 //! # Example

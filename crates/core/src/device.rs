@@ -463,11 +463,6 @@ impl BuddyDevice {
             .validate(&self.device_region, &self.buddy_region);
     }
 
-    /// The codec this device compresses with.
-    pub fn codec(&self) -> CodecKind {
-        self.shared.codec()
-    }
-
     /// The device configuration.
     pub fn config(&self) -> DeviceConfig {
         self.config
@@ -982,11 +977,6 @@ impl BuddyDevice {
 }
 
 impl DeviceHandle {
-    /// The codec the shared device compresses with.
-    pub fn codec(&self) -> CodecKind {
-        self.shared.codec()
-    }
-
     /// Lock-free [`BuddyDevice::read_entries`]: resolves `id` against the
     /// current published epoch without taking any device-wide lock, and
     /// the whole batch lands inside one consistent epoch (old or new
@@ -1367,7 +1357,6 @@ mod tests {
                 },
                 codec,
             );
-            assert_eq!(dev.codec(), codec);
             let a = dev.alloc("c", 12, TargetRatio::R2).unwrap();
             dev.write_entries(a, 0, &entries).unwrap();
             let mut out = vec![[0u8; ENTRY_BYTES]; 12];

@@ -818,10 +818,6 @@ impl SharedState {
         state
     }
 
-    pub(crate) fn codec(&self) -> CodecKind {
-        self.codec
-    }
-
     /// Marks a lock-free handle operation in flight (released on drop).
     pub(crate) fn enter_op(&self) -> OpGuard<'_> {
         self.ops_entered.fetch_add(1, Ordering::SeqCst);

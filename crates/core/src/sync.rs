@@ -6,10 +6,12 @@
 //! themselves — zero cost, no wrappers. With `--features model-sync`
 //! they swap to `buddy_check::shim`'s model-aware types, which behave
 //! exactly like `std` outside a checker run and route every operation
-//! through `buddy-check`'s controlled scheduler inside one. That switch
-//! is how the `core::shared` seqlock/epoch protocol is model-checked
-//! against the real import graph rather than a hand-copied model: the
-//! only behavioral difference between the two builds is the import path.
+//! through `buddy-check`'s controlled scheduler inside one. The switch
+//! keeps the shipped code *ready* to be explored, but nothing runs
+//! `buddy_check::explore` on core code today: building core's own suite
+//! with the feature, outside any checker run, shows only that the shims
+//! behave like `std`. The evidence for the `core::shared` seqlock/epoch
+//! protocol is the five distilled models in `crates/check/src/models.rs`.
 //!
 //! # Seqlock helpers
 //!

@@ -201,11 +201,6 @@ impl BuddyPool {
         self.shards.len()
     }
 
-    /// The codec every shard compresses with.
-    pub fn codec(&self) -> CodecKind {
-        self.config.codec
-    }
-
     /// The pool configuration.
     pub fn config(&self) -> PoolConfig {
         self.config

@@ -751,6 +751,9 @@ impl BuddyService {
     /// returned id is the only live handle afterwards, so pins of
     /// stale-id-after-transfer hold by construction.
     ///
+    /// A self-transfer (`from == to`) moves no charge, so it always fits
+    /// and counts one transfer; it still retires the old handle.
+    ///
     /// # Errors
     ///
     /// Ownership/staleness errors as [`free`](Self::free);
@@ -769,7 +772,7 @@ impl BuddyService {
             .get(to.0 as usize)
             .ok_or(ServiceError::UnknownTenant)?;
         let headroom = recipient.headroom();
-        if alloc.device_bytes > headroom {
+        if from != to && alloc.device_bytes > headroom {
             recipient.counters.rejections.incr();
             return Err(ServiceError::QuotaExceeded {
                 requested: alloc.device_bytes,
@@ -785,8 +788,9 @@ impl BuddyService {
         if let Some(a) = slot.alloc.as_mut() {
             a.owner = to.0;
         }
-        for party in [from, to] {
-            state.tenants[party.0 as usize].counters.transfers.incr();
+        state.tenants[from.0 as usize].counters.transfers.incr();
+        if from != to {
+            state.tenants[to.0 as usize].counters.transfers.incr();
         }
         state.tenants[from.0 as usize].refund(&alloc);
         state.tenants[to.0 as usize].charge(&alloc);
@@ -939,6 +943,31 @@ mod tests {
         assert!(matches!(err, ServiceError::QuotaExceeded { .. }));
         // Nothing moved: the original owner still owns and can free.
         s.free(a, grant.id).unwrap();
+    }
+
+    #[test]
+    fn self_transfer_moves_no_charge_and_counts_once() {
+        let s = service(1 << 20);
+        // `full`'s one allocation is its whole quota: no headroom is left,
+        // yet the charge never leaves the tenant, so the transfer fits.
+        let quota = 64 * TargetRatio::R2.device_bytes_per_entry() as u64;
+        let full = s
+            .register_tenant("full", quota, AdmissionPolicy::Reject)
+            .unwrap();
+        let roomy = s
+            .register_tenant("roomy", u64::MAX, AdmissionPolicy::Reject)
+            .unwrap();
+        for t in [full, roomy] {
+            let grant = s.alloc(t, "a", 64, TargetRatio::R2).unwrap();
+            let new_id = s.transfer(t, grant.id, t).unwrap();
+            assert_eq!(s.used_bytes(t).unwrap(), quota);
+            // The old handle still dies; the new one is the live handle.
+            assert_eq!(s.free(t, grant.id), Err(ServiceError::BadHandle));
+            s.free(t, new_id).unwrap();
+        }
+        for row in s.tenants() {
+            assert_eq!((row.transfers, row.rejections), (1, 0), "{}", row.name);
+        }
     }
 
     #[test]

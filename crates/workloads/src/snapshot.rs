@@ -197,16 +197,9 @@ impl Heatmap {
     }
 }
 
-/// Builds the Figure 6-style heat map for a benchmark under `codec`,
-/// sampling up to `max_pages` pages spread evenly across the whole address
-/// space.
-pub fn heatmap(
-    benchmark: &Benchmark,
-    codec: CodecKind,
-    seed: u64,
-    phase: f64,
-    max_pages: usize,
-) -> Heatmap {
+/// Builds the Figure 6-style heat map for a benchmark under BPC, sampling
+/// up to `max_pages` pages spread evenly across the whole address space.
+pub fn heatmap(benchmark: &Benchmark, seed: u64, phase: f64, max_pages: usize) -> Heatmap {
     let mut scratch = CompressedBuf::new();
     let layout = benchmark.allocation_layout();
     let total_entries: u64 = layout.iter().map(|(_, n)| n).sum();
@@ -226,7 +219,9 @@ pub fn heatmap(
                 if offset < *n {
                     let alloc_seed = crate::entry_gen::mix(&[seed, alloc_idx as u64]);
                     let entry = spec.entry_at(alloc_seed, offset, phase);
-                    cell = codec.size_class_into(&entry, &mut scratch).sectors();
+                    cell = CodecKind::Bpc
+                        .size_class_into(&entry, &mut scratch)
+                        .sectors();
                     break;
                 }
                 offset -= n;
@@ -357,7 +352,7 @@ mod tests {
     #[test]
     fn heatmap_dimensions_and_range() {
         let b = small_bench();
-        let map = heatmap(&b, CodecKind::Bpc, 4, 0.5, 32);
+        let map = heatmap(&b, 4, 0.5, 32);
         assert!(map.rows <= 32);
         assert_eq!(map.cells.len(), map.rows * ENTRIES_PER_PAGE as usize);
         assert!(map.cells.iter().all(|&c| c <= 4));
@@ -368,7 +363,7 @@ mod tests {
     #[test]
     fn heatmap_export_formats() {
         let b = small_bench();
-        let map = heatmap(&b, CodecKind::Bpc, 4, 0.5, 4);
+        let map = heatmap(&b, 4, 0.5, 4);
         let csv = map.to_csv();
         assert_eq!(csv.lines().count(), map.rows);
         let pgm = map.to_pgm();

@@ -61,7 +61,7 @@ pub use buddy_core::{ProfileConfig, ProfileOutcome, TargetRatio};
 use bpc::CodecKind;
 use buddy_core::AllocationProfile;
 use gpu_sim::{EntryPlacement, MemRequest, MemoryLayout};
-use workloads::snapshot::{capture, ten_phases, SnapshotConfig};
+use workloads::snapshot::{capture, ten_phases, SnapshotConfig, SnapshotStats};
 use workloads::Benchmark;
 
 /// Runs the paper's profiling pass over a benchmark: ten memory snapshots
@@ -94,10 +94,8 @@ pub fn profile_benchmark_with(
     sample_cap: u64,
     seed: u64,
 ) -> Vec<AllocationProfile> {
-    let mut merged: Vec<AllocationProfile> = Vec::new();
-    let mut first = true;
-    for phase in ten_phases() {
-        let stats = capture(
+    let snapshot = |phase| {
+        capture(
             bench,
             SnapshotConfig {
                 phase,
@@ -105,69 +103,63 @@ pub fn profile_benchmark_with(
                 sample_cap,
                 codec,
             },
+        )
+    };
+    let [first, rest @ ..] = ten_phases();
+    let mut merged = profiles_of(snapshot(first));
+    for phase in rest {
+        let stats = snapshot(phase);
+        assert_eq!(
+            merged.len(),
+            stats.allocations.len(),
+            "snapshot of {} at phase {phase} covers {} allocations, but an \
+             earlier snapshot covered {}; every phase must report the same \
+             allocation list for positional histogram merging",
+            bench.name,
+            stats.allocations.len(),
+            merged.len(),
         );
-        if first {
-            first = false;
-            merged = stats
-                .allocations
-                .iter()
-                .map(|a| AllocationProfile {
-                    name: a.name.to_owned(),
-                    entries: a.entries,
-                    histogram: a.histogram.clone(),
-                })
-                .collect();
-        } else {
+        for (profile, alloc) in merged.iter_mut().zip(stats.allocations.iter()) {
             assert_eq!(
-                merged.len(),
-                stats.allocations.len(),
-                "snapshot of {} at phase {phase} covers {} allocations, but an \
-                 earlier snapshot covered {}; every phase must report the same \
-                 allocation list for positional histogram merging",
+                profile.name, alloc.name,
+                "snapshot of {} at phase {phase} reordered its allocation \
+                 list; positional histogram merging would corrupt profiles",
                 bench.name,
-                stats.allocations.len(),
-                merged.len(),
             );
-            for (profile, alloc) in merged.iter_mut().zip(stats.allocations.iter()) {
-                assert_eq!(
-                    profile.name, alloc.name,
-                    "snapshot of {} at phase {phase} reordered its allocation \
-                     list; positional histogram merging would corrupt profiles",
-                    bench.name,
-                );
-                profile.histogram.merge(&alloc.histogram);
-            }
+            profile.histogram.merge(&alloc.histogram);
         }
     }
     merged
 }
 
-/// Profiles a benchmark at a single phase under `codec` (used by the
-/// Figure 8 temporal study, which holds targets fixed while the data
-/// evolves).
-pub fn profile_benchmark_at_with(
+/// Profiles a benchmark with BPC at a single phase (used by the Figure 8
+/// temporal study, which holds targets fixed while the data evolves).
+pub fn profile_benchmark_at(
     bench: &Benchmark,
-    codec: CodecKind,
     phase: f64,
     sample_cap: u64,
     seed: u64,
 ) -> Vec<AllocationProfile> {
-    let stats = capture(
+    profiles_of(capture(
         bench,
         SnapshotConfig {
             phase,
             seed,
             sample_cap,
-            codec,
+            ..Default::default()
         },
-    );
+    ))
+}
+
+/// One snapshot's per-allocation histograms, as profiler input.
+fn profiles_of(stats: SnapshotStats) -> Vec<AllocationProfile> {
     stats
         .allocations
-        .iter()
+        .into_iter()
         .map(|a| AllocationProfile {
             name: a.name.to_owned(),
             entries: a.entries,
-            histogram: a.histogram.clone(),
+            histogram: a.histogram,
         })
         .collect()
 }

@@ -9,7 +9,7 @@ use buddy_compression::buddy_core::{
 use buddy_compression::gpu_sim::{Engine, ExecConfig, Fidelity, GpuConfig, MemoryMode};
 use buddy_compression::workloads::{all_benchmarks, by_name, entry_gen, geomean, Scale};
 use buddy_compression::{
-    benchmark_requests, profile_benchmark, profile_benchmark_at_with, profile_benchmark_with,
+    benchmark_requests, profile_benchmark, profile_benchmark_at, profile_benchmark_with,
     BenchmarkLayout,
 };
 
@@ -185,7 +185,7 @@ fn suite_compression_matches_paper_shape() {
     let mut dl = Vec::new();
     for mut bench in all_benchmarks() {
         bench.scale = Scale::test();
-        let profiles = profile_benchmark_at_with(&bench, CodecKind::Bpc, 0.5, 1024, 7);
+        let profiles = profile_benchmark_at(&bench, 0.5, 1024, 7);
         let mut bytes = 0.0;
         let mut entries = 0.0;
         for p in &profiles {
