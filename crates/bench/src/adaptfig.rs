@@ -10,8 +10,8 @@
 //! * **static** — targets from `choose_targets` on the merged all-phase
 //!   profile, frozen forever (the paper's deployment model);
 //! * **adaptive** — the *same* initial targets, plus a
-//!   [`RetargetPolicy`] sweep after every phase's writes that migrates
-//!   allocations with [`BuddyDevice::retarget`].
+//!   [`ProfileConfig::recommend`] sweep after every phase's writes that
+//!   migrates allocations with [`BuddyDevice::retarget`].
 //!
 //! Per phase it reports the device's effective compression ratio, the
 //! buddy-access fraction of a full read pass, and — for the adaptive arm —
@@ -21,8 +21,7 @@
 use crate::report::{f3, pct, print_table, write_csv, RunConfig};
 use buddy_compression::bpc::{Codec, CodecKind, CompressedBuf, SizeHistogram, ENTRY_BYTES};
 use buddy_compression::buddy_core::{
-    choose_targets, AdaptConfig, AllocationProfile, BuddyDevice, DeviceConfig, ProfileConfig,
-    RetargetPolicy, TargetRatio,
+    choose_targets, AllocationProfile, BuddyDevice, DeviceConfig, ProfileConfig, TargetRatio,
 };
 use buddy_compression::workloads::entry_gen::mix;
 use buddy_compression::workloads::{drift_allocations, AllocationSpec, DRIFT_PHASES};
@@ -113,7 +112,7 @@ fn run_arm(
         .zip(initial.iter())
         .map(|(spec, &target)| dev.alloc(spec.name, entries, target).expect("device sized")) // lint-allow(no-unwrap): device is sized for every spec even fully demoted to 1x
         .collect();
-    let policy = RetargetPolicy::new(AdaptConfig::default());
+    let policy = ProfileConfig::default();
 
     let mut rows = Vec::new();
     let mut batch = vec![[0u8; ENTRY_BYTES]; BATCH];

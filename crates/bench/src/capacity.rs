@@ -225,7 +225,8 @@ pub fn fig08(cfg: &RunConfig) -> io::Result<()> {
             let mut weighted = 0.0;
             let mut total = 0.0;
             for (profile, choice) in at_phase.iter().zip(outcome.choices.iter()) {
-                weighted += profile.entries as f64 * profile.overflow_fraction(choice.target);
+                weighted +=
+                    profile.entries as f64 * choice.target.overflow_fraction(&profile.histogram);
                 total += profile.entries as f64;
             }
             row.push(pct(weighted / total));

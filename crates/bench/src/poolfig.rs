@@ -33,7 +33,7 @@
 use crate::report::{f3, pct, print_table, write_csv, RunConfig};
 use buddy_compression::bpc::{CodecKind, Entry, ENTRY_BYTES};
 use buddy_compression::buddy_core::{
-    AccessStats, AdaptConfig, DeviceConfig, DeviceError, RetargetPolicy, TargetRatio,
+    AccessStats, DeviceConfig, DeviceError, ProfileConfig, TargetRatio,
 };
 use buddy_compression::buddy_pool::{BuddyPool, PoolAllocId, PoolConfig};
 use buddy_compression::workloads::entry_gen::splitmix64;
@@ -70,8 +70,8 @@ pub struct CellSpec {
     pub churn_every: u64,
     /// Re-targeting sweep period in batches (`0` = off): every
     /// `retarget_every` batches a client applies the default
-    /// [`RetargetPolicy`]'s recommendation for its allocation's state
-    /// window (DESIGN.md §8). Decisions depend only on the client's own
+    /// [`ProfileConfig::recommend`] to its allocation's state window
+    /// (DESIGN.md §8). Decisions depend only on the client's own
     /// write stream and a migration re-encodes only its own allocation.
     pub retarget_every: u64,
     /// `None` replays the trace's own read/write mix; `Some(p)` forces each
@@ -267,7 +267,7 @@ fn replay(
     let mut read_buf = vec![[0u8; ENTRY_BYTES]; BATCH];
     let mut errored_batches = 0u64;
     let max_start = entries_per_client - BATCH as u64;
-    let policy = RetargetPolicy::new(AdaptConfig::default());
+    let policy = ProfileConfig::default();
     let before = pool.stats();
 
     for op in 0..batches_per_client {

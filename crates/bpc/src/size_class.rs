@@ -75,9 +75,9 @@ impl SizeClass {
 
     /// Number of 32 B sectors this class occupies (0–4).
     ///
-    /// Sector counts drive the Buddy Compression fit test: an entry fits a
-    /// target ratio of 1×, 1.33×, 2× or 4× iff it needs at most 4, 3, 2 or 1
-    /// sectors respectively (Figure 4).
+    /// Sector counts are what Buddy Compression's fit rule (Figure 4,
+    /// `buddy_core`'s `TargetRatio::fits`) compares against a target's
+    /// device budget.
     pub fn sectors(self) -> u8 {
         self.bytes().div_ceil(crate::SECTOR_BYTES) as u8
     }
@@ -135,34 +135,6 @@ impl SizeHistogram {
     /// Total number of entries recorded.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Fraction of entries whose class is at most `class`.
-    pub fn fraction_at_most(&self, class: SizeClass) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let within: u64 = SizeClass::ALL
-            .iter()
-            .filter(|c| **c <= class)
-            .map(|c| self.count(*c))
-            .sum();
-        within as f64 / total as f64
-    }
-
-    /// Fraction of entries needing at most `sectors` sectors.
-    pub fn fraction_within_sectors(&self, sectors: u8) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let within: u64 = SizeClass::ALL
-            .iter()
-            .filter(|c| c.sectors() <= sectors)
-            .map(|c| self.count(*c))
-            .sum();
-        within as f64 / total as f64
     }
 
     /// Overall capacity compression ratio under the optimistic Figure 3
@@ -252,8 +224,7 @@ mod tests {
         let hist: SizeHistogram = std::iter::repeat(SizeClass::B64).take(10).collect();
         assert_eq!(hist.compression_ratio(), 2.0);
         assert_eq!(hist.total(), 10);
-        assert_eq!(hist.fraction_within_sectors(2), 1.0);
-        assert_eq!(hist.fraction_within_sectors(1), 0.0);
+        assert_eq!(hist.count(SizeClass::B64), 10);
     }
 
     #[test]
@@ -269,7 +240,7 @@ mod tests {
         hist.record(SizeClass::B64);
         // (2 * 128) / (128 + 64) = 256/192
         assert!((hist.compression_ratio() - 256.0 / 192.0).abs() < 1e-12);
-        assert_eq!(hist.fraction_at_most(SizeClass::B64), 0.5);
+        assert_eq!(hist.count(SizeClass::B64), 1);
     }
 
     #[test]
@@ -288,6 +259,6 @@ mod tests {
     fn empty_histogram_is_neutral() {
         let hist = SizeHistogram::new();
         assert_eq!(hist.compression_ratio(), 1.0);
-        assert_eq!(hist.fraction_at_most(SizeClass::B128), 0.0);
+        assert_eq!(hist.total(), 0);
     }
 }

@@ -9,12 +9,11 @@
 //! changes never move any *other* data (§3.3, "No Page-Faulting Expense"),
 //! which `tests/no_movement.rs` verifies.
 
-use crate::adapt::StateWindow;
 use crate::metadata::EntryState;
 use crate::region::RegionAllocator;
 use crate::shared::{self, AllocView, RawSlot, SharedState};
 use crate::target::TargetRatio;
-use bpc::{CodecKind, CompressedBuf, Entry, ENTRY_BYTES};
+use bpc::{CodecKind, CompressedBuf, Entry, SizeHistogram, ENTRY_BYTES};
 use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
@@ -62,6 +61,14 @@ pub enum DeviceError {
     /// fails cleanly on every build instead of panicking in debug and
     /// wrapping silently in release.
     RequestOverflow,
+    /// Entry `index` of the allocation is stored as a reserved metadata
+    /// nibble or as a stream its codec rejects. Reads, scans and `retarget`
+    /// of the allocation fail with this instead of returning made-up bytes;
+    /// nothing is mutated and every other allocation is unaffected.
+    CorruptEntry {
+        /// Index of the damaged entry within its allocation.
+        index: u64,
+    },
 }
 
 impl fmt::Display for DeviceError {
@@ -97,6 +104,9 @@ impl fmt::Display for DeviceError {
             }
             DeviceError::RequestOverflow => {
                 write!(f, "request size arithmetic overflows u64")
+            }
+            DeviceError::CorruptEntry { index } => {
+                write!(f, "entry {index} is stored corrupt")
             }
         }
     }
@@ -483,11 +493,6 @@ impl BuddyDevice {
         self.device_region.free_total()
     }
 
-    /// Buddy carve-out bytes currently free.
-    pub fn buddy_free(&self) -> u64 {
-        self.buddy_region.free_total()
-    }
-
     /// Largest contiguous free run of device memory — the biggest
     /// allocation (in device bytes) that can currently succeed.
     pub fn largest_free_region(&self) -> u64 {
@@ -732,7 +737,9 @@ impl BuddyDevice {
     /// writes to `out`, so `out` holds partial bytes only if an earlier
     /// attempt was abandoned by the seqlock and a structural operation
     /// then invalidated the id. `&mut self` excludes structural
-    /// operations, so here an error leaves `out` untouched.
+    /// operations, so here a handle or range error leaves `out` untouched.
+    /// [`DeviceError::CorruptEntry`] reports a damaged stored entry in the
+    /// run; the entries before it may already have been decoded into `out`.
     pub fn read_entries(
         &mut self,
         id: AllocId,
@@ -765,8 +772,9 @@ impl BuddyDevice {
     /// **No other allocation is touched**, so migration cost is
     /// proportional to the migrated allocation alone. This is the online
     /// escape hatch from a stale profiling decision (the paper picks
-    /// targets once, §3.5; see DESIGN.md §8 and the
-    /// [`adapt`](crate::adapt) policy that drives it).
+    /// targets once, §3.5; see DESIGN.md §8 and
+    /// [`ProfileConfig::recommend`](crate::ProfileConfig::recommend), the
+    /// online policy that drives it).
     ///
     /// Migration is **observation-equivalent**: after `retarget`, every
     /// read returns the same bytes, every invalid access the same error,
@@ -790,7 +798,8 @@ impl BuddyDevice {
     ///
     /// Returns [`DeviceError::BadAllocation`] for an unknown or stale
     /// handle, [`DeviceError::RequestOverflow`] if the new byte accounting
-    /// overflows, and [`DeviceError::OutOfDeviceMemory`] /
+    /// overflows, [`DeviceError::CorruptEntry`] if an entry fails to decode
+    /// (before anything is mutated), and [`DeviceError::OutOfDeviceMemory`] /
     /// [`DeviceError::OutOfBuddyMemory`] if no contiguous free run can
     /// host the new reservation even with the old one released — in which
     /// case the device is left completely unchanged (the old reservation
@@ -839,12 +848,13 @@ impl BuddyDevice {
             //    layout. (Functional model: the real design would stream
             //    this through the compression pipeline sector by sector.)
             //    No entry-access traffic is recorded — migration cost is
-            //    `moved_sectors`. Nothing is mutated yet: a failed
-            //    placement below leaves the device byte-for-byte as it was.
+            //    `moved_sectors`. Nothing is mutated yet: a corrupt entry
+            //    here or a failed placement below leaves the device
+            //    byte-for-byte as it was.
             for (i, slot) in contents.iter_mut().enumerate() {
-                if published.read_one(&view, i as u64, slot).is_err() {
-                    unreachable!("own streams decode: entry writers are parked on the write lock");
-                }
+                published
+                    .read_one(&view, i as u64, slot)
+                    .ok_or(DeviceError::CorruptEntry { index: i as u64 })?;
             }
 
             // 2. Place the new reservations on the allocator. The nibbles
@@ -868,8 +878,8 @@ impl BuddyDevice {
             // 3. Re-encode every entry under the new target.
             let mut moved_sectors = 0u64;
             published.write_run(&new_view, 0, &contents, &mut self.scratch, |state| {
-                moved_sectors += shared::device_sectors_of(new_target, state)
-                    + shared::buddy_sectors_of(new_target, state);
+                moved_sectors +=
+                    u64::from(state.device_sectors(new_target) + state.buddy_sectors(new_target));
             });
 
             // 4. Update the mutable half and hand the new epoch back for
@@ -963,15 +973,23 @@ impl BuddyDevice {
         Ok((device_base, buddy_base))
     }
 
-    /// Summarizes the live metadata states of an allocation into a
-    /// [`StateWindow`] for the [`adapt`](crate::adapt) policy. A pure
-    /// metadata scan: records no traffic (4 bits per entry — the
-    /// information the memory controller already holds).
+    /// The live compressed footprint of an allocation as a size-class
+    /// histogram, the online counterpart of an
+    /// [`AllocationProfile`](crate::AllocationProfile)'s and the input of
+    /// [`ProfileConfig::recommend`](crate::ProfileConfig::recommend). Each
+    /// entry's state is binned to the largest class with its stored
+    /// footprint (`Zero` → `B0`, `ZeroPageFit` → `B8`, 1–4 sectors → `B32`
+    /// / `B64` / `B96` / `B128`, raw zero-page overflow → `B128`), so
+    /// [`TargetRatio::overflow_fraction`] is exact for the standard
+    /// targets and never optimistic for 16×. A pure metadata scan: records
+    /// no traffic (4 bits per entry — the information the memory controller
+    /// already holds).
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::BadAllocation`] for invalid handles.
-    pub fn state_window(&self, id: AllocId) -> Result<StateWindow, DeviceError> {
+    /// Returns [`DeviceError::BadAllocation`] for invalid handles and
+    /// [`DeviceError::CorruptEntry`] for a reserved metadata nibble.
+    pub fn state_window(&self, id: AllocId) -> Result<SizeHistogram, DeviceError> {
         self.shared.state_window(id)
     }
 }
@@ -986,12 +1004,13 @@ impl DeviceHandle {
     ///
     /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
     /// for invalid handles; a handle racing a `free` observes
-    /// [`DeviceError::BadAllocation`] once the tombstone epoch publishes.
-    /// An error is detected against a consistent snapshot before that
-    /// attempt writes to `out`, but an earlier attempt abandoned by the
-    /// seqlock (a racing write, `retarget` or `free`) may already have
-    /// decoded entries into it: on error `out` may hold partial bytes and
-    /// must not be used.
+    /// [`DeviceError::BadAllocation`] once the tombstone epoch publishes,
+    /// and a damaged stored entry reports [`DeviceError::CorruptEntry`].
+    /// A handle or range error is detected against a consistent snapshot
+    /// before that attempt writes to `out`, but an earlier attempt
+    /// abandoned by the seqlock (a racing write, `retarget` or `free`) may
+    /// already have decoded entries into it: on error `out` may hold
+    /// partial bytes and must not be used.
     pub fn read_entries(
         &self,
         id: AllocId,
@@ -1078,8 +1097,8 @@ impl DeviceHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::BadAllocation`] for invalid handles.
-    pub fn state_window(&self, id: AllocId) -> Result<StateWindow, DeviceError> {
+    /// As [`BuddyDevice::state_window`].
+    pub fn state_window(&self, id: AllocId) -> Result<SizeHistogram, DeviceError> {
         let _op = self.shared.enter_op();
         self.shared.state_window(id)
     }
@@ -1088,6 +1107,7 @@ impl DeviceHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpc::SizeClass;
 
     fn entry_of_words(mut f: impl FnMut(usize) -> u32) -> Entry {
         let mut e = [0u8; ENTRY_BYTES];
@@ -1536,9 +1556,60 @@ mod tests {
         let window = dev.state_window(a).unwrap();
         assert_eq!(dev.stats(), before, "window scans must be traffic-free");
         assert_eq!(window.total(), 16);
-        assert!((window.zero_fraction() - 0.5).abs() < 1e-12);
-        assert!((window.overflow_fraction(TargetRatio::R2) - 0.25).abs() < 1e-12);
+        assert_eq!(window.count(SizeClass::B0), 8);
+        assert_eq!(window.count(SizeClass::B32), 4);
+        assert_eq!(window.count(SizeClass::B128), 4);
+        assert!((TargetRatio::R2.overflow_fraction(&window) - 0.25).abs() < 1e-12);
         assert_eq!(dev.allocation_count(), 1);
+    }
+
+    #[test]
+    fn a_reserved_nibble_fails_typed_and_leaves_the_device_intact() {
+        let mut dev = small_device();
+        let damaged = dev.alloc("damaged", 16, TargetRatio::R2).unwrap();
+        let neighbour = dev.alloc("neighbour", 16, TargetRatio::R2).unwrap();
+        let data: Vec<Entry> = (0..16)
+            .map(|i| entry_of_words(|j| i * 7 + j as u32))
+            .collect();
+        dev.write_entries(damaged, 0, &data).unwrap();
+        dev.write_entries(neighbour, 0, &data).unwrap();
+        // One flipped metadata nibble: entry 5 now holds a reserved state.
+        let view = dev.view(damaged).unwrap();
+        dev.shared
+            .metadata
+            .store_nibble(view.metadata_index(5), 0xF);
+        let stats = dev.stats();
+        let corrupt = Err(DeviceError::CorruptEntry { index: 5 });
+
+        let mut out = vec![[0u8; ENTRY_BYTES]; 16];
+        assert_eq!(dev.read_entries(damaged, 0, &mut out), corrupt);
+        assert_eq!(
+            dev.handle().read_entries(damaged, 4, &mut out[..4]),
+            corrupt
+        );
+        assert_eq!(
+            dev.entry_state(damaged, 5),
+            Err(DeviceError::CorruptEntry { index: 5 })
+        );
+        assert_eq!(
+            dev.state_window(damaged),
+            Err(DeviceError::CorruptEntry { index: 5 })
+        );
+        assert_eq!(dev.retarget(damaged, TargetRatio::R4).map(|_| ()), corrupt);
+        // The failed retarget mutated nothing: same target, reservation and
+        // counters, and the undamaged entries still read back.
+        assert_eq!(dev.allocation_info(damaged).unwrap().1, TargetRatio::R2);
+        assert_eq!(dev.device_used(), 2 * 16 * 64);
+        assert_eq!(dev.stats(), stats);
+        dev.read_entries(damaged, 6, &mut out[6..]).unwrap();
+        assert_eq!(out[6..], data[6..]);
+        // The neighbour is byte-identical.
+        dev.read_entries(neighbour, 0, &mut out).unwrap();
+        assert_eq!(out, data);
+        assert_eq!(
+            DeviceError::CorruptEntry { index: 5 }.to_string(),
+            "entry 5 is stored corrupt"
+        );
     }
 
     #[test]
@@ -1609,7 +1680,11 @@ mod tests {
                 "placement {pair}: a dead allocation's nibbles leaked through"
             );
             let states = dev.state_window(zp).unwrap();
-            assert_eq!(states.zero_fraction(), 1.0, "placement {pair}: states");
+            assert_eq!(
+                states.count(SizeClass::B0),
+                4000,
+                "placement {pair}: states"
+            );
             dev.write_entries(zp, 0, &fit(pair)).unwrap();
             survivors.push((zp, pair));
         }

@@ -18,11 +18,15 @@
 //!   [`metadata::Gbbr`].
 //! * A profiling pass ([`profile`]) picks per-allocation targets subject to
 //!   the **Buddy Threshold** — the maximum tolerated fraction of entries
-//!   that overflow to buddy memory.
+//!   that overflow to buddy memory. The paper's two rules each have one
+//!   home: the fit rule is [`TargetRatio::fits`] (with
+//!   [`TargetRatio::overflow_fraction`] and [`EntryState::stored`] built
+//!   on it), the admission rule is [`ProfileConfig`]'s target walk.
 //! * Targets are not frozen at allocation time: [`BuddyDevice::retarget`]
 //!   migrates a live allocation to a new ratio (byte-preserving,
-//!   observation-equivalent), and the [`adapt`] module's online policy
-//!   recommends such migrations from live metadata with hysteresis.
+//!   observation-equivalent), and [`ProfileConfig::recommend`] runs the
+//!   same admission walk online, over [`BuddyDevice::state_window`]'s
+//!   histogram of live metadata, with hysteresis.
 //!
 //! The [`BuddyDevice`] here is a *functional* model with real compressed
 //! storage (reads return exactly what was written); the companion `gpu-sim`
@@ -58,7 +62,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapt;
+#[cfg(test)]
+mod adapt;
 #[cfg(feature = "audit")]
 pub mod audit;
 pub mod device;
@@ -69,7 +74,6 @@ mod shared;
 pub mod sync;
 pub mod target;
 
-pub use adapt::{AdaptConfig, RetargetPolicy, StateWindow};
 pub use device::{
     AccessStats, AllocId, BuddyDevice, DeviceConfig, DeviceError, DeviceHandle, RetargetReport,
     StorageRanges,

@@ -7,6 +7,8 @@
 //! page table carries 24 extra bits per PTE (compressed flag, target ratio,
 //! buddy-page offset), and a single GBBR holds the base of the carve-out.
 
+use crate::target::TargetRatio;
+use bpc::{SizeClass, SECTOR_BYTES};
 use std::fmt;
 
 /// Decoded 4-bit per-entry metadata state.
@@ -32,6 +34,60 @@ pub enum EntryState {
 }
 
 impl EntryState {
+    /// The state an entry of compressed size `class` is stored in under
+    /// `target` (Figure 4): a zero entry is tracked, not stored; under the
+    /// zero-page target an entry either [fits](TargetRatio::fits) its 8 B
+    /// granule or lives raw in its buddy slot; any other entry takes its
+    /// class's sectors (at least one), device memory first.
+    pub fn stored(class: SizeClass, target: TargetRatio) -> Self {
+        match (class, target) {
+            (SizeClass::B0, _) => EntryState::Zero,
+            (_, TargetRatio::ZeroPage16) if target.fits(class) => EntryState::ZeroPageFit,
+            (_, TargetRatio::ZeroPage16) => EntryState::ZeroPageOverflow,
+            _ => EntryState::Compressed {
+                sectors: class.sectors().max(1),
+            },
+        }
+    }
+
+    /// Sectors of the entry read from or written to device memory under
+    /// `target`. The 8 B zero-page granule still costs one sector access.
+    pub fn device_sectors(self, target: TargetRatio) -> u8 {
+        match self {
+            EntryState::Zero | EntryState::ZeroPageOverflow => 0,
+            EntryState::ZeroPageFit => 1,
+            EntryState::Compressed { sectors } => sectors.min(target.device_sectors()),
+        }
+    }
+
+    /// Sectors of the entry that spill to its buddy slot under `target`.
+    pub fn buddy_sectors(self, target: TargetRatio) -> u8 {
+        match self {
+            EntryState::Zero | EntryState::ZeroPageFit => 0,
+            EntryState::ZeroPageOverflow => 4,
+            EntryState::Compressed { sectors } => sectors.saturating_sub(target.device_sectors()),
+        }
+    }
+
+    /// The largest size class with this state's stored footprint — how a
+    /// live state is counted in a [`BuddyDevice::state_window`] histogram.
+    /// A stored sector count does not say whether the entry would also fit
+    /// the 8 B granule, and raw zero-page overflow keeps no compressed size
+    /// at all, so both bin conservatively: the window never fits the 16×
+    /// target better than the data does.
+    ///
+    /// [`BuddyDevice::state_window`]: crate::BuddyDevice::state_window
+    pub(crate) fn footprint_class(self) -> SizeClass {
+        match self {
+            EntryState::Zero => SizeClass::B0,
+            EntryState::ZeroPageFit => SizeClass::B8,
+            EntryState::ZeroPageOverflow => SizeClass::B128,
+            EntryState::Compressed { sectors } => {
+                SizeClass::for_bytes(usize::from(sectors) * SECTOR_BYTES)
+            }
+        }
+    }
+
     /// Encodes into the 4-bit on-chip representation.
     pub fn encode(self) -> u8 {
         match self {
@@ -120,6 +176,62 @@ mod tests {
         for reserved in 7..=15u8 {
             assert_eq!(EntryState::decode(reserved), None);
         }
+    }
+
+    #[test]
+    fn stored_states_split_sectors_per_figure_4() {
+        use SizeClass::*;
+        use TargetRatio::*;
+        let split = |class, target| {
+            let state = EntryState::stored(class, target);
+            (state.device_sectors(target), state.buddy_sectors(target))
+        };
+        // Fits: fully device-resident.
+        assert_eq!(split(B32, R2), (1, 0));
+        assert_eq!(split(B8, R4), (1, 0));
+        // Overflows: split at the budget.
+        assert_eq!(split(B128, R2), (2, 2));
+        assert_eq!(split(B96, R4), (1, 2));
+        assert_eq!(split(B80, R1_33), (3, 0));
+        // Zero entries are free under every target.
+        for t in TargetRatio::DESCENDING {
+            assert_eq!(EntryState::stored(B0, t), EntryState::Zero);
+            assert_eq!(split(B0, t), (0, 0));
+        }
+        // Zero-page fit costs one granule access; overflow is raw in buddy.
+        assert_eq!(EntryState::stored(B8, ZeroPage16), EntryState::ZeroPageFit);
+        assert_eq!(split(B8, ZeroPage16), (1, 0));
+        assert_eq!(split(B64, ZeroPage16), (0, 4));
+        // An entry spills exactly when it does not fit.
+        for class in SizeClass::ALL {
+            for t in TargetRatio::DESCENDING {
+                assert_eq!(split(class, t).1 == 0, t.fits(class), "{class} at {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn footprint_classes_keep_each_states_fit() {
+        // Binned to its footprint class, a state fits exactly the standard
+        // targets it is stored within.
+        for sectors in 1..=4u8 {
+            let class = EntryState::Compressed { sectors }.footprint_class();
+            assert_eq!(class.sectors(), sectors);
+            for t in TargetRatio::STANDARD_DESCENDING {
+                assert_eq!(
+                    t.fits(class),
+                    sectors <= t.device_sectors(),
+                    "{class} at {t}"
+                );
+            }
+            assert!(!TargetRatio::ZeroPage16.fits(class));
+        }
+        assert_eq!(EntryState::Zero.footprint_class(), SizeClass::B0);
+        assert_eq!(EntryState::ZeroPageFit.footprint_class(), SizeClass::B8);
+        assert_eq!(
+            EntryState::ZeroPageOverflow.footprint_class(),
+            SizeClass::B128
+        );
     }
 
     #[test]

@@ -12,6 +12,16 @@
 //! * [`choose_naive`] — one conservative whole-program target,
 //! * [`choose_targets`] with `zero_page: false` — per-allocation targets,
 //! * [`choose_targets`] with `zero_page: true` — the final design.
+//!
+//! The admission rule — walk the targets from most to least aggressive and
+//! take the first whose overflow fraction is at or below its threshold — is
+//! written once, in [`ProfileConfig`]. [`choose_targets`] runs it over
+//! profiled histograms; [`ProfileConfig::recommend`] runs it online, over
+//! [`BuddyDevice::state_window`](crate::BuddyDevice::state_window)
+//! histograms of live metadata, feeding
+//! [`BuddyDevice::retarget`](crate::BuddyDevice::retarget). The paper picks
+//! each target once (§3.5) and observes (§4.2, Figure 8) that
+//! compressibility drifts over training; the online half closes that loop.
 
 use crate::target::TargetRatio;
 use bpc::{SizeClass, SizeHistogram, ENTRY_BYTES};
@@ -27,22 +37,6 @@ pub struct AllocationProfile {
     pub entries: u64,
     /// Compressed size-class histogram from profiling snapshots.
     pub histogram: SizeHistogram,
-}
-
-impl AllocationProfile {
-    /// Fraction of profiled entries that would overflow target `t`.
-    pub fn overflow_fraction(&self, t: TargetRatio) -> f64 {
-        if self.histogram.total() == 0 {
-            return 0.0;
-        }
-        let fits = match t {
-            TargetRatio::ZeroPage16 => self.histogram.fraction_at_most(SizeClass::B8),
-            other => self
-                .histogram
-                .fraction_within_sectors(other.device_sectors()),
-        };
-        1.0 - fits
-    }
 }
 
 /// Profiler configuration (§3.5 defaults).
@@ -74,6 +68,14 @@ impl Default for ProfileConfig {
     }
 }
 
+/// Extra headroom a promotion must show below the admission threshold (see
+/// [`ProfileConfig::recommend`]).
+const PROMOTE_MARGIN: f64 = 0.10;
+
+/// Fewest observed entries [`ProfileConfig::recommend`] acts on; smaller
+/// windows get no recommendation.
+const MIN_SAMPLES: u64 = 64;
+
 impl ProfileConfig {
     /// The paper's final configuration (30% threshold, zero-page on).
     pub fn paper_final() -> Self {
@@ -95,6 +97,100 @@ impl ProfileConfig {
             buddy_threshold: threshold,
             ..Self::default()
         }
+    }
+
+    /// The targets the admission walk tries, most aggressive first.
+    fn candidates(&self) -> &'static [TargetRatio] {
+        if self.zero_page {
+            &TargetRatio::DESCENDING
+        } else {
+            &TargetRatio::STANDARD_DESCENDING
+        }
+    }
+
+    /// The admission threshold governing target `t`.
+    fn admission_threshold(&self, t: TargetRatio) -> f64 {
+        if t == TargetRatio::ZeroPage16 {
+            self.zero_page_threshold
+        } else {
+            self.buddy_threshold
+        }
+    }
+
+    /// The admission rule (§3.4–3.5): the most aggressive candidate target
+    /// whose overflow fraction over `histogram` is at or below its
+    /// threshold, with that overflow fraction. 1× never overflows, so the
+    /// walk ends on it at the latest.
+    fn admit(&self, histogram: &SizeHistogram) -> (TargetRatio, f64) {
+        self.candidates()
+            .iter()
+            .map(|&t| (t, t.overflow_fraction(histogram)))
+            .find(|&(t, overflow)| overflow <= self.admission_threshold(t))
+            .unwrap_or((TargetRatio::R1, 0.0))
+    }
+
+    /// Recommends a new target for an allocation currently annotated
+    /// `current`, given the histogram of its live states
+    /// ([`BuddyDevice::state_window`](crate::BuddyDevice::state_window)) —
+    /// or `None` to keep it. Windows of fewer than 64 entries get no
+    /// recommendation.
+    ///
+    /// # Hysteresis
+    ///
+    /// Two thresholds separate the decisions:
+    ///
+    /// * **Demotion** uses the plain admission rule of [`choose_targets`]:
+    ///   if the most aggressive admissible target is less aggressive than
+    ///   `current`, the current target is overflowing and that target is
+    ///   recommended directly. An allocation that has genuinely stopped
+    ///   compressing is fixed in one step.
+    /// * **Promotion** demands *headroom*: a more aggressive target is
+    ///   adopted only if its observed overflow sits below its admission
+    ///   threshold minus a 10% margin (never below half the threshold, so
+    ///   the tight zero-page 5% is not driven to an unreachable zero).
+    ///   Failing that, less aggressive intermediate steps (still above
+    ///   `current`) are tried before giving up. An allocation hovering
+    ///   inside the band `(threshold − margin, threshold]` keeps its
+    ///   current target rather than ping-ponging.
+    ///
+    /// On a stationary window the policy therefore recommends at most one
+    /// change and then goes quiet.
+    ///
+    /// # What the window can and cannot see
+    ///
+    /// Metadata states record *stored sector counts*, which is exactly what
+    /// the standard targets (1×–4×) need. They do **not** record whether an
+    /// entry would compress below the 8 B zero-page granule (a one-sector
+    /// entry may be 9 or 32 bytes), so promotion *to* the 16× zero-page
+    /// target is only recommended when the observed window is almost
+    /// entirely tracked-zero / sub-granule entries — the same "mostly zero,
+    /// and remains so" conservatism the paper applies (§3.4). Entries stored
+    /// as raw zero-page overflow count as incompressible for the same
+    /// reason.
+    pub fn recommend(&self, current: TargetRatio, window: &SizeHistogram) -> Option<TargetRatio> {
+        if window.total() < MIN_SAMPLES {
+            return None;
+        }
+        let (pick, _) = self.admit(window);
+        if pick == current {
+            return None;
+        }
+        if pick.ratio() < current.ratio() {
+            // Demotion: the current target is past its admission threshold.
+            return Some(pick);
+        }
+        // Promotion: walk from the aggressive pick back down toward the
+        // current target, taking the first step with enough headroom.
+        for &t in self.candidates().iter().skip_while(|&&t| t != pick) {
+            if t.ratio() <= current.ratio() {
+                break;
+            }
+            let admission = self.admission_threshold(t);
+            if t.overflow_fraction(window) <= (admission - PROMOTE_MARGIN).max(admission / 2.0) {
+                return Some(t);
+            }
+        }
+        None
     }
 }
 
@@ -155,14 +251,6 @@ impl ProfileOutcome {
             .sum::<f64>()
             / total as f64
     }
-
-    /// Buddy carve-out bytes the choices reserve.
-    pub fn buddy_reserved_bytes(&self) -> u64 {
-        self.choices
-            .iter()
-            .map(|c| c.entries * c.target.buddy_bytes_per_entry() as u64)
-            .sum()
-    }
 }
 
 impl fmt::Display for ProfileOutcome {
@@ -186,38 +274,6 @@ impl fmt::Display for ProfileOutcome {
     }
 }
 
-/// Picks the most aggressive admissible target for one allocation.
-fn pick_target(profile: &AllocationProfile, config: &ProfileConfig) -> TargetChoice {
-    let candidates: &[TargetRatio] = if config.zero_page {
-        &TargetRatio::DESCENDING
-    } else {
-        &TargetRatio::STANDARD_DESCENDING
-    };
-    for &t in candidates {
-        let threshold = if t == TargetRatio::ZeroPage16 {
-            config.zero_page_threshold
-        } else {
-            config.buddy_threshold
-        };
-        let overflow = profile.overflow_fraction(t);
-        if overflow <= threshold {
-            return TargetChoice {
-                name: profile.name.clone(),
-                entries: profile.entries,
-                target: t,
-                overflow_frac: overflow,
-            };
-        }
-    }
-    // R1 never overflows; unreachable, but keep a safe fallback.
-    TargetChoice {
-        name: profile.name.clone(),
-        entries: profile.entries,
-        target: TargetRatio::R1,
-        overflow_frac: 0.0,
-    }
-}
-
 /// Runs the per-allocation profiling policy of §3.4 (with or without the
 /// zero-page optimization, per `config`).
 ///
@@ -226,7 +282,18 @@ fn pick_target(profile: &AllocationProfile, config: &ProfileConfig) -> TargetCho
 /// carve-out bound.
 pub fn choose_targets(profiles: &[AllocationProfile], config: &ProfileConfig) -> ProfileOutcome {
     let mut outcome = ProfileOutcome {
-        choices: profiles.iter().map(|p| pick_target(p, config)).collect(),
+        choices: profiles
+            .iter()
+            .map(|p| {
+                let (target, overflow_frac) = config.admit(&p.histogram);
+                TargetChoice {
+                    name: p.name.clone(),
+                    entries: p.entries,
+                    target,
+                    overflow_frac,
+                }
+            })
+            .collect(),
     };
 
     // Enforce the carve-out bound by demoting 16x choices.
@@ -242,7 +309,7 @@ pub fn choose_targets(profiles: &[AllocationProfile], config: &ProfileConfig) ->
                 // Overflow for 4x on a mostly-≤8 B allocation is ~0 but
                 // recompute from the histogram for exactness.
                 if let Some(p) = profiles.iter().find(|p| p.name == choice.name) {
-                    choice.overflow_frac = p.overflow_fraction(TargetRatio::R4);
+                    choice.overflow_frac = TargetRatio::R4.overflow_fraction(&p.histogram);
                 }
             }
             None => break, // nothing left to demote; 4x everywhere is ≤ 4.
@@ -289,7 +356,7 @@ pub fn choose_naive(profiles: &[AllocationProfile], _config: &ProfileConfig) -> 
                 name: p.name.clone(),
                 entries: p.entries,
                 target,
-                overflow_frac: p.overflow_fraction(target),
+                overflow_frac: target.overflow_fraction(&p.histogram),
             })
             .collect(),
     }
@@ -334,11 +401,17 @@ mod tests {
     #[test]
     fn overflow_fractions() {
         let p = profile_of("a", 100, &[(SizeClass::B32, 70), (SizeClass::B128, 30)]);
-        assert!((p.overflow_fraction(TargetRatio::R4) - 0.30).abs() < 1e-12);
-        assert!((p.overflow_fraction(TargetRatio::R2) - 0.30).abs() < 1e-12);
-        assert!((p.overflow_fraction(TargetRatio::R1_33) - 0.30).abs() < 1e-12);
-        assert_eq!(p.overflow_fraction(TargetRatio::R1), 0.0);
-        assert!((p.overflow_fraction(TargetRatio::ZeroPage16) - 1.0).abs() < 1e-12);
+        let overflow = |t: TargetRatio| t.overflow_fraction(&p.histogram);
+        assert!((overflow(TargetRatio::R4) - 0.30).abs() < 1e-12);
+        assert!((overflow(TargetRatio::R2) - 0.30).abs() < 1e-12);
+        assert!((overflow(TargetRatio::R1_33) - 0.30).abs() < 1e-12);
+        assert_eq!(overflow(TargetRatio::R1), 0.0);
+        assert!((overflow(TargetRatio::ZeroPage16) - 1.0).abs() < 1e-12);
+        // Empty histograms overflow nothing.
+        assert_eq!(
+            TargetRatio::R4.overflow_fraction(&SizeHistogram::new()),
+            0.0
+        );
     }
 
     #[test]

@@ -74,7 +74,6 @@
 // nibble storage, drain-barrier counters) or the device stats mirror
 // reported through the existing stats() API — none is an ad-hoc metric.
 
-use crate::adapt::StateWindow;
 use crate::device::{AccessStats, AllocId, DeviceError};
 use crate::metadata::EntryState;
 use crate::sync::{
@@ -82,7 +81,7 @@ use crate::sync::{
     OnceLock, Ordering,
 };
 use crate::target::TargetRatio;
-use bpc::{Codec, CodecKind, CompressedBuf, Entry, SizeClass, ENTRY_BYTES, SECTOR_BYTES};
+use bpc::{Codec, CodecKind, CompressedBuf, Entry, SizeHistogram, ENTRY_BYTES, SECTOR_BYTES};
 use std::fmt;
 
 /// The `Copy`-able addressing facts of one allocation — the per-epoch
@@ -123,11 +122,12 @@ impl AllocView {
     }
 }
 
-/// A byte load raced an in-progress mutation and produced an undecodable
-/// or inconsistent value; the caller re-validates the slot sequence and
-/// retries. Under a stable sequence this is unreachable (the write path
-/// produced every stored stream).
-pub(crate) struct TornRead;
+/// Entry `.0` of the allocation loaded as a reserved metadata nibble or a
+/// stream its codec rejects. Under a moved slot sequence that is a racing
+/// mutation's torn value, and the caller retries. Under a stable sequence
+/// it is the stored bits themselves, reported as
+/// [`DeviceError::CorruptEntry`].
+pub(crate) struct TornRead(pub(crate) u64);
 
 /// Byte-range validation shared by every access path.
 pub(crate) fn check_index(view: &AllocView, index: u64) -> Result<(), DeviceError> {
@@ -163,29 +163,9 @@ fn is_zero(entry: &Entry) -> bool {
     any == 0
 }
 
-pub(crate) fn buddy_sectors_of(target: TargetRatio, state: EntryState) -> u64 {
-    match state {
-        EntryState::Zero | EntryState::ZeroPageFit => 0,
-        EntryState::ZeroPageOverflow => 4,
-        EntryState::Compressed { sectors } => {
-            sectors.saturating_sub(target.device_sectors()) as u64
-        }
-    }
-}
-
-pub(crate) fn device_sectors_of(target: TargetRatio, state: EntryState) -> u64 {
-    match state {
-        EntryState::Zero => 0,
-        // The 8 B granule still costs one sector access.
-        EntryState::ZeroPageFit => 1,
-        EntryState::ZeroPageOverflow => 0,
-        EntryState::Compressed { sectors } => sectors.min(target.device_sectors()) as u64,
-    }
-}
-
 pub(crate) fn record_read(stats: &mut AccessStats, target: TargetRatio, state: EntryState) {
-    let buddy = buddy_sectors_of(target, state);
-    stats.device_sectors += device_sectors_of(target, state);
+    let buddy = u64::from(state.buddy_sectors(target));
+    stats.device_sectors += u64::from(state.device_sectors(target));
     stats.buddy_sectors += buddy;
     if buddy > 0 {
         stats.reads_with_buddy += 1;
@@ -195,8 +175,8 @@ pub(crate) fn record_read(stats: &mut AccessStats, target: TargetRatio, state: E
 }
 
 pub(crate) fn record_write(stats: &mut AccessStats, target: TargetRatio, state: EntryState) {
-    let buddy = buddy_sectors_of(target, state);
-    stats.device_sectors += device_sectors_of(target, state);
+    let buddy = u64::from(state.buddy_sectors(target));
+    stats.device_sectors += u64::from(state.device_sectors(target));
     stats.buddy_sectors += buddy;
     if buddy > 0 {
         stats.writes_with_buddy += 1;
@@ -873,26 +853,22 @@ impl SharedState {
     }
 
     /// Decodes a stored stream through the owning codec. Trailing padding
-    /// from sector alignment is ignored by every decoder. Fails (for
-    /// retry) when a racing write tore the stream.
-    fn decode(&self, data: &[u8], out: &mut Entry) -> Result<(), TornRead> {
-        self.codec
-            .decompress_into(data, data.len() * 8, out)
-            .map_err(|_| TornRead)
+    /// from sector alignment is ignored by every decoder.
+    fn decode(&self, data: &[u8], out: &mut Entry) -> Option<()> {
+        self.codec.decompress_into(data, data.len() * 8, out).ok()
     }
 
     /// Loads and decompresses one entry into `out` against a consistent
     /// view; the caller records traffic and re-validates the sequence.
+    /// `None` when the nibble is reserved or the stream undecodable (the
+    /// caller's [`TornRead`]).
     pub(crate) fn read_one(
         &self,
         view: &AllocView,
         index: u64,
         out: &mut Entry,
-    ) -> Result<EntryState, TornRead> {
-        let state = self
-            .metadata
-            .get(view.metadata_index(index))
-            .ok_or(TornRead)?;
+    ) -> Option<EntryState> {
+        let state = self.metadata.get(view.metadata_index(index))?;
         match state {
             EntryState::Zero => *out = [0u8; ENTRY_BYTES],
             EntryState::ZeroPageFit => {
@@ -915,12 +891,12 @@ impl SharedState {
                 }
             }
         }
-        Ok(state)
+        Some(state)
     }
 
     /// Compresses and stores one entry's bytes and returns the state its
-    /// metadata nibble must take; [`write_run`](Self::write_run) stores
-    /// those a unit at a time.
+    /// metadata nibble must take ([`EntryState::stored`]);
+    /// [`write_run`](Self::write_run) stores those a unit at a time.
     fn write_one(
         &self,
         view: &AllocView,
@@ -929,39 +905,30 @@ impl SharedState {
         scratch: &mut CompressedBuf,
     ) -> EntryState {
         if is_zero(entry) {
-            EntryState::Zero
-        } else {
-            self.codec.compress_into(entry, scratch);
-            match view.target {
-                TargetRatio::ZeroPage16 => {
-                    if scratch.bytes() <= 8 {
-                        // Compose the padded 8 B granule as one whole word.
-                        let mut granule = [0u8; 8];
-                        granule[..scratch.data().len()].copy_from_slice(scratch.data());
-                        self.device.write(view.device_offset(index), &granule);
-                        EntryState::ZeroPageFit
-                    } else {
-                        self.buddy.write(view.buddy_offset(index), entry);
-                        EntryState::ZeroPageOverflow
-                    }
-                }
-                _ => {
-                    let class = scratch.size_class();
-                    if class == SizeClass::B128 {
-                        // Incompressible: store the raw entry across the
-                        // four sectors.
-                        self.store_sectors(view, index, entry, 4);
-                        EntryState::Compressed { sectors: 4 }
-                    } else {
-                        let sectors = class.sectors().max(1);
-                        let mut padded = [0u8; ENTRY_BYTES];
-                        padded[..scratch.data().len()].copy_from_slice(scratch.data());
-                        self.store_sectors(view, index, &padded, sectors);
-                        EntryState::Compressed { sectors }
-                    }
-                }
-            }
+            return EntryState::Zero;
         }
+        self.codec.compress_into(entry, scratch);
+        let state = EntryState::stored(scratch.size_class(), view.target);
+        match state {
+            EntryState::ZeroPageFit => {
+                // Compose the padded 8 B granule as one whole word.
+                let mut granule = [0u8; 8];
+                granule[..scratch.data().len()].copy_from_slice(scratch.data());
+                self.device.write(view.device_offset(index), &granule);
+            }
+            EntryState::ZeroPageOverflow => self.buddy.write(view.buddy_offset(index), entry),
+            // Incompressible: store the raw entry across the four sectors.
+            EntryState::Compressed { sectors: 4 } => self.store_sectors(view, index, entry, 4),
+            EntryState::Compressed { sectors } => {
+                let mut padded = [0u8; ENTRY_BYTES];
+                padded[..scratch.data().len()].copy_from_slice(scratch.data());
+                self.store_sectors(view, index, &padded, sectors);
+            }
+            // Every codec spends at least one bit on a nonzero entry, so its
+            // class is never `B0`: nothing to store.
+            EntryState::Zero => {}
+        }
+        state
     }
 
     /// Compresses and stores a contiguous run of entries and their states,
@@ -1020,8 +987,8 @@ impl SharedState {
     /// until the slot sequence is unchanged across the descriptor copy
     /// *and* everything `body` loaded. `body` must be repeatable — an
     /// abandoned attempt's result is dropped — and reports a load it could
-    /// not make sense of as [`TornRead`], which a moved sequence explains
-    /// and retries.
+    /// not make sense of as [`TornRead`]: a moved sequence explains it and
+    /// retries, a stable one reports [`DeviceError::CorruptEntry`].
     fn read_epoch<R>(
         &self,
         id: AllocId,
@@ -1044,12 +1011,9 @@ impl SharedState {
             if !cell.still(seen) {
                 continue;
             }
-            match result {
-                Ok(result) => return Ok(result),
-                Err(TornRead) => {
-                    unreachable!("stored state failed to decode under a stable snapshot")
-                }
-            }
+            // Under a stable snapshot a load that made no sense is not a
+            // race: the stored bits are damaged.
+            return result.map_err(|TornRead(index)| DeviceError::CorruptEntry { index });
         }
     }
 
@@ -1065,7 +1029,10 @@ impl SharedState {
         let stats = self.read_epoch(id, start, out.len() as u64, |view| {
             let mut stats = AccessStats::default();
             for (i, slot_out) in out.iter_mut().enumerate() {
-                let state = self.read_one(view, start + i as u64, slot_out)?;
+                let index = start + i as u64;
+                let state = self
+                    .read_one(view, index, slot_out)
+                    .ok_or(TornRead(index))?;
                 record_read(&mut stats, view.target, state);
             }
             Ok(stats)
@@ -1105,17 +1072,21 @@ impl SharedState {
         self.read_epoch(id, index, 1, |view| {
             self.metadata
                 .get(view.metadata_index(index))
-                .ok_or(TornRead)
+                .ok_or(TornRead(index))
         })
     }
 
-    /// Summarizes the live metadata states of an allocation into a
-    /// [`StateWindow`] against one consistent epoch.
-    pub(crate) fn state_window(&self, id: AllocId) -> Result<StateWindow, DeviceError> {
+    /// Bins the live metadata states of an allocation by
+    /// [`EntryState::footprint_class`] against one consistent epoch.
+    pub(crate) fn state_window(&self, id: AllocId) -> Result<SizeHistogram, DeviceError> {
         self.read_epoch(id, 0, 0, |view| {
-            let mut window = StateWindow::new();
+            let mut window = SizeHistogram::new();
             for i in 0..view.entries {
-                window.observe(self.metadata.get(view.metadata_index(i)).ok_or(TornRead)?);
+                let state = self
+                    .metadata
+                    .get(view.metadata_index(i))
+                    .ok_or(TornRead(i))?;
+                window.record(state.footprint_class());
             }
             Ok(window)
         })
@@ -1167,11 +1138,17 @@ mod tests {
     /// The per-nibble implementation the range primitives replaced, kept
     /// as their oracle: one masked RMW pair per entry.
     impl AtomicNibbles {
-        fn set(&self, index: u64, state: EntryState) {
+        /// Stores any 4-bit value, reserved encodings included — the fault
+        /// injector of the corruption tests.
+        pub(crate) fn store_nibble(&self, index: u64, nibble: u8) {
             let cell = &self.units[(index / UNIT_NIBBLES) as usize];
             let shift = (index % UNIT_NIBBLES) * 4;
             cell.fetch_and(!(0xF << shift), Ordering::Relaxed);
-            cell.fetch_or(u64::from(state.encode()) << shift, Ordering::Relaxed);
+            cell.fetch_or(u64::from(nibble & 0xF) << shift, Ordering::Relaxed);
+        }
+
+        fn set(&self, index: u64, state: EntryState) {
+            self.store_nibble(index, state.encode());
         }
 
         fn clear_range(&self, start: u64, len: u64) {

@@ -9,7 +9,7 @@
 //! aggressive 16× *zero-page* mode that keeps only 8 B of each entry in
 //! device memory (§3.4).
 
-use bpc::{SizeClass, SECTOR_BYTES};
+use bpc::{SizeClass, SizeHistogram, SECTOR_BYTES};
 use std::fmt;
 
 /// A per-allocation target compression ratio.
@@ -92,12 +92,31 @@ impl TargetRatio {
     }
 
     /// Whether an entry of the given compressed size class fits entirely in
-    /// the device-resident part of its allocation.
+    /// the device-resident part of its allocation — the fit rule of
+    /// Figure 4, and the only copy of it.
     pub fn fits(self, class: SizeClass) -> bool {
         match self {
             TargetRatio::ZeroPage16 => class.bytes() <= 8,
             other => class.sectors() <= other.device_sectors(),
         }
+    }
+
+    /// Fraction of the entries counted in `histogram` that do not
+    /// [`fit`](Self::fits) this target: the overflow fraction the Buddy
+    /// Threshold bounds (§3.4), for an offline profile and a live
+    /// [`state_window`](crate::BuddyDevice::state_window) alike. `0` for an
+    /// empty histogram.
+    pub fn overflow_fraction(self, histogram: &SizeHistogram) -> f64 {
+        let total = histogram.total();
+        if total == 0 {
+            return 0.0;
+        }
+        let fits: u64 = SizeClass::ALL
+            .into_iter()
+            .filter(|&class| self.fits(class))
+            .map(|class| histogram.count(class))
+            .sum();
+        1.0 - fits as f64 / total as f64
     }
 
     /// Parses the notation used in the paper's figures ("1x", "1.33x", …).

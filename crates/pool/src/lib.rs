@@ -62,10 +62,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use bpc::{CodecKind, Entry, ENTRY_BYTES};
+pub use bpc::{CodecKind, Entry, SizeHistogram, ENTRY_BYTES};
 pub use buddy_core::{
-    AccessStats, AdaptConfig, BuddyDevice, DeviceConfig, DeviceError, DeviceHandle, EntryState,
-    RetargetPolicy, RetargetReport, SharedStats, StateWindow, TargetRatio,
+    AccessStats, BuddyDevice, DeviceConfig, DeviceError, DeviceHandle, EntryState, RetargetReport,
+    SharedStats, TargetRatio,
 };
 
 use buddy_core::sync::{AtomicU64, Mutex, MutexGuard, Ordering};
@@ -417,15 +417,15 @@ impl BuddyPool {
         self.guard_of(id)?.retarget(id.inner, new_target)
     }
 
-    /// Summarizes an allocation's live metadata states for the adaptive
-    /// re-targeting policy ([`DeviceHandle::state_window`] semantics; a
-    /// traffic-free metadata scan against one consistent published epoch,
-    /// no shard lock).
+    /// An allocation's live metadata states as a size-class histogram for
+    /// the online re-targeting policy ([`DeviceHandle::state_window`]
+    /// semantics; a traffic-free metadata scan against one consistent
+    /// published epoch, no shard lock).
     ///
     /// # Errors
     ///
     /// As [`BuddyDevice::state_window`].
-    pub fn state_window(&self, id: PoolAllocId) -> Result<StateWindow, DeviceError> {
+    pub fn state_window(&self, id: PoolAllocId) -> Result<SizeHistogram, DeviceError> {
         self.handle_of(id)?.state_window(id.inner)
     }
 

@@ -265,7 +265,6 @@ struct ServiceAlloc {
     pool_id: PoolAllocId,
     device_bytes: u64,
     entries: u64,
-    target: TargetRatio,
 }
 
 impl ServiceAlloc {
@@ -572,7 +571,6 @@ impl BuddyService {
             pool_id,
             device_bytes,
             entries,
-            target: granted_target,
         };
         state.slots[slot as usize].alloc = Some(alloc);
         let generation = state.slots[slot as usize].generation;
@@ -732,7 +730,6 @@ impl BuddyService {
         let report = self.pool.retarget(alloc.pool_id, new_target)?;
         let slot = &mut state.slots[id.slot as usize];
         if let Some(a) = slot.alloc.as_mut() {
-            a.target = new_target;
             a.device_bytes = new_bytes;
         }
         let t = &mut state.tenants[tenant.0 as usize];

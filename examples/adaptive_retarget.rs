@@ -6,9 +6,7 @@
 //! Run with `cargo run --example adaptive_retarget`.
 
 use buddy_compression::bpc::SizeClass;
-use buddy_compression::buddy_core::{
-    AdaptConfig, BuddyDevice, DeviceConfig, RetargetPolicy, TargetRatio,
-};
+use buddy_compression::buddy_core::{BuddyDevice, DeviceConfig, ProfileConfig, TargetRatio};
 use buddy_compression::workloads::entry_gen::{mix, EntryClass};
 
 const ENTRIES: u64 = 4096;
@@ -28,11 +26,7 @@ fn main() {
     dev.write_entries(alloc, 0, &early).expect("in-range write");
     println!(
         "allocated {ENTRIES} entries at 4x; early data overflows {:.1}% of entries",
-        100.0
-            * dev
-                .state_window(alloc)
-                .unwrap()
-                .overflow_fraction(TargetRatio::R4)
+        100.0 * TargetRatio::R4.overflow_fraction(&dev.state_window(alloc).unwrap())
     );
 
     // Training drifts: 60% of the entries now need two sectors.
@@ -48,16 +42,15 @@ fn main() {
         .collect();
     dev.write_entries(alloc, 0, &late).expect("in-range write");
 
-    // The policy reads the live 4-bit metadata — no profiling rerun — and
-    // recommends a demotion.
-    let policy = RetargetPolicy::new(AdaptConfig::default());
+    // The profiler's admission rule, run online over the live 4-bit
+    // metadata — no profiling rerun — recommends a demotion.
     let window = dev.state_window(alloc).unwrap();
-    let next = policy
+    let next = ProfileConfig::default()
         .recommend(TargetRatio::R4, &window)
         .expect("drifted data demands a demotion");
     println!(
         "policy recommends {next} (observed 4x overflow now {:.1}%)",
-        100.0 * window.overflow_fraction(TargetRatio::R4)
+        100.0 * TargetRatio::R4.overflow_fraction(&window)
     );
 
     let report = dev.retarget(alloc, next).expect("capacity for demotion");

@@ -9,9 +9,9 @@
 //!    (memory images with controlled BPC compressibility + access traces),
 //! 2. [`bpc`] — Bit-Plane Compression and baseline compressors,
 //! 3. [`buddy_core`] — the Buddy Compression design: target ratios,
-//!    metadata, the profiling pass, a functional compressed device with
-//!    live target-ratio migration, and the online re-targeting policy
-//!    ([`buddy_core::adapt`]),
+//!    metadata, the profiling pass and its online re-targeting twin
+//!    ([`ProfileConfig::recommend`]), and a functional compressed device
+//!    with live target-ratio migration,
 //! 4. [`gpu_sim`] — the dependency-driven performance simulator (Table 2),
 //! 5. [`unified_memory`] — the UM oversubscription model (Figure 12),
 //! 6. [`dl_model`] — the DL training case study (Figure 13),
@@ -59,7 +59,7 @@ pub use workloads;
 pub use buddy_core::{ProfileConfig, ProfileOutcome, TargetRatio};
 
 use bpc::CodecKind;
-use buddy_core::AllocationProfile;
+use buddy_core::{AllocationProfile, EntryState};
 use gpu_sim::{EntryPlacement, MemRequest, MemoryLayout};
 use workloads::snapshot::{capture, ten_phases, SnapshotConfig, SnapshotStats};
 use workloads::Benchmark;
@@ -262,50 +262,20 @@ impl BenchmarkLayout {
     }
 }
 
-/// Translates a (size class, target ratio) pair into a sector placement,
-/// mirroring `buddy_core`'s storage rules.
-pub fn placement_for(class: bpc::SizeClass, target: TargetRatio) -> EntryPlacement {
-    use bpc::SizeClass::B0;
-    if class == B0 {
-        return EntryPlacement {
-            device_sectors: 0,
-            buddy_sectors: 0,
-        };
-    }
-    match target {
-        TargetRatio::ZeroPage16 => {
-            if class.bytes() <= 8 {
-                // The 8 B granule costs one sector access.
-                EntryPlacement {
-                    device_sectors: 1,
-                    buddy_sectors: 0,
-                }
-            } else {
-                // Overflowed zero-page entries live raw in the buddy slot.
-                EntryPlacement {
-                    device_sectors: 0,
-                    buddy_sectors: 4,
-                }
-            }
-        }
-        other => {
-            let sectors = class.sectors().max(1);
-            let budget = other.device_sectors();
-            EntryPlacement {
-                device_sectors: sectors.min(budget),
-                buddy_sectors: sectors.saturating_sub(budget),
-            }
-        }
-    }
-}
-
 impl MemoryLayout for BenchmarkLayout {
     fn total_entries(&self) -> u64 {
         self.total_entries
     }
 
+    /// The sectors the device would store the entry's nominal class in
+    /// ([`EntryState::stored`]).
     fn placement(&self, entry: u64) -> EntryPlacement {
-        placement_for(self.size_class(entry), self.target_of(entry))
+        let target = self.target_of(entry);
+        let state = EntryState::stored(self.size_class(entry), target);
+        EntryPlacement {
+            device_sectors: state.device_sectors(target),
+            buddy_sectors: state.buddy_sectors(target),
+        }
     }
 
     fn compressed_sectors(&self, entry: u64) -> u8 {
@@ -384,23 +354,51 @@ mod tests {
 
     #[test]
     fn placement_rules_match_buddy_core() {
-        use bpc::SizeClass::*;
-        // Fits: fully device-resident.
-        let p = placement_for(B32, TargetRatio::R2);
-        assert_eq!((p.device_sectors, p.buddy_sectors), (1, 0));
-        // Overflows: split at the budget.
-        let p = placement_for(B128, TargetRatio::R2);
-        assert_eq!((p.device_sectors, p.buddy_sectors), (2, 2));
-        let p = placement_for(B96, TargetRatio::R4);
-        assert_eq!((p.device_sectors, p.buddy_sectors), (1, 2));
-        // Zero entries are free.
-        let p = placement_for(B0, TargetRatio::R4);
-        assert_eq!((p.device_sectors, p.buddy_sectors), (0, 0));
-        // Zero-page fit and overflow.
-        let p = placement_for(B8, TargetRatio::ZeroPage16);
-        assert_eq!((p.device_sectors, p.buddy_sectors), (1, 0));
-        let p = placement_for(B64, TargetRatio::ZeroPage16);
-        assert_eq!((p.device_sectors, p.buddy_sectors), (0, 4));
+        // The simulator's placement of an entry is the device's: a real
+        // `BuddyDevice` storing an entry of the same class at the same
+        // target moves exactly those sectors on a read. Every allocation
+        // is forced to each target in turn, so overflow splits occur too.
+        use bpc::Codec;
+        let bench = test_bench("FF_Lulesh");
+        let profiles = profile_benchmark(&bench, 512, 9);
+        let mut outcome = buddy_core::choose_targets(&profiles, &ProfileConfig::default());
+        let mut dev = buddy_core::BuddyDevice::new(buddy_core::DeviceConfig {
+            device_capacity: 1 << 20,
+            carve_out_factor: 3,
+        });
+        let mut scratch = bpc::CompressedBuf::new();
+        let mut checked = std::collections::HashSet::new();
+        for target in TargetRatio::DESCENDING {
+            outcome.choices.iter_mut().for_each(|c| c.target = target);
+            let layout = BenchmarkLayout::new(&bench, &outcome, 0.5, 9);
+            for entry in (0..layout.total_entries()).step_by(61) {
+                let class = layout.size_class(entry);
+                let data = workloads::EntryClass::for_target(class).generate(entry);
+                // Once per pair, with an entry that really compresses to it.
+                if checked.contains(&(class, target))
+                    || CodecKind::Bpc.size_class_into(&data, &mut scratch) != class
+                {
+                    continue;
+                }
+                checked.insert((class, target));
+                let id = dev.alloc("probe", 1, target).unwrap();
+                dev.write_entries(id, 0, &[data]).unwrap();
+                dev.reset_stats();
+                dev.read_entries(id, 0, &mut [[0u8; bpc::ENTRY_BYTES]])
+                    .unwrap();
+                let (stats, placement) = (dev.stats(), layout.placement(entry));
+                assert_eq!(
+                    (stats.device_sectors, stats.buddy_sectors),
+                    (
+                        u64::from(placement.device_sectors),
+                        u64::from(placement.buddy_sectors)
+                    ),
+                    "{class} at {target}"
+                );
+                dev.free(id).unwrap();
+            }
+        }
+        assert!(checked.len() >= 20, "{checked:?} misses most placements");
     }
 
     #[test]
