@@ -28,6 +28,9 @@
 //!   thread has loaded since its last acquire fence — upgrading earlier
 //!   relaxed loads, which is exactly the seqlock reader's re-validation
 //!   edge.
+//! * A **mutex unlock** snapshots the unlocker's view on the mutex; the
+//!   next **lock** joins it — the unlock-to-lock happens-before edge that
+//!   lets a lock-serialized writer load what the previous holder stored.
 //! * **SeqCst** operations additionally join with (and publish to) one
 //!   global SC view, making them totally ordered against each other. This
 //!   is slightly *stronger* than C11's `seq_cst` (it implies
@@ -92,6 +95,8 @@ pub(crate) struct Memory {
     fence_release: Vec<Option<View>>,
     /// The global SeqCst view.
     sc: View,
+    /// Per mutex location: the view its last unlocker released.
+    mutexes: HashMap<usize, View>,
 }
 
 fn is_release(o: Ordering) -> bool {
@@ -130,6 +135,21 @@ impl Memory {
         self.ensure_thread(from.max(to));
         let v = self.views[from].clone();
         join(&mut self.views[to], &v);
+    }
+
+    /// The unlock half of a mutex's synchronizes-with edge: the unlocker's
+    /// view becomes the mutex's message.
+    pub fn unlock(&mut self, tid: usize, loc: usize) {
+        self.ensure_thread(tid);
+        self.mutexes.insert(loc, self.views[tid].clone());
+    }
+
+    /// The lock half: the locker joins the last unlocker's view.
+    pub fn lock(&mut self, tid: usize, loc: usize) {
+        self.ensure_thread(tid);
+        if let Some(released) = self.mutexes.get(&loc) {
+            join(&mut self.views[tid], released);
+        }
     }
 
     /// Number of observable history entries for `tid` at `loc`: the
@@ -345,6 +365,26 @@ mod tests {
         assert_eq!(prev, 10);
         let (v, stale) = m.load(0, L, Ordering::Relaxed, m.candidates(0, L) - 1);
         assert_eq!((v, stale), (11, false));
+    }
+
+    #[test]
+    fn unlock_then_lock_raises_floors() {
+        const M: usize = 0x3000;
+        let mut m = mem();
+        m.lock(0, M);
+        m.store(0, L, Ordering::Relaxed, 1);
+        m.unlock(0, M);
+        assert_eq!(
+            m.candidates(1, L),
+            2,
+            "without the lock the store may be stale"
+        );
+        m.lock(1, M);
+        assert_eq!(
+            m.candidates(1, L),
+            1,
+            "the next holder sees the last one's store"
+        );
     }
 
     #[test]

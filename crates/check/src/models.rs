@@ -2,28 +2,62 @@
 //! to its synchronization skeleton, one model per invariant.
 //!
 //! Each model is a closure for [`crate::explore`] that builds its state,
-//! runs two model threads against each other, and asserts the protocol
+//! runs model threads against each other, and asserts the protocol
 //! invariant whenever the reader's validation accepts a snapshot (the
 //! `edge_unit` model has writers only and asserts on the joined state). Each
 //! model also takes a *mutation*: a seeded protocol bug (dropped
-//! tombstone, skipped odd-seq bump, downgraded `Release`, removed fence)
+//! tombstone, skipped odd-seq bump, downgraded `Release`, removed fence,
+//! unserialized writers)
 //! that the checker must turn into a counterexample schedule — the
 //! integration suite (`tests/protocol.rs`) fails if any mutation goes
 //! undetected, which is how the checker itself is kept honest.
 //!
 //! The orderings in the unmutated models are exactly the ones
-//! `core::sync`'s `seq_open`/`seq_release`/`seq_acquire`/`acquire_fence`
-//! helpers implement; `shared.rs` cites these models as evidence for its
-//! fence choices.
+//! `core::sync`'s `seq_open`/`seq_release`/`seq_acquire`/`seq_revalidate`
+//! helpers implement — writers bump the sequence with a load and a store,
+//! not an RMW (`bump`) — and `shared.rs` cites these models as evidence
+//! for its fence choices.
 
-use crate::shim::{fence, spawn, AtomicU64};
-use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
+use crate::shim::{fence, spawn, AtomicU64, Mutex};
+use std::sync::atomic::Ordering::{self, Acquire, Relaxed, Release, SeqCst};
 use std::sync::Arc;
 
 /// Reader retry budget: enough to ride out the writer's two epochs; on
 /// exhaustion the reader gives up without asserting (a valid outcome —
 /// liveness is out of scope, see DESIGN.md §13).
 const READER_RETRIES: usize = 3;
+
+/// One sequence bump the way `core::sync`'s `seq_open`/`seq_release` make
+/// it: a `Relaxed` load of the current value and a store of the next, with
+/// `ordering` on the store. Sound only while writers are serialized
+/// ([`seqlock_writers`] is the evidence).
+fn bump(seq: &AtomicU64, ordering: Ordering) {
+    let current = seq.load(Relaxed);
+    seq.store(current + 1, ordering);
+}
+
+/// The reader half every seqlock model shares (`SlotCell::begin_read` /
+/// `load_raw` / `still`): up to [`READER_RETRIES`] attempts at an even
+/// `seq`, then `load` (whose `Relaxed` loads the acquire fence upgrades,
+/// unless `fenced` is false), then re-validation; `check` sees a snapshot
+/// only if the sequence did not move.
+fn read_validated<T>(seq: &AtomicU64, fenced: bool, load: impl Fn() -> T, check: impl Fn(u64, T)) {
+    for _ in 0..READER_RETRIES {
+        let s1 = seq.load(Acquire);
+        if s1 % 2 == 1 {
+            continue;
+        }
+        let snap = load();
+        if fenced {
+            fence(Acquire);
+        }
+        let s2 = seq.load(Relaxed);
+        if s1 == s2 {
+            check(s1, snap);
+            break;
+        }
+    }
+}
 
 /// Seeded bugs for [`seqlock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +96,7 @@ pub fn seqlock(mutation: SeqlockMutation) -> impl Fn() + Send + Sync + Clone + '
         let writer = spawn(move || {
             for epoch in 1..=2u64 {
                 if mutation != SeqlockMutation::SkipOddBump {
-                    wseq.fetch_add(1, Relaxed);
+                    bump(&wseq, Relaxed);
                 }
                 if mutation != SeqlockMutation::NoWriterFence {
                     fence(Release);
@@ -74,27 +108,76 @@ pub fn seqlock(mutation: SeqlockMutation) -> impl Fn() + Send + Sync + Clone + '
                 } else {
                     Release
                 };
-                wseq.fetch_add(1, close);
+                bump(&wseq, close);
             }
         });
 
-        for _ in 0..READER_RETRIES {
-            let s1 = seq.load(Acquire);
-            if s1 % 2 == 1 {
-                continue;
-            }
-            let va = a.load(Relaxed);
-            let vb = b.load(Relaxed);
-            if mutation != SeqlockMutation::NoReaderFence {
-                fence(Acquire);
-            }
-            let s2 = seq.load(Relaxed);
-            if s1 == s2 {
-                assert_eq!(va, vb, "torn descriptor: a={va} b={vb} under seq {s1}");
-                break;
-            }
-        }
+        read_validated(
+            &seq,
+            mutation != SeqlockMutation::NoReaderFence,
+            || (a.load(Relaxed), b.load(Relaxed)),
+            |s1, (va, vb)| assert_eq!(va, vb, "torn descriptor: a={va} b={vb} under seq {s1}"),
+        );
         writer.join();
+    }
+}
+
+/// Seeded bugs for [`seqlock_writers`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WritersMutation {
+    /// The correct protocol.
+    None,
+    /// The writers skip the slot `write_lock` — two load-and-store bumps
+    /// interleave, so one writer's close can make the other's open window
+    /// look even (or a bump is lost) while its stores are in flight.
+    UnserializedWriters,
+}
+
+/// Two writers vs. a reader on one slot (`write_batch` and `republish`
+/// both hold the slot `write_lock` around their `SeqWindow`): the
+/// store-based bumps of `core::sync` are sound because the lock leaves the
+/// sequence word exactly one writer at a time, and the lock's
+/// unlock-to-lock edge makes the next holder's `Relaxed` load see the last
+/// close.
+///
+/// Writer `e` (1 or 2) stores `e` to both data words inside its window. A
+/// reader whose validation passes must see `a == b`.
+pub fn seqlock_writers(mutation: WritersMutation) -> impl Fn() + Send + Sync + Clone + 'static {
+    move || {
+        let lock = Arc::new(Mutex::labelled("write_lock", ()));
+        let seq = Arc::new(AtomicU64::labelled("seq", 0));
+        let a = Arc::new(AtomicU64::labelled("a", 0));
+        let b = Arc::new(AtomicU64::labelled("b", 0));
+
+        let writers = [1u64, 2].map(|epoch| {
+            let (lock, wseq, wa, wb) = (
+                Arc::clone(&lock),
+                Arc::clone(&seq),
+                Arc::clone(&a),
+                Arc::clone(&b),
+            );
+            spawn(move || {
+                let _guard = (mutation != WritersMutation::UnserializedWriters).then(|| {
+                    lock.lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                });
+                bump(&wseq, Relaxed);
+                fence(Release);
+                wa.store(epoch, Relaxed);
+                wb.store(epoch, Relaxed);
+                bump(&wseq, Release);
+            })
+        });
+
+        read_validated(
+            &seq,
+            true,
+            || (a.load(Relaxed), b.load(Relaxed)),
+            |s1, (va, vb)| assert_eq!(va, vb, "torn descriptor: a={va} b={vb} under seq {s1}"),
+        );
+        for writer in writers {
+            writer.join();
+        }
     }
 }
 
@@ -124,32 +207,26 @@ pub fn tombstone(mutation: TombstoneMutation) -> impl Fn() + Send + Sync + Clone
 
         let (fseq, fgen, fdata) = (Arc::clone(&seq), Arc::clone(&gen), Arc::clone(&data));
         let freer = spawn(move || {
-            fseq.fetch_add(1, Relaxed);
+            bump(&fseq, Relaxed);
             fence(Release);
             if mutation != TombstoneMutation::DropTombstone {
                 fgen.store(DEAD, Relaxed);
             }
             fdata.store(RECYCLED, Relaxed);
-            fseq.fetch_add(1, Release);
+            bump(&fseq, Release);
         });
 
         // Reader holding a handle minted while the slot was live.
-        for _ in 0..READER_RETRIES {
-            let s1 = seq.load(Acquire);
-            if s1 % 2 == 1 {
-                continue;
-            }
-            let g = gen.load(Relaxed);
-            let v = data.load(Relaxed);
-            fence(Acquire);
-            let s2 = seq.load(Relaxed);
-            if s1 == s2 {
+        read_validated(
+            &seq,
+            true,
+            || (gen.load(Relaxed), data.load(Relaxed)),
+            |_, (g, v)| {
                 if g == LIVE {
                     assert_eq!(v, PAYLOAD, "recycled bytes ({v}) under live generation");
                 }
-                break;
-            }
-        }
+            },
+        );
         freer.join();
     }
 }
@@ -184,40 +261,37 @@ pub fn retarget(mutation: RetargetMutation) -> impl Fn() + Send + Sync + Clone +
             Arc::clone(&base_b),
         );
         let writer = spawn(move || {
-            wseq.fetch_add(1, Relaxed);
+            bump(&wseq, Relaxed);
             fence(Release);
             wt.store(NEW.0, Relaxed);
             if mutation == RetargetMutation::EarlyClose {
-                wseq.fetch_add(1, Release);
+                bump(&wseq, Release);
                 wa.store(NEW.1, Relaxed);
                 wb.store(NEW.2, Relaxed);
             } else {
                 wa.store(NEW.1, Relaxed);
                 wb.store(NEW.2, Relaxed);
-                wseq.fetch_add(1, Release);
+                bump(&wseq, Release);
             }
         });
 
-        for _ in 0..READER_RETRIES {
-            let s1 = seq.load(Acquire);
-            if s1 % 2 == 1 {
-                continue;
-            }
-            let snap = (
-                target.load(Relaxed),
-                base_a.load(Relaxed),
-                base_b.load(Relaxed),
-            );
-            fence(Acquire);
-            let s2 = seq.load(Relaxed);
-            if s1 == s2 {
+        read_validated(
+            &seq,
+            true,
+            || {
+                (
+                    target.load(Relaxed),
+                    base_a.load(Relaxed),
+                    base_b.load(Relaxed),
+                )
+            },
+            |_, snap| {
                 assert!(
                     snap == OLD || snap == NEW,
                     "blended republish: observed {snap:?}, expected {OLD:?} or {NEW:?}"
                 );
-                break;
-            }
-        }
+            },
+        );
         writer.join();
     }
 }
@@ -303,8 +377,19 @@ pub enum EdgeUnitMutation {
     None,
     /// The owner of the first nibble writes the shared edge unit the way
     /// it writes an interior one — load, merge, plain store — so a
-    /// neighbour's RMW landing in between is overwritten.
+    /// neighbour's XOR landing in between is overwritten.
     PlainEdgeStore,
+}
+
+/// One edge-unit write the way `AtomicNibbles::write_units` makes it: a
+/// `Relaxed` load of the unit, then a single `fetch_xor` flipping the
+/// owner's nibbles (`mask`) from what they hold to `state` — or nothing
+/// at all when they already hold it.
+fn edge_write(unit: &AtomicU64, mask: u64, state: u64) {
+    let flip = (unit.load(Relaxed) ^ state) & mask;
+    if flip != 0 {
+        unit.fetch_xor(flip, Relaxed);
+    }
 }
 
 /// Shared metadata edge unit vs. its neighbouring owners
@@ -315,7 +400,9 @@ pub enum EdgeUnitMutation {
 ///
 /// Nibble 0 belongs to allocation A (the main thread), nibble 1 to
 /// allocation B, nibbles 2.. to the range being cleared; all start out
-/// holding stale states. The masked `fetch_and`/`fetch_or` pair never
+/// holding stale states. B then rewrites its nibble unchanged, which takes
+/// the skip path (a load, no RMW). Each owner's `Relaxed` load of its own
+/// nibbles is current whatever the neighbours did, and a masked XOR never
 /// alters a bit outside its mask, so the three owners commute.
 pub fn edge_unit(mutation: EdgeUnitMutation) -> impl Fn() + Send + Sync + Clone + 'static {
     const STALE: u64 = 0x6666_6666_6666_6611;
@@ -328,20 +415,19 @@ pub fn edge_unit(mutation: EdgeUnitMutation) -> impl Fn() + Send + Sync + Clone 
 
         let b_unit = Arc::clone(&unit);
         let writer_b = spawn(move || {
-            b_unit.fetch_and(!B_MASK, Relaxed);
-            b_unit.fetch_or(B_STATE, Relaxed);
+            edge_write(&b_unit, B_MASK, B_STATE);
+            edge_write(&b_unit, B_MASK, B_STATE);
         });
         let c_unit = Arc::clone(&unit);
         let clearer = spawn(move || {
-            c_unit.fetch_and(A_MASK | B_MASK, Relaxed);
+            edge_write(&c_unit, !(A_MASK | B_MASK), 0);
         });
 
         if mutation == EdgeUnitMutation::PlainEdgeStore {
             let seen = unit.load(Relaxed);
             unit.store((seen & !A_MASK) | A_STATE, Relaxed);
         } else {
-            unit.fetch_and(!A_MASK, Relaxed);
-            unit.fetch_or(A_STATE, Relaxed);
+            edge_write(&unit, A_MASK, A_STATE);
         }
 
         writer_b.join();

@@ -375,6 +375,7 @@ impl Exec {
             let holder = st.mutexes.entry(loc).or_insert(None);
             if holder.is_none() {
                 *holder = Some(tid);
+                st.mem.lock(tid, loc);
                 let label = st.label_of(loc);
                 st.trace.push(TraceStep {
                     thread: tid,
@@ -390,6 +391,7 @@ impl Exec {
     pub(crate) fn unlock_mutex(self: &Arc<Self>, tid: usize, loc: usize) {
         let mut st = lock_state(self);
         st.mutexes.insert(loc, None);
+        st.mem.unlock(tid, loc);
         for t in 0..st.threads.len() {
             if st.threads[t] == Status::BlockedOnMutex(loc) {
                 st.threads[t] = Status::Runnable;

@@ -1,5 +1,6 @@
 //! Model-aware drop-in replacements for the `std::sync` primitives the
-//! protocol uses: `AtomicU64`, `AtomicU8`, `fence`, `Mutex`, `OnceLock`,
+//! protocol uses: `AtomicU64`, `AtomicU8` (load, store, `fetch_add`,
+//! `fetch_and`, `fetch_or`, `fetch_xor`), `fence`, `Mutex`, `OnceLock`,
 //! and `spawn`/`JoinHandle`.
 //!
 //! Outside a checker execution (no scheduler context on the current
@@ -199,6 +200,13 @@ macro_rules! atomic_shim {
                 })
             }
 
+            /// Atomic bitwise XOR, returning the previous value.
+            pub fn fetch_xor(&self, value: $raw, ordering: Ordering) -> $raw {
+                self.rmw("fetch_xor", value, ordering, |prev| {
+                    ((prev as $raw) ^ value) as u64
+                })
+            }
+
             fn rmw(
                 &self,
                 opname: &str,
@@ -210,6 +218,7 @@ macro_rules! atomic_shim {
                     None => match opname {
                         "fetch_add" => self.std.fetch_add(operand, ordering),
                         "fetch_and" => self.std.fetch_and(operand, ordering),
+                        "fetch_xor" => self.std.fetch_xor(operand, ordering),
                         _ => self.std.fetch_or(operand, ordering),
                     },
                     Some((exec, tid)) => {
@@ -232,6 +241,7 @@ fn f_apply(prev: u64, operand: u64, opname: &str) -> u64 {
     match opname {
         "fetch_add" => prev.wrapping_add(operand),
         "fetch_and" => prev & operand,
+        "fetch_xor" => prev ^ operand,
         _ => prev | operand,
     }
 }
@@ -254,7 +264,9 @@ pub fn fence(ordering: Ordering) {
 
 /// Model-aware mutex. Under the checker, contention blocks the model
 /// thread (a schedule decision), never the OS thread holding the baton,
-/// and lock-order deadlocks become counterexamples.
+/// lock-order deadlocks become counterexamples, and each lock inherits
+/// the view of the previous unlock (the happens-before edge a
+/// lock-serialized writer relies on).
 #[derive(Debug, Default)]
 pub struct Mutex<T> {
     std: std::sync::Mutex<T>,
@@ -455,6 +467,8 @@ mod tests {
         assert_eq!(a.fetch_and(0b1100, Ordering::Relaxed), 8);
         assert_eq!(a.fetch_or(0b0011, Ordering::Relaxed), 8);
         assert_eq!(a.load(Ordering::SeqCst), 0b1011);
+        assert_eq!(a.fetch_xor(0b0110, Ordering::Relaxed), 0b1011);
+        assert_eq!(a.load(Ordering::SeqCst), 0b1101);
         let b = AtomicU8::new(250);
         b.store(7, Ordering::Release);
         assert_eq!(b.load(Ordering::Relaxed), 7);

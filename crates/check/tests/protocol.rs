@@ -8,8 +8,8 @@
 //! so each mutation test demands a counterexample and replays it.
 
 use buddy_check::models::{
-    drain, edge_unit, retarget, seqlock, tombstone, DrainMutation, EdgeUnitMutation,
-    RetargetMutation, SeqlockMutation, TombstoneMutation,
+    drain, edge_unit, retarget, seqlock, seqlock_writers, tombstone, DrainMutation,
+    EdgeUnitMutation, RetargetMutation, SeqlockMutation, TombstoneMutation, WritersMutation,
 };
 use buddy_check::{explore, Config, Outcome};
 
@@ -102,6 +102,19 @@ fn seqlock_mutation_no_writer_fence_is_caught() {
     assert_mutation_caught(
         "seqlock[no-writer-fence]",
         seqlock(SeqlockMutation::NoWriterFence),
+    );
+}
+
+#[test]
+fn seqlock_writers_protocol_holds() {
+    assert_protocol_holds("seqlock-writers", seqlock_writers(WritersMutation::None));
+}
+
+#[test]
+fn seqlock_writers_mutation_unserialized_writers_is_caught() {
+    assert_mutation_caught(
+        "seqlock-writers[unserialized-writers]",
+        seqlock_writers(WritersMutation::UnserializedWriters),
     );
 }
 

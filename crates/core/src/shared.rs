@@ -56,8 +56,8 @@
 //! [`AtomicNibbles::store_run`] for entry batches and `retarget`) that
 //! overwrites the units wholly inside the range with one plain store each
 //! — they belong to exactly one allocation, whose writers are serialized —
-//! and touches only the at most two shared edge units with masked atomic
-//! RMWs. There is no per-nibble write path.
+//! and touches only the at most two shared edge units with one masked
+//! atomic XOR each. There is no per-nibble write path.
 //!
 //! # Ordering evidence
 //!
@@ -288,9 +288,11 @@ fn unit_mask(lo: u64, hi: u64) -> u64 {
 /// * **Edge units** (at most two per range: the first and the last) also
 ///   hold nibbles outside the range, which may belong to a *neighbouring*
 ///   allocation whose writers run concurrently under a different slot
-///   lock. They keep the masked `fetch_and`/`fetch_or` pair, which never
-///   alters a bit outside the mask — a plain store there would be a lost
-///   update (`crates/check`'s `edge_unit` model, `PlainEdgeStore`).
+///   lock. They take one `fetch_xor` of `(current ^ new) & mask` — the
+///   caller's own nibbles, loaded `Relaxed`, are current because nobody
+///   else writes them — and no RMW at all when nothing changes. The XOR
+///   never alters a bit outside the mask; a plain store there would be a
+///   lost update (`crates/check`'s `edge_unit` model, `PlainEdgeStore`).
 ///
 /// Readers need no distinction: every load is re-validated by the slot
 /// seqlock, exactly as for the data bytes.
@@ -356,7 +358,7 @@ impl AtomicNibbles {
     /// nibbles `[start, start + len)`. `word_of(lo, hi)` returns the
     /// unit's new nibbles `[lo, hi)` (global indices, all inside one
     /// unit), already shifted into place. See the type docs for why
-    /// interior units take a plain store and edge units a masked RMW pair.
+    /// interior units take a plain store and edge units one masked XOR.
     fn write_units(&self, start: u64, len: u64, mut word_of: impl FnMut(u64, u64) -> u64) {
         if len == 0 {
             return;
@@ -379,18 +381,20 @@ impl AtomicNibbles {
                 cell.store(word, Ordering::Relaxed);
             } else {
                 let mask = unit_mask(lo - unit_base, hi - unit_base);
-                // Relaxed: bracketed as above. The clear-then-set pair of
-                // RMWs never alters a bit outside `mask`, so a
-                // neighbouring allocation's nibbles in this unit survive
-                // its concurrent writers; the transient value of *these*
-                // nibbles is `Zero` (a valid state), and same-range races
-                // are excluded by the slot `write_lock`. Model:
-                // `edge_unit`; replacing the pair with a plain store
-                // (`PlainEdgeStore`) loses an update.
-                cell.fetch_and(!mask, Ordering::Relaxed);
-                if word != 0 {
-                    // Relaxed: as above.
-                    cell.fetch_or(word, Ordering::Relaxed);
+                // Relaxed: bracketed as above. The caller owns the masked
+                // nibbles (same ownership argument as the interior store),
+                // so its own last store to them happens-before this load
+                // and neighbours never touch them: the masked bits loaded
+                // are current.
+                let flip = (cell.load(Ordering::Relaxed) ^ word) & mask;
+                if flip != 0 {
+                    // Relaxed: as above. One XOR of bits inside `mask`
+                    // never alters a bit outside it, so it commutes with a
+                    // neighbouring allocation's concurrent XORs on this
+                    // unit, and these nibbles go from old to new in one
+                    // step. Model: `edge_unit`; a plain load-merge-store
+                    // instead (`PlainEdgeStore`) loses an update.
+                    cell.fetch_xor(flip, Ordering::Relaxed);
                 }
             }
             lo = hi;
@@ -597,22 +601,24 @@ impl RawSlot {
     }
 }
 
-/// RAII odd/even sequence window: opening bumps the slot sequence to odd,
-/// dropping bumps it back to even — panic-safe, so an unwinding writer
-/// cannot leave readers spinning forever.
+/// RAII odd/even sequence window: opening stores the slot sequence plus
+/// one (odd), dropping stores it plus one again (even) — panic-safe, so an
+/// unwinding writer cannot leave readers spinning forever.
 pub(crate) struct SeqWindow<'a> {
     seq: &'a AtomicU64,
 }
 
 impl<'a> SeqWindow<'a> {
+    /// The caller holds `cell.write_lock`: the bumps are plain stores, so
+    /// the sequence word must have exactly one writer.
     fn open(cell: &'a SlotCell) -> Self {
-        // Relaxed bump + Release fence: the fence orders the odd bump
+        // Relaxed store + Release fence: the fence orders the odd bump
         // before every store inside the window, so a reader that observes
         // any of them cannot re-validate against the old even sequence.
-        // The bump itself needs no ordering — `write_lock` serializes
-        // writers. Model: `SkipOddBump` (no odd marker) and
-        // `NoWriterFence` (no fence) each have a counterexample; this pair
-        // passes exhaustively.
+        // The bump itself needs no ordering and no RMW — `write_lock`
+        // serializes writers. Model: `SkipOddBump` (no odd marker),
+        // `NoWriterFence` (no fence) and `UnserializedWriters` (no lock)
+        // each have a counterexample; the locked pair passes exhaustively.
         seq_open(&cell.seq);
         Self { seq: &cell.seq }
     }
@@ -620,7 +626,7 @@ impl<'a> SeqWindow<'a> {
 
 impl Drop for SeqWindow<'_> {
     fn drop(&mut self) {
-        // Release bump, no fence: a single Release RMW already orders
+        // Release store, no fence: a single Release store already orders
         // every store inside the window before the closing bump, which is
         // the edge `begin_read`'s Acquire pairs with. Model: downgrading
         // this to Relaxed (`CloseRelaxed`) has a counterexample; Release
@@ -1179,16 +1185,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Any sequence of range-zero / range-store ops (single nibbles are
-        /// runs of one) leaves every nibble equal to a plain `Vec<u8>` model
-        /// — so nibbles outside each range are untouched — and equal to the
-        /// per-nibble oracle applied to a second array. Starts and lengths
-        /// are drawn so that odd starts, odd ends, `len` 0/1/2, whole-unit
-        /// runs and runs to the very end of the array all occur.
+        /// Any sequence of range-zero / range-store ops leaves every nibble
+        /// equal to a plain `Vec<u8>` model — so nibbles outside each range
+        /// are untouched — and equal to the per-nibble oracle applied to a
+        /// second array. Starts and lengths are drawn so that odd starts,
+        /// odd ends, `len` 0/1/2, whole-unit runs and runs to the very end
+        /// of the array all occur. Two op kinds aim at the edge-unit XOR:
+        /// same-state rewrites of a range (the no-RMW skip path) and
+        /// single-nibble runs at all sixteen offsets of one unit, each
+        /// stored twice (a change, then the skip path).
         #[test]
         fn range_primitives_match_the_per_nibble_oracle(
             ops in proptest::collection::vec(
-                (0u8..2, any::<u64>(), any::<u64>(), any::<u64>()),
+                (0u8..4, any::<u64>(), any::<u64>(), any::<u64>()),
                 1..48,
             ),
         ) {
@@ -1196,6 +1205,10 @@ mod tests {
             let nibbles = AtomicNibbles::new(NIBBLES);
             let oracle = AtomicNibbles::new(NIBBLES);
             let mut model = vec![0u8; NIBBLES as usize];
+            let state_of = |seed: u64, i: u64| {
+                let code = (seed.rotate_left((i % 61) as u32).wrapping_add(i) % 7) as u8;
+                EntryState::decode(code).expect("codes 0..7 are states")
+            };
             for (kind, a, b, seed) in ops {
                 let limit = NIBBLES;
                 let start = a % limit;
@@ -1206,17 +1219,32 @@ mod tests {
                     (b / 2) % (limit - start + 1)
                 }
                 .min(limit - start);
-                let states: Vec<EntryState> = (0..len)
-                    .map(|i| {
-                        let code = (seed.rotate_left((i % 61) as u32).wrapping_add(i) % 7) as u8;
-                        EntryState::decode(code).expect("codes 0..7 are states")
-                    })
-                    .collect();
+                let range = start as usize..(start + len) as usize;
+                let states: Vec<EntryState> = match kind {
+                    // Same-state rewrite: what the range already holds.
+                    2 => model[range.clone()]
+                        .iter()
+                        .map(|&code| EntryState::decode(code).expect("model holds states"))
+                        .collect(),
+                    _ => (0..len).map(|i| state_of(seed, i)).collect(),
+                };
                 match kind {
                     0 => {
                         nibbles.zero_range(start, len);
                         oracle.clear_range(start, len);
-                        model[start as usize..(start + len) as usize].fill(0);
+                        model[range].fill(0);
+                    }
+                    3 => {
+                        let unit = start / UNIT_NIBBLES;
+                        for offset in 0..UNIT_NIBBLES {
+                            let index = unit * UNIT_NIBBLES + offset;
+                            let state = state_of(seed, offset);
+                            for _ in 0..2 {
+                                nibbles.store_run(index, 1, |_| state);
+                            }
+                            oracle.set(index, state);
+                            model[index as usize] = state.encode();
+                        }
                     }
                     _ => {
                         nibbles.store_run(start, len, |i| states[(i - start) as usize]);

@@ -11,7 +11,7 @@
 //! `buddy_check::explore` on core code today: building core's own suite
 //! with the feature, outside any checker run, shows only that the shims
 //! behave like `std`. The evidence for the `core::shared` seqlock/epoch
-//! protocol is the five distilled models in `crates/check/src/models.rs`.
+//! protocol is the six distilled models in `crates/check/src/models.rs`.
 //!
 //! # Seqlock helpers
 //!
@@ -62,30 +62,41 @@ pub fn seq_revalidate(seq: &AtomicU64) -> u64 {
     seq.load(Ordering::Relaxed)
 }
 
-/// Writer open: bumps the sequence to odd (`Relaxed`), then a `Release`
-/// fence.
+/// Writer open: stores the sequence plus one (odd) with a `Relaxed` load
+/// and store, then a `Release` fence.
 ///
 /// The fence attaches the odd sequence to every store made inside the
 /// window, which is what forces a concurrent reader's re-validation to
-/// fail if it saw any of them. Model evidence:
-/// `SeqlockMutation::SkipOddBump` and `SeqlockMutation::NoWriterFence`
-/// each yield a counterexample.
+/// fail if it saw any of them. A store, not an RMW: the caller holds the
+/// slot `write_lock`, so the word has exactly one writer and its own
+/// `Relaxed` load is current (Boehm's store-based writer). Model
+/// evidence: `SeqlockMutation::SkipOddBump` and
+/// `SeqlockMutation::NoWriterFence` each yield a counterexample, and
+/// `WritersMutation::UnserializedWriters` shows the store needs the lock.
 #[inline]
 pub fn seq_open(seq: &AtomicU64) {
-    // Relaxed: `write_lock` serializes writers, so the bump itself needs no
-    // ordering; the fence below is what publishes the odd value's meaning.
-    seq.fetch_add(1, Ordering::Relaxed);
+    // Relaxed: `write_lock` serializes writers, so the load sees the last
+    // close and the store itself needs no ordering; the fence below is what
+    // publishes the odd value's meaning.
+    let even = seq.load(Ordering::Relaxed);
+    // Relaxed: as above; readers order against the fence, not this store.
+    seq.store(even.wrapping_add(1), Ordering::Relaxed);
     fence(Ordering::Release);
 }
 
-/// Writer close: bumps the sequence back to even with `Release`.
+/// Writer close: stores the sequence plus one (even again) with
+/// `Release`.
 ///
 /// Publishes everything stored inside the window to the next
-/// [`seq_acquire`] that observes the new even value. Model evidence:
-/// `SeqlockMutation::CloseRelaxed` yields a counterexample.
+/// [`seq_acquire`] that observes the new even value. The load is
+/// `Relaxed` for the same reason as [`seq_open`]'s: the caller is the
+/// word's only writer. Model evidence: `SeqlockMutation::CloseRelaxed`
+/// yields a counterexample.
 #[inline]
 pub fn seq_release(seq: &AtomicU64) {
-    seq.fetch_add(1, Ordering::Release);
+    // Relaxed: the caller's own open is the latest store to the word.
+    let odd = seq.load(Ordering::Relaxed);
+    seq.store(odd.wrapping_add(1), Ordering::Release);
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //!
 //! The metadata plane packs sixteen 4-bit entry states into one 64-bit
 //! storage unit and writes it a range at a time: units wholly inside a
-//! range take one plain store, the at most two edge units a masked RMW
-//! pair (`core::shared::AtomicNibbles`). Entry `i` of an allocation owns
+//! range take one plain store, the at most two edge units one masked XOR,
+//! or nothing when the owner's nibbles do not change
+//! (`core::shared::AtomicNibbles`). Entry `i` of an allocation owns
 //! the nibble at `device offset / 8 + i`, so one unit covers 128 device
 //! bytes and neighbouring allocations — written concurrently under
 //! *different* slot locks — meet inside a unit wherever their device
@@ -70,8 +71,11 @@ fn palette(target: TargetRatio) -> Palette {
 /// Writes seeded runs of `palette` entries over the allocation, checking
 /// after every write that each of the allocation's states still is what
 /// this — its only — writer last stored, so a lost update is caught when
-/// it happens rather than only if it is the final one. Returns, per entry,
-/// the palette index last written (`None`: never).
+/// it happens rather than only if it is the final one. Every other round
+/// also rewrites the whole allocation with exactly what it holds: every
+/// state stays the same, so both edge units take the no-RMW skip path
+/// while the neighbours keep writing theirs. Returns, per entry, the
+/// palette index last written (`None`: never).
 fn hammer(
     handle: &DeviceHandle,
     id: AllocId,
@@ -81,7 +85,12 @@ fn hammer(
     mut seed: u64,
 ) -> Vec<Option<usize>> {
     let mut last = vec![None; entries as usize];
-    for _ in 0..rounds {
+    let contents = |last: &[Option<usize>]| -> Vec<Entry> {
+        last.iter()
+            .map(|pick| pick.map_or([0u8; ENTRY_BYTES], |pick| palette[pick].0))
+            .collect()
+    };
+    for round in 0..rounds {
         seed = seed
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
@@ -91,6 +100,11 @@ fn hammer(
         let batch = vec![palette[pick].0; len as usize];
         handle.write_entries(id, start, &batch).expect("in range");
         last[start as usize..(start + len) as usize].fill(Some(pick));
+        if round % 2 == 1 {
+            handle
+                .write_entries(id, 0, &contents(&last))
+                .expect("in range");
+        }
         for (i, pick) in last.iter().enumerate() {
             let want = pick.map_or(EntryState::Zero, |pick| palette[pick].1);
             let got = handle.entry_state(id, i as u64).expect("live");

@@ -28,7 +28,8 @@
 //! * [`BuddyService::tenants`] reads the ledger: one [`TenantRow`] per
 //!   tenant, built from the same state admission charges against. Event
 //!   counts and per-batch [`AccessStats`] deltas from the pool's
-//!   `*_collect` paths are attributed to the issuing tenant lock-free.
+//!   `*_collect` paths are attributed to the issuing tenant through
+//!   lock-free counters, under the shared read lock.
 //!
 //! # Example
 //!
@@ -63,7 +64,7 @@ use buddy_obs::Counter;
 use buddy_pool::{BuddyPool, PoolAllocId, SharedStats};
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// What admission control does when a request breaches its tenant's quota
 /// (or the pool's capacity).
@@ -168,10 +169,9 @@ impl From<DeviceError> for ServiceError {
     }
 }
 
-/// What is counted per tenant outside the write lock: entry I/O folds its
-/// traffic in after the service lock is released, and denials are counted
-/// under the read lock. The event counts ride along so one `Arc` clone
-/// covers everything an operation bumps.
+/// What is counted per tenant through `&self`: entry I/O folds its traffic
+/// in, and denials are counted, under the shared read lock, so these are
+/// lock-free counters rather than plain ledger fields.
 #[derive(Debug, Default)]
 struct TenantCounters {
     allocs: Counter,
@@ -192,7 +192,7 @@ struct TenantState {
     used_bytes: u64,
     logical_bytes: u64,
     allocations: u64,
-    counters: Arc<TenantCounters>,
+    counters: TenantCounters,
 }
 
 impl TenantState {
@@ -281,9 +281,9 @@ struct ServiceSlot {
     alloc: Option<ServiceAlloc>,
 }
 
-/// Tenant ledger + slot map behind one RwLock: reads (I/O resolution)
-/// share, writes (alloc/free/retarget/transfer, which move quota charges)
-/// exclude.
+/// Tenant ledger + slot map behind one RwLock: reads (entry I/O, held
+/// across the pool call) share, writes (alloc/free/retarget/transfer,
+/// which move quota charges) exclude.
 #[derive(Debug, Default)]
 struct ServiceState {
     tenants: Vec<TenantState>,
@@ -294,10 +294,11 @@ struct ServiceState {
 /// A multi-tenant façade over one [`BuddyPool`]; see the crate docs.
 ///
 /// All methods take `&self` and are safe to call from many threads. Entry
-/// I/O resolves handles under a shared read lock and then runs against the
-/// pool *outside* the service lock — a concurrent `free` is harmless
-/// because the pool's own generational ids catch the race and the
-/// operation fails with [`DeviceError::BadAllocation`].
+/// I/O resolves its handle, runs against the pool and folds its traffic
+/// under one shared read lock, so it never races a structural operation
+/// on the service's own state; the structural operations hold the write
+/// lock across their pool call and so wait out in-flight I/O. The lock
+/// order is service lock, then the pool's slot lock, on every path.
 #[derive(Debug)]
 pub struct BuddyService {
     pool: BuddyPool,
@@ -406,7 +407,7 @@ impl BuddyService {
             used_bytes: 0,
             logical_bytes: 0,
             allocations: 0,
-            counters: Arc::default(),
+            counters: TenantCounters::default(),
         });
         Ok(TenantId(id))
     }
@@ -620,18 +621,24 @@ impl BuddyService {
         Ok(alloc)
     }
 
-    /// Resolves a handle under the read lock and hands back what entry I/O
-    /// needs once the lock is released: the pool id and the tenant's
-    /// counters.
-    fn resolve_for_io(
+    /// Runs one entry-I/O `call` against `id`'s pool allocation and folds
+    /// the traffic it returns into `tenant`'s counters. Resolve, pool call
+    /// and fold share one read guard: the counters are borrowed from the
+    /// guarded state, and a structural op on the same allocation waits.
+    fn io(
         &self,
         tenant: TenantId,
         id: ServiceAllocId,
-    ) -> Result<(PoolAllocId, Arc<TenantCounters>), ServiceError> {
+        call: impl FnOnce(PoolAllocId) -> Result<AccessStats, DeviceError>,
+    ) -> Result<(), ServiceError> {
         let state = self.read();
         let alloc = Self::resolve(&state, tenant, id)?;
-        let counters = Arc::clone(&state.tenants[tenant.0 as usize].counters);
-        Ok((alloc.pool_id, counters))
+        let delta = call(alloc.pool_id)?;
+        state.tenants[tenant.0 as usize]
+            .counters
+            .traffic
+            .add(&delta);
+        Ok(())
     }
 
     /// Releases an allocation and refunds its quota charge.
@@ -669,12 +676,9 @@ impl BuddyService {
         start: u64,
         entries: &[Entry],
     ) -> Result<(), ServiceError> {
-        let (pool_id, counters) = self.resolve_for_io(tenant, id)?;
-        // The pool call runs outside the service lock; a racing free is
-        // caught by the pool's generational id.
-        let delta = self.pool.write_entries_collect(pool_id, start, entries)?;
-        counters.traffic.add(&delta);
-        Ok(())
+        self.io(tenant, id, |pool_id| {
+            self.pool.write_entries_collect(pool_id, start, entries)
+        })
     }
 
     /// Reads a contiguous run of entries
@@ -692,10 +696,9 @@ impl BuddyService {
         start: u64,
         out: &mut [Entry],
     ) -> Result<(), ServiceError> {
-        let (pool_id, counters) = self.resolve_for_io(tenant, id)?;
-        let delta = self.pool.read_entries_collect(pool_id, start, out)?;
-        counters.traffic.add(&delta);
-        Ok(())
+        self.io(tenant, id, |pool_id| {
+            self.pool.read_entries_collect(pool_id, start, out)
+        })
     }
 
     /// Migrates an allocation to a new target ratio
