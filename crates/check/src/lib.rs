@@ -16,12 +16,11 @@
 //!   `std` outside it. `core::sync` re-exports these when `buddy-core` is
 //!   built with `--features model-sync`.
 //!
-//! [`models`] holds the six protocol models distilled from `core::shared`
+//! [`models`] holds the five protocol models distilled from `core::shared`
 //! (seqlock read vs. batched write, two lock-serialized writers vs. a
 //! reader, free-tombstone vs. stale reader, retarget republish vs.
-//! concurrent read, drain barrier vs. in-flight op, shared metadata edge
-//! unit vs. its neighbouring owners), each with
-//! seeded mutations that the integration suite requires
+//! concurrent read, shared metadata edge unit vs. its neighbouring
+//! owners), each with seeded mutations that the integration suite requires
 //! the checker to catch — the checker is itself checked.
 //!
 //! See DESIGN.md §13 for scope, limits, and how to read a counterexample.

@@ -19,7 +19,7 @@
 //! for its fence choices.
 
 use crate::shim::{fence, spawn, AtomicU64, Mutex};
-use std::sync::atomic::Ordering::{self, Acquire, Relaxed, Release, SeqCst};
+use std::sync::atomic::Ordering::{self, Acquire, Relaxed, Release};
 use std::sync::Arc;
 
 /// Reader retry budget: enough to ride out the writer's two epochs; on
@@ -293,80 +293,6 @@ pub fn retarget(mutation: RetargetMutation) -> impl Fn() + Send + Sync + Clone +
             },
         );
         writer.join();
-    }
-}
-
-/// Seeded bugs for [`drain`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrainMutation {
-    /// The correct protocol.
-    None,
-    /// Drain reads the stats without waiting for the in-flight counter
-    /// balance.
-    SkipWait,
-    /// The op's exit counter bump is `Relaxed` instead of `SeqCst` — the
-    /// barrier count balances but the op's stats writes are not yet
-    /// ordered before the drain's reads.
-    ExitRelaxed,
-}
-
-/// Drain barrier vs. in-flight op (`SharedState::enter_op` /
-/// `wait_quiescent`, the `quiesce_handles` sweep): every op in flight at
-/// the barrier's entered-counter snapshot must have **all** of its stats
-/// pieces visible once the exited counter catches up — no half-merged
-/// snapshot.
-///
-/// Mirrors the real contract precisely: an op that enters *after* the
-/// snapshot (the reader slipping in between the lock sweep and the
-/// barrier wait) is outside the barrier, so the drain asserts nothing
-/// about it — `drain`'s callers quiesce their own traffic sources first.
-pub fn drain(mutation: DrainMutation) -> impl Fn() + Send + Sync + Clone + 'static {
-    move || {
-        let entered = Arc::new(AtomicU64::labelled("ops_entered", 0));
-        let exited = Arc::new(AtomicU64::labelled("ops_exited", 0));
-        let stat_hi = Arc::new(AtomicU64::labelled("stat_hi", 0));
-        let stat_lo = Arc::new(AtomicU64::labelled("stat_lo", 0));
-
-        let (oe, ox, oh, ol) = (
-            Arc::clone(&entered),
-            Arc::clone(&exited),
-            Arc::clone(&stat_hi),
-            Arc::clone(&stat_lo),
-        );
-        let op = spawn(move || {
-            oe.fetch_add(1, SeqCst);
-            oh.fetch_add(1, Relaxed);
-            ol.fetch_add(1, Relaxed);
-            let exit = if mutation == DrainMutation::ExitRelaxed {
-                Relaxed
-            } else {
-                SeqCst
-            };
-            ox.fetch_add(1, exit);
-        });
-
-        // wait_quiescent: snapshot the entered counter, then wait for the
-        // exited counter to catch up to that snapshot.
-        let target = entered.load(SeqCst);
-        let mut quiescent = mutation == DrainMutation::SkipWait;
-        if !quiescent {
-            for _ in 0..READER_RETRIES + 1 {
-                if exited.load(SeqCst) >= target {
-                    quiescent = true;
-                    break;
-                }
-            }
-        }
-        // Only ops inside the snapshot are covered by the barrier.
-        if quiescent && target == 1 {
-            let hi = stat_hi.load(Relaxed);
-            let lo = stat_lo.load(Relaxed);
-            assert!(
-                hi == 1 && lo == 1,
-                "half-merged stats snapshot behind the barrier: hi={hi} lo={lo}"
-            );
-        }
-        op.join();
     }
 }
 

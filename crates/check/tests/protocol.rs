@@ -8,8 +8,8 @@
 //! so each mutation test demands a counterexample and replays it.
 
 use buddy_check::models::{
-    drain, edge_unit, retarget, seqlock, seqlock_writers, tombstone, DrainMutation,
-    EdgeUnitMutation, RetargetMutation, SeqlockMutation, TombstoneMutation, WritersMutation,
+    edge_unit, retarget, seqlock, seqlock_writers, tombstone, EdgeUnitMutation, RetargetMutation,
+    SeqlockMutation, TombstoneMutation, WritersMutation,
 };
 use buddy_check::{explore, Config, Outcome};
 
@@ -142,21 +142,6 @@ fn retarget_mutation_early_close_is_caught() {
         "retarget[early-close]",
         retarget(RetargetMutation::EarlyClose),
     );
-}
-
-#[test]
-fn drain_protocol_holds() {
-    assert_protocol_holds("drain", drain(DrainMutation::None));
-}
-
-#[test]
-fn drain_mutation_skip_wait_is_caught() {
-    assert_mutation_caught("drain[skip-wait]", drain(DrainMutation::SkipWait));
-}
-
-#[test]
-fn drain_mutation_exit_relaxed_is_caught() {
-    assert_mutation_caught("drain[exit-relaxed]", drain(DrainMutation::ExitRelaxed));
 }
 
 #[test]

@@ -459,13 +459,6 @@ impl BuddyDevice {
         }
     }
 
-    /// Blocks until every [`DeviceHandle`] operation that was in flight
-    /// when this call started has completed — the quiescence barrier the
-    /// pool's `drain()` extends over lock-free snapshot readers.
-    pub fn quiesce_handles(&self) {
-        self.shared.wait_quiescent();
-    }
-
     /// Revalidates the shadow mirror against both region allocators.
     #[cfg(feature = "audit")]
     fn audit_check(&self) {
@@ -1035,7 +1028,6 @@ impl DeviceHandle {
         start: u64,
         out: &mut [Entry],
     ) -> Result<AccessStats, DeviceError> {
-        let _op = self.shared.enter_op();
         self.shared.read_batch(id, start, out)
     }
 
@@ -1076,7 +1068,6 @@ impl DeviceHandle {
         start: u64,
         entries: &[Entry],
     ) -> Result<AccessStats, DeviceError> {
-        let _op = self.shared.enter_op();
         HANDLE_SCRATCH
             .with_borrow_mut(|scratch| self.shared.write_batch(id, start, entries, scratch))
     }
@@ -1088,7 +1079,6 @@ impl DeviceHandle {
     /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
     /// for invalid handles.
     pub fn entry_state(&self, id: AllocId, index: u64) -> Result<EntryState, DeviceError> {
-        let _op = self.shared.enter_op();
         self.shared.entry_state(id, index)
     }
 
@@ -1099,7 +1089,6 @@ impl DeviceHandle {
     ///
     /// As [`BuddyDevice::state_window`].
     pub fn state_window(&self, id: AllocId) -> Result<SizeHistogram, DeviceError> {
-        let _op = self.shared.enter_op();
         self.shared.state_window(id)
     }
 }

@@ -114,15 +114,19 @@ impl RegionAllocator {
     /// Carves the exact run `[offset, offset + len)` out of the free list
     /// (used to restore a just-freed reservation when a migration fails
     /// mid-way). Returns `false` — changing nothing — unless the entire
-    /// range is currently free.
+    /// range is currently free; a range whose end overflows `u64` is past
+    /// capacity and never free.
     pub fn reserve_at(&mut self, offset: u64, len: u64) -> bool {
         if len == 0 {
             return true;
         }
+        let Some(end) = offset.checked_add(len) else {
+            return false;
+        };
         let Some(slot) = self
             .free
             .iter()
-            .position(|r| r.offset <= offset && offset + len <= r.offset + r.len)
+            .position(|r| r.offset <= offset && end <= r.offset + r.len)
         else {
             return false;
         };
@@ -132,8 +136,8 @@ impl RegionAllocator {
             len: offset - run.offset,
         };
         let after = FreeRun {
-            offset: offset + len,
-            len: (run.offset + run.len) - (offset + len),
+            offset: end,
+            len: (run.offset + run.len) - end,
         };
         match (before.len > 0, after.len > 0) {
             (false, false) => {
@@ -302,6 +306,17 @@ mod tests {
         // A range that is partially allocated cannot be reserved.
         assert!(!r.reserve_at(25, 10));
         assert!(!r.reserve_at(90, 20), "past capacity");
+        check(&r);
+    }
+
+    #[test]
+    fn reserve_at_refuses_a_range_whose_end_overflows() {
+        let mut r = RegionAllocator::new(1024);
+        assert!(!r.reserve_at(u64::MAX, 2));
+        assert!(!r.reserve_at(1, u64::MAX));
+        assert_eq!(r.used(), 0);
+        assert_eq!(r.largest_free(), 1024);
+        assert_eq!(r.fragmentation(), 0.0);
         check(&r);
     }
 

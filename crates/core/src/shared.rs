@@ -63,16 +63,17 @@
 //!
 //! Every ordering below is either the canonical seqlock set (via the
 //! [`crate::sync`] `seq_*` helpers — each justified by a model-checker
-//! mutation in `crates/check`) or carries a `Relaxed:`/`SeqCst:` comment
-//! naming the edge that makes it safe. The distilled protocol models and
-//! their counterexample-producing mutations live in
+//! mutation in `crates/check`) or carries a `Relaxed:` comment naming the
+//! edge that makes it safe. No ordering here is sequentially consistent:
+//! the seqlock is the only reader protocol. The distilled protocol models
+//! and their counterexample-producing mutations live in
 //! `crates/check/src/models.rs`; DESIGN.md §13 maps each model back to
 //! the code here.
 
 // lint-allow-file(raw-atomic-metric): every atomic in this module is
 // protocol state (seqlock words, generations, published bases, byte and
-// nibble storage, drain-barrier counters) or the device stats mirror
-// reported through the existing stats() API — none is an ad-hoc metric.
+// nibble storage) or the device stats mirror reported through the
+// existing stats() API — none is an ad-hoc metric.
 
 use crate::device::{AccessStats, AllocId, DeviceError};
 use crate::metadata::EntryState;
@@ -719,7 +720,7 @@ impl SharedStats {
         for (c, v) in self.counters.iter().zip(delta.to_array()) {
             if v != 0 {
                 // Relaxed: statistical counters; exact totals are read only
-                // at quiescent points (drain / joined threads).
+                // once the clients have returned (joined threads).
                 c.fetch_add(v, Ordering::Relaxed);
             }
         }
@@ -752,18 +753,6 @@ impl fmt::Debug for SharedStats {
     }
 }
 
-/// Decrements the in-flight handle-operation counter on drop, so
-/// [`SharedState::wait_quiescent`] observes completion even across panics.
-pub(crate) struct OpGuard<'a> {
-    shared: &'a SharedState,
-}
-
-impl Drop for OpGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.ops_exited.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 /// The published half of one device. See the module docs for the protocol.
 pub(crate) struct SharedState {
     codec: CodecKind,
@@ -772,8 +761,6 @@ pub(crate) struct SharedState {
     pub(crate) metadata: AtomicNibbles,
     pub(crate) slots: SlotTable,
     pub(crate) stats: SharedStats,
-    ops_entered: AtomicU64,
-    ops_exited: AtomicU64,
 }
 
 impl fmt::Debug for SharedState {
@@ -797,29 +784,9 @@ impl SharedState {
             metadata: AtomicNibbles::new(device_capacity / TargetRatio::MIN_DEVICE_BYTES_PER_ENTRY),
             slots: SlotTable::new(),
             stats: SharedStats::default(),
-            ops_entered: AtomicU64::new(0),
-            ops_exited: AtomicU64::new(0),
         };
         state.slots.ensure(0);
         state
-    }
-
-    /// Marks a lock-free handle operation in flight (released on drop).
-    pub(crate) fn enter_op(&self) -> OpGuard<'_> {
-        self.ops_entered.fetch_add(1, Ordering::SeqCst);
-        OpGuard { shared: self }
-    }
-
-    /// Blocks until every handle operation that was in flight when this
-    /// call started has completed. New operations may start during the
-    /// wait — the barrier covers the snapshot, which is what `drain`
-    /// needs (its callers quiesce their own traffic sources first).
-    /// Monotone completion counters rule out livelock.
-    pub(crate) fn wait_quiescent(&self) {
-        let target = self.ops_entered.load(Ordering::SeqCst);
-        while self.ops_exited.load(Ordering::SeqCst) < target {
-            std::thread::yield_now();
-        }
     }
 
     /// The cell a structural operation publishes through.

@@ -447,7 +447,7 @@ impl BuddyPool {
     /// Pool-wide traffic counters: the merge of every shard's
     /// [`BuddyDevice::stats`]. Shards are sampled one at a time, so counts
     /// from operations racing this call may or may not be included — totals
-    /// are exact once writers are quiescent (or after [`drain`](Self::drain)).
+    /// are exact once the caller's clients have returned.
     pub fn stats(&self) -> AccessStats {
         let mut merged = AccessStats::default();
         for index in 0..self.shards.len() {
@@ -463,25 +463,17 @@ impl BuddyPool {
         }
     }
 
-    /// Barrier: waits for every in-flight operation to complete and returns
-    /// a *consistent* merged stats snapshot.
+    /// A merged stats snapshot that no structural operation straddles.
     ///
     /// All shard locks are acquired (in index order — the only multi-lock
-    /// path in the crate, so no deadlock) and held simultaneously, which
-    /// fences out structural operations; then each shard waits for the
-    /// lock-free snapshot readers and entry writers that were in flight
-    /// when the locks landed ([`BuddyDevice::quiesce_handles`]). Any
-    /// operation that began before `drain` was called has therefore
-    /// finished, and no structural operation can start until the snapshot
-    /// is taken. (Entry I/O arriving *after* the barrier may race the
-    /// snapshot — as with any stats read, totals are exact once clients
-    /// are quiescent.)
+    /// path in the crate, so no deadlock) and held together while the
+    /// shards' stats are merged, so every `alloc`/`free`/`retarget` lands
+    /// wholly before or wholly after the snapshot. Entry I/O takes no shard
+    /// lock and is not waited for: as with [`stats`](Self::stats), its
+    /// totals are exact once the caller's clients have returned.
     pub fn drain(&self) -> AccessStats {
         let guards: Vec<MutexGuard<'_, BuddyDevice>> =
             (0..self.shards.len()).map(|i| self.shard(i)).collect();
-        for guard in &guards {
-            guard.quiesce_handles();
-        }
         let mut merged = AccessStats::default();
         for guard in &guards {
             merged.merge(&guard.stats());

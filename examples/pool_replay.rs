@@ -61,7 +61,8 @@ fn main() {
         }
     });
     let secs = started.elapsed().as_secs_f64();
-    // `drain` waits out in-flight I/O, so the merged counters are exact.
+    // Every client has returned from the scope, so the merged counters
+    // are exact.
     let stats = pool.drain();
 
     let batches = CLIENTS * BATCHES_PER_CLIENT;
