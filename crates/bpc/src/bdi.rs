@@ -149,9 +149,9 @@ impl Codec for BaseDeltaImmediate {
     fn compress_into(&self, entry: &Entry, out: &mut CompressedBuf) {
         let mut w = out.begin();
 
-        if entry.iter().all(|&b| b == 0) {
+        if crate::is_zero(entry) {
             w.push_bits(ID_ZEROS, 4);
-            out.finish(w);
+            w.finish();
             return;
         }
 
@@ -160,7 +160,7 @@ impl Codec for BaseDeltaImmediate {
         if (1..ENTRY_BYTES / 8).all(|i| Self::element_at(entry, 8, i) == first) {
             w.push_bits(ID_REPEAT, 4);
             w.push_bits(first, 64);
-            out.finish(w);
+            w.finish();
             return;
         }
 
@@ -181,7 +181,7 @@ impl Codec for BaseDeltaImmediate {
         if let Some((idx, base)) = best {
             if best_bits < 4 + ENTRY_BYTES * 8 {
                 Self::encode_scheme(&mut w, entry, idx, base);
-                out.finish(w);
+                w.finish();
                 return;
             }
         }
@@ -191,7 +191,7 @@ impl Codec for BaseDeltaImmediate {
         for &b in entry.iter() {
             w.push_bits(b as u64, 8);
         }
-        out.finish(w);
+        w.finish();
     }
 
     fn decompress_into(

@@ -309,7 +309,7 @@ impl Codec for BitPlane {
             let dbp = Self::delta_bit_planes(&symbols);
             Self::encode_planes(&mut w, &dbp, &Self::dbx(&dbp));
         }
-        out.finish(w);
+        w.finish();
     }
 
     fn decompress_into(

@@ -1,45 +1,34 @@
 //! MSB-first bitstream reader and writer used by all encoders in this crate.
 
-use crate::DecodeError;
+use crate::{CompressedBuf, DecodeError};
 
-/// An append-only bit buffer. Bits are packed MSB-first within each byte,
-/// matching how hardware serializers are usually drawn in the compression
-/// literature.
+/// An append-only bit writer over one [`CompressedBuf`]. Bits are packed
+/// MSB-first within each byte, matching how hardware serializers are
+/// usually drawn in the compression literature.
 ///
-/// Bits accumulate in a 64-bit word that is appended to the byte buffer
-/// whole (big-endian, so the byte order is the MSB-first bit order);
-/// [`into_parts`](Self::into_parts) flushes the partial last word.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BitWriter {
-    /// Whole words already emitted.
-    buf: Vec<u8>,
+/// Bits accumulate in a 64-bit word that is stored into the buffer's
+/// inline array whole (big-endian, so the byte order is the MSB-first bit
+/// order); [`finish`](Self::finish) flushes the partial last word and
+/// records the bit length. Nothing here touches the heap.
+#[derive(Debug)]
+pub struct BitWriter<'a> {
+    out: &'a mut CompressedBuf,
+    /// Bytes of whole words already stored.
+    len: usize,
     /// Pending bits, left-aligned: the next bit lands at bit `63 - fill`.
     acc: u64,
     /// Number of pending bits in `acc`, always below 64.
     fill: usize,
 }
 
-impl BitWriter {
-    /// Creates an empty bit buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty bit buffer with room for `bits` bits.
-    pub fn with_capacity(bits: usize) -> Self {
-        Self::reusing(Vec::with_capacity(bits.div_ceil(8)))
-    }
-
-    /// Creates an empty bit buffer on top of an existing byte buffer,
-    /// clearing its contents but keeping its capacity.
-    ///
-    /// This is the zero-allocation path: `CompressedBuf` hands its backing
-    /// storage through here on every re-encode, so steady-state encoding
-    /// never touches the heap.
-    pub fn reusing(mut buf: Vec<u8>) -> Self {
-        buf.clear();
+impl<'a> BitWriter<'a> {
+    /// Starts an empty bitstream in `out`, discarding what it held
+    /// ([`CompressedBuf::begin`]).
+    pub(crate) fn new(out: &'a mut CompressedBuf) -> Self {
+        out.bits = 0;
         Self {
-            buf,
+            out,
+            len: 0,
             acc: 0,
             fill: 0,
         }
@@ -49,11 +38,13 @@ impl BitWriter {
     /// Bits of `value` above bit `n` are ignored.
     ///
     /// This is the inner loop of every encoder: one shift-or into the
-    /// pending word, and one 8-byte append each time it fills.
+    /// pending word, and one 8-byte store each time it fills.
     ///
     /// # Panics
     ///
-    /// Panics if `n > 64`.
+    /// Panics if `n > 64`, or if the stream outgrows
+    /// [`CompressedBuf::CAPACITY`] bytes (no codec's worst case comes
+    /// near it).
     pub fn push_bits(&mut self, value: u64, n: usize) {
         assert!(n <= 64, "cannot push more than 64 bits at once");
         if n == 0 {
@@ -68,8 +59,7 @@ impl BitWriter {
             // The top `free` bits complete the pending word; the `spill`
             // bits below them start the next one.
             let spill = n - free;
-            self.buf
-                .extend_from_slice(&(self.acc | (value >> spill)).to_be_bytes());
+            self.store(self.acc | (value >> spill));
             self.acc = if spill == 0 { 0 } else { value << (64 - spill) };
             self.fill = spill;
         }
@@ -82,7 +72,7 @@ impl BitWriter {
 
     /// Number of bits written so far.
     pub fn len_bits(&self) -> usize {
-        self.buf.len() * 8 + self.fill
+        self.len * 8 + self.fill
     }
 
     /// Whether no bits have been written.
@@ -90,13 +80,21 @@ impl BitWriter {
         self.len_bits() == 0
     }
 
-    /// Consumes the writer, returning the packed bytes and the bit length.
-    /// The unused low bits of the last byte are zero.
-    pub fn into_parts(mut self) -> (Vec<u8>, usize) {
-        let len_bits = self.len_bits();
-        self.buf
-            .extend_from_slice(&self.acc.to_be_bytes()[..self.fill.div_ceil(8)]);
-        (self.buf, len_bits)
+    /// Completes the stream: flushes the pending bits and records the bit
+    /// length in the buffer. The unused low bits of the last byte are
+    /// zero.
+    pub fn finish(mut self) {
+        let bits = self.len_bits();
+        if self.fill > 0 {
+            self.store(self.acc);
+        }
+        self.out.bits = bits;
+    }
+
+    /// Stores one whole word at the end of the stream.
+    fn store(&mut self, word: u64) {
+        self.out.data[self.len..self.len + 8].copy_from_slice(&word.to_be_bytes());
+        self.len += 8;
     }
 }
 
@@ -312,14 +310,29 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
 
+    /// Runs `f` on a writer over a fresh buffer and returns the stream it
+    /// left: the bytes [`CompressedBuf::data`] exposes and the bit length.
+    fn written(f: impl FnOnce(&mut BitWriter<'_>)) -> (Vec<u8>, usize) {
+        let mut buf = CompressedBuf::new();
+        rewritten(&mut buf, f)
+    }
+
+    /// [`written`] into an existing buffer.
+    fn rewritten(buf: &mut CompressedBuf, f: impl FnOnce(&mut BitWriter<'_>)) -> (Vec<u8>, usize) {
+        let mut w = buf.begin();
+        f(&mut w);
+        w.finish();
+        (buf.data().to_vec(), buf.bits())
+    }
+
     #[test]
     fn round_trip_mixed_widths() {
-        let mut w = BitWriter::new();
-        w.push_bits(0b101, 3);
-        w.push_bits(0xDEAD_BEEF, 32);
-        w.push_bit(true);
-        w.push_bits(0x1_FFFF_FFFF, 33);
-        let (bytes, bits) = w.into_parts();
+        let (bytes, bits) = written(|w| {
+            w.push_bits(0b101, 3);
+            w.push_bits(0xDEAD_BEEF, 32);
+            w.push_bit(true);
+            w.push_bits(0x1_FFFF_FFFF, 33);
+        });
         assert_eq!(bits, 3 + 32 + 1 + 33);
 
         let mut r = BitReader::new(&bytes, bits);
@@ -332,10 +345,10 @@ mod tests {
 
     #[test]
     fn msb_first_packing() {
-        let mut w = BitWriter::new();
-        w.push_bit(true); // 1000_0000
-        w.push_bits(0b01, 2); // 1010_0000
-        let (bytes, bits) = w.into_parts();
+        let (bytes, bits) = written(|w| {
+            w.push_bit(true); // 1000_0000
+            w.push_bits(0b01, 2); // 1010_0000
+        });
         assert_eq!(bits, 3);
         assert_eq!(bytes, vec![0b1010_0000]);
     }
@@ -355,21 +368,6 @@ mod tests {
         r.read_bits(5).unwrap();
         assert_eq!(r.bit_offset(), 5);
         assert_eq!(r.remaining(), 11);
-    }
-
-    #[test]
-    fn reusing_clears_but_keeps_capacity() {
-        let mut first = BitWriter::new();
-        first.push_bits(0xDEAD_BEEF, 32);
-        let (bytes, _) = first.into_parts();
-        let cap = bytes.capacity();
-        let mut w = BitWriter::reusing(bytes);
-        assert!(w.is_empty());
-        w.push_bits(0b101, 3);
-        let (bytes, bits) = w.into_parts();
-        assert_eq!(bits, 3);
-        assert_eq!(bytes, vec![0b1010_0000]);
-        assert_eq!(bytes.capacity(), cap);
     }
 
     /// A fixed byte pattern with no two equal neighbours.
@@ -402,40 +400,43 @@ mod tests {
         let garbage = 0xF0F1_F2F3_F4F5_F6F7u64 | 1 << 63;
         for align in 0..8 {
             for n in 0..=64 {
-                let mut w = BitWriter::new();
                 let mut oracle = reference::ByteWriter::default();
-                w.push_bits(0b010_1101, align);
                 oracle.push_bits(0b010_1101, align);
-                w.push_bits(garbage, n);
                 oracle.push_bits(garbage, n);
-                assert_eq!(w.len_bits(), align + n);
-                w.push_bit(true);
                 oracle.push_bit(true);
-                w.push_bits(garbage, 64);
                 oracle.push_bits(garbage, 64);
-                assert_eq!(
-                    w.into_parts(),
-                    oracle.into_parts(),
-                    "align {align} width {n}"
-                );
+                let stream = written(|w| {
+                    w.push_bits(0b010_1101, align);
+                    w.push_bits(garbage, n);
+                    assert_eq!(w.len_bits(), align + n);
+                    w.push_bit(true);
+                    w.push_bits(garbage, 64);
+                });
+                assert_eq!(stream, oracle.into_parts(), "align {align} width {n}");
             }
         }
     }
 
     #[test]
     fn long_mixed_stream_writes_the_reference_bytes() {
-        let mut w = BitWriter::new();
+        // As long a stream as the buffer holds.
         let mut oracle = reference::ByteWriter::default();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..500 {
+        let mut pushes = Vec::new();
+        while pushes.iter().map(|&(_, n)| n).sum::<usize>() < CompressedBuf::CAPACITY * 8 - 64 {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             let n = (state >> 58) as usize + (state & 1) as usize; // 0..=64
-            w.push_bits(state, n);
+            pushes.push((state, n));
             oracle.push_bits(state, n);
         }
-        assert_eq!(w.into_parts(), oracle.into_parts());
+        let stream = written(|w| {
+            for &(value, n) in &pushes {
+                w.push_bits(value, n);
+            }
+        });
+        assert_eq!(stream, oracle.into_parts());
     }
 
     #[test]
@@ -504,38 +505,27 @@ mod tests {
 
     #[test]
     fn into_parts_pads_the_last_byte_with_zeros() {
-        let mut w = BitWriter::new();
-        w.push_bits(u64::MAX, 64);
-        w.push_bits(u64::MAX, 13);
-        let (bytes, bits) = w.into_parts();
+        let mut buf = CompressedBuf::new();
+        let (bytes, bits) = rewritten(&mut buf, |w| {
+            w.push_bits(u64::MAX, 64);
+            w.push_bits(u64::MAX, 13);
+        });
         assert_eq!(bits, 77);
         assert_eq!(bytes.len(), 10, "no more bytes than the bits need");
         assert_eq!(bytes[8..], [0xFF, 0xF8]);
-        // A recycled buffer full of ones leaves nothing behind the new bits:
-        // the device stores the padded bytes and decodes them again.
-        let cap = bytes.capacity();
-        let mut w = BitWriter::reusing(bytes);
-        w.push_bit(true);
-        let (bytes, bits) = w.into_parts();
-        assert_eq!((bytes.as_slice(), bits), (&[0x80u8][..], 1));
-        assert_eq!(bytes.capacity(), cap);
-    }
-
-    #[test]
-    fn with_capacity_behaves_like_new() {
-        let mut a = BitWriter::with_capacity(100);
-        let mut b = BitWriter::new();
-        a.push_bits(0x3F, 7);
-        b.push_bits(0x3F, 7);
-        assert_eq!(a.into_parts(), b.into_parts());
+        // A rewritten buffer full of ones leaves nothing behind the new
+        // bits: the device stores the padded bytes and decodes them again.
+        let stream = rewritten(&mut buf, |w| w.push_bit(true));
+        assert_eq!(stream, (vec![0x80u8], 1));
     }
 
     #[test]
     fn empty_writer() {
-        let w = BitWriter::new();
-        assert!(w.is_empty());
-        assert_eq!(w.len_bits(), 0);
-        let (bytes, bits) = w.into_parts();
+        let mut buf = CompressedBuf::new();
+        let (bytes, bits) = rewritten(&mut buf, |w| {
+            assert!(w.is_empty());
+            assert_eq!(w.len_bits(), 0);
+        });
         assert!(bytes.is_empty());
         assert_eq!(bits, 0);
     }

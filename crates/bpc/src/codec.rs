@@ -1,6 +1,7 @@
 //! The codec-agnostic compression API: an object-safe [`Codec`] trait with a
-//! zero-allocation encode path, a reusable [`CompressedBuf`] scratch buffer,
-//! and [`CodecKind`], the `Copy` handle that selects one algorithm.
+//! zero-allocation encode path, the fixed inline [`CompressedBuf`] it
+//! encodes into, and [`CodecKind`], the `Copy` handle that selects one
+//! algorithm.
 //!
 //! The paper picks BPC only after "comparing several algorithms" (§2.4);
 //! this layer lets the rest of the system — the functional `BuddyDevice`,
@@ -9,10 +10,11 @@
 //! the compressor as a swappable pipeline stage the same way (e.g. the
 //! Compressing DMA Engine of Rhu et al., MICRO 2017).
 //!
-//! [`Codec::compress_into`] encodes into a caller-owned [`CompressedBuf`].
-//! After the first call the buffer's capacity is reused, so hot loops (the
-//! device write path, the snapshot samplers, the figure harnesses) compress
-//! millions of entries without touching the heap.
+//! [`Codec::compress_into`] encodes into a caller-owned [`CompressedBuf`]:
+//! a bit length plus a fixed array sized for the longest stream any codec
+//! writes, so it is an ordinary stack value and no encode ever touches the
+//! heap. Hot loops (the device write path, the snapshot samplers, the
+//! figure harnesses) declare one where they need it.
 //!
 //! # Example
 //!
@@ -37,30 +39,31 @@ use crate::{
 };
 use std::fmt;
 
-/// A reusable buffer holding one compressed entry.
+/// One compressed entry: its bit length and the bitstream, held inline.
 ///
-/// The byte buffer's capacity survives across [`Codec::compress_into`]
-/// calls, so a loop that compresses many entries allocates at most once.
-/// The bitstream is only meaningful to the codec that produced it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The buffer is a fixed array sized for the longest stream any codec in
+/// this crate writes, so it lives on the stack and encoding never touches
+/// the heap. The bitstream is only meaningful to the codec that produced
+/// it.
+#[derive(Debug, Clone)]
 pub struct CompressedBuf {
-    bits: usize,
-    data: Vec<u8>,
+    pub(crate) bits: usize,
+    pub(crate) data: [u8; Self::CAPACITY],
 }
 
 impl CompressedBuf {
-    /// Creates an empty buffer. The first compression into it allocates.
-    pub fn new() -> Self {
-        Self::default()
-    }
+    /// Bytes of inline storage. The longest stream any codec writes is
+    /// FPC's 32 unmatched words, 32 × (3 + 32) = 1120 bits (BPC's is
+    /// 33 + 33 × 32 = 1089, BDI's 4 + 1024, the zero codec's 1 + 1024);
+    /// 144 bytes is that rounded up to whole 8-byte words, the unit
+    /// [`BitWriter`] stores.
+    pub const CAPACITY: usize = 144;
 
-    /// Creates a buffer with room for `bytes` bytes of bitstream, enough to
-    /// avoid any allocation if sized a little above
-    /// [`ENTRY_BYTES`](crate::ENTRY_BYTES).
-    pub fn with_capacity(bytes: usize) -> Self {
+    /// Creates an empty buffer.
+    pub fn new() -> Self {
         Self {
             bits: 0,
-            data: Vec::with_capacity(bytes),
+            data: [0; Self::CAPACITY],
         }
     }
 
@@ -74,9 +77,11 @@ impl CompressedBuf {
         self.bits.div_ceil(8)
     }
 
-    /// The encoded bitstream (MSB-first within each byte).
+    /// The encoded bitstream (MSB-first within each byte), exactly
+    /// [`bytes`](Self::bytes) long; the unused low bits of the last byte
+    /// are zero.
     pub fn data(&self) -> &[u8] {
-        &self.data
+        &self.data[..self.bytes()]
     }
 
     /// The capacity size class of the held bitstream.
@@ -89,32 +94,19 @@ impl CompressedBuf {
         self.size_class().sectors().max(1)
     }
 
-    /// Starts a fresh encode, handing out a [`BitWriter`] that reuses this
-    /// buffer's backing storage. Pair with [`finish`](Self::finish).
+    /// Starts a fresh encode into this buffer; [`BitWriter::finish`]
+    /// completes it.
     ///
     /// Codec implementations use this; callers normally only pass the buffer
     /// to [`Codec::compress_into`].
-    pub fn begin(&mut self) -> BitWriter {
-        self.bits = 0;
-        BitWriter::reusing(std::mem::take(&mut self.data))
+    pub fn begin(&mut self) -> BitWriter<'_> {
+        BitWriter::new(self)
     }
+}
 
-    /// Completes an encode started with [`begin`](Self::begin), taking the
-    /// bitstream back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the writer's bitstream is shorter than its declared bit
-    /// length (impossible for streams produced via [`BitWriter`]).
-    pub fn finish(&mut self, writer: BitWriter) {
-        let (data, bits) = writer.into_parts();
-        assert!(
-            data.len() * 8 >= bits,
-            "bitstream shorter than declared: {} bytes for {bits} bits",
-            data.len()
-        );
-        self.bits = bits;
-        self.data = data;
+impl Default for CompressedBuf {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -139,11 +131,11 @@ pub trait Codec: Sync {
     /// [`CodecKind`]'s `Display`).
     fn name(&self) -> &'static str;
 
-    /// Compresses one entry into `out`, reusing `out`'s backing storage.
+    /// Compresses one entry into `out`, replacing what it held.
     ///
     /// On return `out` holds the full bitstream and its exact bit length.
-    /// Steady-state this path performs no heap allocation (the buffer grows
-    /// once to its high-water mark).
+    /// The path performs no heap allocation: `out` is a fixed inline
+    /// buffer.
     fn compress_into(&self, entry: &Entry, out: &mut CompressedBuf);
 
     /// Decodes a bitstream previously produced by this codec into `out`.
@@ -160,14 +152,14 @@ pub trait Codec: Sync {
     fn decompress_into(&self, data: &[u8], bits: usize, out: &mut Entry)
         -> Result<(), DecodeError>;
 
-    /// The capacity size class of `entry` under this codec, using `scratch`
-    /// so repeated classification allocates nothing.
+    /// The capacity size class of `entry` under this codec. A nonzero
+    /// entry's stream is left in `scratch`.
     ///
     /// All-zero entries map to [`SizeClass::B0`]: the paper's capacity
     /// study (Figure 3) counts tracked-zero entries as occupying no data
     /// storage.
     fn size_class_into(&self, entry: &Entry, scratch: &mut CompressedBuf) -> SizeClass {
-        if entry.iter().all(|&b| b == 0) {
+        if crate::is_zero(entry) {
             SizeClass::B0
         } else {
             self.compress_into(entry, scratch);
@@ -260,12 +252,16 @@ mod tests {
         codec.compress_into(entry, buf);
     }
 
-    fn ramp_entry() -> Entry {
+    fn entry_of_words(words: [u32; 32]) -> Entry {
         let mut e = [0u8; ENTRY_BYTES];
-        for (i, c) in e.chunks_exact_mut(4).enumerate() {
-            c.copy_from_slice(&(1000u32 + 3 * i as u32).to_le_bytes());
+        for (c, w) in e.chunks_exact_mut(4).zip(words) {
+            c.copy_from_slice(&w.to_le_bytes());
         }
         e
+    }
+
+    fn ramp_entry() -> Entry {
+        entry_of_words(std::array::from_fn(|i| 1000 + 3 * i as u32))
     }
 
     #[test]
@@ -277,23 +273,51 @@ mod tests {
         }
     }
 
+    /// BPC's worst case: a nonzero base (1 + 32 bits) and 33 DBX planes
+    /// that each take the 32-bit raw code. Delta `i` sets its even bits
+    /// where bit `i` of `A` is set and its odd bits where bit `i` of `B`
+    /// is, so the delta bit-planes alternate `A`, `B`, `A`, … and every
+    /// DBX plane below the top two is `A ^ B`, which matches no short
+    /// code; the sign plane and its neighbour come out raw for these
+    /// constants too, as the bit count checks.
+    fn bpc_worst_case() -> Entry {
+        const A: u32 = 0x1234_5678;
+        const B: u32 = 0x0F0F_0F0F;
+        let mut words = [0x1234_5678u32; 32];
+        for i in 0..31 {
+            let even = if A >> i & 1 == 1 { 0x5555_5555 } else { 0 };
+            let odd = if B >> i & 1 == 1 { 0xAAAA_AAAA } else { 0 };
+            words[i + 1] = words[i].wrapping_add(even | odd);
+        }
+        entry_of_words(words)
+    }
+
     #[test]
-    fn buffer_capacity_is_reused() {
-        let mut buf = CompressedBuf::new();
-        let mut random = [0u8; ENTRY_BYTES];
+    fn worst_case_streams_fit_the_buffer() {
+        let mut noise = [0u8; ENTRY_BYTES];
         let mut s = 1u64;
-        for b in random.iter_mut() {
+        for b in noise.iter_mut() {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
             *b = (s >> 33) as u8;
         }
-        // First encode of an incompressible entry grows to the high-water
-        // mark; later (smaller) encodes must not reallocate.
-        CodecKind::Bpc.compress_into(&random, &mut buf);
-        let cap = buf.data.capacity();
-        for _ in 0..8 {
-            CodecKind::Bpc.compress_into(&ramp_entry(), &mut buf);
-            CodecKind::Bpc.compress_into(&random, &mut buf);
-            assert_eq!(buf.data.capacity(), cap, "scratch capacity must persist");
+        let cases = [
+            // Base flag + raw base, then 33 raw planes.
+            (CodecKind::Bpc, bpc_worst_case(), 33 + 33 * 32),
+            // A word no pattern matches costs its 3-bit prefix + 32 bits.
+            (CodecKind::Fpc, entry_of_words([0x1234_5678; 32]), 32 * 35),
+            // No base-delta scheme fits noise: 4-bit raw id + the entry.
+            (CodecKind::Bdi, noise, 4 + 1024),
+            (CodecKind::Zero, noise, 1 + 1024),
+        ];
+        let mut buf = CompressedBuf::new();
+        for (kind, entry, max_bits) in cases {
+            kind.compress_into(&entry, &mut buf);
+            assert_eq!(buf.bits(), max_bits, "{kind}: worst-case stream length");
+            assert!(buf.bytes() <= CompressedBuf::CAPACITY, "{kind}: fits");
+            let mut out = [0u8; ENTRY_BYTES];
+            kind.decompress_into(buf.data(), buf.bits(), &mut out)
+                .expect("worst case decodes");
+            assert_eq!(out, entry, "{kind}: worst-case round-trip");
         }
     }
 
@@ -334,7 +358,7 @@ mod tests {
 
     #[test]
     fn empty_buffer_reports_neutral_state() {
-        let buf = CompressedBuf::with_capacity(160);
+        let buf = CompressedBuf::new();
         assert_eq!(buf.bits(), 0);
         assert_eq!(buf.bytes(), 0);
         assert!(buf.data().is_empty());

@@ -105,7 +105,7 @@ impl Codec for FrequentPattern {
             }
             i += 1;
         }
-        out.finish(w);
+        w.finish();
     }
 
     fn decompress_into(
@@ -171,7 +171,6 @@ impl Codec for FrequentPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::BitWriter;
 
     fn entry_from_words(f: impl Fn(usize) -> u32) -> Entry {
         let mut words = [0u32; 32];
@@ -260,14 +259,15 @@ mod tests {
     fn zero_run_overflow_rejected() {
         // Five zero-run codes of 7 words each claim 35 > 32 words; the fifth
         // code overruns the block.
-        let mut w = BitWriter::new();
+        let mut buf = CompressedBuf::new();
+        let mut w = buf.begin();
         for _ in 0..5 {
             w.push_bits(0b000, 3);
             w.push_bits(6, 3);
         }
-        let (data, bits) = w.into_parts();
+        w.finish();
         assert!(matches!(
-            FrequentPattern::new().decompress_into(&data, bits, &mut [0u8; 128]),
+            FrequentPattern::new().decompress_into(buf.data(), buf.bits(), &mut [0u8; 128]),
             Err(DecodeError::InvalidCode { .. })
         ));
     }

@@ -21,9 +21,11 @@
 //! Compression stripes entries by (Figure 4).
 //!
 //! Every algorithm is exposed through the object-safe, zero-allocation
-//! [`Codec`] API: [`Codec::compress_into`] encodes into a reusable
-//! [`CompressedBuf`], and the [`CodecKind`] handle selects an algorithm at
-//! runtime.
+//! [`Codec`] API: [`Codec::compress_into`] encodes into a
+//! [`CompressedBuf`], a fixed inline buffer sized for the longest stream
+//! any codec writes, and the [`CodecKind`] handle selects an algorithm at
+//! runtime. [`is_zero`] is the one all-zero test every zero-aware path
+//! shares.
 //!
 //! # Example
 //!
@@ -109,6 +111,19 @@ impl fmt::Display for DecodeError {
 
 impl Error for DecodeError {}
 
+/// Whether every byte of `entry` is zero: sixteen 64-bit words ORed
+/// together, where a byte-wise scan of an all-zero entry takes 128 steps.
+/// The one all-zero test of the workspace: the zero-aware codecs, the
+/// `B0` size class and the device's untracked-zero write path all ask it.
+pub fn is_zero(entry: &Entry) -> bool {
+    let any = entry.chunks_exact(8).fold(0u64, |acc, chunk| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        acc | u64::from_ne_bytes(word)
+    });
+    any == 0
+}
+
 /// Interprets a 128-byte entry as 32 little-endian 32-bit symbols.
 pub(crate) fn to_symbols(entry: &Entry) -> [u32; 32] {
     let mut symbols = [0u32; 32];
@@ -141,11 +156,21 @@ mod tests {
     }
 
     #[test]
+    fn one_nonzero_byte_anywhere_is_nonzero() {
+        assert!(is_zero(&[0u8; ENTRY_BYTES]));
+        for position in 0..ENTRY_BYTES {
+            let mut entry = [0u8; ENTRY_BYTES];
+            entry[position] = 1 << (position % 8);
+            assert!(!is_zero(&entry), "byte {position}");
+        }
+    }
+
+    #[test]
     fn compressed_accessors() {
         let mut c = CompressedBuf::new();
         let mut w = c.begin();
         w.push_bits(0xABC, 12);
-        c.finish(w);
+        w.finish();
         assert_eq!(c.bits(), 12);
         assert_eq!(c.bytes(), 2);
         assert_eq!(c.data(), [0xAB, 0xC0]);

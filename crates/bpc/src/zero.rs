@@ -43,7 +43,7 @@ impl Codec for ZeroRle {
 
     fn compress_into(&self, entry: &Entry, out: &mut CompressedBuf) {
         let mut w = out.begin();
-        if entry.iter().all(|&b| b == 0) {
+        if crate::is_zero(entry) {
             w.push_bit(false);
         } else {
             w.push_bit(true);
@@ -51,7 +51,7 @@ impl Codec for ZeroRle {
                 w.push_bits(b as u64, 8);
             }
         }
-        out.finish(w);
+        w.finish();
     }
 
     fn decompress_into(

@@ -293,21 +293,22 @@ impl Exec {
     }
 
     /// Scheduling point: consumes a step, possibly switches threads, and
-    /// returns with the baton (and the state lock) back at `tid`.
+    /// returns with the baton (and the state lock) back at `tid` — or
+    /// `None` when the execution is aborted under a thread that is
+    /// already unwinding (see [`unwind`](Self::unwind)): the caller then
+    /// skips its model op.
     fn schedule<'a>(
         &'a self,
         mut st: MutexGuard<'a, ExecState>,
         tid: usize,
-    ) -> MutexGuard<'a, ExecState> {
+    ) -> Option<MutexGuard<'a, ExecState>> {
         if st.abort.is_some() {
-            drop(st);
-            std::panic::panic_any(Pruned);
+            return Self::unwind(st);
         }
         if st.steps_left == 0 {
             st.abort = Some(Abort::Pruned);
             self.cv.notify_all();
-            drop(st);
-            std::panic::panic_any(Pruned);
+            return Self::unwind(st);
         }
         st.steps_left -= 1;
 
@@ -324,8 +325,7 @@ impl Exec {
             ));
             st.abort = Some(Abort::Failed);
             self.cv.notify_all();
-            drop(st);
-            std::panic::panic_any(Pruned);
+            return Self::unwind(st);
         }
         let choice = st.decide(opts.len());
         let target = opts[choice];
@@ -342,36 +342,53 @@ impl Exec {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
             if st.abort.is_some() {
-                drop(st);
-                std::panic::panic_any(Pruned);
+                return Self::unwind(st);
             }
         }
-        st
+        Some(st)
+    }
+
+    /// Takes this thread out of an aborted execution by raising
+    /// [`Pruned`] — unless it is already unwinding, through a `Drop` that
+    /// touches a shim (a `SeqWindow` closing, a guard unlocking): a second
+    /// panic there would abort the whole process. Such a thread gets
+    /// `None` instead, and its shim op acts on the `std` mirror alone; the
+    /// execution is void either way.
+    fn unwind<T>(st: MutexGuard<'_, ExecState>) -> Option<T> {
+        drop(st);
+        if std::thread::panicking() {
+            return None;
+        }
+        std::panic::panic_any(Pruned)
     }
 
     /// Runs one instrumented operation for `tid`: schedules, executes `f`
-    /// against the state, records its trace line.
+    /// against the state, records its trace line. `None` when the op is
+    /// skipped (an unwinding thread in an aborted execution).
     pub(crate) fn op<R>(
         self: &Arc<Self>,
         tid: usize,
         f: impl FnOnce(&mut ExecState, usize) -> (R, String),
-    ) -> R {
+    ) -> Option<R> {
         let st = lock_state(self);
-        let mut st = self.schedule(st, tid);
+        let mut st = self.schedule(st, tid)?;
         let (r, desc) = f(&mut st, tid);
         st.trace.push(TraceStep {
             thread: tid,
             op: desc,
         });
-        r
+        Some(r)
     }
 
     /// Blocking acquire of the model mutex at `loc`; loops until the lock
-    /// is free under some schedule.
-    pub(crate) fn lock_mutex(self: &Arc<Self>, tid: usize, loc: usize) {
+    /// is free under some schedule. `false` when the acquire is skipped
+    /// (an unwinding thread in an aborted execution).
+    pub(crate) fn lock_mutex(self: &Arc<Self>, tid: usize, loc: usize) -> bool {
         loop {
             let st = lock_state(self);
-            let mut st = self.schedule(st, tid);
+            let Some(mut st) = self.schedule(st, tid) else {
+                return false;
+            };
             let holder = st.mutexes.entry(loc).or_insert(None);
             if holder.is_none() {
                 *holder = Some(tid);
@@ -381,7 +398,7 @@ impl Exec {
                     thread: tid,
                     op: format!("lock {label}"),
                 });
-                return;
+                return true;
             }
             // Held: block and let schedule() pick someone else next time.
             st.threads[tid] = Status::BlockedOnMutex(loc);
@@ -406,9 +423,9 @@ impl Exec {
         self.cv.notify_all();
         drop(st);
         // Guards also unlock while a panic (assertion failure or prune)
-        // unwinds through them; scheduling there would panic inside a
-        // destructor and abort the process. The state mutation above is
-        // all that correctness needs — skip the optional context switch.
+        // unwinds through them, and on executions already aborted. The
+        // state mutation above is all that correctness needs there — skip
+        // the optional context switch.
         if aborted || std::thread::panicking() {
             return;
         }
@@ -446,7 +463,9 @@ impl Exec {
     pub(crate) fn join_thread(self: &Arc<Self>, tid: usize, target: usize) {
         loop {
             let st = lock_state(self);
-            let mut st = self.schedule(st, tid);
+            let Some(mut st) = self.schedule(st, tid) else {
+                return;
+            };
             if st.threads.get(target) == Some(&Status::Finished) {
                 // join() synchronizes-with the child's completion:
                 // everything the child observed, the joiner now observes.

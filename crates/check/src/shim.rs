@@ -15,7 +15,9 @@
 //!
 //! Atomics mirror every model store into their real `std` atomic so the
 //! fallback value, the registered initial value, and the latest history
-//! entry always agree.
+//! entry always agree. A thread unwinding out of an aborted execution
+//! (through a `Drop` that closes a window or releases a guard) is not
+//! scheduled again: its ops act on the `std` mirror alone.
 
 use crate::sched::{ctx, Exec, ExecState};
 use std::sync::atomic::Ordering;
@@ -49,7 +51,7 @@ fn register_label(st: &mut ExecState, loc: usize, label: Option<&'static str>) {
     }
 }
 
-fn model_load(exec: &Arc<Exec>, tid: usize, site: Site, ordering: Ordering) -> u64 {
+fn model_load(exec: &Arc<Exec>, tid: usize, site: Site, ordering: Ordering) -> Option<u64> {
     let Site {
         loc,
         label,
@@ -74,7 +76,13 @@ fn model_load(exec: &Arc<Exec>, tid: usize, site: Site, ordering: Ordering) -> u
     })
 }
 
-fn model_store(exec: &Arc<Exec>, tid: usize, site: Site, ordering: Ordering, value: u64) {
+fn model_store(
+    exec: &Arc<Exec>,
+    tid: usize,
+    site: Site,
+    ordering: Ordering,
+    value: u64,
+) -> Option<()> {
     let Site {
         loc,
         label,
@@ -86,7 +94,7 @@ fn model_store(exec: &Arc<Exec>, tid: usize, site: Site, ordering: Ordering, val
         st.mem.store(tid, loc, ordering, value);
         let name = st.label_of(loc);
         ((), format!("store {name} = {value} ({ordering:?})"))
-    });
+    })
 }
 
 fn model_rmw(
@@ -97,7 +105,7 @@ fn model_rmw(
     opname: &str,
     operand: u64,
     f: impl FnOnce(u64) -> u64,
-) -> u64 {
+) -> Option<u64> {
     let Site {
         loc,
         label,
@@ -159,23 +167,19 @@ macro_rules! atomic_shim {
             /// Atomic load; under the checker, weaker-than-`SeqCst`
             /// orderings branch over every observable stale value.
             pub fn load(&self, ordering: Ordering) -> $raw {
-                match ctx() {
+                match ctx().and_then(|(exec, tid)| model_load(&exec, tid, self.site(), ordering)) {
+                    Some(value) => value as $raw,
                     None => self.std.load(ordering),
-                    Some((exec, tid)) => model_load(&exec, tid, self.site(), ordering) as $raw,
                 }
             }
 
-            /// Atomic store.
+            /// Atomic store. The `std` mirror takes it too, modelled or
+            /// not: it holds the value for reads after the run.
             pub fn store(&self, value: $raw, ordering: Ordering) {
-                match ctx() {
-                    None => self.std.store(value, ordering),
-                    Some((exec, tid)) => {
-                        model_store(&exec, tid, self.site(), ordering, value as u64);
-                        // Relaxed: shadow mirror kept for reads that happen
-                        // after the run; all ordering lives in the model.
-                        self.std.store(value, Ordering::Relaxed);
-                    }
+                if let Some((exec, tid)) = ctx() {
+                    let _ = model_store(&exec, tid, self.site(), ordering, value as u64);
                 }
+                self.std.store(value, ordering);
             }
 
             /// Atomic add, returning the previous value. RMWs always read
@@ -214,18 +218,20 @@ macro_rules! atomic_shim {
                 ordering: Ordering,
                 f: impl FnOnce(u64) -> u64,
             ) -> $raw {
-                match ctx() {
+                let modelled = ctx().and_then(|(exec, tid)| {
+                    model_rmw(&exec, tid, self.site(), ordering, opname, operand as u64, f)
+                });
+                match modelled {
                     None => match opname {
                         "fetch_add" => self.std.fetch_add(operand, ordering),
                         "fetch_and" => self.std.fetch_and(operand, ordering),
                         "fetch_xor" => self.std.fetch_xor(operand, ordering),
                         _ => self.std.fetch_or(operand, ordering),
                     },
-                    Some((exec, tid)) => {
-                        let prev =
-                            model_rmw(&exec, tid, self.site(), ordering, opname, operand as u64, f);
+                    Some(prev) => {
                         let mirrored = f_apply(prev, operand as u64, opname) as $raw;
-                        // Relaxed: shadow mirror, as in `store` above.
+                        // Relaxed: shadow mirror kept for reads that happen
+                        // after the run; all ordering lives in the model.
                         self.std.store(mirrored, Ordering::Relaxed);
                         prev as $raw
                     }
@@ -253,12 +259,14 @@ atomic_shim!(AtomicU8, std::sync::atomic::AtomicU8, u8);
 /// the thread view for later stores and acquire fences join the messages
 /// of every load since the previous acquire fence.
 pub fn fence(ordering: Ordering) {
-    match ctx() {
-        None => std::sync::atomic::fence(ordering),
-        Some((exec, tid)) => exec.op(tid, |st, tid| {
+    let modelled = ctx().and_then(|(exec, tid)| {
+        exec.op(tid, |st, tid| {
             st.mem.fence(tid, ordering);
             ((), format!("fence({ordering:?})"))
-        }),
+        })
+    });
+    if modelled.is_none() {
+        std::sync::atomic::fence(ordering);
     }
 }
 
@@ -300,7 +308,19 @@ impl<T> Mutex<T> {
 
     /// Acquires the mutex, with `std`-compatible poison semantics.
     pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
-        match ctx() {
+        let loc = loc_of(self);
+        // Takes the model lock; a skipped acquire (an unwinding thread in
+        // an aborted execution) falls back to the std lock alone.
+        let modelled = ctx().filter(|(exec, tid)| {
+            if let Some(name) = self.label {
+                let _ = exec.op(*tid, |st, _| {
+                    st.set_label(loc, name);
+                    ((), format!("lock {name}: request"))
+                });
+            }
+            exec.lock_mutex(*tid, loc)
+        });
+        match modelled {
             None => match self.std.lock() {
                 Ok(g) => Ok(MutexGuard {
                     std: Some(g),
@@ -312,14 +332,6 @@ impl<T> Mutex<T> {
                 })),
             },
             Some((exec, tid)) => {
-                let loc = loc_of(self);
-                if let Some(name) = self.label {
-                    exec.op(tid, |st, _| {
-                        st.set_label(loc, name);
-                        ((), format!("lock {name}: request"))
-                    });
-                }
-                exec.lock_mutex(tid, loc);
                 // The model grants exclusivity, so the real lock is free;
                 // WouldBlock cannot happen, but fall back defensively.
                 let std_guard = match self.std.try_lock() {

@@ -8,13 +8,19 @@
 //! own storage — the design's central invariant is that compressibility
 //! changes never move any *other* data (§3.3, "No Page-Faulting Expense"),
 //! which `tests/no_movement.rs` verifies.
+//!
+//! The device holds nothing twice. An allocation's addressing facts live
+//! once, in its published slot cell (`core::shared`), which the device's
+//! own paths and its lock-free [`DeviceHandle`]s both read; the device
+//! keeps only what is not published — region allocators, the free-slot
+//! stack and allocation names. It owns no compression buffer either: one
+//! entry's stream is a bounded stack value ([`bpc::CompressedBuf`]).
 
 use crate::metadata::EntryState;
 use crate::region::RegionAllocator;
 use crate::shared::{self, AllocView, RawSlot, SharedState};
 use crate::target::TargetRatio;
-use bpc::{CodecKind, CompressedBuf, Entry, SizeHistogram, ENTRY_BYTES};
-use std::cell::RefCell;
+use bpc::{CodecKind, Entry, SizeHistogram, ENTRY_BYTES};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -265,22 +271,6 @@ pub struct RetargetReport {
     pub buddy_bytes_delta: i64,
 }
 
-/// Internal bookkeeping for one allocation: the display name (for
-/// `allocation_info`, audit and error text) and the POD addressing fields.
-#[derive(Debug, Clone)]
-struct Allocation {
-    name: String,
-    view: AllocView,
-}
-
-/// One entry of the allocation slot map: the current generation plus the
-/// resident allocation (`None` while the slot is on the free-slot stack).
-#[derive(Debug, Clone)]
-struct Slot {
-    generation: u64,
-    alloc: Option<Allocation>,
-}
-
 /// Configuration of a Buddy-Compression device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceConfig {
@@ -341,19 +331,19 @@ impl Default for DeviceConfig {
 /// ```
 #[derive(Debug)]
 pub struct BuddyDevice {
-    /// Reusable compression scratch: the write paths encode into this, so
-    /// steady-state entry writes perform no heap allocation.
-    scratch: CompressedBuf,
     config: DeviceConfig,
     /// The epoch-published half: storage bytes, metadata nibbles and the
     /// per-slot addressing seqlocks, shared with every [`DeviceHandle`].
     /// The `&mut self` paths and the lock-free handle paths run the same
     /// engine against this state, so the two are equivalent by
-    /// construction.
+    /// construction. Its slot cells are the only allocation descriptors:
+    /// generation, target, entry count and both bases live there once.
     shared: Arc<SharedState>,
-    /// Allocation slot map; freed slots are recycled through `free_slots`
-    /// with their generation bumped, so stale [`AllocId`]s stay dead.
-    slots: Vec<Slot>,
+    /// Per-slot allocation names, for [`allocation_info`](Self::allocation_info);
+    /// the length is the slot high-water mark.
+    names: Vec<String>,
+    /// Vacated slots, reused before the high-water mark grows. Each one's
+    /// cell publishes a bumped generation, so stale [`AllocId`]s stay dead.
     free_slots: Vec<u32>,
     /// Region allocators for the two data arrays, in bytes. First-fit with
     /// coalescing — the full allocation lifecycle runs on these. Metadata
@@ -385,16 +375,6 @@ pub struct BuddyDevice {
 #[derive(Debug, Clone)]
 pub struct DeviceHandle {
     shared: Arc<SharedState>,
-}
-
-thread_local! {
-    /// Compression scratch for [`DeviceHandle`] writes, one per thread: a
-    /// handle is `&self` and shared across threads, so it cannot own the
-    /// buffer the way a [`BuddyDevice`] does, and building one per call
-    /// would be a `malloc`/`free` on every write — paid even by all-zero
-    /// entries, which never reach the codec.
-    static HANDLE_SCRATCH: RefCell<CompressedBuf> =
-        RefCell::new(CompressedBuf::with_capacity(ENTRY_BYTES + ENTRY_BYTES / 4));
 }
 
 // The device owns its mutable bookkeeping (plain `Vec`s and POD fields)
@@ -434,14 +414,13 @@ impl BuddyDevice {
             .buddy_capacity()
             .expect("device_capacity x carve_out_factor overflows u64"); // lint-allow(no-unwrap): the overflow check is this constructor's documented panic contract
         Self {
-            scratch: CompressedBuf::with_capacity(ENTRY_BYTES + ENTRY_BYTES / 4),
             config,
             shared: Arc::new(SharedState::new(
                 codec,
                 config.device_capacity,
                 buddy_capacity,
             )),
-            slots: Vec::new(),
+            names: Vec::new(),
             free_slots: Vec::new(),
             device_region: RegionAllocator::new(config.device_capacity),
             buddy_region: RegionAllocator::new(buddy_capacity),
@@ -502,16 +481,12 @@ impl BuddyDevice {
 
     /// Number of live allocations.
     pub fn allocation_count(&self) -> usize {
-        self.slots.len() - self.free_slots.len()
+        self.names.len() - self.free_slots.len()
     }
 
     /// Uncompressed bytes represented by all live allocations.
     pub fn logical_bytes(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter_map(|s| s.alloc.as_ref())
-            .map(|a| a.view.entries * ENTRY_BYTES as u64)
-            .sum()
+        self.shared.live_entries() * ENTRY_BYTES as u64
     }
 
     /// Effective device compression ratio achieved by the current
@@ -570,6 +545,13 @@ impl BuddyDevice {
         entries
             .checked_mul(ENTRY_BYTES as u64)
             .ok_or(DeviceError::RequestOverflow)?;
+        // A vacated slot, else the next one past the high-water mark —
+        // chosen before anything is reserved, so a failure below leaves
+        // the slot bookkeeping untouched.
+        let slot = match self.free_slots.last() {
+            Some(&slot) => slot,
+            None => u32::try_from(self.names.len()).map_err(|_| DeviceError::RequestOverflow)?,
+        };
         let device_base =
             self.device_region
                 .alloc(device_need)
@@ -584,16 +566,10 @@ impl BuddyDevice {
                 available: self.buddy_region.largest_free(),
             });
         };
-        let slot = match self.free_slots.pop() {
-            Some(slot) => slot,
-            None => {
-                self.slots.push(Slot {
-                    generation: 0,
-                    alloc: None,
-                });
-                (self.slots.len() - 1) as u32 // lint-allow(lossy-cast): 2^32 live slots would need a 32 GiB device of 8 B zero-page entries first
-            }
-        };
+        if self.free_slots.pop().is_none() {
+            self.names.push(String::new());
+        }
+        name.clone_into(&mut self.names[slot as usize]);
         let view = AllocView {
             target,
             entries,
@@ -605,14 +581,10 @@ impl BuddyDevice {
         self.shared
             .metadata
             .zero_range(view.metadata_index(0), entries);
-        self.slots[slot as usize].alloc = Some(Allocation {
-            name: name.to_owned(),
-            view,
-        });
-        let generation = self.slots[slot as usize].generation;
         // Publish the new epoch: from here on lock-free handles resolve
         // this id against the freshly-cleared regions.
         self.shared.slots.ensure(slot);
+        let generation = self.shared.generation(slot);
         self.shared
             .publish(slot, RawSlot::from_view(generation, &view));
         #[cfg(feature = "audit")]
@@ -644,17 +616,15 @@ impl BuddyDevice {
     /// already-freed handles.
     pub fn free(&mut self, id: AllocId) -> Result<(), DeviceError> {
         let view = self.view(id)?;
-        let slot = &mut self.slots[id.slot as usize];
-        slot.alloc = None;
-        slot.generation = slot.generation.wrapping_add(1);
-        let new_generation = slot.generation;
+        self.names[id.slot as usize].clear();
         self.free_slots.push(id.slot);
         // Publish the tombstone epoch *before* the regions return to the
         // free lists: a lock-free reader that raced this free either fails
         // its final sequence check (and retries into `BadAllocation`) or
         // started after the publication and never resolves the id — so
         // reused bytes can never reach a caller under the stale handle.
-        self.shared.publish(id.slot, RawSlot::dead(new_generation));
+        self.shared
+            .publish(id.slot, RawSlot::dead(id.generation.wrapping_add(1)));
         self.device_region
             .free(view.device_base, view.entries * view.device_stride());
         self.buddy_region
@@ -667,33 +637,25 @@ impl BuddyDevice {
         Ok(())
     }
 
-    /// Resolves a generational id to its live allocation — the single
-    /// validation path every handle-taking method goes through (slot in
-    /// range, generation matches, allocation resident).
-    fn resolve(&self, id: AllocId) -> Result<&Allocation, DeviceError> {
-        self.slots
-            .get(id.slot as usize)
-            .filter(|s| s.generation == id.generation)
-            .and_then(|s| s.alloc.as_ref())
-            .ok_or(DeviceError::BadAllocation)
-    }
-
-    /// Copies the POD addressing fields of an allocation — no `String`
-    /// clone on the access paths. Validates the generational id.
+    /// Resolves a generational id against its published slot cell — the
+    /// single validation path every id-taking method goes through (slot
+    /// published, generation matches, allocation live). Only structural
+    /// operations publish, and they take `&mut self`, so the cell needs no
+    /// seqlock retry here.
     fn view(&self, id: AllocId) -> Result<AllocView, DeviceError> {
-        self.resolve(id).map(|a| a.view)
+        self.shared.structural_view(id)
     }
 
     /// Name and target of an allocation (for reports).
     pub fn allocation_info(&self, id: AllocId) -> Result<(&str, TargetRatio, u64), DeviceError> {
-        let a = self.resolve(id)?;
-        Ok((&a.name, a.view.target, a.view.entries))
+        let view = self.view(id)?;
+        Ok((&self.names[id.slot as usize], view.target, view.entries))
     }
 
     /// Writes a contiguous run of entries starting at `start`: each entry is
     /// compressed and updates only its own device bytes, buddy slot and
-    /// metadata nibble. One compression buffer is reused across the whole
-    /// batch and the traffic counters fold in with a single stats update.
+    /// metadata nibble, and the traffic counters fold in with a single
+    /// stats update.
     ///
     /// # Errors
     ///
@@ -706,8 +668,7 @@ impl BuddyDevice {
         start: u64,
         entries: &[Entry],
     ) -> Result<(), DeviceError> {
-        self.shared
-            .write_batch(id, start, entries, &mut self.scratch)?;
+        self.shared.write_batch(id, start, entries)?;
         // Entry writes must never move reservations — the design's fixed
         // buddy-offset invariant — so the mirror needs no update, only a
         // revalidation.
@@ -870,18 +831,13 @@ impl BuddyDevice {
 
             // 3. Re-encode every entry under the new target.
             let mut moved_sectors = 0u64;
-            published.write_run(&new_view, 0, &contents, &mut self.scratch, |state| {
+            published.write_run(&new_view, 0, &contents, |state| {
                 moved_sectors +=
                     u64::from(state.device_sectors(new_target) + state.buddy_sectors(new_target));
             });
 
-            // 4. Update the mutable half and hand the new epoch back for
-            //    publication.
-            let alloc = self.slots[id.slot as usize]
-                .alloc
-                .as_mut()
-                .expect("validated live slot"); // lint-allow(no-unwrap): slot liveness was validated at the top of retarget
-            alloc.view = new_view;
+            // The new epoch goes back for publication; the slot cell is the
+            // only copy of the descriptor, so nothing else changes.
             Ok((
                 RawSlot::from_view(id.generation, &new_view),
                 (moved_sectors, new_view),
@@ -1031,8 +987,8 @@ impl DeviceHandle {
         self.shared.read_batch(id, start, out)
     }
 
-    /// [`BuddyDevice::write_entries`] through the handle (one compression
-    /// buffer per batch). The batch serializes on the allocation's write
+    /// [`BuddyDevice::write_entries`] through the handle. The batch
+    /// serializes on the allocation's write
     /// lock only — writes to other allocations and all reads proceed
     /// concurrently, and no device-wide lock is taken.
     ///
@@ -1057,19 +1013,13 @@ impl DeviceHandle {
     /// # Errors
     ///
     /// Same contract as [`write_entries`](Self::write_entries).
-    // Never inlined: the thread-local access carries its lazy-init and
-    // destructor-registration paths with it, and inlined through pool and
-    // service into a client's op loop that bulk cost the loop 4 % on
-    // `read_heavy` — on the reads too, through its register allocation.
-    #[inline(never)]
     pub fn write_entries_collect(
         &self,
         id: AllocId,
         start: u64,
         entries: &[Entry],
     ) -> Result<AccessStats, DeviceError> {
-        HANDLE_SCRATCH
-            .with_borrow_mut(|scratch| self.shared.write_batch(id, start, entries, scratch))
+        self.shared.write_batch(id, start, entries)
     }
 
     /// Lock-free [`BuddyDevice::entry_state`].

@@ -34,7 +34,7 @@
 //! codec-agnostic — BPC by default, any registered `bpc::CodecKind` via
 //! [`BuddyDevice::with_codec`] — and offers batched
 //! [`BuddyDevice::write_entries`] / [`BuddyDevice::read_entries`] paths
-//! that reuse one compression buffer across a whole run of entries.
+//! that move a whole run of entries with one stats update.
 //!
 //! # Example: profile, annotate, run
 //!

@@ -6,8 +6,9 @@
 //!
 //! A device's state is split into two halves:
 //!
-//! * The **mutable half** stays inside `BuddyDevice` behind `&mut self`
-//!   (region allocators, free-slot stack, allocation names) — only the
+//! * The **mutable half** stays inside `BuddyDevice` behind `&mut self`:
+//!   only what is not published — the two region allocators, the
+//!   free-slot stack and the per-slot allocation names. Only the
 //!   structural operations `alloc`/`free`/`retarget` touch it, and the
 //!   pool keeps serializing those behind the shard mutex.
 //! * The **published half** lives here, in one [`SharedState`] per device,
@@ -18,7 +19,13 @@
 //!   [`SlotCell`] per allocation slot carrying the addressing facts
 //!   (generation, entry count, target ratio, device and buddy base — what
 //!   the paper's page-table extension holds) behind a per-slot
-//!   **seqlock**.
+//!   **seqlock**. The cell is the only copy of those facts: the device
+//!   reads its own allocations back through
+//!   [`SharedState::structural_view`], the same validation the locked
+//!   write path uses.
+//!
+//! Encoding needs no buffer from either half: the write engine declares a
+//! stack [`CompressedBuf`] per nonzero entry.
 //!
 //! # Publication protocol
 //!
@@ -151,17 +158,6 @@ pub(crate) fn check_range(view: &AllocView, start: u64, len: u64) -> Result<(), 
             entries: view.entries,
         }),
     }
-}
-
-/// Whether every byte of `entry` is zero: sixteen 64-bit words ORed
-/// together, where a byte-wise scan of an all-zero entry took 128 steps.
-fn is_zero(entry: &Entry) -> bool {
-    let any = entry.chunks_exact(8).fold(0u64, |acc, chunk| {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(chunk);
-        acc | u64::from_ne_bytes(word)
-    });
-    any == 0
 }
 
 pub(crate) fn record_read(stats: &mut AccessStats, target: TargetRatio, state: EntryState) {
@@ -683,6 +679,14 @@ impl SlotTable {
         let (k, off) = Self::locate(slot);
         self.chunks[k].get()?.get(off)
     }
+
+    /// Every cell published so far, used or not.
+    fn cells(&self) -> impl Iterator<Item = &SlotCell> {
+        self.chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|chunk| chunk.iter())
+    }
 }
 
 impl fmt::Debug for SlotTable {
@@ -796,6 +800,28 @@ impl SharedState {
             .expect("structural ops ensure the slot before publishing") // lint-allow(no-unwrap): alloc calls SlotTable::ensure before any publish
     }
 
+    /// The published view of `id`, loaded without the seqlock's retry: the
+    /// structural operations' read. Sound only where no publication can
+    /// race the loads — under `&mut BuddyDevice`, the only publisher, as
+    /// under the slot's write lock in [`write_batch`](Self::write_batch).
+    pub(crate) fn structural_view(&self, id: AllocId) -> Result<AllocView, DeviceError> {
+        let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
+        cell.load_raw().validate(id)
+    }
+
+    /// The generation `slot` publishes: 0 for a fresh slot, else its
+    /// tombstone's, which the slot's next allocation takes. Structural
+    /// callers only, after [`SlotTable::ensure`].
+    pub(crate) fn generation(&self, slot: u32) -> u64 {
+        self.structural_cell(slot).load_raw().generation
+    }
+
+    /// Entries of all live allocations: dead and never-used cells publish
+    /// zero. Structural callers only, as [`structural_view`](Self::structural_view).
+    pub(crate) fn live_entries(&self) -> u64 {
+        self.slots.cells().map(|cell| cell.load_raw().entries).sum()
+    }
+
     /// Publishes new addressing facts for a slot under its write lock.
     pub(crate) fn publish(&self, slot: u32, raw: RawSlot) {
         // Cannot fail: the closure only hands `raw` over.
@@ -870,23 +896,18 @@ impl SharedState {
     /// Compresses and stores one entry's bytes and returns the state its
     /// metadata nibble must take ([`EntryState::stored`]);
     /// [`write_run`](Self::write_run) stores those a unit at a time.
-    fn write_one(
-        &self,
-        view: &AllocView,
-        index: u64,
-        entry: &Entry,
-        scratch: &mut CompressedBuf,
-    ) -> EntryState {
-        if is_zero(entry) {
+    fn write_one(&self, view: &AllocView, index: u64, entry: &Entry) -> EntryState {
+        if bpc::is_zero(entry) {
             return EntryState::Zero;
         }
-        self.codec.compress_into(entry, scratch);
-        let state = EntryState::stored(scratch.size_class(), view.target);
+        let mut stream = CompressedBuf::new();
+        self.codec.compress_into(entry, &mut stream);
+        let state = EntryState::stored(stream.size_class(), view.target);
         match state {
             EntryState::ZeroPageFit => {
                 // Compose the padded 8 B granule as one whole word.
                 let mut granule = [0u8; 8];
-                granule[..scratch.data().len()].copy_from_slice(scratch.data());
+                granule[..stream.data().len()].copy_from_slice(stream.data());
                 self.device.write(view.device_offset(index), &granule);
             }
             EntryState::ZeroPageOverflow => self.buddy.write(view.buddy_offset(index), entry),
@@ -894,7 +915,7 @@ impl SharedState {
             EntryState::Compressed { sectors: 4 } => self.store_sectors(view, index, entry, 4),
             EntryState::Compressed { sectors } => {
                 let mut padded = [0u8; ENTRY_BYTES];
-                padded[..scratch.data().len()].copy_from_slice(scratch.data());
+                padded[..stream.data().len()].copy_from_slice(stream.data());
                 self.store_sectors(view, index, &padded, sectors);
             }
             // Every codec spends at least one bit on a nonzero entry, so its
@@ -914,15 +935,13 @@ impl SharedState {
         view: &AllocView,
         start: u64,
         entries: &[Entry],
-        scratch: &mut CompressedBuf,
         mut record: impl FnMut(EntryState),
     ) {
         let first = view.metadata_index(start);
         self.metadata
             .store_run(first, entries.len() as u64, |nibble| {
                 let offset = nibble - first;
-                let state =
-                    self.write_one(view, start + offset, &entries[offset as usize], scratch);
+                let state = self.write_one(view, start + offset, &entries[offset as usize]);
                 record(state);
                 state
             });
@@ -1021,7 +1040,6 @@ impl SharedState {
         id: AllocId,
         start: u64,
         entries: &[Entry],
-        scratch: &mut CompressedBuf,
     ) -> Result<AccessStats, DeviceError> {
         let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
         let _guard = lock_recover(&cell.write_lock);
@@ -1031,7 +1049,7 @@ impl SharedState {
         check_range(&view, start, entries.len() as u64)?;
         let mut stats = AccessStats::default();
         let window = SeqWindow::open(cell);
-        self.write_run(&view, start, entries, scratch, |state| {
+        self.write_run(&view, start, entries, |state| {
             record_write(&mut stats, view.target, state)
         });
         drop(window);
@@ -1276,11 +1294,8 @@ mod tests {
             slot: 0,
             generation: 1,
         };
-        let mut scratch = CompressedBuf::with_capacity(ENTRY_BYTES + ENTRY_BYTES / 4);
         let entry = [0xA5u8; ENTRY_BYTES];
-        state
-            .write_batch(id, 2, &[entry, entry], &mut scratch)
-            .expect("in range");
+        state.write_batch(id, 2, &[entry, entry]).expect("in range");
         let mut out = [[0u8; ENTRY_BYTES]; 2];
         state.read_batch(id, 2, &mut out).expect("in range");
         assert_eq!(out, [entry, entry]);

@@ -8,9 +8,9 @@
 //! allocation, so a uniform sample is an unbiased estimate of the full dump.
 //!
 //! Capture is codec-parameterized ([`SnapshotConfig::codec`], BPC by
-//! default) and runs the zero-allocation [`Codec::compress_into`] path with
-//! one reused scratch buffer per capture, so characterizing a scaled image
-//! costs no per-entry heap traffic.
+//! default) and runs the zero-allocation [`Codec::compress_into`] path into
+//! a stack [`CompressedBuf`], so characterizing a scaled image costs no
+//! per-entry heap traffic.
 
 use crate::suite::Benchmark;
 use bpc::{Codec, CodecKind, CompressedBuf, SizeClass, SizeHistogram, ENTRY_BYTES};
