@@ -121,11 +121,9 @@ impl Default for CompressedBuf {
 /// Decoders must also be *total* on garbage: any `(data, bits)` input either
 /// decodes or returns a structured [`DecodeError`] — never a panic.
 ///
-/// `Sync` is a supertrait: the registry hands out `&'static dyn Codec`
-/// references that concurrent clients (e.g. the `buddy-pool` shards) share
-/// across threads, so every codec must be safe to call from many threads at
-/// once. All implementations are stateless unit structs, so this costs
-/// nothing.
+/// `Sync` is a supertrait: concurrent clients (e.g. the `buddy-pool`
+/// shards) call one codec from many threads at once. All implementations
+/// are stateless unit structs, so this costs nothing.
 pub trait Codec: Sync {
     /// Short stable name of the algorithm (used in reports and as
     /// [`CodecKind`]'s `Display`).
@@ -186,29 +184,18 @@ pub enum CodecKind {
 }
 
 impl CodecKind {
-    /// All registered codecs, BPC first (the default everywhere).
+    /// All four codecs, BPC first (the default everywhere).
     pub const ALL: [CodecKind; 4] = [
         CodecKind::Bpc,
         CodecKind::Bdi,
         CodecKind::Fpc,
         CodecKind::Zero,
     ];
-
-    /// The static codec instance this handle selects.
-    pub fn as_codec(self) -> &'static dyn Codec {
-        match self {
-            CodecKind::Bpc => &BitPlane,
-            CodecKind::Bdi => &BaseDeltaImmediate,
-            CodecKind::Fpc => &FrequentPattern,
-            CodecKind::Zero => &ZeroRle,
-        }
-    }
 }
 
-// The registry's static codec instances are shared by reference across
-// threads (each `buddy-pool` shard compresses concurrently through the same
-// `&'static dyn Codec`), so both the trait object and the `Copy` handle must
-// be `Send + Sync`. Checked at compile time.
+// Concurrent clients share codecs across threads (each `buddy-pool` shard
+// compresses through its own `CodecKind` copy), so both the trait object
+// and the `Copy` handle must be `Send + Sync`. Checked at compile time.
 const _: () = {
     const fn assert_sync<T: Sync + ?Sized>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -218,11 +205,21 @@ const _: () = {
 
 impl Codec for CodecKind {
     fn name(&self) -> &'static str {
-        self.as_codec().name()
+        match self {
+            CodecKind::Bpc => BitPlane.name(),
+            CodecKind::Bdi => BaseDeltaImmediate.name(),
+            CodecKind::Fpc => FrequentPattern.name(),
+            CodecKind::Zero => ZeroRle.name(),
+        }
     }
 
     fn compress_into(&self, entry: &Entry, out: &mut CompressedBuf) {
-        self.as_codec().compress_into(entry, out)
+        match self {
+            CodecKind::Bpc => BitPlane.compress_into(entry, out),
+            CodecKind::Bdi => BaseDeltaImmediate.compress_into(entry, out),
+            CodecKind::Fpc => FrequentPattern.compress_into(entry, out),
+            CodecKind::Zero => ZeroRle.compress_into(entry, out),
+        }
     }
 
     fn decompress_into(
@@ -231,13 +228,18 @@ impl Codec for CodecKind {
         bits: usize,
         out: &mut Entry,
     ) -> Result<(), DecodeError> {
-        self.as_codec().decompress_into(data, bits, out)
+        match self {
+            CodecKind::Bpc => BitPlane.decompress_into(data, bits, out),
+            CodecKind::Bdi => BaseDeltaImmediate.decompress_into(data, bits, out),
+            CodecKind::Fpc => FrequentPattern.decompress_into(data, bits, out),
+            CodecKind::Zero => ZeroRle.decompress_into(data, bits, out),
+        }
     }
 }
 
 impl fmt::Display for CodecKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_codec().name())
+        f.write_str(self.name())
     }
 }
 
@@ -246,8 +248,8 @@ mod tests {
     use super::*;
     use crate::ENTRY_BYTES;
 
-    /// The trait must stay object-safe: the registry and the device model
-    /// both hand out `&dyn Codec`.
+    /// The trait must stay object-safe: callers such as the round-trip
+    /// suite take `&dyn Codec`.
     fn _object_safe(codec: &dyn Codec, entry: &Entry, buf: &mut CompressedBuf) {
         codec.compress_into(entry, buf);
     }
@@ -265,11 +267,16 @@ mod tests {
     }
 
     #[test]
-    fn registry_resolves_all_names() {
-        for kind in CodecKind::ALL {
-            let name = kind.name();
-            assert_eq!(kind.as_codec().name(), name);
-            assert_eq!(kind.to_string(), name);
+    fn kind_dispatches_to_its_codec() {
+        let codecs: [&dyn Codec; 4] = [&BitPlane, &BaseDeltaImmediate, &FrequentPattern, &ZeroRle];
+        let entry = ramp_entry();
+        for (kind, codec) in CodecKind::ALL.into_iter().zip(codecs) {
+            assert_eq!(kind.name(), codec.name());
+            assert_eq!(kind.to_string(), codec.name());
+            let (mut via_kind, mut direct) = (CompressedBuf::new(), CompressedBuf::new());
+            kind.compress_into(&entry, &mut via_kind);
+            codec.compress_into(&entry, &mut direct);
+            assert_eq!(via_kind.data(), direct.data(), "{kind}");
         }
     }
 

@@ -10,11 +10,10 @@
 //!   time and depth-first-explores every bounded interleaving and every
 //!   observable stale value, printing failing schedules as replayable
 //!   thread-by-thread traces.
-//! * [`shim`] — drop-in `std::sync` replacements (`AtomicU64`,
-//!   `AtomicU8`, `fence`, `Mutex`, `OnceLock`, `spawn`) that route
-//!   through the scheduler inside [`sched::explore`] and degrade to plain
-//!   `std` outside it. `core::sync` re-exports these when `buddy-core` is
-//!   built with `--features model-sync`.
+//! * [`shim`] — drop-in `std::sync` replacements (`AtomicU64`, `fence`,
+//!   `Mutex`, `spawn`) that route through the scheduler inside
+//!   [`sched::explore`] and degrade to plain `std` outside it. Only the
+//!   models below use them; the shipped `core::shared` code uses `std`.
 //!
 //! [`models`] holds the five protocol models distilled from `core::shared`
 //! (seqlock read vs. batched write, two lock-serialized writers vs. a

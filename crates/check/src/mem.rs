@@ -15,9 +15,9 @@
 //!   the explorer branches over every observable stale value. Reading
 //!   entry `i` raises the floor to `i` (coherence: a thread never travels
 //!   back in time on one location).
-//! * **RMWs** (`fetch_add` & co.) always read the latest entry — C11
-//!   requires read-modify-writes to bind to the head of the modification
-//!   order.
+//! * **RMWs** (`fetch_xor`, the one the models use) always read the
+//!   latest entry — C11 requires read-modify-writes to bind to the head of
+//!   the modification order.
 //! * A **release store** attaches the writer's entire current view to the
 //!   history entry (its *message*). An **acquire load** that returns such
 //!   an entry joins the message into the reader's view, raising floors —

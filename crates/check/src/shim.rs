@@ -1,23 +1,24 @@
 //! Model-aware drop-in replacements for the `std::sync` primitives the
-//! protocol uses: `AtomicU64`, `AtomicU8` (load, store, `fetch_add`,
-//! `fetch_and`, `fetch_or`, `fetch_xor`), `fence`, `Mutex`, `OnceLock`,
-//! and `spawn`/`JoinHandle`.
+//! protocol models use: `AtomicU64` (load, store, `fetch_xor`), `fence`,
+//! `Mutex`, and `spawn`/`JoinHandle`.
 //!
 //! Outside a checker execution (no scheduler context on the current
-//! thread) every shim delegates straight to its `std` counterpart, so
-//! `buddy-core` compiled with `--features model-sync` still passes its
-//! ordinary test suite. Inside [`crate::sched::explore`], every operation
-//! becomes a scheduling point and atomics route through the weak-memory
-//! model in the crate's private `mem` module: `Relaxed`/`Acquire` loads branch over every
-//! observable stale value, release/acquire edges and fences propagate
-//! views, and `Mutex` blocking is modelled (and deadlocks detected)
-//! without ever OS-blocking while holding the scheduler baton.
+//! thread) every shim delegates straight to its `std` counterpart. Inside
+//! [`crate::sched::explore`], every operation becomes a scheduling point
+//! and atomics route through the weak-memory model in the crate's private
+//! `mem` module: `Relaxed`/`Acquire` loads branch over every observable
+//! stale value, release/acquire edges and fences propagate views, and
+//! `Mutex` blocking is modelled (and deadlocks detected) without ever
+//! OS-blocking while holding the scheduler baton.
 //!
 //! Atomics mirror every model store into their real `std` atomic so the
 //! fallback value, the registered initial value, and the latest history
 //! entry always agree. A thread unwinding out of an aborted execution
 //! (through a `Drop` that closes a window or releases a guard) is not
 //! scheduled again: its ops act on the `std` mirror alone.
+
+// lint-allow-file(raw-atomic-metric): the shim `AtomicU64` owns the `std`
+// mirror of a model-checked protocol word; nothing here is a metric.
 
 use crate::sched::{ctx, Exec, ExecState};
 use std::sync::atomic::Ordering;
@@ -97,14 +98,12 @@ fn model_store(
     })
 }
 
-fn model_rmw(
+fn model_xor(
     exec: &Arc<Exec>,
     tid: usize,
     site: Site,
     ordering: Ordering,
-    opname: &str,
     operand: u64,
-    f: impl FnOnce(u64) -> u64,
 ) -> Option<u64> {
     let Site {
         loc,
@@ -114,146 +113,82 @@ fn model_rmw(
     exec.op(tid, |st, tid| {
         register_label(st, loc, label);
         st.mem.ensure_location(loc, initial);
-        let prev = st.mem.rmw(tid, loc, ordering, f);
+        let prev = st.mem.rmw(tid, loc, ordering, |prev| prev ^ operand);
         let name = st.label_of(loc);
         (
             prev,
-            format!("{opname} {name}, {operand} ({ordering:?}) -> prev {prev}"),
+            format!("fetch_xor {name}, {operand} ({ordering:?}) -> prev {prev}"),
         )
     })
 }
 
-macro_rules! atomic_shim {
-    ($name:ident, $std:ty, $raw:ty) => {
-        /// Model-aware atomic; see the module docs.
-        #[derive(Debug)]
-        pub struct $name {
-            std: $std,
-            label: Option<&'static str>,
-        }
-
-        impl $name {
-            /// Creates an atomic with the given initial value.
-            pub fn new(value: $raw) -> Self {
-                Self {
-                    std: <$std>::new(value),
-                    label: None,
-                }
-            }
-
-            /// Creates an atomic whose counterexample traces show `label`
-            /// instead of a raw address.
-            pub fn labelled(label: &'static str, value: $raw) -> Self {
-                Self {
-                    std: <$std>::new(value),
-                    label: Some(label),
-                }
-            }
-
-            fn initial(&self) -> u64 {
-                // Relaxed: reads the construction-time value to seed the
-                // model's history; ordering is modeled in `mem`, not here.
-                self.std.load(Ordering::Relaxed) as u64
-            }
-
-            fn site(&self) -> Site {
-                Site {
-                    loc: loc_of(self),
-                    label: self.label,
-                    initial: self.initial(),
-                }
-            }
-
-            /// Atomic load; under the checker, weaker-than-`SeqCst`
-            /// orderings branch over every observable stale value.
-            pub fn load(&self, ordering: Ordering) -> $raw {
-                match ctx().and_then(|(exec, tid)| model_load(&exec, tid, self.site(), ordering)) {
-                    Some(value) => value as $raw,
-                    None => self.std.load(ordering),
-                }
-            }
-
-            /// Atomic store. The `std` mirror takes it too, modelled or
-            /// not: it holds the value for reads after the run.
-            pub fn store(&self, value: $raw, ordering: Ordering) {
-                if let Some((exec, tid)) = ctx() {
-                    let _ = model_store(&exec, tid, self.site(), ordering, value as u64);
-                }
-                self.std.store(value, ordering);
-            }
-
-            /// Atomic add, returning the previous value. RMWs always read
-            /// the latest entry (C11 modification-order head).
-            pub fn fetch_add(&self, value: $raw, ordering: Ordering) -> $raw {
-                self.rmw("fetch_add", value, ordering, |prev| {
-                    (prev as $raw).wrapping_add(value) as u64
-                })
-            }
-
-            /// Atomic bitwise AND, returning the previous value.
-            pub fn fetch_and(&self, value: $raw, ordering: Ordering) -> $raw {
-                self.rmw("fetch_and", value, ordering, |prev| {
-                    ((prev as $raw) & value) as u64
-                })
-            }
-
-            /// Atomic bitwise OR, returning the previous value.
-            pub fn fetch_or(&self, value: $raw, ordering: Ordering) -> $raw {
-                self.rmw("fetch_or", value, ordering, |prev| {
-                    ((prev as $raw) | value) as u64
-                })
-            }
-
-            /// Atomic bitwise XOR, returning the previous value.
-            pub fn fetch_xor(&self, value: $raw, ordering: Ordering) -> $raw {
-                self.rmw("fetch_xor", value, ordering, |prev| {
-                    ((prev as $raw) ^ value) as u64
-                })
-            }
-
-            fn rmw(
-                &self,
-                opname: &str,
-                operand: $raw,
-                ordering: Ordering,
-                f: impl FnOnce(u64) -> u64,
-            ) -> $raw {
-                let modelled = ctx().and_then(|(exec, tid)| {
-                    model_rmw(&exec, tid, self.site(), ordering, opname, operand as u64, f)
-                });
-                match modelled {
-                    None => match opname {
-                        "fetch_add" => self.std.fetch_add(operand, ordering),
-                        "fetch_and" => self.std.fetch_and(operand, ordering),
-                        "fetch_xor" => self.std.fetch_xor(operand, ordering),
-                        _ => self.std.fetch_or(operand, ordering),
-                    },
-                    Some(prev) => {
-                        let mirrored = f_apply(prev, operand as u64, opname) as $raw;
-                        // Relaxed: shadow mirror kept for reads that happen
-                        // after the run; all ordering lives in the model.
-                        self.std.store(mirrored, Ordering::Relaxed);
-                        prev as $raw
-                    }
-                }
-            }
-        }
-    };
+/// Model-aware atomic; see the module docs.
+#[derive(Debug)]
+pub struct AtomicU64 {
+    std: std::sync::atomic::AtomicU64,
+    label: Option<&'static str>,
 }
 
-/// Recomputes an RMW result for the mirror store (the model consumed the
-/// closure).
-fn f_apply(prev: u64, operand: u64, opname: &str) -> u64 {
-    match opname {
-        "fetch_add" => prev.wrapping_add(operand),
-        "fetch_and" => prev & operand,
-        "fetch_xor" => prev ^ operand,
-        _ => prev | operand,
+impl AtomicU64 {
+    /// Creates an atomic with the given initial value.
+    pub fn new(value: u64) -> Self {
+        Self {
+            std: std::sync::atomic::AtomicU64::new(value),
+            label: None,
+        }
+    }
+
+    /// Creates an atomic whose counterexample traces show `label`
+    /// instead of a raw address.
+    pub fn labelled(label: &'static str, value: u64) -> Self {
+        Self {
+            std: std::sync::atomic::AtomicU64::new(value),
+            label: Some(label),
+        }
+    }
+
+    fn site(&self) -> Site {
+        Site {
+            loc: loc_of(self),
+            label: self.label,
+            // Relaxed: reads the construction-time value to seed the
+            // model's history; ordering is modeled in `mem`, not here.
+            initial: self.std.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Atomic load; under the checker, weaker-than-`SeqCst` orderings
+    /// branch over every observable stale value.
+    pub fn load(&self, ordering: Ordering) -> u64 {
+        match ctx().and_then(|(exec, tid)| model_load(&exec, tid, self.site(), ordering)) {
+            Some(value) => value,
+            None => self.std.load(ordering),
+        }
+    }
+
+    /// Atomic store. The `std` mirror takes it too, modelled or not: it
+    /// holds the value for reads after the run.
+    pub fn store(&self, value: u64, ordering: Ordering) {
+        if let Some((exec, tid)) = ctx() {
+            let _ = model_store(&exec, tid, self.site(), ordering, value);
+        }
+        self.std.store(value, ordering);
+    }
+
+    /// Atomic bitwise XOR, returning the previous value. RMWs always read
+    /// the latest entry (C11 modification-order head).
+    pub fn fetch_xor(&self, value: u64, ordering: Ordering) -> u64 {
+        match ctx().and_then(|(exec, tid)| model_xor(&exec, tid, self.site(), ordering, value)) {
+            None => self.std.fetch_xor(value, ordering),
+            Some(prev) => {
+                // Relaxed: shadow mirror kept for reads that happen after
+                // the run; all ordering lives in the model.
+                self.std.store(prev ^ value, Ordering::Relaxed);
+                prev
+            }
+        }
     }
 }
-
-atomic_shim!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-atomic_shim!(AtomicU8, std::sync::atomic::AtomicU8, u8);
 
 /// Model-aware memory fence; under the checker, release fences snapshot
 /// the thread view for later stores and acquire fences join the messages
@@ -275,7 +210,7 @@ pub fn fence(ordering: Ordering) {
 /// lock-order deadlocks become counterexamples, and each lock inherits
 /// the view of the previous unlock (the happens-before edge a
 /// lock-serialized writer relies on).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Mutex<T> {
     std: std::sync::Mutex<T>,
     label: Option<&'static str>,
@@ -290,14 +225,6 @@ pub struct MutexGuard<'a, T> {
 }
 
 impl<T> Mutex<T> {
-    /// Creates a mutex guarding `value`.
-    pub fn new(value: T) -> Self {
-        Self {
-            std: std::sync::Mutex::new(value),
-            label: None,
-        }
-    }
-
     /// Creates a mutex whose counterexample traces show `label`.
     pub fn labelled(label: &'static str, value: T) -> Self {
         Self {
@@ -353,11 +280,6 @@ impl<T> Mutex<T> {
             }
         }
     }
-
-    /// Consumes the mutex, returning the value.
-    pub fn into_inner(self) -> LockResult<T> {
-        self.std.into_inner()
-    }
 }
 
 impl<T> std::ops::Deref for MutexGuard<'_, T> {
@@ -388,38 +310,6 @@ impl<T> Drop for MutexGuard<'_, T> {
         if let Some((exec, tid, loc)) = self.model.take() {
             exec.unlock_mutex(tid, loc);
         }
-    }
-}
-
-/// Passthrough `OnceLock`. Not instrumented: the protocol only writes
-/// these under structural serialization (chunk-table growth behind a
-/// mutex), so there is nothing for the scheduler to branch on.
-#[derive(Debug, Default)]
-pub struct OnceLock<T> {
-    std: std::sync::OnceLock<T>,
-}
-
-impl<T> OnceLock<T> {
-    /// Creates an empty cell.
-    pub fn new() -> Self {
-        Self {
-            std: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// Returns the value, if set.
-    pub fn get(&self) -> Option<&T> {
-        self.std.get()
-    }
-
-    /// Sets the value if the cell was empty.
-    pub fn set(&self, value: T) -> Result<(), T> {
-        self.std.set(value)
-    }
-
-    /// Returns the value, initializing it with `f` if empty.
-    pub fn get_or_init(&self, f: impl FnOnce() -> T) -> &T {
-        self.std.get_or_init(f)
     }
 }
 
@@ -474,19 +364,13 @@ mod tests {
     #[test]
     fn shims_behave_like_std_outside_the_checker() {
         let a = AtomicU64::new(5);
-        assert_eq!(a.fetch_add(3, Ordering::SeqCst), 5);
-        assert_eq!(a.load(Ordering::Acquire), 8);
-        assert_eq!(a.fetch_and(0b1100, Ordering::Relaxed), 8);
-        assert_eq!(a.fetch_or(0b0011, Ordering::Relaxed), 8);
-        assert_eq!(a.load(Ordering::SeqCst), 0b1011);
+        assert_eq!(a.load(Ordering::Acquire), 5);
+        a.store(0b1011, Ordering::Release);
         assert_eq!(a.fetch_xor(0b0110, Ordering::Relaxed), 0b1011);
         assert_eq!(a.load(Ordering::SeqCst), 0b1101);
-        let b = AtomicU8::new(250);
-        b.store(7, Ordering::Release);
-        assert_eq!(b.load(Ordering::Relaxed), 7);
         fence(Ordering::SeqCst);
 
-        let m = Mutex::new(41);
+        let m = Mutex::labelled("m", 41);
         {
             let mut g = match m.lock() {
                 Ok(g) => g,
@@ -494,11 +378,7 @@ mod tests {
             };
             *g += 1;
         }
-        assert_eq!(m.into_inner().unwrap_or_default(), 42);
-
-        let once: OnceLock<u32> = OnceLock::new();
-        assert_eq!(*once.get_or_init(|| 9), 9);
-        assert_eq!(once.set(10), Err(10));
+        assert_eq!(*m.lock().unwrap_or_else(PoisonError::into_inner), 42);
 
         let t = spawn(|| {});
         t.join();

@@ -67,8 +67,9 @@ pub enum DeviceError {
     /// fails cleanly on every build instead of panicking in debug and
     /// wrapping silently in release.
     RequestOverflow,
-    /// Entry `index` of the allocation is stored as a reserved metadata
-    /// nibble or as a stream its codec rejects. Reads, scans and `retarget`
+    /// Entry `index` of the allocation is stored as a metadata nibble its
+    /// target cannot hold (a reserved encoding, or a state of the wrong
+    /// target mode) or as a stream its codec rejects. Reads, scans and `retarget`
     /// of the allocation fail with this instead of returning made-up bytes;
     /// nothing is mutated and every other allocation is unaffected.
     CorruptEntry {
@@ -308,7 +309,7 @@ impl Default for DeviceConfig {
 /// read-after-write returns exactly the written entry (property-tested).
 ///
 /// The device is codec-agnostic: it defaults to BPC (the paper's choice,
-/// §2.4) but accepts any registered [`CodecKind`] via
+/// §2.4) but accepts any [`CodecKind`] via
 /// [`with_codec`](Self::with_codec), so the ablation harness can measure
 /// end-to-end buddy traffic under BDI or FPC through the same data path.
 /// Stored streams are always decoded by the codec that wrote them.
@@ -937,7 +938,7 @@ impl BuddyDevice {
     /// # Errors
     ///
     /// Returns [`DeviceError::BadAllocation`] for invalid handles and
-    /// [`DeviceError::CorruptEntry`] for a reserved metadata nibble.
+    /// [`DeviceError::CorruptEntry`] for a damaged metadata nibble.
     pub fn state_window(&self, id: AllocId) -> Result<SizeHistogram, DeviceError> {
         self.shared.state_window(id)
     }
@@ -1549,6 +1550,142 @@ mod tests {
             DeviceError::CorruptEntry { index: 5 }.to_string(),
             "entry 5 is stored corrupt"
         );
+    }
+
+    /// Which stored array a fault-injection flip lands in.
+    #[derive(Debug, Clone, Copy)]
+    enum Store {
+        Device,
+        Buddy,
+        Metadata,
+    }
+
+    /// Flips bit `bit` of `store` (a second flip restores it).
+    fn flip(dev: &BuddyDevice, store: Store, bit: u64) {
+        match store {
+            Store::Device => dev.shared.device.flip_bit(bit),
+            Store::Buddy => dev.shared.buddy.flip_bit(bit),
+            Store::Metadata => dev.shared.metadata.flip_bit(bit),
+        }
+    }
+
+    /// The bits of `store` that hold `view`'s state. For metadata that is
+    /// every bit of every storage unit its nibbles touch, so flips also
+    /// land in the neighbours' nibbles of a shared edge unit.
+    fn bits_of(view: &AllocView, store: Store) -> std::ops::Range<u64> {
+        match store {
+            Store::Device => {
+                view.device_base * 8..(view.device_base + view.entries * view.device_stride()) * 8
+            }
+            Store::Buddy => {
+                view.buddy_base * 8..(view.buddy_base + view.entries * view.buddy_stride()) * 8
+            }
+            Store::Metadata => {
+                let first = view.metadata_index(0);
+                first / 16 * 64..(first + view.entries).div_ceil(16) * 64
+            }
+        }
+    }
+
+    /// Whether `bit` of `store` belongs to `view` (for metadata: lies in
+    /// one of its own nibbles).
+    fn owns(view: &AllocView, store: Store, bit: u64) -> bool {
+        match store {
+            Store::Metadata => {
+                let first = view.metadata_index(0);
+                (first..first + view.entries).contains(&(bit / 4))
+            }
+            _ => bits_of(view, store).contains(&bit),
+        }
+    }
+
+    /// A single flipped bit anywhere in an allocation's device words,
+    /// buddy words or metadata units is contained: every read of the
+    /// damaged allocation — batch or single entry, device or handle —
+    /// returns `Ok` or [`DeviceError::CorruptEntry`] and never panics, and
+    /// every other allocation reads back byte-identical. Run for each
+    /// target of the damaged allocation, allocated after two 3-entry 16×
+    /// neighbours: 24 device bytes each, so all three allocations' nibbles
+    /// share one metadata unit. Device memory ends exactly at the damaged
+    /// reservation (and under 4× the carve-out does too), so a flip that
+    /// sent a read past its own reservation would run off the end of
+    /// storage — as a nibble flipped to zero-page overflow under 4× would,
+    /// reading 128 B from a 96 B buddy slot, if reads did not reject
+    /// states their target cannot store.
+    #[test]
+    fn single_bit_flips_stay_inside_the_damaged_allocation() {
+        let mut lcg = 7u64;
+        let mut random = || {
+            entry_of_words(|_| {
+                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (lcg >> 32) as u32
+            })
+        };
+        // Zero, zero-page fit, one sector, a few sectors, raw.
+        let data: Vec<Entry> = vec![
+            [0u8; ENTRY_BYTES],
+            entry_of_words(|_| 0x0101_0101),
+            entry_of_words(|i| 1000 + i as u32),
+            entry_of_words(|i| (i as u32).wrapping_mul(0x9E37_79B9) >> 20),
+            random(),
+        ];
+        let neighbour_data = [random(), entry_of_words(|i| 5 * i as u32), random()];
+        for target in TargetRatio::DESCENDING {
+            let n = data.len() as u64;
+            let device_capacity = 2 * 3 * 8 + n * u64::from(target.device_bytes_per_entry());
+            let buddy_need = 2 * 3 * 128 + n * u64::from(target.buddy_bytes_per_entry());
+            let mut dev = BuddyDevice::new(DeviceConfig {
+                device_capacity,
+                carve_out_factor: buddy_need.div_ceil(device_capacity),
+            });
+            let before = dev.alloc("before", 3, TargetRatio::ZeroPage16).unwrap();
+            let after = dev.alloc("after", 3, TargetRatio::ZeroPage16).unwrap();
+            let damaged = dev.alloc("damaged", n, target).unwrap();
+            dev.write_entries(before, 0, &neighbour_data).unwrap();
+            dev.write_entries(after, 0, &neighbour_data).unwrap();
+            dev.write_entries(damaged, 0, &data).unwrap();
+            let ids = [
+                (before, &neighbour_data[..]),
+                (after, &neighbour_data[..]),
+                (damaged, &data[..]),
+            ];
+            let views = ids.map(|(id, _)| dev.view(id).unwrap());
+            // The shared edge unit: `damaged`'s metadata unit also holds
+            // both neighbours' nibbles.
+            for neighbour in &views[..2] {
+                let mut edge = bits_of(&views[2], Store::Metadata);
+                assert!(edge.any(|bit| owns(neighbour, Store::Metadata, bit)));
+            }
+            let handle = dev.handle();
+            for store in [Store::Device, Store::Buddy, Store::Metadata] {
+                for bit in bits_of(&views[2], store) {
+                    flip(&dev, store, bit);
+                    for ((id, expected), view) in ids.iter().zip(&views) {
+                        let mut out = vec![[0u8; ENTRY_BYTES]; expected.len()];
+                        let whole = dev.read_entries(*id, 0, &mut out);
+                        if !owns(view, store, bit) {
+                            assert_eq!(whole, Ok(()), "{target} {store:?} bit {bit}");
+                            assert_eq!(&out[..], *expected, "{target} {store:?} bit {bit}");
+                            continue;
+                        }
+                        let contained = |r: &Result<(), DeviceError>| {
+                            matches!(r, Ok(()) | Err(DeviceError::CorruptEntry { .. }))
+                        };
+                        assert!(contained(&whole), "{target} {store:?} bit {bit}: {whole:?}");
+                        for i in 0..expected.len() {
+                            let one = handle.read_entries(*id, i as u64, &mut out[i..=i]);
+                            assert!(contained(&one), "{target} {store:?} bit {bit}: {one:?}");
+                        }
+                    }
+                    flip(&dev, store, bit);
+                }
+            }
+            for (id, expected) in ids {
+                let mut out = vec![[0u8; ENTRY_BYTES]; expected.len()];
+                dev.read_entries(id, 0, &mut out).unwrap();
+                assert_eq!(&out[..], expected, "{target}: flips undone");
+            }
+        }
     }
 
     #[test]

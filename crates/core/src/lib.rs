@@ -31,7 +31,7 @@
 //! The [`BuddyDevice`] here is a *functional* model with real compressed
 //! storage (reads return exactly what was written); the companion `gpu-sim`
 //! crate models the performance of the same design. The device is
-//! codec-agnostic — BPC by default, any registered `bpc::CodecKind` via
+//! codec-agnostic — BPC by default, any `bpc::CodecKind` via
 //! [`BuddyDevice::with_codec`] — and offers batched
 //! [`BuddyDevice::write_entries`] / [`BuddyDevice::read_entries`] paths
 //! that move a whole run of entries with one stats update.
@@ -71,7 +71,7 @@ pub mod metadata;
 pub mod profile;
 pub mod region;
 mod shared;
-pub mod sync;
+mod sync;
 pub mod target;
 
 pub use device::{

@@ -50,6 +50,21 @@ impl EntryState {
         }
     }
 
+    /// Whether [`stored`](Self::stored) can yield this state under
+    /// `target`: the zero-page states exist only under the 16× target, and
+    /// sector counts only under the others. A nibble holding any other
+    /// state is damage — a zero-page overflow under 4×, say, would read
+    /// 128 B out of a 96 B buddy slot.
+    pub(crate) fn storable_under(self, target: TargetRatio) -> bool {
+        match self {
+            EntryState::Zero => true,
+            EntryState::Compressed { .. } => target != TargetRatio::ZeroPage16,
+            EntryState::ZeroPageFit | EntryState::ZeroPageOverflow => {
+                target == TargetRatio::ZeroPage16
+            }
+        }
+    }
+
     /// Sectors of the entry read from or written to device memory under
     /// `target`. The 8 B zero-page granule still costs one sector access.
     pub fn device_sectors(self, target: TargetRatio) -> u8 {
@@ -144,12 +159,6 @@ impl Gbbr {
         self.0 + buddy_page_offset + byte_in_region
     }
 }
-
-/// Extra bits Buddy Compression adds to each page-table entry: compressed
-/// flag (1), target ratio (3, covering the 16× encoding §3.4 adds), and
-/// buddy-page offset (20) — "a total overhead of 24 bits per page-table
-/// entry" (§3.2).
-pub const PTE_EXTENSION_BITS: u32 = 24;
 
 /// Metadata storage overhead as a fraction of data storage: 4 bits per
 /// 128 B entry.

@@ -84,13 +84,12 @@
 
 use crate::device::{AccessStats, AllocId, DeviceError};
 use crate::metadata::EntryState;
-use crate::sync::{
-    seq_acquire, seq_open, seq_release, seq_revalidate, AtomicU64, AtomicU8, Mutex, MutexGuard,
-    OnceLock, Ordering,
-};
+use crate::sync::{seq_acquire, seq_open, seq_release, seq_revalidate};
 use crate::target::TargetRatio;
 use bpc::{Codec, CodecKind, CompressedBuf, Entry, SizeHistogram, ENTRY_BYTES, SECTOR_BYTES};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// The `Copy`-able addressing facts of one allocation — the per-epoch
 /// snapshot every access resolves against.
@@ -130,11 +129,11 @@ impl AllocView {
     }
 }
 
-/// Entry `.0` of the allocation loaded as a reserved metadata nibble or a
-/// stream its codec rejects. Under a moved slot sequence that is a racing
-/// mutation's torn value, and the caller retries. Under a stable sequence
-/// it is the stored bits themselves, reported as
-/// [`DeviceError::CorruptEntry`].
+/// Entry `.0` of the allocation loaded as a metadata nibble its target
+/// cannot store ([`SharedState::state`]) or a stream its codec rejects.
+/// Under a moved slot sequence that is a racing mutation's torn value,
+/// and the caller retries. Under a stable sequence it is the stored bits
+/// themselves, reported as [`DeviceError::CorruptEntry`].
 pub(crate) struct TornRead(pub(crate) u64);
 
 /// Byte-range validation shared by every access path.
@@ -857,17 +856,28 @@ impl SharedState {
         self.codec.decompress_into(data, data.len() * 8, out).ok()
     }
 
+    /// The metadata state of `view`'s entry `index`. `None` for a reserved
+    /// encoding or a state [`EntryState::stored`] cannot yield under the
+    /// view's target ([`EntryState::storable_under`]): such a nibble is
+    /// torn or damaged, and following it could read past the entry's
+    /// reservation.
+    fn state(&self, view: &AllocView, index: u64) -> Option<EntryState> {
+        self.metadata
+            .get(view.metadata_index(index))
+            .filter(|state| state.storable_under(view.target))
+    }
+
     /// Loads and decompresses one entry into `out` against a consistent
     /// view; the caller records traffic and re-validates the sequence.
-    /// `None` when the nibble is reserved or the stream undecodable (the
-    /// caller's [`TornRead`]).
+    /// `None` when the nibble is not a [state](Self::state) or the stream
+    /// is undecodable (the caller's [`TornRead`]).
     pub(crate) fn read_one(
         &self,
         view: &AllocView,
         index: u64,
         out: &mut Entry,
     ) -> Option<EntryState> {
-        let state = self.metadata.get(view.metadata_index(index))?;
+        let state = self.state(view, index)?;
         match state {
             EntryState::Zero => *out = [0u8; ENTRY_BYTES],
             EntryState::ZeroPageFit => {
@@ -1061,9 +1071,7 @@ impl SharedState {
     /// traffic counters.
     pub(crate) fn entry_state(&self, id: AllocId, index: u64) -> Result<EntryState, DeviceError> {
         self.read_epoch(id, index, 1, |view| {
-            self.metadata
-                .get(view.metadata_index(index))
-                .ok_or(TornRead(index))
+            self.state(view, index).ok_or(TornRead(index))
         })
     }
 
@@ -1073,10 +1081,7 @@ impl SharedState {
         self.read_epoch(id, 0, 0, |view| {
             let mut window = SizeHistogram::new();
             for i in 0..view.entries {
-                let state = self
-                    .metadata
-                    .get(view.metadata_index(i))
-                    .ok_or(TornRead(i))?;
+                let state = self.state(view, i).ok_or(TornRead(i))?;
                 window.record(state.footprint_class());
             }
             Ok(window)
@@ -1126,6 +1131,14 @@ mod tests {
         assert_eq!(head, vec![0u8; 16]);
     }
 
+    impl AtomicBytes {
+        /// Flips bit `bit` of the byte array (byte `bit / 8`) — the fault
+        /// injector of the bit-flip tests.
+        pub(crate) fn flip_bit(&self, bit: u64) {
+            self.words[(bit / 64) as usize].fetch_xor(1 << (bit % 64), Ordering::Relaxed);
+        }
+    }
+
     /// The per-nibble implementation the range primitives replaced, kept
     /// as their oracle: one masked RMW pair per entry.
     impl AtomicNibbles {
@@ -1136,6 +1149,12 @@ mod tests {
             let shift = (index % UNIT_NIBBLES) * 4;
             cell.fetch_and(!(0xF << shift), Ordering::Relaxed);
             cell.fetch_or(u64::from(nibble & 0xF) << shift, Ordering::Relaxed);
+        }
+
+        /// Flips bit `bit` of the nibble array (nibble `bit / 4`) — the
+        /// fault injector of the bit-flip tests.
+        pub(crate) fn flip_bit(&self, bit: u64) {
+            self.units[(bit / 64) as usize].fetch_xor(1 << (bit % 64), Ordering::Relaxed);
         }
 
         fn set(&self, index: u64, state: EntryState) {

@@ -1,38 +1,17 @@
-//! The synchronization facade: every atomic, fence, and mutex in library
-//! code goes through this module instead of `std::sync` directly (the
-//! xtask `sync-facade` lint enforces it).
+//! The seqlock helpers: the four ordering roles of the `core::shared`
+//! seqlock protocol, each named once.
 //!
-//! In default builds the re-exports below are the `std::sync` types
-//! themselves — zero cost, no wrappers. With `--features model-sync`
-//! they swap to `buddy_check::shim`'s model-aware types, which behave
-//! exactly like `std` outside a checker run and route every operation
-//! through `buddy-check`'s controlled scheduler inside one. The switch
-//! keeps the shipped code *ready* to be explored, but nothing runs
-//! `buddy_check::explore` on core code today: building core's own suite
-//! with the feature, outside any checker run, shows only that the shims
-//! behave like `std`. The evidence for the `core::shared` seqlock/epoch
-//! protocol is the six distilled models in `crates/check/src/models.rs`.
-//!
-//! # Seqlock helpers
-//!
-//! The `seq_*` helpers below name the four ordering roles of the seqlock
-//! protocol (`shared.rs` must use them for every access to a `seq` word —
-//! the `seqlock-discipline` lint denies raw orderings there). The
-//! orderings are the canonical seqlock set (Boehm, *Can seqlocks get
-//! along with programming language memory models?*, MSPC '12), and each
-//! is backed by model-checker evidence in `crates/check/tests/protocol.rs`:
-//! the unmutated `seqlock` model passes exhaustively, and downgrading or
+//! `shared.rs` must use them for every access to a `seq` word — the
+//! `seqlock-discipline` lint denies raw orderings there. The orderings
+//! are the canonical seqlock set (Boehm, *Can seqlocks get along with
+//! programming language memory models?*, MSPC '12), and each is backed by
+//! model-checker evidence in `crates/check/tests/protocol.rs`: the
+//! unmutated `seqlock` model passes exhaustively, and downgrading or
 //! removing any one helper's ordering is a seeded mutation with a
-//! counterexample schedule. See DESIGN.md §13.
+//! counterexample schedule. The models are distilled from `core::shared`,
+//! not run over it; DESIGN.md §13 maps each back to the code.
 
-#[cfg(feature = "model-sync")]
-pub use buddy_check::shim::{fence, AtomicU64, AtomicU8, Mutex, MutexGuard, OnceLock};
-#[cfg(not(feature = "model-sync"))]
-pub use std::sync::atomic::{fence, AtomicU64, AtomicU8};
-#[cfg(not(feature = "model-sync"))]
-pub use std::sync::{Mutex, MutexGuard, OnceLock};
-
-pub use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Reader entry: loads the sequence word with `Acquire`.
 ///

@@ -33,7 +33,6 @@
 //! — the same contract as the pool's traffic counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Total bucket count (8 linear + 248 logarithmic).
 pub const BUCKET_COUNT: usize = 256;
@@ -90,7 +89,7 @@ fn bucket_high(i: usize) -> u64 {
 ///
 /// Threads record concurrently through a shared reference; aggregation
 /// happens by taking [`HistogramSnapshot`]s and [`HistogramSnapshot::merge`]-ing
-/// them, or by [`Histogram::absorb`]-ing a snapshot into a live histogram.
+/// them.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKET_COUNT],
@@ -127,11 +126,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Records a duration as nanoseconds (saturating at `u64::MAX`).
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut counts = [0u64; BUCKET_COUNT];
@@ -147,22 +141,6 @@ impl Histogram {
             // Relaxed: statistical read, see the loop above.
             max: self.max.load(Ordering::Relaxed),
         }
-    }
-
-    /// Folds a snapshot (e.g. a worker thread's private histogram) into
-    /// this one.
-    pub fn absorb(&self, snap: &HistogramSnapshot) {
-        for (b, &c) in self.buckets.iter().zip(snap.counts.iter()) {
-            if c > 0 {
-                // Relaxed: statistical counter merge, same contract as
-                // `record`.
-                b.fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        // Relaxed: statistical counter merge, same contract as `record`.
-        self.sum.fetch_add(snap.sum, Ordering::Relaxed);
-        // Relaxed: statistical counter merge, same contract as `record`.
-        self.max.fetch_max(snap.max, Ordering::Relaxed);
     }
 }
 
@@ -246,12 +224,6 @@ impl HistogramSnapshot {
         }
         self.max
     }
-
-    /// [`Self::value_at`] converted from nanosecond samples to
-    /// microseconds.
-    pub fn percentile_us(&self, q: f64) -> f64 {
-        self.value_at(q) as f64 / 1_000.0
-    }
 }
 
 #[cfg(test)]
@@ -334,22 +306,6 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, all.snapshot());
-    }
-
-    #[test]
-    fn absorb_matches_merge() {
-        let worker = Histogram::new();
-        for v in [3u64, 99, 4000, 1 << 20] {
-            worker.record(v);
-        }
-        let global = Histogram::new();
-        global.record(7);
-        global.absorb(&worker.snapshot());
-        let mut expected = worker.snapshot();
-        let seven = Histogram::new();
-        seven.record(7);
-        expected.merge(&seven.snapshot());
-        assert_eq!(global.snapshot(), expected);
     }
 
     #[test]

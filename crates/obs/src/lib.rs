@@ -1,6 +1,6 @@
 //! Observability layer for the Buddy Compression workspace: lock-free
-//! latency histograms and a metrics registry with a Prometheus-text
-//! renderer. It reads no clock: "where did the time go" is answered by
+//! latency histograms, event counters and a metrics registry. It reads
+//! no clock: "where did the time go" is answered by
 //! the repo benchmark's tracer (`benchmark -- run --trace 1`).
 //!
 //! The crate deliberately has **no dependency** on any other workspace
@@ -15,8 +15,8 @@
 //!   relative error bound (see [`hist`] for the derivation). It replaces
 //!   the unbounded collect-sort-index percentile paths the load drivers
 //!   started with.
-//! * [`metrics`] — [`Counter`] / [`Gauge`] / [`Histogram`] behind a
-//!   [`MetricsRegistry`] with a Prometheus-text renderer. This crate is
+//! * [`metrics`] — [`Counter`] / [`Histogram`] behind a
+//!   [`MetricsRegistry`] that samples them by name. This crate is
 //!   the only one in the workspace allowed to own raw atomics for metrics
 //!   (enforced by the `raw-atomic-metric` xtask lint).
 
@@ -28,4 +28,4 @@ pub mod metrics;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use metrics::{Counter, Gauge, MetricsRegistry};
+pub use metrics::{Counter, MetricsRegistry};

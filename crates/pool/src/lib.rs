@@ -68,9 +68,10 @@ pub use buddy_core::{
     SharedStats, TargetRatio,
 };
 
-use buddy_core::sync::{AtomicU64, Mutex, MutexGuard, Ordering};
 use buddy_core::AllocId;
 use buddy_obs::Counter;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Configuration of a [`BuddyPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,10 +207,13 @@ impl BuddyPool {
         self.config
     }
 
-    /// Locks one shard. A poisoned lock is recovered: every device
-    /// operation leaves the device structurally valid even if it panics
-    /// mid-batch (plain `Vec` storage, no unsafe invariants), so the state
-    /// behind a poison is still usable.
+    /// Locks one shard. A poisoned lock is recovered. The device's
+    /// published half changes only inside seqlock windows, which
+    /// `SeqWindow` closes on unwind, so no reader spins on a dead writer;
+    /// its structural half (region allocators, slot bookkeeping) is
+    /// reached only through `&mut BuddyDevice` under this lock. Whether a
+    /// structural operation that panics midway leaves that half consistent
+    /// is open: ROADMAP item 2c picks one poison policy.
     fn shard(&self, index: usize) -> MutexGuard<'_, BuddyDevice> {
         match self.shards[index].lock() {
             Ok(guard) => guard,

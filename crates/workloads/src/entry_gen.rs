@@ -194,13 +194,6 @@ impl MixtureProfile {
         self.components.last().expect("non-empty mixture").1 // lint-allow(no-unwrap): mixtures are constructed non-empty
     }
 
-    /// Picks a component by stripe position: weights are interpreted as
-    /// relative stripe widths within a repeating period (used to model
-    /// FF_HPGMG's array-of-structs pattern).
-    pub fn pick_striped(&self, position_in_period: f64) -> EntryClass {
-        self.pick(position_in_period)
-    }
-
     /// Expected compressed bytes per entry if every component hit its
     /// nominal target class exactly (zero entries charged the 8 B zero-page
     /// granule). Used for spec-design sanity checks, not for results.

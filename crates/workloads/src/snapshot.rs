@@ -13,7 +13,7 @@
 //! per-entry heap traffic.
 
 use crate::suite::Benchmark;
-use bpc::{Codec, CodecKind, CompressedBuf, SizeClass, SizeHistogram, ENTRY_BYTES};
+use bpc::{Codec, CodecKind, CompressedBuf, SizeHistogram, ENTRY_BYTES};
 
 /// Number of 128 B entries per 8 KB page — one heat-map row in Figure 6.
 pub const ENTRIES_PER_PAGE: u64 = 64;
@@ -64,25 +64,6 @@ impl SnapshotStats {
             .map(|a| a.entries as f64 * a.avg_bytes())
             .sum();
         total_entries as f64 * ENTRY_BYTES as f64 / compressed
-    }
-
-    /// Merged size-class histogram weighted by allocation entry counts.
-    ///
-    /// Sampled histograms are scaled up to their allocation's true entry
-    /// count so allocations of different sizes contribute proportionally.
-    pub fn merged_histogram(&self) -> SizeHistogram {
-        let mut merged = SizeHistogram::new();
-        for alloc in &self.allocations {
-            if alloc.sampled == 0 {
-                continue;
-            }
-            let scale = alloc.entries as f64 / alloc.sampled as f64;
-            for class in SizeClass::ALL {
-                let scaled = (alloc.histogram.count(class) as f64 * scale).round() as u64;
-                merged.record_n(class, scaled);
-            }
-        }
-        merged
     }
 }
 
@@ -164,17 +145,6 @@ pub struct Heatmap {
 }
 
 impl Heatmap {
-    /// Renders the map as CSV (one page per line).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.cells.len() * 2);
-        for row in self.cells.chunks(ENTRIES_PER_PAGE as usize) {
-            let line: Vec<String> = row.iter().map(|c| c.to_string()).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders the map as a PGM (portable graymap) image, 0 = compressible.
     pub fn to_pgm(&self) -> String {
         let mut out = format!("P2\n{} {}\n4\n", ENTRIES_PER_PAGE, self.rows);
@@ -364,10 +334,9 @@ mod tests {
     fn heatmap_export_formats() {
         let b = small_bench();
         let map = heatmap(&b, 4, 0.5, 4);
-        let csv = map.to_csv();
-        assert_eq!(csv.lines().count(), map.rows);
         let pgm = map.to_pgm();
         assert!(pgm.starts_with("P2\n64"));
+        assert_eq!(pgm.lines().count(), 3 + map.rows);
     }
 
     #[test]

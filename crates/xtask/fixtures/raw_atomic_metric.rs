@@ -4,7 +4,7 @@
 //! bookkeeping must not.
 #![forbid(unsafe_code)]
 
-use std::sync::atomic::{AtomicU64, AtomicUsize}; // expect(sync-facade)
+use std::sync::atomic::{AtomicU64, AtomicUsize};
 
 struct AdHocMetrics {
     hits: AtomicU64, // expect(raw-atomic-metric)
@@ -20,7 +20,7 @@ impl AdHocMetrics {
     }
 
     fn observe(counter: &AtomicU64) -> u64 {
-        counter.load(std::sync::atomic::Ordering::Acquire) // expect(sync-facade)
+        counter.load(std::sync::atomic::Ordering::Acquire)
     }
 }
 

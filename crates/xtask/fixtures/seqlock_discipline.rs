@@ -5,7 +5,8 @@
 //! `seq_release`).
 #![forbid(unsafe_code)]
 
-use buddy_core::sync::{seq_acquire, seq_open, AtomicU64, Ordering};
+use crate::sync::{seq_acquire, seq_open};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn raw_reads_are_caught(seq: &AtomicU64) -> u64 {
     seq.load(Ordering::Acquire) // expect(seqlock-discipline)

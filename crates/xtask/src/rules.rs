@@ -115,19 +115,6 @@ pub fn registry() -> Vec<Rule> {
             check: check_raw_atomic_metric,
         },
         Rule {
-            id: "sync-facade",
-            severity: Severity::Deny,
-            summary: "no direct std::sync atomics or Mutex in library code — import them from \
-                      the core::sync facade so model-checked builds can swap the primitives",
-            applies: |p| {
-                is_library_source(p)
-                    && p != "crates/core/src/sync.rs"
-                    && !p.starts_with("crates/obs/src/")
-                    && !p.starts_with("crates/check/src/")
-            },
-            check: check_sync_facade,
-        },
-        Rule {
             id: "seqlock-discipline",
             severity: Severity::Deny,
             summary: "seqlock sequence words are touched only through the named core::sync \
@@ -424,67 +411,6 @@ fn check_wallclock(file: &SourceFile, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// The `std::sync` names library code must take from the facade instead:
-/// the whole `atomic` module, and the mutex pair. `Arc`, `mpsc`, `RwLock`
-/// and `OnceLock` stay allowed — the model checker does not intercept
-/// them, so routing them through the facade would only add indirection.
-const FACADE_ONLY: [&str; 3] = ["atomic", "Mutex", "MutexGuard"];
-
-fn check_sync_facade(file: &SourceFile, out: &mut Vec<RawFinding>) {
-    // Why a facade: `cargo test --features model-sync` reruns the suite
-    // with every atomic/fence/mutex op turned into a model-checker
-    // scheduling point. That only works if library code never names the
-    // std primitives directly. Token matching catches imports
-    // (`use std::sync::atomic::..`, `use std::sync::{Arc, Mutex}`) and
-    // qualified paths (`std::sync::atomic::fence(..)`) in one pass,
-    // however they are spaced or line-broken.
-    let toks = library_tokens(file);
-    let mut seen = BTreeSet::new();
-    let mut flag = |t: &Token, out: &mut Vec<RawFinding>| {
-        if t.kind == TokenKind::Ident
-            && FACADE_ONLY.contains(&t.text.as_str())
-            && seen.insert((t.line, t.text.clone()))
-        {
-            out.push(RawFinding {
-                line: t.line,
-                message: format!(
-                    "`std::sync::{}` named directly in library code — import it from the \
-                     `core::sync` facade (`buddy_core::sync` outside core) so model-checked \
-                     builds can swap in the checker shims",
-                    if t.text == "atomic" {
-                        "atomic::*".to_string()
-                    } else {
-                        t.text.clone()
-                    }
-                ),
-            });
-        }
-    };
-    for i in 0..toks.len() {
-        if !tokens_match(&toks, i, &["std", "::", "sync", "::"]) {
-            continue;
-        }
-        match toks.get(i + 4) {
-            Some(t) if t.text == "{" => {
-                // Scan the use-tree group (nesting included) for the
-                // forbidden names.
-                let mut depth = 1usize;
-                let mut j = i + 5;
-                while j < toks.len() && depth > 0 {
-                    match toks[j].text.as_str() {
-                        "{" => depth += 1,
-                        "}" => depth -= 1,
-                        _ => flag(&toks[j], out),
-                    }
-                    j += 1;
-                }
-            }
-            Some(t) => flag(t, out),
-            None => {}
-        }
-    }
-}
-
 /// Atomic method names whose receiver must not be a bare `seq` word.
 const SEQ_METHODS: [&str; 9] = [
     "load",
@@ -565,7 +491,7 @@ fn check_raw_atomic_metric(file: &SourceFile, out: &mut Vec<RawFinding>) {
     // Scattered per-module atomics are how a telemetry surface decays: each
     // one invents its own reset/snapshot story and the report rows silently
     // go stale. All metrics must go through `buddy_obs`'s `Counter` /
-    // `Gauge` / `Histogram` (the one crate that owns the memory-order and
+    // `Histogram` (the one crate that owns the memory-order and
     // snapshot contracts — `crates/obs/src/` is exempt from this rule); an
     // atomic that is *not* a metric (e.g. an id source) is waived with that
     // argument.
@@ -579,7 +505,7 @@ fn check_raw_atomic_metric(file: &SourceFile, out: &mut Vec<RawFinding>) {
                     line: idx + 1,
                     message: format!(
                         "ad-hoc `{ty}` in library code — route metrics through `buddy_obs` \
-                         (`Counter`/`Gauge`/`Histogram`), or waive with why this atomic is \
+                         (`Counter`/`Histogram`), or waive with why this atomic is \
                          not a metric"
                     ),
                 });
@@ -828,71 +754,6 @@ mod tests {
         assert!(!(rule.applies)("crates/obs/src/hist.rs"));
         assert!(!(rule.applies)("crates/obs/src/metrics.rs"));
         assert!(!(rule.applies)("crates/obs/src/trace.rs"));
-    }
-
-    #[test]
-    fn sync_facade_flags_imports_and_qualified_paths() {
-        assert_eq!(
-            run(
-                "sync-facade",
-                "use std::sync::atomic::{AtomicU64, Ordering};"
-            )
-            .len(),
-            1
-        );
-        assert_eq!(run("sync-facade", "use std::sync::{Arc, Mutex};").len(), 1);
-        assert_eq!(run("sync-facade", "use std::sync::MutexGuard;").len(), 1);
-        assert_eq!(
-            run("sync-facade", "std::sync::atomic::fence(Ordering::SeqCst);").len(),
-            1
-        );
-        // Odd spacing and line breaks normalize to the same token stream.
-        assert_eq!(
-            run("sync-facade", "use std :: sync ::\n    atomic::AtomicU8;").len(),
-            1
-        );
-        // Nested use-trees are searched through.
-        assert_eq!(
-            run(
-                "sync-facade",
-                "use std::sync::{atomic::{AtomicU64, Ordering}, Arc};"
-            )
-            .len(),
-            1
-        );
-        // The allowed std::sync names, the facade itself, and prose/tests
-        // are all clean.
-        assert!(run("sync-facade", "use std::sync::Arc;").is_empty());
-        assert!(run("sync-facade", "use std::sync::{Arc, OnceLock};").is_empty());
-        assert!(run("sync-facade", "use std::sync::mpsc::sync_channel;").is_empty());
-        assert!(run(
-            "sync-facade",
-            "use buddy_core::sync::{AtomicU64, Mutex, Ordering};"
-        )
-        .is_empty());
-        assert!(run("sync-facade", "// use std::sync::Mutex in a comment").is_empty());
-        assert!(run(
-            "sync-facade",
-            "#[cfg(test)]\nmod tests { use std::sync::Mutex; }"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn sync_facade_scope_exempts_the_facade_and_the_checker() {
-        let rules = registry();
-        let rule = rules
-            .iter()
-            .find(|r| r.id == "sync-facade")
-            .expect("rule registered");
-        assert!((rule.applies)("crates/core/src/shared.rs"));
-        assert!((rule.applies)("crates/pool/src/lib.rs"));
-        assert!((rule.applies)("crates/service/src/lib.rs"));
-        // The three legitimate homes of raw std::sync: the facade itself,
-        // the obs metric primitives, and the checker shims.
-        assert!(!(rule.applies)("crates/core/src/sync.rs"));
-        assert!(!(rule.applies)("crates/obs/src/metrics.rs"));
-        assert!(!(rule.applies)("crates/check/src/shim.rs"));
     }
 
     #[test]

@@ -254,12 +254,6 @@ impl BenchmarkLayout {
             .class_at(alloc.alloc_seed, local, self.phase)
             .nominal_size_class()
     }
-
-    /// The target ratio governing an entry.
-    pub fn target_of(&self, entry: u64) -> TargetRatio {
-        let (idx, _) = self.locate(entry);
-        self.allocations[idx].target
-    }
 }
 
 impl MemoryLayout for BenchmarkLayout {
@@ -270,7 +264,7 @@ impl MemoryLayout for BenchmarkLayout {
     /// The sectors the device would store the entry's nominal class in
     /// ([`EntryState::stored`]).
     fn placement(&self, entry: u64) -> EntryPlacement {
-        let target = self.target_of(entry);
+        let target = self.allocations[self.locate(entry).0].target;
         let state = EntryState::stored(self.size_class(entry), target);
         EntryPlacement {
             device_sectors: state.device_sectors(target),
@@ -340,7 +334,7 @@ mod tests {
         let layout = BenchmarkLayout::new(&bench, &outcome, 0.5, 3);
         for entry in (0..layout.total_entries()).step_by(997) {
             let p = layout.placement(entry);
-            let target = layout.target_of(entry);
+            let target = layout.allocations[layout.locate(entry).0].target;
             match target {
                 TargetRatio::ZeroPage16 => {}
                 t => assert!(
