@@ -122,7 +122,7 @@ pub fn fig07_points(cfg: &RunConfig) -> Vec<Fig7Point> {
         .iter()
         .map(|bench| {
             let profiles = profile_benchmark(bench, sample_cap(cfg), cfg.seed);
-            let naive = choose_naive(&profiles, &config);
+            let naive = choose_naive(&profiles);
             let per_alloc = choose_targets(&profiles, &ProfileConfig::per_allocation_only());
             let final_design = choose_targets(&profiles, &config);
             Fig7Point {

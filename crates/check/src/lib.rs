@@ -11,12 +11,12 @@
 //!   observable stale value, printing failing schedules as replayable
 //!   thread-by-thread traces.
 //! * [`shim`] — drop-in `std::sync` replacements (`AtomicU64`, `fence`,
-//!   `Mutex`, `spawn`) that route through the scheduler inside
+//!   `spawn`) that route through the scheduler inside
 //!   [`sched::explore`] and degrade to plain `std` outside it. Only the
 //!   models below use them; the shipped `core::shared` code uses `std`.
 //!
 //! [`models`] holds the five protocol models distilled from `core::shared`
-//! (seqlock read vs. batched write, two lock-serialized writers vs. a
+//! (seqlock read vs. batched write, two writers opening by CAS vs. a
 //! reader, free-tombstone vs. stale reader, retarget republish vs.
 //! concurrent read, shared metadata edge unit vs. its neighbouring
 //! owners), each with seeded mutations that the integration suite requires

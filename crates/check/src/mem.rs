@@ -15,9 +15,11 @@
 //!   the explorer branches over every observable stale value. Reading
 //!   entry `i` raises the floor to `i` (coherence: a thread never travels
 //!   back in time on one location).
-//! * **RMWs** (`fetch_xor`, the one the models use) always read the
-//!   latest entry — C11 requires read-modify-writes to bind to the head of
-//!   the modification order.
+//! * **RMWs** (`fetch_xor` and `compare_exchange`, the ones the models
+//!   use) always read the latest entry — C11 requires read-modify-writes
+//!   to bind to the head of the modification order. A `compare_exchange`
+//!   whose expected value is not the head stores nothing and acts as a
+//!   load of the head with its failure ordering.
 //! * A **release store** attaches the writer's entire current view to the
 //!   history entry (its *message*). An **acquire load** that returns such
 //!   an entry joins the message into the reader's view, raising floors —
@@ -28,9 +30,6 @@
 //!   thread has loaded since its last acquire fence — upgrading earlier
 //!   relaxed loads, which is exactly the seqlock reader's re-validation
 //!   edge.
-//! * A **mutex unlock** snapshots the unlocker's view on the mutex; the
-//!   next **lock** joins it — the unlock-to-lock happens-before edge that
-//!   lets a lock-serialized writer load what the previous holder stored.
 //! * **SeqCst** operations additionally join with (and publish to) one
 //!   global SC view, making them totally ordered against each other. This
 //!   is slightly *stronger* than C11's `seq_cst` (it implies
@@ -95,8 +94,6 @@ pub(crate) struct Memory {
     fence_release: Vec<Option<View>>,
     /// The global SeqCst view.
     sc: View,
-    /// Per mutex location: the view its last unlocker released.
-    mutexes: HashMap<usize, View>,
 }
 
 fn is_release(o: Ordering) -> bool {
@@ -135,21 +132,6 @@ impl Memory {
         self.ensure_thread(from.max(to));
         let v = self.views[from].clone();
         join(&mut self.views[to], &v);
-    }
-
-    /// The unlock half of a mutex's synchronizes-with edge: the unlocker's
-    /// view becomes the mutex's message.
-    pub fn unlock(&mut self, tid: usize, loc: usize) {
-        self.ensure_thread(tid);
-        self.mutexes.insert(loc, self.views[tid].clone());
-    }
-
-    /// The lock half: the locker joins the last unlocker's view.
-    pub fn lock(&mut self, tid: usize, loc: usize) {
-        self.ensure_thread(tid);
-        if let Some(released) = self.mutexes.get(&loc) {
-            join(&mut self.views[tid], released);
-        }
     }
 
     /// Number of observable history entries for `tid` at `loc`: the
@@ -260,6 +242,27 @@ impl Memory {
         entry.value
     }
 
+    /// Executes a compare-and-exchange against the **latest** entry: an
+    /// [`rmw`](Self::rmw) storing `new` with `success` when it holds
+    /// `current`, else a load of it with `failure`. Returns the value read,
+    /// `Ok` when the exchange happened.
+    pub fn compare_exchange(
+        &mut self,
+        tid: usize,
+        loc: usize,
+        current: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64> {
+        if self.locations[&loc].history.last().map(|e| e.value) == Some(current) {
+            Ok(self.rmw(tid, loc, success, |_| new))
+        } else {
+            let head = self.candidates(tid, loc) - 1;
+            Err(self.load(tid, loc, failure, head).0)
+        }
+    }
+
     /// Executes a fence.
     pub fn fence(&mut self, tid: usize, ordering: Ordering) {
         if is_acquire(ordering) {
@@ -368,23 +371,27 @@ mod tests {
     }
 
     #[test]
-    fn unlock_then_lock_raises_floors() {
-        const M: usize = 0x3000;
+    fn compare_exchange_binds_to_the_latest_entry() {
         let mut m = mem();
-        m.lock(0, M);
-        m.store(0, L, Ordering::Relaxed, 1);
-        m.unlock(0, M);
+        m.store(0, F, Ordering::Relaxed, 7); // data
+        m.store(0, L, Ordering::Release, 1);
+        // Thread 1 could load the stale 0, but a CAS expecting it fails
+        // against the head and stores nothing.
+        assert_eq!(m.candidates(1, L), 2);
+        let failed = m.compare_exchange(1, L, 0, 5, Ordering::Acquire, Ordering::Relaxed);
+        assert_eq!(failed, Err(1));
+        assert_eq!(m.candidates(1, L), 1, "a failed CAS still reads the head");
         assert_eq!(
-            m.candidates(1, L),
+            m.candidates(1, F),
             2,
-            "without the lock the store may be stale"
+            "a Relaxed failure does not synchronize"
         );
-        m.lock(1, M);
-        assert_eq!(
-            m.candidates(1, L),
-            1,
-            "the next holder sees the last one's store"
-        );
+        // Expecting the head succeeds, and its Acquire inherits the data.
+        let opened = m.compare_exchange(1, L, 1, 2, Ordering::Acquire, Ordering::Relaxed);
+        assert_eq!(opened, Ok(1));
+        assert_eq!(m.candidates(1, F), 1, "stale data no longer observable");
+        let (v, stale) = m.load(0, L, Ordering::Relaxed, m.candidates(0, L) - 1);
+        assert_eq!((v, stale), (2, false));
     }
 
     #[test]

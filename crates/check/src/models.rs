@@ -7,42 +7,69 @@
 //! `edge_unit` model has writers only and asserts on the joined state). Each
 //! model also takes a *mutation*: a seeded protocol bug (dropped
 //! tombstone, skipped odd-seq bump, downgraded `Release`, removed fence,
-//! unserialized writers)
-//! that the checker must turn into a counterexample schedule — the
+//! writers opening with a plain load and store instead of a CAS) that the
+//! checker must turn into a counterexample schedule — the
 //! integration suite (`tests/protocol.rs`) fails if any mutation goes
 //! undetected, which is how the checker itself is kept honest.
 //!
 //! The orderings in the unmutated models are exactly the ones
 //! `core::sync`'s `seq_open`/`seq_release`/`seq_acquire`/`seq_revalidate`
-//! helpers implement — writers bump the sequence with a load and a store,
-//! not an RMW (`bump`) — and `shared.rs` cites these models as evidence
-//! for its fence choices.
+//! helpers implement — every writer opens its window with one CAS
+//! (`open`) and closes it with a load and a `Release` store (`bump`) —
+//! and `shared.rs` cites these models as evidence for its fence choices.
 
-use crate::shim::{fence, spawn, AtomicU64, Mutex};
+use crate::shim::{fence, spawn, AtomicU64};
 use std::sync::atomic::Ordering::{self, Acquire, Relaxed, Release};
 use std::sync::Arc;
 
-/// Reader retry budget: enough to ride out the writer's two epochs; on
-/// exhaustion the reader gives up without asserting (a valid outcome —
-/// liveness is out of scope, see DESIGN.md §13).
-const READER_RETRIES: usize = 3;
+/// Retry budget of a reader's validation and of a writer's open: enough
+/// to ride out the other side's epochs; on exhaustion the thread gives up
+/// without asserting or writing (a valid outcome — liveness is out of
+/// scope, see DESIGN.md §13).
+const RETRIES: usize = 3;
 
-/// One sequence bump the way `core::sync`'s `seq_open`/`seq_release` make
-/// it: a `Relaxed` load of the current value and a store of the next, with
-/// `ordering` on the store. Sound only while writers are serialized
-/// ([`seqlock_writers`] is the evidence).
+/// One sequence bump the way `core::sync::seq_release` closes a window: a
+/// `Relaxed` load of the current value and a store of the next, with
+/// `ordering` on the store. Sound only for the window's holder
+/// ([`WritersMutation::UnserializedWriters`] opens with it, too, and is
+/// caught).
 fn bump(seq: &AtomicU64, ordering: Ordering) {
     let current = seq.load(Relaxed);
     seq.store(current + 1, ordering);
 }
 
+/// A writer's open the way `write_batch` and `republish` take it: an
+/// `Acquire` load until the sequence is even (`SlotCell::begin_read`),
+/// then `core::sync::seq_open` — one CAS from that even value to odd,
+/// `Acquire` on success — and, when `fenced`, its `Release` fence. A
+/// failed CAS starts again at the load. False when [`RETRIES`] attempts
+/// all found the window taken.
+fn open(seq: &AtomicU64, fenced: bool) -> bool {
+    for _ in 0..RETRIES {
+        let even = seq.load(Acquire);
+        if even % 2 == 1 {
+            continue;
+        }
+        if seq
+            .compare_exchange(even, even + 1, Acquire, Relaxed)
+            .is_ok()
+        {
+            if fenced {
+                fence(Release);
+            }
+            return true;
+        }
+    }
+    false
+}
+
 /// The reader half every seqlock model shares (`SlotCell::begin_read` /
-/// `load_raw` / `still`): up to [`READER_RETRIES`] attempts at an even
+/// `load_raw` / `still`): up to [`RETRIES`] attempts at an even
 /// `seq`, then `load` (whose `Relaxed` loads the acquire fence upgrades,
 /// unless `fenced` is false), then re-validation; `check` sees a snapshot
 /// only if the sequence did not move.
 fn read_validated<T>(seq: &AtomicU64, fenced: bool, load: impl Fn() -> T, check: impl Fn(u64, T)) {
-    for _ in 0..READER_RETRIES {
+    for _ in 0..RETRIES {
         let s1 = seq.load(Acquire);
         if s1 % 2 == 1 {
             continue;
@@ -64,8 +91,8 @@ fn read_validated<T>(seq: &AtomicU64, fenced: bool, load: impl Fn() -> T, check:
 pub enum SeqlockMutation {
     /// The correct protocol.
     None,
-    /// Writer does not bump `seq` to odd before writing — readers cannot
-    /// tell a write is in flight.
+    /// Writer does not open the window (no CAS to odd) before writing —
+    /// readers cannot tell a write is in flight.
     SkipOddBump,
     /// Writer's closing `seq` bump is `Relaxed` instead of `Release` —
     /// a reader that validates against the closed `seq` no longer
@@ -74,7 +101,7 @@ pub enum SeqlockMutation {
     /// Reader omits the acquire fence between its data loads and its
     /// validating `seq` re-load — stale data can slip past validation.
     NoReaderFence,
-    /// Writer omits the release fence after the odd bump — the data
+    /// Writer omits the release fence after the opening CAS — the data
     /// stores no longer carry the open window, so a reader can observe
     /// them and still validate against the old even sequence.
     NoWriterFence,
@@ -95,11 +122,11 @@ pub fn seqlock(mutation: SeqlockMutation) -> impl Fn() + Send + Sync + Clone + '
         let (wseq, wa, wb) = (Arc::clone(&seq), Arc::clone(&a), Arc::clone(&b));
         let writer = spawn(move || {
             for epoch in 1..=2u64 {
-                if mutation != SeqlockMutation::SkipOddBump {
-                    bump(&wseq, Relaxed);
-                }
-                if mutation != SeqlockMutation::NoWriterFence {
+                if mutation == SeqlockMutation::SkipOddBump {
                     fence(Release);
+                } else {
+                    // The only writer: its open never fails.
+                    open(&wseq, mutation != SeqlockMutation::NoWriterFence);
                 }
                 wa.store(epoch, Relaxed);
                 wb.store(epoch, Relaxed);
@@ -127,42 +154,36 @@ pub fn seqlock(mutation: SeqlockMutation) -> impl Fn() + Send + Sync + Clone + '
 pub enum WritersMutation {
     /// The correct protocol.
     None,
-    /// The writers skip the slot `write_lock` — two load-and-store bumps
-    /// interleave, so one writer's close can make the other's open window
-    /// look even (or a bump is lost) while its stores are in flight.
+    /// The writers open with a plain `Relaxed` load and store of the
+    /// sequence instead of a CAS — two such bumps interleave, so one
+    /// writer's close can make the other's open window look even (or a
+    /// bump is lost) while its stores are in flight.
     UnserializedWriters,
 }
 
 /// Two writers vs. a reader on one slot (`write_batch` and `republish`
-/// both hold the slot `write_lock` around their `SeqWindow`): the
-/// store-based bumps of `core::sync` are sound because the lock leaves the
-/// sequence word exactly one writer at a time, and the lock's
-/// unlock-to-lock edge makes the next holder's `Relaxed` load see the last
-/// close.
+/// both open their `SeqWindow` by CAS): the CAS is the slot's writer
+/// lock — only one writer turns a given even value odd, nobody opens an
+/// odd one — and its `Acquire` on the previous close makes the next
+/// writer's `Relaxed` close load see the word's latest value.
 ///
 /// Writer `e` (1 or 2) stores `e` to both data words inside its window. A
 /// reader whose validation passes must see `a == b`.
 pub fn seqlock_writers(mutation: WritersMutation) -> impl Fn() + Send + Sync + Clone + 'static {
     move || {
-        let lock = Arc::new(Mutex::labelled("write_lock", ()));
         let seq = Arc::new(AtomicU64::labelled("seq", 0));
         let a = Arc::new(AtomicU64::labelled("a", 0));
         let b = Arc::new(AtomicU64::labelled("b", 0));
 
         let writers = [1u64, 2].map(|epoch| {
-            let (lock, wseq, wa, wb) = (
-                Arc::clone(&lock),
-                Arc::clone(&seq),
-                Arc::clone(&a),
-                Arc::clone(&b),
-            );
+            let (wseq, wa, wb) = (Arc::clone(&seq), Arc::clone(&a), Arc::clone(&b));
             spawn(move || {
-                let _guard = (mutation != WritersMutation::UnserializedWriters).then(|| {
-                    lock.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                });
-                bump(&wseq, Relaxed);
-                fence(Release);
+                if mutation == WritersMutation::UnserializedWriters {
+                    bump(&wseq, Relaxed);
+                    fence(Release);
+                } else if !open(&wseq, true) {
+                    return;
+                }
                 wa.store(epoch, Relaxed);
                 wb.store(epoch, Relaxed);
                 bump(&wseq, Release);
@@ -207,8 +228,7 @@ pub fn tombstone(mutation: TombstoneMutation) -> impl Fn() + Send + Sync + Clone
 
         let (fseq, fgen, fdata) = (Arc::clone(&seq), Arc::clone(&gen), Arc::clone(&data));
         let freer = spawn(move || {
-            bump(&fseq, Relaxed);
-            fence(Release);
+            open(&fseq, true);
             if mutation != TombstoneMutation::DropTombstone {
                 fgen.store(DEAD, Relaxed);
             }
@@ -261,8 +281,7 @@ pub fn retarget(mutation: RetargetMutation) -> impl Fn() + Send + Sync + Clone +
             Arc::clone(&base_b),
         );
         let writer = spawn(move || {
-            bump(&wseq, Relaxed);
-            fence(Release);
+            open(&wseq, true);
             wt.store(NEW.0, Relaxed);
             if mutation == RetargetMutation::EarlyClose {
                 bump(&wseq, Release);
@@ -320,8 +339,8 @@ fn edge_write(unit: &AtomicU64, mask: u64, state: u64) {
 
 /// Shared metadata edge unit vs. its neighbouring owners
 /// (`AtomicNibbles::write_units`): two allocations whose metadata ranges
-/// meet inside one storage unit each store their own nibble under their
-/// own slot lock, while `alloc` zeroes the abutting recycled range in the
+/// meet inside one storage unit each store their own nibble inside their
+/// own slot's window, while `alloc` zeroes the abutting recycled range in the
 /// same unit. Every nibble must end as its owner's last write.
 ///
 /// Nibble 0 belongs to allocation A (the main thread), nibble 1 to

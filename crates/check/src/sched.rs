@@ -164,8 +164,6 @@ struct Pruned;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     Runnable,
-    /// Waiting on the model mutex keyed by address.
-    BlockedOnMutex(usize),
     /// Waiting for a thread to finish.
     BlockedOnJoin(usize),
     Finished,
@@ -191,8 +189,6 @@ pub(crate) struct ExecState {
     failure: Option<String>,
     abort: Option<Abort>,
     live: usize,
-    /// Model mutexes: address → holder tid (if held).
-    mutexes: HashMap<usize, Option<usize>>,
     /// Labels for trace rendering: location address → name.
     labels: HashMap<usize, &'static str>,
 }
@@ -276,7 +272,6 @@ impl Exec {
                 failure: None,
                 abort: None,
                 live: 0,
-                mutexes: HashMap::new(),
                 labels: HashMap::new(),
             }),
             cv: Condvar::new(),
@@ -350,7 +345,7 @@ impl Exec {
 
     /// Takes this thread out of an aborted execution by raising
     /// [`Pruned`] — unless it is already unwinding, through a `Drop` that
-    /// touches a shim (a `SeqWindow` closing, a guard unlocking): a second
+    /// touches a shim (a `SeqWindow` closing): a second
     /// panic there would abort the whole process. Such a thread gets
     /// `None` instead, and its shim op acts on the `std` mirror alone; the
     /// execution is void either way.
@@ -378,61 +373,6 @@ impl Exec {
             op: desc,
         });
         Some(r)
-    }
-
-    /// Blocking acquire of the model mutex at `loc`; loops until the lock
-    /// is free under some schedule. `false` when the acquire is skipped
-    /// (an unwinding thread in an aborted execution).
-    pub(crate) fn lock_mutex(self: &Arc<Self>, tid: usize, loc: usize) -> bool {
-        loop {
-            let st = lock_state(self);
-            let Some(mut st) = self.schedule(st, tid) else {
-                return false;
-            };
-            let holder = st.mutexes.entry(loc).or_insert(None);
-            if holder.is_none() {
-                *holder = Some(tid);
-                st.mem.lock(tid, loc);
-                let label = st.label_of(loc);
-                st.trace.push(TraceStep {
-                    thread: tid,
-                    op: format!("lock {label}"),
-                });
-                return true;
-            }
-            // Held: block and let schedule() pick someone else next time.
-            st.threads[tid] = Status::BlockedOnMutex(loc);
-        }
-    }
-
-    pub(crate) fn unlock_mutex(self: &Arc<Self>, tid: usize, loc: usize) {
-        let mut st = lock_state(self);
-        st.mutexes.insert(loc, None);
-        st.mem.unlock(tid, loc);
-        for t in 0..st.threads.len() {
-            if st.threads[t] == Status::BlockedOnMutex(loc) {
-                st.threads[t] = Status::Runnable;
-            }
-        }
-        let label = st.label_of(loc);
-        st.trace.push(TraceStep {
-            thread: tid,
-            op: format!("unlock {label}"),
-        });
-        let aborted = st.abort.is_some();
-        self.cv.notify_all();
-        drop(st);
-        // Guards also unlock while a panic (assertion failure or prune)
-        // unwinds through them, and on executions already aborted. The
-        // state mutation above is all that correctness needs there — skip
-        // the optional context switch.
-        if aborted || std::thread::panicking() {
-            return;
-        }
-        // Unlock is itself a scheduling point: a freshly woken waiter may
-        // run before the unlocker's next op.
-        let st2 = lock_state(self);
-        let _st2 = self.schedule(st2, tid);
     }
 
     /// Spawns a model thread running `f`; returns its tid.
@@ -728,31 +668,6 @@ mod tests {
         assert!(
             replayed.counterexample().is_some(),
             "replaying the reported choices must reproduce the violation"
-        );
-    }
-
-    #[test]
-    fn deadlock_is_a_counterexample() {
-        let outcome = explore("deadlock", Config::default(), || {
-            let a = StdArc::new(shim::Mutex::labelled("a", ()));
-            let b = StdArc::new(shim::Mutex::labelled("b", ()));
-            let (a2, b2) = (StdArc::clone(&a), StdArc::clone(&b));
-            let t = shim::spawn(move || {
-                let _ga = a2.lock();
-                let _gb = b2.lock();
-            });
-            let _gb = b.lock();
-            let _ga = a.lock();
-            drop((_gb, _ga));
-            t.join();
-        });
-        let report = outcome
-            .counterexample()
-            .expect("AB-BA must deadlock somewhere");
-        assert!(
-            report.message.contains("deadlock"),
-            "got: {}",
-            report.message
         );
     }
 }

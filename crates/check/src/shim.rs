@@ -1,28 +1,26 @@
 //! Model-aware drop-in replacements for the `std::sync` primitives the
-//! protocol models use: `AtomicU64` (load, store, `fetch_xor`), `fence`,
-//! `Mutex`, and `spawn`/`JoinHandle`.
+//! protocol models use: `AtomicU64` (load, store, `fetch_xor`,
+//! `compare_exchange`), `fence`, and `spawn`/`JoinHandle`.
 //!
 //! Outside a checker execution (no scheduler context on the current
 //! thread) every shim delegates straight to its `std` counterpart. Inside
 //! [`crate::sched::explore`], every operation becomes a scheduling point
 //! and atomics route through the weak-memory model in the crate's private
 //! `mem` module: `Relaxed`/`Acquire` loads branch over every observable
-//! stale value, release/acquire edges and fences propagate views, and
-//! `Mutex` blocking is modelled (and deadlocks detected) without ever
-//! OS-blocking while holding the scheduler baton.
+//! stale value, and release/acquire edges and fences propagate views.
 //!
 //! Atomics mirror every model store into their real `std` atomic so the
 //! fallback value, the registered initial value, and the latest history
 //! entry always agree. A thread unwinding out of an aborted execution
-//! (through a `Drop` that closes a window or releases a guard) is not
-//! scheduled again: its ops act on the `std` mirror alone.
+//! (through a `Drop` that closes a window) is not scheduled again: its
+//! ops act on the `std` mirror alone.
 
 // lint-allow-file(raw-atomic-metric): the shim `AtomicU64` owns the `std`
 // mirror of a model-checked protocol word; nothing here is a metric.
 
 use crate::sched::{ctx, Exec, ExecState};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, LockResult, PoisonError, TryLockError};
+use std::sync::Arc;
 
 /// Address of a shim object, used as its stable location key for one
 /// execution (models keep their atomics alive end to end).
@@ -122,6 +120,33 @@ fn model_xor(
     })
 }
 
+fn model_compare_exchange(
+    exec: &Arc<Exec>,
+    tid: usize,
+    site: Site,
+    (current, new): (u64, u64),
+    (success, failure): (Ordering, Ordering),
+) -> Option<Result<u64, u64>> {
+    let Site {
+        loc,
+        label,
+        initial,
+    } = site;
+    exec.op(tid, |st, tid| {
+        register_label(st, loc, label);
+        st.mem.ensure_location(loc, initial);
+        let result = st
+            .mem
+            .compare_exchange(tid, loc, current, new, success, failure);
+        let name = st.label_of(loc);
+        let desc = match result {
+            Ok(_) => format!("cas {name}: {current} -> {new} ({success:?})"),
+            Err(seen) => format!("cas {name}: {current} failed, saw {seen} ({failure:?})"),
+        };
+        (result, desc)
+    })
+}
+
 /// Model-aware atomic; see the module docs.
 #[derive(Debug)]
 pub struct AtomicU64 {
@@ -188,6 +213,31 @@ impl AtomicU64 {
             }
         }
     }
+
+    /// Atomic compare-and-exchange. Like every RMW it reads the latest
+    /// entry; on a mismatch it stores nothing and acts as a load of that
+    /// entry with the `failure` ordering.
+    pub fn compare_exchange(
+        &self,
+        current: u64,
+        new: u64,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<u64, u64> {
+        let modelled = ctx().and_then(|(exec, tid)| {
+            model_compare_exchange(&exec, tid, self.site(), (current, new), (success, failure))
+        });
+        match modelled {
+            None => self.std.compare_exchange(current, new, success, failure),
+            Some(result) => {
+                if result.is_ok() {
+                    // Relaxed: shadow mirror, as in `fetch_xor`.
+                    self.std.store(new, Ordering::Relaxed);
+                }
+                result
+            }
+        }
+    }
 }
 
 /// Model-aware memory fence; under the checker, release fences snapshot
@@ -202,114 +252,6 @@ pub fn fence(ordering: Ordering) {
     });
     if modelled.is_none() {
         std::sync::atomic::fence(ordering);
-    }
-}
-
-/// Model-aware mutex. Under the checker, contention blocks the model
-/// thread (a schedule decision), never the OS thread holding the baton,
-/// lock-order deadlocks become counterexamples, and each lock inherits
-/// the view of the previous unlock (the happens-before edge a
-/// lock-serialized writer relies on).
-#[derive(Debug)]
-pub struct Mutex<T> {
-    std: std::sync::Mutex<T>,
-    label: Option<&'static str>,
-}
-
-/// Guard for [`Mutex`]; releases the model lock (waking blocked model
-/// threads) when dropped.
-#[derive(Debug)]
-pub struct MutexGuard<'a, T> {
-    std: Option<std::sync::MutexGuard<'a, T>>,
-    model: Option<(Arc<Exec>, usize, usize)>,
-}
-
-impl<T> Mutex<T> {
-    /// Creates a mutex whose counterexample traces show `label`.
-    pub fn labelled(label: &'static str, value: T) -> Self {
-        Self {
-            std: std::sync::Mutex::new(value),
-            label: Some(label),
-        }
-    }
-
-    /// Acquires the mutex, with `std`-compatible poison semantics.
-    pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
-        let loc = loc_of(self);
-        // Takes the model lock; a skipped acquire (an unwinding thread in
-        // an aborted execution) falls back to the std lock alone.
-        let modelled = ctx().filter(|(exec, tid)| {
-            if let Some(name) = self.label {
-                let _ = exec.op(*tid, |st, _| {
-                    st.set_label(loc, name);
-                    ((), format!("lock {name}: request"))
-                });
-            }
-            exec.lock_mutex(*tid, loc)
-        });
-        match modelled {
-            None => match self.std.lock() {
-                Ok(g) => Ok(MutexGuard {
-                    std: Some(g),
-                    model: None,
-                }),
-                Err(poisoned) => Err(PoisonError::new(MutexGuard {
-                    std: Some(poisoned.into_inner()),
-                    model: None,
-                })),
-            },
-            Some((exec, tid)) => {
-                // The model grants exclusivity, so the real lock is free;
-                // WouldBlock cannot happen, but fall back defensively.
-                let std_guard = match self.std.try_lock() {
-                    Ok(g) => Ok(g),
-                    Err(TryLockError::Poisoned(poisoned)) => Err(poisoned.into_inner()),
-                    Err(TryLockError::WouldBlock) => match self.std.lock() {
-                        Ok(g) => Ok(g),
-                        Err(poisoned) => Err(poisoned.into_inner()),
-                    },
-                };
-                let wrap = |g| MutexGuard {
-                    std: Some(g),
-                    model: Some((exec, tid, loc)),
-                };
-                match std_guard {
-                    Ok(g) => Ok(wrap(g)),
-                    Err(g) => Err(PoisonError::new(wrap(g))),
-                }
-            }
-        }
-    }
-}
-
-impl<T> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        match &self.std {
-            Some(g) => g,
-            None => unreachable!("guard is only taken in Drop"),
-        }
-    }
-}
-
-impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        match &mut self.std {
-            Some(g) => g,
-            None => unreachable!("guard is only taken in Drop"),
-        }
-    }
-}
-
-impl<T> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // Release the real lock *before* the model unlock: the model
-        // unlock may schedule a woken waiter, which will immediately
-        // try_lock the real mutex.
-        drop(self.std.take());
-        if let Some((exec, tid, loc)) = self.model.take() {
-            exec.unlock_mutex(tid, loc);
-        }
     }
 }
 
@@ -368,17 +310,10 @@ mod tests {
         a.store(0b1011, Ordering::Release);
         assert_eq!(a.fetch_xor(0b0110, Ordering::Relaxed), 0b1011);
         assert_eq!(a.load(Ordering::SeqCst), 0b1101);
+        let (acq, rlx) = (Ordering::Acquire, Ordering::Relaxed);
+        assert_eq!(a.compare_exchange(0b1101, 2, acq, rlx), Ok(0b1101));
+        assert_eq!(a.compare_exchange(0b1101, 3, acq, rlx), Err(2));
         fence(Ordering::SeqCst);
-
-        let m = Mutex::labelled("m", 41);
-        {
-            let mut g = match m.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *g += 1;
-        }
-        assert_eq!(*m.lock().unwrap_or_else(PoisonError::into_inner), 42);
 
         let t = spawn(|| {});
         t.join();

@@ -1,4 +1,4 @@
-//! Shadow-state auditing (`--features audit`): an independent mirror of the
+//! Shadow-state auditing (every debug build): an independent mirror of the
 //! device's reservation bookkeeping that re-validates structural invariants
 //! after every mutating operation.
 //!
@@ -23,9 +23,9 @@
 //! Every violation aborts with an assertion naming the region and the
 //! offending ranges — the point is to catch a future lock-free or
 //! allocator refactor corrupting state *at the mutation that corrupts it*,
-//! not at the far-away read that observes it. The feature is compiled out
-//! entirely in normal builds; CI runs the equivalence and churn suites with
-//! it enabled.
+//! not at the far-away read that observes it. It is compiled in wherever
+//! `debug_assertions` are — so every debug `cargo test` runs audited — and
+//! compiled out entirely in release builds.
 
 use crate::region::RegionAllocator;
 use crate::target::TargetRatio;
@@ -205,7 +205,7 @@ impl ShadowRegion {
 
 /// The device-level auditor: one [`ShadowRegion`] per region allocator, one
 /// for the derived metadata ranges, plus the generation mirror. Owned by
-/// `BuddyDevice` behind `cfg(feature = "audit")` and fed by hooks in every
+/// `BuddyDevice` behind `cfg(debug_assertions)` and fed by hooks in every
 /// mutating operation.
 #[derive(Debug, Clone)]
 pub struct DeviceAuditor {

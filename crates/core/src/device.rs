@@ -352,10 +352,10 @@ pub struct BuddyDevice {
     /// ([`AllocView::metadata_index`]).
     device_region: RegionAllocator,
     buddy_region: RegionAllocator,
-    /// Shadow-state mirror (`--features audit`): independently tracks every
+    /// Shadow-state mirror (debug builds only): independently tracks every
     /// reservation and revalidates structural invariants after each
     /// mutating operation, aborting at the mutation that diverges.
-    #[cfg(feature = "audit")]
+    #[cfg(debug_assertions)]
     auditor: crate::audit::DeviceAuditor,
 }
 
@@ -371,8 +371,9 @@ pub struct BuddyDevice {
 /// full, or [`DeviceError::BadAllocation`] for a freed slot — never a
 /// blend (the per-slot seqlock forces a retry instead).
 ///
-/// Entry *writes* through a handle serialize per allocation on the slot's
-/// write lock; writes to different allocations proceed in parallel.
+/// Entry *writes* through a handle take turns per allocation through the
+/// slot's sequence window, opened with one CAS; writes to different
+/// allocations proceed in parallel.
 #[derive(Debug, Clone)]
 pub struct DeviceHandle {
     shared: Arc<SharedState>,
@@ -425,7 +426,7 @@ impl BuddyDevice {
             free_slots: Vec::new(),
             device_region: RegionAllocator::new(config.device_capacity),
             buddy_region: RegionAllocator::new(buddy_capacity),
-            #[cfg(feature = "audit")]
+            #[cfg(debug_assertions)]
             auditor: crate::audit::DeviceAuditor::new(),
         }
     }
@@ -440,7 +441,7 @@ impl BuddyDevice {
     }
 
     /// Revalidates the shadow mirror against both region allocators.
-    #[cfg(feature = "audit")]
+    #[cfg(debug_assertions)]
     fn audit_check(&self) {
         self.auditor
             .validate(&self.device_region, &self.buddy_region);
@@ -588,7 +589,7 @@ impl BuddyDevice {
         let generation = self.shared.generation(slot);
         self.shared
             .publish(slot, RawSlot::from_view(generation, &view));
-        #[cfg(feature = "audit")]
+        #[cfg(debug_assertions)]
         {
             self.auditor.record_alloc(
                 slot,
@@ -630,7 +631,7 @@ impl BuddyDevice {
             .free(view.device_base, view.entries * view.device_stride());
         self.buddy_region
             .free(view.buddy_base, view.entries * view.buddy_stride());
-        #[cfg(feature = "audit")]
+        #[cfg(debug_assertions)]
         {
             self.auditor.record_free(id.slot, id.generation);
             self.audit_check();
@@ -673,7 +674,7 @@ impl BuddyDevice {
         // Entry writes must never move reservations — the design's fixed
         // buddy-offset invariant — so the mirror needs no update, only a
         // revalidation.
-        #[cfg(feature = "audit")]
+        #[cfg(debug_assertions)]
         self.audit_check();
         Ok(())
     }
@@ -792,9 +793,9 @@ impl BuddyDevice {
         let mut contents = vec![[0u8; ENTRY_BYTES]; entries as usize];
 
         // The migration itself runs inside the slot's publication window
-        // (`SharedState::republish`): entry writers are parked on the slot
-        // write lock and concurrent snapshot readers spin until the new
-        // epoch is published — required because on a tight device the new
+        // (`SharedState::republish`): entry writers and concurrent snapshot
+        // readers of this allocation spin until the new epoch is
+        // published — required because on a tight device the new
         // regions may overlap the old bytes, so the old epoch stops being
         // readable the moment re-encoding starts.
         let published = Arc::clone(&self.shared);
@@ -850,7 +851,7 @@ impl BuddyDevice {
             moved_sectors,
             ..AccessStats::default()
         });
-        #[cfg(feature = "audit")]
+        #[cfg(debug_assertions)]
         {
             self.auditor.record_retarget(
                 id.slot,
@@ -864,7 +865,7 @@ impl BuddyDevice {
             );
             self.audit_check();
         }
-        #[cfg(not(feature = "audit"))]
+        #[cfg(not(debug_assertions))]
         let _ = new_view;
         Ok(RetargetReport {
             old_target,

@@ -14,8 +14,8 @@
 //!   pre-reserved buddy offset — compressibility changes never move any
 //!   other data (the design's key invariant, §3.3).
 //! * 4 bits of metadata per entry ([`EntryState`]) record the compressed
-//!   size; translation is a trivial base+offset through the
-//!   [`metadata::Gbbr`].
+//!   size; translation is a trivial base+offset (the paper's GBBR-offset
+//!   addressing).
 //! * A profiling pass ([`profile`]) picks per-allocation targets subject to
 //!   the **Buddy Threshold** — the maximum tolerated fraction of entries
 //!   that overflow to buddy memory. The paper's two rules each have one
@@ -64,7 +64,7 @@
 
 #[cfg(test)]
 mod adapt;
-#[cfg(feature = "audit")]
+#[cfg(debug_assertions)]
 pub mod audit;
 pub mod device;
 pub mod metadata;
@@ -78,7 +78,7 @@ pub use device::{
     AccessStats, AllocId, BuddyDevice, DeviceConfig, DeviceError, DeviceHandle, RetargetReport,
     StorageRanges,
 };
-pub use metadata::{EntryState, Gbbr, ENTRIES_PER_METADATA_LINE};
+pub use metadata::{EntryState, ENTRIES_PER_METADATA_LINE};
 pub use profile::{
     best_achievable, choose_naive, choose_targets, AllocationProfile, ProfileConfig,
     ProfileOutcome, TargetChoice,

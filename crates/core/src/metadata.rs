@@ -146,24 +146,6 @@ impl fmt::Display for EntryState {
 /// covers 8 KB of data — the prefetch granularity §3.2 describes.
 pub const ENTRIES_PER_METADATA_LINE: u64 = 64;
 
-/// The Global Buddy Base-address Register: base physical address of this
-/// GPU's carve-out in the buddy memory (§3.2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct Gbbr(pub u64);
-
-impl Gbbr {
-    /// Translates a buddy-page offset (from the extended PTE) plus an
-    /// in-page byte offset into a buddy physical address — the paper's
-    /// "simple GBBR-offset based addressing".
-    pub fn translate(self, buddy_page_offset: u64, byte_in_region: u64) -> u64 {
-        self.0 + buddy_page_offset + byte_in_region
-    }
-}
-
-/// Metadata storage overhead as a fraction of data storage: 4 bits per
-/// 128 B entry.
-pub const METADATA_OVERHEAD: f64 = 4.0 / (128.0 * 8.0);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,13 +230,6 @@ mod tests {
         // One 32 B metadata line per 64 entries of 128 B: 4 bits / 1024 bits.
         let overhead = 32.0 / (ENTRIES_PER_METADATA_LINE * 128) as f64;
         assert!((overhead - 0.00390625).abs() < 1e-9);
-        assert!((METADATA_OVERHEAD - overhead).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gbbr_translation_is_offset_based() {
-        let gbbr = Gbbr(0x1_0000_0000);
-        assert_eq!(gbbr.translate(0x2000, 96), 0x1_0000_2060);
     }
 
     #[test]

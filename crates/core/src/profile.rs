@@ -47,14 +47,6 @@ pub struct ProfileConfig {
     pub buddy_threshold: f64,
     /// Whether the 16× zero-page optimization is enabled.
     pub zero_page: bool,
-    /// Stricter threshold for the zero-page target: the paper applies 16×
-    /// only to allocations that are "mostly zero, and remain so", so these
-    /// should essentially never overflow.
-    pub zero_page_threshold: f64,
-    /// Upper bound on the overall device compression ratio, set by the
-    /// carve-out size ("the overall compression ratio is still under 4x,
-    /// limited by the buddy-memory carve-out region", §3.4).
-    pub max_overall_ratio: f64,
 }
 
 impl Default for ProfileConfig {
@@ -62,11 +54,20 @@ impl Default for ProfileConfig {
         Self {
             buddy_threshold: 0.30,
             zero_page: true,
-            zero_page_threshold: 0.05,
-            max_overall_ratio: 4.0,
         }
     }
 }
+
+/// Stricter admission threshold for the zero-page target: the paper
+/// applies 16× only to allocations that are "mostly zero, and remain so",
+/// so these should essentially never overflow.
+const ZERO_PAGE_THRESHOLD: f64 = 0.05;
+
+/// Upper bound on the overall device compression ratio, set by the
+/// carve-out size ("the overall compression ratio is still under 4x,
+/// limited by the buddy-memory carve-out region", §3.4): the 3× carve-out
+/// plus the device's own share.
+const MAX_OVERALL_RATIO: f64 = 4.0;
 
 /// Extra headroom a promotion must show below the admission threshold (see
 /// [`ProfileConfig::recommend`]).
@@ -111,7 +112,7 @@ impl ProfileConfig {
     /// The admission threshold governing target `t`.
     fn admission_threshold(&self, t: TargetRatio) -> f64 {
         if t == TargetRatio::ZeroPage16 {
-            self.zero_page_threshold
+            ZERO_PAGE_THRESHOLD
         } else {
             self.buddy_threshold
         }
@@ -297,7 +298,7 @@ pub fn choose_targets(profiles: &[AllocationProfile], config: &ProfileConfig) ->
     };
 
     // Enforce the carve-out bound by demoting 16x choices.
-    while outcome.device_compression_ratio() > config.max_overall_ratio {
+    while outcome.device_compression_ratio() > MAX_OVERALL_RATIO {
         let demote = outcome
             .choices
             .iter_mut()
@@ -328,7 +329,7 @@ pub fn choose_targets(profiles: &[AllocationProfile], config: &ProfileConfig) ->
 /// number). Without per-allocation knowledge, incompressible regions are
 /// forced to the program-wide target — which is exactly what produces the
 /// naive policy's high buddy-memory traffic.
-pub fn choose_naive(profiles: &[AllocationProfile], _config: &ProfileConfig) -> ProfileOutcome {
+pub fn choose_naive(profiles: &[AllocationProfile]) -> ProfileOutcome {
     let mut merged = SizeHistogram::new();
     for p in profiles {
         // Weight each allocation's histogram by its entry count.
@@ -470,7 +471,7 @@ mod tests {
     fn naive_policy_uses_single_conservative_target() {
         let a = profile_of("compressible", 500, &[(SizeClass::B32, 100)]);
         let b = profile_of("incompressible", 500, &[(SizeClass::B128, 100)]);
-        let outcome = choose_naive(&[a, b], &ProfileConfig::default());
+        let outcome = choose_naive(&[a, b]);
         let targets: Vec<_> = outcome.choices.iter().map(|c| c.target).collect();
         assert_eq!(
             targets[0], targets[1],
@@ -487,9 +488,8 @@ mod tests {
     fn per_allocation_beats_naive() {
         let a = profile_of("compressible", 500, &[(SizeClass::B32, 100)]);
         let b = profile_of("incompressible", 500, &[(SizeClass::B128, 100)]);
-        let cfg = ProfileConfig::default();
-        let naive = choose_naive(&[a.clone(), b.clone()], &cfg);
-        let per_alloc = choose_targets(&[a, b], &cfg);
+        let naive = choose_naive(&[a.clone(), b.clone()]);
+        let per_alloc = choose_targets(&[a, b], &ProfileConfig::default());
         assert!(
             per_alloc.device_compression_ratio() > naive.device_compression_ratio(),
             "per-allocation targets must dominate the naive policy"

@@ -75,7 +75,7 @@ impl RegionAllocator {
     /// The free list as `(offset, len)` pairs, in offset order. Exposed for
     /// the shadow-state auditor, which revalidates the canonical-free-list
     /// invariants from the outside.
-    #[cfg(feature = "audit")]
+    #[cfg(debug_assertions)]
     pub fn free_runs(&self) -> Vec<(u64, u64)> {
         self.free.iter().map(|r| (r.offset, r.len)).collect()
     }

@@ -40,10 +40,13 @@
 //! lists only *after* the publication that unlinks them, so a reader that
 //! raced the reuse of its bytes always fails its final sequence check.
 //!
-//! Entry writes do not change the addressing facts: they serialize on the
-//! slot's `write_lock` (shared with structural publications) and wrap the
-//! byte/nibble stores in the same odd/even sequence window so concurrent
-//! readers of the same allocation retry instead of tearing.
+//! Entry writes do not change the addressing facts: they wrap the
+//! byte/nibble stores in the same odd/even sequence window, so concurrent
+//! readers of the same allocation retry instead of tearing. The window is
+//! also the slot's only writer lock: a writer opens it with one CAS from
+//! the even sequence its snapshot was validated at, so entry writes and
+//! structural publications on one slot take turns, and a writer that finds
+//! the window taken waits in the readers' spin loop.
 //!
 //! # The metadata plane is range-granular
 //!
@@ -58,11 +61,11 @@
 //! span — `ZeroPage16` neighbours whose entry counts are not multiples of
 //! sixteen, or any allocation smaller than 128 device bytes — the first
 //! or last unit of a metadata range also holds a *neighbour's* nibbles,
-//! written concurrently under a different slot lock. Every metadata write
+//! written concurrently inside a different slot's window. Every metadata write
 //! is therefore a range operation ([`AtomicNibbles::zero_range`] for `alloc`,
 //! [`AtomicNibbles::store_run`] for entry batches and `retarget`) that
 //! overwrites the units wholly inside the range with one plain store each
-//! — they belong to exactly one allocation, whose writers are serialized —
+//! — they belong to exactly one allocation, whose writers take turns —
 //! and touches only the at most two shared edge units with one masked
 //! atomic XOR each. There is no per-nibble write path.
 //!
@@ -89,7 +92,7 @@ use crate::target::TargetRatio;
 use bpc::{Codec, CodecKind, CompressedBuf, Entry, SizeHistogram, ENTRY_BYTES, SECTOR_BYTES};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
 /// The `Copy`-able addressing facts of one allocation — the per-epoch
 /// snapshot every access resolves against.
@@ -181,16 +184,6 @@ pub(crate) fn record_write(stats: &mut AccessStats, target: TargetRatio, state: 
     }
 }
 
-/// Locks a mutex, recovering the guard if a previous holder panicked —
-/// the protected state stays usable (sequence windows close on unwind via
-/// [`SeqWindow`]'s drop).
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// Byte storage as an array of atomic 64-bit words.
 ///
 /// Every storage range the device hands out is 8-byte aligned with an
@@ -276,15 +269,15 @@ fn unit_mask(lo: u64, hi: u64) -> u64 {
 ///
 /// * **Interior units** lie wholly inside the range. A range is always a
 ///   sub-range of one allocation's nibbles, so every nibble of an interior
-///   unit belongs to that one allocation: its entry writers
-///   serialize on the slot `write_lock`, its structural operations hold
-///   `&mut BuddyDevice`, and a range being cleared by `alloc` is not
+///   unit belongs to that one allocation: its entry writers and
+///   structural publications take turns through the slot's
+///   [`SeqWindow`], and a range being cleared by `alloc` is not
 ///   published yet. Nobody else stores to the unit, so it is overwritten
 ///   with one plain `Relaxed` store.
 /// * **Edge units** (at most two per range: the first and the last) also
 ///   hold nibbles outside the range, which may belong to a *neighbouring*
-///   allocation whose writers run concurrently under a different slot
-///   lock. They take one `fetch_xor` of `(current ^ new) & mask` — the
+///   allocation whose writers run concurrently inside a different slot's
+///   window. They take one `fetch_xor` of `(current ^ new) & mask` — the
 ///   caller's own nibbles, loaded `Relaxed`, are current because nobody
 ///   else writes them — and no RMW at all when nothing changes. The XOR
 ///   never alters a bit outside the mask; a plain store there would be a
@@ -334,8 +327,7 @@ impl AtomicNibbles {
     /// ascending order — the write path compresses and stores the entry's
     /// bytes inside it, so a unit's sixteen states are gathered in a
     /// register and land in one store. The caller owns the range: it holds
-    /// the slot `write_lock` of the allocation the range belongs to, inside
-    /// an open sequence window.
+    /// the open sequence window of the allocation the range belongs to.
     pub(crate) fn store_run(
         &self,
         start: u64,
@@ -371,9 +363,9 @@ impl AtomicNibbles {
                 // window (entry writes, retarget) or ahead of the
                 // publication that first exposes the range (alloc). A
                 // plain store, not an RMW: every nibble of this unit
-                // belongs to the one allocation whose write lock / `&mut`
-                // the caller holds, so there is no concurrent store to
-                // lose.
+                // belongs to the one allocation whose window (or, for
+                // `alloc`, `&mut`) the caller holds, so there is no
+                // concurrent store to lose.
                 cell.store(word, Ordering::Relaxed);
             } else {
                 let mask = unit_mask(lo - unit_base, hi - unit_base);
@@ -432,9 +424,10 @@ fn decode_target(b: u8) -> Option<TargetRatio> {
 /// The published addressing facts of one allocation slot behind a seqlock.
 ///
 /// `seq` is even when the cell is stable and odd while a mutation is in
-/// flight; `generation`/`entries` encode liveness (a live allocation
-/// always has `entries ≥ 1`, a freed or never-used slot publishes
-/// `entries == 0`).
+/// flight — the odd value is the slot's writer lock, held by exactly one
+/// [`SeqWindow`]; `generation`/`entries` encode liveness (a live
+/// allocation always has `entries ≥ 1`, a freed or never-used slot
+/// publishes `entries == 0`).
 pub(crate) struct SlotCell {
     seq: AtomicU64,
     generation: AtomicU64,
@@ -442,9 +435,6 @@ pub(crate) struct SlotCell {
     device_base: AtomicU64,
     buddy_base: AtomicU64,
     target: AtomicU8,
-    /// Serializes entry-write batches and structural publications on this
-    /// slot. Never held while taking any other lock.
-    write_lock: Mutex<()>,
 }
 
 impl SlotCell {
@@ -456,12 +446,12 @@ impl SlotCell {
             device_base: AtomicU64::new(0),
             buddy_base: AtomicU64::new(0),
             target: AtomicU8::new(0),
-            write_lock: Mutex::new(()),
         }
     }
 
     /// Spins until the cell is outside any mutation window and returns the
-    /// (even) sequence value the caller must re-validate against.
+    /// (even) sequence value the caller must re-validate against — or, as
+    /// a writer, open its window from.
     fn begin_read(&self) -> u64 {
         let mut spins = 0u32;
         loop {
@@ -498,6 +488,19 @@ impl SlotCell {
         seq_revalidate(&self.seq) == seen
     }
 
+    /// The published fields as of one even sequence, and that sequence:
+    /// `begin_read`, `load_raw`, `still`, retried until nothing moved
+    /// across the copy.
+    fn snapshot(&self) -> (u64, RawSlot) {
+        loop {
+            let seen = self.begin_read();
+            let raw = self.load_raw();
+            if self.still(seen) {
+                return (seen, raw);
+            }
+        }
+    }
+
     /// Copies the published fields (caller brackets with `begin_read` /
     /// `still`).
     fn load_raw(&self) -> RawSlot {
@@ -518,8 +521,7 @@ impl SlotCell {
         }
     }
 
-    /// Stores new addressing facts. Caller must hold `write_lock` and an
-    /// open [`SeqWindow`].
+    /// Stores new addressing facts. Caller holds an open [`SeqWindow`].
     fn store_raw(&self, raw: &RawSlot) {
         // Relaxed: bracketed by the open window — `seq_open`'s release
         // fence attaches the odd sequence to each of these stores
@@ -597,26 +599,29 @@ impl RawSlot {
     }
 }
 
-/// RAII odd/even sequence window: opening stores the slot sequence plus
-/// one (odd), dropping stores it plus one again (even) — panic-safe, so an
-/// unwinding writer cannot leave readers spinning forever.
+/// RAII odd/even sequence window and the slot's writer lock in one:
+/// opening CASes the slot sequence from even to odd, dropping stores it
+/// plus one again (even) — panic-safe, so an unwinding writer cannot leave
+/// readers spinning forever or the slot locked.
 pub(crate) struct SeqWindow<'a> {
     seq: &'a AtomicU64,
 }
 
 impl<'a> SeqWindow<'a> {
-    /// The caller holds `cell.write_lock`: the bumps are plain stores, so
-    /// the sequence word must have exactly one writer.
-    fn open(cell: &'a SlotCell) -> Self {
-        // Relaxed store + Release fence: the fence orders the odd bump
-        // before every store inside the window, so a reader that observes
-        // any of them cannot re-validate against the old even sequence.
-        // The bump itself needs no ordering and no RMW — `write_lock`
-        // serializes writers. Model: `SkipOddBump` (no odd marker),
-        // `NoWriterFence` (no fence) and `UnserializedWriters` (no lock)
-        // each have a counterexample; the locked pair passes exhaustively.
-        seq_open(&cell.seq);
-        Self { seq: &cell.seq }
+    /// Opens the window from `even`, the sequence the caller's view was
+    /// taken at. `None`, with the word untouched, when a writer moved it
+    /// since: the caller starts again from `begin_read`. A window exists
+    /// only once opened, so only an opened window is ever closed.
+    fn open(cell: &'a SlotCell, even: u64) -> Option<Self> {
+        // CAS (Acquire) + Release fence: the CAS is the writer lock and
+        // inherits the previous window's stores; the fence orders the odd
+        // bump before every store inside the window, so a reader that
+        // observes any of them cannot re-validate against the old even
+        // sequence. Model: `SkipOddBump` (no odd marker), `NoWriterFence`
+        // (no fence) and `UnserializedWriters` (a load-and-store bump, no
+        // CAS) each have a counterexample; two CAS writers pass
+        // exhaustively.
+        seq_open(&cell.seq, even).then(|| Self { seq: &cell.seq })
     }
 }
 
@@ -801,8 +806,8 @@ impl SharedState {
 
     /// The published view of `id`, loaded without the seqlock's retry: the
     /// structural operations' read. Sound only where no publication can
-    /// race the loads — under `&mut BuddyDevice`, the only publisher, as
-    /// under the slot's write lock in [`write_batch`](Self::write_batch).
+    /// race the loads — under `&mut BuddyDevice`, the only publisher
+    /// (entry writes store no descriptor field).
     pub(crate) fn structural_view(&self, id: AllocId) -> Result<AllocView, DeviceError> {
         let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
         cell.load_raw().validate(id)
@@ -821,29 +826,33 @@ impl SharedState {
         self.slots.cells().map(|cell| cell.load_raw().entries).sum()
     }
 
-    /// Publishes new addressing facts for a slot under its write lock.
+    /// Publishes new addressing facts for a slot inside its sequence window.
     pub(crate) fn publish(&self, slot: u32, raw: RawSlot) {
         // Cannot fail: the closure only hands `raw` over.
         let _ = self.republish(slot, || Ok((raw, ())));
     }
 
-    /// Runs `mutate` while holding the slot's write lock **and** an open
-    /// sequence window, then publishes the returned [`RawSlot`] before
-    /// closing both. This is the only way slot contents change, so readers
-    /// see epochs, never blends. `retarget` migrates inside this: its
-    /// re-encode may write into regions that overlap the old reservation
-    /// (tight-fit placement), so concurrent readers of this one allocation
-    /// must spin through the whole migration instead of sampling
-    /// half-rewritten bytes under an unchanged sequence. On error the window closes with
-    /// the cell unchanged (readers retry once and see the old epoch).
+    /// Runs `mutate` inside the slot's sequence window (which also keeps
+    /// the slot's entry writers out), then publishes the returned
+    /// [`RawSlot`] before closing it. This is the only way slot contents
+    /// change, so readers see epochs, never blends. `retarget` migrates
+    /// inside this: its re-encode may write into regions that overlap the
+    /// old reservation (tight-fit placement), so concurrent readers of this
+    /// one allocation must spin through the whole migration instead of
+    /// sampling half-rewritten bytes under an unchanged sequence. On error
+    /// the window closes with the cell unchanged (readers retry once and
+    /// see the old epoch).
     pub(crate) fn republish<R>(
         &self,
         slot: u32,
         mutate: impl FnOnce() -> Result<(RawSlot, R), DeviceError>,
     ) -> Result<R, DeviceError> {
         let cell = self.structural_cell(slot);
-        let _guard = lock_recover(&cell.write_lock);
-        let window = SeqWindow::open(cell);
+        let window = loop {
+            if let Some(window) = SeqWindow::open(cell, cell.begin_read()) {
+                break window;
+            }
+        };
         let (raw, result) = mutate()?;
         cell.store_raw(&raw);
         drop(window);
@@ -938,8 +947,7 @@ impl SharedState {
     /// Compresses and stores a contiguous run of entries and their states,
     /// handing each state to `record`. Metadata moves a range at a time:
     /// the states land through one [`AtomicNibbles::store_run`], a whole
-    /// unit per store. The caller holds the slot's write lock and an open
-    /// sequence window.
+    /// unit per store. The caller holds the slot's open sequence window.
     pub(crate) fn write_run(
         &self,
         view: &AllocView,
@@ -1000,11 +1008,7 @@ impl SharedState {
     ) -> Result<R, DeviceError> {
         let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
         loop {
-            let seen = cell.begin_read();
-            let raw = cell.load_raw();
-            if !cell.still(seen) {
-                continue;
-            }
+            let (seen, raw) = cell.snapshot();
             // The snapshot is consistent from here on: errors are the
             // truthful observation of this epoch, not torn state.
             let view = raw.validate(id)?;
@@ -1043,8 +1047,9 @@ impl SharedState {
         Ok(stats)
     }
 
-    /// Writes a contiguous run of entries under the slot's write lock and
-    /// sequence window. Takes no device-wide lock.
+    /// Writes a contiguous run of entries inside the slot's sequence window,
+    /// opened from the snapshot the run was validated against. Takes no
+    /// device-wide lock; a rejected run leaves the sequence untouched.
     pub(crate) fn write_batch(
         &self,
         id: AllocId,
@@ -1052,13 +1057,19 @@ impl SharedState {
         entries: &[Entry],
     ) -> Result<AccessStats, DeviceError> {
         let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
-        let _guard = lock_recover(&cell.write_lock);
-        // Under the write lock the published fields are stable (structural
-        // publications also hold it), so a plain load is a snapshot.
-        let view = cell.load_raw().validate(id)?;
-        check_range(&view, start, entries.len() as u64)?;
+        let (view, window) = loop {
+            let (seen, raw) = cell.snapshot();
+            // A consistent snapshot: its errors are this epoch's truth.
+            let view = raw.validate(id)?;
+            check_range(&view, start, entries.len() as u64)?;
+            // Opening from `seen` fails if any writer moved the sequence
+            // since the snapshot, so inside the window `view` is still the
+            // published one.
+            if let Some(window) = SeqWindow::open(cell, seen) {
+                break (view, window);
+            }
+        };
         let mut stats = AccessStats::default();
-        let window = SeqWindow::open(cell);
         self.write_run(&view, start, entries, |state| {
             record_write(&mut stats, view.target, state)
         });
@@ -1299,8 +1310,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn publish_then_read_round_trips() {
+    /// A state with one live 8-entry R2 allocation published in slot 0.
+    fn published() -> (SharedState, AllocId) {
         let state = SharedState::new(CodecKind::Bpc, 1 << 16, 3 << 16);
         let view = AllocView {
             target: TargetRatio::R2,
@@ -1313,6 +1324,16 @@ mod tests {
             slot: 0,
             generation: 1,
         };
+        (state, id)
+    }
+
+    fn seq_of(state: &SharedState, slot: u32) -> u64 {
+        seq_acquire(&state.structural_cell(slot).seq)
+    }
+
+    #[test]
+    fn publish_then_read_round_trips() {
+        let (state, id) = published();
         let entry = [0xA5u8; ENTRY_BYTES];
         state.write_batch(id, 2, &[entry, entry]).expect("in range");
         let mut out = [[0u8; ENTRY_BYTES]; 2];
@@ -1324,5 +1345,64 @@ mod tests {
             state.read_batch(id, 2, &mut out),
             Err(DeviceError::BadAllocation)
         );
+    }
+
+    #[test]
+    fn a_panic_inside_an_open_window_closes_it() {
+        let (state, id) = published();
+        let before = seq_of(&state, 0);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = state.republish(0, || -> Result<(RawSlot, ()), DeviceError> {
+                panic!("publisher dies inside its window")
+            });
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(seq_of(&state, 0), before + 2, "closed, even again");
+        // The slot is neither locked nor torn: a write and a read complete.
+        let entry = [0x5Au8; ENTRY_BYTES];
+        state.write_batch(id, 3, &[entry]).expect("slot unlocked");
+        let mut out = [[0u8; ENTRY_BYTES]; 1];
+        state.read_batch(id, 3, &mut out).expect("slot readable");
+        assert_eq!(out, [entry]);
+    }
+
+    #[test]
+    fn an_open_from_a_stale_sequence_fails_and_stores_nothing() {
+        let (state, _) = published();
+        let cell = state.structural_cell(0);
+        let current = seq_of(&state, 0);
+        assert!(current >= 2, "the publish moved the word");
+        assert!(SeqWindow::open(cell, current - 2).is_none());
+        assert_eq!(seq_of(&state, 0), current, "no window was built or closed");
+        let window = SeqWindow::open(cell, current).expect("current sequence opens");
+        assert!(
+            SeqWindow::open(cell, current).is_none(),
+            "one writer at a time"
+        );
+        drop(window);
+        assert_eq!(seq_of(&state, 0), current + 2);
+    }
+
+    #[test]
+    fn a_rejected_write_leaves_the_sequence_unchanged() {
+        let (state, id) = published();
+        let before = seq_of(&state, 0);
+        let entry = [0x5Au8; ENTRY_BYTES];
+        let stale = AllocId {
+            generation: id.generation + 1,
+            ..id
+        };
+        assert_eq!(
+            state.write_batch(stale, 0, &[entry]),
+            Err(DeviceError::BadAllocation)
+        );
+        assert_eq!(seq_of(&state, 0), before, "stale id");
+        assert!(matches!(
+            state.write_batch(id, 7, &[entry, entry]),
+            Err(DeviceError::BadIndex { .. })
+        ));
+        assert_eq!(seq_of(&state, 0), before, "out-of-range run");
+        state.write_batch(id, 6, &[entry, entry]).expect("in range");
+        assert_eq!(seq_of(&state, 0), before + 2, "one window per batch");
     }
 }

@@ -1,6 +1,10 @@
 //! The seqlock helpers: the four ordering roles of the `core::shared`
 //! seqlock protocol, each named once.
 //!
+//! The sequence word is also its slot's only writer lock: [`seq_open`]
+//! takes it with one CAS from an even value to odd, and [`seq_release`]
+//! hands it back by storing the next even value.
+//!
 //! `shared.rs` must use them for every access to a `seq` word — the
 //! `seqlock-discipline` lint denies raw orderings there. The orderings
 //! are the canonical seqlock set (Boehm, *Can seqlocks get along with
@@ -41,36 +45,43 @@ pub fn seq_revalidate(seq: &AtomicU64) -> u64 {
     seq.load(Ordering::Relaxed)
 }
 
-/// Writer open: stores the sequence plus one (odd) with a `Relaxed` load
-/// and store, then a `Release` fence.
+/// Writer open: one `compare_exchange` of the sequence word from `even`
+/// to `even + 1` (odd), `Acquire` on success, then a `Release` fence.
+/// True when this caller opened the window; false, with the word
+/// untouched, when `even` is no longer current.
 ///
-/// The fence attaches the odd sequence to every store made inside the
-/// window, which is what forces a concurrent reader's re-validation to
-/// fail if it saw any of them. A store, not an RMW: the caller holds the
-/// slot `write_lock`, so the word has exactly one writer and its own
-/// `Relaxed` load is current (Boehm's store-based writer). Model
-/// evidence: `SeqlockMutation::SkipOddBump` and
-/// `SeqlockMutation::NoWriterFence` each yield a counterexample, and
-/// `WritersMutation::UnserializedWriters` shows the store needs the lock.
+/// The CAS is the slot's writer lock: only the caller whose `even` is the
+/// word's latest value turns it odd, and nobody else can open it again
+/// until [`seq_release`] closes it. Its `Acquire` inherits everything the
+/// previous window stored, so the new writer's `Relaxed` loads of the data
+/// it owns are current. The fence attaches the odd sequence to every store
+/// made inside the window, which is what forces a concurrent reader's
+/// re-validation to fail if it saw any of them. Model evidence:
+/// `SeqlockMutation::SkipOddBump` and `SeqlockMutation::NoWriterFence`
+/// each yield a counterexample, and `WritersMutation::UnserializedWriters`
+/// (a plain load-and-store bump) shows the open must be one RMW.
 #[inline]
-pub fn seq_open(seq: &AtomicU64) {
-    // Relaxed: `write_lock` serializes writers, so the load sees the last
-    // close and the store itself needs no ordering; the fence below is what
-    // publishes the odd value's meaning.
-    let even = seq.load(Ordering::Relaxed);
-    // Relaxed: as above; readers order against the fence, not this store.
-    seq.store(even.wrapping_add(1), Ordering::Relaxed);
-    fence(Ordering::Release);
+pub fn seq_open(seq: &AtomicU64, even: u64) -> bool {
+    // Relaxed: the failure ordering — a failed open stores nothing and
+    // publishes nothing; the caller re-reads through `seq_acquire`.
+    let on_failure = Ordering::Relaxed;
+    let opened = seq
+        .compare_exchange(even, even.wrapping_add(1), Ordering::Acquire, on_failure)
+        .is_ok();
+    if opened {
+        fence(Ordering::Release);
+    }
+    opened
 }
 
 /// Writer close: stores the sequence plus one (even again) with
 /// `Release`.
 ///
 /// Publishes everything stored inside the window to the next
-/// [`seq_acquire`] that observes the new even value. The load is
-/// `Relaxed` for the same reason as [`seq_open`]'s: the caller is the
-/// word's only writer. Model evidence: `SeqlockMutation::CloseRelaxed`
-/// yields a counterexample.
+/// [`seq_acquire`] that observes the new even value. A load and a store,
+/// not an RMW: no [`seq_open`] succeeds on an odd word, so the caller is
+/// the word's only writer and its own `Relaxed` load is current. Model
+/// evidence: `SeqlockMutation::CloseRelaxed` yields a counterexample.
 #[inline]
 pub fn seq_release(seq: &AtomicU64) {
     // Relaxed: the caller's own open is the latest store to the word.
@@ -86,8 +97,10 @@ mod tests {
     fn seq_helpers_implement_the_odd_even_discipline() {
         let seq = AtomicU64::new(0);
         assert_eq!(seq_acquire(&seq), 0);
-        seq_open(&seq);
+        assert!(seq_open(&seq, 0));
         assert_eq!(seq_revalidate(&seq), 1, "open window is odd");
+        assert!(!seq_open(&seq, 0), "an open window cannot be opened again");
+        assert_eq!(seq_revalidate(&seq), 1, "a failed open stores nothing");
         seq_release(&seq);
         assert_eq!(seq_acquire(&seq), 2, "closed window is even again");
         assert_eq!(seq_revalidate(&seq), 2);

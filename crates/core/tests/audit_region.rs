@@ -1,4 +1,4 @@
-#![cfg(feature = "audit")]
+#![cfg(debug_assertions)]
 //! Adversarial [`RegionAllocator`] exercises, checked through the
 //! shadow-state auditor instead of the allocator's own assertions.
 //!
@@ -12,7 +12,7 @@
 //! only cross-checked, never relied on.
 //!
 //! Device-level adversaries run through [`BuddyDevice`] with the auditor
-//! hooks active (the `audit` feature): alloc/free/retarget storms where
+//! hooks active (every debug build): alloc/free/retarget storms where
 //! the auditor validates both regions, and that no two allocations' derived
 //! nibble ranges overlap, after every mutation.
 

@@ -170,15 +170,6 @@ impl SectoredCache {
         (self.hits, self.partial_hits, self.misses)
     }
 
-    /// Hit rate counting partial hits as misses (conservative).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.partial_hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-
     /// Clears the statistics counters (not the contents).
     pub fn reset_stats(&mut self) {
         self.hits = 0;
@@ -275,7 +266,6 @@ mod tests {
         c.lookup(1, 0b1111); // hit
         let (h, p, m) = c.stats();
         assert_eq!((h, p, m), (2, 0, 1));
-        assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         c.reset_stats();
         assert_eq!(c.stats(), (0, 0, 0));
     }

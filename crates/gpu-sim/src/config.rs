@@ -104,11 +104,6 @@ impl GpuConfig {
     pub fn metadata_cache_lines_per_slice(&self) -> usize {
         (self.metadata_cache_bytes_per_slice / 32) as usize
     }
-
-    /// Total metadata cache capacity across slices, in bytes.
-    pub fn metadata_cache_total_bytes(&self) -> u64 {
-        self.metadata_cache_bytes_per_slice as u64 * self.l2_slices as u64
-    }
 }
 
 impl Default for GpuConfig {
@@ -182,7 +177,6 @@ mod tests {
         let c = GpuConfig::p100();
         assert_eq!(c.l2_lines(), 32768);
         assert_eq!(c.metadata_cache_lines_per_slice(), 128);
-        assert_eq!(c.metadata_cache_total_bytes(), 128 << 10);
     }
 
     #[test]

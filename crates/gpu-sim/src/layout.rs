@@ -28,11 +28,6 @@ impl EntryPlacement {
     pub fn total(&self) -> u8 {
         self.device_sectors + self.buddy_sectors
     }
-
-    /// Whether this entry requires interconnect traffic.
-    pub fn touches_buddy(&self) -> bool {
-        self.buddy_sectors > 0
-    }
 }
 
 /// Oracle describing the compressed placement of every entry.
@@ -82,13 +77,11 @@ mod tests {
     fn placement_helpers() {
         let p = EntryPlacement::device(3);
         assert_eq!(p.total(), 3);
-        assert!(!p.touches_buddy());
         let q = EntryPlacement {
             device_sectors: 2,
             buddy_sectors: 2,
         };
         assert_eq!(q.total(), 4);
-        assert!(q.touches_buddy());
     }
 
     #[test]
@@ -103,6 +96,5 @@ mod tests {
         assert_eq!(l.total_entries(), 10);
         assert_eq!(l.placement(7).device_sectors, 1);
         assert_eq!(l.compressed_sectors(7), 1);
-        assert!(!l.placement(7).touches_buddy());
     }
 }

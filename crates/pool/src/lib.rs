@@ -21,8 +21,8 @@
 //!    never touch a shard mutex: a read racing a `free` or `retarget`
 //!    observes the old epoch in full, the new epoch in full, or
 //!    [`DeviceError::BadAllocation`] — never a blend. Entry writes also
-//!    bypass the shard mutex, serializing only on the target allocation's
-//!    write lock.
+//!    bypass the shard mutex, taking turns only on the target allocation's
+//!    sequence window.
 //! 2. **The mutable half** — region allocators, the name table, and slot
 //!    bookkeeping — stays behind the shard's `Mutex<BuddyDevice>`. Only
 //!    the structural operations ([`alloc`](BuddyPool::alloc),

@@ -423,15 +423,6 @@ impl BuddyService {
         t.map(read).ok_or(ServiceError::UnknownTenant)
     }
 
-    /// The tenant's registered name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::UnknownTenant`] for a foreign id.
-    pub fn tenant_name(&self, tenant: TenantId) -> Result<String, ServiceError> {
-        self.tenant(tenant, |t| t.name.clone())
-    }
-
     /// Compressed device bytes currently charged against the tenant.
     ///
     /// # Errors

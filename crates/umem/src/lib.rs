@@ -115,15 +115,6 @@ impl UmStats {
             self.runtime_us / native.runtime_us
         }
     }
-
-    /// Faults per thousand accesses — the thrashing indicator.
-    pub fn faults_per_kilo_access(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            1000.0 * self.faults as f64 / self.accesses as f64
-        }
-    }
 }
 
 impl fmt::Display for UmStats {
@@ -395,7 +386,6 @@ mod tests {
             ..Default::default()
         };
         assert!((slow.slowdown_vs(&native) - 4.5).abs() < 1e-12);
-        assert!((slow.faults_per_kilo_access() - 10.0).abs() < 1e-12);
         assert!(slow.to_string().contains("faults"));
     }
 }

@@ -23,7 +23,7 @@ fn split_over_lines_is_still_a_raw_access(seq: &AtomicU64) -> u64 {
 }
 
 fn helpers_are_the_required_shape(seq: &AtomicU64) -> u64 {
-    seq_open(seq);
+    seq_open(seq, 0);
     seq_acquire(seq)
 }
 

@@ -785,7 +785,7 @@ mod tests {
         // The helpers themselves, other fields, and longer identifiers are
         // out of scope.
         assert!(run("seqlock-discipline", "let s = seq_acquire(&self.seq);").is_empty());
-        assert!(run("seqlock-discipline", "seq_open(&cell.seq);").is_empty());
+        assert!(run("seqlock-discipline", "seq_open(&cell.seq, even);").is_empty());
         assert!(run(
             "seqlock-discipline",
             "self.generation.load(Ordering::Acquire);"

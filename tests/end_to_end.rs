@@ -230,9 +230,8 @@ fn final_policy_dominates_naive() {
     for mut bench in all_benchmarks() {
         bench.scale = Scale::test();
         let profiles = profile_benchmark(&bench, 512, 11);
-        let config = ProfileConfig::default();
-        let fin = choose_targets(&profiles, &config);
-        let naive = choose_naive(&profiles, &config);
+        let fin = choose_targets(&profiles, &ProfileConfig::default());
+        let naive = choose_naive(&profiles);
         final_ratios.push(fin.device_compression_ratio());
         naive_ratios.push(naive.device_compression_ratio());
         final_buddy += fin.static_buddy_fraction();
