@@ -43,6 +43,8 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
     sets: Vec<Vec<Slot>>,
+    /// `sets.len() - 1`: a power-of-two set count makes the set index a mask.
+    set_mask: u64,
     ways: usize,
     tick: u64,
     hits: u64,
@@ -51,17 +53,26 @@ pub struct SectoredCache {
 }
 
 impl SectoredCache {
-    /// Creates a cache with `lines` total lines and `ways` associativity.
+    /// Creates a cache with `lines` total lines and `ways` associativity,
+    /// i.e. `lines / ways` sets. A line's set is its hashed tag masked to
+    /// the set count, so the set count must be a power of two. Every set
+    /// starts empty and grows to `ways` slots as it fills.
     ///
     /// # Panics
     ///
-    /// Panics if `lines` is zero, `ways` is zero, or `ways` exceeds `lines`.
+    /// Panics if `lines` is zero, `ways` is zero, `ways` exceeds `lines`,
+    /// or `lines / ways` is not a power of two.
     pub fn new(lines: usize, ways: usize) -> Self {
         assert!(lines > 0 && ways > 0, "cache must have lines and ways");
         assert!(ways <= lines, "ways cannot exceed total lines");
-        let sets = (lines / ways).max(1);
+        let sets = lines / ways;
+        assert!(
+            sets.is_power_of_two(),
+            "set count {sets} ({lines} lines / {ways} ways) must be a power of two"
+        );
         Self {
-            sets: vec![Vec::with_capacity(ways); sets],
+            sets: vec![Vec::new(); sets],
+            set_mask: sets as u64 - 1,
             ways,
             tick: 0,
             hits: 0,
@@ -71,7 +82,7 @@ impl SectoredCache {
     }
 
     fn set_of(&self, tag: u64) -> usize {
-        (splitmix64(tag) % self.sets.len() as u64) as usize
+        (splitmix64(tag) & self.set_mask) as usize
     }
 
     /// Looks up `tag` asking for the sectors in `mask`; updates LRU and hit
@@ -299,5 +310,11 @@ mod tests {
     #[should_panic(expected = "ways cannot exceed")]
     fn invalid_geometry_panics() {
         SectoredCache::new(2, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        SectoredCache::new(12, 4); // three sets
     }
 }

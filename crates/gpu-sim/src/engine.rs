@@ -15,14 +15,20 @@
 //! * (de)compression adds pipeline latency on the critical path,
 //! * Buddy mode adds metadata-cache misses (extra DRAM traffic) and
 //!   serialized buddy-memory fetches over the interconnect.
+//!
+//! The event loop always advances the lane with the earliest pending
+//! request, ties to the lower lane. Each lane has exactly one pending
+//! event, so `(time, lane)` keys are unique and any correct priority queue
+//! yields the same order; the engine keeps them in an `EventTree`, a
+//! tournament tree over lanes whose update is one branch-free
+//! leaf-to-root pass. Channels, slices and cache sets are picked by
+//! masking a hash, which needs power-of-two counts ([`Engine::new`]).
 
 use crate::cache::{Lookup, SectoredCache};
 use crate::config::GpuConfig;
 use crate::layout::MemoryLayout;
 use crate::splitmix64;
 use crate::stats::SimStats;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One memory access fed to the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,21 +95,86 @@ impl ExecConfig {
     }
 }
 
-/// f64 time that is totally ordered for the event heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Time(f64);
-
-impl Eq for Time {}
-
-impl PartialOrd for Time {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The engine's event queue: an indexed tournament (winner) tree over
+/// lanes, holding each lane's one pending event.
+///
+/// `nodes[leaves + lane]` is lane `lane`'s key and every internal node
+/// `n` holds the smaller of its children `2n` and `2n + 1`, so `nodes[1]`
+/// is the next event. A key packs the time, mapped to an integer in
+/// `f64::total_cmp` order, above the lane in the low 32 bits, so keys
+/// compare as `(time, lane)` pairs and carry their lane with them.
+/// Rescheduling a lane rewrites its leaf and replays the one leaf-to-root
+/// path: one sibling load and one compare per level. A retired lane, and
+/// every padding leaf past `lanes`, holds [`RETIRED`](Self::RETIRED).
+#[derive(Debug, Clone)]
+struct EventTree {
+    /// `2 × leaves` keys; index 0 is unused.
+    nodes: Vec<u128>,
+    /// `lanes.next_power_of_two()`: the index of lane 0's leaf.
+    leaves: usize,
 }
 
-impl Ord for Time {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+impl EventTree {
+    /// The key of a lane with no pending event; above every real key.
+    const RETIRED: u128 = u128::MAX;
+
+    /// A tree whose lane `l` first issues at `start(l)`.
+    fn new(lanes: u32, start: impl Fn(u32) -> f64) -> Self {
+        let leaves = (lanes as usize).next_power_of_two();
+        let mut nodes = vec![Self::RETIRED; 2 * leaves];
+        for lane in 0..lanes {
+            nodes[leaves + lane as usize] = Self::key(start(lane), lane);
+        }
+        for node in (1..leaves).rev() {
+            nodes[node] = nodes[2 * node].min(nodes[2 * node + 1]);
+        }
+        Self { nodes, leaves }
+    }
+
+    /// `time`'s bits with every bit flipped if it is negative and only
+    /// the sign bit flipped otherwise: unsigned order becomes
+    /// `f64::total_cmp` order. A real key never reaches `RETIRED`, since
+    /// no lane is `u32::MAX`.
+    fn key(time: f64, lane: u32) -> u128 {
+        let bits = time.to_bits();
+        let ordered = bits ^ ((bits as i64 >> 63) as u64 | 1 << 63);
+        (ordered as u128) << 32 | lane as u128
+    }
+
+    /// The earliest pending `(time, lane)`, ties to the lower lane; `None`
+    /// once every lane has retired.
+    fn peek(&self) -> Option<(f64, u32)> {
+        let root = self.nodes[1];
+        (root != Self::RETIRED).then(|| {
+            let ordered = (root >> 32) as u64;
+            let bits = ordered ^ (!((ordered as i64 >> 63) as u64) | 1 << 63);
+            (f64::from_bits(bits), root as u32)
+        })
+    }
+
+    /// Sets `lane`'s pending event to `time`.
+    fn schedule(&mut self, lane: u32, time: f64) {
+        self.replay(lane, Self::key(time, lane));
+    }
+
+    /// Removes `lane` from the tournament for good.
+    fn retire(&mut self, lane: u32) {
+        self.replay(lane, Self::RETIRED);
+    }
+
+    fn replay(&mut self, lane: u32, key: u128) {
+        let mut node = self.leaves + lane as usize;
+        self.nodes[node] = key;
+        let mut winner = key;
+        while node > 1 {
+            // Pick the winner by indexing, not by `min`: the outcome is a
+            // coin flip, and a compiled branch would mispredict half the
+            // time.
+            let sibling_wins = (self.nodes[node ^ 1] < winner) as usize;
+            winner = self.nodes[node ^ sibling_wins];
+            node >>= 1;
+            self.nodes[node] = winner;
+        }
     }
 }
 
@@ -143,7 +214,11 @@ pub struct Engine<'a> {
     layout: &'a dyn MemoryLayout,
     l2: SectoredCache,
     md_caches: Vec<SectoredCache>,
+    /// `l2_slices - 1`: picks a metadata line's slice from its hash.
+    slice_mask: u64,
     channels: Vec<Queue>,
+    /// `dram_channels - 1`: picks an entry's channel from its hash.
+    channel_mask: u64,
     banks: Vec<Vec<Bank>>,
     link_in: Queue,
     link_out: Queue,
@@ -159,6 +234,17 @@ const METADATA_HASH_TAG: u64 = 0x4D44_4D44;
 
 impl<'a> Engine<'a> {
     /// Builds an engine over the given machine, mode and layout.
+    ///
+    /// Entries and metadata lines are spread over channels, slices and
+    /// cache sets by masking a hash, so every one of those counts must be
+    /// a power of two (the Table 2 machine's 32 channels, 32 slices, 2048
+    /// L2 sets and 32 metadata sets per slice are).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.dram_channels` or `cfg.l2_slices` is not a power of
+    /// two, or if the L2 or a metadata cache slice has a set count that is
+    /// not (see [`SectoredCache::new`]).
     pub fn new(
         cfg: GpuConfig,
         exec: ExecConfig,
@@ -168,6 +254,12 @@ impl<'a> Engine<'a> {
     ) -> Self {
         let md_lines = cfg.metadata_cache_lines_per_slice();
         let md_ways = (cfg.metadata_cache_ways as usize).min(md_lines.max(1));
+        assert!(
+            cfg.dram_channels.is_power_of_two() && cfg.l2_slices.is_power_of_two(),
+            "DRAM channels ({}) and L2 slices ({}) must be powers of two",
+            cfg.dram_channels,
+            cfg.l2_slices
+        );
         Self {
             cfg,
             exec,
@@ -178,7 +270,9 @@ impl<'a> Engine<'a> {
             md_caches: (0..cfg.l2_slices)
                 .map(|_| SectoredCache::new(md_lines.max(md_ways), md_ways))
                 .collect(),
+            slice_mask: cfg.l2_slices as u64 - 1,
             channels: vec![Queue::default(); cfg.dram_channels as usize],
+            channel_mask: cfg.dram_channels as u64 - 1,
             banks: vec![vec![Bank::default(); BANKS_PER_CHANNEL]; cfg.dram_channels as usize],
             link_in: Queue::default(),
             link_out: Queue::default(),
@@ -187,7 +281,7 @@ impl<'a> Engine<'a> {
     }
 
     fn channel_of(&self, entry: u64) -> usize {
-        (splitmix64(entry) % self.cfg.dram_channels as u64) as usize
+        (splitmix64(entry) & self.channel_mask) as usize
     }
 
     /// Reserves `sectors` sectors on the DRAM channel serving `entry`.
@@ -268,7 +362,7 @@ impl<'a> Engine<'a> {
     /// Metadata lookup for `entry`; returns the time the metadata is known.
     fn metadata_lookup(&mut self, now: f64, entry: u64) -> f64 {
         let md_line = entry / buddy_core::ENTRIES_PER_METADATA_LINE;
-        let slice = (splitmix64(md_line ^ METADATA_HASH_TAG) % self.cfg.l2_slices as u64) as usize;
+        let slice = (splitmix64(md_line ^ METADATA_HASH_TAG) & self.slice_mask) as usize;
         match self.md_caches[slice].lookup(md_line, 0b1111) {
             Lookup::Hit => {
                 self.stats.md_hits += 1;
@@ -439,20 +533,17 @@ impl<'a> Engine<'a> {
     /// Runs the engine over `trace` and returns the statistics.
     pub fn run(mut self, trace: &mut dyn Iterator<Item = MemRequest>) -> SimStats {
         let mut trace = trace.take(self.exec.accesses as usize);
-        let mut heap: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
         // Stagger lane start times so the cold machine fills smoothly.
-        for lane in 0..self.exec.lanes {
-            heap.push(Reverse((Time(lane as f64 * 0.25), lane)));
-        }
+        let mut events = EventTree::new(self.exec.lanes, |lane| lane as f64 * 0.25);
         let mut last_completion = 0.0f64;
-        while let Some(Reverse((Time(now), lane))) = heap.pop() {
+        while let Some((now, lane)) = events.peek() {
             match trace.next() {
                 Some(req) => {
                     let done = self.execute(now, req);
                     last_completion = last_completion.max(done);
-                    heap.push(Reverse((Time(done + self.exec.compute_cycles), lane)));
+                    events.schedule(lane, done + self.exec.compute_cycles);
                 }
-                None => continue, // lane retires
+                None => events.retire(lane),
             }
         }
         self.stats.cycles = last_completion;
@@ -800,6 +891,117 @@ mod tests {
             assert_eq!(first, run(), "{fidelity:?}");
             assert!(first.cycles > 0.0 && first.writes > 0);
         }
+    }
+
+    /// Pops `tree` and a brute-force reference (a linear scan for the
+    /// least `(time, lane)`) in lockstep: each step checks both agree on
+    /// the next event, then reschedules that lane by `next(step)` (a zero
+    /// delay makes equal times) or, on `None`, retires it. Returns the
+    /// number of pops.
+    fn assert_pops_like_reference(
+        lanes: u32,
+        start: impl Fn(u32) -> f64,
+        mut next: impl FnMut(u64) -> Option<f64>,
+    ) -> u64 {
+        let mut tree = EventTree::new(lanes, &start);
+        let mut reference: Vec<(f64, u32)> = (0..lanes).map(|l| (start(l), l)).collect();
+        let mut steps = 0;
+        loop {
+            let first = (0..reference.len()).min_by(|&a, &b| {
+                let (a, b) = (reference[a], reference[b]);
+                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+            });
+            assert_eq!(tree.peek(), first.map(|i| reference[i]), "step {steps}");
+            let Some(i) = first else {
+                return steps;
+            };
+            let (now, lane) = reference[i];
+            match next(steps) {
+                Some(delay) => {
+                    tree.schedule(lane, now + delay);
+                    reference[i].0 = now + delay;
+                }
+                None => {
+                    tree.retire(lane);
+                    reference.swap_remove(i);
+                }
+            }
+            steps += 1;
+        }
+    }
+
+    #[test]
+    fn event_tree_pops_in_time_then_lane_order() {
+        for lanes in [1, 2, 3, 5, 64, 2688] {
+            // Starts span negative times and both zeros (`total_cmp` puts
+            // -0.0 first); whole-cycle delays make equal times common; one
+            // step in 8 retires its lane, so the tree drains.
+            let pops = assert_pops_like_reference(
+                lanes,
+                |l| [-2.5, -0.0, 0.0, 1.0, 1.0, 3.0, f64::MIN_POSITIVE][l as usize % 7],
+                |i| {
+                    let h = splitmix64(i ^ lanes as u64);
+                    (h % 8 != 0).then_some((h >> 8) as f64 % 4.0)
+                },
+            );
+            assert!(pops > lanes as u64, "{lanes} lanes: only {pops} pops");
+        }
+    }
+
+    #[test]
+    fn event_tree_breaks_ties_toward_the_lower_lane() {
+        let mut tree = EventTree::new(4, |_| 1.0);
+        for lane in 0..4 {
+            assert_eq!(tree.peek(), Some((1.0, lane)));
+            tree.schedule(lane, 2.0);
+        }
+        assert_eq!(tree.peek(), Some((2.0, 0)));
+    }
+
+    #[test]
+    fn event_tree_without_lanes_is_empty() {
+        assert_eq!(EventTree::new(0, |_| 0.0).peek(), None);
+        assert_eq!(assert_pops_like_reference(0, |_| 0.0, |_| Some(1.0)), 0);
+    }
+
+    #[test]
+    fn event_tree_retires_lanes_mid_run() {
+        // Lane 1 retires while lanes 0 and 2 keep issuing; a retired lane
+        // never comes back, and the tree empties once all three retire.
+        let mut tree = EventTree::new(3, |l| l as f64);
+        assert_eq!(tree.peek(), Some((0.0, 0)));
+        tree.schedule(0, 5.0);
+        assert_eq!(tree.peek(), Some((1.0, 1)));
+        tree.retire(1);
+        assert_eq!(tree.peek(), Some((2.0, 2)));
+        tree.schedule(2, 3.0);
+        assert_eq!(tree.peek(), Some((3.0, 2)));
+        tree.retire(2);
+        assert_eq!(tree.peek(), Some((5.0, 0)));
+        tree.retire(0);
+        assert_eq!(tree.peek(), None);
+        // One lane alone: its leaf is the root.
+        let steps = assert_pops_like_reference(1, |_| 0.0, |i| (i < 10).then_some(1.0));
+        assert_eq!(steps, 11);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be powers of two")]
+    fn non_power_of_two_channel_count_panics() {
+        let cfg = GpuConfig {
+            dram_channels: 24,
+            ..GpuConfig::p100()
+        };
+        let exec = ExecConfig {
+            lanes: 1,
+            compute_cycles: 0.0,
+            accesses: 0,
+        };
+        let layout = UniformLayout {
+            entries: 1,
+            placement: EntryPlacement::device(4),
+        };
+        Engine::new(cfg, exec, MemoryMode::Uncompressed, Fidelity::Fast, &layout);
     }
 
     #[test]

@@ -247,12 +247,19 @@ impl BenchmarkLayout {
 
     /// The nominal size class of an entry (without compressing).
     pub fn size_class(&self, entry: u64) -> bpc::SizeClass {
+        self.class_and_target(entry).0
+    }
+
+    /// The entry's nominal size class and its allocation's target, from
+    /// one [`locate`](Self::locate).
+    fn class_and_target(&self, entry: u64) -> (bpc::SizeClass, TargetRatio) {
         let (idx, local) = self.locate(entry);
         let alloc = &self.allocations[idx];
-        alloc
+        let class = alloc
             .spec
             .class_at(alloc.alloc_seed, local, self.phase)
-            .nominal_size_class()
+            .nominal_size_class();
+        (class, alloc.target)
     }
 }
 
@@ -264,8 +271,8 @@ impl MemoryLayout for BenchmarkLayout {
     /// The sectors the device would store the entry's nominal class in
     /// ([`EntryState::stored`]).
     fn placement(&self, entry: u64) -> EntryPlacement {
-        let target = self.allocations[self.locate(entry).0].target;
-        let state = EntryState::stored(self.size_class(entry), target);
+        let (class, target) = self.class_and_target(entry);
+        let state = EntryState::stored(class, target);
         EntryPlacement {
             device_sectors: state.device_sectors(target),
             buddy_sectors: state.buddy_sectors(target),
