@@ -82,9 +82,14 @@ fn device_run(codec: CodecKind, bench: &Benchmark, seed: u64, cap: u64) -> (f64,
         .enumerate()
     {
         let n = entries.min(cap);
+        #[expect(
+            clippy::expect_used,
+            reason = "harness device is sized so every capped allocation fits; failing loudly \
+                      is the figure's bug alarm"
+        )]
         let alloc = device
             .alloc(spec.name, n, choice.target)
-            .expect("capped allocation fits the harness device"); // lint-allow(no-unwrap): harness device is sized so every capped allocation fits; failing loudly is the figure's bug alarm
+            .expect("capped allocation fits the harness device");
         let alloc_seed = entry_gen::mix(&[seed, idx as u64]);
         let mut start = 0u64;
         while start < n {
@@ -92,12 +97,17 @@ fn device_run(codec: CodecKind, bench: &Benchmark, seed: u64, cap: u64) -> (f64,
             for (k, slot) in batch[..len].iter_mut().enumerate() {
                 *slot = spec.entry_at(alloc_seed, start + k as u64, 0.5);
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "batch writes stay within the allocation by construction"
+            )]
             device
                 .write_entries(alloc, start, &batch[..len])
-                .expect("in-range batch write"); // lint-allow(no-unwrap): batch writes stay within the allocation by construction
+                .expect("in-range batch write");
+            #[expect(clippy::expect_used, reason = "reads mirror the writes just issued")]
             device
                 .read_entries(alloc, start, &mut readback[..len])
-                .expect("in-range batch read"); // lint-allow(no-unwrap): reads mirror the writes just issued
+                .expect("in-range batch read");
             assert_eq!(
                 readback[..len],
                 batch[..len],

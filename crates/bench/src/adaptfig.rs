@@ -107,10 +107,14 @@ fn run_arm(
         device_capacity: specs.len() as u64 * entries * ENTRY_BYTES as u64,
         carve_out_factor: 3,
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "device is sized for every spec even fully demoted to 1x"
+    )]
     let ids: Vec<_> = specs
         .iter()
         .zip(initial.iter())
-        .map(|(spec, &target)| dev.alloc(spec.name, entries, target).expect("device sized")) // lint-allow(no-unwrap): device is sized for every spec even fully demoted to 1x
+        .map(|(spec, &target)| dev.alloc(spec.name, entries, target).expect("device sized"))
         .collect();
     let policy = ProfileConfig::default();
 
@@ -126,8 +130,12 @@ fn run_arm(
                 for (k, slot) in batch[..len].iter_mut().enumerate() {
                     *slot = spec.entry_at(alloc_seed, start + k as u64, phase);
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "writes stay within the allocation by construction"
+                )]
                 dev.write_entries(id, start, &batch[..len])
-                    .expect("in-range write"); // lint-allow(no-unwrap): writes stay within the allocation by construction
+                    .expect("in-range write");
                 start += len as u64;
             }
         }
@@ -135,10 +143,15 @@ fn run_arm(
         let before = dev.stats();
         if adaptive {
             for &id in &ids {
-                let window = dev.state_window(id).expect("live handle"); // lint-allow(no-unwrap): ids stay live for the whole study
-                let (_, current, _) = dev.allocation_info(id).expect("live handle"); // lint-allow(no-unwrap): ids stay live for the whole study
+                #[expect(clippy::expect_used, reason = "ids stay live for the whole study")]
+                let window = dev.state_window(id).expect("live handle");
+                #[expect(clippy::expect_used, reason = "ids stay live for the whole study")]
+                let (_, current, _) = dev.allocation_info(id).expect("live handle");
                 if let Some(next) = policy.recommend(current, &window) {
-                    // lint-allow(no-unwrap): device is sized for any retarget the policy picks
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "device is sized for any retarget the policy picks"
+                    )]
                     dev.retarget(id, next).expect("device sized for any target");
                 }
             }
@@ -151,14 +164,16 @@ fn run_arm(
             let mut start = 0u64;
             while start < entries {
                 let len = ((entries - start) as usize).min(BATCH);
+                #[expect(clippy::expect_used, reason = "reads mirror the writes just issued")]
                 dev.read_entries(id, start, &mut sink[..len])
-                    .expect("in-range read"); // lint-allow(no-unwrap): reads mirror the writes just issued
+                    .expect("in-range read");
                 start += len as u64;
             }
         }
+        #[expect(clippy::expect_used, reason = "ids stay live for the whole study")]
         let targets: Vec<String> = ids
             .iter()
-            .map(|&id| dev.allocation_info(id).expect("live handle").1.to_string()) // lint-allow(no-unwrap): ids stay live for the whole study
+            .map(|&id| dev.allocation_info(id).expect("live handle").1.to_string())
             .collect();
         rows.push(PhaseRow {
             phase,
@@ -170,9 +185,10 @@ fn run_arm(
             targets: targets.join("|"),
         });
     }
+    #[expect(clippy::expect_used, reason = "ids stay live for the whole study")]
     let finals = ids
         .iter()
-        .map(|&id| dev.allocation_info(id).expect("live handle").1) // lint-allow(no-unwrap): ids stay live for the whole study
+        .map(|&id| dev.allocation_info(id).expect("live handle").1)
         .collect();
     (rows, finals)
 }

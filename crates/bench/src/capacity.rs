@@ -210,10 +210,14 @@ pub fn fig07(cfg: &RunConfig) -> io::Result<()> {
 pub fn fig08(cfg: &RunConfig) -> io::Result<()> {
     let mut rows = Vec::new();
     for name in ["SqueezeNet", "ResNet50"] {
+        #[expect(
+            clippy::expect_used,
+            reason = "benchmark names are compiled into all_benchmarks()"
+        )]
         let bench = all_benchmarks()
             .into_iter()
             .find(|b| b.name == name)
-            .expect("benchmark exists"); // lint-allow(no-unwrap): benchmark names are compiled into all_benchmarks()
+            .expect("benchmark exists");
 
         // Profile across the run (the paper's static targets), then measure
         // per-snapshot overflow with those targets held fixed.

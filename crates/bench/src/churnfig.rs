@@ -164,8 +164,12 @@ pub fn run_distribution(label: &'static str, lifetime: Lifetime, cfg: &RunConfig
     let mut write_buf = vec![[0u8; ENTRY_BYTES]; WRITE_PREFIX as usize];
 
     for op_index in 0..total_ops {
-        // lint-allow(no-unwrap): churn traces are infinite by construction
-        match trace.next().expect("churn traces are infinite") {
+        #[expect(
+            clippy::expect_used,
+            reason = "churn traces are infinite by construction"
+        )]
+        let op = trace.next().expect("churn traces are infinite");
+        match op {
             ChurnOp::Alloc { key, entries } => {
                 attempts += 1;
                 let target = target_for(key, cfg.seed);
@@ -177,21 +181,30 @@ pub fn run_distribution(label: &'static str, lifetime: Lifetime, cfg: &RunConfig
                         for (i, slot) in write_buf[..n].iter_mut().enumerate() {
                             *slot = class.generate(mix(&[cfg.seed, key, i as u64]));
                         }
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the WRITE_PREFIX window is in range for every accepted alloc"
+                        )]
                         dev.write_entries(id, 0, &write_buf[..n])
-                            .expect("prefix is in range"); // lint-allow(no-unwrap): the WRITE_PREFIX window is in range for every accepted alloc
+                            .expect("prefix is in range");
                         handles.insert(key, id);
                     }
                     Err(
                         DeviceError::OutOfDeviceMemory { .. }
                         | DeviceError::OutOfBuddyMemory { .. },
                     ) => failures += 1,
-                    Err(other) => panic!("unexpected alloc error: {other}"), // lint-allow(no-unwrap): any error besides out-of-memory is a harness bug; abort with its message
+                    #[expect(
+                        clippy::panic,
+                        reason = "any error besides out-of-memory is a harness bug; abort with its message"
+                    )]
+                    Err(other) => panic!("unexpected alloc error: {other}"),
                 }
             }
             ChurnOp::Free { key } => {
                 // Keys whose alloc was rejected have no handle to free.
                 if let Some(id) = handles.remove(&key) {
-                    dev.free(id).expect("live handle frees cleanly"); // lint-allow(no-unwrap): the handle came from the live map
+                    #[expect(clippy::expect_used, reason = "the handle came from the live map")]
+                    dev.free(id).expect("live handle frees cleanly");
                 }
             }
         }
@@ -218,7 +231,11 @@ pub fn run_distribution(label: &'static str, lifetime: Lifetime, cfg: &RunConfig
     // Leak freedom: drain the survivors; the device must return to empty
     // with its free space fully coalesced.
     for (_, id) in handles.drain() {
-        dev.free(id).expect("survivor frees cleanly"); // lint-allow(no-unwrap): drained handles are live by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "drained handles are live by construction"
+        )]
+        dev.free(id).expect("survivor frees cleanly");
     }
     assert_eq!(dev.device_used(), 0, "{label}: leaked device bytes");
     assert_eq!(dev.buddy_used(), 0, "{label}: leaked buddy bytes");

@@ -8,8 +8,7 @@
 //! reported numbers next to the measured ones and writes a CSV under
 //! `results/`. Pass `--quick` for a reduced smoke run.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod ablation;
 pub mod adaptfig;

@@ -136,7 +136,11 @@ pub fn measure(
     batches_per_client: u64,
     seed: u64,
 ) -> Cell {
-    let profile = by_name(TRACE_BENCH).expect("trace benchmark exists").access; // lint-allow(no-unwrap): the trace benchmark is compiled into the suite
+    #[expect(
+        clippy::expect_used,
+        reason = "the trace benchmark is compiled into the suite"
+    )]
+    let profile = by_name(TRACE_BENCH).expect("trace benchmark exists").access;
 
     // Size shards to the replay footprint (with 2× headroom) instead of a
     // flat multi-MB capacity: the backing arrays are zero-initialized, and
@@ -153,7 +157,11 @@ pub fn measure(
         },
         codec,
     });
-    replay(
+    #[expect(
+        clippy::expect_used,
+        reason = "the pool is sized with 2x headroom for every client"
+    )]
+    let cell = replay(
         &pool,
         profile,
         spec,
@@ -162,7 +170,8 @@ pub fn measure(
         batches_per_client,
         seed,
     )
-    .expect("sized pool hosts every client") // lint-allow(no-unwrap): the pool is sized with 2x headroom for every client
+    .expect("sized pool hosts every client");
+    cell
 }
 
 /// The write palette: a ring of entries spanning the compressibility
@@ -273,7 +282,8 @@ fn replay(
     for op in 0..batches_per_client {
         for (c, client) in clients.iter_mut().enumerate() {
             let c = c as u64;
-            let access = client.trace.next().expect("trace generators are infinite"); // lint-allow(no-unwrap): trace generators are infinite
+            #[expect(clippy::expect_used, reason = "trace generators are infinite")]
+            let access = client.trace.next().expect("trace generators are infinite");
             let start = access.entry.min(max_start);
             // The profile decides read-vs-write unless `read_pct` pins the
             // mix (deterministic per (seed, client, batch), like everything

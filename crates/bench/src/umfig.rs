@@ -20,7 +20,11 @@ pub fn fig12(cfg: &RunConfig) -> io::Result<()> {
     let accesses = cfg.scaled(300_000) as usize;
     let mut rows = Vec::new();
     for name in ["360.ilbdc", "356.sp", "351.palm"] {
-        let mut bench = by_name(name).expect("benchmark exists"); // lint-allow(no-unwrap): benchmark names are compiled into the suite
+        #[expect(
+            clippy::expect_used,
+            reason = "benchmark names are compiled into the suite"
+        )]
+        let mut bench = by_name(name).expect("benchmark exists");
         bench.scale = buddy_compression::workloads::Scale {
             divisor: 512.0,
             floor_bytes: 4 << 20,

@@ -48,8 +48,7 @@
 //! assert!(buf.size_class().bytes() <= 32);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod bdi;
 pub mod bitplane;
@@ -125,10 +124,14 @@ pub fn is_zero(entry: &Entry) -> bool {
 }
 
 /// Interprets a 128-byte entry as 32 little-endian 32-bit symbols.
+#[expect(
+    clippy::expect_used,
+    reason = "chunks_exact(4) yields exactly 4-byte slices"
+)]
 pub(crate) fn to_symbols(entry: &Entry) -> [u32; 32] {
     let mut symbols = [0u32; 32];
     for (symbol, chunk) in symbols.iter_mut().zip(entry.chunks_exact(4)) {
-        *symbol = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk")); // lint-allow(no-unwrap): chunks_exact(4) yields exactly 4-byte slices
+        *symbol = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
     }
     symbols
 }

@@ -24,8 +24,7 @@
 //!
 //! See DESIGN.md §13 for scope, limits, and how to read a counterexample.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod mem;
 pub mod models;

@@ -202,10 +202,13 @@ impl Memory {
         } else {
             None
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "ensure_location precedes every store; inside the checker a broken \
+                      invariant should abort the run"
+        )]
         self.locations
             .get_mut(&loc)
-            // lint-allow(no-unwrap): ensure_location precedes every store;
-            // inside the checker a broken invariant should abort the run
             .expect("location registered before store")
             .history
             .push(HistEntry { value, msg, fmsg });

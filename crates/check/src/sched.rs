@@ -349,6 +349,10 @@ impl Exec {
     /// panic there would abort the whole process. Such a thread gets
     /// `None` instead, and its shim op acts on the `std` mirror alone; the
     /// execution is void either way.
+    #[expect(
+        clippy::panic,
+        reason = "raising Pruned is how the scheduler unwinds a thread out of an aborted execution"
+    )]
     fn unwind<T>(st: MutexGuard<'_, ExecState>) -> Option<T> {
         drop(st);
         if std::thread::panicking() {
@@ -492,9 +496,12 @@ fn run_model_thread(exec: Arc<Exec>, tid: usize, f: Box<dyn FnOnce() + Send>) {
 
 /// Fails the current schedule with `message` — the model-level assertion
 /// primitive (plain `assert!` works too; this one reads better in traces).
+#[expect(
+    clippy::panic,
+    reason = "panicking IS the violation signal: the model thread's catch_unwind classifies \
+              the payload into a counterexample"
+)]
 pub fn fail(message: impl Into<String>) -> ! {
-    // lint-allow(no-unwrap): panicking IS the violation signal — the model
-    // thread's catch_unwind classifies the payload into a counterexample
     panic!("{}", message.into())
 }
 

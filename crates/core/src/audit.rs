@@ -259,8 +259,12 @@ impl DeviceAuditor {
     /// Mirrors a successful `free`, checking the freed ranges match the
     /// live reservation exactly and bumping the generation floor.
     pub fn record_free(&mut self, slot: u32, generation: u64) {
+        #[expect(
+            clippy::panic,
+            reason = "the auditor's whole job is to abort on divergence"
+        )]
         let Some(alloc) = self.live.remove(&slot) else {
-            panic!("free of slot {slot} which the shadow does not hold live"); // lint-allow(no-unwrap): the auditor's whole job is to abort on divergence
+            panic!("free of slot {slot} which the shadow does not hold live");
         };
         assert_eq!(
             alloc.generation, generation,
@@ -283,8 +287,11 @@ impl DeviceAuditor {
     /// and nibble range are swapped for the new ones; the entry count and
     /// the generation are unchanged (migration is not a free).
     pub fn record_retarget(&mut self, slot: u32, updated: ShadowAlloc) {
+        #[expect(
+            clippy::panic,
+            reason = "the auditor's whole job is to abort on divergence"
+        )]
         let Some(old) = self.live.get(&slot).copied() else {
-            // lint-allow(no-unwrap): the auditor's whole job is to abort on divergence
             panic!("retarget of slot {slot} which the shadow does not hold live");
         };
         assert_eq!(

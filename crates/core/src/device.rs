@@ -412,9 +412,13 @@ impl BuddyDevice {
     /// Panics if `device_capacity × carve_out_factor` overflows `u64`
     /// (checked explicitly — such a carve-out cannot be backed anyway).
     pub fn with_codec(config: DeviceConfig, codec: CodecKind) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "the overflow check is this constructor's documented panic contract"
+        )]
         let buddy_capacity = config
             .buddy_capacity()
-            .expect("device_capacity x carve_out_factor overflows u64"); // lint-allow(no-unwrap): the overflow check is this constructor's documented panic contract
+            .expect("device_capacity x carve_out_factor overflows u64");
         Self {
             config,
             shared: Arc::new(SharedState::new(
@@ -790,6 +794,10 @@ impl BuddyDevice {
         // Staging for the decoded contents, allocated and zero-filled
         // before the window opens: it touches no shared state, so readers
         // of this allocation must not spin through it.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a live allocation's entries already fit in the device's in-memory arrays"
+        )]
         let mut contents = vec![[0u8; ENTRY_BYTES]; entries as usize];
 
         // The migration itself runs inside the slot's publication window

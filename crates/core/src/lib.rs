@@ -59,8 +59,8 @@
 //! assert!((outcome.device_compression_ratio() - 4.0).abs() < 1e-9);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 #[cfg(test)]
 mod adapt;

@@ -339,6 +339,10 @@ pub fn choose_naive(profiles: &[AllocationProfile]) -> ProfileOutcome {
             p.entries as f64 / p.histogram.total() as f64
         };
         for class in SizeClass::ALL {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a non-negative count rounded to whole entries; `as` saturates"
+            )]
             merged.record_n(
                 class,
                 (p.histogram.count(class) as f64 * scale).round() as u64,

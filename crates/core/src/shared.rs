@@ -295,6 +295,10 @@ impl AtomicNibbles {
         // per element: the allocation comes from `alloc_zeroed`, so the
         // pages of metadata no allocation ever uses are never touched (a
         // 64 MiB device reserves 4 MiB of nibbles up front).
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "one unit per 16 nibbles of a device whose bytes are in memory"
+        )]
         let units = vec![0u64; entries.div_ceil(UNIT_NIBBLES) as usize]
             .into_iter()
             .map(AtomicU64::new)
@@ -353,8 +357,13 @@ impl AtomicNibbles {
         }
         let end = start + len;
         let first = (start / UNIT_NIBBLES) as usize;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a nibble run ends inside the metadata array, so its unit index is a usize"
+        )]
+        let last = end.div_ceil(UNIT_NIBBLES) as usize;
         let mut lo = start;
-        for cell in &self.units[first..end.div_ceil(UNIT_NIBBLES) as usize] {
+        for cell in &self.units[first..last] {
             let unit_base = lo - lo % UNIT_NIBBLES;
             let hi = end.min(unit_base + UNIT_NIBBLES);
             let word = word_of(lo, hi);
@@ -649,6 +658,10 @@ impl SlotTable {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an offset inside one chunk is below that chunk's u32-sized length"
+    )]
     fn locate(slot: u32) -> (usize, usize) {
         if slot < SLOT_CHUNK0 {
             (0, slot as usize)
@@ -798,10 +811,14 @@ impl SharedState {
     }
 
     /// The cell a structural operation publishes through.
+    #[expect(
+        clippy::expect_used,
+        reason = "alloc calls SlotTable::ensure before any publish"
+    )]
     fn structural_cell(&self, slot: u32) -> &SlotCell {
         self.slots
             .cell(slot)
-            .expect("structural ops ensure the slot before publishing") // lint-allow(no-unwrap): alloc calls SlotTable::ensure before any publish
+            .expect("structural ops ensure the slot before publishing")
     }
 
     /// The published view of `id`, loaded without the seqlock's retry: the
@@ -959,6 +976,10 @@ impl SharedState {
         self.metadata
             .store_run(first, entries.len() as u64, |nibble| {
                 let offset = nibble - first;
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "offset < entries.len(), which is a usize"
+                )]
                 let state = self.write_one(view, start + offset, &entries[offset as usize]);
                 record(state);
                 state

@@ -70,8 +70,12 @@ impl TargetRatio {
 
     /// Device sectors reserved per entry (zero-page mode reserves a sub-
     /// sector 8 B granule and reports 0 whole sectors).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "compile-time constants; the quotient is at most 4 sectors"
+    )]
     pub fn device_sectors(self) -> u8 {
-        (self.device_bytes_per_entry() / SECTOR_BYTES as u32) as u8 // lint-allow(lossy-cast): compile-time constants; the quotient is at most 4 sectors
+        (self.device_bytes_per_entry() / SECTOR_BYTES as u32) as u8
     }
 
     /// Buddy bytes reserved per entry in the carve-out.

@@ -28,8 +28,7 @@
 //! assert!(speedup.speedup() > 1.1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod layers;
 pub mod networks;

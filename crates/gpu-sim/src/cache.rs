@@ -133,12 +133,13 @@ impl SectoredCache {
             set.push(new_slot);
             return None;
         }
+        #[expect(clippy::expect_used, reason = "the set was just checked to be full")]
         let victim_idx = set
             .iter()
             .enumerate()
             .min_by_key(|(_, s)| s.last_use)
             .map(|(i, _)| i)
-            .expect("set is full, victim exists"); // lint-allow(no-unwrap): the set was just checked to be full
+            .expect("set is full, victim exists");
         let victim = std::mem::replace(&mut set[victim_idx], new_slot);
         if victim.dirty_mask != 0 {
             Some(Eviction {

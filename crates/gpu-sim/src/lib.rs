@@ -47,8 +47,7 @@
 //! assert!(stats.cycles > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod cache;
 pub mod config;

@@ -20,8 +20,7 @@
 //!   the only one in the workspace allowed to own raw atomics for metrics
 //!   (enforced by the `raw-atomic-metric` xtask lint).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod hist;
 pub mod metrics;

@@ -59,8 +59,8 @@
 //! # Ok::<(), buddy_pool::DeviceError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub use bpc::{CodecKind, Entry, SizeHistogram, ENTRY_BYTES};
 pub use buddy_core::{
@@ -267,6 +267,10 @@ impl BuddyPool {
             return Err(DeviceError::EmptyAllocation);
         }
         let seq = self.route_seq.fetch_add(1, Ordering::Relaxed); // Relaxed: the sequence only feeds shard hashing with unique ids; no memory is published through it
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a hash modulo the shard count is below that count"
+        )]
         let home = (shard_hash(name, seq) % self.shards.len() as u64) as usize;
         // The home shard is probed first and is the one whose error the
         // pool reports when every shard is exhausted.
@@ -274,7 +278,11 @@ impl BuddyPool {
         let home_error = match self.shard(home).alloc(name, entries, target) {
             Ok(inner) => {
                 return Ok(PoolAllocId {
-                    shard: home as u32, // lint-allow(lossy-cast): shard count is validated to fit u32 in BuddyPool::new
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "shard count is validated to fit u32 in BuddyPool::new"
+                    )]
+                    shard: home as u32,
                     inner,
                 });
             }
@@ -289,7 +297,11 @@ impl BuddyPool {
                 self.alloc_shard_probes.incr();
                 if let Ok(inner) = self.shard(index).alloc(name, entries, target) {
                     return Ok(PoolAllocId {
-                        shard: index as u32, // lint-allow(lossy-cast): shard count is validated to fit u32 in BuddyPool::new
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "shard count is validated to fit u32 in BuddyPool::new"
+                        )]
+                        shard: index as u32,
                         inner,
                     });
                 }

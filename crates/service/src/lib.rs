@@ -52,8 +52,7 @@
 //! # Ok::<(), buddy_service::ServiceError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use buddy_pool::{
     AccessStats, CodecKind, DeviceConfig, DeviceError, Entry, PoolConfig, RetargetReport,

@@ -12,6 +12,10 @@
 //! finish under a timeout (no deadlock), and afterwards the tenants'
 //! traffic must sum to the pool's exactly — attribution loses nothing and
 //! counts nothing twice.
+#![allow(
+    clippy::disallowed_types,
+    reason = "the deadlock timeout reads the wall clock"
+)]
 
 use buddy_service::{
     AccessStats, AdmissionPolicy, BuddyService, CodecKind, DeviceConfig, Entry, PoolConfig,

@@ -21,8 +21,7 @@
 //! memory"*, with slowdowns of up to 16–64× at modest oversubscription,
 //! while Buddy Compression at 50 GB/s suffers at most 1.67× (§4.3).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::HashMap;
 use std::fmt;

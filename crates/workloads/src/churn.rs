@@ -203,7 +203,11 @@ impl Iterator for ChurnTrace {
                 if self.draining {
                     // Backward pass: free the stacked activations in
                     // reverse (last-allocated, first-freed).
-                    let key = self.backward.pop().expect("draining stack is non-empty"); // lint-allow(no-unwrap): draining only starts with a non-empty backward stack
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "draining only starts with a non-empty backward stack"
+                    )]
+                    let key = self.backward.pop().expect("draining stack is non-empty");
                     if self.backward.is_empty() {
                         self.draining = false;
                     }
@@ -229,13 +233,17 @@ impl Iterator for ChurnTrace {
                     self.alloc_op(death)
                 } else {
                     // Steady state: retire the earliest-expiring region.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "live_target > 0 guarantees a retirement candidate"
+                    )]
                     let idx = self
                         .live
                         .iter()
                         .enumerate()
                         .min_by_key(|(_, &(death, key))| (death, key))
                         .map(|(i, _)| i)
-                        .expect("live target is positive"); // lint-allow(no-unwrap): live_target > 0 guarantees a retirement candidate
+                        .expect("live target is positive");
                     let (_, key) = self.live.swap_remove(idx);
                     ChurnOp::Free { key }
                 }

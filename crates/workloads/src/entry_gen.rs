@@ -182,6 +182,7 @@ impl MixtureProfile {
     }
 
     /// Picks a component deterministically from `u` in `[0, 1)`.
+    #[expect(clippy::expect_used, reason = "mixtures are constructed non-empty")]
     pub fn pick(&self, u: f64) -> EntryClass {
         let total: f64 = self.components.iter().map(|(w, _)| w).sum();
         let mut acc = 0.0;
@@ -191,7 +192,7 @@ impl MixtureProfile {
                 return class;
             }
         }
-        self.components.last().expect("non-empty mixture").1 // lint-allow(no-unwrap): mixtures are constructed non-empty
+        self.components.last().expect("non-empty mixture").1
     }
 
     /// Expected compressed bytes per entry if every component hit its

@@ -37,8 +37,7 @@
 //! assert!(stats.compression_ratio() > 2.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod arrival;
 pub mod churn;

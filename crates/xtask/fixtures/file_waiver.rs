@@ -2,32 +2,26 @@
 //! `lint-allow-file` suppresses every finding of its rule in the file; a
 //! reasonless, unknown-rule or mid-file one suppresses nothing and is a
 //! deny finding itself.
-// lint-allow-file(no-unwrap): fixture demonstrates one file waiver covering many findings
-// lint-allow-file(lossy-cast)
+// lint-allow-file(raw-atomic-metric): fixture demonstrates one file waiver covering many findings
+// lint-allow-file(relaxed-ordering)
 // lint-allow-file(not-a-rule): typo'd ids must never silently waive anything
-#![forbid(unsafe_code)]
 
 // The two malformed leading waivers above, and the misplaced one below:
 // expect-file(waiver-without-reason)
 // expect-file(unknown-waiver)
 // expect-file(misplaced-file-waiver)
 
-fn covered_once(opt: Option<u32>) -> u32 {
-    opt.unwrap()
+static COVERED_ONCE: AtomicU64 = AtomicU64::new(0);
+
+struct CoveredAgain {
+    hits: AtomicU32,
 }
 
-fn covered_again(opt: Option<u32>) -> u32 {
-    opt.expect("the file waiver absorbs this one too")
+fn reasonless_file_waivers_do_not_suppress(c: &AtomicU64) -> u64 {
+    c.load(Ordering::Relaxed) // expect(relaxed-ordering)
 }
 
-fn reasonless_file_waivers_do_not_suppress(x: u64) -> u8 {
-    x as u8 // expect(lossy-cast)
-}
-
-// lint-allow-file(no-unwrap): arriving after code has started, this is misplaced
-fn misplaced_file_waivers_do_not_suppress_either(opt: Option<u32>) -> u32 {
-    match opt {
-        Some(v) => v,
-        None => 0,
-    }
+// lint-allow-file(relaxed-ordering): arriving after code has started, this is misplaced
+fn misplaced_file_waivers_do_not_suppress_either(c: &AtomicU64) -> u64 {
+    c.swap(0, Ordering::Relaxed) // expect(relaxed-ordering)
 }

@@ -1,7 +1,6 @@
 //! Known-bad corpus for the `nested-lock` rule: acquiring a second shard
 //! lock while a `let`-bound guard is still in scope must be flagged;
 //! sequential and loop-scoped acquisitions must not.
-#![forbid(unsafe_code)]
 
 impl Pool {
     fn deadlock_prone(&self, a: usize, b: usize) -> u64 {

@@ -2,7 +2,6 @@
 //! (field declaration or construction) outside the `buddy_obs` metric
 //! primitives must be flagged; imports, references and test-module
 //! bookkeeping must not.
-#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 

@@ -3,7 +3,6 @@
 //! on `seq` carries model-checker evidence only through the named
 //! `core::sync` helpers (`seq_acquire`/`seq_revalidate`/`seq_open`/
 //! `seq_release`).
-#![forbid(unsafe_code)]
 
 use crate::sync::{seq_acquire, seq_open};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -510,6 +510,68 @@ mod tests {
         );
     }
 
+    /// The toolchain half of the gate. rustc enforces the workspace lint
+    /// table on every build, but clippy's lints fail nothing unless clippy
+    /// runs, so this test runs it, in its own target dir. It first checks
+    /// that every first-party crate opts in, so a new crate cannot escape.
+    /// A toolchain without clippy fails here; it does not skip.
+    #[test]
+    fn toolchain_lints_are_on_and_clean() {
+        let root = repo_root();
+        let deny = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]";
+        let casts = "#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]";
+        let mut required = vec![
+            (
+                root.join("Cargo.toml"),
+                "[workspace.lints.rust]\nunsafe_code = \"forbid\"\nmissing_docs = \"deny\"\n",
+            ),
+            (
+                root.join("clippy.toml"),
+                "disallowed-types = [\"std::time::Instant\", \"std::time::SystemTime\"]",
+            ),
+            (root.join("crates/core/src/lib.rs"), casts),
+            (root.join("crates/pool/src/lib.rs"), casts),
+        ];
+        let mut packages: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+            .expect("crates/")
+            .map(|e| e.expect("crates/ entry").path())
+            .filter(|dir| dir.join("Cargo.toml").is_file())
+            .collect();
+        packages.push(root.clone());
+        for dir in &packages {
+            required.push((dir.join("Cargo.toml"), "[lints]\nworkspace = true\n"));
+            let bins = fs::read_dir(dir.join("src/bin")).into_iter().flatten();
+            let crate_roots = [dir.join("src/lib.rs"), dir.join("src/main.rs")]
+                .into_iter()
+                .chain(bins.map(|e| e.expect("src/bin entry").path()));
+            required.extend(crate_roots.filter(|p| p.is_file()).map(|p| (p, deny)));
+        }
+        let missing: Vec<String> = required
+            .iter()
+            .filter(|(path, needle)| !fs::read_to_string(path).expect("readable").contains(needle))
+            .map(|(path, needle)| format!("{}: `{needle}`", rel(&root, path)))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "lint opt-ins missing:\n{}",
+            missing.join("\n")
+        );
+
+        let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+        let out = std::process::Command::new(cargo)
+            .current_dir(&root)
+            .env("CARGO_TARGET_DIR", root.join("target/clippy"))
+            .args(["clippy", "--offline", "--locked"])
+            .args(["--workspace", "--all-targets", "--", "-D", "warnings"])
+            .output()
+            .expect("cargo runs");
+        assert!(
+            out.status.success(),
+            "cargo clippy failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
     /// The mutation self-test, doubled as a unit test: every rule flags its
     /// fixture snippets and every fixture waiver suppresses.
     #[test]
@@ -546,19 +608,19 @@ mod tests {
     fn json_is_well_formed_enough() {
         let report = Report {
             findings: vec![Finding {
-                rule: "no-unwrap".into(),
+                rule: "nested-lock".into(),
                 severity: Severity::Deny,
                 path: "a\"b.rs".into(),
                 line: 3,
                 message: "quote \" and backslash \\".into(),
-                description: "no unwrap".into(),
+                description: "no nested locks".into(),
                 waived: Some("because".into()),
             }],
             files: 1,
         };
         let json = render_json(&report);
         assert!(json.contains("\\\"") && json.contains("\\\\"));
-        assert!(json.contains("\"description\":\"no unwrap\""));
+        assert!(json.contains("\"description\":\"no nested locks\""));
         assert!(json.ends_with("}\n"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -574,10 +636,10 @@ mod tests {
         // not the filesystem.
         let b = dir.join("b.rs");
         let a = dir.join("a.rs");
-        fs::write(&b, "fn f(o: Option<u32>) -> u32 { o.unwrap() }\n").expect("write b");
+        fs::write(&b, "static N: AtomicU64 = AtomicU64::new(0);\n").expect("write b");
         fs::write(
             &a,
-            "fn g(o: Option<u32>) -> u32 { o.expect(\"x\") }\nfn h() { panic!(\"y\") }\n",
+            "fn g(c: &AtomicU64) { c.load(Ordering::Relaxed); }\nstatic M: AtomicU32 = AtomicU32::new(0);\n",
         )
         .expect("write a");
         let rules = registry();
@@ -594,7 +656,7 @@ mod tests {
         );
         let summary = rules
             .iter()
-            .find(|r| r.id == "no-unwrap")
+            .find(|r| r.id == "relaxed-ordering")
             .expect("rule")
             .summary;
         assert!(
@@ -613,13 +675,13 @@ mod tests {
         let good = dir.join("good.rs");
         fs::write(
             &good,
-            "//! Docs.\n// lint-allow-file(no-unwrap): demo reason\nfn f(o: Option<u32>) -> u32 { o.unwrap() }\nfn g(o: Option<u32>) -> u32 { o.expect(\"x\") }\n",
+            "//! Docs.\n// lint-allow-file(raw-atomic-metric): demo reason\nstatic N: AtomicU64 = AtomicU64::new(0);\nstruct S { hits: AtomicU32 }\n",
         )
         .expect("write good");
         let bad = dir.join("bad.rs");
         fs::write(
             &bad,
-            "// lint-allow-file(no-such-rule): bogus target\n// lint-allow-file(lossy-cast)\nfn f() {}\n// lint-allow-file(no-unwrap): too late\nfn g(o: Option<u32>) -> u32 { o.unwrap() }\n",
+            "// lint-allow-file(no-such-rule): bogus target\n// lint-allow-file(relaxed-ordering)\nfn f(c: &AtomicU64) -> u64 { c.load(Ordering::Relaxed) }\n// lint-allow-file(raw-atomic-metric): too late\nstatic N: AtomicU64 = AtomicU64::new(0);\n",
         )
         .expect("write bad");
         let rules = registry();
@@ -627,24 +689,26 @@ mod tests {
         let by_rule = |rule: &str| -> Vec<&Finding> {
             report.findings.iter().filter(|f| f.rule == rule).collect()
         };
-        // good.rs: both no-unwrap findings exist but are waived.
-        let good_unwraps: Vec<&Finding> = report
+        // good.rs: both raw-atomic-metric findings exist but are waived.
+        let good_atomics: Vec<&Finding> = report
             .findings
             .iter()
-            .filter(|f| f.path == "good.rs" && f.rule == "no-unwrap")
+            .filter(|f| f.path == "good.rs" && f.rule == "raw-atomic-metric")
             .collect();
-        assert_eq!(good_unwraps.len(), 2);
-        assert!(good_unwraps
+        assert_eq!(good_atomics.len(), 2);
+        assert!(good_atomics
             .iter()
             .all(|f| f.waived.as_deref() == Some("demo reason")));
-        // bad.rs: each malformed waiver is its own deny, and the misplaced
-        // one did NOT suppress the unwrap below it.
+        // bad.rs: each malformed waiver is its own deny, and neither the
+        // reasonless nor the misplaced one suppressed the finding it names.
         assert_eq!(by_rule("unknown-waiver").len(), 1);
         assert_eq!(by_rule("waiver-without-reason").len(), 1);
         assert_eq!(by_rule("misplaced-file-waiver").len(), 1);
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.path == "bad.rs" && f.rule == "no-unwrap" && f.waived.is_none()));
+        for rule in ["relaxed-ordering", "raw-atomic-metric"] {
+            assert!(report
+                .findings
+                .iter()
+                .any(|f| f.path == "bad.rs" && f.rule == rule && f.waived.is_none()));
+        }
     }
 }

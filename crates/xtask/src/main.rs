@@ -8,7 +8,7 @@
 //! ```
 //!
 //! See DESIGN.md §10 for the rule catalogue and the waiver policy.
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod lint;
 mod rules;

@@ -4,8 +4,9 @@
 //! Rules are text-level scans over the scrubbed source model (comments and
 //! literal contents removed, unit-test modules excluded where a rule says
 //! so). Each rule documents *why* the pattern is forbidden here — these are
-//! invariants no off-the-shelf tool knows about, distilled from the bugs
-//! the equivalence suites in PRs 3–5 were built to catch.
+//! the locking, ordering and metric invariants no off-the-shelf tool knows
+//! about. Generic hygiene (unwrap, lossy casts, wall clocks, unsafe code,
+//! docs) is rustc's and clippy's job; see DESIGN.md §10.
 
 use crate::source::{SourceFile, Token, TokenKind};
 use std::collections::BTreeSet;
@@ -56,20 +57,6 @@ pub struct Rule {
 pub fn registry() -> Vec<Rule> {
     vec![
         Rule {
-            id: "no-unwrap",
-            severity: Severity::Deny,
-            summary: "no unwrap()/expect()/panic! in non-test library code",
-            applies: |p| is_library_source(p),
-            check: check_no_unwrap,
-        },
-        Rule {
-            id: "lossy-cast",
-            severity: Severity::Deny,
-            summary: "no lossy `as` integer casts in core/pool hot paths (use try_from or a checked helper)",
-            applies: |p| p.starts_with("crates/core/src/") || p.starts_with("crates/pool/src/"),
-            check: check_lossy_cast,
-        },
-        Rule {
             id: "nested-lock",
             severity: Severity::Deny,
             summary: "no shard-lock acquisition while another shard guard is held (deadlock risk)",
@@ -87,31 +74,17 @@ pub fn registry() -> Vec<Rule> {
         Rule {
             id: "relaxed-ordering",
             severity: Severity::Deny,
-            summary: "every Ordering::Relaxed needs an adjacent `Relaxed: ...` justification comment",
-            applies: |p| is_library_source(p),
+            summary:
+                "every Ordering::Relaxed needs an adjacent `Relaxed: ...` justification comment",
+            applies: |_| true,
             check: check_relaxed_ordering,
-        },
-        Rule {
-            id: "wallclock-in-replay",
-            severity: Severity::Deny,
-            summary: "no Instant/SystemTime in library or figure code (src/ and every \
-                      crates/*/src/ but xtask's) — timing lives in benchmark/",
-            applies: is_clock_free_source,
-            check: check_wallclock,
-        },
-        Rule {
-            id: "crate-hygiene",
-            severity: Severity::Deny,
-            summary: "every crate root carries #![forbid(unsafe_code)] and crate-level docs",
-            applies: is_crate_root,
-            check: check_crate_hygiene,
         },
         Rule {
             id: "raw-atomic-metric",
             severity: Severity::Deny,
             summary: "no ad-hoc atomic counters in library code — metric primitives live in \
                       buddy_obs",
-            applies: |p| is_library_source(p) && !p.starts_with("crates/obs/src/"),
+            applies: |p| !p.starts_with("crates/obs/src/"),
             check: check_raw_atomic_metric,
         },
         Rule {
@@ -135,108 +108,6 @@ pub fn pseudo_summary(id: &str) -> &'static str {
             "file-scoped waivers must sit in the leading comment block, before any code"
         }
         _ => "",
-    }
-}
-
-/// True when the token texts starting at `toks[i]` equal `pat` exactly.
-fn tokens_match(toks: &[Token], i: usize, pat: &[&str]) -> bool {
-    pat.iter()
-        .enumerate()
-        .all(|(k, p)| toks.get(i + k).is_some_and(|t| t.text == *p))
-}
-
-/// The non-test token stream of a file — what the token-level rules scan.
-fn library_tokens(file: &SourceFile) -> Vec<Token> {
-    file.tokens().into_iter().filter(|t| !t.in_test).collect()
-}
-
-/// Library sources: crate `src/` trees (never `tests/`, `benches/` or
-/// `examples/`, which the walker does not visit anyway).
-fn is_library_source(path: &str) -> bool {
-    path.ends_with(".rs")
-}
-
-/// Where `wallclock-in-replay` applies: the facade `src/` and every
-/// `crates/*/src/` except xtask's own (whose rule text names the types).
-fn is_clock_free_source(path: &str) -> bool {
-    path.starts_with("src/")
-        || path
-            .strip_prefix("crates/")
-            .and_then(|rest| rest.split_once('/'))
-            .is_some_and(|(krate, rest)| krate != "xtask" && rest.starts_with("src/"))
-}
-
-/// Crate roots whose attributes the hygiene rule inspects.
-fn is_crate_root(path: &str) -> bool {
-    path == "src/lib.rs"
-        || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"))
-        || (path.starts_with("crates/") && path.ends_with("/src/main.rs"))
-}
-
-fn check_no_unwrap(file: &SourceFile, out: &mut Vec<RawFinding>) {
-    // Token matching (not substring): `.unwrap()` is the sequence
-    // `. unwrap ( )`, so `unwrap_or(..)` and prose in strings never match,
-    // and a call split across lines still does.
-    let toks = library_tokens(file);
-    let mut seen = BTreeSet::new();
-    for i in 0..toks.len() {
-        let (name, at, advice) = if tokens_match(&toks, i, &[".", "unwrap", "(", ")"]) {
-            (
-                "unwrap()",
-                i + 1,
-                "return a Result or use a checked alternative",
-            )
-        } else if tokens_match(&toks, i, &[".", "expect", "("]) {
-            (
-                "expect",
-                i + 1,
-                "return a Result, or waive with the invariant that makes it unreachable",
-            )
-        } else if tokens_match(&toks, i, &["panic", "!", "("]) {
-            (
-                "panic!",
-                i,
-                "return an error; panics in library code abort whole shard threads",
-            )
-        } else {
-            continue;
-        };
-        let line = toks[at].line;
-        if seen.insert((line, name)) {
-            out.push(RawFinding {
-                line,
-                message: format!("`{name}` in non-test library code — {advice}"),
-            });
-        }
-    }
-}
-
-const NARROW_INTS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-
-fn check_lossy_cast(file: &SourceFile, out: &mut Vec<RawFinding>) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-        let mut search = 0usize;
-        while let Some(pos) = code[search..].find(" as ") {
-            let after = &code[search + pos + 4..];
-            let target: String = after
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if NARROW_INTS.contains(&target.as_str()) {
-                out.push(RawFinding {
-                    line: idx + 1,
-                    message: format!(
-                        "lossy `as {target}` cast in a hot path — use `{target}::try_from` \
-                         or a bounds-asserted helper, or waive with the range invariant"
-                    ),
-                });
-            }
-            search += pos + 4;
-        }
     }
 }
 
@@ -389,28 +260,6 @@ fn check_relaxed_ordering(file: &SourceFile, out: &mut Vec<RawFinding>) {
     }
 }
 
-fn check_wallclock(file: &SourceFile, out: &mut Vec<RawFinding>) {
-    // An identifier token IS a word boundary match — `instants` and
-    // `Instantly` are different tokens, not near-misses to special-case.
-    let mut seen = BTreeSet::new();
-    for t in library_tokens(file) {
-        if t.kind != TokenKind::Ident || (t.text != "Instant" && t.text != "SystemTime") {
-            continue;
-        }
-        if seen.insert((t.line, t.text.clone())) {
-            out.push(RawFinding {
-                line: t.line,
-                message: format!(
-                    "`{}` in library or figure code — every result must be \
-                     reproducible from seeds alone; time it from `benchmark/` \
-                     or waive with why this cannot perturb a result",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
 /// Atomic method names whose receiver must not be a bare `seq` word.
 const SEQ_METHODS: [&str; 9] = [
     "load",
@@ -432,7 +281,7 @@ fn check_seqlock_discipline(file: &SourceFile, out: &mut Vec<RawFinding>) {
     // named helpers — a raw `seq.load(..)` re-opens the whole argument, so
     // the sequence word may only be touched via
     // `seq_acquire`/`seq_revalidate`/`seq_open`/`seq_release`.
-    let toks = library_tokens(file);
+    let toks: Vec<Token> = file.tokens().into_iter().filter(|t| !t.in_test).collect();
     let mut seen = BTreeSet::new();
     for i in 0..toks.len() {
         if !(toks[i].kind == TokenKind::Ident && toks[i].text == "seq") {
@@ -514,31 +363,6 @@ fn check_raw_atomic_metric(file: &SourceFile, out: &mut Vec<RawFinding>) {
     }
 }
 
-fn check_crate_hygiene(file: &SourceFile, out: &mut Vec<RawFinding>) {
-    let has_forbid = file
-        .lines
-        .iter()
-        .any(|l| l.code.contains("#![forbid(unsafe_code)]"));
-    if !has_forbid {
-        out.push(RawFinding {
-            line: 1,
-            message: "crate root lacks `#![forbid(unsafe_code)]` — every crate in this \
-                      workspace is a forbid-unsafe crate"
-                .to_string(),
-        });
-    }
-    let has_docs = file
-        .lines
-        .iter()
-        .any(|l| l.raw.trim_start().starts_with("//!"));
-    if !has_docs {
-        out.push(RawFinding {
-            line: 1,
-            message: "crate root lacks crate-level `//!` documentation".to_string(),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,27 +387,6 @@ mod tests {
                 assert_ne!(a.id, b.id);
             }
         }
-    }
-
-    #[test]
-    fn unwrap_in_strings_comments_and_tests_is_ignored() {
-        let text = "let s = \"don't .unwrap() me\"; // .unwrap() here is prose\n#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }";
-        assert!(run("no-unwrap", text).is_empty());
-        assert_eq!(run("no-unwrap", "x.unwrap();").len(), 1);
-        assert_eq!(run("no-unwrap", "x.expect(\"reason\");").len(), 1);
-        assert_eq!(run("no-unwrap", "panic!(\"boom\");").len(), 1);
-        assert!(run("no-unwrap", "x.unwrap_or(0); x.unwrap_or_else(f);").is_empty());
-    }
-
-    #[test]
-    fn lossy_casts_flag_narrowing_only() {
-        assert_eq!(run("lossy-cast", "let x = big as u32;").len(), 1);
-        assert_eq!(run("lossy-cast", "let x = (a + b) as u8;").len(), 1);
-        assert!(run("lossy-cast", "let x = small as u64;").is_empty());
-        assert!(run("lossy-cast", "let x = small as usize;").is_empty());
-        assert!(run("lossy-cast", "let x = small as f64;").is_empty());
-        // `u32::try_from` is the required replacement, and is not flagged.
-        assert!(run("lossy-cast", "let x = u32::try_from(big)?;").is_empty());
     }
 
     #[test]
@@ -665,46 +468,6 @@ mod tests {
         assert!(run("relaxed-ordering", justified).is_empty());
         let same_line = "c.fetch_add(1, Ordering::Relaxed); // Relaxed: id uniqueness only";
         assert!(run("relaxed-ordering", same_line).is_empty());
-    }
-
-    #[test]
-    fn wallclock_flags_word_boundaries() {
-        assert_eq!(
-            run("wallclock-in-replay", "let t = Instant::now();").len(),
-            1
-        );
-        assert_eq!(
-            run("wallclock-in-replay", "use std::time::SystemTime;").len(),
-            1
-        );
-        assert!(run("wallclock-in-replay", "let instants = 3;").is_empty());
-        assert!(run("wallclock-in-replay", "use std::time::Duration;").is_empty());
-    }
-
-    #[test]
-    fn wallclock_scope_is_the_replay_and_figure_code() {
-        let rules = registry();
-        let rule = rules
-            .iter()
-            .find(|r| r.id == "wallclock-in-replay")
-            .expect("rule registered");
-        // The trace generators and every figure harness: `reproduce-all`'s
-        // artifacts must be reproducible from seeds alone.
-        assert!((rule.applies)("crates/workloads/src/arrival.rs"));
-        assert!((rule.applies)("crates/bench/src/poolfig.rs"));
-        assert!((rule.applies)("crates/bench/src/bin/reproduce-all.rs"));
-        // And the whole library under them: the simulator, the lock-free
-        // plane and the observability crate read no clock either.
-        assert!((rule.applies)("crates/gpu-sim/src/engine.rs"));
-        assert!((rule.applies)("crates/core/src/shared.rs"));
-        assert!((rule.applies)("crates/obs/src/trace.rs"));
-        assert!((rule.applies)("src/lib.rs"));
-        // Timing is the benchmark's and the examples' business, the rule's
-        // own text names the types, and tests may spawn and wait.
-        assert!(!(rule.applies)("crates/xtask/src/rules.rs"));
-        assert!(!(rule.applies)("examples/pool_replay.rs"));
-        assert!(!(rule.applies)("benchmark/src/run.rs"));
-        assert!(!(rule.applies)("crates/bench/tests/cli.rs"));
     }
 
     #[test]
@@ -804,23 +567,5 @@ mod tests {
         assert!((rule.applies)("crates/core/src/shared.rs"));
         assert!(!(rule.applies)("crates/core/src/sync.rs"));
         assert!(!(rule.applies)("crates/pool/src/lib.rs"));
-    }
-
-    #[test]
-    fn no_unwrap_matches_across_line_breaks() {
-        // The substring engine this rule replaced could not see a call
-        // split across lines; the token stream can.
-        assert_eq!(run("no-unwrap", "opt\n    .unwrap()").len(), 1);
-        assert!(run("no-unwrap", "opt.unwrap_or_default()").is_empty());
-    }
-
-    #[test]
-    fn crate_hygiene_requires_docs_and_forbid() {
-        assert_eq!(run("crate-hygiene", "fn main() {}").len(), 2);
-        assert!(run(
-            "crate-hygiene",
-            "//! Docs.\n#![forbid(unsafe_code)]\nfn main() {}"
-        )
-        .is_empty());
     }
 }

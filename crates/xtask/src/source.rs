@@ -589,11 +589,14 @@ mod tests {
 
     #[test]
     fn waivers_resolve_to_the_next_code_line() {
-        let text = "// lint-allow(no-unwrap): bounded by construction\nx.unwrap();\ny.unwrap(); // lint-allow(no-unwrap): same-line form";
+        let text = "// lint-allow(raw-atomic-metric): an id source, not a metric\nnext: AtomicU64,\nc.load(Ordering::Relaxed); // lint-allow(relaxed-ordering): same-line form";
         let f = parse(text);
         let w = f.waivers();
         assert_eq!(w.len(), 2);
-        assert_eq!((w[0].target_line, w[0].rule.as_str()), (2, "no-unwrap"));
+        assert_eq!(
+            (w[0].target_line, w[0].rule.as_str()),
+            (2, "raw-atomic-metric")
+        );
         assert_eq!(w[1].target_line, 3);
         assert_eq!(w[1].reason, "same-line form");
     }
@@ -650,22 +653,22 @@ mod tests {
 
     #[test]
     fn file_waivers_parse_and_validate_placement() {
-        let text = "//! Docs.\n// lint-allow-file(no-unwrap): leading block\nfn f() {}\n// lint-allow-file(lossy-cast): after code\n";
+        let text = "//! Docs.\n// lint-allow-file(raw-atomic-metric): leading block\nfn f() {}\n// lint-allow-file(relaxed-ordering): after code\n";
         let f = parse(text);
         let w = f.file_waivers();
         assert_eq!(w.len(), 2);
         assert_eq!(
             (w[0].rule.as_str(), w[0].comment_line, w[0].misplaced),
-            ("no-unwrap", 2, false)
+            ("raw-atomic-metric", 2, false)
         );
         assert_eq!(w[0].reason, "leading block");
         assert!(w[1].misplaced, "waiver after first code line is misplaced");
         // A file waiver sharing a line with code is misplaced too.
-        let same_line = parse("fn f() {} // lint-allow-file(no-unwrap): too late");
+        let same_line = parse("fn f() {} // lint-allow-file(nested-lock): too late");
         assert!(same_line.file_waivers()[0].misplaced);
         // Line waivers and file waivers do not parse as each other.
         assert!(same_line.waivers().is_empty());
-        assert!(parse("// lint-allow(no-unwrap): x\nf();")
+        assert!(parse("// lint-allow(nested-lock): x\nf();")
             .file_waivers()
             .is_empty());
     }

@@ -3,6 +3,10 @@
 //! merged traffic, per-shard occupancy and throughput.
 //!
 //! Run with `cargo run --example pool_replay`.
+#![allow(
+    clippy::disallowed_types,
+    reason = "the example prints its own throughput"
+)]
 
 use buddy_compression::buddy_core::{DeviceConfig, TargetRatio};
 use buddy_compression::buddy_pool::{BuddyPool, CodecKind, PoolConfig, ENTRY_BYTES};

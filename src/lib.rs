@@ -43,8 +43,7 @@
 //! assert!(outcome.device_compression_ratio() > 1.5);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use bpc;
 pub use buddy_core;
