@@ -144,7 +144,7 @@ fn run_arm(
         if adaptive {
             for &id in &ids {
                 #[expect(clippy::expect_used, reason = "ids stay live for the whole study")]
-                let window = dev.state_window(id).expect("live handle");
+                let window = dev.handle().state_window(id).expect("live handle");
                 #[expect(clippy::expect_used, reason = "ids stay live for the whole study")]
                 let (_, current, _) = dev.allocation_info(id).expect("live handle");
                 if let Some(next) = policy.recommend(current, &window) {

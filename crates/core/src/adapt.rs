@@ -1,6 +1,6 @@
 //! Tests of the online half of the admission rule:
 //! [`ProfileConfig::recommend`](crate::ProfileConfig::recommend) over
-//! [`BuddyDevice::state_window`](crate::BuddyDevice::state_window)
+//! [`DeviceHandle::state_window`](crate::DeviceHandle::state_window)
 //! histograms, driving [`BuddyDevice::retarget`](crate::BuddyDevice::retarget).
 //! A test-only module: the policy itself lives in `profile`.
 
@@ -188,7 +188,7 @@ mod tests {
             });
             let a = dev.alloc("mix", 512, TargetRatio::R1).unwrap();
             dev.write_entries(a, 0, &entries).unwrap();
-            let online = dev.state_window(a).unwrap();
+            let online = dev.handle().state_window(a).unwrap();
 
             let mut scratch = CompressedBuf::new();
             let offline: SizeHistogram = entries
@@ -248,7 +248,7 @@ mod tests {
                 }
                 dev.write_entries(a, i, &[e]).unwrap();
             }
-            let window = dev.state_window(a).unwrap();
+            let window = dev.handle().state_window(a).unwrap();
             if let Some(next) = policy.recommend(current, &window) {
                 dev.retarget(a, next).unwrap();
                 current = next;

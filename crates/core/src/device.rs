@@ -709,11 +709,6 @@ impl BuddyDevice {
         self.shared.read_batch(id, start, out).map(|_| ())
     }
 
-    /// Per-entry state without touching traffic counters (for analysis).
-    pub fn entry_state(&self, id: AllocId, index: u64) -> Result<EntryState, DeviceError> {
-        self.shared.entry_state(id, index)
-    }
-
     /// Raw storage fingerprint of an entry: the device and buddy byte ranges
     /// it owns. Used by tests to prove that writes never move other entries.
     pub fn storage_ranges(&self, id: AllocId, index: u64) -> Result<StorageRanges, DeviceError> {
@@ -931,26 +926,6 @@ impl BuddyDevice {
         };
         Ok((device_base, buddy_base))
     }
-
-    /// The live compressed footprint of an allocation as a size-class
-    /// histogram, the online counterpart of an
-    /// [`AllocationProfile`](crate::AllocationProfile)'s and the input of
-    /// [`ProfileConfig::recommend`](crate::ProfileConfig::recommend). Each
-    /// entry's state is binned to the largest class with its stored
-    /// footprint (`Zero` → `B0`, `ZeroPageFit` → `B8`, 1–4 sectors → `B32`
-    /// / `B64` / `B96` / `B128`, raw zero-page overflow → `B128`), so
-    /// [`TargetRatio::overflow_fraction`] is exact for the standard
-    /// targets and never optimistic for 16×. A pure metadata scan: records
-    /// no traffic (4 bits per entry — the information the memory controller
-    /// already holds).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] for invalid handles and
-    /// [`DeviceError::CorruptEntry`] for a damaged metadata nibble.
-    pub fn state_window(&self, id: AllocId) -> Result<SizeHistogram, DeviceError> {
-        self.shared.state_window(id)
-    }
 }
 
 impl DeviceHandle {
@@ -1032,22 +1007,33 @@ impl DeviceHandle {
         self.shared.write_batch(id, start, entries)
     }
 
-    /// Lock-free [`BuddyDevice::entry_state`].
+    /// Per-entry state without touching traffic counters (for analysis).
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// for invalid handles.
+    /// for invalid handles and [`DeviceError::CorruptEntry`] for a damaged
+    /// metadata nibble.
     pub fn entry_state(&self, id: AllocId, index: u64) -> Result<EntryState, DeviceError> {
         self.shared.entry_state(id, index)
     }
 
-    /// Lock-free [`BuddyDevice::state_window`]: the scan observes one
-    /// consistent epoch.
+    /// The live compressed footprint of an allocation as a size-class
+    /// histogram, the online counterpart of an
+    /// [`AllocationProfile`](crate::AllocationProfile)'s and the input of
+    /// [`ProfileConfig::recommend`](crate::ProfileConfig::recommend). Each
+    /// entry's state is binned to the largest class with its stored
+    /// footprint (`Zero` → `B0`, `ZeroPageFit` → `B8`, 1–4 sectors → `B32`
+    /// / `B64` / `B96` / `B128`, raw zero-page overflow → `B128`), so
+    /// [`TargetRatio::overflow_fraction`] is exact for the standard
+    /// targets and never optimistic for 16×. A pure metadata scan against
+    /// one consistent epoch: records no traffic (4 bits per entry — the
+    /// information the memory controller already holds).
     ///
     /// # Errors
     ///
-    /// As [`BuddyDevice::state_window`].
+    /// Returns [`DeviceError::BadAllocation`] for invalid handles and
+    /// [`DeviceError::CorruptEntry`] for a damaged metadata nibble.
     pub fn state_window(&self, id: AllocId) -> Result<SizeHistogram, DeviceError> {
         self.shared.state_window(id)
     }
@@ -1074,7 +1060,7 @@ mod tests {
         entry: &Entry,
     ) -> Result<EntryState, DeviceError> {
         dev.write_entries(id, index, std::slice::from_ref(entry))?;
-        dev.entry_state(id, index)
+        dev.handle().entry_state(id, index)
     }
 
     /// Single-entry read as a batch of one.
@@ -1502,7 +1488,7 @@ mod tests {
             write1(&mut dev, a, i, &noisy).unwrap();
         }
         let before = dev.stats();
-        let window = dev.state_window(a).unwrap();
+        let window = dev.handle().state_window(a).unwrap();
         assert_eq!(dev.stats(), before, "window scans must be traffic-free");
         assert_eq!(window.total(), 16);
         assert_eq!(window.count(SizeClass::B0), 8);
@@ -1537,11 +1523,11 @@ mod tests {
             corrupt
         );
         assert_eq!(
-            dev.entry_state(damaged, 5),
+            dev.handle().entry_state(damaged, 5),
             Err(DeviceError::CorruptEntry { index: 5 })
         );
         assert_eq!(
-            dev.state_window(damaged),
+            dev.handle().state_window(damaged),
             Err(DeviceError::CorruptEntry { index: 5 })
         );
         assert_eq!(dev.retarget(damaged, TargetRatio::R4).map(|_| ()), corrupt);
@@ -1764,7 +1750,7 @@ mod tests {
                 out.iter().all(|e| *e == [0u8; ENTRY_BYTES]),
                 "placement {pair}: a dead allocation's nibbles leaked through"
             );
-            let states = dev.state_window(zp).unwrap();
+            let states = dev.handle().state_window(zp).unwrap();
             assert_eq!(
                 states.count(SizeClass::B0),
                 4000,
@@ -1799,7 +1785,7 @@ mod tests {
             dev.retarget(a, TargetRatio::R4),
             Err(DeviceError::BadAllocation)
         );
-        assert_eq!(dev.state_window(a), Err(DeviceError::BadAllocation));
+        assert_eq!(dev.handle().state_window(a), Err(DeviceError::BadAllocation));
         assert_eq!(dev.free(a), Err(DeviceError::BadAllocation), "double free");
         // The live handle still works.
         assert_eq!(read1(&mut dev, b, 0).unwrap(), [0u8; ENTRY_BYTES]);

@@ -25,7 +25,7 @@
 //! * Targets are not frozen at allocation time: [`BuddyDevice::retarget`]
 //!   migrates a live allocation to a new ratio (byte-preserving,
 //!   observation-equivalent), and [`ProfileConfig::recommend`] runs the
-//!   same admission walk online, over [`BuddyDevice::state_window`]'s
+//!   same admission walk online, over [`DeviceHandle::state_window`]'s
 //!   histogram of live metadata, with hysteresis.
 //!
 //! The [`BuddyDevice`] here is a *functional* model with real compressed

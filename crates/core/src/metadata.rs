@@ -85,13 +85,13 @@ impl EntryState {
     }
 
     /// The largest size class with this state's stored footprint — how a
-    /// live state is counted in a [`BuddyDevice::state_window`] histogram.
+    /// live state is counted in a [`DeviceHandle::state_window`] histogram.
     /// A stored sector count does not say whether the entry would also fit
     /// the 8 B granule, and raw zero-page overflow keeps no compressed size
     /// at all, so both bin conservatively: the window never fits the 16×
     /// target better than the data does.
     ///
-    /// [`BuddyDevice::state_window`]: crate::BuddyDevice::state_window
+    /// [`DeviceHandle::state_window`]: crate::DeviceHandle::state_window
     pub(crate) fn footprint_class(self) -> SizeClass {
         match self {
             EntryState::Zero => SizeClass::B0,

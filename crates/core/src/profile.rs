@@ -17,7 +17,7 @@
 //! take the first whose overflow fraction is at or below its threshold — is
 //! written once, in [`ProfileConfig`]. [`choose_targets`] runs it over
 //! profiled histograms; [`ProfileConfig::recommend`] runs it online, over
-//! [`BuddyDevice::state_window`](crate::BuddyDevice::state_window)
+//! [`DeviceHandle::state_window`](crate::DeviceHandle::state_window)
 //! histograms of live metadata, feeding
 //! [`BuddyDevice::retarget`](crate::BuddyDevice::retarget). The paper picks
 //! each target once (§3.5) and observes (§4.2, Figure 8) that
@@ -132,7 +132,7 @@ impl ProfileConfig {
 
     /// Recommends a new target for an allocation currently annotated
     /// `current`, given the histogram of its live states
-    /// ([`BuddyDevice::state_window`](crate::BuddyDevice::state_window)) —
+    /// ([`DeviceHandle::state_window`](crate::DeviceHandle::state_window)) —
     /// or `None` to keep it. Windows of fewer than 64 entries get no
     /// recommendation.
     ///

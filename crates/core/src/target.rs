@@ -108,7 +108,7 @@ impl TargetRatio {
     /// Fraction of the entries counted in `histogram` that do not
     /// [`fit`](Self::fits) this target: the overflow fraction the Buddy
     /// Threshold bounds (§3.4), for an offline profile and a live
-    /// [`state_window`](crate::BuddyDevice::state_window) alike. `0` for an
+    /// [`state_window`](crate::DeviceHandle::state_window) alike. `0` for an
     /// empty histogram.
     pub fn overflow_fraction(self, histogram: &SizeHistogram) -> f64 {
         let total = histogram.total();

@@ -22,61 +22,12 @@
 //!    step the live allocations' nibble ranges are pairwise disjoint and
 //!    inside the `device_capacity / 8` states the device builds up front.
 
+mod kit;
+
 use bpc::{CodecKind, ENTRY_BYTES};
-use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, EntryState, TargetRatio};
+use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, TargetRatio};
+use kit::{entry_of_kind, occupancy, read1, write1, Entry, CONFIG};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-type Entry = [u8; ENTRY_BYTES];
-
-const CONFIG: DeviceConfig = DeviceConfig {
-    device_capacity: 64 << 10,
-    carve_out_factor: 3,
-};
-
-/// Single-entry read as a batch of one.
-fn read1(dev: &mut BuddyDevice, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
-    let mut out = [[0u8; ENTRY_BYTES]];
-    dev.read_entries(id, index, &mut out)?;
-    Ok(out[0])
-}
-
-/// Single-entry write as a batch of one, returning the recorded state.
-fn write1(
-    dev: &mut BuddyDevice,
-    id: AllocId,
-    index: u64,
-    entry: &Entry,
-) -> Result<EntryState, DeviceError> {
-    dev.write_entries(id, index, std::slice::from_ref(entry))?;
-    dev.entry_state(id, index)
-}
-
-/// Entries spanning the compressibility spectrum (zero / constant /
-/// small-noise / random), as in the sibling equivalence suites.
-fn entry_of_kind(kind: u8, seed: u64) -> Entry {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut entry = [0u8; ENTRY_BYTES];
-    match kind % 4 {
-        0 => {}
-        1 => {
-            let w: u32 = rng.gen();
-            for c in entry.chunks_exact_mut(4) {
-                c.copy_from_slice(&w.to_le_bytes());
-            }
-        }
-        2 => {
-            let base: u32 = rng.gen_range(1 << 28..1 << 29);
-            for c in entry.chunks_exact_mut(4) {
-                let v = base + rng.gen_range(0u32..1 << 10);
-                c.copy_from_slice(&v.to_le_bytes());
-            }
-        }
-        _ => rng.fill(&mut entry[..]),
-    }
-    entry
-}
 
 /// The shadow model of one live allocation.
 struct Shadow {
@@ -84,16 +35,6 @@ struct Shadow {
     name: String,
     target: TargetRatio,
     contents: Vec<Entry>,
-}
-
-/// Occupancy fingerprint compared across devices.
-fn occupancy(dev: &BuddyDevice) -> (u64, u64, u64, String) {
-    (
-        dev.device_used(),
-        dev.buddy_used(),
-        dev.logical_bytes(),
-        format!("{:.12}", dev.effective_ratio()),
-    )
 }
 
 /// Asserts guarantee 4 for the allocations `ids`, deriving each nibble
@@ -134,7 +75,7 @@ fn assert_stale(dev: &mut BuddyDevice, id: AllocId) {
         dev.retarget(id, TargetRatio::R1),
         Err(DeviceError::BadAllocation)
     );
-    assert_eq!(dev.state_window(id), Err(DeviceError::BadAllocation));
+    assert_eq!(dev.handle().state_window(id), Err(DeviceError::BadAllocation));
     assert_eq!(dev.free(id), Err(DeviceError::BadAllocation));
 }
 
@@ -247,16 +188,16 @@ proptest! {
             prop_assert_eq!(&from_churned, &shadow.contents, "{}: bytes", &shadow.name);
             for i in 0..n as u64 {
                 prop_assert_eq!(
-                    dev.entry_state(shadow.id, i).unwrap(),
-                    fresh.entry_state(fresh_id, i).unwrap(),
+                    dev.handle().entry_state(shadow.id, i).unwrap(),
+                    fresh.handle().entry_state(fresh_id, i).unwrap(),
                     "{}: state of entry {}", &shadow.name, i
                 );
             }
             let mut sink = vec![[0u8; ENTRY_BYTES]; n];
             fresh.read_entries(fresh_id, 0, &mut sink).unwrap();
             prop_assert_eq!(
-                dev.state_window(shadow.id).unwrap(),
-                fresh.state_window(fresh_id).unwrap(),
+                dev.handle().state_window(shadow.id).unwrap(),
+                fresh.handle().state_window(fresh_id).unwrap(),
                 "{}: state window", &shadow.name
             );
         }

@@ -163,7 +163,7 @@ fn neighbours_sharing_a_unit_never_lose_a_nibble() {
             // clear must have reset all of it and nothing else.
             for i in 0..c_entries {
                 assert_eq!(
-                    dev.entry_state(c, i).unwrap(),
+                    dev.handle().entry_state(c, i).unwrap(),
                     EntryState::Zero,
                     "round {round}: fresh entry {i} not zero"
                 );
@@ -171,7 +171,7 @@ fn neighbours_sharing_a_unit_never_lose_a_nibble() {
             dev.write_entries(c, 0, &c_fill).unwrap();
             for i in 0..c_entries {
                 assert_eq!(
-                    dev.entry_state(c, i).unwrap(),
+                    dev.handle().entry_state(c, i).unwrap(),
                     EntryState::ZeroPageFit,
                     "round {round}: entry {i} lost its state"
                 );
@@ -190,7 +190,7 @@ fn neighbours_sharing_a_unit_never_lose_a_nibble() {
                 None => ([0u8; ENTRY_BYTES], EntryState::Zero),
             };
             assert_eq!(
-                dev.entry_state(id, i as u64).unwrap(),
+                dev.handle().entry_state(id, i as u64).unwrap(),
                 want_state,
                 "entry {i}: state is not the allocation's own last write"
             );

@@ -66,7 +66,7 @@ fn device_with(codec: CodecKind) -> BuddyDevice {
 fn write1(dev: &mut BuddyDevice, id: AllocId, index: u64, entry: &Entry) -> EntryState {
     dev.write_entries(id, index, std::slice::from_ref(entry))
         .unwrap();
-    dev.entry_state(id, index).unwrap()
+    dev.handle().entry_state(id, index).unwrap()
 }
 
 /// Single-entry read as a batch of one.
@@ -283,8 +283,8 @@ proptest! {
                     "{}/{} via {:?}: entry {} diverges between batched and single I/O",
                     codec, target, via, i);
                 prop_assert_eq!(
-                    batched.entry_state(a, i as u64).unwrap(),
-                    single.entry_state(b, i as u64).unwrap(),
+                    batched.handle().entry_state(a, i as u64).unwrap(),
+                    single.handle().entry_state(b, i as u64).unwrap(),
                     "{}/{} via {:?}: state of entry {}", codec, target, via, i);
             }
             prop_assert_eq!(batched.stats(), single.stats());

@@ -16,73 +16,12 @@
 //! migration edge (including the zero-page raw-overflow representation
 //! changes and the no-op diagonal) is exercised on every case.
 
+mod kit;
+
 use bpc::{CodecKind, ENTRY_BYTES};
-use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, EntryState, TargetRatio};
+use buddy_core::{AllocId, BuddyDevice, DeviceError, TargetRatio};
+use kit::{entry_of_kind, occupancy, read1, write1, Entry, CONFIG};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-type Entry = [u8; ENTRY_BYTES];
-
-/// Small device: the suites build three devices per combo, and a compact
-/// arena keeps the 100-combo cross product fast.
-const CONFIG: DeviceConfig = DeviceConfig {
-    device_capacity: 64 << 10,
-    carve_out_factor: 3,
-};
-
-/// Single-entry read as a batch of one.
-fn read1(dev: &mut BuddyDevice, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
-    let mut out = [[0u8; ENTRY_BYTES]];
-    dev.read_entries(id, index, &mut out)?;
-    Ok(out[0])
-}
-
-/// Single-entry write as a batch of one, returning the recorded state.
-fn write1(
-    dev: &mut BuddyDevice,
-    id: AllocId,
-    index: u64,
-    entry: &Entry,
-) -> Result<EntryState, DeviceError> {
-    dev.write_entries(id, index, std::slice::from_ref(entry))?;
-    dev.entry_state(id, index)
-}
-
-/// Entries spanning the compressibility spectrum (zero / constant /
-/// small-noise / random), like the `no_movement` suite uses.
-fn entry_of_kind(kind: u8, seed: u64) -> Entry {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut entry = [0u8; ENTRY_BYTES];
-    match kind % 4 {
-        0 => {}
-        1 => {
-            let w: u32 = rng.gen();
-            for c in entry.chunks_exact_mut(4) {
-                c.copy_from_slice(&w.to_le_bytes());
-            }
-        }
-        2 => {
-            let base: u32 = rng.gen_range(1 << 28..1 << 29);
-            for c in entry.chunks_exact_mut(4) {
-                let v = base + rng.gen_range(0u32..1 << 10);
-                c.copy_from_slice(&v.to_le_bytes());
-            }
-        }
-        _ => rng.fill(&mut entry[..]),
-    }
-    entry
-}
-
-/// Occupancy fingerprint compared across devices.
-fn occupancy(dev: &BuddyDevice) -> (u64, u64, u64, String) {
-    (
-        dev.device_used(),
-        dev.buddy_used(),
-        dev.logical_bytes(),
-        format!("{:.12}", dev.effective_ratio()),
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -158,8 +97,8 @@ proptest! {
                     // directly-allocated device exactly.
                     for i in 0..n {
                         prop_assert_eq!(
-                            migrated.entry_state(m, i).unwrap(),
-                            direct.entry_state(d, i).unwrap(),
+                            migrated.handle().entry_state(m, i).unwrap(),
+                            direct.handle().entry_state(d, i).unwrap(),
                             "{}: state of entry {}", &combo, i
                         );
                     }
@@ -178,8 +117,8 @@ proptest! {
                     // (5) State windows agree, so the adaptive policy sees
                     // the same allocation either way.
                     prop_assert_eq!(
-                        migrated.state_window(m).unwrap(),
-                        direct.state_window(d).unwrap(),
+                        migrated.handle().state_window(m).unwrap(),
+                        direct.handle().state_window(d).unwrap(),
                         "{}: state window", &combo
                     );
                 }
@@ -221,8 +160,8 @@ proptest! {
         prop_assert_eq!(occupancy(&migrated), occupancy(&direct));
         for i in 0..n {
             prop_assert_eq!(
-                migrated.entry_state(m, i).unwrap(),
-                direct.entry_state(d, i).unwrap()
+                migrated.handle().entry_state(m, i).unwrap(),
+                direct.handle().entry_state(d, i).unwrap()
             );
         }
     }

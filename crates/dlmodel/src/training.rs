@@ -14,8 +14,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Synthetic classification dataset: `classes` Gaussian clusters in
-/// `features`-dimensional space with class-overlap noise.
+/// Synthetic classification dataset: `classes` labelled points in
+/// `features`-dimensional space (see [`Dataset::shells_split`]).
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// Flattened `[n][features]` inputs.
@@ -29,53 +29,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Generates a dataset of `n` samples.
-    pub fn synthetic(n: usize, features: usize, classes: usize, noise: f32, seed: u64) -> Self {
-        Self::synthetic_split(n, 0, features, classes, noise, seed).0
-    }
-
-    /// Generates a train/validation pair drawn from the *same* class
-    /// centroids (the validation set must share the training distribution).
-    pub fn synthetic_split(
-        n_train: usize,
-        n_val: usize,
-        features: usize,
-        classes: usize,
-        noise: f32,
-        seed: u64,
-    ) -> (Self, Self) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        // Random unit-ish class centroids, shared by both splits.
-        let centroids: Vec<f32> = (0..classes * features)
-            .map(|_| rng.gen_range(-1.0f32..1.0))
-            .collect();
-        let mut draw = |n: usize| {
-            let mut x = Vec::with_capacity(n * features);
-            let mut y = Vec::with_capacity(n);
-            for _ in 0..n {
-                let class = rng.gen_range(0..classes);
-                for f in 0..features {
-                    let c = centroids[class * features + f];
-                    // Box-Muller normal noise.
-                    let u1: f32 = rng.gen_range(1e-6f32..1.0);
-                    let u2: f32 = rng.gen_range(0.0f32..1.0);
-                    let gauss = (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
-                    x.push(c + noise * gauss);
-                }
-                y.push(class);
-            }
-            Dataset {
-                x,
-                y,
-                features,
-                classes,
-            }
-        };
-        let train = draw(n_train);
-        let val = draw(n_val);
-        (train, val)
-    }
-
     /// Generates a train/validation pair of the *radial shells* task:
     /// class `c` lives on the sphere of radius `1 + 0.4 c`, perturbed by
     /// uniform noise. Separating concentric shells requires the network's
@@ -507,33 +460,13 @@ mod tests {
 
     #[test]
     fn dataset_is_deterministic_and_sized() {
-        let a = Dataset::synthetic(100, 8, 4, 0.3, 1);
-        let b = Dataset::synthetic(100, 8, 4, 0.3, 1);
+        let a = Dataset::shells_split(100, 0, 8, 4, 0.3, 1).0;
+        let b = Dataset::shells_split(100, 0, 8, 4, 0.3, 1).0;
         assert_eq!(a.x, b.x);
         assert_eq!(a.y, b.y);
         assert_eq!(a.len(), 100);
         assert!(!a.is_empty());
         assert!(a.y.iter().all(|&y| y < 4));
-    }
-
-    #[test]
-    fn training_learns_gaussian_blobs() {
-        // Linearly separable clusters: learned almost immediately.
-        let (train_set, val_set) = Dataset::synthetic_split(2048, 512, 16, 10, 0.5, 3);
-        let result = train(
-            &train_set,
-            &val_set,
-            &TrainConfig {
-                batch: 64,
-                epochs: 10,
-                ..TrainConfig::default()
-            },
-        );
-        assert!(
-            result.best() > 0.80,
-            "a separable synthetic task should train well: {:.3}",
-            result.best()
-        );
     }
 
     #[test]
@@ -588,7 +521,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_batch_panics() {
-        let d = Dataset::synthetic(10, 4, 2, 0.1, 1);
+        let d = Dataset::shells_split(10, 0, 4, 2, 0.1, 1).0;
         train(
             &d,
             &d,

@@ -7,7 +7,7 @@
 use buddy_core::AllocId;
 use buddy_pool::{
     AccessStats, BuddyDevice, BuddyPool, CodecKind, DeviceConfig, DeviceError, Entry, EntryState,
-    PoolAllocId, PoolConfig, TargetRatio, ENTRY_BYTES,
+    PoolAllocId, PoolConfig, ShardOccupancy, TargetRatio, ENTRY_BYTES,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -27,6 +27,23 @@ fn pair(codec: CodecKind) -> (BuddyPool, BuddyDevice) {
     });
     let device = BuddyDevice::with_codec(SHARD_CONFIG, codec);
     (pool, device)
+}
+
+/// The occupancy row a one-shard pool must report, read off the bare device.
+fn occupancy_of(device: &BuddyDevice) -> ShardOccupancy {
+    ShardOccupancy {
+        shard: 0,
+        allocations: device.allocation_count(),
+        device_used: device.device_used(),
+        device_capacity: device.config().device_capacity,
+        buddy_used: device.buddy_used(),
+        logical_bytes: device.logical_bytes(),
+        effective_ratio: device.effective_ratio(),
+        device_free: device.device_free(),
+        largest_free_region: device.largest_free_region(),
+        fragmentation: device.fragmentation(),
+        stats: device.stats(),
+    }
 }
 
 /// Single-entry pool write as a batch of one, returning the recorded state.
@@ -55,7 +72,7 @@ fn dev_write1(
     entry: &Entry,
 ) -> Result<EntryState, DeviceError> {
     device.write_entries(id, index, std::slice::from_ref(entry))?;
-    device.entry_state(id, index)
+    device.handle().entry_state(id, index)
 }
 
 /// [`pool_read1`] on the bare reference device.
@@ -174,7 +191,7 @@ proptest! {
                     );
                     prop_assert_eq!(
                         pool.state_window(pool_id),
-                        device.state_window(dev_id)
+                        device.handle().state_window(dev_id)
                     );
                 }
             }
@@ -182,9 +199,7 @@ proptest! {
 
         prop_assert_eq!(pool.stats(), device.stats(), "traffic counters diverged");
         prop_assert_eq!(pool.device_used(), device.device_used());
-        prop_assert_eq!(pool.buddy_used(), device.buddy_used());
-        prop_assert_eq!(pool.logical_bytes(), device.logical_bytes());
-        prop_assert_eq!(pool.effective_ratio(), device.effective_ratio());
+        prop_assert_eq!(pool.occupancy(), vec![occupancy_of(&device)]);
     }
 }
 
@@ -219,10 +234,7 @@ fn same_trace_through_pool_and_device() {
         }
 
         assert_eq!(pool.stats(), device.stats(), "{codec}: stats diverged");
-        let occupancy = pool.occupancy();
-        assert_eq!(occupancy.len(), 1);
-        assert_eq!(occupancy[0].stats, device.stats());
-        assert_eq!(occupancy[0].effective_ratio, device.effective_ratio());
+        assert_eq!(pool.occupancy(), vec![occupancy_of(&device)], "{codec}");
 
         // Final memory images agree entry for entry.
         for index in 0..ENTRIES {

@@ -212,11 +212,30 @@ impl TenantState {
         self.logical_bytes = self.logical_bytes.saturating_sub(alloc.logical_bytes());
         self.allocations = self.allocations.saturating_sub(1);
     }
+
+    /// The tenant's ledger row; built under the caller's read lock.
+    fn row(&self) -> TenantRow {
+        TenantRow {
+            name: self.name.clone(),
+            allocs: self.counters.allocs.get(),
+            frees: self.counters.frees.get(),
+            rejections: self.counters.rejections.get(),
+            demotions: self.counters.demotions.get(),
+            transfers: self.counters.transfers.get(),
+            cross_tenant_denials: self.counters.cross_tenant_denials.get(),
+            used_bytes: self.used_bytes,
+            quota_bytes: self.quota_bytes,
+            quota_headroom: self.headroom(),
+            logical_bytes: self.logical_bytes,
+            allocations: self.allocations,
+            stats: self.counters.traffic.snapshot(),
+        }
+    }
 }
 
-/// One tenant's line of the ledger, as [`BuddyService::tenants`] reports
-/// it.
-#[derive(Debug, Clone)]
+/// One tenant's line of the ledger, as [`BuddyService::tenants`] and
+/// [`BuddyService::tenant`] report it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantRow {
     /// Tenant name.
     pub name: String,
@@ -341,26 +360,18 @@ impl BuddyService {
     /// counts and `stats` are lock-free counters: they still race
     /// in-flight operations, and are exact once those are quiescent.
     pub fn tenants(&self) -> Vec<TenantRow> {
+        self.read().tenants.iter().map(TenantState::row).collect()
+    }
+
+    /// One tenant's row, built as [`tenants`](Self::tenants) builds it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::UnknownTenant`] for a foreign id.
+    pub fn tenant(&self, id: TenantId) -> Result<TenantRow, ServiceError> {
         let state = self.read();
-        state
-            .tenants
-            .iter()
-            .map(|t| TenantRow {
-                name: t.name.clone(),
-                allocs: t.counters.allocs.get(),
-                frees: t.counters.frees.get(),
-                rejections: t.counters.rejections.get(),
-                demotions: t.counters.demotions.get(),
-                transfers: t.counters.transfers.get(),
-                cross_tenant_denials: t.counters.cross_tenant_denials.get(),
-                used_bytes: t.used_bytes,
-                quota_bytes: t.quota_bytes,
-                quota_headroom: t.headroom(),
-                logical_bytes: t.logical_bytes,
-                allocations: t.allocations,
-                stats: t.counters.traffic.snapshot(),
-            })
-            .collect()
+        let t = state.tenants.get(id.0 as usize);
+        t.map(TenantState::row).ok_or(ServiceError::UnknownTenant)
     }
 
     /// Read-locks the state, recovering from poisoning: every mutation
@@ -409,46 +420,6 @@ impl BuddyService {
             counters: TenantCounters::default(),
         });
         Ok(TenantId(id))
-    }
-
-    /// Reads one tenant's state under the read lock.
-    fn tenant<T>(
-        &self,
-        tenant: TenantId,
-        read: impl FnOnce(&TenantState) -> T,
-    ) -> Result<T, ServiceError> {
-        let state = self.read();
-        let t = state.tenants.get(tenant.0 as usize);
-        t.map(read).ok_or(ServiceError::UnknownTenant)
-    }
-
-    /// Compressed device bytes currently charged against the tenant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::UnknownTenant`] for a foreign id.
-    pub fn used_bytes(&self, tenant: TenantId) -> Result<u64, ServiceError> {
-        self.tenant(tenant, |t| t.used_bytes)
-    }
-
-    /// Quota headroom remaining for the tenant, in compressed device bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::UnknownTenant`] for a foreign id.
-    pub fn quota_headroom(&self, tenant: TenantId) -> Result<u64, ServiceError> {
-        self.tenant(tenant, TenantState::headroom)
-    }
-
-    /// Traffic attributed to the tenant so far (exact once the tenant's
-    /// operations are quiescent; see [`tenants`](Self::tenants) for the race
-    /// contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::UnknownTenant`] for a foreign id.
-    pub fn tenant_stats(&self, tenant: TenantId) -> Result<AccessStats, ServiceError> {
-        self.tenant(tenant, |t| t.counters.traffic.snapshot())
     }
 
     /// The admission ladder for a request at `asked`: the asked target
@@ -727,11 +698,14 @@ impl BuddyService {
         }
         let t = &mut state.tenants[tenant.0 as usize];
         t.used_bytes = t.used_bytes.saturating_sub(alloc.device_bytes) + new_bytes;
-        t.counters.traffic.add(&AccessStats {
-            retargets: 1,
-            moved_sectors: report.moved_sectors,
-            ..AccessStats::default()
-        });
+        // A same-target retarget is a no-op the pool does not count.
+        if report.old_target != report.new_target {
+            t.counters.traffic.add(&AccessStats {
+                retargets: 1,
+                moved_sectors: report.moved_sectors,
+                ..AccessStats::default()
+            });
+        }
         Ok(report)
     }
 
@@ -840,7 +814,7 @@ mod tests {
         let grant = s.alloc(t, "a", 256, TargetRatio::R2).unwrap();
         assert!(grant.demoted);
         assert_eq!(grant.target, TargetRatio::R4);
-        assert_eq!(s.used_bytes(t).unwrap(), quota);
+        assert_eq!(s.tenant(t).unwrap().used_bytes, quota);
         let rows = s.tenants();
         assert_eq!(rows[0].demotions, 1);
         assert_eq!(rows[0].rejections, 0);
@@ -905,10 +879,10 @@ mod tests {
             .register_tenant("b", u64::MAX, AdmissionPolicy::Reject)
             .unwrap();
         let grant = s.alloc(a, "model", 128, TargetRatio::R2).unwrap();
-        let charged = s.used_bytes(a).unwrap();
+        let charged = s.tenant(a).unwrap().used_bytes;
         let new_id = s.transfer(a, grant.id, b).unwrap();
-        assert_eq!(s.used_bytes(a).unwrap(), 0);
-        assert_eq!(s.used_bytes(b).unwrap(), charged);
+        assert_eq!(s.tenant(a).unwrap().used_bytes, 0);
+        assert_eq!(s.tenant(b).unwrap().used_bytes, charged);
         // The old handle is dead on every path, for both tenants.
         assert_eq!(s.free(a, grant.id), Err(ServiceError::BadHandle));
         assert_eq!(s.free(b, grant.id), Err(ServiceError::BadHandle));
@@ -950,7 +924,7 @@ mod tests {
         for t in [full, roomy] {
             let grant = s.alloc(t, "a", 64, TargetRatio::R2).unwrap();
             let new_id = s.transfer(t, grant.id, t).unwrap();
-            assert_eq!(s.used_bytes(t).unwrap(), quota);
+            assert_eq!(s.tenant(t).unwrap().used_bytes, quota);
             // The old handle still dies; the new one is the live handle.
             assert_eq!(s.free(t, grant.id), Err(ServiceError::BadHandle));
             s.free(t, new_id).unwrap();
@@ -970,16 +944,33 @@ mod tests {
         let grant = s.alloc(t, "a", 64, TargetRatio::R2).unwrap();
         // Shrinking the reservation refunds quota...
         s.retarget(t, grant.id, TargetRatio::R4).unwrap();
-        assert_eq!(s.used_bytes(t).unwrap(), 64 * 32);
+        assert_eq!(s.tenant(t).unwrap().used_bytes, 64 * 32);
         // ...growing it back within quota is fine...
         s.retarget(t, grant.id, TargetRatio::R2).unwrap();
-        assert_eq!(s.used_bytes(t).unwrap(), quota);
+        assert_eq!(s.tenant(t).unwrap().used_bytes, quota);
         // ...but growing past the quota is rejected and changes nothing.
         let err = s.retarget(t, grant.id, TargetRatio::R1).unwrap_err();
         assert!(matches!(err, ServiceError::QuotaExceeded { .. }));
-        assert_eq!(s.used_bytes(t).unwrap(), quota);
+        assert_eq!(s.tenant(t).unwrap().used_bytes, quota);
         s.free(t, grant.id).unwrap();
-        assert_eq!(s.used_bytes(t).unwrap(), 0);
+        assert_eq!(s.tenant(t).unwrap().used_bytes, 0);
+    }
+
+    #[test]
+    fn same_target_retarget_is_not_counted() {
+        let s = service(1 << 20);
+        let t = s
+            .register_tenant("t", u64::MAX, AdmissionPolicy::Reject)
+            .unwrap();
+        let grant = s.alloc(t, "a", 8, TargetRatio::R2).unwrap();
+        s.write_entries(t, grant.id, 0, &[[3u8; ENTRY_BYTES]; 8])
+            .unwrap();
+        let report = s.retarget(t, grant.id, TargetRatio::R2).unwrap();
+        assert_eq!(report.old_target, report.new_target);
+        // The pool records no retarget for a no-op, so neither may the
+        // tenant: attribution still sums to the pool's totals.
+        assert_eq!(s.tenant(t).unwrap().stats, s.pool().drain());
+        assert_eq!(s.pool().drain().retargets, 0);
     }
 
     #[test]
@@ -997,8 +988,8 @@ mod tests {
         s.write_entries(a, ga.id, 0, &batch).unwrap();
         s.write_entries(a, ga.id, 16, &batch).unwrap();
         s.write_entries(b, gb.id, 0, &batch).unwrap();
-        let sa = s.tenant_stats(a).unwrap();
-        let sb = s.tenant_stats(b).unwrap();
+        let sa = s.tenant(a).unwrap().stats;
+        let sb = s.tenant(b).unwrap().stats;
         assert_eq!(sa.total_accesses(), 32);
         assert_eq!(sb.total_accesses(), 16);
         // Attribution is exhaustive: tenant stats sum to the pool's.
@@ -1063,7 +1054,7 @@ mod tests {
 
     /// One ledger cannot drift: after every step of a script that takes
     /// each path which moves a charge, every `tenants()` row agrees with
-    /// the per-tenant accessors and with a recount of the live grants.
+    /// `tenant(id)` and with a recount of the live grants.
     #[test]
     fn ledger_rows_agree_with_the_accessors_and_a_recount() {
         let s = service(1 << 20);
@@ -1080,10 +1071,8 @@ mod tests {
             let rows = s.tenants();
             assert_eq!(rows.len(), 2);
             for (tenant, row) in [a, b].into_iter().zip(&rows) {
-                assert_eq!(row.used_bytes, s.used_bytes(tenant).unwrap());
-                assert_eq!(row.quota_headroom, s.quota_headroom(tenant).unwrap());
+                assert_eq!(*row, s.tenant(tenant).unwrap());
                 assert_eq!(row.quota_headroom, row.quota_bytes - row.used_bytes);
-                assert_eq!(row.stats, s.tenant_stats(tenant).unwrap());
                 let mine = live.iter().filter(|(owner, ..)| *owner == tenant);
                 assert_eq!(row.allocations, mine.clone().count() as u64);
                 assert_eq!(

@@ -151,7 +151,7 @@ fn io_and_structural_ops_neither_deadlock_nor_lose_traffic() {
 
     let mut tenants = AccessStats::default();
     for tenant in [a, b] {
-        tenants.merge(&service.tenant_stats(tenant).unwrap());
+        tenants.merge(&service.tenant(tenant).unwrap().stats);
     }
     let pool = service.pool().drain();
     assert_eq!(tenants, pool, "tenant traffic must sum to the pool's");

@@ -158,14 +158,16 @@ proptest! {
                     apply(&isolated, alone, index as u64, &mut isolated_handles, op);
                 prop_assert_eq!(seen_shared, seen_alone, "tenant {} diverged on {:?}", index, op);
             }
+            let row_shared = shared.tenant(shared_tenants[index]).expect("registered");
+            let row_alone = isolated.tenant(alone).expect("registered");
             prop_assert_eq!(
-                shared.tenant_stats(shared_tenants[index]).expect("registered"),
-                isolated.tenant_stats(alone).expect("registered"),
+                row_shared.stats,
+                row_alone.stats,
                 "tenant {} traffic counters diverged", index
             );
             prop_assert_eq!(
-                shared.used_bytes(shared_tenants[index]).expect("registered"),
-                isolated.used_bytes(alone).expect("registered"),
+                row_shared.used_bytes,
+                row_alone.used_bytes,
                 "tenant {} quota charge diverged", index
             );
         }
@@ -291,13 +293,8 @@ fn quota_enforcement_punishes_only_the_offender() {
             .expect("victim reads");
         reads.push(out[0]);
         service.free(victim, g2.id).expect("victim frees");
-        (
-            g1.target,
-            g2.target,
-            reads,
-            service.used_bytes(victim).expect("registered"),
-            service.tenant_stats(victim).expect("registered"),
-        )
+        let row = service.tenant(victim).expect("registered");
+        (g1.target, g2.target, reads, row.used_bytes, row.stats)
     };
     let quota = 4 * 64 * TargetRatio::R2.device_bytes_per_entry() as u64;
 

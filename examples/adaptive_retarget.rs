@@ -26,7 +26,7 @@ fn main() {
     dev.write_entries(alloc, 0, &early).expect("in-range write");
     println!(
         "allocated {ENTRIES} entries at 4x; early data overflows {:.1}% of entries",
-        100.0 * TargetRatio::R4.overflow_fraction(&dev.state_window(alloc).unwrap())
+        100.0 * TargetRatio::R4.overflow_fraction(&dev.handle().state_window(alloc).unwrap())
     );
 
     // Training drifts: 60% of the entries now need two sectors.
@@ -44,7 +44,7 @@ fn main() {
 
     // The profiler's admission rule, run online over the live 4-bit
     // metadata — no profiling rerun — recommends a demotion.
-    let window = dev.state_window(alloc).unwrap();
+    let window = dev.handle().state_window(alloc).unwrap();
     let next = ProfileConfig::default()
         .recommend(TargetRatio::R4, &window)
         .expect("drifted data demands a demotion");

@@ -73,7 +73,7 @@ fn main() {
     let entries = batches * BATCH;
     println!(
         "replayed {entries} entries in {batches} batches from {CLIENTS} clients over {} shards",
-        pool.shard_count()
+        pool.config().shards
     );
     println!(
         "throughput {:.0} entries/s ({:.3} logical GB/s)",
