@@ -29,16 +29,12 @@ const BATCH: usize = 64;
 
 /// Figure 3-style capacity compression ratio of one benchmark under `codec`.
 fn capacity_ratio(codec: CodecKind, bench: &Benchmark, seed: u64, cap: u64) -> f64 {
-    capture(
-        bench,
-        SnapshotConfig {
-            phase: 0.5,
-            seed,
-            sample_cap: cap,
-            codec,
-        },
-    )
-    .compression_ratio()
+    let config = SnapshotConfig {
+        seed,
+        sample_cap: cap,
+        codec,
+    };
+    capture(bench, &[0.5], config)[0].compression_ratio()
 }
 
 /// End-to-end device measurement for one benchmark under one codec.

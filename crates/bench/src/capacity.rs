@@ -8,7 +8,7 @@ use crate::report::{f3, pct, print_table, write_csv, write_text, RunConfig};
 use buddy_compression::buddy_core::{best_achievable, choose_naive, choose_targets, ProfileConfig};
 use buddy_compression::workloads::snapshot::{capture, heatmap, ten_phases, SnapshotConfig};
 use buddy_compression::workloads::{all_benchmarks, geomean, Benchmark};
-use buddy_compression::{profile_benchmark, profile_benchmark_at};
+use buddy_compression::{merge_snapshots, profile_benchmark};
 use std::io;
 
 fn sample_cap(cfg: &RunConfig) -> u64 {
@@ -19,6 +19,15 @@ fn sample_cap(cfg: &RunConfig) -> u64 {
     }
 }
 
+/// BPC snapshot configuration at the run's seed and sample cap.
+fn snapshot_config(cfg: &RunConfig) -> SnapshotConfig {
+    SnapshotConfig {
+        seed: cfg.seed,
+        sample_cap: sample_cap(cfg),
+        ..Default::default()
+    }
+}
+
 /// Figure 3: optimistic BPC capacity compression ratio per benchmark over
 /// ten snapshots. Paper: GMEAN ≈ 2.51 (HPC) and ≈ 1.85 (DL).
 pub fn fig03(cfg: &RunConfig) -> io::Result<()> {
@@ -26,19 +35,10 @@ pub fn fig03(cfg: &RunConfig) -> io::Result<()> {
     let mut hpc = Vec::new();
     let mut dl = Vec::new();
     for bench in all_benchmarks() {
-        let mut snapshot_bytes = Vec::new();
-        for phase in ten_phases() {
-            let stats = capture(
-                &bench,
-                SnapshotConfig {
-                    phase,
-                    seed: cfg.seed,
-                    sample_cap: sample_cap(cfg),
-                    ..Default::default()
-                },
-            );
-            snapshot_bytes.push(128.0 / stats.compression_ratio());
-        }
+        let snapshot_bytes: Vec<f64> = capture(&bench, &ten_phases(), snapshot_config(cfg))
+            .iter()
+            .map(|stats| 128.0 / stats.compression_ratio())
+            .collect();
         // Whole-run average: mean compressed size across snapshots.
         let mean_bytes = snapshot_bytes.iter().sum::<f64>() / snapshot_bytes.len() as f64;
         let mean_ratio = 128.0 / mean_bytes;
@@ -221,17 +221,16 @@ pub fn fig08(cfg: &RunConfig) -> io::Result<()> {
 
         // Profile across the run (the paper's static targets), then measure
         // per-snapshot overflow with those targets held fixed.
-        let profiles = profile_benchmark(&bench, sample_cap(cfg), cfg.seed);
-        let outcome = choose_targets(&profiles, &ProfileConfig::default());
+        let snapshots = capture(&bench, &ten_phases(), snapshot_config(cfg));
+        let outcome = choose_targets(&merge_snapshots(&snapshots), &ProfileConfig::default());
         let mut row = vec![name.to_string(), f3(outcome.device_compression_ratio())];
-        for phase in ten_phases() {
-            let at_phase = profile_benchmark_at(&bench, phase, sample_cap(cfg), cfg.seed);
+        for snapshot in &snapshots {
             let mut weighted = 0.0;
             let mut total = 0.0;
-            for (profile, choice) in at_phase.iter().zip(outcome.choices.iter()) {
+            for (alloc, choice) in snapshot.allocations.iter().zip(outcome.choices.iter()) {
                 weighted +=
-                    profile.entries as f64 * choice.target.overflow_fraction(&profile.histogram);
-                total += profile.entries as f64;
+                    alloc.entries as f64 * choice.target.overflow_fraction(&alloc.histogram);
+                total += alloc.entries as f64;
             }
             row.push(pct(weighted / total));
         }

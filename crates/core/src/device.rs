@@ -1785,7 +1785,10 @@ mod tests {
             dev.retarget(a, TargetRatio::R4),
             Err(DeviceError::BadAllocation)
         );
-        assert_eq!(dev.handle().state_window(a), Err(DeviceError::BadAllocation));
+        assert_eq!(
+            dev.handle().state_window(a),
+            Err(DeviceError::BadAllocation)
+        );
         assert_eq!(dev.free(a), Err(DeviceError::BadAllocation), "double free");
         // The live handle still works.
         assert_eq!(read1(&mut dev, b, 0).unwrap(), [0u8; ENTRY_BYTES]);

@@ -75,7 +75,10 @@ fn assert_stale(dev: &mut BuddyDevice, id: AllocId) {
         dev.retarget(id, TargetRatio::R1),
         Err(DeviceError::BadAllocation)
     );
-    assert_eq!(dev.handle().state_window(id), Err(DeviceError::BadAllocation));
+    assert_eq!(
+        dev.handle().state_window(id),
+        Err(DeviceError::BadAllocation)
+    );
     assert_eq!(dev.free(id), Err(DeviceError::BadAllocation));
 }
 

@@ -195,6 +195,24 @@ mod tests {
     use super::*;
 
     #[test]
+    fn one_metadata_slice_spreads_over_its_sets() {
+        // One slice of Figure 5b's 128 KB point: 32 slices of 128 lines in
+        // 4 ways, so 32 sets. The lines routed to one slice must not crowd
+        // into the few sets their slice hash happens to agree on.
+        let slices = 32;
+        let cache = SectoredCache::new(128, 4);
+        let mut used = [false; 32];
+        for line in (0..)
+            .filter(|&line| crate::metadata_slice(line, slices) == 0)
+            .take(1024)
+        {
+            used[cache.set_of(line)] = true;
+        }
+        let used = used.iter().filter(|&&u| u).count();
+        assert!(used >= 16, "slice 0's lines use {used} of 32 sets");
+    }
+
+    #[test]
     fn hit_after_fill() {
         let mut c = SectoredCache::new(64, 4);
         assert_eq!(c.lookup(42, 0b1111), Lookup::Miss);

@@ -27,8 +27,8 @@
 use crate::cache::{Lookup, SectoredCache};
 use crate::config::GpuConfig;
 use crate::layout::MemoryLayout;
-use crate::splitmix64;
 use crate::stats::SimStats;
+use crate::{metadata_slice, splitmix64, METADATA_HASH_TAG};
 
 /// One memory access fed to the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,8 +214,6 @@ pub struct Engine<'a> {
     layout: &'a dyn MemoryLayout,
     l2: SectoredCache,
     md_caches: Vec<SectoredCache>,
-    /// `l2_slices - 1`: picks a metadata line's slice from its hash.
-    slice_mask: u64,
     channels: Vec<Queue>,
     /// `dram_channels - 1`: picks an entry's channel from its hash.
     channel_mask: u64,
@@ -229,8 +227,6 @@ const BANKS_PER_CHANNEL: usize = 16;
 const ROW_ENTRIES: u64 = 16; // entries sharing a DRAM row (2 KB rows)
 const BANK_ROW_HIT_CYCLES: f64 = 4.0;
 const BANK_ROW_MISS_CYCLES: f64 = 14.0;
-/// Domain-separation tag for the metadata-line slice hash.
-const METADATA_HASH_TAG: u64 = 0x4D44_4D44;
 
 impl<'a> Engine<'a> {
     /// Builds an engine over the given machine, mode and layout.
@@ -270,7 +266,6 @@ impl<'a> Engine<'a> {
             md_caches: (0..cfg.l2_slices)
                 .map(|_| SectoredCache::new(md_lines.max(md_ways), md_ways))
                 .collect(),
-            slice_mask: cfg.l2_slices as u64 - 1,
             channels: vec![Queue::default(); cfg.dram_channels as usize],
             channel_mask: cfg.dram_channels as u64 - 1,
             banks: vec![vec![Bank::default(); BANKS_PER_CHANNEL]; cfg.dram_channels as usize],
@@ -362,7 +357,7 @@ impl<'a> Engine<'a> {
     /// Metadata lookup for `entry`; returns the time the metadata is known.
     fn metadata_lookup(&mut self, now: f64, entry: u64) -> f64 {
         let md_line = entry / buddy_core::ENTRIES_PER_METADATA_LINE;
-        let slice = (splitmix64(md_line ^ METADATA_HASH_TAG) & self.slice_mask) as usize;
+        let slice = metadata_slice(md_line, self.cfg.l2_slices);
         match self.md_caches[slice].lookup(md_line, 0b1111) {
             Lookup::Hit => {
                 self.stats.md_hits += 1;

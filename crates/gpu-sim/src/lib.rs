@@ -69,3 +69,20 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
+
+/// Domain-separation tag for the metadata-line slice hash.
+pub(crate) const METADATA_HASH_TAG: u64 = 0x4D44_4D44;
+
+/// The L2 slice, out of `slices` (a power of two), whose metadata cache
+/// holds metadata line `md_line` (an entry index divided by
+/// `buddy_core::ENTRIES_PER_METADATA_LINE`).
+///
+/// The hash is tagged so that it is independent of the set hash a
+/// [`SectoredCache`] applies to the same line: with the untagged hash,
+/// every line of one slice would agree in the low bits that also pick its
+/// set, and crowd into one set until a slice has more sets than there are
+/// slices.
+pub fn metadata_slice(md_line: u64, slices: u32) -> usize {
+    debug_assert!(slices.is_power_of_two(), "{slices} slices");
+    (splitmix64(md_line ^ METADATA_HASH_TAG) & (slices as u64 - 1)) as usize
+}

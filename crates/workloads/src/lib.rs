@@ -24,17 +24,19 @@
 //!
 //! let mut bench = by_name("352.ep").expect("known benchmark");
 //! bench.scale = workloads::Scale::test();
-//! let stats = snapshot::capture(
+//! // One snapshot row per phase; the paper's profile takes ten.
+//! let rows = snapshot::capture(
 //!     &bench,
+//!     &snapshot::ten_phases(),
 //!     snapshot::SnapshotConfig {
-//!         phase: 0.5,
 //!         seed: 1,
 //!         sample_cap: 2048,
 //!         ..Default::default() // codec: BPC, as the paper profiles
 //!     },
 //! );
+//! assert_eq!(rows.len(), 10);
 //! // 352.ep is dominated by zero pages: ratio is far above 2x.
-//! assert!(stats.compression_ratio() > 2.0);
+//! assert!(rows.iter().all(|s| s.compression_ratio() > 2.0));
 //! ```
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

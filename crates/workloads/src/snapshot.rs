@@ -10,7 +10,9 @@
 //! Capture is codec-parameterized ([`SnapshotConfig::codec`], BPC by
 //! default) and runs the zero-allocation [`Codec::compress_into`] path into
 //! a stack [`CompressedBuf`], so characterizing a scaled image costs no
-//! per-entry heap traffic.
+//! per-entry heap traffic. [`capture`] takes the whole phase list and
+//! compresses each distinct snapshot once: an allocation whose data does
+//! not drift is sampled once for every phase.
 
 use crate::suite::Benchmark;
 use bpc::{Codec, CodecKind, CompressedBuf, SizeHistogram, ENTRY_BYTES};
@@ -67,12 +69,10 @@ impl SnapshotStats {
     }
 }
 
-/// Configuration for snapshot capture.
+/// Configuration for snapshot capture (the phases are [`capture`]'s own
+/// argument).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnapshotConfig {
-    /// Execution phase in `[0, 1]` (the paper takes 10 snapshots at
-    /// phases 0.05, 0.15, …, 0.95).
-    pub phase: f64,
     /// Seed for all data generation.
     pub seed: u64,
     /// Maximum entries to compress per allocation (uniform sampling above
@@ -86,7 +86,6 @@ pub struct SnapshotConfig {
 impl Default for SnapshotConfig {
     fn default() -> Self {
         Self {
-            phase: 0.5,
             seed: 0xB0DD7,
             sample_cap: 8192,
             codec: CodecKind::Bpc,
@@ -94,34 +93,67 @@ impl Default for SnapshotConfig {
     }
 }
 
-/// Captures per-allocation compression statistics of `benchmark` at the
-/// given phase.
-pub fn capture(benchmark: &Benchmark, config: SnapshotConfig) -> SnapshotStats {
-    let codec = config.codec;
+/// Captures per-allocation compression statistics of `benchmark` at each
+/// of `phases` (each in `[0, 1]`; the paper takes ten, [`ten_phases`]),
+/// one [`SnapshotStats`] per phase in order.
+///
+/// Each distinct snapshot is compressed once: an allocation whose bytes do
+/// not depend on the phase ([`AllocationSpec::phase_invariant`]) is sampled
+/// once and its statistics are copied into every phase's row; the others
+/// are sampled once per phase. The rows equal one single-phase capture per
+/// phase.
+///
+/// [`AllocationSpec::phase_invariant`]: crate::spec::AllocationSpec::phase_invariant
+pub fn capture(
+    benchmark: &Benchmark,
+    phases: &[f64],
+    config: SnapshotConfig,
+) -> Vec<SnapshotStats> {
     let mut scratch = CompressedBuf::new();
-    let mut allocations = Vec::with_capacity(benchmark.allocations.len());
-    for (alloc_idx, (spec, entries)) in benchmark.allocation_layout().into_iter().enumerate() {
-        let sampled_count = entries.min(config.sample_cap);
-        let mut histogram = SizeHistogram::new();
+    let layout = benchmark.allocation_layout();
+    let mut rows: Vec<SnapshotStats> = phases
+        .iter()
+        .map(|_| SnapshotStats {
+            allocations: Vec::with_capacity(layout.len()),
+        })
+        .collect();
+    for (alloc_idx, (spec, entries)) in layout.into_iter().enumerate() {
+        let sampled = entries.min(config.sample_cap);
         let alloc_seed = crate::entry_gen::mix(&[config.seed, alloc_idx as u64]);
-        for k in 0..sampled_count {
-            // Uniform stride sampling across the allocation.
-            let index = if sampled_count == entries {
-                k
-            } else {
-                (k as u128 * entries as u128 / sampled_count as u128) as u64
-            };
-            let entry = spec.entry_at(alloc_seed, index, config.phase);
-            histogram.record(codec.size_class_into(&entry, &mut scratch));
+        let sample = |phase: f64, scratch: &mut CompressedBuf| {
+            let mut histogram = SizeHistogram::new();
+            for k in 0..sampled {
+                // Uniform stride sampling across the allocation.
+                let index = if sampled == entries {
+                    k
+                } else {
+                    (k as u128 * entries as u128 / sampled as u128) as u64
+                };
+                let entry = spec.entry_at(alloc_seed, index, phase);
+                histogram.record(config.codec.size_class_into(&entry, scratch));
+            }
+            AllocationStats {
+                name: spec.name,
+                entries,
+                sampled,
+                histogram,
+            }
+        };
+        match phases.first() {
+            Some(&phase) if spec.phase_invariant() => {
+                let stats = sample(phase, &mut scratch);
+                for row in &mut rows {
+                    row.allocations.push(stats.clone());
+                }
+            }
+            _ => {
+                for (row, &phase) in rows.iter_mut().zip(phases) {
+                    row.allocations.push(sample(phase, &mut scratch));
+                }
+            }
         }
-        allocations.push(AllocationStats {
-            name: spec.name,
-            entries,
-            sampled: sampled_count,
-            histogram,
-        });
     }
-    SnapshotStats { allocations }
+    rows
 }
 
 /// The ten evenly spaced snapshot phases the paper uses.
@@ -224,13 +256,12 @@ mod tests {
     fn capture_is_deterministic() {
         let b = small_bench();
         let cfg = SnapshotConfig {
-            phase: 0.3,
             seed: 1,
             sample_cap: 512,
             codec: CodecKind::Bpc,
         };
-        let a = capture(&b, cfg);
-        let c = capture(&b, cfg);
+        let a = capture(&b, &[0.3], cfg);
+        let c = capture(&b, &[0.3], cfg);
         assert_eq!(a, c);
     }
 
@@ -239,14 +270,14 @@ mod tests {
         let b = small_bench();
         let stats = capture(
             &b,
+            &[0.5],
             SnapshotConfig {
-                phase: 0.5,
                 seed: 2,
                 sample_cap: 4096,
                 codec: CodecKind::Bpc,
             },
         );
-        let measured = stats.compression_ratio();
+        let measured = stats[0].compression_ratio();
         let nominal = b.nominal_ratio(0.5);
         let rel = (measured - nominal).abs() / nominal;
         assert!(
@@ -260,8 +291,8 @@ mod tests {
         let b = small_bench();
         let full = capture(
             &b,
+            &[0.5],
             SnapshotConfig {
-                phase: 0.5,
                 seed: 3,
                 sample_cap: u64::MAX,
                 codec: CodecKind::Bpc,
@@ -269,15 +300,15 @@ mod tests {
         );
         let sampled = capture(
             &b,
+            &[0.5],
             SnapshotConfig {
-                phase: 0.5,
                 seed: 3,
                 sample_cap: 1024,
                 codec: CodecKind::Bpc,
             },
         );
-        let rel = (full.compression_ratio() - sampled.compression_ratio()).abs()
-            / full.compression_ratio();
+        let (full, sampled) = (full[0].compression_ratio(), sampled[0].compression_ratio());
+        let rel = (full - sampled).abs() / full;
         assert!(rel < 0.15, "sampled ratio diverges: {rel:.3}");
     }
 
@@ -288,14 +319,14 @@ mod tests {
         for codec in CodecKind::ALL {
             let stats = capture(
                 &b,
+                &[0.5],
                 SnapshotConfig {
-                    phase: 0.5,
                     seed: 2,
                     sample_cap: 512,
                     codec,
                 },
             );
-            let ratio = stats.compression_ratio();
+            let ratio = stats[0].compression_ratio();
             assert!(ratio >= 1.0 - 1e-9, "{codec}: ratio {ratio}");
             ratios.push(ratio);
         }
@@ -307,6 +338,59 @@ mod tests {
             ratios[0],
             ratios[3]
         );
+    }
+
+    /// A ten-phase capture equals ten one-phase captures for every suite
+    /// benchmark. A one-element phase list has nothing to reuse, so each
+    /// one-phase capture samples every allocation itself and is an
+    /// independent reference for the shared sampling.
+    fn assert_capture_matches_one_phase_captures(sample_cap: u64, seeds: &[u64]) {
+        let phases = ten_phases();
+        for bench in crate::suite::all_benchmarks() {
+            for &seed in seeds {
+                let cfg = SnapshotConfig {
+                    seed,
+                    sample_cap,
+                    codec: CodecKind::Bpc,
+                };
+                let rows = capture(&bench, &phases, cfg);
+                let reference: Vec<SnapshotStats> = phases
+                    .iter()
+                    .flat_map(|&phase| capture(&bench, &[phase], cfg))
+                    .collect();
+                assert_eq!(rows, reference, "{} at seed {seed:#x}", bench.name);
+            }
+        }
+    }
+
+    #[test]
+    fn ten_phase_capture_equals_one_phase_captures() {
+        assert_capture_matches_one_phase_captures(16, &[1, 2, 0xB0DD7]);
+    }
+
+    /// The same oracle at the profiling pass's scale (CI runs it in release
+    /// with `--ignored`).
+    #[test]
+    #[ignore = "full profiling scale; run in release with --ignored"]
+    fn ten_phase_capture_equals_one_phase_captures_at_full_scale() {
+        assert_capture_matches_one_phase_captures(1024, &[0xB0DD7]);
+    }
+
+    #[test]
+    fn capture_returns_one_row_per_phase() {
+        let b = small_bench();
+        let cfg = SnapshotConfig {
+            seed: 5,
+            sample_cap: 64,
+            codec: CodecKind::Bpc,
+        };
+        assert!(capture(&b, &[], cfg).is_empty());
+        let rows = capture(&b, &[0.1, 0.1, 0.9], cfg);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0], rows[1]);
+        for row in &rows {
+            assert_eq!(row.allocations.len(), b.allocations.len());
+        }
     }
 
     #[test]

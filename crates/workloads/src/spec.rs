@@ -93,6 +93,20 @@ impl AllocationSpec {
         }
     }
 
+    /// Whether [`entry_at`](Self::entry_at) returns the same bytes at every
+    /// phase, so one sample of the allocation stands for every snapshot.
+    ///
+    /// `entry_at` reads the phase in exactly two places: the zero draw of
+    /// [`TemporalDrift::ZeroFill`] (in [`class_at`](Self::class_at)) and
+    /// the snapshot bucket of [`TemporalDrift::Churn`]. Every other input
+    /// is `(seed, entry_index)`, so a `Stable` allocation is invariant.
+    pub fn phase_invariant(&self) -> bool {
+        match self.drift {
+            TemporalDrift::Stable => true,
+            TemporalDrift::ZeroFill { .. } | TemporalDrift::Churn { .. } => false,
+        }
+    }
+
     /// Resolves which entry class governs `entry_index` at `phase ∈ [0, 1]`.
     ///
     /// This is the heart of snapshot generation: deterministic in
@@ -282,6 +296,60 @@ mod tests {
             changed < 400,
             "churn should not alter everything: {changed}/500"
         );
+    }
+
+    /// Whether `entry_at` returns different bytes at two of the ten
+    /// snapshot phases for some index of `indices`.
+    fn varies_with_phase(spec: &AllocationSpec, seed: u64, indices: &[u64]) -> bool {
+        let phases = crate::snapshot::ten_phases();
+        indices.iter().any(|&i| {
+            let first = spec.entry_at(seed, i, phases[0]);
+            phases[1..]
+                .iter()
+                .any(|&p| spec.entry_at(seed, i, p) != first)
+        })
+    }
+
+    #[test]
+    fn phase_invariance_holds_and_is_not_vacuous() {
+        let mut invariant = 0;
+        let mut zero_fill = None;
+        let mut churn = None;
+        for bench in crate::suite::all_benchmarks() {
+            for (alloc_idx, (spec, entries)) in bench.allocation_layout().into_iter().enumerate() {
+                let seed = mix(&[0xB0DD7, alloc_idx as u64]);
+                let span = entries.max(256);
+                let indices: Vec<u64> = (0..256).map(|k| k * span / 256).collect();
+                if spec.phase_invariant() {
+                    invariant += 1;
+                    assert!(
+                        !varies_with_phase(spec, seed, &indices),
+                        "{}/{} is phase-invariant but its bytes move",
+                        bench.name,
+                        spec.name
+                    );
+                    continue;
+                }
+                let slot = match spec.drift {
+                    TemporalDrift::ZeroFill { .. } => &mut zero_fill,
+                    TemporalDrift::Churn { .. } => &mut churn,
+                    TemporalDrift::Stable => unreachable!("Stable is phase-invariant"),
+                };
+                slot.get_or_insert((
+                    bench.name,
+                    spec.name,
+                    varies_with_phase(spec, seed, &indices),
+                ));
+            }
+        }
+        assert!(invariant > 0, "no phase-invariant allocation in the suite");
+        assert_eq!(
+            zero_fill,
+            Some(("355.seismic", "wavefield", true)),
+            "the ZeroFill allocation must move between phases"
+        );
+        let churn = churn.expect("the DL suite has a Churn allocation");
+        assert!(churn.2, "{}/{} is Churn but never moves", churn.0, churn.1);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! 9. [`buddy_obs`] — the observability layer: lock-free latency
 //!    histograms and the metrics registry with Prometheus-text rendering.
 //!
-//! The glue items here ([`profile_benchmark`], [`BenchmarkLayout`],
-//! [`benchmark_requests`]) connect a workload to the profiler and the
+//! The glue items here ([`profile_benchmark`], [`merge_snapshots`],
+//! [`BenchmarkLayout`], [`benchmark_requests`]) connect a workload to the profiler and the
 //! simulator — the full §3.5 flow: profile on snapshots, choose
 //! per-allocation targets under the Buddy Threshold, then run with
 //! compression enabled.
@@ -70,97 +70,48 @@ use workloads::Benchmark;
 ///
 /// `sample_cap` bounds the entries compressed per allocation per snapshot
 /// (uniform sampling; the generators are stationary so this is unbiased).
-///
-/// # Panics
-///
-/// Panics if any snapshot reports a different allocation list than the
-/// first one: merging histograms positionally is only meaningful when all
-/// ten phases cover the same allocations, so a mismatch fails loudly
-/// instead of silently truncating the `zip`.
 pub fn profile_benchmark(bench: &Benchmark, sample_cap: u64, seed: u64) -> Vec<AllocationProfile> {
     profile_benchmark_with(bench, CodecKind::Bpc, sample_cap, seed)
 }
 
 /// [`profile_benchmark`] under an arbitrary codec — the §2.4 ablation runs
 /// the whole profile → target-choice flow per algorithm through this.
-///
-/// # Panics
-///
-/// As [`profile_benchmark`].
 pub fn profile_benchmark_with(
     bench: &Benchmark,
     codec: CodecKind,
     sample_cap: u64,
     seed: u64,
 ) -> Vec<AllocationProfile> {
-    let snapshot = |phase| {
-        capture(
-            bench,
-            SnapshotConfig {
-                phase,
-                seed,
-                sample_cap,
-                codec,
-            },
-        )
+    let config = SnapshotConfig {
+        seed,
+        sample_cap,
+        codec,
     };
-    let [first, rest @ ..] = ten_phases();
-    let mut merged = profiles_of(snapshot(first));
-    for phase in rest {
-        let stats = snapshot(phase);
-        assert_eq!(
-            merged.len(),
-            stats.allocations.len(),
-            "snapshot of {} at phase {phase} covers {} allocations, but an \
-             earlier snapshot covered {}; every phase must report the same \
-             allocation list for positional histogram merging",
-            bench.name,
-            stats.allocations.len(),
-            merged.len(),
-        );
-        for (profile, alloc) in merged.iter_mut().zip(stats.allocations.iter()) {
-            assert_eq!(
-                profile.name, alloc.name,
-                "snapshot of {} at phase {phase} reordered its allocation \
-                 list; positional histogram merging would corrupt profiles",
-                bench.name,
-            );
+    merge_snapshots(&capture(bench, &ten_phases(), config))
+}
+
+/// Merges the rows of one [`capture`] call into one profile per allocation,
+/// each histogram summed over the phases. The rows of one call share its
+/// allocation list, so they merge by position.
+pub fn merge_snapshots(rows: &[SnapshotStats]) -> Vec<AllocationProfile> {
+    let Some((first, rest)) = rows.split_first() else {
+        return Vec::new();
+    };
+    let mut merged: Vec<AllocationProfile> = first
+        .allocations
+        .iter()
+        .map(|a| AllocationProfile {
+            name: a.name.to_owned(),
+            entries: a.entries,
+            histogram: a.histogram.clone(),
+        })
+        .collect();
+    for row in rest {
+        for (profile, alloc) in merged.iter_mut().zip(&row.allocations) {
             profile.histogram.merge(&alloc.histogram);
         }
     }
     merged
-}
-
-/// Profiles a benchmark with BPC at a single phase (used by the Figure 8
-/// temporal study, which holds targets fixed while the data evolves).
-pub fn profile_benchmark_at(
-    bench: &Benchmark,
-    phase: f64,
-    sample_cap: u64,
-    seed: u64,
-) -> Vec<AllocationProfile> {
-    profiles_of(capture(
-        bench,
-        SnapshotConfig {
-            phase,
-            seed,
-            sample_cap,
-            ..Default::default()
-        },
-    ))
-}
-
-/// One snapshot's per-allocation histograms, as profiler input.
-fn profiles_of(stats: SnapshotStats) -> Vec<AllocationProfile> {
-    stats
-        .allocations
-        .into_iter()
-        .map(|a| AllocationProfile {
-            name: a.name.to_owned(),
-            entries: a.entries,
-            histogram: a.histogram,
-        })
-        .collect()
 }
 
 /// A [`gpu_sim::MemoryLayout`] oracle over a benchmark's synthetic memory

@@ -7,10 +7,10 @@ use buddy_compression::buddy_core::{
     choose_naive, choose_targets, BuddyDevice, DeviceConfig, ProfileConfig, TargetRatio,
 };
 use buddy_compression::gpu_sim::{Engine, ExecConfig, Fidelity, GpuConfig, MemoryMode};
+use buddy_compression::workloads::snapshot::{capture, SnapshotConfig};
 use buddy_compression::workloads::{all_benchmarks, by_name, entry_gen, geomean, Scale};
 use buddy_compression::{
-    benchmark_requests, profile_benchmark, profile_benchmark_at, profile_benchmark_with,
-    BenchmarkLayout,
+    benchmark_requests, profile_benchmark, profile_benchmark_with, BenchmarkLayout,
 };
 
 fn test_bench(name: &str) -> buddy_compression::workloads::Benchmark {
@@ -186,14 +186,12 @@ fn suite_compression_matches_paper_shape() {
     let mut dl = Vec::new();
     for mut bench in all_benchmarks() {
         bench.scale = Scale::test();
-        let profiles = profile_benchmark_at(&bench, 0.5, 1024, 7);
-        let mut bytes = 0.0;
-        let mut entries = 0.0;
-        for p in &profiles {
-            bytes += p.entries as f64 * 128.0 / p.histogram.compression_ratio();
-            entries += p.entries as f64;
-        }
-        let ratio = entries * 128.0 / bytes;
+        let config = SnapshotConfig {
+            seed: 7,
+            sample_cap: 1024,
+            ..Default::default()
+        };
+        let ratio = capture(&bench, &[0.5], config)[0].compression_ratio();
         if bench.suite.is_hpc() {
             hpc.push(ratio);
         } else {
