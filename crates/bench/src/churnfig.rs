@@ -213,7 +213,7 @@ pub fn run_distribution(label: &'static str, lifetime: Lifetime, cfg: &RunConfig
         // the one instant that does not represent its steady footprint.
         let cycle = (op_index + 1) / ops_per_cycle + 1;
         let mid_cycle = (op_index + 1) % ops_per_cycle == ops_per_cycle / 2;
-        if mid_cycle && cycle % sample_every == 0 && rows.len() < SAMPLES as usize {
+        if mid_cycle && cycle.is_multiple_of(sample_every) && rows.len() < SAMPLES as usize {
             rows.push(ChurnRow {
                 lifetime: label,
                 cycle,

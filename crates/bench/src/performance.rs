@@ -172,7 +172,7 @@ fn micro_trace(entries: u64, mask: u8, seed: u64) -> impl Iterator<Item = MemReq
         MemRequest {
             entry,
             sector_mask: mask,
-            write: h % 5 == 0,
+            write: h.is_multiple_of(5),
             to_host: false,
         }
     })
@@ -277,7 +277,7 @@ pub fn fig11(cfg: &RunConfig) -> io::Result<()> {
         geomean(
             points
                 .iter()
-                .filter(|p| hpc.map_or(true, |h| p.is_hpc == h))
+                .filter(|p| hpc.is_none_or(|h| p.is_hpc == h))
                 .map(f),
         )
     };

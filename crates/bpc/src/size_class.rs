@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn histogram_ratio_uniform_64b() {
-        let hist: SizeHistogram = std::iter::repeat(SizeClass::B64).take(10).collect();
+        let hist: SizeHistogram = std::iter::repeat_n(SizeClass::B64, 10).collect();
         assert_eq!(hist.compression_ratio(), 2.0);
         assert_eq!(hist.total(), 10);
         assert_eq!(hist.count(SizeClass::B64), 10);
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn histogram_zero_entries_use_zero_page_granule() {
-        let hist: SizeHistogram = std::iter::repeat(SizeClass::B0).take(4).collect();
+        let hist: SizeHistogram = std::iter::repeat_n(SizeClass::B0, 4).collect();
         assert_eq!(hist.compression_ratio(), 16.0);
     }
 

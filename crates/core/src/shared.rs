@@ -471,11 +471,11 @@ impl SlotCell {
             // exhaustively with Acquire; `CloseRelaxed` (breaking the
             // pairing) has a counterexample.
             let s = seq_acquire(&self.seq);
-            if s % 2 == 0 {
+            if s.is_multiple_of(2) {
                 return s;
             }
             spins = spins.wrapping_add(1);
-            if spins % 256 == 0 {
+            if spins.is_multiple_of(256) {
                 std::thread::yield_now();
             } else {
                 std::hint::spin_loop();

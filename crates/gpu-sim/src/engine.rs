@@ -20,9 +20,10 @@
 //! request, ties to the lower lane. Each lane has exactly one pending
 //! event, so `(time, lane)` keys are unique and any correct priority queue
 //! yields the same order; the engine keeps them in an `EventTree`, a
-//! tournament tree over lanes whose update is one branch-free
-//! leaf-to-root pass. Channels, slices and cache sets are picked by
-//! masking a hash, which needs power-of-two counts ([`Engine::new`]).
+//! loser tree over lanes: the lane just popped is rescheduled (or retired)
+//! by one branch-free pass from its leaf to the root, one stored loser per
+//! level. Channels, slices and cache sets are picked by masking a hash,
+//! which needs power-of-two counts ([`Engine::new`]).
 
 use crate::cache::{Lookup, SectoredCache};
 use crate::config::GpuConfig;
@@ -95,46 +96,55 @@ impl ExecConfig {
     }
 }
 
-/// The engine's event queue: an indexed tournament (winner) tree over
-/// lanes, holding each lane's one pending event.
+/// The engine's event queue: a tournament (loser) tree over lanes,
+/// holding each lane's one pending event.
 ///
-/// `nodes[leaves + lane]` is lane `lane`'s key and every internal node
-/// `n` holds the smaller of its children `2n` and `2n + 1`, so `nodes[1]`
-/// is the next event. A key packs the time, mapped to an integer in
-/// `f64::total_cmp` order, above the lane in the low 32 bits, so keys
-/// compare as `(time, lane)` pairs and carry their lane with them.
-/// Rescheduling a lane rewrites its leaf and replays the one leaf-to-root
-/// path: one sibling load and one compare per level. A retired lane, and
-/// every padding leaf past `lanes`, holds [`RETIRED`](Self::RETIRED).
+/// Lane `lane` plays from leaf `leaves + lane`, internal node `n`
+/// (children `2n` and `2n + 1`) keeps the *loser* of the match played
+/// there, and the overall winner is kept apart. A key packs the time,
+/// mapped to an integer in `f64::total_cmp` order, above the lane in the
+/// low 32 bits, so keys compare as `(time, lane)` pairs, carry their lane
+/// with them, and fit in 96 bits. Only the winner is ever rescheduled:
+/// its path to the root holds exactly the keys it beat, so its new key
+/// replays that path against one stored loser per level, at addresses
+/// that never depend on a comparison. A retired lane, and every padding
+/// leaf past `lanes`, holds [`RETIRED`](Self::RETIRED).
 #[derive(Debug, Clone)]
 struct EventTree {
-    /// `2 × leaves` keys; index 0 is unused.
-    nodes: Vec<u128>,
+    /// `leaves` keys; index 0 is unused.
+    losers: Vec<u128>,
+    winner: u128,
     /// `lanes.next_power_of_two()`: the index of lane 0's leaf.
     leaves: usize,
 }
 
 impl EventTree {
-    /// The key of a lane with no pending event; above every real key.
-    const RETIRED: u128 = u128::MAX;
+    /// The key of a lane with no pending event: the largest 96-bit key,
+    /// above every real one since no lane is `u32::MAX`.
+    const RETIRED: u128 = (1 << 96) - 1;
 
     /// A tree whose lane `l` first issues at `start(l)`.
     fn new(lanes: u32, start: impl Fn(u32) -> f64) -> Self {
         let leaves = (lanes as usize).next_power_of_two();
-        let mut nodes = vec![Self::RETIRED; 2 * leaves];
+        let mut winners = vec![Self::RETIRED; 2 * leaves];
         for lane in 0..lanes {
-            nodes[leaves + lane as usize] = Self::key(start(lane), lane);
+            winners[leaves + lane as usize] = Self::key(start(lane), lane);
         }
+        let mut losers = vec![Self::RETIRED; leaves];
         for node in (1..leaves).rev() {
-            nodes[node] = nodes[2 * node].min(nodes[2 * node + 1]);
+            let (a, b) = (winners[2 * node], winners[2 * node + 1]);
+            (winners[node], losers[node]) = (a.min(b), a.max(b));
         }
-        Self { nodes, leaves }
+        Self {
+            losers,
+            winner: winners[1],
+            leaves,
+        }
     }
 
     /// `time`'s bits with every bit flipped if it is negative and only
     /// the sign bit flipped otherwise: unsigned order becomes
-    /// `f64::total_cmp` order. A real key never reaches `RETIRED`, since
-    /// no lane is `u32::MAX`.
+    /// `f64::total_cmp` order.
     fn key(time: f64, lane: u32) -> u128 {
         let bits = time.to_bits();
         let ordered = bits ^ ((bits as i64 >> 63) as u64 | 1 << 63);
@@ -144,37 +154,40 @@ impl EventTree {
     /// The earliest pending `(time, lane)`, ties to the lower lane; `None`
     /// once every lane has retired.
     fn peek(&self) -> Option<(f64, u32)> {
-        let root = self.nodes[1];
-        (root != Self::RETIRED).then(|| {
-            let ordered = (root >> 32) as u64;
+        (self.winner != Self::RETIRED).then(|| {
+            let ordered = (self.winner >> 32) as u64;
             let bits = ordered ^ (!((ordered as i64 >> 63) as u64) | 1 << 63);
-            (f64::from_bits(bits), root as u32)
+            (f64::from_bits(bits), self.winner as u32)
         })
     }
 
-    /// Sets `lane`'s pending event to `time`.
-    fn schedule(&mut self, lane: u32, time: f64) {
-        self.replay(lane, Self::key(time, lane));
+    /// Sets the [`peek`](Self::peek)ed lane's next event to `time`.
+    fn replace_top(&mut self, time: f64) {
+        self.replay(Self::key(time, self.winner as u32));
     }
 
-    /// Removes `lane` from the tournament for good.
-    fn retire(&mut self, lane: u32) {
-        self.replay(lane, Self::RETIRED);
+    /// Removes the [`peek`](Self::peek)ed lane from the tournament for good.
+    fn retire_top(&mut self) {
+        self.replay(Self::RETIRED);
     }
 
-    fn replay(&mut self, lane: u32, key: u128) {
-        let mut node = self.leaves + lane as usize;
-        self.nodes[node] = key;
-        let mut winner = key;
-        while node > 1 {
-            // Pick the winner by indexing, not by `min`: the outcome is a
-            // coin flip, and a compiled branch would mispredict half the
-            // time.
-            let sibling_wins = (self.nodes[node ^ 1] < winner) as usize;
-            winner = self.nodes[node ^ sibling_wins];
+    /// Replays the winner's leaf-to-root path with its new `key`.
+    ///
+    /// Each match is a coin flip, so the swap must stay branch-free. Both
+    /// keys fit in 96 bits, so the sign of their difference is their
+    /// order. Written as `loser < key`, LLVM folds the two selects into
+    /// `umin`/`umax`, which drop the unpredictable hint, and x86's cmov
+    /// conversion turns them back into a branch.
+    fn replay(&mut self, mut key: u128) {
+        let mut node = (self.leaves + self.winner as u32 as usize) >> 1;
+        while node > 0 {
+            let loser = self.losers[node];
+            let swap = (loser.wrapping_sub(key) as i128) < 0;
+            self.losers[node] = std::hint::select_unpredictable(swap, key, loser);
+            key = std::hint::select_unpredictable(swap, loser, key);
             node >>= 1;
-            self.nodes[node] = winner;
         }
+        self.winner = key;
     }
 }
 
@@ -220,6 +233,9 @@ pub struct Engine<'a> {
     banks: Vec<Vec<Bank>>,
     link_in: Queue,
     link_out: Queue,
+    /// `cfg`'s per-sector DRAM and link cycles, computed once.
+    dram_sector_cycles: f64,
+    link_sector_cycles: f64,
     stats: SimStats,
 }
 
@@ -271,6 +287,8 @@ impl<'a> Engine<'a> {
             banks: vec![vec![Bank::default(); BANKS_PER_CHANNEL]; cfg.dram_channels as usize],
             link_in: Queue::default(),
             link_out: Queue::default(),
+            dram_sector_cycles: cfg.dram_sector_cycles(),
+            link_sector_cycles: cfg.link_sector_cycles(),
             stats: SimStats::default(),
         }
     }
@@ -286,7 +304,7 @@ impl<'a> Engine<'a> {
         }
         self.stats.dram_sectors += sectors as u64;
         let ch = self.channel_of(entry);
-        let per_sector = self.cfg.dram_sector_cycles();
+        let per_sector = self.dram_sector_cycles;
         match self.fidelity {
             Fidelity::Fast => {
                 let exit = self.channels[ch].reserve(now, sectors as f64 * per_sector);
@@ -324,7 +342,7 @@ impl<'a> Engine<'a> {
         }
         self.stats.dram_sectors += sectors as u64;
         let ch = self.channel_of(entry);
-        self.channels[ch].reserve(now, sectors as f64 * self.cfg.dram_sector_cycles());
+        self.channels[ch].reserve(now, sectors as f64 * self.dram_sector_cycles);
     }
 
     /// Fetches `sectors` sectors over the interconnect (buddy/host reads).
@@ -340,7 +358,7 @@ impl<'a> Engine<'a> {
         self.stats.link_sectors_in += sectors as u64;
         let exit = self
             .link_in
-            .reserve(now, sectors as f64 * self.cfg.link_sector_cycles());
+            .reserve(now, sectors as f64 * self.link_sector_cycles);
         exit.max(ready_after) + self.cfg.link_latency_cycles
     }
 
@@ -351,7 +369,7 @@ impl<'a> Engine<'a> {
         }
         self.stats.link_sectors_out += sectors as u64;
         self.link_out
-            .reserve(now, sectors as f64 * self.cfg.link_sector_cycles());
+            .reserve(now, sectors as f64 * self.link_sector_cycles);
     }
 
     /// Metadata lookup for `entry`; returns the time the metadata is known.
@@ -446,82 +464,56 @@ impl<'a> Engine<'a> {
             };
         }
 
-        let lookup = self.l2.lookup(req.entry, req.sector_mask);
-
-        if req.write {
-            match lookup {
-                Lookup::Hit => {
-                    self.stats.l2_hits += 1;
+        // The sectors this access still needs from memory.
+        let needed = match self.l2.lookup(req.entry, req.sector_mask) {
+            Lookup::Hit => {
+                self.stats.l2_hits += 1;
+                return if req.write {
                     self.l2.mark_dirty(req.entry, req.sector_mask);
                     now + 1.0
-                }
-                Lookup::Partial { .. } | Lookup::Miss => {
-                    self.stats.l2_misses += 1;
-                    let full_line = req.sector_mask == 0b1111;
-                    let ready = match self.mode {
-                        // Uncompressed (and any full-line write): write-
-                        // validate, no fetch needed.
-                        MemoryMode::Uncompressed => now,
-                        _ if full_line => now,
-                        // Partial write under compression: the block must be
-                        // recompressed as a whole → read-modify-write fetch.
-                        _ => self.compressed_fill(now, req.entry),
-                    };
-                    let fill_mask = if self.mode == MemoryMode::Uncompressed {
-                        req.sector_mask
-                    } else {
-                        0b1111
-                    };
-                    if let Some(ev) = self.l2.fill(req.entry, fill_mask, false) {
-                        self.writeback_victim(now, ev.tag, ev.dirty_mask);
-                    }
-                    self.l2.mark_dirty(req.entry, req.sector_mask);
-                    ready + 1.0
-                }
-            }
-        } else {
-            match lookup {
-                Lookup::Hit => {
-                    self.stats.l2_hits += 1;
+                } else {
                     now + self.cfg.l2_hit_latency_cycles
-                }
-                Lookup::Partial { missing } => {
-                    self.stats.l2_misses += 1;
-                    let done = match self.mode {
-                        MemoryMode::Uncompressed => {
-                            self.dram_fetch(now, req.entry, missing.count_ones() as u8)
-                        }
-                        _ => self.compressed_fill(now, req.entry),
-                    };
-                    let fill_mask = if self.mode == MemoryMode::Uncompressed {
-                        missing
-                    } else {
-                        0b1111
-                    };
-                    if let Some(ev) = self.l2.fill(req.entry, fill_mask, false) {
-                        self.writeback_victim(now, ev.tag, ev.dirty_mask);
-                    }
-                    done + self.cfg.l2_hit_latency_cycles
-                }
-                Lookup::Miss => {
-                    self.stats.l2_misses += 1;
-                    let done = match self.mode {
-                        MemoryMode::Uncompressed => {
-                            self.dram_fetch(now, req.entry, req.sector_mask.count_ones() as u8)
-                        }
-                        _ => self.compressed_fill(now, req.entry),
-                    };
-                    let fill_mask = if self.mode == MemoryMode::Uncompressed {
-                        req.sector_mask
-                    } else {
-                        0b1111
-                    };
-                    if let Some(ev) = self.l2.fill(req.entry, fill_mask, false) {
-                        self.writeback_victim(now, ev.tag, ev.dirty_mask);
-                    }
-                    done + self.cfg.l2_hit_latency_cycles
-                }
+                };
             }
+            Lookup::Partial { missing } => missing,
+            Lookup::Miss => req.sector_mask,
+        };
+        self.stats.l2_misses += 1;
+        if req.write {
+            let ready = match self.mode {
+                // Uncompressed (and any full-line write): write-validate, no
+                // fetch needed.
+                MemoryMode::Uncompressed => now,
+                _ if req.sector_mask == 0b1111 => now,
+                // Partial write under compression: the block must be
+                // recompressed as a whole → read-modify-write fetch.
+                _ => self.compressed_fill(now, req.entry),
+            };
+            self.l2_fill(now, req.entry, req.sector_mask);
+            self.l2.mark_dirty(req.entry, req.sector_mask);
+            ready + 1.0
+        } else {
+            let done = match self.mode {
+                MemoryMode::Uncompressed => {
+                    self.dram_fetch(now, req.entry, needed.count_ones() as u8)
+                }
+                _ => self.compressed_fill(now, req.entry),
+            };
+            self.l2_fill(now, req.entry, needed);
+            done + self.cfg.l2_hit_latency_cycles
+        }
+    }
+
+    /// Fills `sectors` of `entry` into the L2 (the whole line under
+    /// compression) and writes back the dirty line it displaces.
+    fn l2_fill(&mut self, now: f64, entry: u64, sectors: u8) {
+        let mask = if self.mode == MemoryMode::Uncompressed {
+            sectors
+        } else {
+            0b1111
+        };
+        if let Some(ev) = self.l2.fill(entry, mask, false) {
+            self.writeback_victim(now, ev.tag, ev.dirty_mask);
         }
     }
 
@@ -531,14 +523,14 @@ impl<'a> Engine<'a> {
         // Stagger lane start times so the cold machine fills smoothly.
         let mut events = EventTree::new(self.exec.lanes, |lane| lane as f64 * 0.25);
         let mut last_completion = 0.0f64;
-        while let Some((now, lane)) = events.peek() {
+        while let Some((now, _)) = events.peek() {
             match trace.next() {
                 Some(req) => {
                     let done = self.execute(now, req);
                     last_completion = last_completion.max(done);
-                    events.schedule(lane, done + self.exec.compute_cycles);
+                    events.replace_top(done + self.exec.compute_cycles);
                 }
-                None => events.retire(lane),
+                None => events.retire_top(),
             }
         }
         self.stats.cycles = last_completion;
@@ -910,14 +902,14 @@ mod tests {
             let Some(i) = first else {
                 return steps;
             };
-            let (now, lane) = reference[i];
+            let now = reference[i].0;
             match next(steps) {
                 Some(delay) => {
-                    tree.schedule(lane, now + delay);
+                    tree.replace_top(now + delay);
                     reference[i].0 = now + delay;
                 }
                 None => {
-                    tree.retire(lane);
+                    tree.retire_top();
                     reference.swap_remove(i);
                 }
             }
@@ -936,7 +928,7 @@ mod tests {
                 |l| [-2.5, -0.0, 0.0, 1.0, 1.0, 3.0, f64::MIN_POSITIVE][l as usize % 7],
                 |i| {
                     let h = splitmix64(i ^ lanes as u64);
-                    (h % 8 != 0).then_some((h >> 8) as f64 % 4.0)
+                    (!h.is_multiple_of(8)).then_some((h >> 8) as f64 % 4.0)
                 },
             );
             assert!(pops > lanes as u64, "{lanes} lanes: only {pops} pops");
@@ -944,11 +936,24 @@ mod tests {
     }
 
     #[test]
+    fn event_tree_orders_keys_a_whole_range_apart() {
+        // The replay orders two keys by the sign of their difference: it
+        // must hold for the extremes of `total_cmp` order too.
+        let starts = [f64::INFINITY, f64::MAX, -0.0, f64::MIN, f64::NEG_INFINITY];
+        let pops = assert_pops_like_reference(
+            starts.len() as u32,
+            |l| starts[l as usize],
+            |i| (i < 40).then_some([0.0, 1.0, f64::MAX][i as usize % 3]),
+        );
+        assert_eq!(pops, 40 + starts.len() as u64);
+    }
+
+    #[test]
     fn event_tree_breaks_ties_toward_the_lower_lane() {
         let mut tree = EventTree::new(4, |_| 1.0);
         for lane in 0..4 {
             assert_eq!(tree.peek(), Some((1.0, lane)));
-            tree.schedule(lane, 2.0);
+            tree.replace_top(2.0);
         }
         assert_eq!(tree.peek(), Some((2.0, 0)));
     }
@@ -965,15 +970,15 @@ mod tests {
         // never comes back, and the tree empties once all three retire.
         let mut tree = EventTree::new(3, |l| l as f64);
         assert_eq!(tree.peek(), Some((0.0, 0)));
-        tree.schedule(0, 5.0);
+        tree.replace_top(5.0);
         assert_eq!(tree.peek(), Some((1.0, 1)));
-        tree.retire(1);
+        tree.retire_top();
         assert_eq!(tree.peek(), Some((2.0, 2)));
-        tree.schedule(2, 3.0);
+        tree.replace_top(3.0);
         assert_eq!(tree.peek(), Some((3.0, 2)));
-        tree.retire(2);
+        tree.retire_top();
         assert_eq!(tree.peek(), Some((5.0, 0)));
-        tree.retire(0);
+        tree.retire_top();
         assert_eq!(tree.peek(), None);
         // One lane alone: its leaf is the root.
         let steps = assert_pops_like_reference(1, |_| 0.0, |i| (i < 10).then_some(1.0));

@@ -287,7 +287,7 @@ fn check_seqlock_discipline(file: &SourceFile, out: &mut Vec<RawFinding>) {
         if !(toks[i].kind == TokenKind::Ident && toks[i].text == "seq") {
             continue;
         }
-        if !toks.get(i + 1).is_some_and(|t| t.text == ".") {
+        if toks.get(i + 1).is_none_or(|t| t.text != ".") {
             continue;
         }
         let Some(method) = toks.get(i + 2) else {
