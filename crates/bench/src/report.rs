@@ -2,10 +2,9 @@
 //! and the run configuration every harness reads.
 //!
 //! The configuration is run-wide (`--quick`, output directory, seed) and
-//! carries no codec: the harnesses model BPC, as the paper does, and the
-//! two that compare algorithms (`ablation`, the full `pool-replay` sweep)
-//! iterate [`CodecKind::ALL`](buddy_compression::bpc::CodecKind::ALL)
-//! themselves.
+//! carries no codec: the harnesses model BPC, as the paper does, and
+//! `ablation`, the one that compares algorithms, iterates
+//! [`CodecKind::ALL`](buddy_compression::bpc::CodecKind::ALL) itself.
 
 use crate::FIGURES;
 use std::fmt::Display;

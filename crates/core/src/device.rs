@@ -308,11 +308,14 @@ impl Default for DeviceConfig {
 /// device byte array and overflow really lives in a buddy byte array, so
 /// read-after-write returns exactly the written entry (property-tested).
 ///
-/// The device is codec-agnostic: it defaults to BPC (the paper's choice,
-/// §2.4) but accepts any [`CodecKind`] via
-/// [`with_codec`](Self::with_codec), so the ablation harness can measure
-/// end-to-end buddy traffic under BDI or FPC through the same data path.
-/// Stored streams are always decoded by the codec that wrote them.
+/// The device defaults to BPC (the paper's choice, §2.4) and still accepts
+/// any [`CodecKind`] via [`with_codec`](Self::with_codec); stored streams
+/// are always decoded by the codec that wrote them. No harness builds a
+/// non-BPC device: the algorithm ablation classifies entries with
+/// [`EntryState::stored`] instead of storing them. The last non-BPC entry
+/// point is `buddy_pool::PoolConfig::codec`, which the repo benchmark
+/// still names; the device becomes BPC-only once the benchmark stops
+/// naming it.
 ///
 /// # Example
 ///

@@ -30,9 +30,11 @@
 //!
 //! The [`BuddyDevice`] here is a *functional* model with real compressed
 //! storage (reads return exactly what was written); the companion `gpu-sim`
-//! crate models the performance of the same design. The device is
-//! codec-agnostic — BPC by default, any `bpc::CodecKind` via
-//! [`BuddyDevice::with_codec`] — and offers batched
+//! crate models the performance of the same design. The device stores
+//! BPC by default. [`BuddyDevice::with_codec`] still takes any
+//! `bpc::CodecKind`; it serves the codec round-trip tests and
+//! `buddy_pool::PoolConfig::codec`, the last non-BPC entry point. It
+//! offers batched
 //! [`BuddyDevice::write_entries`] / [`BuddyDevice::read_entries`] paths
 //! that move a whole run of entries with one stats update.
 //!
