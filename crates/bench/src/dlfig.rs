@@ -71,12 +71,17 @@ pub fn fig13c(cfg: &RunConfig) -> io::Result<()> {
         fig7.iter()
             .find(|p| p.name == name)
             .map(|p| p.final_design.0)
-            .unwrap_or(1.5)
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("network `{name}` has no Figure 7 point"),
+                )
+            })
     };
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     for (net, _, _) in networks::all_networks() {
-        let ratio = ratio_of(net.name);
+        let ratio = ratio_of(net.name)?;
         let cs = capacity_speedup(&net, &gpu, ratio, 0.022, 1024);
         speedups.push(cs.speedup());
         rows.push(vec![
@@ -151,6 +156,17 @@ pub fn fig13d(cfg: &RunConfig) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use buddy_compression::workloads::dl_benchmarks;
+
+    /// Figure 13c looks each network's ratio up by name among Figure 7's
+    /// points, so every network must be one of the suite's DL benchmarks.
+    #[test]
+    fn every_network_is_a_dl_benchmark_of_the_suite() {
+        let dl: Vec<&str> = dl_benchmarks().iter().map(|b| b.name).collect();
+        for (net, _, _) in networks::all_networks() {
+            assert!(dl.contains(&net.name), "{} is not a DL benchmark", net.name);
+        }
+    }
 
     #[test]
     fn fig13_harnesses_run_quick() {

@@ -13,8 +13,8 @@
 //! undetected, which is how the checker itself is kept honest.
 //!
 //! The orderings in the unmutated models are exactly the ones
-//! `core::sync`'s `seq_open`/`seq_release`/`seq_acquire`/`seq_revalidate`
-//! helpers implement — every writer opens its window with one CAS
+//! `core::sync::SeqWord`'s `open`/`release`/`acquire`/`revalidate`
+//! methods implement — every writer opens its window with one CAS
 //! (`open`) and closes it with a load and a `Release` store (`bump`) —
 //! and `shared.rs` cites these models as evidence for its fence choices.
 
@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// scope, see DESIGN.md §13).
 const RETRIES: usize = 3;
 
-/// One sequence bump the way `core::sync::seq_release` closes a window: a
+/// One sequence bump the way `core::sync::SeqWord::release` closes a window: a
 /// `Relaxed` load of the current value and a store of the next, with
 /// `ordering` on the store. Sound only for the window's holder
 /// ([`WritersMutation::UnserializedWriters`] opens with it, too, and is
@@ -40,7 +40,7 @@ fn bump(seq: &AtomicU64, ordering: Ordering) {
 
 /// A writer's open the way `write_batch` and `republish` take it: an
 /// `Acquire` load until the sequence is even (`SlotCell::begin_read`),
-/// then `core::sync::seq_open` — one CAS from that even value to odd,
+/// then `core::sync::SeqWord::open` — one CAS from that even value to odd,
 /// `Acquire` on success — and, when `fenced`, its `Release` fence. A
 /// failed CAS starts again at the load. False when [`RETRIES`] attempts
 /// all found the window taken.

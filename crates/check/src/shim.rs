@@ -15,8 +15,11 @@
 //! (through a `Drop` that closes a window) is not scheduled again: its
 //! ops act on the `std` mirror alone.
 
-// lint-allow-file(raw-atomic-metric): the shim `AtomicU64` owns the `std`
-// mirror of a model-checked protocol word; nothing here is a metric.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the shim `AtomicU64` owns the `std` mirror of a model-checked protocol word; \
+              nothing here is a metric"
+)]
 
 use crate::sched::{ctx, Exec, ExecState};
 use std::sync::atomic::Ordering;

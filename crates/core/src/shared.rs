@@ -72,22 +72,23 @@
 //! # Ordering evidence
 //!
 //! Every ordering below is either the canonical seqlock set (via the
-//! [`crate::sync`] `seq_*` helpers — each justified by a model-checker
-//! mutation in `crates/check`) or carries a `Relaxed:` comment naming the
-//! edge that makes it safe. No ordering here is sequentially consistent:
+//! [`SeqWord`] methods in [`crate::sync`] — each justified by a
+//! model-checker mutation in `crates/check`) or carries a `Relaxed:`
+//! comment naming the edge that makes it safe. No ordering here is sequentially consistent:
 //! the seqlock is the only reader protocol. The distilled protocol models
 //! and their counterexample-producing mutations live in
 //! `crates/check/src/models.rs`; DESIGN.md §13 maps each model back to
 //! the code here.
 
-// lint-allow-file(raw-atomic-metric): every atomic in this module is
-// protocol state (seqlock words, generations, published bases, byte and
-// nibble storage) or the device stats mirror reported through the
-// existing stats() API — none is an ad-hoc metric.
+#![expect(
+    clippy::disallowed_types,
+    reason = "every atomic here is protocol state (generations, published bases, byte and \
+              nibble storage) or the device stats mirror reported through stats()"
+)]
 
 use crate::device::{AccessStats, AllocId, DeviceError};
 use crate::metadata::EntryState;
-use crate::sync::{seq_acquire, seq_open, seq_release, seq_revalidate};
+use crate::sync::SeqWord;
 use crate::target::TargetRatio;
 use bpc::{Codec, CodecKind, CompressedBuf, Entry, SizeHistogram, ENTRY_BYTES, SECTOR_BYTES};
 use std::fmt;
@@ -438,7 +439,7 @@ fn decode_target(b: u8) -> Option<TargetRatio> {
 /// allocation always has `entries ≥ 1`, a freed or never-used slot
 /// publishes `entries == 0`).
 pub(crate) struct SlotCell {
-    seq: AtomicU64,
+    seq: SeqWord,
     generation: AtomicU64,
     entries: AtomicU64,
     device_base: AtomicU64,
@@ -449,7 +450,7 @@ pub(crate) struct SlotCell {
 impl SlotCell {
     fn new() -> Self {
         Self {
-            seq: AtomicU64::new(0),
+            seq: SeqWord::default(),
             generation: AtomicU64::new(0),
             entries: AtomicU64::new(0),
             device_base: AtomicU64::new(0),
@@ -464,13 +465,13 @@ impl SlotCell {
     fn begin_read(&self) -> u64 {
         let mut spins = 0u32;
         loop {
-            // Acquire: pairs with `seq_release`'s closing bump — observing
-            // an even sequence inherits every store of that window, so the
-            // Relaxed field loads that follow cannot be older than this
-            // epoch. Model: `seqlock` passes
+            // Acquire: pairs with `SeqWord::release`'s closing bump —
+            // observing an even sequence inherits every store of that
+            // window, so the Relaxed field loads that follow cannot be
+            // older than this epoch. Model: `seqlock` passes
             // exhaustively with Acquire; `CloseRelaxed` (breaking the
             // pairing) has a counterexample.
-            let s = seq_acquire(&self.seq);
+            let s = self.seq.acquire();
             if s.is_multiple_of(2) {
                 return s;
             }
@@ -494,7 +495,7 @@ impl SlotCell {
     /// removing the fence (`NoReaderFence`) lets a torn snapshot validate;
     /// the Acquire version passes exhaustively.
     fn still(&self, seen: u64) -> bool {
-        seq_revalidate(&self.seq) == seen
+        self.seq.revalidate() == seen
     }
 
     /// The published fields as of one even sequence, and that sequence:
@@ -532,10 +533,11 @@ impl SlotCell {
 
     /// Stores new addressing facts. Caller holds an open [`SeqWindow`].
     fn store_raw(&self, raw: &RawSlot) {
-        // Relaxed: bracketed by the open window — `seq_open`'s release
-        // fence attaches the odd sequence to each of these stores
-        // (readers that see one re-validate and retry) and `seq_release`
-        // publishes them wholesale to readers of the closed sequence.
+        // Relaxed: bracketed by the open window — `SeqWord::open`'s
+        // release fence attaches the odd sequence to each of these stores
+        // (readers that see one re-validate and retry) and
+        // `SeqWord::release` publishes them wholesale to readers of the
+        // closed sequence.
         // Model: `NoWriterFence` / `CloseRelaxed` are the mutations that
         // would make Relaxed here unsound, and both have counterexamples.
         let st = |field: &AtomicU64, value: u64| field.store(value, Ordering::Relaxed);
@@ -550,7 +552,7 @@ impl SlotCell {
 impl fmt::Debug for SlotCell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SlotCell")
-            .field("seq", &seq_acquire(&self.seq))
+            .field("seq", &self.seq.acquire())
             // Relaxed: diagnostic snapshot only; torn values are acceptable
             // in debug output and nothing is synchronized through it.
             .field("generation", &self.generation.load(Ordering::Relaxed))
@@ -613,7 +615,7 @@ impl RawSlot {
 /// plus one again (even) — panic-safe, so an unwinding writer cannot leave
 /// readers spinning forever or the slot locked.
 pub(crate) struct SeqWindow<'a> {
-    seq: &'a AtomicU64,
+    seq: &'a SeqWord,
 }
 
 impl<'a> SeqWindow<'a> {
@@ -630,7 +632,7 @@ impl<'a> SeqWindow<'a> {
         // (no fence) and `UnserializedWriters` (a load-and-store bump, no
         // CAS) each have a counterexample; two CAS writers pass
         // exhaustively.
-        seq_open(&cell.seq, even).then(|| Self { seq: &cell.seq })
+        cell.seq.open(even).then(|| Self { seq: &cell.seq })
     }
 }
 
@@ -641,7 +643,7 @@ impl Drop for SeqWindow<'_> {
         // the edge `begin_read`'s Acquire pairs with. Model: downgrading
         // this to Relaxed (`CloseRelaxed`) has a counterexample; Release
         // alone passes exhaustively.
-        seq_release(self.seq);
+        self.seq.release();
     }
 }
 
@@ -1349,7 +1351,7 @@ mod tests {
     }
 
     fn seq_of(state: &SharedState, slot: u32) -> u64 {
-        seq_acquire(&state.structural_cell(slot).seq)
+        state.structural_cell(slot).seq.acquire()
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //!   started with.
 //! * [`metrics`] — [`Counter`] / [`Histogram`] behind a
 //!   [`MetricsRegistry`] that samples them by name. This crate is
-//!   the only one in the workspace allowed to own raw atomics for metrics
-//!   (enforced by the `raw-atomic-metric` xtask lint).
+//!   the only one in the workspace allowed to own raw atomics for metrics:
+//!   `clippy.toml` disallows the atomic integer types everywhere else.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "this crate owns the metric primitives the workspace counts with"
+)]
 
 pub mod hist;
 pub mod metrics;

@@ -70,6 +70,10 @@ pub use buddy_core::{
 
 use buddy_core::AllocId;
 use buddy_obs::Counter;
+#[expect(
+    clippy::disallowed_types,
+    reason = "route_seq is the shard-routing sequence, not a metric"
+)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -152,7 +156,10 @@ pub struct BuddyPool {
     config: PoolConfig,
     /// Monotonic allocation sequence number, folded into the shard hash so
     /// repeated allocations under one name still spread across shards.
-    // lint-allow(raw-atomic-metric): allocation sequence for shard routing, not a metric
+    #[expect(
+        clippy::disallowed_types,
+        reason = "allocation sequence for shard routing, not a metric"
+    )]
     route_seq: AtomicU64,
     /// Shard locks acquired by [`alloc`](Self::alloc) (home attempt + ring
     /// probes). Pins the probe discipline: a non-capacity home error must
@@ -192,7 +199,11 @@ impl BuddyPool {
             shards,
             handles,
             config,
-            route_seq: AtomicU64::new(0), // lint-allow(raw-atomic-metric): shard-routing sequence, not a metric
+            #[expect(
+                clippy::disallowed_types,
+                reason = "shard-routing sequence, not a metric"
+            )]
+            route_seq: AtomicU64::new(0),
             alloc_shard_probes: Counter::default(),
         }
     }

@@ -18,6 +18,10 @@
 //! CI runs this target with `RUST_TEST_THREADS=1` so the recorded
 //! intervals reflect genuine pool contention rather than test-runner
 //! scheduling.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the logical clock orders invocations and responses; it is not a metric"
+)]
 
 #[path = "linearizability/checker.rs"]
 mod checker;

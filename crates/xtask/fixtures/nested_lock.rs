@@ -39,11 +39,4 @@ impl Pool {
     fn back_to_back_temporaries_are_fine(&self, a: usize, b: usize) -> u64 {
         self.shard(a).used() + self.shard(b).used()
     }
-
-    fn waived_ordered_sweep(&self) -> u64 {
-        let first = self.shard(0);
-        // lint-allow(nested-lock): guards are taken in ascending shard order, mirroring drain()
-        let second = self.shard(1);
-        first.used() + second.used()
-    }
 }

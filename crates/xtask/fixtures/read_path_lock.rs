@@ -18,11 +18,6 @@ impl Pool {
         self.handle_of(id)?.state_window(start, len)
     }
 
-    fn read_entries_collect(&self, id: AllocId, start: u64, n: u64) -> Result<Stats, Error> {
-        // lint-allow(read-path-lock): fixture proof that the waiver channel suppresses
-        self.guard_of(id)?.read_entries_collect(start, n)
-    }
-
     fn read_entries_via_guard(&self, id: AllocId, start: u64, n: u64) -> Result<Stats, Error> {
         let device = self.shard(id.shard()); // expect(read-path-lock)
         device.read_entries_collect(start, n)

@@ -18,20 +18,3 @@ fn justified_same_line(c: &AtomicU64) -> u64 {
 fn stronger_orderings_need_no_comment(c: &AtomicU64) -> u64 {
     c.load(Ordering::Acquire) + c.swap(0, Ordering::SeqCst)
 }
-
-fn waived(c: &AtomicU64) -> u64 {
-    // lint-allow(relaxed-ordering): fixture demonstrates that a reasoned line waiver suppresses
-    c.load(Ordering::Relaxed)
-}
-
-// A reasonless line waiver must NOT suppress, and is a finding itself:
-// expect-file(waiver-without-reason)
-fn reasonless(c: &AtomicU64) -> u64 {
-    // lint-allow(relaxed-ordering)
-    c.load(Ordering::Relaxed) // expect(relaxed-ordering)
-}
-
-// A line waiver naming a rule the registry does not know is a finding too:
-// expect-file(unknown-waiver)
-// lint-allow(no-such-rule): typo'd rule ids must never silently waive anything
-fn untouched() {}

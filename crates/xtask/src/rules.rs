@@ -1,36 +1,17 @@
 //! The lint rule registry: every repo-specific invariant the driver
-//! enforces, with its severity and path scope.
+//! enforces, with its path scope.
 //!
 //! Rules are text-level scans over the scrubbed source model (comments and
-//! literal contents removed, unit-test modules excluded where a rule says
-//! so). Each rule documents *why* the pattern is forbidden here — these are
-//! the locking, ordering and metric invariants no off-the-shelf tool knows
-//! about. Generic hygiene (unwrap, lossy casts, wall clocks, unsafe code,
-//! docs) is rustc's and clippy's job; see DESIGN.md §10.
+//! literal contents removed, unit-test modules excluded). Each rule
+//! documents *why* the pattern is forbidden here — these are the locking
+//! and ordering invariants no off-the-shelf tool knows about. Generic
+//! hygiene (unwrap, lossy casts, wall clocks, raw atomics, unsafe code,
+//! docs) is rustc's and clippy's job, and the seqlock word is a type
+//! (`core::sync::SeqWord`); see DESIGN.md §10.
 
-use crate::source::{SourceFile, Token, TokenKind};
-use std::collections::BTreeSet;
-use std::fmt;
+use crate::source::SourceFile;
 
-/// How a finding affects the exit status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Unwaived findings fail the run (CI gate).
-    Deny,
-    /// Reported but never fails the run — for incubating rules.
-    Warn,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Deny => write!(f, "deny"),
-            Severity::Warn => write!(f, "warn"),
-        }
-    }
-}
-
-/// One finding produced by a rule, before waiver resolution.
+/// One finding produced by a rule.
 #[derive(Debug, Clone)]
 pub struct RawFinding {
     /// 1-based line number.
@@ -41,12 +22,9 @@ pub struct RawFinding {
 
 /// A registered lint rule.
 pub struct Rule {
-    /// Stable id used in `lint-allow(<id>)` waivers and JSON output.
+    /// Stable id, printed with each finding and named by fixture
+    /// `expect(<id>)` annotations.
     pub id: &'static str,
-    /// Gate behaviour of unwaived findings.
-    pub severity: Severity,
-    /// One-line description for `--help`-ish listings and docs.
-    pub summary: &'static str,
     /// Path scope, over the root-relative path (forward slashes).
     pub applies: fn(&str) -> bool,
     /// The scan itself.
@@ -56,59 +34,28 @@ pub struct Rule {
 /// Every rule the driver knows, in reporting order.
 pub fn registry() -> Vec<Rule> {
     vec![
+        // No shard-lock acquisition while another shard guard is held
+        // (deadlock risk).
         Rule {
             id: "nested-lock",
-            severity: Severity::Deny,
-            summary: "no shard-lock acquisition while another shard guard is held (deadlock risk)",
             applies: |p| p.starts_with("crates/pool/src/"),
             check: check_nested_lock,
         },
+        // Pool read-path functions must not acquire a shard lock — reads
+        // resolve against epoch-published snapshots.
         Rule {
             id: "read-path-lock",
-            severity: Severity::Deny,
-            summary: "pool read-path functions must not acquire a shard lock — reads resolve \
-                      against epoch-published snapshots",
             applies: |p| p.starts_with("crates/pool/src/"),
             check: check_read_path_lock,
         },
+        // Every `Ordering::Relaxed` needs an adjacent `Relaxed: ...`
+        // justification comment.
         Rule {
             id: "relaxed-ordering",
-            severity: Severity::Deny,
-            summary:
-                "every Ordering::Relaxed needs an adjacent `Relaxed: ...` justification comment",
             applies: |_| true,
             check: check_relaxed_ordering,
         },
-        Rule {
-            id: "raw-atomic-metric",
-            severity: Severity::Deny,
-            summary: "no ad-hoc atomic counters in library code — metric primitives live in \
-                      buddy_obs",
-            applies: |p| !p.starts_with("crates/obs/src/"),
-            check: check_raw_atomic_metric,
-        },
-        Rule {
-            id: "seqlock-discipline",
-            severity: Severity::Deny,
-            summary: "seqlock sequence words are touched only through the named core::sync \
-                      helpers (seq_acquire/seq_revalidate/seq_open/seq_release)",
-            applies: |p| p == "crates/core/src/shared.rs",
-            check: check_seqlock_discipline,
-        },
     ]
-}
-
-/// Summaries for the driver's own waiver-hygiene findings, which have no
-/// registered [`Rule`]. Feeds the JSON `description` field.
-pub fn pseudo_summary(id: &str) -> &'static str {
-    match id {
-        "unknown-waiver" => "a waiver names a rule the registry does not know",
-        "waiver-without-reason" => "every waiver must carry a reason after the colon",
-        "misplaced-file-waiver" => {
-            "file-scoped waivers must sit in the leading comment block, before any code"
-        }
-        _ => "",
-    }
 }
 
 /// Tokens whose evaluation acquires a shard lock in `buddy-pool`.
@@ -149,7 +96,7 @@ fn check_nested_lock(file: &SourceFile, out: &mut Vec<RawFinding>) {
                     line: idx + 1,
                     message: "lock acquisition while a shard guard from an enclosing scope is \
                               still held — nested shard locks have no global order and can \
-                              deadlock; restructure or waive with the ordering argument"
+                              deadlock; drop the first guard before taking the next"
                         .to_string(),
                 });
             }
@@ -212,8 +159,7 @@ fn check_read_path_lock(file: &SourceFile, out: &mut Vec<RawFinding>) {
                         line: idx + 1,
                         message: format!(
                             "`{token}` on the pool read path — reads must resolve through the \
-                             epoch-published snapshot (`handle_of`), never a shard guard; \
-                             waive with why this lock cannot serialize readers"
+                             epoch-published snapshot (`handle_of`), never a shard guard"
                         ),
                     });
                 }
@@ -260,109 +206,6 @@ fn check_relaxed_ordering(file: &SourceFile, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// Atomic method names whose receiver must not be a bare `seq` word.
-const SEQ_METHODS: [&str; 9] = [
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "compare_exchange",
-];
-
-fn check_seqlock_discipline(file: &SourceFile, out: &mut Vec<RawFinding>) {
-    // The seqlock's correctness is concentrated in four ordering choices
-    // (open, close, first read, re-validation), each proven by a mutation
-    // in `buddy-check` (SkipOddBump, CloseRelaxed, NoReaderFence,
-    // NoWriterFence). Those proofs only cover code that goes through the
-    // named helpers — a raw `seq.load(..)` re-opens the whole argument, so
-    // the sequence word may only be touched via
-    // `seq_acquire`/`seq_revalidate`/`seq_open`/`seq_release`.
-    let toks: Vec<Token> = file.tokens().into_iter().filter(|t| !t.in_test).collect();
-    let mut seen = BTreeSet::new();
-    for i in 0..toks.len() {
-        if !(toks[i].kind == TokenKind::Ident && toks[i].text == "seq") {
-            continue;
-        }
-        if toks.get(i + 1).is_none_or(|t| t.text != ".") {
-            continue;
-        }
-        let Some(method) = toks.get(i + 2) else {
-            continue;
-        };
-        if SEQ_METHODS.contains(&method.text.as_str()) && seen.insert(method.line) {
-            out.push(RawFinding {
-                line: method.line,
-                message: format!(
-                    "raw `seq.{}(..)` on a seqlock sequence word — use the `crate::sync` \
-                     helpers (`seq_acquire`/`seq_revalidate` to read, `seq_open`/\
-                     `seq_release` to write) whose orderings carry model-checker evidence",
-                    method.text
-                ),
-            });
-        }
-    }
-}
-
-/// Atomic integer types whose ad-hoc declaration in service/pool library
-/// code the `raw-atomic-metric` rule rejects.
-const RAW_ATOMICS: [&str; 4] = ["AtomicU64", "AtomicU32", "AtomicUsize", "AtomicI64"];
-
-/// True when `code` *declares* (`field: AtomicU64`) or *constructs*
-/// (`AtomicU64::new(...)`) a raw atomic of type `ty`. Imports
-/// (`use ...::AtomicU64`) and references (`&AtomicU64`) deliberately do not
-/// match: borrowing or naming a counter is fine, owning a new one is what
-/// fragments the metric surface.
-fn declares_or_constructs(code: &str, ty: &str) -> bool {
-    if code.contains(&format!("{ty}::new(")) {
-        return true;
-    }
-    let needle = format!(": {ty}");
-    let mut search = 0usize;
-    while let Some(pos) = code[search..].find(&needle) {
-        let after = search + pos + needle.len();
-        let boundary = !code[after..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        if boundary {
-            return true;
-        }
-        search = after;
-    }
-    false
-}
-
-fn check_raw_atomic_metric(file: &SourceFile, out: &mut Vec<RawFinding>) {
-    // Scattered per-module atomics are how a telemetry surface decays: each
-    // one invents its own reset/snapshot story and the report rows silently
-    // go stale. All metrics must go through `buddy_obs`'s `Counter` /
-    // `Histogram` (the one crate that owns the memory-order and
-    // snapshot contracts — `crates/obs/src/` is exempt from this rule); an
-    // atomic that is *not* a metric (e.g. an id source) is waived with that
-    // argument.
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for ty in RAW_ATOMICS {
-            if declares_or_constructs(&line.code, ty) {
-                out.push(RawFinding {
-                    line: idx + 1,
-                    message: format!(
-                        "ad-hoc `{ty}` in library code — route metrics through `buddy_obs` \
-                         (`Counter`/`Histogram`), or waive with why this atomic is \
-                         not a metric"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,12 +224,8 @@ mod tests {
 
     #[test]
     fn registry_ids_are_unique() {
-        let rules = registry();
-        for (i, a) in rules.iter().enumerate() {
-            for b in &rules[i + 1..] {
-                assert_ne!(a.id, b.id);
-            }
-        }
+        let ids: Vec<&str> = registry().iter().map(|r| r.id).collect();
+        assert_eq!(ids, ["nested-lock", "read-path-lock", "relaxed-ordering"]);
     }
 
     #[test]
@@ -468,104 +307,5 @@ mod tests {
         assert!(run("relaxed-ordering", justified).is_empty());
         let same_line = "c.fetch_add(1, Ordering::Relaxed); // Relaxed: id uniqueness only";
         assert!(run("relaxed-ordering", same_line).is_empty());
-    }
-
-    #[test]
-    fn raw_atomic_flags_declarations_and_constructions_only() {
-        assert_eq!(run("raw-atomic-metric", "hits: AtomicU64,").len(), 1);
-        assert_eq!(
-            run("raw-atomic-metric", "let c = AtomicU64::new(0);").len(),
-            1
-        );
-        assert_eq!(
-            run(
-                "raw-atomic-metric",
-                "static N: AtomicUsize = AtomicUsize::new(0);"
-            )
-            .len(),
-            1
-        );
-        // Imports, references, and unrelated identifiers are not ownership.
-        assert!(run(
-            "raw-atomic-metric",
-            "use std::sync::atomic::{AtomicU64, Ordering};"
-        )
-        .is_empty());
-        assert!(run("raw-atomic-metric", "fn observe(c: &AtomicU64) -> u64 {").is_empty());
-        assert!(run("raw-atomic-metric", "hits: AtomicU64Ext,").is_empty());
-        // Test modules may use whatever bookkeeping they like.
-        let in_test = "#[cfg(test)]\nmod tests { static N: AtomicU64 = AtomicU64::new(0); }";
-        assert!(run("raw-atomic-metric", in_test).is_empty());
-    }
-
-    #[test]
-    fn raw_atomic_scope_exempts_only_the_obs_crate() {
-        let rules = registry();
-        let rule = rules
-            .iter()
-            .find(|r| r.id == "raw-atomic-metric")
-            .expect("rule registered");
-        // Everything is in scope now that the primitives live in buddy_obs —
-        // including the service (which counts with them, owning no atomics),
-        // the bench drivers and the core crate.
-        assert!((rule.applies)("crates/service/src/lib.rs"));
-        assert!((rule.applies)("crates/bench/src/tenantfig.rs"));
-        assert!((rule.applies)("crates/pool/src/lib.rs"));
-        assert!((rule.applies)("crates/core/src/device.rs"));
-        assert!((rule.applies)("src/lib.rs"));
-        // The one home raw metric atomics are allowed: the obs crate itself.
-        assert!(!(rule.applies)("crates/obs/src/hist.rs"));
-        assert!(!(rule.applies)("crates/obs/src/metrics.rs"));
-        assert!(!(rule.applies)("crates/obs/src/trace.rs"));
-    }
-
-    #[test]
-    fn seqlock_discipline_flags_raw_seq_atomics_only() {
-        assert_eq!(
-            run(
-                "seqlock-discipline",
-                "let s = self.seq.load(Ordering::Acquire);"
-            )
-            .len(),
-            1
-        );
-        assert_eq!(
-            run(
-                "seqlock-discipline",
-                "cell.seq.fetch_add(1, Ordering::Release);"
-            )
-            .len(),
-            1
-        );
-        assert_eq!(
-            run(
-                "seqlock-discipline",
-                "self.seq\n    .store(n, Ordering::Release);"
-            )
-            .len(),
-            1
-        );
-        // The helpers themselves, other fields, and longer identifiers are
-        // out of scope.
-        assert!(run("seqlock-discipline", "let s = seq_acquire(&self.seq);").is_empty());
-        assert!(run("seqlock-discipline", "seq_open(&cell.seq, even);").is_empty());
-        assert!(run(
-            "seqlock-discipline",
-            "self.generation.load(Ordering::Acquire);"
-        )
-        .is_empty());
-        assert!(run("seqlock-discipline", "sequence.load(Ordering::Acquire);").is_empty());
-    }
-
-    #[test]
-    fn seqlock_discipline_scope_is_exactly_the_shared_module() {
-        let rules = registry();
-        let rule = rules
-            .iter()
-            .find(|r| r.id == "seqlock-discipline")
-            .expect("rule registered");
-        assert!((rule.applies)("crates/core/src/shared.rs"));
-        assert!(!(rule.applies)("crates/core/src/sync.rs"));
-        assert!(!(rule.applies)("crates/pool/src/lib.rs"));
     }
 }

@@ -9,12 +9,10 @@
 //! the invariants the rules enforce are all expressible as token presence,
 //! and a text-level model keeps the driver dependency-free and fast.
 
-use std::fmt;
-
 /// One classified source line.
 #[derive(Debug, Clone)]
 pub struct Line {
-    /// The original text (for display and waiver/justification scanning).
+    /// The original text (tells a comment-only line from a blank one).
     pub raw: String,
     /// Code only: comments removed, literal contents blanked with spaces.
     pub code: String,
@@ -36,73 +34,6 @@ impl Line {
 pub struct SourceFile {
     /// Classified lines, in order.
     pub lines: Vec<Line>,
-}
-
-/// One token lexed from the scrubbed code of a line. Tokens exist so rules
-/// can match *structure* (`use` `std` `::` `sync` `::` `atomic`) instead of
-/// guessing at substrings — `std::sync :: atomic`, odd spacing and split
-/// use-trees all normalize to the same token sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
-    /// The token text (`use`, `::`, `AtomicU64`, `"..."` for a blanked
-    /// literal).
-    pub text: String,
-    /// 1-based line the token starts on.
-    pub line: usize,
-    /// Token class.
-    pub kind: TokenKind,
-    /// True when the token sits inside a `#[cfg(test)]` item.
-    pub in_test: bool,
-}
-
-/// Lexical class of a [`Token`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
-    /// Identifier or keyword (`use`, `seq`, `AtomicU64`).
-    Ident,
-    /// Operator / punctuation. Multi-char `::` is one token; everything
-    /// else is a single character. Lifetimes lex as one `'a` punct.
-    Punct,
-    /// Number, string or char literal (string/char contents arrive blanked
-    /// from the scrubber, so the text carries no payload).
-    Literal,
-}
-
-/// A `// lint-allow-file(<rule>): <reason>` waiver covering every finding
-/// of `rule` in the file. Must sit in the leading comment block, before the
-/// first line that carries code — a waiver buried mid-file is easy to miss
-/// in review, so the driver reports it as `misplaced-file-waiver` instead
-/// of honouring it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileWaiver {
-    /// Rule id being waived.
-    pub rule: String,
-    /// Human reason; empty reasons are themselves a finding.
-    pub reason: String,
-    /// 1-based line the waiver comment sits on.
-    pub comment_line: usize,
-    /// True when the waiver appears on or after the first code line.
-    pub misplaced: bool,
-}
-
-/// A `// lint-allow(<rule>): <reason>` waiver, resolved to the code line it
-/// covers (its own line if that line has code, else the next code line).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Waiver {
-    /// Rule id being waived.
-    pub rule: String,
-    /// Human reason; empty reasons are themselves a finding.
-    pub reason: String,
-    /// 1-based line the waiver comment sits on.
-    pub comment_line: usize,
-    /// 1-based code line the waiver applies to.
-    pub target_line: usize,
-}
-
-impl fmt::Display for Waiver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lint-allow({}) at line {}", self.rule, self.comment_line)
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -296,86 +227,6 @@ fn is_char_literal(chars: &[char], i: usize) -> bool {
     }
 }
 
-/// Lexes one scrubbed line into `out`. See [`SourceFile::tokens`].
-fn lex_line(code: &str, line: usize, in_test: bool, out: &mut Vec<Token>) {
-    let chars: Vec<char> = code.chars().collect();
-    let mut i = 0usize;
-    let push = |out: &mut Vec<Token>, text: String, kind: TokenKind| {
-        out.push(Token {
-            text,
-            line,
-            kind,
-            in_test,
-        });
-    };
-    while i < chars.len() {
-        let c = chars[i];
-        if c.is_whitespace() {
-            i += 1;
-        } else if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                i += 1;
-            }
-            push(out, chars[start..i].iter().collect(), TokenKind::Ident);
-        } else if c.is_ascii_digit() {
-            let start = i;
-            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                i += 1;
-            }
-            // One fractional dot, so `1.5` is a single literal but the `..`
-            // of `0..4` stays punctuation.
-            if i < chars.len()
-                && chars[i] == '.'
-                && chars.get(i + 1).is_some_and(|ch| ch.is_ascii_digit())
-            {
-                i += 1;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-            }
-            push(out, chars[start..i].iter().collect(), TokenKind::Literal);
-        } else if c == '"' {
-            // The scrubber blanked the payload; fold `"    "` into one
-            // token. An unmatched quote (multi-line literal) lexes alone so
-            // the rest of the line still tokenizes.
-            match chars[i + 1..].iter().position(|&ch| ch == '"') {
-                Some(off) => {
-                    push(out, "\"\"".into(), TokenKind::Literal);
-                    i += off + 2;
-                }
-                None => {
-                    push(out, "\"".into(), TokenKind::Literal);
-                    i += 1;
-                }
-            }
-        } else if c == '\'' {
-            // `' '` (a blanked char literal) vs `'a` (a lifetime).
-            let close = chars[i + 1..].iter().position(|&ch| ch == '\'');
-            match close {
-                Some(off) if chars[i + 1..i + 1 + off].iter().all(|ch| *ch == ' ') => {
-                    push(out, "''".into(), TokenKind::Literal);
-                    i += off + 2;
-                }
-                _ => {
-                    let start = i;
-                    i += 1;
-                    while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                        i += 1;
-                    }
-                    push(out, chars[start..i].iter().collect(), TokenKind::Punct);
-                }
-            }
-        } else if c == ':' && chars.get(i + 1) == Some(&':') {
-            push(out, "::".into(), TokenKind::Punct);
-            i += 2;
-        } else {
-            push(out, c.to_string(), TokenKind::Punct);
-            i += 1;
-        }
-    }
-}
-
 /// Marks the lines belonging to `#[cfg(test)]` items by brace matching.
 fn mark_test_regions(lines: &mut [Line]) {
     let mut depth: i64 = 0;
@@ -425,93 +276,6 @@ impl SourceFile {
             .collect();
         mark_test_regions(&mut lines);
         SourceFile { lines }
-    }
-
-    /// Lexes the scrubbed code of every line into a flat token stream.
-    ///
-    /// The lexer is deliberately small: identifiers, `::` (the one
-    /// multi-char punct the rules match on), single-char puncts, numeric
-    /// literals, and blanked string/char literals as single [`TokenKind::Literal`]
-    /// tokens. It runs on `Line::code`, so comments and literal payloads
-    /// are already gone.
-    pub fn tokens(&self) -> Vec<Token> {
-        let mut out = Vec::new();
-        for (idx, line) in self.lines.iter().enumerate() {
-            lex_line(&line.code, idx + 1, line.in_test, &mut out);
-        }
-        out
-    }
-
-    /// All `lint-allow-file` waivers, with their placement validated: a
-    /// file waiver is `misplaced` unless it sits strictly before the first
-    /// line that carries code.
-    pub fn file_waivers(&self) -> Vec<FileWaiver> {
-        let first_code = self
-            .lines
-            .iter()
-            .position(|l| !l.code.trim().is_empty())
-            .unwrap_or(self.lines.len());
-        let mut out = Vec::new();
-        for (idx, line) in self.lines.iter().enumerate() {
-            let trimmed = line
-                .comment
-                .trim_start_matches(['/', '!', '*', ' '].as_slice());
-            if !trimmed.starts_with("lint-allow-file(") {
-                continue;
-            }
-            let rest = &trimmed["lint-allow-file(".len()..];
-            let Some(close) = rest.find(')') else {
-                continue;
-            };
-            out.push(FileWaiver {
-                rule: rest[..close].trim().to_string(),
-                reason: rest[close + 1..].trim_start_matches(':').trim().to_string(),
-                comment_line: idx + 1,
-                misplaced: idx >= first_code,
-            });
-        }
-        out
-    }
-
-    /// All `lint-allow` waivers in the file, resolved to their target lines.
-    pub fn waivers(&self) -> Vec<Waiver> {
-        let mut out = Vec::new();
-        for (idx, line) in self.lines.iter().enumerate() {
-            // A waiver is a comment *starting* with `lint-allow(` (after the
-            // comment markers) — prose that merely mentions the syntax, like
-            // this sentence, is not one.
-            let trimmed = line
-                .comment
-                .trim_start_matches(['/', '!', '*', ' '].as_slice());
-            if !trimmed.starts_with("lint-allow(") {
-                continue;
-            }
-            let rest = &trimmed["lint-allow(".len()..];
-            let Some(close) = rest.find(')') else {
-                continue;
-            };
-            let rule = rest[..close].trim().to_string();
-            let reason = rest[close + 1..].trim_start_matches(':').trim().to_string();
-            let target_line = if line.is_comment_only() {
-                // Applies to the next line that carries code.
-                self.lines
-                    .iter()
-                    .enumerate()
-                    .skip(idx + 1)
-                    .find(|(_, l)| !l.code.trim().is_empty())
-                    .map(|(i, _)| i + 1)
-                    .unwrap_or(idx + 1)
-            } else {
-                idx + 1
-            };
-            out.push(Waiver {
-                rule,
-                reason,
-                comment_line: idx + 1,
-                target_line,
-            });
-        }
-        out
     }
 
     /// True if any comment on `line` (1-based) or on the run of
@@ -585,92 +349,6 @@ mod tests {
         let f = parse(text);
         let flags: Vec<bool> = f.lines.iter().map(|l| l.in_test).collect();
         assert_eq!(flags, vec![false, true, true, true, true, false]);
-    }
-
-    #[test]
-    fn waivers_resolve_to_the_next_code_line() {
-        let text = "// lint-allow(raw-atomic-metric): an id source, not a metric\nnext: AtomicU64,\nc.load(Ordering::Relaxed); // lint-allow(relaxed-ordering): same-line form";
-        let f = parse(text);
-        let w = f.waivers();
-        assert_eq!(w.len(), 2);
-        assert_eq!(
-            (w[0].target_line, w[0].rule.as_str()),
-            (2, "raw-atomic-metric")
-        );
-        assert_eq!(w[1].target_line, 3);
-        assert_eq!(w[1].reason, "same-line form");
-    }
-
-    #[test]
-    fn lexer_normalizes_spacing_and_classifies() {
-        let f = parse("use std :: sync::atomic::{AtomicU64};\nlet x = 1.5 + seq.load(o);");
-        let toks = f.tokens();
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
-        assert_eq!(
-            &texts[..9],
-            &[
-                "use",
-                "std",
-                "::",
-                "sync",
-                "::",
-                "atomic",
-                "::",
-                "{",
-                "AtomicU64"
-            ]
-        );
-        assert!(toks
-            .iter()
-            .any(|t| t.text == "1.5" && t.kind == TokenKind::Literal));
-        let seq_pos = toks.iter().position(|t| t.text == "seq").expect("seq");
-        assert_eq!(toks[seq_pos].kind, TokenKind::Ident);
-        assert_eq!(toks[seq_pos + 1].text, ".");
-        assert_eq!(toks[seq_pos + 2].text, "load");
-        assert!(toks.iter().all(|t| !t.in_test));
-    }
-
-    #[test]
-    fn lexer_folds_literals_and_keeps_lifetimes() {
-        let f = parse("fn f<'a>(s: &'a str) { g(\"payload\", 'x', 0..4); }");
-        let toks = f.tokens();
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
-        // The string payload and char are blanked and folded; the range's
-        // dots stay separate puncts around intact literals.
-        assert!(texts.contains(&"\"\"") && texts.contains(&"''"));
-        assert!(texts.contains(&"'a"));
-        assert!(texts.contains(&"0") && texts.contains(&"4"));
-        assert!(!texts.iter().any(|t| t.contains("payload")));
-    }
-
-    #[test]
-    fn lexer_marks_test_tokens() {
-        let f = parse("fn lib() {}\n#[cfg(test)]\nmod tests { fn t() { x(); } }");
-        let toks = f.tokens();
-        assert!(toks.iter().any(|t| t.text == "lib" && !t.in_test));
-        assert!(toks.iter().any(|t| t.text == "x" && t.in_test));
-    }
-
-    #[test]
-    fn file_waivers_parse_and_validate_placement() {
-        let text = "//! Docs.\n// lint-allow-file(raw-atomic-metric): leading block\nfn f() {}\n// lint-allow-file(relaxed-ordering): after code\n";
-        let f = parse(text);
-        let w = f.file_waivers();
-        assert_eq!(w.len(), 2);
-        assert_eq!(
-            (w[0].rule.as_str(), w[0].comment_line, w[0].misplaced),
-            ("raw-atomic-metric", 2, false)
-        );
-        assert_eq!(w[0].reason, "leading block");
-        assert!(w[1].misplaced, "waiver after first code line is misplaced");
-        // A file waiver sharing a line with code is misplaced too.
-        let same_line = parse("fn f() {} // lint-allow-file(nested-lock): too late");
-        assert!(same_line.file_waivers()[0].misplaced);
-        // Line waivers and file waivers do not parse as each other.
-        assert!(same_line.waivers().is_empty());
-        assert!(parse("// lint-allow(nested-lock): x\nf();")
-            .file_waivers()
-            .is_empty());
     }
 
     #[test]
