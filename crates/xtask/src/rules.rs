@@ -209,6 +209,125 @@ fn check_relaxed_ordering(file: &SourceFile, out: &mut Vec<RawFinding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::Path;
+    use std::process::Command;
+
+    /// Marks each fixture line that the compiler or clippy must report.
+    const FLAGGED: &str = "// flagged";
+
+    /// Declares and constructs each atomic integer `clippy.toml` bans,
+    /// then calls a method through a declared field and uses an
+    /// `AtomicBool`, which stay allowed.
+    const RAW_ATOMIC_FIXTURE: &str = r#"//! Raw atomic fixture.
+use std::sync::atomic::{AtomicBool, Ordering};
+
+pub struct Metrics {
+    pub hits: std::sync::atomic::AtomicU64, // flagged
+    pub misses: std::sync::atomic::AtomicU32, // flagged
+    pub live: std::sync::atomic::AtomicUsize, // flagged
+    pub drift: std::sync::atomic::AtomicI64, // flagged
+}
+
+pub fn metrics() -> Metrics {
+    Metrics {
+        hits: std::sync::atomic::AtomicU64::new(0), // flagged
+        misses: Default::default(),
+        live: Default::default(),
+        drift: Default::default(),
+    }
+}
+
+pub fn bump(m: &Metrics) -> u64 {
+    m.hits.fetch_add(1, Ordering::Relaxed)
+}
+
+pub static READY: AtomicBool = AtomicBool::new(false);
+"#;
+
+    /// Mounts `core::sync` as a module and reaches a sequence word from a
+    /// sibling module, the way `core::shared` does: once through the four
+    /// protocol methods, then through a raw atomic method and the field.
+    const SEQ_WORD_FIXTURE: &str = r#"//! Sequence word fixture.
+#[path = SYNC_RS]
+mod sync;
+
+use std::sync::atomic::Ordering;
+use sync::SeqWord;
+
+pub fn protocol() -> u64 {
+    let seq = SeqWord::default();
+    let even = seq.acquire();
+    if seq.open(even) {
+        seq.release();
+    }
+    seq.revalidate()
+}
+
+pub fn raw_method() -> u64 {
+    let seq = SeqWord::default();
+    seq.load(Ordering::Acquire) // flagged
+}
+
+pub fn raw_field() {
+    let seq = SeqWord::default();
+    seq.0.store(1, Ordering::Release); // flagged
+}
+"#;
+
+    fn flagged_lines(fixture: &str) -> Vec<usize> {
+        (1..)
+            .zip(fixture.lines())
+            .filter(|(_, line)| line.ends_with(FLAGGED))
+            .map(|(n, _)| n)
+            .collect()
+    }
+
+    /// Builds `lib_rs` as a one-file crate under
+    /// `target/xtask-fixtures/<name>` with `cargo <subcommand>`, clippy
+    /// reading the repo's `clippy.toml`. Returns whether cargo succeeded
+    /// and each `(line, message)` diagnostic on `src/lib.rs`, the message
+    /// starting at its level (`warning: ...`, `error[E0599]: ...`).
+    fn build_fixture(name: &str, subcommand: &str, lib_rs: &str) -> (bool, Vec<(usize, String)>) {
+        let root = crate::repo_root();
+        let dir = root.join("target/xtask-fixtures").join(name);
+        fs::create_dir_all(dir.join("src")).expect("fixture dir");
+        let manifest = format!(
+            "[package]\nname = \"{name}\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\n[workspace]\n"
+        );
+        fs::write(dir.join("Cargo.toml"), manifest).expect("fixture manifest");
+        fs::write(dir.join("src/lib.rs"), lib_rs).expect("fixture source");
+        let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+        let out = Command::new(cargo)
+            .current_dir(&dir)
+            .env("CARGO_TARGET_DIR", dir.join("target"))
+            .env("CLIPPY_CONF_DIR", &root)
+            .args([subcommand, "--offline", "--message-format", "short"])
+            .output()
+            .expect("cargo runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let diagnostics = stderr
+            .lines()
+            .filter_map(|l| l.strip_prefix("src/lib.rs:"))
+            .filter_map(|l| {
+                let (line, rest) = l.split_once(':')?;
+                let (_column, message) = rest.split_once(':')?;
+                Some((line.parse().ok()?, message.trim().to_string()))
+            })
+            .collect();
+        (out.status.success(), diagnostics)
+    }
+
+    /// True when an inner (`#![...]`) attribute of `text` names
+    /// `clippy::disallowed_types`, exempting the whole crate.
+    fn exempts_crate(text: &str) -> bool {
+        text.match_indices("#![").any(|(i, _)| {
+            text[i..]
+                .split(']')
+                .next()
+                .is_some_and(|attr| attr.contains("clippy::disallowed_types"))
+        })
+    }
 
     fn run(rule_id: &str, text: &str) -> Vec<RawFinding> {
         let file = SourceFile::parse(text);
@@ -226,6 +345,83 @@ mod tests {
     fn registry_ids_are_unique() {
         let ids: Vec<&str> = registry().iter().map(|r| r.id).collect();
         assert_eq!(ids, ["nested-lock", "read-path-lock", "relaxed-ordering"]);
+    }
+
+    /// Raw atomic integers are clippy's `disallowed_types`: clippy, run
+    /// with the repo's `clippy.toml`, flags every declaration and
+    /// construction of the four banned types and nothing else.
+    #[test]
+    fn raw_atomic_flags_declarations_and_constructions_only() {
+        let (ok, diagnostics) = build_fixture("raw_atomic", "clippy", RAW_ATOMIC_FIXTURE);
+        assert!(ok, "clippy runs on the fixture: {diagnostics:?}");
+        let flagged: Vec<usize> = diagnostics
+            .iter()
+            .filter(|(_, message)| message.contains("use of a disallowed type"))
+            .map(|(line, _)| *line)
+            .collect();
+        assert_eq!(
+            flagged,
+            flagged_lines(RAW_ATOMIC_FIXTURE),
+            "{diagnostics:#?}"
+        );
+    }
+
+    /// The only crate that exempts itself wholesale from the atomic ban is
+    /// buddy-obs, which owns the metric primitives; every other atomic sits
+    /// under an `#[expect]` on its own module or item.
+    #[test]
+    fn raw_atomic_scope_exempts_only_the_obs_crate() {
+        let root = crate::repo_root();
+        let mut packages: Vec<_> = fs::read_dir(root.join("crates"))
+            .expect("crates/")
+            .map(|e| e.expect("crates/ entry").path())
+            .collect();
+        packages.push(root.clone());
+        let mut exempt: Vec<String> = packages
+            .iter()
+            .flat_map(|dir| {
+                let bins = fs::read_dir(dir.join("src/bin")).into_iter().flatten();
+                [dir.join("src/lib.rs"), dir.join("src/main.rs")]
+                    .into_iter()
+                    .chain(bins.map(|e| e.expect("src/bin entry").path()))
+            })
+            .filter(|p| p.is_file())
+            .filter(|p| exempts_crate(&fs::read_to_string(p).expect("readable")))
+            .map(|p| {
+                let rel = p.strip_prefix(&root).unwrap_or(Path::new(""));
+                rel.to_string_lossy().replace('\\', "/")
+            })
+            .collect();
+        exempt.sort();
+        assert_eq!(exempt, ["crates/obs/src/lib.rs"]);
+        assert!(exempts_crate(
+            "#![expect(\n    clippy::disallowed_types,\n    reason = \"r\"\n)]"
+        ));
+        assert!(!exempts_crate(
+            "#[expect(clippy::disallowed_types, reason = \"r\")]\nuse a::B;"
+        ));
+        assert!(!exempts_crate(
+            "#![no_std]\n#[expect(clippy::disallowed_types)]"
+        ));
+    }
+
+    /// The seqlock word is `core::sync::SeqWord`, whose atomic is private
+    /// to `sync`: a sibling module compiles against the four protocol
+    /// methods, and each raw atomic call or field access on the word is a
+    /// compile error.
+    #[test]
+    fn seqlock_discipline_flags_raw_seq_atomics_only() {
+        let sync_rs = crate::repo_root().join("crates/core/src/sync.rs");
+        let sync_rs = format!("{:?}", sync_rs.to_string_lossy());
+        let fixture = SEQ_WORD_FIXTURE.replace("SYNC_RS", &sync_rs);
+        let (ok, diagnostics) = build_fixture("seq_word", "check", &fixture);
+        assert!(!ok, "raw sequence-word accesses compiled");
+        let errors: Vec<usize> = diagnostics
+            .iter()
+            .filter(|(_, message)| message.starts_with("error"))
+            .map(|(line, _)| *line)
+            .collect();
+        assert_eq!(errors, flagged_lines(&fixture), "{diagnostics:#?}");
     }
 
     #[test]
