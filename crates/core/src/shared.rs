@@ -239,6 +239,113 @@ impl fmt::Debug for AtomicBytes {
     }
 }
 
+/// Words per [`LazyBytes`] chunk: 4 KiB, one page.
+const CHUNK_WORDS: usize = 512;
+const CHUNK_BYTES: u64 = CHUNK_WORDS as u64 * 8;
+
+/// One backed [`LazyBytes`] chunk.
+type Chunk = [AtomicU64; CHUNK_WORDS];
+
+/// Byte storage for the buddy carve-out: reserved address space, backed
+/// one 4 KiB chunk at a time on first write and never released, so its
+/// footprint follows the carve-out's high-water mark rather than its size.
+/// Only overflowing entries ever store here, and many workloads have none.
+///
+/// Same contract as [`AtomicBytes`] — 8-byte-aligned ranges of whole
+/// words, `Relaxed` word loads and stores inside the slot seqlock — plus
+/// one rule: a chunk that was never written reads as zeros, which is what
+/// it would hold. A range that straddles a chunk boundary (a 96 B `R4`
+/// buddy slot can) is split in two.
+///
+/// The chunk table is more storage the seqlock guards. A writer backs a
+/// chunk inside its open window, and [`OnceLock`] publishes the chunk with
+/// Release/Acquire, stronger than the `Relaxed` word loads it guards. A
+/// reader that finds a chunk unbacked while a writer backs it has read
+/// state from inside that window, so its re-validation fails and it
+/// retries, as for any word stored there.
+pub(crate) struct LazyBytes {
+    chunks: Box<[OnceLock<Box<Chunk>>]>,
+    len_bytes: u64,
+}
+
+impl LazyBytes {
+    pub(crate) fn new(len_bytes: u64) -> Self {
+        let chunks = (0..len_bytes.div_ceil(CHUNK_BYTES))
+            .map(|_| OnceLock::new())
+            .collect();
+        Self { chunks, len_bytes }
+    }
+
+    /// The chunk holding `byte_off`, the word of it that starts there, and
+    /// how many of the `len` bytes from there it holds: a range that
+    /// straddles a chunk boundary is handled a chunk at a time.
+    fn locate(&self, byte_off: u64, len: usize) -> (&OnceLock<Box<Chunk>>, usize, usize) {
+        debug_assert_eq!(byte_off % 8, 0);
+        debug_assert_eq!(len % 8, 0);
+        assert!(
+            byte_off + len as u64 <= self.len_bytes,
+            "buddy range [{byte_off}, +{len}) past the {} B carve-out",
+            self.len_bytes
+        );
+        let (chunk, within) = (
+            (byte_off / CHUNK_BYTES) as usize,
+            (byte_off % CHUNK_BYTES) as usize,
+        );
+        let here = len.min(CHUNK_WORDS * 8 - within);
+        (&self.chunks[chunk], within / 8, here)
+    }
+
+    /// Copies `out.len()` bytes starting at `byte_off` out of storage;
+    /// unbacked chunks read as zeros and stay unbacked.
+    pub(crate) fn read(&self, byte_off: u64, out: &mut [u8]) {
+        let (chunk, first, here) = self.locate(byte_off, out.len());
+        let (out, rest) = out.split_at_mut(here);
+        match chunk.get() {
+            Some(words) => {
+                for (word, bytes) in words[first..].iter().zip(out.chunks_exact_mut(8)) {
+                    // Relaxed: as `AtomicBytes::read` — the seqlock reader
+                    // re-validates the slot sequence after these loads.
+                    bytes.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+                }
+            }
+            None => out.fill(0),
+        }
+        if !rest.is_empty() {
+            self.read(byte_off + here as u64, rest);
+        }
+    }
+
+    /// Stores `data` starting at `byte_off`, backing every chunk it lands
+    /// in.
+    pub(crate) fn write(&self, byte_off: u64, data: &[u8]) {
+        let (chunk, first, here) = self.locate(byte_off, data.len());
+        let (data, rest) = data.split_at(here);
+        let words = chunk.get_or_init(new_chunk);
+        for (word, bytes) in words[first..].iter().zip(data.chunks_exact(8)) {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(bytes);
+            // Relaxed: as `AtomicBytes::write` — bracketed by the writer's
+            // odd/even sequence window.
+            word.store(u64::from_le_bytes(w), Ordering::Relaxed);
+        }
+        if !rest.is_empty() {
+            self.write(byte_off + here as u64, rest);
+        }
+    }
+}
+
+fn new_chunk() -> Box<Chunk> {
+    Box::new(std::array::from_fn(|_| AtomicU64::new(0)))
+}
+
+impl fmt::Debug for LazyBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LazyBytes")
+            .field("bytes", &self.len_bytes)
+            .finish()
+    }
+}
+
 /// Number of lazily-published chunk slots in [`SlotTable`]. Chunk `k`
 /// doubles the covered capacity, so a few dozen slots cover any physically
 /// reachable size.
@@ -292,10 +399,13 @@ pub(crate) struct AtomicNibbles {
 
 impl AtomicNibbles {
     pub(crate) fn new(entries: u64) -> Self {
-        // Zeroed `u64`s re-wrapped in place rather than `AtomicU64::new`
-        // per element: the allocation comes from `alloc_zeroed`, so the
-        // pages of metadata no allocation ever uses are never touched (a
-        // 64 MiB device reserves 4 MiB of nibbles up front).
+        // Zeroed `u64`s re-wrapped rather than `AtomicU64::new` per
+        // element: the allocation comes from `alloc_zeroed`, so when the
+        // optimiser turns the identity map into an in-place collect, the
+        // pages of metadata no allocation uses stay untouched. Nothing
+        // guarantees that: debug builds, and any build that keeps the
+        // map, write every unit, so a 64 MiB device may pay its 4 MiB of
+        // nibbles in RSS up front.
         #[expect(
             clippy::cast_possible_truncation,
             reason = "one unit per 16 nibbles of a device whose bytes are in memory"
@@ -780,7 +890,7 @@ impl fmt::Debug for SharedStats {
 pub(crate) struct SharedState {
     codec: CodecKind,
     pub(crate) device: AtomicBytes,
-    pub(crate) buddy: AtomicBytes,
+    pub(crate) buddy: LazyBytes,
     pub(crate) metadata: AtomicNibbles,
     pub(crate) slots: SlotTable,
     pub(crate) stats: SharedStats,
@@ -803,7 +913,7 @@ impl SharedState {
         let state = Self {
             codec,
             device: AtomicBytes::new(device_capacity),
-            buddy: AtomicBytes::new(buddy_capacity),
+            buddy: LazyBytes::new(buddy_capacity),
             metadata: AtomicNibbles::new(device_capacity / TargetRatio::MIN_DEVICE_BYTES_PER_ENTRY),
             slots: SlotTable::new(),
             stats: SharedStats::default(),
@@ -1170,6 +1280,120 @@ mod tests {
         /// injector of the bit-flip tests.
         pub(crate) fn flip_bit(&self, bit: u64) {
             self.words[(bit / 64) as usize].fetch_xor(1 << (bit % 64), Ordering::Relaxed);
+        }
+    }
+
+    impl LazyBytes {
+        /// Flips bit `bit` of the byte array (byte `bit / 8`), backing its
+        /// chunk first — the fault injector of the bit-flip tests.
+        pub(crate) fn flip_bit(&self, bit: u64) {
+            let byte = bit / 8;
+            let words = self.chunks[(byte / CHUNK_BYTES) as usize].get_or_init(new_chunk);
+            words[(byte % CHUNK_BYTES / 8) as usize].fetch_xor(1 << (bit % 64), Ordering::Relaxed);
+        }
+
+        /// The indices of the chunks backed so far, ascending.
+        pub(crate) fn backed_chunks(&self) -> Vec<u64> {
+            (0..self.chunks.len() as u64)
+                .filter(|&k| self.chunks[k as usize].get().is_some())
+                .collect()
+        }
+    }
+
+    #[test]
+    fn unwritten_buddy_ranges_read_zero_and_back_nothing() {
+        let bytes = LazyBytes::new(1 << 20);
+        // Whole chunks, a straddling range and the last word.
+        for (off, len) in [(0u64, 128usize), (4096 - 48, 96), ((1 << 20) - 8, 8)] {
+            let mut out = vec![0xFFu8; len];
+            bytes.read(off, &mut out);
+            assert_eq!(out, vec![0u8; len], "[{off}, +{len})");
+        }
+        assert_eq!(bytes.backed_chunks(), Vec::<u64>::new());
+        // A write backs the chunks it lands in and no other: a range that
+        // straddles a boundary backs both sides.
+        bytes.write(2 * 4096 - 32, &[7u8; 96]);
+        assert_eq!(bytes.backed_chunks(), vec![1, 2]);
+        let mut out = [0xFFu8; 128];
+        bytes.read(3 * 4096 - 64, &mut out);
+        assert_eq!(out, [0u8; 128]);
+        assert_eq!(bytes.backed_chunks(), vec![1, 2], "reads back nothing");
+    }
+
+    #[test]
+    fn flip_bit_backs_an_unwritten_buddy_chunk() {
+        let bytes = LazyBytes::new(4 * 4096);
+        let bit = (3 * 4096 + 17) * 8 + 5;
+        bytes.flip_bit(bit);
+        assert_eq!(bytes.backed_chunks(), vec![3]);
+        let mut out = [0u8; 8];
+        bytes.read(3 * 4096 + 16, &mut out);
+        assert_eq!(out, [0, 1 << 5, 0, 0, 0, 0, 0, 0]);
+        // A second flip restores the zeros; the chunk stays backed.
+        bytes.flip_bit(bit);
+        bytes.read(3 * 4096 + 16, &mut out);
+        assert_eq!(out, [0u8; 8]);
+        assert_eq!(bytes.backed_chunks(), vec![3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the")]
+    fn a_read_past_the_carve_out_panics_inside_the_last_chunk() {
+        let bytes = LazyBytes::new(4096 + 96);
+        let mut out = [0u8; 16];
+        bytes.read(4096 + 88, &mut out);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random 8 B-aligned writes and reads of 8–128 B leave the lazy
+        /// store equal to a flat `Vec<u8>` model, and back exactly the
+        /// chunks some write landed in. Half the ranges are placed to
+        /// straddle a chunk boundary. The store is 3 chunks plus 96 B, so
+        /// the last chunk is partial.
+        #[test]
+        fn lazy_bytes_match_a_flat_model(
+            ops in proptest::collection::vec(
+                (0u8..4, 1u64..17, any::<u64>(), any::<u64>()),
+                1..64,
+            ),
+        ) {
+            const LEN: u64 = 3 * 4096 + 96;
+            let bytes = LazyBytes::new(LEN);
+            let mut model = vec![0u8; LEN as usize];
+            let mut written = std::collections::BTreeSet::new();
+            for (kind, words, a, seed) in ops {
+                let (write, straddle) = (kind & 1 == 1, kind & 2 == 2);
+                let len = words * 8;
+                let off = if straddle {
+                    // Boundary 1, 2 or 3, with at least one word each side.
+                    let boundary = (1 + a % 3) * 4096;
+                    let before = 8 * (1 + (a / 3) % (words.max(2) - 1));
+                    (boundary - before).min(LEN - len)
+                } else {
+                    8 * (a % ((LEN - len) / 8 + 1))
+                };
+                let range = off as usize..(off + len) as usize;
+                if write {
+                    let data: Vec<u8> = (0..len)
+                        .map(|i| seed.rotate_left((i % 64) as u32).to_le_bytes()[0])
+                        .collect();
+                    bytes.write(off, &data);
+                    model[range].copy_from_slice(&data);
+                    written.extend(off / 4096..=(off + len - 1) / 4096);
+                } else {
+                    let mut out = vec![0xA5u8; len as usize];
+                    bytes.read(off, &mut out);
+                    prop_assert_eq!(&out[..], &model[range]);
+                }
+            }
+            for off in (0..LEN).step_by(128) {
+                let mut out = vec![0u8; 128.min(LEN - off) as usize];
+                bytes.read(off, &mut out);
+                prop_assert_eq!(&out[..], &model[off as usize..off as usize + out.len()]);
+            }
+            prop_assert_eq!(bytes.backed_chunks(), written.into_iter().collect::<Vec<_>>());
         }
     }
 

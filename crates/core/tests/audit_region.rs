@@ -1,4 +1,3 @@
-#![cfg(debug_assertions)]
 //! Adversarial [`RegionAllocator`] exercises, checked through the
 //! shadow-state auditor instead of the allocator's own assertions.
 //!
@@ -15,18 +14,25 @@
 //! hooks active (every debug build): alloc/free/retarget storms where
 //! the auditor validates both regions, and that no two allocations' derived
 //! nibble ranges overlap, after every mutation.
+//!
+//! The shadow-state auditor exists only in debug builds, so every item
+//! below is `cfg(debug_assertions)`: a release build of this file is an
+//! empty, documented test crate.
 
-use buddy_core::audit::ShadowRegion;
-use buddy_core::{BuddyDevice, DeviceConfig, RegionAllocator, TargetRatio};
+#[cfg(debug_assertions)]
+use buddy_core::{audit::ShadowRegion, BuddyDevice, DeviceConfig, RegionAllocator, TargetRatio};
+#[cfg(debug_assertions)]
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+#[cfg(debug_assertions)]
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 
+#[cfg(debug_assertions)]
 const CONFIG: DeviceConfig = DeviceConfig {
     device_capacity: 1 << 18,
     carve_out_factor: 3,
 };
 
+#[cfg(debug_assertions)]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -146,6 +152,7 @@ proptest! {
 /// The shadow detects a double free by bookkeeping alone, and its verdict
 /// agrees with the allocator's own panic — checked via `catch_unwind` so
 /// neither detector is trusted blindly.
+#[cfg(debug_assertions)]
 #[test]
 fn double_free_detected_by_shadow_and_allocator_alike() {
     let mut region = RegionAllocator::new(256);
@@ -178,6 +185,7 @@ fn double_free_detected_by_shadow_and_allocator_alike() {
 
 /// A partial free (right length, wrong base — or right base, wrong length)
 /// is caught by the shadow's exact-match rule.
+#[cfg(debug_assertions)]
 #[test]
 fn misaligned_free_is_rejected() {
     let mut shadow = ShadowRegion::new("misaligned-free probe");
