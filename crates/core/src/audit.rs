@@ -64,7 +64,7 @@ impl ShadowAlloc {
 }
 
 /// An independent mirror of one [`RegionAllocator`]'s reservations.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ShadowRegion {
     /// Region name used in violation messages.
     label: &'static str,
@@ -80,21 +80,6 @@ impl ShadowRegion {
             label,
             reservations: BTreeMap::new(),
         }
-    }
-
-    /// Number of live reservations.
-    pub fn len(&self) -> usize {
-        self.reservations.len()
-    }
-
-    /// True when nothing is reserved.
-    pub fn is_empty(&self) -> bool {
-        self.reservations.is_empty()
-    }
-
-    /// True when `[base, base+len)` is exactly a live reservation.
-    pub fn is_live(&self, base: u64, len: u64) -> bool {
-        len > 0 && self.reservations.get(&base) == Some(&len)
     }
 
     /// Records a reservation, asserting it overlaps no existing one.
@@ -231,11 +216,6 @@ impl DeviceAuditor {
         }
     }
 
-    /// Number of live allocations the shadow believes exist.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
     /// Mirrors a successful `alloc`, checking slot reuse discipline and
     /// reservation disjointness.
     pub fn record_alloc(&mut self, slot: u32, alloc: ShadowAlloc) {
@@ -323,15 +303,11 @@ impl DeviceAuditor {
     }
 }
 
-impl Default for DeviceAuditor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn shadow_of(region: &mut RegionAllocator, lens: &[u64]) -> (ShadowRegion, Vec<u64>) {
         let mut shadow = ShadowRegion::new("test region");
@@ -352,8 +328,8 @@ mod tests {
         region.free(bases[1], 200);
         shadow.release(bases[1], 200);
         shadow.validate(&region);
-        assert!(shadow.is_live(bases[0], 100));
-        assert!(!shadow.is_live(bases[1], 200));
+        assert_eq!(shadow.reservations.get(&bases[0]), Some(&100));
+        assert_eq!(shadow.reservations.get(&bases[1]), None);
     }
 
     #[test]
@@ -404,7 +380,7 @@ mod tests {
                 ..alloc
             },
         );
-        assert_eq!(auditor.live_count(), 1);
+        assert_eq!(auditor.live.len(), 1);
     }
 
     #[test]
@@ -422,5 +398,129 @@ mod tests {
         auditor.record_free(3, 0);
         // Handing out generation 0 again would revive stale handles.
         auditor.record_alloc(3, alloc);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Interleaved first-fit allocations, targeted reservations and frees
+        /// keep the allocator and an independent mirror in exact agreement at
+        /// every step.
+        #[test]
+        fn interleaved_ops_stay_canonical(
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((0u8..3, 1u64..64), 1..80),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut region = RegionAllocator::new(1 << 12);
+            let mut shadow = ShadowRegion::new("adversarial region");
+            let mut live: Vec<(u64, u64)> = Vec::new();
+
+            for (op, len) in ops {
+                match op {
+                    0 => {
+                        if let Some(base) = region.alloc(len) {
+                            shadow.reserve(base, len);
+                            live.push((base, len));
+                        }
+                    }
+                    1 => {
+                        // Target a hole deliberately: reserve_at succeeds iff
+                        // the exact range is free, and the shadow must agree
+                        // about which ranges those are.
+                        let offset = rng.gen_range(0..region.capacity());
+                        let fits = offset + len <= region.capacity();
+                        if region.reserve_at(offset, len) {
+                            prop_assert!(fits, "reserve_at accepted an out-of-range request");
+                            shadow.reserve(offset, len);
+                            live.push((offset, len));
+                        } else if fits {
+                            // The allocator refused: the shadow must know at
+                            // least one live unit inside the range (otherwise
+                            // the range was free and the refusal is a bug).
+                            let blocked =
+                                live.iter().any(|&(b, l)| b < offset + len && offset < b + l);
+                            prop_assert!(
+                                blocked,
+                                "reserve_at refused [{offset}, +{len}) though the mirror \
+                                 shows it free"
+                            );
+                        }
+                    }
+                    _ => {
+                        if !live.is_empty() {
+                            let victim = rng.gen_range(0..live.len());
+                            let (base, len) = live.swap_remove(victim);
+                            shadow.release(base, len);
+                            region.free(base, len);
+                        }
+                    }
+                }
+                shadow.validate(&region);
+            }
+
+            // Tear down in random order: the mirror must end empty and the
+            // allocator fully free.
+            while !live.is_empty() {
+                let victim = rng.gen_range(0..live.len());
+                let (base, len) = live.swap_remove(victim);
+                shadow.release(base, len);
+                region.free(base, len);
+                shadow.validate(&region);
+            }
+            prop_assert!(shadow.reservations.is_empty());
+            prop_assert_eq!(region.used(), 0);
+        }
+    }
+
+    /// The shadow detects a double free by bookkeeping alone, and its verdict
+    /// agrees with the allocator's own panic — checked via `catch_unwind` so
+    /// neither detector is trusted blindly.
+    #[test]
+    fn double_free_detected_by_shadow_and_allocator_alike() {
+        let mut region = RegionAllocator::new(256);
+        let mut shadow = ShadowRegion::new("double-free probe");
+        let base = region.alloc(64).expect("fresh region fits 64");
+        shadow.reserve(base, 64);
+        region.free(base, 64);
+        shadow.release(base, 64);
+        shadow.validate(&region);
+
+        // The shadow knows the range is dead without poking the allocator.
+        assert!(!shadow.reservations.contains_key(&base));
+
+        // Releasing again must abort the shadow...
+        let shadow_verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut probe = shadow.clone();
+            probe.release(base, 64);
+        }));
+        assert!(shadow_verdict.is_err(), "shadow missed the double free");
+
+        // ...and the allocator independently panics on the same mistake.
+        let allocator_verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            region.free(base, 64);
+        }));
+        assert!(
+            allocator_verdict.is_err(),
+            "allocator missed the double free"
+        );
+    }
+
+    /// A partial free (right length, wrong base — or right base, wrong length)
+    /// is caught by the shadow's exact-match rule.
+    #[test]
+    fn misaligned_free_is_rejected() {
+        let mut shadow = ShadowRegion::new("misaligned-free probe");
+        shadow.reserve(128, 64);
+        for (base, len) in [(128u64, 32u64), (160, 32), (96, 64)] {
+            let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut probe = shadow.clone();
+                probe.release(base, len);
+            }));
+            assert!(
+                verdict.is_err(),
+                "shadow accepted a release of [{base}, +{len}) against live [128, +64)"
+            );
+        }
     }
 }

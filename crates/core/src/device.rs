@@ -194,13 +194,6 @@ impl AccessStats {
         self.moved_sectors += other.moved_sectors;
     }
 
-    /// The counters accumulated since `earlier`, an older reading of the
-    /// same monotonic counter set (the inverse of [`merge`](Self::merge)).
-    pub fn since(&self, earlier: &AccessStats) -> AccessStats {
-        let (now, then) = (self.to_array(), earlier.to_array());
-        Self::from_array(std::array::from_fn(|i| now[i] - then[i]))
-    }
-
     /// Fraction of entry accesses that touched the buddy memory — the
     /// quantity plotted in Figures 7, 8 and 9.
     pub fn buddy_access_fraction(&self) -> f64 {

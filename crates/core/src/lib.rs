@@ -67,11 +67,11 @@
 #[cfg(test)]
 mod adapt;
 #[cfg(debug_assertions)]
-pub mod audit;
+mod audit;
 pub mod device;
 pub mod metadata;
 pub mod profile;
-pub mod region;
+mod region;
 mod shared;
 mod sync;
 pub mod target;
@@ -85,6 +85,5 @@ pub use profile::{
     best_achievable, choose_naive, choose_targets, AllocationProfile, ProfileConfig,
     ProfileOutcome, TargetChoice,
 };
-pub use region::RegionAllocator;
 pub use shared::SharedStats;
 pub use target::TargetRatio;

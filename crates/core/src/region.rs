@@ -25,7 +25,7 @@ struct FreeRun {
 ///
 /// Invariants maintained by every operation: the free list is sorted by
 /// offset, runs never overlap, and no two runs are adjacent (coalescing is
-/// eager). `used() + free_bytes() == capacity()` always holds.
+/// eager). `used() + free_total()` always equals the managed range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionAllocator {
     capacity: u64,
@@ -51,7 +51,8 @@ impl RegionAllocator {
         }
     }
 
-    /// Total managed range.
+    /// Total managed range (the auditor's tiling bound).
+    #[cfg(debug_assertions)]
     pub fn capacity(&self) -> u64 {
         self.capacity
     }
@@ -235,7 +236,7 @@ mod tests {
             free += run.len;
         }
         assert_eq!(free, r.free_total());
-        assert_eq!(r.used() + r.free_total(), r.capacity());
+        assert_eq!(r.used() + r.free_total(), r.capacity);
     }
 
     #[test]

@@ -1257,8 +1257,6 @@ mod tests {
         twice.merge(&delta);
         twice.merge(&delta);
         assert_eq!(shared.snapshot(), twice);
-        // `since` undoes `merge`, field by field.
-        assert_eq!(twice.since(&delta), delta);
     }
 
     #[test]

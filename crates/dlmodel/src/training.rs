@@ -201,7 +201,10 @@ impl Mlp {
     }
 
     /// One SGD step on a mini-batch; returns the mean loss.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "the loops index several arrays with strides; iterators would hide them"
+    )]
     fn train_step(&mut self, x: &[f32], y: &[usize], lr: f32, momentum: f32) -> f32 {
         let b = y.len();
         let (d, h, k) = (self.d, self.h, self.k);

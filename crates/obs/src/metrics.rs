@@ -68,8 +68,8 @@ impl MetricsRegistry {
 
     /// Locks the entry list, recovering from poisoning (entries are plain
     /// data; a panicked registrant leaves the list structurally valid).
-    /// Deliberate (ROADMAP 2c): metrics must not take the service down,
-    /// whatever poison policy the data plane adopts.
+    /// Deliberate: metrics must not take the service down, whatever poison
+    /// policy the data plane adopts.
     fn entries(&self) -> std::sync::MutexGuard<'_, Vec<(String, Registered)>> {
         match self.entries.lock() {
             Ok(guard) => guard,

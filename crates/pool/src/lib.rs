@@ -219,7 +219,8 @@ impl BuddyPool {
     /// its structural half (region allocators, slot bookkeeping) is
     /// reached only through `&mut BuddyDevice` under this lock. Whether a
     /// structural operation that panics midway leaves that half consistent
-    /// is open: ROADMAP item 2c picks one poison policy.
+    /// is open: no poison policy is chosen yet (fence the shard off behind
+    /// a typed error, or make structural operations panic-atomic).
     fn shard(&self, index: usize) -> MutexGuard<'_, BuddyDevice> {
         match self.shards[index].lock() {
             Ok(guard) => guard,

@@ -12,7 +12,7 @@
 //! finish under a timeout (no deadlock), and afterwards the tenants'
 //! traffic must sum to the pool's exactly — attribution loses nothing and
 //! counts nothing twice.
-#![allow(
+#![expect(
     clippy::disallowed_types,
     reason = "the deadlock timeout reads the wall clock"
 )]

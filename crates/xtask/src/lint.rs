@@ -257,6 +257,10 @@ mod tests {
                 root.join("Cargo.toml"),
                 "[workspace.lints.rust]\nunsafe_code = \"forbid\"\nmissing_docs = \"deny\"\n",
             ),
+            (
+                root.join("Cargo.toml"),
+                "[workspace.lints.clippy]\nallow_attributes = \"deny\"\n",
+            ),
             (root.join("crates/core/src/lib.rs"), casts),
             (root.join("crates/pool/src/lib.rs"), casts),
         ];

@@ -3,7 +3,7 @@
 //! merged traffic, per-shard occupancy and throughput.
 //!
 //! Run with `cargo run --example pool_replay`.
-#![allow(
+#![expect(
     clippy::disallowed_types,
     reason = "the example prints its own throughput"
 )]
