@@ -40,9 +40,9 @@ fn fig05b_hit_rates(cfg: &RunConfig) -> Vec<(&'static str, Vec<f64>)> {
                     for &line in &lines {
                         let cache = &mut caches[metadata_slice(line, slices)];
                         match cache.lookup(line, 0b1111) {
-                            Lookup::Hit => hits += 1,
-                            _ => {
-                                cache.fill(line, 0b1111, false);
+                            (Lookup::Hit, _) => hits += 1,
+                            (_, mut probe) => {
+                                cache.fill(&mut probe, 0b1111, false);
                             }
                         }
                     }

@@ -84,41 +84,55 @@ impl SectoredCache {
         (splitmix64(tag) & self.set_mask) as usize
     }
 
-    /// The way index holding `tag` in `set`, if it is resident.
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+    /// Where `tag` lives: its set, and its way if it is resident. Hashes
+    /// the tag and scans the set once; touches nothing.
+    fn locate(&self, tag: u64) -> Probe {
+        let set = self.set_of(tag);
         let base = set * self.ways;
         let filled = self.filled[set] as usize;
-        self.tags[base..base + filled]
+        let way = self.tags[base..base + filled]
             .iter()
             .position(|&t| t == tag)
-            .map(|way| base + way)
+            .map(|way| base + way);
+        Probe { tag, set, way }
     }
 
-    /// Looks up `tag` asking for the sectors in `mask`; updates LRU.
-    pub fn lookup(&mut self, tag: u64, mask: u8) -> Lookup {
+    /// Looks up `tag` asking for the sectors in `mask`; updates LRU. The
+    /// returned [`Probe`] hands the tag's set and way to a following
+    /// [`fill`](Self::fill) or [`mark_dirty`](Self::mark_dirty), so one
+    /// access hashes the tag and scans its set once.
+    pub fn lookup(&mut self, tag: u64, mask: u8) -> (Lookup, Probe) {
         self.tick += 1;
-        let Some(way) = self.find(self.set_of(tag), tag) else {
-            return Lookup::Miss;
+        let probe = self.locate(tag);
+        let Some(way) = probe.way else {
+            return (Lookup::Miss, probe);
         };
         self.last_use[way] = self.tick;
-        match mask & !self.valid[way] {
+        let lookup = match mask & !self.valid[way] {
             0 => Lookup::Hit,
             missing => Lookup::Partial { missing },
-        }
+        };
+        (lookup, probe)
     }
 
-    /// Inserts (or merges) sectors for `tag`, optionally marking them dirty.
+    /// Inserts (or merges) sectors for the probed tag, optionally marking
+    /// them dirty, and points `probe` at the way that now holds it.
     /// Returns the evicted dirty line, if the fill displaced one.
-    pub fn fill(&mut self, tag: u64, mask: u8, dirty: bool) -> Option<Eviction> {
+    ///
+    /// `probe` must come from the [`lookup`](Self::lookup) of the same
+    /// access, with no other fill of this cache in between (debug builds
+    /// assert it still describes the tag).
+    pub fn fill(&mut self, probe: &mut Probe, mask: u8, dirty: bool) -> Option<Eviction> {
+        debug_assert_eq!(self.locate(probe.tag), *probe, "stale probe");
         self.tick += 1;
         let dirty_mask = if dirty { mask } else { 0 };
-        let set = self.set_of(tag);
-        if let Some(way) = self.find(set, tag) {
+        if let Some(way) = probe.way {
             self.valid[way] |= mask;
             self.dirty[way] |= dirty_mask;
             self.last_use[way] = self.tick;
             return None;
         }
+        let set = probe.set;
         let base = set * self.ways;
         let filled = self.filled[set] as usize;
         let (way, evicted) = if filled < self.ways {
@@ -137,14 +151,16 @@ impl SectoredCache {
             });
             (victim, evicted)
         };
-        self.tags[way] = tag;
+        self.tags[way] = probe.tag;
         self.valid[way] = mask;
         self.dirty[way] = dirty_mask;
         self.last_use[way] = self.tick;
+        probe.way = Some(way);
         evicted
     }
 
-    /// Marks sectors of a resident line dirty (store hit). No-op if absent.
+    /// Marks sectors of the probed line dirty (a store). No-op if the
+    /// line is absent: the probe found no line and no fill placed one.
     ///
     /// **Invariant: fill before mark.** The engine only marks sectors it
     /// has already made valid (a write hit marks requested sectors that the
@@ -155,18 +171,29 @@ impl SectoredCache {
     /// eviction, so the intersection is a release-mode backstop, not a
     /// semantic: marking an invalid sector is a caller bug, and debug
     /// builds assert it.
-    pub fn mark_dirty(&mut self, tag: u64, mask: u8) {
-        if let Some(way) = self.find(self.set_of(tag), tag) {
+    pub fn mark_dirty(&mut self, probe: &Probe, mask: u8) {
+        debug_assert_eq!(self.locate(probe.tag), *probe, "stale probe");
+        if let Some(way) = probe.way {
             let valid = self.valid[way];
             debug_assert_eq!(
                 mask & !valid,
                 0,
-                "fill before mark: marking sectors {mask:#06b} of line {tag} dirty, \
+                "fill before mark: marking sectors {mask:#06b} of line {} dirty, \
                  but only {valid:#06b} are valid",
+                probe.tag,
             );
             self.dirty[way] |= mask & valid;
         }
     }
+}
+
+/// Where a [`SectoredCache::lookup`] found its tag (or where a fill of it
+/// will go): the tag's set, and its way once resident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probe {
+    tag: u64,
+    set: usize,
+    way: Option<usize>,
 }
 
 /// The `Vec<Vec<Slot>>` cache the flat arrays above replaced, as the
@@ -298,6 +325,21 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Tag-addressed `fill` and `mark_dirty` for streams that fill or mark
+    /// without a lookup first. `locate` does not tick, so neither costs LRU
+    /// time, as in the reference.
+    impl SectoredCache {
+        fn fill_tag(&mut self, tag: u64, mask: u8, dirty: bool) -> Option<Eviction> {
+            let mut probe = self.locate(tag);
+            self.fill(&mut probe, mask, dirty)
+        }
+
+        fn mark_dirty_tag(&mut self, tag: u64, mask: u8) {
+            let probe = self.locate(tag);
+            self.mark_dirty(&probe, mask);
+        }
+    }
+
     #[test]
     fn one_metadata_slice_spreads_over_its_sets() {
         // One slice of Figure 5b's 128 KB point: 32 slices of 128 lines in
@@ -319,33 +361,33 @@ mod tests {
     #[test]
     fn hit_after_fill() {
         let mut c = SectoredCache::new(64, 4);
-        assert_eq!(c.lookup(42, 0b1111), Lookup::Miss);
-        c.fill(42, 0b1111, false);
-        assert_eq!(c.lookup(42, 0b0110), Lookup::Hit);
+        assert_eq!(c.lookup(42, 0b1111).0, Lookup::Miss);
+        c.fill_tag(42, 0b1111, false);
+        assert_eq!(c.lookup(42, 0b0110).0, Lookup::Hit);
     }
 
     #[test]
     fn sector_miss_reports_missing() {
         let mut c = SectoredCache::new(64, 4);
-        c.fill(42, 0b0011, false);
-        assert_eq!(c.lookup(42, 0b0111), Lookup::Partial { missing: 0b0100 });
+        c.fill_tag(42, 0b0011, false);
+        assert_eq!(c.lookup(42, 0b0111).0, Lookup::Partial { missing: 0b0100 });
         // Fill the missing sector: now a full hit.
-        c.fill(42, 0b0100, false);
-        assert_eq!(c.lookup(42, 0b0111), Lookup::Hit);
+        c.fill_tag(42, 0b0100, false);
+        assert_eq!(c.lookup(42, 0b0111).0, Lookup::Hit);
     }
 
     #[test]
     fn lru_evicts_oldest_and_reports_dirty() {
         let mut c = SectoredCache::new(2, 2); // one set, two ways
-        assert!(c.fill(1, 0b1111, true).is_none());
-        assert!(c.fill(2, 0b1111, false).is_none());
+        assert!(c.fill_tag(1, 0b1111, true).is_none());
+        assert!(c.fill_tag(2, 0b1111, false).is_none());
         // Touch line 1 so line 2 is LRU.
-        assert_eq!(c.lookup(1, 0b0001), Lookup::Hit);
-        let evicted = c.fill(3, 0b1111, false);
+        assert_eq!(c.lookup(1, 0b0001).0, Lookup::Hit);
+        let evicted = c.fill_tag(3, 0b1111, false);
         assert_eq!(evicted, None, "line 2 was clean");
         // Now 1 (dirty) is LRU after touching 3.
-        assert_eq!(c.lookup(3, 0b0001), Lookup::Hit);
-        let evicted = c.fill(4, 0b1111, false);
+        assert_eq!(c.lookup(3, 0b0001).0, Lookup::Hit);
+        let evicted = c.fill_tag(4, 0b1111, false);
         assert_eq!(
             evicted,
             Some(Eviction {
@@ -360,11 +402,11 @@ mod tests {
         // Fill two sectors, dirty one of them, and observe the dirty mask
         // through an eviction (1-set cache so capacity pressure evicts).
         let mut c1 = SectoredCache::new(2, 2);
-        c1.fill(9, 0b0011, false);
-        c1.mark_dirty(9, 0b0001);
-        c1.fill(10, 0b1111, false);
+        c1.fill_tag(9, 0b0011, false);
+        c1.mark_dirty_tag(9, 0b0001);
+        c1.fill_tag(10, 0b1111, false);
         c1.lookup(10, 1);
-        let ev = c1.fill(11, 0b1111, false);
+        let ev = c1.fill_tag(11, 0b1111, false);
         assert_eq!(
             ev,
             Some(Eviction {
@@ -376,11 +418,11 @@ mod tests {
         // elsewhere), not an error: it neither makes the line resident nor
         // leaves dirtiness behind for a later clean fill of it.
         let mut c2 = SectoredCache::new(2, 2);
-        c2.mark_dirty(77, 0b1111);
-        assert_eq!(c2.lookup(77, 0b1111), Lookup::Miss);
-        c2.fill(77, 0b1111, false);
-        assert_eq!(c2.fill(78, 0b1111, false), None);
-        assert_eq!(c2.fill(79, 0b1111, false), None, "line 77 left clean");
+        c2.mark_dirty_tag(77, 0b1111);
+        assert_eq!(c2.lookup(77, 0b1111).0, Lookup::Miss);
+        c2.fill_tag(77, 0b1111, false);
+        assert_eq!(c2.fill_tag(78, 0b1111, false), None);
+        assert_eq!(c2.fill_tag(79, 0b1111, false), None, "line 77 left clean");
     }
 
     #[test]
@@ -391,19 +433,19 @@ mod tests {
         // sectors the cache already holds — marking a not-yet-filled
         // sector would silently drop the store at eviction time.
         let mut c = SectoredCache::new(4, 2);
-        c.fill(9, 0b0011, false);
-        c.mark_dirty(9, 0b1111);
+        c.fill_tag(9, 0b0011, false);
+        c.mark_dirty_tag(9, 0b1111);
     }
 
     #[test]
     fn hit_rate_accounting() {
         let mut c = SectoredCache::new(16, 4);
-        c.fill(1, 0b0011, false);
+        c.fill_tag(1, 0b0011, false);
         let got = [
-            c.lookup(1, 0b0011),
-            c.lookup(2, 0b0001),
-            c.lookup(1, 0b0111),
-            c.lookup(1, 0b0001),
+            c.lookup(1, 0b0011).0,
+            c.lookup(2, 0b0001).0,
+            c.lookup(1, 0b0111).0,
+            c.lookup(1, 0b0001).0,
         ];
         let hits = got.iter().filter(|&&l| l == Lookup::Hit).count();
         let misses = got.iter().filter(|&&l| l == Lookup::Miss).count();
@@ -417,18 +459,18 @@ mod tests {
         let mut c = SectoredCache::new(256, 8);
         let mut hits = 0;
         for tag in 0..1024u64 {
-            hits += usize::from(c.lookup(tag, 0b1111) == Lookup::Hit);
-            c.fill(tag, 0b1111, false);
+            hits += usize::from(c.lookup(tag, 0b1111).0 == Lookup::Hit);
+            c.fill_tag(tag, 0b1111, false);
         }
         assert_eq!(hits, 0);
         // Re-walking a small working set hits every time.
         let mut c = SectoredCache::new(256, 8);
         for round in 0..4 {
             for tag in 0..64u64 {
-                let res = c.lookup(tag, 0b1111);
+                let res = c.lookup(tag, 0b1111).0;
                 if round == 0 {
                     assert_eq!(res, Lookup::Miss);
-                    c.fill(tag, 0b1111, false);
+                    c.fill_tag(tag, 0b1111, false);
                 } else {
                     assert_eq!(res, Lookup::Hit, "round {round} tag {tag}");
                 }
@@ -464,7 +506,9 @@ mod tests {
     /// operations drawn from `seed`, over tags from three times the
     /// capacity, and asserts every `Lookup` and eviction agrees. A
     /// `mark_dirty` marks only sectors the reference holds valid (fill
-    /// before mark), or any sectors of an absent line.
+    /// before mark), or any sectors of an absent line. One operation in
+    /// five is an engine-style access, which hands its lookup's probe to
+    /// the fill and the dirty mark; the others fill and mark by tag.
     fn assert_matches_reference(lines: usize, ways: usize, seed: u64, ops: u64) -> Exercised {
         let mut flat = SectoredCache::new(lines, ways);
         let mut reference = reference::SectoredCache::new(lines, ways);
@@ -473,25 +517,45 @@ mod tests {
             let h = splitmix64(seed ^ splitmix64(op));
             let tag = h % (3 * lines as u64);
             let mask = (h >> 32) as u8 & 0b1111;
+            let dirty = h >> 48 & 1 == 1;
+            let mut lookup = Lookup::Miss;
+            let mut eviction = None;
             match (h >> 40) % 5 {
-                0 | 1 => {
-                    let got = flat.lookup(tag, mask);
-                    assert_eq!(got, reference.lookup(tag, mask), "op {op}: lookup {tag}");
-                    seen.hits += u64::from(got == Lookup::Hit);
-                    seen.partials += u64::from(matches!(got, Lookup::Partial { .. }));
+                0 => {
+                    lookup = flat.lookup(tag, mask).0;
+                    assert_eq!(lookup, reference.lookup(tag, mask), "op {op}: lookup {tag}");
+                }
+                1 => {
+                    // A write marks what it wrote; a miss fills it first.
+                    let (got, mut probe) = flat.lookup(tag, mask);
+                    assert_eq!(got, reference.lookup(tag, mask), "op {op}: access {tag}");
+                    lookup = got;
+                    if got != Lookup::Hit {
+                        eviction = flat.fill(&mut probe, mask, false);
+                        assert_eq!(eviction, reference.fill(tag, mask, false), "op {op}: {tag}");
+                    }
+                    if dirty {
+                        flat.mark_dirty(&probe, mask);
+                        reference.mark_dirty(tag, mask);
+                    }
                 }
                 2 | 3 => {
-                    let dirty = h >> 48 & 1 == 1;
-                    let got = flat.fill(tag, mask, dirty);
-                    assert_eq!(got, reference.fill(tag, mask, dirty), "op {op}: fill {tag}");
-                    seen.dirty_evictions += u64::from(got.is_some());
+                    eviction = flat.fill_tag(tag, mask, dirty);
+                    assert_eq!(
+                        eviction,
+                        reference.fill(tag, mask, dirty),
+                        "op {op}: fill {tag}"
+                    );
                 }
                 _ => {
                     let mask = mask & reference.valid_mask(tag).unwrap_or(0b1111);
-                    flat.mark_dirty(tag, mask);
+                    flat.mark_dirty_tag(tag, mask);
                     reference.mark_dirty(tag, mask);
                 }
             }
+            seen.hits += u64::from(lookup == Lookup::Hit);
+            seen.partials += u64::from(matches!(lookup, Lookup::Partial { .. }));
+            seen.dirty_evictions += u64::from(eviction.is_some());
         }
         seen
     }

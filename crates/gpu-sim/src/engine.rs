@@ -25,7 +25,7 @@
 //! level. Channels, slices and cache sets are picked by masking a hash,
 //! which needs power-of-two counts ([`Engine::new`]).
 
-use crate::cache::{Lookup, SectoredCache};
+use crate::cache::{Lookup, Probe, SectoredCache};
 use crate::config::GpuConfig;
 use crate::layout::MemoryLayout;
 use crate::stats::SimStats;
@@ -376,14 +376,15 @@ impl<'a> Engine<'a> {
     fn metadata_lookup(&mut self, now: f64, entry: u64) -> f64 {
         let md_line = entry / buddy_core::ENTRIES_PER_METADATA_LINE;
         let slice = metadata_slice(md_line, self.cfg.l2_slices);
-        match self.md_caches[slice].lookup(md_line, 0b1111) {
-            Lookup::Hit => {
+        let cache = &mut self.md_caches[slice];
+        match cache.lookup(md_line, 0b1111) {
+            (Lookup::Hit, _) => {
                 self.stats.md_hits += 1;
                 now
             }
-            _ => {
+            (_, mut probe) => {
                 self.stats.md_misses += 1;
-                self.md_caches[slice].fill(md_line, 0b1111, false);
+                cache.fill(&mut probe, 0b1111, false);
                 // One 32 B metadata sector from DRAM, in parallel with data.
                 self.dram_fetch(now, md_line ^ METADATA_HASH_TAG, 1)
             }
@@ -465,11 +466,12 @@ impl<'a> Engine<'a> {
         }
 
         // The sectors this access still needs from memory.
-        let needed = match self.l2.lookup(req.entry, req.sector_mask) {
+        let (lookup, mut probe) = self.l2.lookup(req.entry, req.sector_mask);
+        let needed = match lookup {
             Lookup::Hit => {
                 self.stats.l2_hits += 1;
                 return if req.write {
-                    self.l2.mark_dirty(req.entry, req.sector_mask);
+                    self.l2.mark_dirty(&probe, req.sector_mask);
                     now + 1.0
                 } else {
                     now + self.cfg.l2_hit_latency_cycles
@@ -489,8 +491,8 @@ impl<'a> Engine<'a> {
                 // recompressed as a whole → read-modify-write fetch.
                 _ => self.compressed_fill(now, req.entry),
             };
-            self.l2_fill(now, req.entry, req.sector_mask);
-            self.l2.mark_dirty(req.entry, req.sector_mask);
+            self.l2_fill(now, &mut probe, req.sector_mask);
+            self.l2.mark_dirty(&probe, req.sector_mask);
             ready + 1.0
         } else {
             let done = match self.mode {
@@ -499,20 +501,20 @@ impl<'a> Engine<'a> {
                 }
                 _ => self.compressed_fill(now, req.entry),
             };
-            self.l2_fill(now, req.entry, needed);
+            self.l2_fill(now, &mut probe, needed);
             done + self.cfg.l2_hit_latency_cycles
         }
     }
 
-    /// Fills `sectors` of `entry` into the L2 (the whole line under
-    /// compression) and writes back the dirty line it displaces.
-    fn l2_fill(&mut self, now: f64, entry: u64, sectors: u8) {
+    /// Fills `sectors` of the probed line into the L2 (the whole line
+    /// under compression) and writes back the dirty line it displaces.
+    fn l2_fill(&mut self, now: f64, probe: &mut Probe, sectors: u8) {
         let mask = if self.mode == MemoryMode::Uncompressed {
             sectors
         } else {
             0b1111
         };
-        if let Some(ev) = self.l2.fill(entry, mask, false) {
+        if let Some(ev) = self.l2.fill(probe, mask, false) {
             self.writeback_victim(now, ev.tag, ev.dirty_mask);
         }
     }

@@ -10,6 +10,8 @@
 //!   generators ([`entry_gen`]) whose *measured* Bit-Plane-Compression size
 //!   classes are predictable, arranged with the spatial patterns of
 //!   Figure 6 ([`spec`]) and the temporal behaviour of §3.1/Figure 8.
+//!   [`AllocationSpec::varies_with_phase`] says exactly which entries drift
+//!   at a phase, so a multi-phase [`capture`] compresses the others once.
 //! * **Access traces** ([`trace`]) — deterministic streams with the
 //!   coalescing, locality, read/write and host-traffic statistics the paper
 //!   reports per benchmark.
@@ -24,7 +26,8 @@
 //!
 //! let mut bench = by_name("352.ep").expect("known benchmark");
 //! bench.scale = workloads::Scale::test();
-//! // One snapshot row per phase; the paper's profile takes ten.
+//! // One snapshot row per phase; the paper's profile takes ten. Each
+//! // distinct entry is compressed once across the ten.
 //! let rows = snapshot::capture(
 //!     &bench,
 //!     &snapshot::ten_phases(),

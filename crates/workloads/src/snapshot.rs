@@ -11,8 +11,9 @@
 //! default) and runs the zero-allocation [`Codec::compress_into`] path into
 //! a stack [`CompressedBuf`], so characterizing a scaled image costs no
 //! per-entry heap traffic. [`capture`] takes the whole phase list and
-//! compresses each distinct snapshot once: an allocation whose data does
-//! not drift is sampled once for every phase.
+//! compresses each distinct entry once: an entry's phase-independent bytes
+//! are compressed once for every phase where it does not drift, and only
+//! the entries that drift are compressed per phase.
 
 use crate::suite::Benchmark;
 use bpc::{Codec, CodecKind, CompressedBuf, SizeHistogram, ENTRY_BYTES};
@@ -97,13 +98,14 @@ impl Default for SnapshotConfig {
 /// of `phases` (each in `[0, 1]`; the paper takes ten, [`ten_phases`]),
 /// one [`SnapshotStats`] per phase in order.
 ///
-/// Each distinct snapshot is compressed once: an allocation whose bytes do
-/// not depend on the phase ([`AllocationSpec::phase_invariant`]) is sampled
-/// once and its statistics are copied into every phase's row; the others
-/// are sampled once per phase. The rows equal one single-phase capture per
-/// phase.
+/// Each distinct entry is compressed once. Every sampled entry is visited
+/// once: at a phase where [`AllocationSpec::varies_with_phase`] is true
+/// it is compressed for that phase, and its phase-independent bytes are
+/// compressed at most once and tallied into every other phase's row. A
+/// `Stable` allocation is the case where no entry varies. The rows equal
+/// one single-phase capture per phase.
 ///
-/// [`AllocationSpec::phase_invariant`]: crate::spec::AllocationSpec::phase_invariant
+/// [`AllocationSpec::varies_with_phase`]: crate::spec::AllocationSpec::varies_with_phase
 pub fn capture(
     benchmark: &Benchmark,
     phases: &[f64],
@@ -117,43 +119,48 @@ pub fn capture(
             allocations: Vec::with_capacity(layout.len()),
         })
         .collect();
+    let mut histograms = vec![SizeHistogram::new(); phases.len()];
     for (alloc_idx, (spec, entries)) in layout.into_iter().enumerate() {
         let sampled = entries.min(config.sample_cap);
         let alloc_seed = crate::entry_gen::mix(&[config.seed, alloc_idx as u64]);
-        let sample = |phase: f64, scratch: &mut CompressedBuf| {
-            let mut histogram = SizeHistogram::new();
-            for k in 0..sampled {
-                // Uniform stride sampling across the allocation.
-                let index = if sampled == entries {
-                    k
+        histograms.fill(SizeHistogram::new());
+        for index in sample_indices(entries, sampled) {
+            let mut compress = |phase| {
+                config
+                    .codec
+                    .size_class_into(&spec.entry_at(alloc_seed, index, phase), &mut scratch)
+            };
+            let mut invariant = None;
+            for (histogram, &phase) in histograms.iter_mut().zip(phases) {
+                histogram.record(if spec.varies_with_phase(alloc_seed, index, phase) {
+                    compress(phase)
                 } else {
-                    (k as u128 * entries as u128 / sampled as u128) as u64
-                };
-                let entry = spec.entry_at(alloc_seed, index, phase);
-                histogram.record(config.codec.size_class_into(&entry, scratch));
+                    *invariant.get_or_insert_with(|| compress(phase))
+                });
             }
-            AllocationStats {
+        }
+        for (row, histogram) in rows.iter_mut().zip(&histograms) {
+            row.allocations.push(AllocationStats {
                 name: spec.name,
                 entries,
                 sampled,
-                histogram,
-            }
-        };
-        match phases.first() {
-            Some(&phase) if spec.phase_invariant() => {
-                let stats = sample(phase, &mut scratch);
-                for row in &mut rows {
-                    row.allocations.push(stats.clone());
-                }
-            }
-            _ => {
-                for (row, &phase) in rows.iter_mut().zip(phases) {
-                    row.allocations.push(sample(phase, &mut scratch));
-                }
-            }
+                histogram: histogram.clone(),
+            });
         }
     }
     rows
+}
+
+/// The `sampled` entry indices of an allocation of `entries`: every entry,
+/// or a uniform stride across the allocation.
+fn sample_indices(entries: u64, sampled: u64) -> impl Iterator<Item = u64> {
+    (0..sampled).map(move |k| {
+        if sampled == entries {
+            k
+        } else {
+            (k as u128 * entries as u128 / sampled as u128) as u64
+        }
+    })
 }
 
 /// The ten evenly spaced snapshot phases the paper uses.
@@ -340,11 +347,45 @@ mod tests {
         );
     }
 
-    /// A ten-phase capture equals ten one-phase captures for every suite
-    /// benchmark. A one-element phase list has nothing to reuse, so each
-    /// one-phase capture samples every allocation itself and is an
-    /// independent reference for the shared sampling.
-    fn assert_capture_matches_one_phase_captures(sample_cap: u64, seeds: &[u64]) {
+    /// The brute-force reference for [`capture`]: every sampled entry of
+    /// every allocation is generated and compressed at every phase, with
+    /// nothing reused between phases.
+    fn brute_force_capture(
+        benchmark: &Benchmark,
+        phases: &[f64],
+        config: SnapshotConfig,
+    ) -> Vec<SnapshotStats> {
+        let mut scratch = CompressedBuf::new();
+        let layout = benchmark.allocation_layout();
+        phases
+            .iter()
+            .map(|&phase| SnapshotStats {
+                allocations: layout
+                    .iter()
+                    .enumerate()
+                    .map(|(alloc_idx, &(spec, entries))| {
+                        let sampled = entries.min(config.sample_cap);
+                        let seed = crate::entry_gen::mix(&[config.seed, alloc_idx as u64]);
+                        let mut histogram = SizeHistogram::new();
+                        for index in sample_indices(entries, sampled) {
+                            let entry = spec.entry_at(seed, index, phase);
+                            histogram.record(config.codec.size_class_into(&entry, &mut scratch));
+                        }
+                        AllocationStats {
+                            name: spec.name,
+                            entries,
+                            sampled,
+                            histogram,
+                        }
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// A ten-phase capture equals the brute-force reference for every
+    /// suite benchmark at each of `seeds`.
+    fn assert_capture_matches_brute_force(sample_cap: u64, seeds: &[u64]) {
         let phases = ten_phases();
         for bench in crate::suite::all_benchmarks() {
             for &seed in seeds {
@@ -353,27 +394,27 @@ mod tests {
                     sample_cap,
                     codec: CodecKind::Bpc,
                 };
-                let rows = capture(&bench, &phases, cfg);
-                let reference: Vec<SnapshotStats> = phases
-                    .iter()
-                    .flat_map(|&phase| capture(&bench, &[phase], cfg))
-                    .collect();
-                assert_eq!(rows, reference, "{} at seed {seed:#x}", bench.name);
+                assert_eq!(
+                    capture(&bench, &phases, cfg),
+                    brute_force_capture(&bench, &phases, cfg),
+                    "{} at seed {seed:#x}",
+                    bench.name
+                );
             }
         }
     }
 
     #[test]
-    fn ten_phase_capture_equals_one_phase_captures() {
-        assert_capture_matches_one_phase_captures(16, &[1, 2, 0xB0DD7]);
+    fn capture_equals_brute_force_reference() {
+        assert_capture_matches_brute_force(16, &[1, 2, 0xB0DD7]);
     }
 
     /// The same oracle at the profiling pass's scale (CI runs it in release
     /// with `--ignored`).
     #[test]
     #[ignore = "full profiling scale; run in release with --ignored"]
-    fn ten_phase_capture_equals_one_phase_captures_at_full_scale() {
-        assert_capture_matches_one_phase_captures(1024, &[0xB0DD7]);
+    fn capture_equals_brute_force_reference_at_full_scale() {
+        assert_capture_matches_brute_force(1024, &[0xB0DD7]);
     }
 
     #[test]

@@ -93,17 +93,53 @@ impl AllocationSpec {
         }
     }
 
-    /// Whether [`entry_at`](Self::entry_at) returns the same bytes at every
-    /// phase, so one sample of the allocation stands for every snapshot.
+    /// Whether the bytes of `entry_index` at `phase` are chosen by the
+    /// phase, rather than being the entry's phase-independent bytes.
     ///
-    /// `entry_at` reads the phase in exactly two places: the zero draw of
-    /// [`TemporalDrift::ZeroFill`] (in [`class_at`](Self::class_at)) and
-    /// the snapshot bucket of [`TemporalDrift::Churn`]. Every other input
-    /// is `(seed, entry_index)`, so a `Stable` allocation is invariant.
-    pub fn phase_invariant(&self) -> bool {
+    /// [`entry_at`](Self::entry_at) reads the phase in exactly two places,
+    /// and this predicate is true exactly where one of them decides the
+    /// entry:
+    ///
+    /// - under [`TemporalDrift::Churn`], an entry whose churn draw is below
+    ///   `rate` takes its class and value seed from the snapshot bucket (at
+    ///   every phase);
+    /// - under [`TemporalDrift::ZeroFill`], an entry whose zero draw is
+    ///   below the phase's zero fraction is zero (see
+    ///   [`class_at`](Self::class_at)).
+    ///
+    /// Otherwise the entry's class and value seed depend on `(seed,
+    /// entry_index)` alone, so `entry_at` returns the same bytes at every
+    /// phase where this is false. A [`TemporalDrift::Stable`] entry never
+    /// varies.
+    pub fn varies_with_phase(&self, seed: u64, entry_index: u64, phase: f64) -> bool {
+        self.churned(seed, entry_index) || self.zeroed_at(seed, entry_index, phase)
+    }
+
+    /// The [`TemporalDrift::Churn`] draw: whether `entry_index` re-draws
+    /// its class and value every snapshot.
+    fn churned(&self, seed: u64, entry_index: u64) -> bool {
         match self.drift {
-            TemporalDrift::Stable => true,
-            TemporalDrift::ZeroFill { .. } | TemporalDrift::Churn { .. } => false,
+            TemporalDrift::Churn { rate } => {
+                unit_from_hash(mix(&[seed, entry_index, CHURN_TAG])) < rate
+            }
+            TemporalDrift::Stable | TemporalDrift::ZeroFill { .. } => false,
+        }
+    }
+
+    /// The [`TemporalDrift::ZeroFill`] draw: whether `entry_index` is zero
+    /// at `phase`.
+    fn zeroed_at(&self, seed: u64, entry_index: u64, phase: f64) -> bool {
+        match self.drift {
+            TemporalDrift::ZeroFill {
+                start_zero,
+                end_zero,
+            } => {
+                let zero_frac = start_zero + (end_zero - start_zero) * phase.clamp(0.0, 1.0);
+                // Use a stable per-entry draw so entries fill in (or zero
+                // out) progressively rather than re-shuffling every phase.
+                unit_from_hash(mix(&[seed, entry_index, ZERO_TAG])) < zero_frac
+            }
+            TemporalDrift::Stable | TemporalDrift::Churn { .. } => false,
         }
     }
 
@@ -113,19 +149,10 @@ impl AllocationSpec {
     /// `(seed, entry_index, phase bucket)`, so snapshots can be sampled
     /// without materializing the allocation.
     pub fn class_at(&self, seed: u64, entry_index: u64, phase: f64) -> EntryClass {
-        // Temporal override: ZeroFill forces a phase-dependent zero set.
-        if let TemporalDrift::ZeroFill {
-            start_zero,
-            end_zero,
-        } = self.drift
-        {
-            let zero_frac = start_zero + (end_zero - start_zero) * phase.clamp(0.0, 1.0);
-            // Use a stable per-entry draw so entries fill in (or zero out)
-            // progressively rather than re-shuffling every phase.
-            let u = unit_from_hash(mix(&[seed, entry_index, ZERO_TAG]));
-            if u < zero_frac {
-                return EntryClass::Zero;
-            }
+        // Temporal override: ZeroFill forces a phase-dependent zero set
+        // (the first of the two phase reads `varies_with_phase` names).
+        if self.zeroed_at(seed, entry_index, phase) {
+            return EntryClass::Zero;
         }
         let spatial_u = match self.pattern {
             SpatialPattern::Speckled => unit_from_hash(mix(&[seed, entry_index])),
@@ -147,13 +174,10 @@ impl AllocationSpec {
     /// their value seed from the snapshot bucket, so their content (and
     /// class, for speckled patterns) changes between snapshots.
     pub fn entry_at(&self, seed: u64, entry_index: u64, phase: f64) -> Entry {
+        // The second phase read `varies_with_phase` names: a churned entry
+        // takes its class and value seed from the snapshot bucket.
         let bucket = (phase.clamp(0.0, 1.0) * 10.0).round() as u64;
-        let churned = match self.drift {
-            TemporalDrift::Churn { rate } => {
-                unit_from_hash(mix(&[seed, entry_index, CHURN_TAG])) < rate
-            }
-            _ => false,
-        };
+        let churned = self.churned(seed, entry_index);
         let class = if churned {
             // Churned entries re-draw their class each snapshot from the
             // same mixture (per-entry change, stable aggregate).
@@ -298,58 +322,123 @@ mod tests {
         );
     }
 
-    /// Whether `entry_at` returns different bytes at two of the ten
-    /// snapshot phases for some index of `indices`.
-    fn varies_with_phase(spec: &AllocationSpec, seed: u64, indices: &[u64]) -> bool {
-        let phases = crate::snapshot::ten_phases();
-        indices.iter().any(|&i| {
-            let first = spec.entry_at(seed, i, phases[0]);
-            phases[1..]
-                .iter()
-                .any(|&p| spec.entry_at(seed, i, p) != first)
-        })
+    /// Runs `check(bench, spec, seed, indices)` on every allocation of the
+    /// suite at its profiling seed for `base_seed`, with `n` indices spread
+    /// evenly over the allocation.
+    fn for_each_suite_allocation(
+        base_seed: u64,
+        n: u64,
+        mut check: impl FnMut(&'static str, &AllocationSpec, u64, &[u64]),
+    ) {
+        for bench in crate::suite::all_benchmarks() {
+            for (alloc_idx, (spec, entries)) in bench.allocation_layout().into_iter().enumerate() {
+                let seed = mix(&[base_seed, alloc_idx as u64]);
+                let span = entries.max(n);
+                let indices: Vec<u64> = (0..n).map(|k| k * span / n).collect();
+                check(bench.name, spec, seed, &indices);
+            }
+        }
+    }
+
+    #[test]
+    fn varies_with_phase_is_exact() {
+        // The ten snapshot phases, both ends, phases between buckets, and
+        // two outside [0, 1] that `entry_at` clamps.
+        let mut phases = crate::snapshot::ten_phases().to_vec();
+        phases.extend([0.0, 1.0, 0.33, 0.5, 0.77, -0.5, 1.5]);
+        for base_seed in [1, 0xB0DD7] {
+            for_each_suite_allocation(base_seed, 256, |bench, spec, seed, indices| {
+                for &i in indices {
+                    // Any two phases where the entry does not vary give
+                    // equal bytes.
+                    let mut invariant = None;
+                    for &p in &phases {
+                        if spec.varies_with_phase(seed, i, p) {
+                            continue;
+                        }
+                        let entry = spec.entry_at(seed, i, p);
+                        assert_eq!(
+                            *invariant.get_or_insert(entry),
+                            entry,
+                            "{bench}/{} entry {i} moves at phase {p} but does not vary",
+                            spec.name
+                        );
+                    }
+                }
+            });
+        }
     }
 
     #[test]
     fn phase_invariance_holds_and_is_not_vacuous() {
-        let mut invariant = 0;
-        let mut zero_fill = None;
-        let mut churn = None;
-        for bench in crate::suite::all_benchmarks() {
-            for (alloc_idx, (spec, entries)) in bench.allocation_layout().into_iter().enumerate() {
-                let seed = mix(&[0xB0DD7, alloc_idx as u64]);
-                let span = entries.max(256);
-                let indices: Vec<u64> = (0..256).map(|k| k * span / 256).collect();
-                if spec.phase_invariant() {
-                    invariant += 1;
-                    assert!(
-                        !varies_with_phase(spec, seed, &indices),
-                        "{}/{} is phase-invariant but its bytes move",
-                        bench.name,
-                        spec.name
-                    );
-                    continue;
+        const N: u64 = 2048;
+        let phases = crate::snapshot::ten_phases();
+        let (mut stable, mut churn, mut zero_fill) = (0, 0, Vec::new());
+        for_each_suite_allocation(0xB0DD7, N, |bench, spec, seed, indices| {
+            let varying = |p: f64| {
+                indices
+                    .iter()
+                    .filter(|&&i| spec.varies_with_phase(seed, i, p))
+                    .count() as f64
+                    / N as f64
+            };
+            match spec.drift {
+                TemporalDrift::Stable => {
+                    stable += 1;
+                    for p in phases {
+                        assert_eq!(varying(p), 0.0, "{bench}/{} is Stable", spec.name);
+                    }
                 }
-                let slot = match spec.drift {
-                    TemporalDrift::ZeroFill { .. } => &mut zero_fill,
-                    TemporalDrift::Churn { .. } => &mut churn,
-                    TemporalDrift::Stable => unreachable!("Stable is phase-invariant"),
-                };
-                slot.get_or_insert((
-                    bench.name,
-                    spec.name,
-                    varies_with_phase(spec, seed, &indices),
-                ));
+                TemporalDrift::Churn { rate } => {
+                    churn += 1;
+                    // About `rate` of the entries churn, the same ones at
+                    // every phase, and they do move between snapshots.
+                    for p in phases {
+                        let got = varying(p);
+                        assert!((got - rate).abs() < 0.05, "{bench}/{}: {got}", spec.name);
+                    }
+                    for &i in indices {
+                        let varies = spec.varies_with_phase(seed, i, phases[0]);
+                        assert!(phases
+                            .iter()
+                            .all(|&p| spec.varies_with_phase(seed, i, p) == varies));
+                    }
+                    let moved = indices
+                        .iter()
+                        .filter(|&&i| {
+                            spec.entry_at(seed, i, phases[0]) != spec.entry_at(seed, i, phases[9])
+                        })
+                        .count();
+                    assert!(moved > 0, "{bench}/{} is Churn but never moves", spec.name);
+                }
+                TemporalDrift::ZeroFill {
+                    start_zero,
+                    end_zero,
+                } => {
+                    zero_fill.push((bench, spec.name));
+                    // An entry varies exactly on its zero draws: about the
+                    // phase's zero fraction of the entries, each all-zero.
+                    for p in phases {
+                        let zero_frac = start_zero + (end_zero - start_zero) * p;
+                        let got = varying(p);
+                        assert!(
+                            (got - zero_frac).abs() < 0.05,
+                            "{bench}/{} at {p}: {got}",
+                            spec.name
+                        );
+                        for &i in indices {
+                            if spec.varies_with_phase(seed, i, p) {
+                                assert_eq!(spec.class_at(seed, i, p), EntryClass::Zero);
+                                assert!(bpc::is_zero(&spec.entry_at(seed, i, p)));
+                            }
+                        }
+                    }
+                }
             }
-        }
-        assert!(invariant > 0, "no phase-invariant allocation in the suite");
-        assert_eq!(
-            zero_fill,
-            Some(("355.seismic", "wavefield", true)),
-            "the ZeroFill allocation must move between phases"
-        );
-        let churn = churn.expect("the DL suite has a Churn allocation");
-        assert!(churn.2, "{}/{} is Churn but never moves", churn.0, churn.1);
+        });
+        assert!(stable > 0, "no Stable allocation in the suite");
+        assert!(churn > 0, "no Churn allocation in the suite");
+        assert_eq!(zero_fill, [("355.seismic", "wavefield")]);
     }
 
     #[test]

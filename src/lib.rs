@@ -68,8 +68,9 @@ use workloads::Benchmark;
 /// size-class histogram. Shorthand for [`profile_benchmark_with`] with
 /// [`CodecKind::Bpc`].
 ///
-/// `sample_cap` bounds the entries compressed per allocation per snapshot
+/// `sample_cap` bounds the entries sampled per allocation per snapshot
 /// (uniform sampling; the generators are stationary so this is unbiased).
+/// Each distinct sampled entry is compressed once across the ten.
 pub fn profile_benchmark(bench: &Benchmark, sample_cap: u64, seed: u64) -> Vec<AllocationProfile> {
     profile_benchmark_with(bench, CodecKind::Bpc, sample_cap, seed)
 }
