@@ -37,7 +37,7 @@
 //! `#[cfg(test)]` at the end of this file (the kernels here work a word at a
 //! time; DESIGN.md §2 describes them).
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::BitWriter;
 use crate::{from_symbols, to_symbols, Codec, CompressedBuf, DecodeError, Entry};
 
 /// Number of 32-bit symbols in one 128 B entry.
@@ -52,6 +52,12 @@ const PLANE_MASK: u32 = 0x7FFF_FFFF;
 /// over all 33 planes. Both directions special-case it, because it is the
 /// one stream with nothing to transpose.
 const ALL_PLANES_ZERO: u32 = 0b001 << 5 | (PLANES as u32 - 2);
+/// Bytes of the decoder's inline copy of a stream. The longest stream is
+/// a raw base (`1` + 32 bits) and 33 raw planes (`1` + 31 bits each),
+/// 1,089 bits; its last code starts 32 bits before its end, at bit 1,057,
+/// and is peeked with one 8-byte load from byte 1,057 / 8 = 132, so the
+/// copy must reach byte 140. That covers all 137 bytes of the stream too.
+const DECODE_BYTES: usize = (1 + 32 + PLANES * 32 - 32) / 8 + 8;
 
 /// The Bit-Plane Compression codec.
 ///
@@ -190,84 +196,6 @@ impl BitPlane {
         }
     }
 
-    /// Decodes the 33 DBP planes from the bitstream.
-    ///
-    /// Each code word is classified from one 32-bit look-ahead (no code is
-    /// longer) and then skipped at its full width, so a stream that ends
-    /// inside a code is `Truncated` before the code's payload is judged.
-    fn decode_planes(r: &mut BitReader<'_>) -> Result<[u32; PLANES], DecodeError> {
-        let mut dbp = [0u32; PLANES];
-        let mut prev_dbp = 0u32; // DBP[b+1]; zero above the top plane.
-        let mut b = PLANES;
-        while b > 0 {
-            b -= 1;
-            let code = r.peek32();
-            // The 5-bit field behind a 3- or 5-bit prefix.
-            let field = |prefix: u32| (code >> (27 - prefix)) & 0b11111;
-            let dbx_val = if code >> 31 == 1 {
-                // `1` + 31 raw bits: uncompressed plane.
-                r.skip(32)?;
-                code & PLANE_MASK
-            } else if code >> 30 == 0b01 {
-                // `01`: single all-zero DBX plane.
-                r.skip(2)?;
-                0
-            } else if code >> 29 == 0b001 {
-                // `001` + 5: run of 2–33 all-zero DBX planes.
-                r.skip(8)?;
-                let run = field(3) as usize + 2;
-                if run > b + 1 {
-                    // Run longer than the planes remaining (plane `b` plus
-                    // the `b` planes below it).
-                    return Err(DecodeError::InvalidCode {
-                        bit_offset: r.bit_offset(),
-                    });
-                }
-                // DBX == 0 means DBP[b] == DBP[b+1] for every plane in the
-                // run. Leave `b` at the last plane of the run so the outer
-                // loop steps to the next unprocessed plane.
-                b -= run - 1;
-                dbp[b..b + run].fill(prev_dbp);
-                // `prev_dbp` is unchanged; continue with the next code.
-                continue;
-            } else {
-                // `000` + 2 more bits: one of the four 5-bit codes.
-                match (code >> 27) & 0b11 {
-                    0b00 => {
-                        r.skip(5)?;
-                        PLANE_MASK // all-ones
-                    }
-                    0b01 => {
-                        // DBX != 0 but DBP == 0.
-                        r.skip(5)?;
-                        dbp[b] = 0;
-                        prev_dbp = 0;
-                        continue;
-                    }
-                    two_ones_or_one => {
-                        r.skip(10)?;
-                        // `00010`: two consecutive ones; `00011`: a single one.
-                        let (ones, last) = if two_ones_or_one == 0b10 {
-                            (0b11, 29)
-                        } else {
-                            (0b1, 30)
-                        };
-                        let pos = field(5);
-                        if pos > last {
-                            return Err(DecodeError::InvalidCode {
-                                bit_offset: r.bit_offset(),
-                            });
-                        }
-                        ones << pos
-                    }
-                }
-            };
-            dbp[b] = dbx_val ^ prev_dbp;
-            prev_dbp = dbp[b];
-        }
-        Ok(dbp)
-    }
-
     /// Rebuilds the symbols from the base and the decoded bit-planes.
     ///
     /// Transposing planes 0–31 back gives the low 32 bits of every delta,
@@ -312,26 +240,122 @@ impl Codec for BitPlane {
         w.finish();
     }
 
+    /// Decodes the 33 DBP planes most-significant first and rebuilds the
+    /// symbols.
+    ///
+    /// The stream is copied into a zero-padded inline buffer, so that every
+    /// code word is classified from one unconditional 8-byte load (no code
+    /// is longer than 32 bits), and the bit position lives in a local.
+    /// Each code is then consumed at its full width against the declared
+    /// length, so a stream that ends inside a code is `Truncated` before
+    /// the code's payload is judged; bits past the length, whatever the
+    /// buffer holds there, never decide the outcome.
     fn decompress_into(
         &self,
         data: &[u8],
         bits: usize,
         out: &mut Entry,
     ) -> Result<(), DecodeError> {
-        let mut r = BitReader::new(data, bits);
-        let base = if r.read_bit()? {
-            r.read_bits(32)? as u32
-        } else {
-            0
+        let mut stream = [0u8; DECODE_BYTES];
+        let copied = data.len().min(DECODE_BYTES);
+        stream[..copied].copy_from_slice(&data[..copied]);
+        let bits = bits.min(data.len() * 8);
+        // The 64 bits from bit `pos` on, left-aligned.
+        let window = |pos: usize| {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(&stream[pos / 8..pos / 8 + 8]);
+            u64::from_be_bytes(word) << (pos % 8)
         };
-        let symbols = if r.peek32() >> 24 == ALL_PLANES_ZERO {
+        // The next 32 bits: the code word at `pos` and whatever follows it.
+        let peek = |pos: usize| (window(pos) >> 32) as u32;
+        // The position after an `n`-bit code at `pos`.
+        let skip = |pos: usize, n: usize| {
+            if bits - pos < n {
+                Err(DecodeError::Truncated)
+            } else {
+                Ok(pos + n)
+            }
+        };
+
+        let head = window(0);
+        let (base, mut pos) = if head >> 63 == 1 {
+            ((head >> 31) as u32, skip(0, 33)?)
+        } else {
+            (0, skip(0, 1)?)
+        };
+        if peek(pos) >> 24 == ALL_PLANES_ZERO {
             // No deltas: the entry repeats its base.
-            r.skip(8)?;
-            [base; SYMBOLS]
-        } else {
-            Self::planes_to_symbols(base, &Self::decode_planes(&mut r)?)
-        };
-        *out = from_symbols(&symbols);
+            skip(pos, 8)?;
+            *out = from_symbols(&[base; SYMBOLS]);
+            return Ok(());
+        }
+
+        let mut dbp = [0u32; PLANES];
+        let mut prev_dbp = 0u32; // DBP[b+1]; zero above the top plane.
+        let mut b = PLANES;
+        while b > 0 {
+            b -= 1;
+            let code = peek(pos);
+            // The 5-bit field behind a 3- or 5-bit prefix.
+            let field = |prefix: u32| (code >> (27 - prefix)) & 0b11111;
+            let dbx_val = if code >> 31 == 1 {
+                // `1` + 31 raw bits: uncompressed plane.
+                pos = skip(pos, 32)?;
+                code & PLANE_MASK
+            } else if code >> 30 == 0b01 {
+                // `01`: single all-zero DBX plane.
+                pos = skip(pos, 2)?;
+                0
+            } else if code >> 29 == 0b001 {
+                // `001` + 5: run of 2–33 all-zero DBX planes.
+                pos = skip(pos, 8)?;
+                let run = field(3) as usize + 2;
+                if run > b + 1 {
+                    // Run longer than the planes remaining (plane `b` plus
+                    // the `b` planes below it).
+                    return Err(DecodeError::InvalidCode { bit_offset: pos });
+                }
+                // DBX == 0 means DBP[b] == DBP[b+1] for every plane in the
+                // run. Leave `b` at the last plane of the run so the outer
+                // loop steps to the next unprocessed plane.
+                b -= run - 1;
+                dbp[b..b + run].fill(prev_dbp);
+                // `prev_dbp` is unchanged; continue with the next code.
+                continue;
+            } else {
+                // `000` + 2 more bits: one of the four 5-bit codes.
+                match (code >> 27) & 0b11 {
+                    0b00 => {
+                        pos = skip(pos, 5)?;
+                        PLANE_MASK // all-ones
+                    }
+                    0b01 => {
+                        // DBX != 0 but DBP == 0.
+                        pos = skip(pos, 5)?;
+                        dbp[b] = 0;
+                        prev_dbp = 0;
+                        continue;
+                    }
+                    two_ones_or_one => {
+                        pos = skip(pos, 10)?;
+                        // `00010`: two consecutive ones; `00011`: a single one.
+                        let (ones, last) = if two_ones_or_one == 0b10 {
+                            (0b11, 29)
+                        } else {
+                            (0b1, 30)
+                        };
+                        let shift = field(5);
+                        if shift > last {
+                            return Err(DecodeError::InvalidCode { bit_offset: pos });
+                        }
+                        ones << shift
+                    }
+                }
+            };
+            dbp[b] = dbx_val ^ prev_dbp;
+            prev_dbp = dbp[b];
+        }
+        *out = from_symbols(&Self::planes_to_symbols(base, &dbp));
         Ok(())
     }
 }
@@ -635,6 +659,42 @@ mod tests {
         ));
     }
 
+    /// Codes whose payload is invalid — a zero run longer than the planes
+    /// left, a one or a pair of ones past the top of the plane — are
+    /// `InvalidCode` after the whole code, and `Truncated` when the stream
+    /// ends inside the code, whatever the bytes past the end hold.
+    #[test]
+    fn a_stream_that_ends_inside_an_invalid_code_is_truncated() {
+        use crate::bits::reference::ByteWriter;
+        // (code words after a zero base, total bits)
+        let cases: [&[(u64, usize)]; 3] = [
+            // `01`, then a run of 33 with 32 planes left.
+            &[(0b01, 2), (0b001, 3), (31, 5)],
+            // A single one at bit 31.
+            &[(0b00011, 5), (31, 5)],
+            // Two ones at bits 30 and 31.
+            &[(0b00010, 5), (30, 5)],
+        ];
+        for codes in cases {
+            let mut w = ByteWriter::default();
+            w.push_bit(false);
+            for &(value, n) in codes {
+                w.push_bits(value, n);
+            }
+            let (data, bits) = w.into_parts();
+            for len in [bits - 4, bits - 1, bits] {
+                let expect = if len == bits {
+                    Err(DecodeError::InvalidCode { bit_offset: bits })
+                } else {
+                    Err(DecodeError::Truncated)
+                };
+                let got = BitPlane::new().decompress_into(&data, len, &mut [0u8; ENTRY_BYTES]);
+                assert_eq!(got, expect, "{codes:?} cut to {len} bits");
+                assert_eq!(reference::decompress(&data, len).map(|_| ()), expect);
+            }
+        }
+    }
+
     #[test]
     fn sign_extension_is_correct() {
         use reference::sign_extend_33;
@@ -717,7 +777,9 @@ mod tests {
     }
 
     /// Encodes with the codec under test and checks `(data, bits)` against
-    /// the reference; decodes the stream, bare and sector-padded, with both.
+    /// the reference; decodes the stream with both: bare, sector-padded,
+    /// and followed by garbage in a slice longer than the decoder's inline
+    /// buffer, with the whole slice declared valid.
     fn assert_matches_reference(entry: &Entry) -> usize {
         let codec = BitPlane::new();
         let mut c = CompressedBuf::new();
@@ -727,7 +789,13 @@ mod tests {
 
         let mut padded = data.clone();
         padded.resize(data.len().next_multiple_of(crate::SECTOR_BYTES), 0);
-        for (data, bits) in [(&data, bits), (&padded, padded.len() * 8)] {
+        let mut long = data.clone();
+        long.extend((0..2 * DECODE_BYTES - data.len()).map(|i| (i as u8).wrapping_mul(0x9D) | 1));
+        for (data, bits) in [
+            (&data, bits),
+            (&padded, padded.len() * 8),
+            (&long, long.len() * 8),
+        ] {
             let mut out = [0xFFu8; ENTRY_BYTES];
             codec.decompress_into(data, bits, &mut out).unwrap();
             assert_eq!(&out, entry);
@@ -767,11 +835,12 @@ mod tests {
         }
 
         /// Same `Ok(bytes)`, same error variant, same offset — on streams
-        /// that are mostly invalid and on lengths beyond the data.
+        /// that are mostly invalid, on lengths beyond the data, and on data
+        /// and lengths past the decoder's inline buffer.
         #[test]
         fn decoder_matches_reference_on_garbage(
-            data in proptest::collection::vec(any::<u8>(), 0..160),
-            bits in 0usize..1300,
+            data in proptest::collection::vec(any::<u8>(), 0..320),
+            bits in 0usize..2600,
         ) {
             let mut out = [0xFFu8; ENTRY_BYTES];
             let got = BitPlane::new().decompress_into(&data, bits, &mut out).map(|()| out);

@@ -1,4 +1,6 @@
-//! MSB-first bitstream reader and writer used by all encoders in this crate.
+//! MSB-first bitstream writer used by every encoder in this crate, and the
+//! reader the BDI, FPC and zero-RLE decoders use. The BPC decoder reads
+//! from an inline copy of its stream instead (see `bitplane`).
 
 use crate::{CompressedBuf, DecodeError};
 
@@ -139,28 +141,6 @@ impl<'a> BitReader<'a> {
             .iter()
             .enumerate()
             .fold(0, |acc, (i, &b)| acc | (b as u64) << (56 - 8 * i))
-    }
-
-    /// The next 32 bits without consuming them, zero-padded past the end of
-    /// `data`. Bits past the declared length are whatever `data` holds
-    /// there: [`skip`](Self::skip) is what checks the length, so a decoder
-    /// classifies a code word from this and then skips its full width.
-    pub(crate) fn peek32(&self) -> u32 {
-        ((self.window(self.pos / 8) << (self.pos % 8)) >> 32) as u32
-    }
-
-    /// Consumes `n` bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::Truncated`] if fewer than `n` bits remain; the
-    /// read position does not move.
-    pub(crate) fn skip(&mut self, n: usize) -> Result<(), DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::Truncated);
-        }
-        self.pos += n;
-        Ok(())
     }
 
     /// Reads one bit.
@@ -467,29 +447,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn peek_is_the_next_32_bits_zero_padded_and_skip_checks_the_length() {
-        for len in 0..=13 {
-            let data = pattern(len);
-            for start in 0..=len * 8 {
-                let (mut r, mut oracle) = readers_at(&data, len * 8, start);
-                let left = (len * 8 - start).min(32);
-                let expect = (oracle.read_bits(left).unwrap() << (32 - left)) as u32;
-                assert_eq!(r.peek32(), expect, "len {len} start {start}");
-                assert_eq!(r.bit_offset(), start, "peek must not consume");
-                assert_eq!(r.skip(len * 8 - start + 1), Err(DecodeError::Truncated));
-                assert_eq!(r.bit_offset(), start, "failed skip must not move");
-                r.skip(left).unwrap();
-                assert_eq!(r.bit_offset(), start + left);
-            }
-        }
-        // Peek looks at `data`, not at the declared length; skip enforces it.
-        let mut r = BitReader::new(&[0xFF, 0xFF], 3);
-        assert_eq!(r.peek32(), 0xFFFF_0000);
-        assert_eq!(r.skip(4), Err(DecodeError::Truncated));
-        r.skip(3).unwrap();
     }
 
     #[test]

@@ -128,7 +128,7 @@ proptest! {
     /// Decoders must never panic on arbitrary bitstreams — they either decode
     /// or report a structured error.
     #[test]
-    fn bpc_decoder_total_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..160), bits in 0usize..1300) {
+    fn bpc_decoder_total_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..320), bits in 0usize..2600) {
         let _ = BitPlane::new().decompress_into(&data, bits, &mut [0u8; ENTRY_BYTES]);
     }
 

@@ -208,10 +208,11 @@ impl AtomicBytes {
         debug_assert_eq!(byte_off % 8, 0);
         debug_assert_eq!(out.len() % 8, 0);
         let base = (byte_off / 8) as usize;
-        for (i, chunk) in out.chunks_exact_mut(8).enumerate() {
+        let words = &self.words[base..base + out.len() / 8];
+        for (word, chunk) in words.iter().zip(out.chunks_exact_mut(8)) {
             // Relaxed: the seqlock reader re-validates the slot sequence
             // (with fences) after these loads; torn values force a retry.
-            let w = self.words[base + i].load(Ordering::Relaxed);
+            let w = word.load(Ordering::Relaxed);
             chunk.copy_from_slice(&w.to_le_bytes());
         }
     }
@@ -1342,8 +1343,47 @@ mod tests {
         bytes.read(4096 + 88, &mut out);
     }
 
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn an_atomic_read_past_the_array_panics() {
+        let bytes = AtomicBytes::new(64);
+        let mut out = [0u8; 16];
+        bytes.read(56, &mut out);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random 8 B-aligned writes and reads of 8–128 B leave the device
+        /// store equal to a flat `Vec<u8>` model: a write changes its own
+        /// words and no neighbour, and a read returns exactly its range.
+        #[test]
+        fn atomic_bytes_match_a_flat_model(
+            ops in proptest::collection::vec((any::<bool>(), 1u64..17, any::<u64>(), any::<u64>()), 1..64),
+        ) {
+            const LEN: u64 = 1024;
+            let bytes = AtomicBytes::new(LEN);
+            let mut model = vec![0u8; LEN as usize];
+            for (write, words, a, seed) in ops {
+                let len = words * 8;
+                let off = 8 * (a % ((LEN - len) / 8 + 1));
+                let range = off as usize..(off + len) as usize;
+                if write {
+                    let data: Vec<u8> = (0..len)
+                        .map(|i| seed.rotate_left((i % 64) as u32).to_le_bytes()[0])
+                        .collect();
+                    bytes.write(off, &data);
+                    model[range].copy_from_slice(&data);
+                } else {
+                    let mut out = vec![0xA5u8; len as usize];
+                    bytes.read(off, &mut out);
+                    prop_assert_eq!(&out[..], &model[range]);
+                }
+                let mut all = vec![0xA5u8; LEN as usize];
+                bytes.read(0, &mut all);
+                prop_assert_eq!(&all, &model);
+            }
+        }
 
         /// Random 8 B-aligned writes and reads of 8–128 B leave the lazy
         /// store equal to a flat `Vec<u8>` model, and back exactly the
