@@ -1958,6 +1958,52 @@ mod tests {
         assert_eq!(backed, vec![0, 1, 21, 24, 40]);
     }
 
+    /// A batch write loads the device lines of its entries after the
+    /// first before it stores them. Here the device array ends 32 B into a
+    /// 64 B line, and 32-, 2- and 1-entry batches end at the device's last
+    /// entry, under `ZeroPage16` (eight entries to a line) and `R1` (two
+    /// lines to an entry): every entry, and the neighbour sharing the
+    /// allocation's first line, must read back exactly.
+    #[test]
+    fn batch_writes_ending_mid_line_at_the_device_end_read_back_exactly() {
+        const CAPACITY: u64 = 32 + 42 * 128;
+        let mut lcg = 5u64;
+        let mut entry = |kind: u64| match kind % 4 {
+            0 => [0u8; ENTRY_BYTES],
+            1 => entry_of_words(|_| 0x0101_0101),
+            2 => entry_of_words(|i| 1000 + i as u32),
+            _ => entry_of_words(|_| {
+                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (lcg >> 32) as u32
+            }),
+        };
+        for target in [TargetRatio::ZeroPage16, TargetRatio::R1] {
+            let mut dev = BuddyDevice::new(DeviceConfig {
+                device_capacity: CAPACITY,
+                carve_out_factor: 16,
+            });
+            // A 32 B neighbour first, so the allocation under test spans
+            // [32, CAPACITY) and ends mid-line whatever its stride.
+            let pad = dev.alloc("pad", 1, TargetRatio::R4).unwrap();
+            let pad_entry = entry(3);
+            write1(&mut dev, pad, 0, &pad_entry).unwrap();
+            let entries = (CAPACITY - 32) / u64::from(target.device_bytes_per_entry());
+            let a = dev.alloc("a", entries, target).unwrap();
+            assert_eq!(dev.device_free(), 0);
+            let mut model = vec![[0u8; ENTRY_BYTES]; entries as usize];
+            for (round, len) in [32u64, 2, 1, 32, 2, 1].into_iter().enumerate() {
+                let start = entries - len;
+                let batch: Vec<Entry> = (0..len).map(|i| entry(i + round as u64)).collect();
+                dev.write_entries(a, start, &batch).unwrap();
+                model[start as usize..].copy_from_slice(&batch);
+                let mut out = vec![[0u8; ENTRY_BYTES]; entries as usize];
+                dev.read_entries(a, 0, &mut out).unwrap();
+                assert!(out == model, "{target:?}: a {len}-entry batch at {start}");
+                assert_eq!(read1(&mut dev, pad, 0).unwrap(), pad_entry);
+            }
+        }
+    }
+
     #[test]
     fn batched_range_checks() {
         let mut dev = small_device();
