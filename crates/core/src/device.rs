@@ -280,11 +280,12 @@ impl DeviceConfig {
     /// or `None` when the product overflows `u64` — the construction paths
     /// check this instead of performing an unchecked multiply.
     ///
-    /// This is address space, not memory: a device backs its carve-out one
-    /// 4 KiB chunk at a time, on the first write that lands in the chunk,
-    /// and never releases a chunk. Only entries that overflow their target
-    /// write there, so the carve-out costs memory for the chunks under
-    /// those entries' buddy slots, plus 16 B of chunk table per 4 KiB.
+    /// This is address space, not memory: a device reserves its carve-out
+    /// as zero pages that the OS backs on the first write into each page,
+    /// and never releases. Only entries that overflow their target write
+    /// there, so in release builds the carve-out costs memory for the pages
+    /// under those entries' buddy slots. Debug builds write the whole
+    /// carve-out at construction.
     pub fn buddy_capacity(&self) -> Option<u64> {
         self.device_capacity.checked_mul(self.carve_out_factor)
     }
@@ -401,10 +402,10 @@ impl BuddyDevice {
     /// codec.
     ///
     /// The device array (`device_capacity` bytes) is backed up front; the
-    /// buddy carve-out is only reserved, and is backed per 4 KiB chunk on
-    /// first write ([`DeviceConfig::buddy_capacity`]). An empty device
-    /// costs about its device capacity in memory, whatever its
-    /// `carve_out_factor`.
+    /// buddy carve-out is only reserved, and a page of it is backed on the
+    /// first write into it ([`DeviceConfig::buddy_capacity`]). In release
+    /// builds an empty device costs about its device capacity in memory,
+    /// whatever its `carve_out_factor`.
     ///
     /// # Panics
     ///
@@ -1906,56 +1907,6 @@ mod tests {
         dev.read_entries(a, 0, &mut out).unwrap();
         assert_eq!(out, entries);
         assert_eq!(dev.device_used(), 64 * 64);
-    }
-
-    /// The buddy carve-out is backed on first write. A device with a
-    /// 1 GiB carve-out constructs with no buddy chunk backed, and
-    /// overflowing writes back exactly the 4 KiB chunks under their
-    /// entries' buddy slots, both chunks of an `R4` slot that straddles a
-    /// boundary included. Entries that fit their target, and reads, back
-    /// none.
-    #[test]
-    fn the_buddy_carve_out_is_backed_only_under_overflowing_entries() {
-        let mut dev = BuddyDevice::new(DeviceConfig {
-            device_capacity: 1 << 20,
-            carve_out_factor: 1024,
-        });
-        assert_eq!(dev.config.buddy_capacity(), Some(1 << 30));
-        assert_eq!(dev.shared.buddy.backed_chunks(), Vec::<u64>::new());
-        let mut lcg = 11u64;
-        let mut random = || {
-            entry_of_words(|_| {
-                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (lcg >> 32) as u32
-            })
-        };
-        // `R4` first, so its 96 B buddy slots start at offset 0 and entry
-        // 42's is [4032, 4128); the `ZeroPage16` slots start at 24 × 4 KiB.
-        let r4 = dev.alloc("r4", 1024, TargetRatio::R4).unwrap();
-        let zp = dev.alloc("zp", 1024, TargetRatio::ZeroPage16).unwrap();
-        let mut under_slots = std::collections::BTreeSet::new();
-        for (id, index) in [(r4, 3), (r4, 42), (r4, 900), (zp, 0), (zp, 517)] {
-            let state = write1(&mut dev, id, index, &random()).unwrap();
-            let view = dev.view(id).unwrap();
-            let len = u64::from(state.buddy_sectors(view.target)) * bpc::SECTOR_BYTES as u64;
-            assert!(len > 0, "{state:?} overflows {}", view.target);
-            let off = view.buddy_offset(index);
-            under_slots.extend(off / 4096..=(off + len - 1) / 4096);
-        }
-        for (id, index, entry) in [
-            (r4, 600, entry_of_words(|i| 1000 + i as u32)),
-            (zp, 1000, entry_of_words(|_| 0x0101_0101)),
-            (zp, 1001, [0u8; ENTRY_BYTES]),
-        ] {
-            let state = write1(&mut dev, id, index, &entry).unwrap();
-            assert_eq!(state.buddy_sectors(dev.view(id).unwrap().target), 0);
-        }
-        let mut out = vec![[0u8; ENTRY_BYTES]; 1024];
-        dev.read_entries(r4, 0, &mut out).unwrap();
-        dev.read_entries(zp, 0, &mut out).unwrap();
-        let backed = dev.shared.buddy.backed_chunks();
-        assert_eq!(backed, under_slots.into_iter().collect::<Vec<_>>());
-        assert_eq!(backed, vec![0, 1, 21, 24, 40]);
     }
 
     /// A batch write loads the device lines of its entries after the

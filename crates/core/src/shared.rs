@@ -185,6 +185,21 @@ pub(crate) fn record_write(stats: &mut AccessStats, target: TargetRatio, state: 
     }
 }
 
+/// `len` zeroed atomic words on pages nobody has touched yet.
+///
+/// `vec![0; len]` always allocates zeroed (`alloc_zeroed`: fresh mmap pages
+/// for any size that matters), and re-wrapping each `u64` in place is an
+/// identity the optimiser deletes, so the words cost no memory until
+/// something stores to their page. The deletion is only reliable while
+/// this is the one instantiation of the collect, hence `inline(never)` and
+/// one helper for every atomic array here. Debug builds never delete it
+/// and write every word. `crates/core/tests/backing.rs` pins both the
+/// deletion and the device array's up-front backing in release builds.
+#[inline(never)]
+fn zeroed_words(len: usize) -> Box<[AtomicU64]> {
+    vec![0u64; len].into_iter().map(AtomicU64::new).collect()
+}
+
 /// Byte storage as an array of atomic 64-bit words.
 ///
 /// Every storage range the device hands out is 8-byte aligned with an
@@ -196,10 +211,28 @@ pub(crate) struct AtomicBytes {
 }
 
 impl AtomicBytes {
+    /// Storage backed up front: one word of every 4 KiB (the smallest page
+    /// size) is stored here, so no page fault lands on an access. The
+    /// device array is built this way.
     pub(crate) fn new(len_bytes: u64) -> Self {
-        let words = (0..len_bytes.div_ceil(8))
-            .map(|_| AtomicU64::new(0))
-            .collect();
+        let bytes = Self::reserved(len_bytes);
+        for word in bytes.words.iter().step_by(4096 / 8) {
+            // Relaxed: nothing else can see the array yet.
+            word.store(0, Ordering::Relaxed);
+        }
+        bytes
+    }
+
+    /// Storage that is address space until written: a page is backed by
+    /// the first store into it, and a page never written reads as zeros
+    /// without being backed. The buddy carve-out is built this way, since
+    /// only overflowing entries store there.
+    pub(crate) fn reserved(len_bytes: u64) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "one word per 8 B of an array the caller wants in memory"
+        )]
+        let words = zeroed_words(len_bytes.div_ceil(8) as usize);
         Self { words }
     }
 
@@ -266,113 +299,6 @@ impl fmt::Debug for AtomicBytes {
     }
 }
 
-/// Words per [`LazyBytes`] chunk: 4 KiB, one page.
-const CHUNK_WORDS: usize = 512;
-const CHUNK_BYTES: u64 = CHUNK_WORDS as u64 * 8;
-
-/// One backed [`LazyBytes`] chunk.
-type Chunk = [AtomicU64; CHUNK_WORDS];
-
-/// Byte storage for the buddy carve-out: reserved address space, backed
-/// one 4 KiB chunk at a time on first write and never released, so its
-/// footprint follows the carve-out's high-water mark rather than its size.
-/// Only overflowing entries ever store here, and many workloads have none.
-///
-/// Same contract as [`AtomicBytes`] — 8-byte-aligned ranges of whole
-/// words, `Relaxed` word loads and stores inside the slot seqlock — plus
-/// one rule: a chunk that was never written reads as zeros, which is what
-/// it would hold. A range that straddles a chunk boundary (a 96 B `R4`
-/// buddy slot can) is split in two.
-///
-/// The chunk table is more storage the seqlock guards. A writer backs a
-/// chunk inside its open window, and [`OnceLock`] publishes the chunk with
-/// Release/Acquire, stronger than the `Relaxed` word loads it guards. A
-/// reader that finds a chunk unbacked while a writer backs it has read
-/// state from inside that window, so its re-validation fails and it
-/// retries, as for any word stored there.
-pub(crate) struct LazyBytes {
-    chunks: Box<[OnceLock<Box<Chunk>>]>,
-    len_bytes: u64,
-}
-
-impl LazyBytes {
-    pub(crate) fn new(len_bytes: u64) -> Self {
-        let chunks = (0..len_bytes.div_ceil(CHUNK_BYTES))
-            .map(|_| OnceLock::new())
-            .collect();
-        Self { chunks, len_bytes }
-    }
-
-    /// The chunk holding `byte_off`, the word of it that starts there, and
-    /// how many of the `len` bytes from there it holds: a range that
-    /// straddles a chunk boundary is handled a chunk at a time.
-    fn locate(&self, byte_off: u64, len: usize) -> (&OnceLock<Box<Chunk>>, usize, usize) {
-        debug_assert_eq!(byte_off % 8, 0);
-        debug_assert_eq!(len % 8, 0);
-        assert!(
-            byte_off + len as u64 <= self.len_bytes,
-            "buddy range [{byte_off}, +{len}) past the {} B carve-out",
-            self.len_bytes
-        );
-        let (chunk, within) = (
-            (byte_off / CHUNK_BYTES) as usize,
-            (byte_off % CHUNK_BYTES) as usize,
-        );
-        let here = len.min(CHUNK_WORDS * 8 - within);
-        (&self.chunks[chunk], within / 8, here)
-    }
-
-    /// Copies `out.len()` bytes starting at `byte_off` out of storage;
-    /// unbacked chunks read as zeros and stay unbacked.
-    pub(crate) fn read(&self, byte_off: u64, out: &mut [u8]) {
-        let (chunk, first, here) = self.locate(byte_off, out.len());
-        let (out, rest) = out.split_at_mut(here);
-        match chunk.get() {
-            Some(words) => {
-                for (word, bytes) in words[first..].iter().zip(out.chunks_exact_mut(8)) {
-                    // Relaxed: as `AtomicBytes::read` — the seqlock reader
-                    // re-validates the slot sequence after these loads.
-                    bytes.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
-                }
-            }
-            None => out.fill(0),
-        }
-        if !rest.is_empty() {
-            self.read(byte_off + here as u64, rest);
-        }
-    }
-
-    /// Stores `data` starting at `byte_off`, backing every chunk it lands
-    /// in.
-    pub(crate) fn write(&self, byte_off: u64, data: &[u8]) {
-        let (chunk, first, here) = self.locate(byte_off, data.len());
-        let (data, rest) = data.split_at(here);
-        let words = chunk.get_or_init(new_chunk);
-        for (word, bytes) in words[first..].iter().zip(data.chunks_exact(8)) {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(bytes);
-            // Relaxed: as `AtomicBytes::write` — bracketed by the writer's
-            // odd/even sequence window.
-            word.store(u64::from_le_bytes(w), Ordering::Relaxed);
-        }
-        if !rest.is_empty() {
-            self.write(byte_off + here as u64, rest);
-        }
-    }
-}
-
-fn new_chunk() -> Box<Chunk> {
-    Box::new(std::array::from_fn(|_| AtomicU64::new(0)))
-}
-
-impl fmt::Debug for LazyBytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LazyBytes")
-            .field("bytes", &self.len_bytes)
-            .finish()
-    }
-}
-
 /// Number of lazily-published chunk slots in [`SlotTable`]. Chunk `k`
 /// doubles the covered capacity, so a few dozen slots cover any physically
 /// reachable size.
@@ -425,22 +351,15 @@ pub(crate) struct AtomicNibbles {
 }
 
 impl AtomicNibbles {
+    /// The metadata of a device that has no allocation yet: all
+    /// [`EntryState::Zero`], on pages backed only where an allocation's
+    /// nibbles are written ([`zeroed_words`]).
     pub(crate) fn new(entries: u64) -> Self {
-        // Zeroed `u64`s re-wrapped rather than `AtomicU64::new` per
-        // element: the allocation comes from `alloc_zeroed`, so when the
-        // optimiser turns the identity map into an in-place collect, the
-        // pages of metadata no allocation uses stay untouched. Nothing
-        // guarantees that: debug builds, and any build that keeps the
-        // map, write every unit, so a 64 MiB device may pay its 4 MiB of
-        // nibbles in RSS up front.
         #[expect(
             clippy::cast_possible_truncation,
             reason = "one unit per 16 nibbles of a device whose bytes are in memory"
         )]
-        let units = vec![0u64; entries.div_ceil(UNIT_NIBBLES) as usize]
-            .into_iter()
-            .map(AtomicU64::new)
-            .collect();
+        let units = zeroed_words(entries.div_ceil(UNIT_NIBBLES) as usize);
         Self { units }
     }
 
@@ -917,7 +836,7 @@ impl fmt::Debug for SharedStats {
 pub(crate) struct SharedState {
     codec: CodecKind,
     pub(crate) device: AtomicBytes,
-    pub(crate) buddy: LazyBytes,
+    pub(crate) buddy: AtomicBytes,
     pub(crate) metadata: AtomicNibbles,
     pub(crate) slots: SlotTable,
     pub(crate) stats: SharedStats,
@@ -940,7 +859,7 @@ impl SharedState {
         let state = Self {
             codec,
             device: AtomicBytes::new(device_capacity),
-            buddy: LazyBytes::new(buddy_capacity),
+            buddy: AtomicBytes::reserved(buddy_capacity),
             metadata: AtomicNibbles::new(device_capacity / TargetRatio::MIN_DEVICE_BYTES_PER_ENTRY),
             slots: SlotTable::new(),
             stats: SharedStats::default(),
@@ -1318,63 +1237,36 @@ mod tests {
         }
     }
 
-    impl LazyBytes {
-        /// Flips bit `bit` of the byte array (byte `bit / 8`), backing its
-        /// chunk first — the fault injector of the bit-flip tests.
-        pub(crate) fn flip_bit(&self, bit: u64) {
-            let byte = bit / 8;
-            let words = self.chunks[(byte / CHUNK_BYTES) as usize].get_or_init(new_chunk);
-            words[(byte % CHUNK_BYTES / 8) as usize].fetch_xor(1 << (bit % 64), Ordering::Relaxed);
-        }
-
-        /// The indices of the chunks backed so far, ascending.
-        pub(crate) fn backed_chunks(&self) -> Vec<u64> {
-            (0..self.chunks.len() as u64)
-                .filter(|&k| self.chunks[k as usize].get().is_some())
-                .collect()
-        }
-    }
-
+    /// Unwritten ranges of the buddy carve-out read as zeros: whole pages,
+    /// a range that straddles a page boundary and the last word. A write
+    /// that straddles a boundary lands on both sides and nowhere else, and
+    /// a read changes nothing. That neither backs a page it need not is a
+    /// resident-set reading, taken by `crates/core/tests/backing.rs`.
     #[test]
     fn unwritten_buddy_ranges_read_zero_and_back_nothing() {
-        let bytes = LazyBytes::new(1 << 20);
-        // Whole chunks, a straddling range and the last word.
+        let bytes = AtomicBytes::reserved(1 << 20);
         for (off, len) in [(0u64, 128usize), (4096 - 48, 96), ((1 << 20) - 8, 8)] {
             let mut out = vec![0xFFu8; len];
             bytes.read(off, &mut out);
             assert_eq!(out, vec![0u8; len], "[{off}, +{len})");
         }
-        assert_eq!(bytes.backed_chunks(), Vec::<u64>::new());
-        // A write backs the chunks it lands in and no other: a range that
-        // straddles a boundary backs both sides.
         bytes.write(2 * 4096 - 32, &[7u8; 96]);
-        assert_eq!(bytes.backed_chunks(), vec![1, 2]);
+        let mut out = [0xFFu8; 160];
+        bytes.read(2 * 4096 - 64, &mut out);
+        assert_eq!(out[..32], [0u8; 32]);
+        assert_eq!(out[32..128], [7u8; 96]);
+        assert_eq!(out[128..], [0u8; 32]);
         let mut out = [0xFFu8; 128];
         bytes.read(3 * 4096 - 64, &mut out);
         assert_eq!(out, [0u8; 128]);
-        assert_eq!(bytes.backed_chunks(), vec![1, 2], "reads back nothing");
     }
 
+    /// A buddy range that starts inside the carve-out's last page and ends
+    /// past the carve-out is an index past its words, and panics.
     #[test]
-    fn flip_bit_backs_an_unwritten_buddy_chunk() {
-        let bytes = LazyBytes::new(4 * 4096);
-        let bit = (3 * 4096 + 17) * 8 + 5;
-        bytes.flip_bit(bit);
-        assert_eq!(bytes.backed_chunks(), vec![3]);
-        let mut out = [0u8; 8];
-        bytes.read(3 * 4096 + 16, &mut out);
-        assert_eq!(out, [0, 1 << 5, 0, 0, 0, 0, 0, 0]);
-        // A second flip restores the zeros; the chunk stays backed.
-        bytes.flip_bit(bit);
-        bytes.read(3 * 4096 + 16, &mut out);
-        assert_eq!(out, [0u8; 8]);
-        assert_eq!(bytes.backed_chunks(), vec![3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "past the")]
+    #[should_panic(expected = "out of range")]
     fn a_read_past_the_carve_out_panics_inside_the_last_chunk() {
-        let bytes = LazyBytes::new(4096 + 96);
+        let bytes = AtomicBytes::reserved(4096 + 96);
         let mut out = [0u8; 16];
         bytes.read(4096 + 88, &mut out);
     }
@@ -1434,11 +1326,11 @@ mod tests {
             }
         }
 
-        /// Random 8 B-aligned writes and reads of 8–128 B leave the lazy
-        /// store equal to a flat `Vec<u8>` model, and back exactly the
-        /// chunks some write landed in. Half the ranges are placed to
-        /// straddle a chunk boundary. The store is 3 chunks plus 96 B, so
-        /// the last chunk is partial.
+        /// Random 8 B-aligned writes and reads of 8–128 B leave the buddy
+        /// carve-out, a reserved array, equal to a flat `Vec<u8>` model:
+        /// unwritten words read as zeros. Half the ranges are placed to
+        /// straddle a page boundary. The store is 3 pages plus 96 B, so the
+        /// last page is partial.
         #[test]
         fn lazy_bytes_match_a_flat_model(
             ops in proptest::collection::vec(
@@ -1447,9 +1339,8 @@ mod tests {
             ),
         ) {
             const LEN: u64 = 3 * 4096 + 96;
-            let bytes = LazyBytes::new(LEN);
+            let bytes = AtomicBytes::reserved(LEN);
             let mut model = vec![0u8; LEN as usize];
-            let mut written = std::collections::BTreeSet::new();
             for (kind, words, a, seed) in ops {
                 let (write, straddle) = (kind & 1 == 1, kind & 2 == 2);
                 let len = words * 8;
@@ -1468,7 +1359,6 @@ mod tests {
                         .collect();
                     bytes.write(off, &data);
                     model[range].copy_from_slice(&data);
-                    written.extend(off / 4096..=(off + len - 1) / 4096);
                 } else {
                     let mut out = vec![0xA5u8; len as usize];
                     bytes.read(off, &mut out);
@@ -1480,7 +1370,6 @@ mod tests {
                 bytes.read(off, &mut out);
                 prop_assert_eq!(&out[..], &model[off as usize..off as usize + out.len()]);
             }
-            prop_assert_eq!(bytes.backed_chunks(), written.into_iter().collect::<Vec<_>>());
         }
     }
 

@@ -21,8 +21,10 @@
 //!    per-tenant quotas, admission control (reject or demote down the
 //!    target-ratio ladder), ownership-checked generational handles, and
 //!    one per-tenant ledger ([`buddy_service::BuddyService::tenants`]),
-//! 9. [`buddy_obs`] — the observability layer: lock-free latency
-//!    histograms and the metrics registry with Prometheus-text rendering.
+//! 9. [`buddy_obs`] — the observability layer: lock-free event counters
+//!    ([`buddy_obs::Counter`]) and latency histograms
+//!    ([`buddy_obs::Histogram`]), and a registry that samples them by name
+//!    ([`buddy_obs::MetricsRegistry::sample`]).
 //!
 //! The glue items here ([`profile_benchmark`], [`merge_snapshots`],
 //! [`BenchmarkLayout`], [`benchmark_requests`]) connect a workload to the profiler and the
