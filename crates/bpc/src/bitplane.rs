@@ -36,6 +36,14 @@
 //! the stream is pinned bit for bit to the scalar reference kept under
 //! `#[cfg(test)]` at the end of this file (the kernels here work a word at a
 //! time; DESIGN.md §2 describes them).
+//!
+//! The encoder transposes all 32 planes of every entry. The decoder
+//! transposes only the planes that differ: homogeneous data has narrow
+//! deltas, whose high planes are one plane (the one zero run of the code
+//! above), so an entry whose planes 7–31 (or 15–31) are all equal has its
+//! deltas rebuilt from planes 0–7 (or 0–15) by a smaller transpose and a
+//! sign extension. The decoder reads a slice of at least [`DECODE_BYTES`]
+//! in place and copies only shorter ones.
 
 use crate::bits::BitWriter;
 use crate::{from_symbols, to_symbols, Codec, CompressedBuf, DecodeError, Entry};
@@ -52,12 +60,16 @@ const PLANE_MASK: u32 = 0x7FFF_FFFF;
 /// over all 33 planes. Both directions special-case it, because it is the
 /// one stream with nothing to transpose.
 const ALL_PLANES_ZERO: u32 = 0b001 << 5 | (PLANES as u32 - 2);
-/// Bytes of the decoder's inline copy of a stream. The longest stream is
-/// a raw base (`1` + 32 bits) and 33 raw planes (`1` + 31 bits each),
-/// 1,089 bits; its last code starts 32 bits before its end, at bit 1,057,
-/// and is peeked with one 8-byte load from byte 1,057 / 8 = 132, so the
-/// copy must reach byte 140. That covers all 137 bytes of the stream too.
-const DECODE_BYTES: usize = (1 + 32 + PLANES * 32 - 32) / 8 + 8;
+/// Bytes the decoder reads of any stream: a slice at least this long is
+/// decoded in place, and a shorter one is first copied into a zero-padded
+/// buffer of this size. The longest stream is a raw base (`1` + 32 bits)
+/// and 33 raw planes (`1` + 31 bits each), 1,089 bits; its last code
+/// starts 32 bits before its end, at bit 1,057, and is peeked with one
+/// 8-byte load from byte 1,057 / 8 = 132, so the decoder reads up to byte
+/// 140. That covers all 137 bytes of the stream too. A caller that loads
+/// a stored stream into a zero-padded buffer of this size saves the
+/// decoder its copy.
+pub const DECODE_BYTES: usize = (1 + 32 + PLANES * 32 - 32) / 8 + 8;
 
 /// The Bit-Plane Compression codec.
 ///
@@ -196,15 +208,136 @@ impl BitPlane {
         }
     }
 
+    /// Transposes the 8 × 8 bit matrix held in one word, row `r` in byte
+    /// `r` and column `c` at bit `c` of its byte: stages 4, 2 and 1 of
+    /// [`transpose32`](Self::transpose32) inside the word, where the rows
+    /// `j` apart are `8 * j` bits apart (Hacker's Delight fig. 7-2).
+    fn transpose8(x: u64) -> u64 {
+        let t = ((x >> 7) ^ x) & 0x00AA_00AA_00AA_00AA;
+        let x = x ^ t ^ (t << 7);
+        let t = ((x >> 14) ^ x) & 0x0000_CCCC_0000_CCCC;
+        let x = x ^ t ^ (t << 14);
+        let t = ((x >> 28) ^ x) & 0x0000_0000_F0F0_F0F0;
+        x ^ t ^ (t << 28)
+    }
+
+    /// Transposes the 16 × 16 bit matrix held in four words, row `r` in
+    /// 16-bit lane `r % 4` of word `r / 4`: stages 8 and 4 of
+    /// [`transpose32`](Self::transpose32) between the words, stages 2 and
+    /// 1 inside each word, where the rows `j` apart are `16 * j` bits
+    /// apart.
+    fn transpose16(words: &mut [u64]) {
+        let mut swap = |k: usize, step: usize, j: u32, mask: u64| {
+            let t = ((words[k] >> j) ^ words[k + step]) & mask;
+            words[k] ^= t << j;
+            words[k + step] ^= t;
+        };
+        swap(0, 2, 8, 0x00FF_00FF_00FF_00FF);
+        swap(1, 2, 8, 0x00FF_00FF_00FF_00FF);
+        swap(0, 1, 4, 0x0F0F_0F0F_0F0F_0F0F);
+        swap(2, 1, 4, 0x0F0F_0F0F_0F0F_0F0F);
+        for x in words.iter_mut() {
+            let t = ((*x >> 30) ^ *x) & 0x0000_0000_CCCC_CCCC;
+            *x ^= t ^ (t << 30);
+            let t = ((*x >> 15) ^ *x) & 0x0000_AAAA_0000_AAAA;
+            *x ^= t ^ (t << 15);
+        }
+    }
+
+    /// Every delta, from DBP planes 0–7 alone: the deltas of an entry whose
+    /// planes 7–31 are one plane, i.e. that each fit a signed byte.
+    ///
+    /// The 8 × 32 corner of the matrix [`transpose32`](Self::transpose32)
+    /// turns, as four 8 × 8 blocks in four words. Its stages 16 and 8 only
+    /// move whole bytes of the corner, so here they are a pack and an
+    /// unpack: the pack is a 4 × 4 byte transpose (planes `r` and `r + 4`
+    /// share a word) that leaves byte `m` of plane `r` at byte `r` of word
+    /// `m`, the block of deltas `8m..8m + 8`, and after
+    /// [`transpose8`](Self::transpose8) byte `c` of word `m` is the low
+    /// byte of delta `8m + c`. Plane 7 is its sign bit, and bits 8–31
+    /// repeat it, so the unpack sign-extends the byte.
+    fn deltas_from_low8(dbp: &[u32; PLANES]) -> [u32; SYMBOLS] {
+        let mut blocks: [u64; 4] =
+            std::array::from_fn(|j| u64::from(dbp[j]) | u64::from(dbp[j + 4]) << 32);
+        // Words `step` apart trade byte columns `c + step` of the first
+        // for columns `c` of the second (the `mask` bytes).
+        let mut swap = |k: usize, step: usize, mask: u64| {
+            let t = ((blocks[k] >> (8 * step)) ^ blocks[k + step]) & mask;
+            blocks[k] ^= t << (8 * step);
+            blocks[k + step] ^= t;
+        };
+        swap(0, 2, 0x0000_FFFF_0000_FFFF);
+        swap(1, 2, 0x0000_FFFF_0000_FFFF);
+        swap(0, 1, 0x00FF_00FF_00FF_00FF);
+        swap(2, 1, 0x00FF_00FF_00FF_00FF);
+        let mut rows = [0u32; SYMBOLS];
+        for (m, block) in blocks.into_iter().enumerate() {
+            let bytes = Self::transpose8(block).to_le_bytes();
+            for (c, byte) in bytes.into_iter().enumerate() {
+                rows[8 * m + c] = byte as i8 as u32;
+            }
+        }
+        rows
+    }
+
+    /// Every delta, from DBP planes 0–15 alone: the deltas of an entry
+    /// whose planes 15–31 are one plane, i.e. that each fit a signed
+    /// 16-bit integer.
+    ///
+    /// As [`deltas_from_low8`](Self::deltas_from_low8) with 16-bit rows:
+    /// stage 16 is the pack, which puts the low and the high half of plane
+    /// `r` in lane `r % 4` of word `r / 4` of two 16 × 16 blocks (deltas
+    /// 0–15 and 16–31); [`transpose16`](Self::transpose16) runs the other
+    /// four stages on the eight words, and the unpack sign-extends each
+    /// lane from plane 15.
+    fn deltas_from_low16(dbp: &[u32; PLANES]) -> [u32; SYMBOLS] {
+        let mut words = [0u64; 8];
+        for k in 0..4 {
+            let lane = |l: usize, half: u32| u64::from(dbp[4 * k + l] >> half & 0xFFFF) << (16 * l);
+            words[k] = lane(0, 0) | lane(1, 0) | lane(2, 0) | lane(3, 0);
+            words[k + 4] = lane(0, 16) | lane(1, 16) | lane(2, 16) | lane(3, 16);
+        }
+        let (low, high) = words.split_at_mut(4);
+        Self::transpose16(low);
+        Self::transpose16(high);
+        let mut rows = [0u32; SYMBOLS];
+        for (k, word) in words.into_iter().enumerate() {
+            for l in 0..4 {
+                rows[4 * k + l] = (word >> (16 * l)) as u16 as i16 as u32;
+            }
+        }
+        rows
+    }
+
     /// Rebuilds the symbols from the base and the decoded bit-planes.
     ///
     /// Transposing planes 0–31 back gives the low 32 bits of every delta,
     /// and symbols are 32-bit, so a wrapping prefix sum restores them; the
     /// sign plane only ever selected between `+d` and `+d - 2^32`.
+    ///
+    /// Narrow deltas take a shorter transpose. When planes 7–31 are all
+    /// one plane, every delta fits a signed byte whose sign bit is plane
+    /// 7, and only planes 0–7 are transposed
+    /// ([`deltas_from_low8`](Self::deltas_from_low8)); when planes 15–31
+    /// are, only planes 0–15 ([`deltas_from_low16`](Self::deltas_from_low16)).
+    /// Any other entry takes [`transpose32`](Self::transpose32). The choice
+    /// reads the planes alone, and every path yields the same deltas.
     fn planes_to_symbols(base: u32, dbp: &[u32; PLANES]) -> [u32; SYMBOLS] {
-        let mut rows = [0u32; SYMBOLS];
-        rows.copy_from_slice(&dbp[..SYMBOLS]);
-        let rows = Self::transpose32(&rows);
+        // Nonzero when a plane in `from + 1..to` differs from plane `from`.
+        let differ = |from: usize, to: usize| {
+            dbp[from + 1..to]
+                .iter()
+                .fold(0, |acc, &plane| acc | (plane ^ dbp[from]))
+        };
+        let rows = if differ(15, SYMBOLS) != 0 {
+            let mut rows = [0u32; SYMBOLS];
+            rows.copy_from_slice(&dbp[..SYMBOLS]);
+            Self::transpose32(&rows)
+        } else if differ(7, 16) != 0 {
+            Self::deltas_from_low16(dbp)
+        } else {
+            Self::deltas_from_low8(dbp)
+        };
         let mut symbols = [0u32; SYMBOLS];
         symbols[0] = base;
         for i in 0..DELTAS {
@@ -243,22 +376,29 @@ impl Codec for BitPlane {
     /// Decodes the 33 DBP planes most-significant first and rebuilds the
     /// symbols.
     ///
-    /// The stream is copied into a zero-padded inline buffer, so that every
-    /// code word is classified from one unconditional 8-byte load (no code
-    /// is longer than 32 bits), and the bit position lives in a local.
-    /// Each code is then consumed at its full width against the declared
+    /// Every code word is classified from one unconditional 8-byte load
+    /// (no code is longer than 32 bits), and the bit position lives in a
+    /// local. The loads stay inside the first [`DECODE_BYTES`] of the
+    /// stream: a slice at least that long is read in place, and a shorter
+    /// one is copied into a zero-padded buffer of that size first. Each
+    /// code is then consumed at its full width against the declared
     /// length, so a stream that ends inside a code is `Truncated` before
     /// the code's payload is judged; bits past the length, whatever the
-    /// buffer holds there, never decide the outcome.
+    /// slice or the buffer holds there, never decide the outcome.
     fn decompress_into(
         &self,
         data: &[u8],
         bits: usize,
         out: &mut Entry,
     ) -> Result<(), DecodeError> {
-        let mut stream = [0u8; DECODE_BYTES];
-        let copied = data.len().min(DECODE_BYTES);
-        stream[..copied].copy_from_slice(&data[..copied]);
+        let mut copy = [0u8; DECODE_BYTES];
+        let stream: &[u8; DECODE_BYTES] = match data.first_chunk() {
+            Some(stream) => stream,
+            None => {
+                copy[..data.len()].copy_from_slice(data);
+                &copy
+            }
+        };
         let bits = bits.min(data.len() * 8);
         // The 64 bits from bit `pos` on, left-aligned.
         let window = |pos: usize| {
@@ -777,9 +917,11 @@ mod tests {
     }
 
     /// Encodes with the codec under test and checks `(data, bits)` against
-    /// the reference; decodes the stream with both: bare, sector-padded,
-    /// and followed by garbage in a slice longer than the decoder's inline
-    /// buffer, with the whole slice declared valid.
+    /// the reference; decodes the stream with both in three shapes: bare;
+    /// as the device loads it, zero-padded to at least [`DECODE_BYTES`]
+    /// with its whole sectors declared valid (read in place); and followed
+    /// by garbage in a slice longer than that, with the whole slice
+    /// declared valid.
     fn assert_matches_reference(entry: &Entry) -> usize {
         let codec = BitPlane::new();
         let mut c = CompressedBuf::new();
@@ -787,13 +929,14 @@ mod tests {
         let (data, bits) = reference::compress(entry);
         assert_eq!((c.data(), c.bits()), (&data[..], bits), "stream differs");
 
+        let sectors = data.len().div_ceil(crate::SECTOR_BYTES);
         let mut padded = data.clone();
-        padded.resize(data.len().next_multiple_of(crate::SECTOR_BYTES), 0);
+        padded.resize(DECODE_BYTES.max(sectors * crate::SECTOR_BYTES), 0);
         let mut long = data.clone();
         long.extend((0..2 * DECODE_BYTES - data.len()).map(|i| (i as u8).wrapping_mul(0x9D) | 1));
         for (data, bits) in [
             (&data, bits),
-            (&padded, padded.len() * 8),
+            (&padded, sectors * 8 * crate::SECTOR_BYTES),
             (&long, long.len() * 8),
         ] {
             let mut out = [0xFFu8; ENTRY_BYTES];
@@ -826,6 +969,225 @@ mod tests {
         }
     }
 
+    /// Which decode transpose `entry`'s planes select: the width of the
+    /// planes below the ones that are all equal (8, 16 or 32).
+    fn decode_width(entry: &Entry) -> usize {
+        let dbp = BitPlane::delta_bit_planes(&crate::to_symbols(entry));
+        let shared_from = |w: usize| dbp[w..SYMBOLS].iter().all(|&p| p == dbp[w]);
+        if shared_from(7) {
+            8
+        } else if shared_from(15) {
+            16
+        } else {
+            32
+        }
+    }
+
+    /// Sign patterns of [`width_entry`]'s deltas.
+    #[derive(Debug, Clone, Copy)]
+    enum Signs {
+        Positive,
+        Negative,
+        Mixed,
+        Alternating,
+    }
+
+    impl Signs {
+        const ALL: [Signs; 4] = [
+            Signs::Positive,
+            Signs::Negative,
+            Signs::Mixed,
+            Signs::Alternating,
+        ];
+    }
+
+    /// An entry whose deltas need exactly `width` bits (0–32): the largest
+    /// magnitude is in `2^(width-1)..2^width`, the others below `2^width`,
+    /// signed by `signs`. No symbol wraps, so the 33-bit deltas are the
+    /// ones drawn: where the walk would leave the `u32` range, every
+    /// magnitude but the largest is halved until it fits.
+    fn width_entry(width: u32, signs: Signs, seed: u64) -> Entry {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(width) << 56 | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let limit = 1u64 << width;
+        let widest = (next() % DELTAS as u64) as usize;
+        let mut magnitudes: [u64; DELTAS] = std::array::from_fn(|_| next() % limit);
+        if width > 0 {
+            magnitudes[widest] = limit / 2 + next() % (limit / 2);
+        }
+        let negative: [bool; DELTAS] = std::array::from_fn(|i| match signs {
+            Signs::Positive => false,
+            Signs::Negative => true,
+            Signs::Mixed => next() % 2 == 1,
+            Signs::Alternating => i % 2 == 1,
+        });
+        let walk = |magnitudes: &[u64; DELTAS]| {
+            let mut sums = [0i64; SYMBOLS];
+            for i in 0..DELTAS {
+                let d = magnitudes[i] as i64;
+                sums[i + 1] = sums[i] + if negative[i] { -d } else { d };
+            }
+            sums
+        };
+        let mut sums = walk(&magnitudes);
+        let span = |sums: &[i64; SYMBOLS]| {
+            let (lo, hi) = (sums.iter().min(), sums.iter().max());
+            (*lo.unwrap_or(&0), *hi.unwrap_or(&0))
+        };
+        while span(&sums).1 - span(&sums).0 > i64::from(u32::MAX) {
+            for (i, m) in magnitudes.iter_mut().enumerate() {
+                if i != widest {
+                    *m /= 2;
+                }
+            }
+            sums = walk(&magnitudes);
+        }
+        let (lo, hi) = span(&sums);
+        let room = (i64::from(u32::MAX) - (hi - lo)) as u64 + 1;
+        let offset = if seed.is_multiple_of(4) {
+            0
+        } else {
+            next() % room
+        };
+        entry_from_words(|i| (sums[i] - lo + offset as i64) as u32)
+    }
+
+    /// Every width in `widths`, every sign pattern, seeds `0..seeds`,
+    /// each held to the reference in all three decode shapes; each of the
+    /// three decode transposes must be taken.
+    fn sweep_widths(widths: impl IntoIterator<Item = u32>, seeds: u64) {
+        let mut paths = [0; 3];
+        for width in widths {
+            for signs in Signs::ALL {
+                for seed in 0..seeds {
+                    let entry = width_entry(width, signs, seed);
+                    assert_matches_reference(&entry);
+                    paths[decode_width(&entry).trailing_zeros() as usize - 3] += 1;
+                }
+            }
+        }
+        assert!(
+            paths.iter().all(|&n| n > 0),
+            "decode transposes taken: {paths:?}"
+        );
+    }
+
+    #[test]
+    fn width_entries_need_exactly_their_width() {
+        for width in 0..=32 {
+            for signs in Signs::ALL {
+                for seed in 0..16 {
+                    let symbols = crate::to_symbols(&width_entry(width, signs, seed));
+                    let widest = reference::deltas(&symbols)
+                        .iter()
+                        .map(|&d| reference::sign_extend_33(d).unsigned_abs())
+                        .max();
+                    let bits = widest.map_or(0, |m| 64 - m.leading_zeros());
+                    assert_eq!(bits, width, "{signs:?} seed {seed}");
+                }
+            }
+        }
+    }
+
+    /// The widths around each decode transpose's boundary (a signed byte
+    /// holds magnitudes up to 7 bits, and 8 only for -128), all-positive,
+    /// all-negative and mixed: bare, device-padded and garbage-followed.
+    #[test]
+    fn width_boundaries_match_reference() {
+        sweep_widths([0, 1, 7, 8, 9, 15, 16, 17, 31], 64);
+    }
+
+    /// Tier-1's slice of the exhaustive sweep below: every width 0–32.
+    #[test]
+    fn width_sweep_slice_matches_reference() {
+        sweep_widths(0..=32, 16);
+    }
+
+    /// Every width 0–32, four sign patterns, 4,096 seeds each, in all three
+    /// decode shapes. Run in release builds:
+    /// `cargo test --release -p bpc -- --ignored width_sweep_matches_reference_exhaustively`.
+    #[test]
+    #[ignore = "540,672 entries against the scalar reference; run in release"]
+    fn width_sweep_matches_reference_exhaustively() {
+        sweep_widths(0..=32, 4096);
+    }
+
+    /// A delta of magnitude `2^31` or more: its bit 31 and its sign (the
+    /// borrow plane) differ.
+    #[test]
+    fn a_delta_of_2_pow_31_or_more_sets_the_borrow_plane_apart() {
+        // (low, high, decode width): a delta of `2^32 - 32` is -32 in its
+        // low 32 bits, which is all the decoder rebuilds.
+        for (low, high, width) in [
+            (0, 0x8000_0000, 32),
+            (0x7FFF_FFFF, u32::MAX, 32),
+            (0x10, 0xFFFF_FFF0, 8),
+        ] {
+            let entry = entry_from_words(|i| if i % 3 == 1 { high } else { low });
+            let dbp = BitPlane::delta_bit_planes(&crate::to_symbols(&entry));
+            assert_ne!(dbp[PLANES - 1], dbp[PLANES - 2]);
+            assert_eq!(decode_width(&entry), width, "{high:#x} after {low:#x}");
+            assert_matches_reference(&entry);
+        }
+    }
+
+    /// Planes `from`–31 all one plane while the sign plane is not: deltas
+    /// that alternate between `+(2^32 - k)` and `-(2^32 - k)`, whose low
+    /// 32 bits are `-k` and `k`.
+    #[test]
+    fn equal_high_planes_under_a_different_sign_plane_match_reference() {
+        // (k, first of the equal planes, decode width)
+        for (k, from, width) in [
+            (0x80, 8, 16),
+            (0x40, 7, 8),
+            (0x8000, 16, 32),
+            (0x4000, 15, 16),
+        ] {
+            let entry = entry_from_words(|i| if i % 2 == 1 { 0u32.wrapping_sub(k) } else { 0 });
+            let dbp = BitPlane::delta_bit_planes(&crate::to_symbols(&entry));
+            assert!(dbp[from..SYMBOLS].iter().all(|&p| p == dbp[from]));
+            assert_ne!(dbp[from - 1], dbp[from]);
+            assert_ne!(dbp[PLANES - 1], dbp[PLANES - 2]);
+            assert_eq!(decode_width(&entry), width, "k = {k:#x}");
+            assert_matches_reference(&entry);
+        }
+    }
+
+    /// Both narrow transposes equal the full one on arbitrary planes whose
+    /// planes 7–31 (or 15–31) are all one plane, random or not.
+    #[test]
+    fn narrow_transposes_equal_the_full_one() {
+        let mut state = 0x0123_4567_89AB_CDEFu64;
+        let mut plane = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 20) as u32 & PLANE_MASK
+        };
+        for round in 0..256 {
+            let mut dbp: [u32; PLANES] = std::array::from_fn(|_| plane());
+            let from = if round % 2 == 0 { 7 } else { 15 };
+            let shared = match round % 8 {
+                0 | 1 => 0,
+                2 | 3 => PLANE_MASK,
+                _ => dbp[from],
+            };
+            dbp[from..SYMBOLS].fill(shared);
+            let mut rows = [0u32; SYMBOLS];
+            rows.copy_from_slice(&dbp[..SYMBOLS]);
+            let full = BitPlane::transpose32(&rows);
+            if from == 7 {
+                assert_eq!(BitPlane::deltas_from_low8(&dbp), full, "round {round}");
+            }
+            assert_eq!(BitPlane::deltas_from_low16(&dbp), full, "round {round}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -836,7 +1198,8 @@ mod tests {
 
         /// Same `Ok(bytes)`, same error variant, same offset — on streams
         /// that are mostly invalid, on lengths beyond the data, and on data
-        /// and lengths past the decoder's inline buffer.
+        /// and lengths past the [`DECODE_BYTES`] the decoder reads (slices
+        /// shorter than that are copied, longer ones read in place).
         #[test]
         fn decoder_matches_reference_on_garbage(
             data in proptest::collection::vec(any::<u8>(), 0..320),

@@ -1,6 +1,6 @@
 //! MSB-first bitstream writer used by every encoder in this crate, and the
 //! reader the BDI, FPC and zero-RLE decoders use. The BPC decoder reads
-//! from an inline copy of its stream instead (see `bitplane`).
+//! its stream with its own 8-byte loads instead (see `bitplane`).
 
 use crate::{CompressedBuf, DecodeError};
 
@@ -10,13 +10,17 @@ use crate::{CompressedBuf, DecodeError};
 ///
 /// Bits accumulate in a 64-bit word that is stored into the buffer's
 /// inline array whole (big-endian, so the byte order is the MSB-first bit
-/// order); [`finish`](Self::finish) flushes the partial last word and
-/// records the bit length. Nothing here touches the heap.
+/// order); [`finish`](Self::finish) flushes the partial last word, zeroes
+/// what is left of the previous stream and records the bit length.
+/// Nothing here touches the heap.
 #[derive(Debug)]
 pub struct BitWriter<'a> {
     out: &'a mut CompressedBuf,
     /// Bytes of whole words already stored.
     len: usize,
+    /// End of the words the previous stream stored: the bytes that may be
+    /// nonzero before this stream's words overwrite them.
+    stale: usize,
     /// Pending bits, left-aligned: the next bit lands at bit `63 - fill`.
     acc: u64,
     /// Number of pending bits in `acc`, always below 64.
@@ -27,10 +31,12 @@ impl<'a> BitWriter<'a> {
     /// Starts an empty bitstream in `out`, discarding what it held
     /// ([`CompressedBuf::begin`]).
     pub(crate) fn new(out: &'a mut CompressedBuf) -> Self {
+        let stale = out.bits.div_ceil(64) * 8;
         out.bits = 0;
         Self {
             out,
             len: 0,
+            stale,
             acc: 0,
             fill: 0,
         }
@@ -82,13 +88,18 @@ impl<'a> BitWriter<'a> {
         self.len_bits() == 0
     }
 
-    /// Completes the stream: flushes the pending bits and records the bit
-    /// length in the buffer. The unused low bits of the last byte are
-    /// zero.
+    /// Completes the stream: flushes the pending bits, zeroes the bytes
+    /// of the previous stream past this one's last word, and records the
+    /// bit length in the buffer. Every byte past the stream is then zero:
+    /// the unused low bits of the last byte, and the rest of the buffer
+    /// ([`CompressedBuf::padded`]).
     pub fn finish(mut self) {
         let bits = self.len_bits();
         if self.fill > 0 {
             self.store(self.acc);
+        }
+        if self.stale > self.len {
+            self.out.data[self.len..self.stale].fill(0);
         }
         self.out.bits = bits;
     }

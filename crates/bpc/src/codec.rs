@@ -84,6 +84,21 @@ impl CompressedBuf {
         &self.data[..self.bytes()]
     }
 
+    /// The stream followed by zero bytes, `len` bytes in all: what a
+    /// `len`-byte store holding the stream (a sector-aligned slot, say)
+    /// must contain. Every byte past the stream is zero however long a
+    /// stream the buffer held before ([`BitWriter::finish`]), so this is a
+    /// view of the buffer, not a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is shorter than [`bytes`](Self::bytes) or longer
+    /// than [`CAPACITY`](Self::CAPACITY).
+    pub fn padded(&self, len: usize) -> &[u8] {
+        assert!(len >= self.bytes(), "padding cannot cut the stream");
+        &self.data[..len]
+    }
+
     /// The capacity size class of the held bitstream.
     pub fn size_class(&self) -> SizeClass {
         SizeClass::for_bits(self.bits)
@@ -95,7 +110,10 @@ impl CompressedBuf {
     }
 
     /// Starts a fresh encode into this buffer; [`BitWriter::finish`]
-    /// completes it.
+    /// completes it. A writer dropped before `finish` leaves the buffer
+    /// empty but keeps the bytes it stored, so the zeros that
+    /// [`padded`](Self::padded) promises hold only while every encode
+    /// into the buffer is finished, as every [`Codec`] here does.
     ///
     /// Codec implementations use this; callers normally only pass the buffer
     /// to [`Codec::compress_into`].
@@ -264,6 +282,34 @@ mod tests {
 
     fn ramp_entry() -> Entry {
         entry_of_words(std::array::from_fn(|i| 1000 + 3 * i as u32))
+    }
+
+    /// Every codec leaves zeros past its stream in a buffer that held a
+    /// longer one, so `padded` is the stream and zeros at any length.
+    #[test]
+    fn a_reused_buffer_is_zero_past_a_shorter_stream() {
+        let mut lcg = 1u64;
+        let noise = entry_of_words(std::array::from_fn(|_| {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (lcg >> 32) as u32
+        }));
+        for kind in CodecKind::ALL {
+            for short in [ramp_entry(), entry_of_words([7; 32])] {
+                let mut reused = CompressedBuf::new();
+                kind.compress_into(&noise, &mut reused);
+                kind.compress_into(&short, &mut reused);
+                let mut fresh = CompressedBuf::new();
+                kind.compress_into(&short, &mut fresh);
+                assert_eq!(reused.bits(), fresh.bits(), "{kind}");
+                let mut expected = fresh.data().to_vec();
+                expected.resize(CompressedBuf::CAPACITY, 0);
+                assert_eq!(
+                    reused.padded(CompressedBuf::CAPACITY),
+                    &expected[..],
+                    "{kind}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::metadata::EntryState;
 use crate::region::RegionAllocator;
 use crate::shared::{self, AllocView, RawSlot, SharedState};
 use crate::target::TargetRatio;
-use bpc::{CodecKind, Entry, SizeHistogram, ENTRY_BYTES};
+use bpc::{CodecKind, DecodeError, Entry, SizeHistogram, ENTRY_BYTES};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -75,6 +75,9 @@ pub enum DeviceError {
     CorruptEntry {
         /// Index of the damaged entry within its allocation.
         index: u64,
+        /// Why the codec rejected the entry's stream; `None` when its
+        /// metadata nibble is not a state of its target.
+        cause: Option<DecodeError>,
     },
 }
 
@@ -112,9 +115,13 @@ impl fmt::Display for DeviceError {
             DeviceError::RequestOverflow => {
                 write!(f, "request size arithmetic overflows u64")
             }
-            DeviceError::CorruptEntry { index } => {
-                write!(f, "entry {index} is stored corrupt")
+            DeviceError::CorruptEntry { index, cause: None } => {
+                write!(f, "entry {index} is stored corrupt: bad metadata state")
             }
+            DeviceError::CorruptEntry {
+                index,
+                cause: Some(cause),
+            } => write!(f, "entry {index} is stored corrupt: {cause}"),
         }
     }
 }
@@ -135,7 +142,16 @@ impl DeviceError {
     }
 }
 
-impl Error for DeviceError {}
+impl Error for DeviceError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            DeviceError::CorruptEntry {
+                cause: Some(cause), ..
+            } => Some(cause),
+            _ => None,
+        }
+    }
+}
 
 /// Handle to one compressed allocation.
 ///
@@ -820,9 +836,7 @@ impl BuddyDevice {
             //    here or a failed placement below leaves the device
             //    byte-for-byte as it was.
             for (i, slot) in contents.iter_mut().enumerate() {
-                published
-                    .read_one(&view, i as u64, slot)
-                    .ok_or(DeviceError::CorruptEntry { index: i as u64 })?;
+                published.read_one(&view, i as u64, slot)?;
             }
 
             // 2. Place the new reservations on the allocator. The nibbles
@@ -1051,7 +1065,7 @@ impl DeviceHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpc::SizeClass;
+    use bpc::{SizeClass, SECTOR_BYTES};
 
     fn entry_of_words(mut f: impl FnMut(usize) -> u32) -> Entry {
         let mut e = [0u8; ENTRY_BYTES];
@@ -1523,7 +1537,11 @@ mod tests {
             .metadata
             .store_nibble(view.metadata_index(5), 0xF);
         let stats = dev.stats();
-        let corrupt = Err(DeviceError::CorruptEntry { index: 5 });
+        let error = DeviceError::CorruptEntry {
+            index: 5,
+            cause: None,
+        };
+        let corrupt = Err(error.clone());
 
         let mut out = vec![[0u8; ENTRY_BYTES]; 16];
         assert_eq!(dev.read_entries(damaged, 0, &mut out), corrupt);
@@ -1531,14 +1549,8 @@ mod tests {
             dev.handle().read_entries(damaged, 4, &mut out[..4]),
             corrupt
         );
-        assert_eq!(
-            dev.handle().entry_state(damaged, 5),
-            Err(DeviceError::CorruptEntry { index: 5 })
-        );
-        assert_eq!(
-            dev.handle().state_window(damaged),
-            Err(DeviceError::CorruptEntry { index: 5 })
-        );
+        assert_eq!(dev.handle().entry_state(damaged, 5), Err(error.clone()));
+        assert_eq!(dev.handle().state_window(damaged), Err(error.clone()));
         assert_eq!(dev.retarget(damaged, TargetRatio::R4).map(|_| ()), corrupt);
         // The failed retarget mutated nothing: same target, reservation and
         // counters, and the undamaged entries still read back.
@@ -1551,8 +1563,56 @@ mod tests {
         dev.read_entries(neighbour, 0, &mut out).unwrap();
         assert_eq!(out, data);
         assert_eq!(
-            DeviceError::CorruptEntry { index: 5 }.to_string(),
-            "entry 5 is stored corrupt"
+            error.to_string(),
+            "entry 5 is stored corrupt: bad metadata state"
+        );
+        assert!(error.source().is_none());
+    }
+
+    /// A stream the codec rejects reports the codec's own error, variant
+    /// and offset, in every read path; the nibble and the other entries
+    /// are untouched.
+    #[test]
+    fn an_undecodable_stream_fails_with_its_decode_error() {
+        let mut dev = small_device();
+        let id = dev.alloc("damaged", 8, TargetRatio::R2).unwrap();
+        let data: Vec<Entry> = (0..8)
+            .map(|i| entry_of_words(|j| 1000 * i + j as u32))
+            .collect();
+        dev.write_entries(id, 0, &data).unwrap();
+        let state = EntryState::Compressed { sectors: 1 };
+        assert_eq!(dev.handle().entry_state(id, 3), Ok(state));
+        // A zero base, then `00011` + position 31: a single one past the
+        // top of a 31-bit plane, invalid once its 10 bits are read.
+        let mut sector = [0u8; SECTOR_BYTES];
+        sector[..2].copy_from_slice(&[0b0000_1111, 0b1110_0000]);
+        let view = dev.view(id).unwrap();
+        dev.shared.device.write(view.device_offset(3), &sector);
+        let error = DeviceError::CorruptEntry {
+            index: 3,
+            cause: Some(DecodeError::InvalidCode { bit_offset: 11 }),
+        };
+
+        let mut out = vec![[0u8; ENTRY_BYTES]; 8];
+        assert_eq!(dev.read_entries(id, 0, &mut out), Err(error.clone()));
+        assert_eq!(
+            dev.handle().read_entries(id, 3, &mut out[3..4]),
+            Err(error.clone())
+        );
+        assert_eq!(
+            dev.retarget(id, TargetRatio::R4).map(|_| ()),
+            Err(error.clone())
+        );
+        assert_eq!(dev.handle().entry_state(id, 3), Ok(state));
+        dev.read_entries(id, 4, &mut out[4..]).unwrap();
+        assert_eq!(out[4..], data[4..]);
+        assert_eq!(
+            error.to_string(),
+            "entry 3 is stored corrupt: invalid code word at bit offset 11"
+        );
+        assert_eq!(
+            error.source().map(ToString::to_string),
+            Some("invalid code word at bit offset 11".to_string())
         );
     }
 

@@ -24,8 +24,11 @@
 //!   [`SharedState::structural_view`], the same validation the locked
 //!   write path uses.
 //!
-//! Encoding needs no buffer from either half: the write engine declares a
-//! stack [`CompressedBuf`] per nonzero entry.
+//! Encoding needs no buffer from either half: the write engine declares
+//! one stack [`CompressedBuf`] per run of entries, on its first nonzero
+//! entry, and stores each stream's sectors straight from it, and the read
+//! engine loads an entry's sectors into one stack buffer the decoder reads
+//! in place.
 //!
 //! # Publication protocol
 //!
@@ -90,7 +93,10 @@ use crate::device::{AccessStats, AllocId, DeviceError};
 use crate::metadata::EntryState;
 use crate::sync::SeqWord;
 use crate::target::TargetRatio;
-use bpc::{Codec, CodecKind, CompressedBuf, Entry, SizeHistogram, ENTRY_BYTES, SECTOR_BYTES};
+use bpc::bitplane::DECODE_BYTES;
+use bpc::{
+    Codec, CodecKind, CompressedBuf, DecodeError, Entry, SizeHistogram, ENTRY_BYTES, SECTOR_BYTES,
+};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -133,12 +139,33 @@ impl AllocView {
     }
 }
 
-/// Entry `.0` of the allocation loaded as a metadata nibble its target
-/// cannot store ([`SharedState::state`]) or a stream its codec rejects.
-/// Under a moved slot sequence that is a racing mutation's torn value,
-/// and the caller retries. Under a stable sequence it is the stored bits
-/// themselves, reported as [`DeviceError::CorruptEntry`].
-pub(crate) struct TornRead(pub(crate) u64);
+/// Bytes of an entry's zero-page granule: the whole device reservation of
+/// [`TargetRatio::ZeroPage16`], which holds a stream of up to 64 bits.
+const ZERO_PAGE_GRANULE: usize = 8;
+
+/// Entry `index` of the allocation loaded as a metadata nibble its target
+/// cannot store ([`SharedState::state`], `cause` `None`) or a stream its
+/// codec rejects (`cause` the codec's error). Under a moved slot sequence
+/// that is a racing mutation's torn value, and the caller retries. Under a
+/// stable sequence it is the stored bits themselves, reported as
+/// [`DeviceError::CorruptEntry`].
+pub(crate) struct TornRead {
+    pub(crate) index: u64,
+    pub(crate) cause: Option<DecodeError>,
+}
+
+impl TornRead {
+    /// A nibble that is not a state of its target.
+    pub(crate) fn nibble(index: u64) -> Self {
+        Self { index, cause: None }
+    }
+}
+
+impl From<TornRead> for DeviceError {
+    fn from(TornRead { index, cause }: TornRead) -> Self {
+        DeviceError::CorruptEntry { index, cause }
+    }
+}
 
 /// Byte-range validation shared by every access path.
 pub(crate) fn check_index(view: &AllocView, index: u64) -> Result<(), DeviceError> {
@@ -934,12 +961,6 @@ impl SharedState {
         Ok(result)
     }
 
-    /// Decodes a stored stream through the owning codec. Trailing padding
-    /// from sector alignment is ignored by every decoder.
-    fn decode(&self, data: &[u8], out: &mut Entry) -> Option<()> {
-        self.codec.decompress_into(data, data.len() * 8, out).ok()
-    }
-
     /// The metadata state of `view`'s entry `index`. `None` for a reserved
     /// encoding or a state [`EntryState::stored`] cannot yield under the
     /// view's target ([`EntryState::storable_under`]): such a nibble is
@@ -953,64 +974,88 @@ impl SharedState {
 
     /// Loads and decompresses one entry into `out` against a consistent
     /// view; the caller records traffic and re-validates the sequence.
-    /// `None` when the nibble is not a [state](Self::state) or the stream
-    /// is undecodable (the caller's [`TornRead`]).
+    /// A [`TornRead`] when the nibble is not a [state](Self::state) or the
+    /// codec rejects the stream. A raw entry loads straight into `out`.
     pub(crate) fn read_one(
         &self,
         view: &AllocView,
         index: u64,
         out: &mut Entry,
-    ) -> Option<EntryState> {
-        let state = self.state(view, index)?;
+    ) -> Result<EntryState, TornRead> {
+        let state = self.state(view, index).ok_or(TornRead::nibble(index))?;
         match state {
             EntryState::Zero => *out = [0u8; ENTRY_BYTES],
             EntryState::ZeroPageFit => {
-                let mut granule = [0u8; 8];
-                self.device.read(view.device_offset(index), &mut granule);
-                self.decode(&granule, out)?;
+                self.decode_loaded(index, ZERO_PAGE_GRANULE, out, |granule| {
+                    self.device.read(view.device_offset(index), granule)
+                })?
             }
             EntryState::ZeroPageOverflow => {
                 self.buddy.read(view.buddy_offset(index), out);
             }
+            // Raw storage.
+            EntryState::Compressed { sectors: 4 } => self.load_sectors(view, index, 4, out),
             EntryState::Compressed { sectors } => {
                 let total = sectors as usize * SECTOR_BYTES;
-                let mut data = [0u8; ENTRY_BYTES];
-                self.load_sectors(view, index, sectors, &mut data[..total]);
-                if sectors == 4 {
-                    // Raw storage.
-                    out.copy_from_slice(&data);
-                } else {
-                    self.decode(&data[..total], out)?;
-                }
+                self.decode_loaded(index, total, out, |data| {
+                    self.load_sectors(view, index, sectors, data)
+                })?
             }
         }
-        Some(state)
+        Ok(state)
     }
 
-    /// Compresses and stores one entry's bytes and returns the state its
-    /// metadata nibble must take ([`EntryState::stored`]);
-    /// [`write_run`](Self::write_run) stores those a unit at a time.
-    fn write_one(&self, view: &AllocView, index: u64, entry: &Entry) -> EntryState {
+    /// Decodes entry `index`'s stored stream, which `load` writes into the
+    /// first `len` bytes of a zero-padded [`DECODE_BYTES`] buffer: the BPC
+    /// decoder reads that buffer in place, and every decoder ignores the
+    /// zeros past the `len * 8` bits declared.
+    fn decode_loaded(
+        &self,
+        index: u64,
+        len: usize,
+        out: &mut Entry,
+        load: impl FnOnce(&mut [u8]),
+    ) -> Result<(), TornRead> {
+        let mut stream = [0u8; DECODE_BYTES];
+        load(&mut stream[..len]);
+        self.codec
+            .decompress_into(&stream, len * 8, out)
+            .map_err(|cause| TornRead {
+                index,
+                cause: Some(cause),
+            })
+    }
+
+    /// Compresses one entry's bytes through `stream` and stores them, and
+    /// returns the state its metadata nibble must take
+    /// ([`EntryState::stored`]); [`write_run`](Self::write_run) stores
+    /// those a unit at a time. The stored granule or sectors come straight
+    /// from `stream`, whose bytes past the stream are zero whatever it
+    /// held before ([`CompressedBuf::padded`]). `stream` is built on the
+    /// first nonzero entry, so a run of zero entries zeroes no buffer.
+    fn write_one(
+        &self,
+        view: &AllocView,
+        index: u64,
+        entry: &Entry,
+        stream: &mut Option<CompressedBuf>,
+    ) -> EntryState {
         if bpc::is_zero(entry) {
             return EntryState::Zero;
         }
-        let mut stream = CompressedBuf::new();
-        self.codec.compress_into(entry, &mut stream);
+        let stream = stream.get_or_insert_with(CompressedBuf::new);
+        self.codec.compress_into(entry, stream);
         let state = EntryState::stored(stream.size_class(), view.target);
         match state {
-            EntryState::ZeroPageFit => {
-                // Compose the padded 8 B granule as one whole word.
-                let mut granule = [0u8; 8];
-                granule[..stream.data().len()].copy_from_slice(stream.data());
-                self.device.write(view.device_offset(index), &granule);
-            }
+            EntryState::ZeroPageFit => self
+                .device
+                .write(view.device_offset(index), stream.padded(ZERO_PAGE_GRANULE)),
             EntryState::ZeroPageOverflow => self.buddy.write(view.buddy_offset(index), entry),
             // Incompressible: store the raw entry across the four sectors.
             EntryState::Compressed { sectors: 4 } => self.store_sectors(view, index, entry, 4),
             EntryState::Compressed { sectors } => {
-                let mut padded = [0u8; ENTRY_BYTES];
-                padded[..stream.data().len()].copy_from_slice(stream.data());
-                self.store_sectors(view, index, &padded, sectors);
+                let stored = stream.padded(sectors as usize * SECTOR_BYTES);
+                self.store_sectors(view, index, stored, sectors);
             }
             // Every codec spends at least one bit on a nonzero entry, so its
             // class is never `B0`: nothing to store.
@@ -1031,6 +1076,7 @@ impl SharedState {
         mut record: impl FnMut(EntryState),
     ) {
         let first = view.metadata_index(start);
+        let mut stream = None;
         self.metadata
             .store_run(first, entries.len() as u64, |nibble| {
                 let offset = nibble - first;
@@ -1038,7 +1084,8 @@ impl SharedState {
                     clippy::cast_possible_truncation,
                     reason = "offset < entries.len(), which is a usize"
                 )]
-                let state = self.write_one(view, start + offset, &entries[offset as usize]);
+                let state =
+                    self.write_one(view, start + offset, &entries[offset as usize], &mut stream);
                 record(state);
                 state
             });
@@ -1098,7 +1145,7 @@ impl SharedState {
             }
             // Under a stable snapshot a load that made no sense is not a
             // race: the stored bits are damaged.
-            return result.map_err(|TornRead(index)| DeviceError::CorruptEntry { index });
+            return result.map_err(DeviceError::from);
         }
     }
 
@@ -1115,9 +1162,7 @@ impl SharedState {
             let mut stats = AccessStats::default();
             for (i, slot_out) in out.iter_mut().enumerate() {
                 let index = start + i as u64;
-                let state = self
-                    .read_one(view, index, slot_out)
-                    .ok_or(TornRead(index))?;
+                let state = self.read_one(view, index, slot_out)?;
                 record_read(&mut stats, view.target, state);
             }
             Ok(stats)
@@ -1171,7 +1216,7 @@ impl SharedState {
     /// traffic counters.
     pub(crate) fn entry_state(&self, id: AllocId, index: u64) -> Result<EntryState, DeviceError> {
         self.read_epoch(id, index, 1, |view| {
-            self.state(view, index).ok_or(TornRead(index))
+            self.state(view, index).ok_or(TornRead::nibble(index))
         })
     }
 
@@ -1181,7 +1226,7 @@ impl SharedState {
         self.read_epoch(id, 0, 0, |view| {
             let mut window = SizeHistogram::new();
             for i in 0..view.entries {
-                let state = self.state(view, i).ok_or(TornRead(i))?;
+                let state = self.state(view, i).ok_or(TornRead::nibble(i))?;
                 window.record(state.footprint_class());
             }
             Ok(window)
@@ -1531,6 +1576,72 @@ mod tests {
             state.read_batch(forged, 0, &mut out),
             Err(DeviceError::BadAllocation)
         );
+    }
+
+    /// An entry whose words are `base` plus `noise` low bits of an LCG.
+    fn noisy_entry(seed: u64, base: u32, noise: u32) -> Entry {
+        let mut lcg = seed;
+        let mut entry = [0u8; ENTRY_BYTES];
+        for word in entry.chunks_exact_mut(4) {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let bits = (lcg >> 32) as u32 & ((1u64 << noise) - 1) as u32;
+            word.copy_from_slice(&base.wrapping_add(bits).to_le_bytes());
+        }
+        entry
+    }
+
+    /// The write path stores a stream's granule or sectors straight from
+    /// its encode buffer. A buffer that held a longer stream before must
+    /// still leave zeros past the shorter one: the stored bytes equal a
+    /// fresh encode's stream padded with zeros, under every target.
+    #[test]
+    fn a_reused_stream_buffer_stores_zeros_past_a_shorter_stream() {
+        let state = SharedState::new(CodecKind::Bpc, 1 << 12, 1 << 12);
+        let long = noisy_entry(1, 0, 32);
+        let mut seen = Vec::new();
+        for target in TargetRatio::DESCENDING {
+            let view = AllocView {
+                target,
+                entries: 1,
+                device_base: 0,
+                buddy_base: 0,
+            };
+            for noise in [0, 1, 4, 10, 15] {
+                let short = noisy_entry(2, 0x0101_0101, noise);
+                let mut stream = CompressedBuf::new();
+                state.codec.compress_into(&long, &mut stream);
+                assert!(stream.bytes() > 3 * SECTOR_BYTES);
+                let stored = state.write_one(&view, 0, &short, &mut Some(stream));
+                let mut fresh = CompressedBuf::new();
+                state.codec.compress_into(&short, &mut fresh);
+                let len = match stored {
+                    EntryState::ZeroPageFit => ZERO_PAGE_GRANULE,
+                    EntryState::Compressed { sectors } if sectors < 4 => {
+                        sectors as usize * SECTOR_BYTES
+                    }
+                    // Stored raw: the entry's bytes, not its stream.
+                    _ => continue,
+                };
+                let mut raw = [0xAAu8; ENTRY_BYTES];
+                if stored == EntryState::ZeroPageFit {
+                    state.device.read(0, &mut raw[..len]);
+                } else if let EntryState::Compressed { sectors } = stored {
+                    state.load_sectors(&view, 0, sectors, &mut raw[..len]);
+                }
+                let mut expected = fresh.data().to_vec();
+                expected.resize(len, 0);
+                assert_eq!(raw[..len], expected, "{target} noise {noise}");
+                let mut out = [0u8; ENTRY_BYTES];
+                state
+                    .codec
+                    .decompress_into(&raw[..len], len * 8, &mut out)
+                    .unwrap();
+                assert_eq!(out, short, "{target} noise {noise}");
+                seen.push(stored);
+            }
+        }
+        assert!(seen.contains(&EntryState::ZeroPageFit));
+        assert!(seen.contains(&EntryState::Compressed { sectors: 3 }));
     }
 
     /// A state with one live 8-entry R2 allocation published in slot 0.
