@@ -14,8 +14,11 @@
 //!    ([`EntryState::stored`] of the codec's size class under the chosen
 //!    target), which gives the device compression ratio and the share of
 //!    entries that touch buddy memory. No device is built: a store would
-//!    only count the same bytes and spills (a `#[cfg(test)]` oracle checks
-//!    that it does, bit for bit).
+//!    only count the same bytes and spills. A `#[cfg(test)]` oracle checks
+//!    the BPC columns against a real device, which stores BPC only, bit
+//!    for bit; the other codecs' columns are the same classification, and
+//!    its codec input is the size class that `bpc`'s `size_class_into`
+//!    tests pin.
 //!
 //! A weaker codec does not overflow more: the profiler gives it lower
 //! targets, so it loses device ratio instead. At full scale and the
@@ -138,6 +141,7 @@ pub fn ablation(cfg: &RunConfig) -> io::Result<()> {
 mod tests {
     use super::*;
     use buddy_compression::buddy_core::{BuddyDevice, DeviceConfig};
+    use buddy_compression::profile_benchmark;
     use buddy_compression::workloads::Scale;
 
     /// BPC must dominate the other general-purpose algorithms on capacity
@@ -157,12 +161,12 @@ mod tests {
         g(&bpc_r) > g(&bdi_r) && g(&bpc_r) > g(&fpc_r)
     }
 
-    /// The reference for [`device_columns`]: the same profile, targets and
-    /// entries, batch-written and read back through a real
-    /// `BuddyDevice::with_codec` sized to the capped workload.
-    fn device_run(codec: CodecKind, bench: &Benchmark, seed: u64, cap: u64) -> (f64, f64) {
+    /// The reference for [`device_columns`] under BPC: the same profile,
+    /// targets and entries, batch-written and read back through a real
+    /// `BuddyDevice` sized to the capped workload.
+    fn device_run(bench: &Benchmark, seed: u64, cap: u64) -> (f64, f64) {
         const BATCH: usize = 64;
-        let profiles = profile_benchmark_with(bench, codec, cap, seed);
+        let profiles = profile_benchmark(bench, cap, seed);
         let outcome = choose_targets(&profiles, &ProfileConfig::default());
         let layout = bench.allocation_layout();
         let (device_need, buddy_need) = layout.iter().zip(outcome.choices.iter()).fold(
@@ -175,13 +179,10 @@ mod tests {
                 )
             },
         );
-        let mut device = BuddyDevice::with_codec(
-            DeviceConfig {
-                device_capacity: device_need.max(buddy_need.div_ceil(3)).max(1),
-                carve_out_factor: 3,
-            },
-            codec,
-        );
+        let mut device = BuddyDevice::new(DeviceConfig {
+            device_capacity: device_need.max(buddy_need.div_ceil(3)).max(1),
+            carve_out_factor: 3,
+        });
         let mut batch = vec![[0u8; ENTRY_BYTES]; BATCH];
         let mut readback = vec![[0u8; ENTRY_BYTES]; BATCH];
         for (idx, ((spec, entries), choice)) in
@@ -203,7 +204,7 @@ mod tests {
                 assert_eq!(
                     readback[..len],
                     batch[..len],
-                    "{codec}/{}: stored streams must decode through the owning codec",
+                    "{}: lossless read-back",
                     bench.name
                 );
                 start += len as u64;
@@ -215,22 +216,20 @@ mod tests {
         )
     }
 
-    /// Asserts that [`device_columns`] equals [`device_run`], bit for bit,
-    /// for every codec on each benchmark at each cap.
+    /// Asserts that [`device_columns`] under BPC equals [`device_run`],
+    /// bit for bit, on each benchmark at each cap.
     fn assert_matches_device(benches: &[Benchmark], seed: u64, caps: &[u64]) {
         for bench in benches {
             for &cap in caps {
-                for codec in CodecKind::ALL {
-                    let (ratio, buddy) = device_columns(codec, bench, seed, cap);
-                    let (device_ratio, device_buddy) = device_run(codec, bench, seed, cap);
-                    assert_eq!(
-                        (ratio.to_bits(), buddy.to_bits()),
-                        (device_ratio.to_bits(), device_buddy.to_bits()),
-                        "{codec}/{} at cap {cap}: classified ({ratio}, {buddy}) vs \
-                         device ({device_ratio}, {device_buddy})",
-                        bench.name
-                    );
-                }
+                let (ratio, buddy) = device_columns(CodecKind::Bpc, bench, seed, cap);
+                let (device_ratio, device_buddy) = device_run(bench, seed, cap);
+                assert_eq!(
+                    (ratio.to_bits(), buddy.to_bits()),
+                    (device_ratio.to_bits(), device_buddy.to_bits()),
+                    "{} at cap {cap}: classified ({ratio}, {buddy}) vs \
+                     device ({device_ratio}, {device_buddy})",
+                    bench.name
+                );
             }
         }
     }
@@ -255,7 +254,7 @@ mod tests {
     #[test]
     fn classified_columns_equal_a_device_pass() {
         // An HPC stencil and a DL net: the second spills to buddy memory
-        // under BPC and BDI, so the buddy fraction is checked off zero.
+        // under BPC, so the buddy fraction is checked off zero.
         let benches = [test_scale("370.bt"), test_scale("ResNet50")];
         assert_matches_device(&benches, 23, &[128]);
     }
@@ -264,7 +263,7 @@ mod tests {
     /// `--quick` and full device caps, default seed. Slow in a debug build;
     /// run it with `--release -- --ignored`.
     #[test]
-    #[ignore = "16 benchmarks x 4 codecs x 2 caps through a device; run in release"]
+    #[ignore = "16 benchmarks x BPC x 2 caps through a device; run in release"]
     fn classified_columns_equal_a_device_pass_on_the_full_suite() {
         let seed = RunConfig::default().seed;
         assert_matches_device(&all_benchmarks(), seed, &[256, 1024]);

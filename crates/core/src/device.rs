@@ -20,7 +20,7 @@ use crate::metadata::EntryState;
 use crate::region::RegionAllocator;
 use crate::shared::{self, AllocView, RawSlot, SharedState};
 use crate::target::TargetRatio;
-use bpc::{CodecKind, DecodeError, Entry, SizeHistogram, ENTRY_BYTES};
+use bpc::{DecodeError, Entry, SizeHistogram, ENTRY_BYTES};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -324,23 +324,18 @@ impl Default for DeviceConfig {
 /// device byte array and overflow really lives in a buddy byte array, so
 /// read-after-write returns exactly the written entry (property-tested).
 ///
-/// The device defaults to BPC (the paper's choice, §2.4) and still accepts
-/// any [`CodecKind`] via [`with_codec`](Self::with_codec); stored streams
-/// are always decoded by the codec that wrote them. No harness builds a
-/// non-BPC device: the algorithm ablation classifies entries with
-/// [`EntryState::stored`] instead of storing them. The last non-BPC entry
-/// point is `buddy_pool::PoolConfig::codec`, which the repo benchmark
-/// still names; the device becomes BPC-only once the benchmark stops
-/// naming it.
+/// The device stores BPC streams only, the one compressor the paper runs
+/// in the memory controller (§2.4). The other codecs are compared without
+/// a device: the algorithm ablation classifies their entries with
+/// [`EntryState::stored`] instead of storing them.
 ///
 /// # Example
 ///
 /// ```
 /// use buddy_core::{BuddyDevice, DeviceConfig, TargetRatio};
-/// use bpc::CodecKind;
 ///
 /// let config = DeviceConfig { device_capacity: 1 << 20, carve_out_factor: 3 };
-/// let mut dev = BuddyDevice::with_codec(config, CodecKind::Bdi);
+/// let mut dev = BuddyDevice::new(config);
 /// let alloc = dev.alloc("tensor", 1024, TargetRatio::R2)?;
 /// let entry = [7u8; 128];
 /// dev.write_entries(alloc, 0, &[entry, entry])?;
@@ -414,8 +409,7 @@ const _: () = {
 };
 
 impl BuddyDevice {
-    /// Creates a device with the given configuration and the default BPC
-    /// codec.
+    /// Creates a device with the given configuration.
     ///
     /// The device array (`device_capacity` bytes) is backed up front; the
     /// buddy carve-out is only reserved, and a page of it is backed on the
@@ -425,18 +419,9 @@ impl BuddyDevice {
     ///
     /// # Panics
     ///
-    /// As [`with_codec`](Self::with_codec).
-    pub fn new(config: DeviceConfig) -> Self {
-        Self::with_codec(config, CodecKind::Bpc)
-    }
-
-    /// Creates a device that compresses every entry with `codec`.
-    ///
-    /// # Panics
-    ///
     /// Panics if `device_capacity × carve_out_factor` overflows `u64`
     /// (checked explicitly — such a carve-out cannot be backed anyway).
-    pub fn with_codec(config: DeviceConfig, codec: CodecKind) -> Self {
+    pub fn new(config: DeviceConfig) -> Self {
         #[expect(
             clippy::expect_used,
             reason = "the overflow check is this constructor's documented panic contract"
@@ -446,11 +431,7 @@ impl BuddyDevice {
             .expect("device_capacity x carve_out_factor overflows u64");
         Self {
             config,
-            shared: Arc::new(SharedState::new(
-                codec,
-                config.device_capacity,
-                buddy_capacity,
-            )),
+            shared: Arc::new(SharedState::new(config.device_capacity, buddy_capacity)),
             names: Vec::new(),
             free_slots: Vec::new(),
             device_region: RegionAllocator::new(config.device_capacity),
@@ -760,12 +741,12 @@ impl BuddyDevice {
     /// read returns the same bytes, every invalid access the same error,
     /// and occupancy/traffic accounting matches a device whose allocation
     /// was created at `new_target` in the first place
-    /// (`tests/retarget_equivalence.rs` proves this across every codec ×
-    /// target × target combination). The handle stays valid (migration is
-    /// not a `free`), and on a tight device the old reservation is
-    /// released before the new one is placed, so any migration whose
-    /// steady-state footprint fits will succeed unless the free space is
-    /// too fragmented to host it contiguously.
+    /// (`tests/retarget_equivalence.rs` proves this across every target ×
+    /// target combination). The handle stays valid (migration is not a
+    /// `free`), and on a tight device the old reservation is released
+    /// before the new one is placed, so any migration whose steady-state
+    /// footprint fits will succeed unless the free space is too
+    /// fragmented to host it contiguously.
     ///
     /// The cost is accounted in [`AccessStats::retargets`] /
     /// [`AccessStats::moved_sectors`] and in the returned
@@ -1320,27 +1301,6 @@ mod tests {
             available: 5,
         };
         assert_eq!(e.to_string(), "out of device memory: need 10 B, 5 B free");
-    }
-
-    #[test]
-    fn with_codec_round_trips_under_every_algorithm() {
-        let entries: Vec<Entry> = (0..12)
-            .map(|i| entry_of_words(|j| i * 31 + j as u32))
-            .collect();
-        for codec in bpc::CodecKind::ALL {
-            let mut dev = BuddyDevice::with_codec(
-                DeviceConfig {
-                    device_capacity: 1 << 20,
-                    carve_out_factor: 3,
-                },
-                codec,
-            );
-            let a = dev.alloc("c", 12, TargetRatio::R2).unwrap();
-            dev.write_entries(a, 0, &entries).unwrap();
-            let mut out = vec![[0u8; ENTRY_BYTES]; 12];
-            dev.read_entries(a, 0, &mut out).unwrap();
-            assert_eq!(out, entries, "{codec}: batched round-trip");
-        }
     }
 
     #[test]

@@ -31,12 +31,9 @@
 //! The [`BuddyDevice`] here is a *functional* model with real compressed
 //! storage (reads return exactly what was written); the companion `gpu-sim`
 //! crate models the performance of the same design. The device stores
-//! BPC by default. [`BuddyDevice::with_codec`] still takes any
-//! `bpc::CodecKind`; it serves the codec round-trip tests and
-//! `buddy_pool::PoolConfig::codec`, the last non-BPC entry point. It
-//! offers batched
-//! [`BuddyDevice::write_entries`] / [`BuddyDevice::read_entries`] paths
-//! that move a whole run of entries with one stats update.
+//! BPC streams only, the compressor the paper selects (§2.4). It offers
+//! batched [`BuddyDevice::write_entries`] / [`BuddyDevice::read_entries`]
+//! paths that move a whole run of entries with one stats update.
 //!
 //! # Example: profile, annotate, run
 //!

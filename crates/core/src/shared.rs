@@ -95,7 +95,7 @@ use crate::sync::SeqWord;
 use crate::target::TargetRatio;
 use bpc::bitplane::DECODE_BYTES;
 use bpc::{
-    Codec, CodecKind, CompressedBuf, DecodeError, Entry, SizeHistogram, ENTRY_BYTES, SECTOR_BYTES,
+    BitPlane, Codec, CompressedBuf, DecodeError, Entry, SizeHistogram, ENTRY_BYTES, SECTOR_BYTES,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -861,7 +861,6 @@ impl fmt::Debug for SharedStats {
 
 /// The published half of one device. See the module docs for the protocol.
 pub(crate) struct SharedState {
-    codec: CodecKind,
     pub(crate) device: AtomicBytes,
     pub(crate) buddy: AtomicBytes,
     pub(crate) metadata: AtomicNibbles,
@@ -872,7 +871,6 @@ pub(crate) struct SharedState {
 impl fmt::Debug for SharedState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedState")
-            .field("codec", &self.codec)
             .field("device", &self.device)
             .field("buddy", &self.buddy)
             .field("metadata", &self.metadata)
@@ -882,9 +880,8 @@ impl fmt::Debug for SharedState {
 }
 
 impl SharedState {
-    pub(crate) fn new(codec: CodecKind, device_capacity: u64, buddy_capacity: u64) -> Self {
+    pub(crate) fn new(device_capacity: u64, buddy_capacity: u64) -> Self {
         let state = Self {
-            codec,
             device: AtomicBytes::new(device_capacity),
             buddy: AtomicBytes::reserved(buddy_capacity),
             metadata: AtomicNibbles::new(device_capacity / TargetRatio::MIN_DEVICE_BYTES_PER_ENTRY),
@@ -1007,8 +1004,8 @@ impl SharedState {
 
     /// Decodes entry `index`'s stored stream, which `load` writes into the
     /// first `len` bytes of a zero-padded [`DECODE_BYTES`] buffer: the BPC
-    /// decoder reads that buffer in place, and every decoder ignores the
-    /// zeros past the `len * 8` bits declared.
+    /// decoder reads that buffer in place and ignores the zeros past the
+    /// `len * 8` bits declared.
     fn decode_loaded(
         &self,
         index: u64,
@@ -1018,7 +1015,7 @@ impl SharedState {
     ) -> Result<(), TornRead> {
         let mut stream = [0u8; DECODE_BYTES];
         load(&mut stream[..len]);
-        self.codec
+        BitPlane
             .decompress_into(&stream, len * 8, out)
             .map_err(|cause| TornRead {
                 index,
@@ -1044,7 +1041,7 @@ impl SharedState {
             return EntryState::Zero;
         }
         let stream = stream.get_or_insert_with(CompressedBuf::new);
-        self.codec.compress_into(entry, stream);
+        BitPlane.compress_into(entry, stream);
         let state = EntryState::stored(stream.size_class(), view.target);
         match state {
             EntryState::ZeroPageFit => self
@@ -1057,8 +1054,8 @@ impl SharedState {
                 let stored = stream.padded(sectors as usize * SECTOR_BYTES);
                 self.store_sectors(view, index, stored, sectors);
             }
-            // Every codec spends at least one bit on a nonzero entry, so its
-            // class is never `B0`: nothing to store.
+            // BPC spends at least one bit on a nonzero entry, so its class
+            // is never `B0`: nothing to store.
             EntryState::Zero => {}
         }
         state
@@ -1557,7 +1554,7 @@ mod tests {
 
     #[test]
     fn dead_cells_reject_every_generation() {
-        let state = SharedState::new(CodecKind::Bpc, 1 << 16, 3 << 16);
+        let state = SharedState::new(1 << 16, 3 << 16);
         let id = AllocId {
             slot: 0,
             generation: 0,
@@ -1596,7 +1593,7 @@ mod tests {
     /// fresh encode's stream padded with zeros, under every target.
     #[test]
     fn a_reused_stream_buffer_stores_zeros_past_a_shorter_stream() {
-        let state = SharedState::new(CodecKind::Bpc, 1 << 12, 1 << 12);
+        let state = SharedState::new(1 << 12, 1 << 12);
         let long = noisy_entry(1, 0, 32);
         let mut seen = Vec::new();
         for target in TargetRatio::DESCENDING {
@@ -1609,11 +1606,11 @@ mod tests {
             for noise in [0, 1, 4, 10, 15] {
                 let short = noisy_entry(2, 0x0101_0101, noise);
                 let mut stream = CompressedBuf::new();
-                state.codec.compress_into(&long, &mut stream);
+                BitPlane.compress_into(&long, &mut stream);
                 assert!(stream.bytes() > 3 * SECTOR_BYTES);
                 let stored = state.write_one(&view, 0, &short, &mut Some(stream));
                 let mut fresh = CompressedBuf::new();
-                state.codec.compress_into(&short, &mut fresh);
+                BitPlane.compress_into(&short, &mut fresh);
                 let len = match stored {
                     EntryState::ZeroPageFit => ZERO_PAGE_GRANULE,
                     EntryState::Compressed { sectors } if sectors < 4 => {
@@ -1632,8 +1629,7 @@ mod tests {
                 expected.resize(len, 0);
                 assert_eq!(raw[..len], expected, "{target} noise {noise}");
                 let mut out = [0u8; ENTRY_BYTES];
-                state
-                    .codec
+                BitPlane
                     .decompress_into(&raw[..len], len * 8, &mut out)
                     .unwrap();
                 assert_eq!(out, short, "{target} noise {noise}");
@@ -1646,7 +1642,7 @@ mod tests {
 
     /// A state with one live 8-entry R2 allocation published in slot 0.
     fn published() -> (SharedState, AllocId) {
-        let state = SharedState::new(CodecKind::Bpc, 1 << 16, 3 << 16);
+        let state = SharedState::new(1 << 16, 3 << 16);
         let view = AllocView {
             target: TargetRatio::R2,
             entries: 8,

@@ -24,7 +24,7 @@
 
 mod kit;
 
-use bpc::{CodecKind, ENTRY_BYTES};
+use bpc::ENTRY_BYTES;
 use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, TargetRatio};
 use kit::{entry_of_kind, occupancy, read1, write1, Entry, CONFIG};
 use proptest::prelude::*;
@@ -92,10 +92,8 @@ proptest! {
     #[test]
     fn churn_is_observation_equivalent_and_leak_free(
         ops in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u8>()), 1..100),
-        codec_idx in 0usize..4,
     ) {
-        let codec = CodecKind::ALL[codec_idx];
-        let mut dev = BuddyDevice::with_codec(CONFIG, codec);
+        let mut dev = BuddyDevice::new(CONFIG);
         let mut live: Vec<Shadow> = Vec::new();
         let mut stale: Vec<AllocId> = Vec::new();
         let mut next_name = 0u64;
@@ -171,7 +169,7 @@ proptest! {
         // (2) The survivors are observation-equivalent to the same working
         // set created directly on a fresh device (same creation order,
         // final targets, final contents).
-        let mut fresh = BuddyDevice::with_codec(CONFIG, codec);
+        let mut fresh = BuddyDevice::new(CONFIG);
         let mut fresh_ids = Vec::new();
         for shadow in &live {
             let id = fresh
@@ -228,10 +226,8 @@ proptest! {
     #[test]
     fn reallocation_into_coalesced_holes_round_trips(
         kinds in proptest::collection::vec((0u8..8, any::<u64>()), 4..16),
-        codec_idx in 0usize..4,
     ) {
-        let codec = CodecKind::ALL[codec_idx];
-        let mut dev = BuddyDevice::with_codec(CONFIG, codec);
+        let mut dev = BuddyDevice::new(CONFIG);
         // Carpet the device with equal allocations...
         let per_alloc = 16u64;
         let count = CONFIG.device_capacity / (per_alloc * 64); // all R2

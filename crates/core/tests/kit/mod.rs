@@ -1,4 +1,4 @@
-//! Helpers shared by the churn and retarget equivalence suites.
+//! Helpers shared by the no-movement, churn and retarget equivalence suites.
 
 use bpc::ENTRY_BYTES;
 use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, EntryState};
@@ -32,8 +32,9 @@ pub fn write1(
     dev.handle().entry_state(id, index)
 }
 
-/// Entries spanning the compressibility spectrum (zero / constant /
-/// small-noise / random), as in the `no_movement` suite.
+/// Entries spanning the compressibility spectrum: zero, constant word
+/// (highly compressible), small-noise ints (mid compressibility) and
+/// random (incompressible).
 pub fn entry_of_kind(kind: u8, seed: u64) -> Entry {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut entry = [0u8; ENTRY_BYTES];

@@ -1,7 +1,7 @@
 //! Observation equivalence of online re-targeting (DESIGN.md §8).
 //!
-//! `retarget` must be invisible to readers: for any contents, any codec and
-//! any (old target → new target) pair,
+//! `retarget` must be invisible to readers: for any contents and any
+//! (old target → new target) pair,
 //!
 //! 1. `write → retarget → read` is byte-identical to `write → read` on a
 //!    device that never migrated,
@@ -11,14 +11,14 @@
 //!    fresh device whose allocation was created at the new target in the
 //!    first place.
 //!
-//! The property runs the **full cross product**: all 4 codecs × all 5 old
-//! targets × all 5 new targets per generated content vector, so every
+//! The property runs the **full cross product**: all 5 old targets × all 5
+//! new targets per generated content vector, so every
 //! migration edge (including the zero-page raw-overflow representation
 //! changes and the no-op diagonal) is exercised on every case.
 
 mod kit;
 
-use bpc::{CodecKind, ENTRY_BYTES};
+use bpc::ENTRY_BYTES;
 use buddy_core::{AllocId, BuddyDevice, DeviceError, TargetRatio};
 use kit::{entry_of_kind, occupancy, read1, write1, Entry, CONFIG};
 use proptest::prelude::*;
@@ -26,8 +26,8 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The headline property: full codec × target × target cross product
-    /// per content vector.
+    /// The headline property: full target × target cross product per
+    /// content vector.
     #[test]
     fn retarget_is_observation_equivalent(
         kinds in proptest::collection::vec((0u8..8, any::<u64>()), 1..24),
@@ -38,90 +38,88 @@ proptest! {
             .collect();
         let n = contents.len() as u64;
 
-        for codec in CodecKind::ALL {
-            for old_target in TargetRatio::DESCENDING {
-                for new_target in TargetRatio::DESCENDING {
-                    // Migrated: allocate at the old target, write, migrate.
-                    let mut migrated = BuddyDevice::with_codec(CONFIG, codec);
-                    let m = migrated.alloc("x", n, old_target).unwrap();
-                    migrated.write_entries(m, 0, &contents).unwrap();
-                    let report = migrated.retarget(m, new_target).unwrap();
-                    prop_assert_eq!(report.old_target, old_target);
-                    prop_assert_eq!(report.new_target, new_target);
-                    prop_assert_eq!(report.entries, n);
+        for old_target in TargetRatio::DESCENDING {
+            for new_target in TargetRatio::DESCENDING {
+                // Migrated: allocate at the old target, write, migrate.
+                let mut migrated = BuddyDevice::new(CONFIG);
+                let m = migrated.alloc("x", n, old_target).unwrap();
+                migrated.write_entries(m, 0, &contents).unwrap();
+                let report = migrated.retarget(m, new_target).unwrap();
+                prop_assert_eq!(report.old_target, old_target);
+                prop_assert_eq!(report.new_target, new_target);
+                prop_assert_eq!(report.entries, n);
 
-                    // Direct: allocated at the new target from the start.
-                    let mut direct = BuddyDevice::with_codec(CONFIG, codec);
-                    let d = direct.alloc("x", n, new_target).unwrap();
-                    direct.write_entries(d, 0, &contents).unwrap();
+                // Direct: allocated at the new target from the start.
+                let mut direct = BuddyDevice::new(CONFIG);
+                let d = direct.alloc("x", n, new_target).unwrap();
+                direct.write_entries(d, 0, &contents).unwrap();
 
-                    // Untouched: never migrated off the old target.
-                    let mut untouched = BuddyDevice::with_codec(CONFIG, codec);
-                    let u = untouched.alloc("x", n, old_target).unwrap();
-                    untouched.write_entries(u, 0, &contents).unwrap();
+                // Untouched: never migrated off the old target.
+                let mut untouched = BuddyDevice::new(CONFIG);
+                let u = untouched.alloc("x", n, old_target).unwrap();
+                untouched.write_entries(u, 0, &contents).unwrap();
 
-                    let combo = format!("{codec}/{old_target}->{new_target}");
+                let combo = format!("{old_target}->{new_target}");
 
-                    // (1) Bytes: identical to both references.
-                    let mut from_migrated = vec![[9u8; ENTRY_BYTES]; contents.len()];
-                    migrated.read_entries(m, 0, &mut from_migrated).unwrap();
-                    prop_assert_eq!(&from_migrated, &contents, "{}: bytes", &combo);
-                    let mut from_untouched = vec![[0u8; ENTRY_BYTES]; contents.len()];
-                    untouched.read_entries(u, 0, &mut from_untouched).unwrap();
-                    prop_assert_eq!(&from_migrated, &from_untouched, "{}: vs never-retargeted", &combo);
+                // (1) Bytes: identical to both references.
+                let mut from_migrated = vec![[9u8; ENTRY_BYTES]; contents.len()];
+                migrated.read_entries(m, 0, &mut from_migrated).unwrap();
+                prop_assert_eq!(&from_migrated, &contents, "{}: bytes", &combo);
+                let mut from_untouched = vec![[0u8; ENTRY_BYTES]; contents.len()];
+                untouched.read_entries(u, 0, &mut from_untouched).unwrap();
+                prop_assert_eq!(&from_migrated, &from_untouched, "{}: vs never-retargeted", &combo);
 
-                    // (2) Errors: invalid accesses fail identically.
+                // (2) Errors: invalid accesses fail identically.
+                prop_assert_eq!(
+                    read1(&mut migrated, m, n),
+                    read1(&mut direct, d, n),
+                    "{}: out-of-range error", &combo
+                );
+                prop_assert_eq!(
+                    migrated.write_entries(m, n, &[contents[0]]),
+                    direct.write_entries(d, n, &[contents[0]]),
+                    "{}: out-of-range batch error", &combo
+                );
+                let foreign = foreign_handle();
+                prop_assert_eq!(
+                    read1(&mut migrated, foreign, 0),
+                    read1(&mut direct, foreign, 0),
+                    "{}: bad-handle error", &combo
+                );
+                prop_assert_eq!(
+                    migrated.retarget(foreign, new_target),
+                    Err(DeviceError::BadAllocation),
+                    "{}: bad-handle retarget", &combo
+                );
+
+                // (3) Metadata states and occupancy match the
+                // directly-allocated device exactly.
+                for i in 0..n {
                     prop_assert_eq!(
-                        read1(&mut migrated, m, n),
-                        read1(&mut direct, d, n),
-                        "{}: out-of-range error", &combo
-                    );
-                    prop_assert_eq!(
-                        migrated.write_entries(m, n, &[contents[0]]),
-                        direct.write_entries(d, n, &[contents[0]]),
-                        "{}: out-of-range batch error", &combo
-                    );
-                    let foreign = foreign_handle();
-                    prop_assert_eq!(
-                        read1(&mut migrated, foreign, 0),
-                        read1(&mut direct, foreign, 0),
-                        "{}: bad-handle error", &combo
-                    );
-                    prop_assert_eq!(
-                        migrated.retarget(foreign, new_target),
-                        Err(DeviceError::BadAllocation),
-                        "{}: bad-handle retarget", &combo
-                    );
-
-                    // (3) Metadata states and occupancy match the
-                    // directly-allocated device exactly.
-                    for i in 0..n {
-                        prop_assert_eq!(
-                            migrated.handle().entry_state(m, i).unwrap(),
-                            direct.handle().entry_state(d, i).unwrap(),
-                            "{}: state of entry {}", &combo, i
-                        );
-                    }
-                    prop_assert_eq!(occupancy(&migrated), occupancy(&direct), "{}: occupancy", &combo);
-
-                    // (4) Read-side traffic: after a stats reset, a full
-                    // read pass produces identical counters.
-                    migrated.reset_stats();
-                    direct.reset_stats();
-                    let mut sink = vec![[0u8; ENTRY_BYTES]; contents.len()];
-                    migrated.read_entries(m, 0, &mut sink).unwrap();
-                    let migrated_reads = migrated.stats();
-                    direct.read_entries(d, 0, &mut sink).unwrap();
-                    prop_assert_eq!(migrated_reads, direct.stats(), "{}: read stats", &combo);
-
-                    // (5) State windows agree, so the adaptive policy sees
-                    // the same allocation either way.
-                    prop_assert_eq!(
-                        migrated.handle().state_window(m).unwrap(),
-                        direct.handle().state_window(d).unwrap(),
-                        "{}: state window", &combo
+                        migrated.handle().entry_state(m, i).unwrap(),
+                        direct.handle().entry_state(d, i).unwrap(),
+                        "{}: state of entry {}", &combo, i
                     );
                 }
+                prop_assert_eq!(occupancy(&migrated), occupancy(&direct), "{}: occupancy", &combo);
+
+                // (4) Read-side traffic: after a stats reset, a full
+                // read pass produces identical counters.
+                migrated.reset_stats();
+                direct.reset_stats();
+                let mut sink = vec![[0u8; ENTRY_BYTES]; contents.len()];
+                migrated.read_entries(m, 0, &mut sink).unwrap();
+                let migrated_reads = migrated.stats();
+                direct.read_entries(d, 0, &mut sink).unwrap();
+                prop_assert_eq!(migrated_reads, direct.stats(), "{}: read stats", &combo);
+
+                // (5) State windows agree, so the adaptive policy sees
+                // the same allocation either way.
+                prop_assert_eq!(
+                    migrated.handle().state_window(m).unwrap(),
+                    direct.handle().state_window(d).unwrap(),
+                    "{}: state window", &combo
+                );
             }
         }
     }
@@ -132,16 +130,14 @@ proptest! {
     fn chained_retargets_collapse_to_the_last_target(
         kinds in proptest::collection::vec((0u8..8, any::<u64>()), 1..16),
         walk in proptest::collection::vec(0usize..5, 1..6),
-        codec_idx in 0usize..4,
     ) {
-        let codec = CodecKind::ALL[codec_idx];
         let contents: Vec<Entry> = kinds
             .iter()
             .map(|&(kind, seed)| entry_of_kind(kind, seed))
             .collect();
         let n = contents.len() as u64;
 
-        let mut migrated = BuddyDevice::with_codec(CONFIG, codec);
+        let mut migrated = BuddyDevice::new(CONFIG);
         let m = migrated.alloc("walk", n, TargetRatio::R1).unwrap();
         migrated.write_entries(m, 0, &contents).unwrap();
         let mut last = TargetRatio::R1;
@@ -150,7 +146,7 @@ proptest! {
             migrated.retarget(m, last).unwrap();
         }
 
-        let mut direct = BuddyDevice::with_codec(CONFIG, codec);
+        let mut direct = BuddyDevice::new(CONFIG);
         let d = direct.alloc("walk", n, last).unwrap();
         direct.write_entries(d, 0, &contents).unwrap();
 
@@ -173,11 +169,9 @@ proptest! {
     fn post_retarget_writes_are_indistinguishable(
         before in proptest::collection::vec((0u8..8, any::<u64>()), 1..12),
         after in proptest::collection::vec((0u64..12, 0u8..8, any::<u64>()), 1..12),
-        codec_idx in 0usize..4,
         old_idx in 0usize..5,
         new_idx in 0usize..5,
     ) {
-        let codec = CodecKind::ALL[codec_idx];
         let old_target = TargetRatio::DESCENDING[old_idx];
         let new_target = TargetRatio::DESCENDING[new_idx];
         let n = 12u64;
@@ -189,12 +183,12 @@ proptest! {
             })
             .collect();
 
-        let mut migrated = BuddyDevice::with_codec(CONFIG, codec);
+        let mut migrated = BuddyDevice::new(CONFIG);
         let m = migrated.alloc("w", n, old_target).unwrap();
         migrated.write_entries(m, 0, &initial).unwrap();
         migrated.retarget(m, new_target).unwrap();
 
-        let mut direct = BuddyDevice::with_codec(CONFIG, codec);
+        let mut direct = BuddyDevice::new(CONFIG);
         let d = direct.alloc("w", n, new_target).unwrap();
         direct.write_entries(d, 0, &initial).unwrap();
 

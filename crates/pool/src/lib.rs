@@ -32,7 +32,9 @@
 //!
 //! Contention on the structural path is bounded by sharding (allocations
 //! hash across shards); the entry data path has no pool-level contention
-//! at all — the `read-path-lock` xtask lint pins the read path lock-free.
+//! at all — the `read-path-lock` xtask lint pins the read path lock-free,
+//! and a unit test holding every shard lock pins the whole entry path,
+//! writes included.
 //!
 //! A pool with **one shard is observably identical to a bare
 //! [`BuddyDevice`]**: same bytes on every read, same traffic counters —
@@ -85,7 +87,10 @@ pub struct PoolConfig {
     /// Configuration of every shard device. Total pool capacity is
     /// `shards × shard_config.device_capacity`.
     pub shard_config: DeviceConfig,
-    /// Compression codec shared by all shards.
+    /// Always [`CodecKind::Bpc`]: shard devices store BPC streams only.
+    /// The field is kept only while the repo benchmark
+    /// (`benchmark/src/rungs.rs`) still names it; it goes once the
+    /// benchmark stops naming it (ROADMAP item 1c).
     pub codec: CodecKind,
 }
 
@@ -181,9 +186,14 @@ impl BuddyPool {
     /// # Panics
     ///
     /// Panics if `config.shards` is zero or exceeds `u32::MAX` (shard
-    /// indices travel inside [`PoolAllocId`] as `u32`).
+    /// indices travel inside [`PoolAllocId`] as `u32`), or if
+    /// `config.codec` is not [`CodecKind::Bpc`].
     pub fn new(config: PoolConfig) -> Self {
         assert!(config.shards > 0, "pool needs at least one shard");
+        assert!(
+            config.codec == CodecKind::Bpc,
+            "shard devices store BPC streams only"
+        );
         assert!(
             u32::try_from(config.shards).is_ok(),
             "shard count must fit a u32 handle index"
@@ -191,7 +201,7 @@ impl BuddyPool {
         let mut shards = Vec::with_capacity(config.shards);
         let mut handles = Vec::with_capacity(config.shards);
         for _ in 0..config.shards {
-            let device = BuddyDevice::with_codec(config.shard_config, config.codec);
+            let device = BuddyDevice::new(config.shard_config);
             handles.push(device.handle());
             shards.push(Mutex::new(device));
         }
@@ -576,7 +586,7 @@ mod tests {
                 device_capacity: 1 << 20,
                 carve_out_factor: 3,
             },
-            codec: CodecKind::Bpc,
+            ..PoolConfig::default()
         })
     }
 
@@ -644,7 +654,7 @@ mod tests {
                 device_capacity: 65 * 128,
                 carve_out_factor: 3,
             },
-            codec: CodecKind::Bpc,
+            ..PoolConfig::default()
         });
         let start = std::sync::Barrier::new(2);
         let churning = std::sync::atomic::AtomicBool::new(true);
@@ -674,7 +684,7 @@ mod tests {
                 device_capacity: 64 * 128,
                 carve_out_factor: 3,
             },
-            codec: CodecKind::Bpc,
+            ..PoolConfig::default()
         });
         // Four same-sized allocations must all succeed (one per shard,
         // wherever they hash), and the fifth must fail pool-wide.
@@ -825,7 +835,7 @@ mod tests {
                 device_capacity: 64 * 128,
                 carve_out_factor: 3,
             },
-            codec: CodecKind::Bpc,
+            ..PoolConfig::default()
         });
         let ids: Vec<PoolAllocId> = (0..2)
             .map(|i| {
@@ -866,7 +876,7 @@ mod tests {
                 device_capacity: 64 * 128,
                 carve_out_factor: 3,
             },
-            codec: CodecKind::Bpc,
+            ..PoolConfig::default()
         });
         pool.alloc("first", 64, TargetRatio::R1).unwrap();
         pool.alloc("second", 32, TargetRatio::R1).unwrap();
@@ -947,7 +957,7 @@ mod tests {
                 device_capacity: 64 * 128,
                 carve_out_factor: 3,
             },
-            codec: CodecKind::Bpc,
+            ..PoolConfig::default()
         });
         assert!(exhausted
             .alloc("too-big", 128, TargetRatio::R1)
@@ -966,6 +976,45 @@ mod tests {
         BuddyPool::new(PoolConfig {
             shards: 0,
             ..PoolConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "BPC streams only")]
+    fn non_bpc_codec_panics() {
+        BuddyPool::new(PoolConfig {
+            codec: CodecKind::Bdi,
+            ..PoolConfig::default()
+        });
+    }
+
+    /// The entry path reaches each shard through its lock-free handle, for
+    /// writes as well as reads: with every shard lock held by this thread,
+    /// another thread still completes every entry operation.
+    #[test]
+    fn entry_path_takes_no_shard_lock() {
+        let pool = small_pool(2);
+        let id = pool.alloc("live", 8, TargetRatio::R2).unwrap();
+        let entries = [entry_of_words(|j| 5 + j as u32); 8];
+        let guards: Vec<_> = (0..2).map(|i| pool.shard(i)).collect();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let pool = &pool;
+            scope.spawn(move || {
+                let mut out = [[0u8; ENTRY_BYTES]; 8];
+                pool.write_entries(id, 0, &entries).unwrap();
+                pool.write_entries_collect(id, 0, &entries).unwrap();
+                pool.read_entries(id, 0, &mut out).unwrap();
+                pool.read_entries_collect(id, 0, &mut out).unwrap();
+                pool.entry_state(id, 0).unwrap();
+                pool.state_window(id).unwrap();
+                done.send(out == entries).unwrap();
+            });
+            let finished = finished.recv_timeout(std::time::Duration::from_secs(10));
+            // Released before the scope joins, so a run that blocked on a
+            // shard lock fails here instead of hanging.
+            drop(guards);
+            assert_eq!(finished, Ok(true), "the entry path waited on a shard lock");
         });
     }
 }

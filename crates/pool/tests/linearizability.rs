@@ -29,8 +29,7 @@ mod checker;
 use checker::{linearize, verify_witness, Call, ErrorKind, Operation, Outcome};
 
 use buddy_pool::{
-    BuddyPool, CodecKind, DeviceConfig, DeviceError, PoolAllocId, PoolConfig, TargetRatio,
-    ENTRY_BYTES,
+    BuddyPool, DeviceConfig, DeviceError, PoolAllocId, PoolConfig, TargetRatio, ENTRY_BYTES,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,7 +79,7 @@ fn run_history(scripts: &[Vec<Step>; THREADS], shards: usize) -> Vec<Operation> 
     let pool = BuddyPool::new(PoolConfig {
         shards,
         shard_config: SHARD_CONFIG,
-        codec: CodecKind::Bpc,
+        ..PoolConfig::default()
     });
     let clock = AtomicU64::new(0);
     let registry: Vec<OnceLock<PoolAllocId>> =
@@ -221,8 +220,8 @@ proptest! {
         let scripts: [Vec<Step>; THREADS] =
             scripts.try_into().expect("strategy draws exactly 4 scripts");
         let history = run_history(&scripts, shards);
-        match linearize(&history, SHARD_CONFIG, CodecKind::Bpc) {
-            Ok(witness) => verify_witness(&history, &witness, SHARD_CONFIG, CodecKind::Bpc),
+        match linearize(&history, SHARD_CONFIG) {
+            Ok(witness) => verify_witness(&history, &witness, SHARD_CONFIG),
             Err(counterexample) => panic!(
                 "no sequential witness for a {}-op history; longest legal prefix \
                  has {} ops: {:?}",
@@ -286,9 +285,9 @@ fn overlapping_free_and_read_linearize_in_either_order() {
             call: Call::Read { name: 0, index: 0 },
             outcome: read_outcome,
         });
-        let witness = linearize(&history, SHARD_CONFIG, CodecKind::Bpc)
+        let witness = linearize(&history, SHARD_CONFIG)
             .unwrap_or_else(|_| panic!("{description}: overlapping ops must linearize"));
-        verify_witness(&history, &witness, SHARD_CONFIG, CodecKind::Bpc);
+        verify_witness(&history, &witness, SHARD_CONFIG);
     }
 }
 
@@ -312,7 +311,7 @@ fn stale_read_after_free_is_rejected() {
         call: Call::Read { name: 0, index: 0 },
         outcome: Outcome::Value([7u8; ENTRY_BYTES]),
     });
-    let counterexample = linearize(&history, SHARD_CONFIG, CodecKind::Bpc)
+    let counterexample = linearize(&history, SHARD_CONFIG)
         .expect_err("a stale read past a completed free must not linearize");
     // Everything up to the impossible read is explainable.
     assert_eq!(counterexample.longest_prefix.len(), history.len() - 1);
@@ -338,10 +337,10 @@ fn double_free_linearizes_only_once() {
             call: Call::Free { name: 0 },
             outcome: second_outcome,
         });
-        let result = linearize(&history, SHARD_CONFIG, CodecKind::Bpc);
+        let result = linearize(&history, SHARD_CONFIG);
         match (accepted, result) {
             (true, Ok(witness)) => {
-                verify_witness(&history, &witness, SHARD_CONFIG, CodecKind::Bpc);
+                verify_witness(&history, &witness, SHARD_CONFIG);
             }
             (true, Err(_)) => panic!("one-Ok double free must linearize"),
             (false, Ok(witness)) => {

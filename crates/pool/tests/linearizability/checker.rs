@@ -28,9 +28,7 @@
 //! `BadAllocation` rather than resurrecting under a recycled name.
 
 use buddy_core::AllocId;
-use buddy_pool::{
-    BuddyDevice, CodecKind, DeviceConfig, DeviceError, Entry, TargetRatio, ENTRY_BYTES,
-};
+use buddy_pool::{BuddyDevice, DeviceConfig, DeviceError, Entry, TargetRatio, ENTRY_BYTES};
 use std::mem::discriminant;
 
 /// One recorded call against the pool.
@@ -103,7 +101,6 @@ pub struct Operation {
 #[derive(Debug)]
 struct Oracle {
     config: DeviceConfig,
-    codec: CodecKind,
     device: BuddyDevice,
     handles: Vec<Option<AllocId>>,
     applied: Vec<Call>,
@@ -111,7 +108,7 @@ struct Oracle {
 
 impl Clone for Oracle {
     fn clone(&self) -> Self {
-        let mut fresh = Oracle::new(self.config, self.codec, self.handles.len());
+        let mut fresh = Oracle::new(self.config, self.handles.len());
         for &call in &self.applied {
             fresh.apply(call);
         }
@@ -120,11 +117,10 @@ impl Clone for Oracle {
 }
 
 impl Oracle {
-    fn new(config: DeviceConfig, codec: CodecKind, names: usize) -> Self {
+    fn new(config: DeviceConfig, names: usize) -> Self {
         Self {
             config,
-            codec,
-            device: BuddyDevice::with_codec(config, codec),
+            device: BuddyDevice::new(config),
             handles: vec![None; names],
             applied: Vec::new(),
         }
@@ -205,9 +201,8 @@ pub struct Counterexample {
 pub fn linearize(
     history: &[Operation],
     config: DeviceConfig,
-    codec: CodecKind,
 ) -> Result<Vec<usize>, Counterexample> {
-    let oracle = Oracle::new(config, codec, name_count(history));
+    let oracle = Oracle::new(config, name_count(history));
     let mut taken = vec![false; history.len()];
     let mut witness = Vec::with_capacity(history.len());
     let mut best_prefix = Vec::new();
@@ -266,12 +261,7 @@ fn dfs(
 /// total, real-time-consistent, and outcome-exact. The checker's own
 /// self-check: the tests run every accepted witness through this so a DFS
 /// bug cannot silently accept a bad history.
-pub fn verify_witness(
-    history: &[Operation],
-    witness: &[usize],
-    config: DeviceConfig,
-    codec: CodecKind,
-) {
+pub fn verify_witness(history: &[Operation], witness: &[usize], config: DeviceConfig) {
     assert_eq!(
         witness.len(),
         history.len(),
@@ -290,7 +280,7 @@ pub fn verify_witness(
             );
         }
     }
-    let mut oracle = Oracle::new(config, codec, name_count(history));
+    let mut oracle = Oracle::new(config, name_count(history));
     for &i in witness {
         assert_eq!(
             oracle.apply(history[i].call),

@@ -6,8 +6,8 @@
 
 use buddy_core::AllocId;
 use buddy_pool::{
-    AccessStats, BuddyDevice, BuddyPool, CodecKind, DeviceConfig, DeviceError, Entry, EntryState,
-    PoolAllocId, PoolConfig, ShardOccupancy, TargetRatio, ENTRY_BYTES,
+    AccessStats, BuddyDevice, BuddyPool, DeviceConfig, DeviceError, Entry, EntryState, PoolAllocId,
+    PoolConfig, ShardOccupancy, TargetRatio, ENTRY_BYTES,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -19,14 +19,13 @@ const SHARD_CONFIG: DeviceConfig = DeviceConfig {
     carve_out_factor: 3,
 };
 
-fn pair(codec: CodecKind) -> (BuddyPool, BuddyDevice) {
+fn pair() -> (BuddyPool, BuddyDevice) {
     let pool = BuddyPool::new(PoolConfig {
         shards: 1,
         shard_config: SHARD_CONFIG,
-        codec,
+        ..PoolConfig::default()
     });
-    let device = BuddyDevice::with_codec(SHARD_CONFIG, codec);
-    (pool, device)
+    (pool, BuddyDevice::new(SHARD_CONFIG))
 }
 
 /// The occupancy row a one-shard pool must report, read off the bare device.
@@ -112,15 +111,14 @@ proptest! {
     /// Random operation sequences — batched and single-entry reads and
     /// writes, in-range and out-of-range, mid-sequence allocations, plus
     /// interleaved re-target migrations — behave identically on a 1-shard
-    /// pool and a bare device, under every codec and target ratio.
+    /// pool and a bare device, under every target ratio.
     #[test]
     fn one_shard_pool_matches_bare_device(
-        (codec_idx, target_idx) in (0u8..4, 0u8..5),
+        target_idx in 0u8..5,
         ops in proptest::collection::vec((0u8..6, any::<u64>(), 0usize..12, any::<u64>()), 1..24),
     ) {
-        let codec = CodecKind::ALL[codec_idx as usize];
         let target = TargetRatio::DESCENDING[target_idx as usize];
-        let (pool, mut device) = pair(codec);
+        let (pool, mut device) = pair();
 
         let mut handles = vec![(
             pool.alloc("base", 48, target).unwrap(),
@@ -208,42 +206,40 @@ proptest! {
 /// read-back bytes and identical stats.
 #[test]
 fn same_trace_through_pool_and_device() {
-    for codec in CodecKind::ALL {
-        let (pool, mut device) = pair(codec);
-        const ENTRIES: u64 = 512;
-        const BATCH: usize = 16;
-        let pool_id = pool.alloc("trace", ENTRIES, TargetRatio::R2).unwrap();
-        let dev_id = device.alloc("trace", ENTRIES, TargetRatio::R2).unwrap();
+    let (pool, mut device) = pair();
+    const ENTRIES: u64 = 512;
+    const BATCH: usize = 16;
+    let pool_id = pool.alloc("trace", ENTRIES, TargetRatio::R2).unwrap();
+    let dev_id = device.alloc("trace", ENTRIES, TargetRatio::R2).unwrap();
 
-        let trace = TraceGenerator::per_client(AccessProfile::stencil(), ENTRIES, 0xB0DD7, 0);
-        for (i, access) in trace.take(400).enumerate() {
-            let start = access.entry.min(ENTRIES - BATCH as u64);
-            if access.write {
-                let batch: Vec<Entry> = (0..BATCH)
-                    .map(|j| entry_of_kind((i + j) as u8, (i * 31 + j) as u64))
-                    .collect();
-                pool.write_entries(pool_id, start, &batch).unwrap();
-                device.write_entries(dev_id, start, &batch).unwrap();
-            } else {
-                let mut from_pool = [[0u8; ENTRY_BYTES]; BATCH];
-                let mut from_dev = [[0u8; ENTRY_BYTES]; BATCH];
-                pool.read_entries(pool_id, start, &mut from_pool).unwrap();
-                device.read_entries(dev_id, start, &mut from_dev).unwrap();
-                assert_eq!(from_pool, from_dev, "{codec}: access {i}");
-            }
+    let trace = TraceGenerator::per_client(AccessProfile::stencil(), ENTRIES, 0xB0DD7, 0);
+    for (i, access) in trace.take(400).enumerate() {
+        let start = access.entry.min(ENTRIES - BATCH as u64);
+        if access.write {
+            let batch: Vec<Entry> = (0..BATCH)
+                .map(|j| entry_of_kind((i + j) as u8, (i * 31 + j) as u64))
+                .collect();
+            pool.write_entries(pool_id, start, &batch).unwrap();
+            device.write_entries(dev_id, start, &batch).unwrap();
+        } else {
+            let mut from_pool = [[0u8; ENTRY_BYTES]; BATCH];
+            let mut from_dev = [[0u8; ENTRY_BYTES]; BATCH];
+            pool.read_entries(pool_id, start, &mut from_pool).unwrap();
+            device.read_entries(dev_id, start, &mut from_dev).unwrap();
+            assert_eq!(from_pool, from_dev, "access {i}");
         }
+    }
 
-        assert_eq!(pool.stats(), device.stats(), "{codec}: stats diverged");
-        assert_eq!(pool.occupancy(), vec![occupancy_of(&device)], "{codec}");
+    assert_eq!(pool.stats(), device.stats(), "stats diverged");
+    assert_eq!(pool.occupancy(), vec![occupancy_of(&device)]);
 
-        // Final memory images agree entry for entry.
-        for index in 0..ENTRIES {
-            assert_eq!(
-                pool_read1(&pool, pool_id, index).unwrap(),
-                dev_read1(&mut device, dev_id, index).unwrap(),
-                "{codec}: final image at {index}"
-            );
-        }
+    // Final memory images agree entry for entry.
+    for index in 0..ENTRIES {
+        assert_eq!(
+            pool_read1(&pool, pool_id, index).unwrap(),
+            dev_read1(&mut device, dev_id, index).unwrap(),
+            "final image at {index}"
+        );
     }
 }
 
@@ -264,7 +260,7 @@ fn concurrent_retargets_never_tear_client_reads() {
     let pool = BuddyPool::new(PoolConfig {
         shards: 2,
         shard_config: SHARD_CONFIG,
-        codec: CodecKind::Bpc,
+        ..PoolConfig::default()
     });
     let handles: Vec<PoolAllocId> = (0..CLIENTS)
         .map(|c| {
@@ -359,7 +355,7 @@ fn reader_storm(shards: usize, readers: usize, seed: u64) {
     let pool = BuddyPool::new(PoolConfig {
         shards,
         shard_config: SHARD_CONFIG,
-        codec: CodecKind::Bpc,
+        ..PoolConfig::default()
     });
     let current = std::sync::Mutex::new(pool.alloc("storm", ENTRIES, TargetRatio::R2).unwrap());
     let stop = std::sync::atomic::AtomicBool::new(false);
@@ -467,7 +463,7 @@ fn multi_shard_stats_merge_is_lossless() {
     let pool = BuddyPool::new(PoolConfig {
         shards: 4,
         shard_config: SHARD_CONFIG,
-        codec: CodecKind::Bpc,
+        ..PoolConfig::default()
     });
     let mut reference = AccessStats::default();
     for c in 0..4u64 {

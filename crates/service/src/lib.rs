@@ -55,8 +55,8 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use buddy_pool::{
-    AccessStats, CodecKind, DeviceConfig, DeviceError, Entry, PoolConfig, RetargetReport,
-    TargetRatio, ENTRY_BYTES,
+    AccessStats, DeviceConfig, DeviceError, Entry, PoolConfig, RetargetReport, TargetRatio,
+    ENTRY_BYTES,
 };
 
 use buddy_obs::Counter;
@@ -780,7 +780,7 @@ mod tests {
                 device_capacity,
                 carve_out_factor: 3,
             },
-            codec: CodecKind::Bpc,
+            ..PoolConfig::default()
         })
     }
 
@@ -1136,7 +1136,7 @@ mod tests {
                 device_capacity: 48 * 1024,
                 carve_out_factor: 3,
             },
-            codec: CodecKind::Bpc,
+            ..PoolConfig::default()
         });
         let t = s
             .register_tenant("t", u64::MAX, AdmissionPolicy::Demote)

@@ -18,8 +18,8 @@
 )]
 
 use buddy_service::{
-    AccessStats, AdmissionPolicy, BuddyService, CodecKind, DeviceConfig, Entry, PoolConfig,
-    TargetRatio, ENTRY_BYTES,
+    AccessStats, AdmissionPolicy, BuddyService, DeviceConfig, Entry, PoolConfig, TargetRatio,
+    ENTRY_BYTES,
 };
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -61,7 +61,7 @@ fn io_and_structural_ops_neither_deadlock_nor_lose_traffic() {
             device_capacity: 1 << 20,
             carve_out_factor: 3,
         },
-        codec: CodecKind::Bpc,
+        ..PoolConfig::default()
     }));
     let a = service
         .register_tenant("a", u64::MAX, AdmissionPolicy::Reject)

@@ -9,19 +9,21 @@
 //! punishes only the offender.
 
 use buddy_service::{
-    AdmissionPolicy, BuddyService, CodecKind, DeviceConfig, Entry, PoolConfig, ServiceAllocId,
-    ServiceError, TargetRatio, TenantId, ENTRY_BYTES,
+    AdmissionPolicy, BuddyService, DeviceConfig, Entry, PoolConfig, ServiceAllocId, ServiceError,
+    TargetRatio, TenantId, ENTRY_BYTES,
 };
 use proptest::prelude::*;
 
-const AMPLE: PoolConfig = PoolConfig {
-    shards: 2,
-    shard_config: DeviceConfig {
-        device_capacity: 8 << 20,
-        carve_out_factor: 3,
-    },
-    codec: CodecKind::Bpc,
-};
+fn ample() -> PoolConfig {
+    PoolConfig {
+        shards: 2,
+        shard_config: DeviceConfig {
+            device_capacity: 8 << 20,
+            carve_out_factor: 3,
+        },
+        ..PoolConfig::default()
+    }
+}
 
 fn entry_of_kind(kind: u8, seed: u64) -> Entry {
     let mut entry = [0u8; ENTRY_BYTES];
@@ -130,7 +132,7 @@ proptest! {
             3..4,
         ),
     ) {
-        let shared = BuddyService::new(AMPLE);
+        let shared = BuddyService::new(ample());
         let shared_tenants: Vec<TenantId> = (0..per_tenant.len())
             .map(|i| {
                 shared
@@ -140,7 +142,7 @@ proptest! {
             .collect();
 
         for (index, ops) in per_tenant.iter().enumerate() {
-            let isolated = BuddyService::new(AMPLE);
+            let isolated = BuddyService::new(ample());
             let alone = isolated
                 .register_tenant("solo", u64::MAX, AdmissionPolicy::Reject)
                 .expect("fresh name");
@@ -176,7 +178,7 @@ proptest! {
 
 #[test]
 fn cross_tenant_handles_are_rejected_on_every_path() {
-    let service = BuddyService::new(AMPLE);
+    let service = BuddyService::new(ample());
     let owner = service
         .register_tenant("owner", u64::MAX, AdmissionPolicy::Reject)
         .expect("fresh name");
@@ -226,7 +228,7 @@ fn cross_tenant_handles_are_rejected_on_every_path() {
 
 #[test]
 fn stale_ids_after_ownership_transfer_fail_everywhere() {
-    let service = BuddyService::new(AMPLE);
+    let service = BuddyService::new(ample());
     let a = service
         .register_tenant("a", u64::MAX, AdmissionPolicy::Reject)
         .expect("fresh name");
@@ -299,14 +301,14 @@ fn quota_enforcement_punishes_only_the_offender() {
     let quota = 4 * 64 * TargetRatio::R2.device_bytes_per_entry() as u64;
 
     // Baseline: victim alone.
-    let alone = BuddyService::new(AMPLE);
+    let alone = BuddyService::new(ample());
     let v = alone
         .register_tenant("victim", quota, AdmissionPolicy::Reject)
         .expect("fresh name");
     let baseline = victim_script(&alone, v);
 
     // Contended: a noisy neighbour burns through its quota first.
-    let shared = BuddyService::new(AMPLE);
+    let shared = BuddyService::new(ample());
     let noisy = shared
         .register_tenant("noisy", quota, AdmissionPolicy::Reject)
         .expect("fresh name");

@@ -9,7 +9,7 @@
 )]
 
 use buddy_compression::buddy_core::{DeviceConfig, TargetRatio};
-use buddy_compression::buddy_pool::{BuddyPool, CodecKind, PoolConfig, ENTRY_BYTES};
+use buddy_compression::buddy_pool::{BuddyPool, PoolConfig, ENTRY_BYTES};
 use buddy_compression::workloads::{by_name, EntryClass, TraceGenerator};
 use std::time::Instant;
 
@@ -27,7 +27,7 @@ fn main() {
             device_capacity: 4 << 20,
             carve_out_factor: 3,
         },
-        codec: CodecKind::Bpc,
+        ..PoolConfig::default()
     });
 
     // Each client owns one allocation and walks its own deterministic

@@ -7,8 +7,7 @@
 //! Run with `cargo run --example tenant_service`.
 
 use buddy_compression::buddy_service::{
-    AdmissionPolicy, BuddyService, CodecKind, DeviceConfig, PoolConfig, ServiceError, TargetRatio,
-    ENTRY_BYTES,
+    AdmissionPolicy, BuddyService, DeviceConfig, PoolConfig, ServiceError, TargetRatio, ENTRY_BYTES,
 };
 
 fn main() {
@@ -18,7 +17,7 @@ fn main() {
             device_capacity: 4 << 20,
             carve_out_factor: 3,
         },
-        codec: CodecKind::Bpc,
+        ..PoolConfig::default()
     });
 
     // "prod" has room to spare and strict admission; "batch" holds quota

@@ -48,22 +48,20 @@ fn profile_allocate_write_read_round_trip() {
 }
 
 /// The codec-agnostic pipeline end to end: profile under each registered
-/// codec, choose targets from that codec's histograms, then batch-write and
-/// batch-read a real workload image through a device built with the same
-/// codec. Stored streams must decode losslessly through the owning codec.
+/// codec and choose targets from that codec's histograms, then batch-write
+/// and batch-read a real workload image through the device at those
+/// targets. The device stores BPC streams whichever codec chose its
+/// targets, and every read-back must be lossless.
 #[test]
 fn codec_agnostic_pipeline_round_trips() {
     let bench = test_bench("370.bt");
     for codec in CodecKind::ALL {
         let profiles = profile_benchmark_with(&bench, codec, 256, 3);
         let outcome = choose_targets(&profiles, &ProfileConfig::default());
-        let mut device = BuddyDevice::with_codec(
-            DeviceConfig {
-                device_capacity: 32 << 20,
-                carve_out_factor: 3,
-            },
-            codec,
-        );
+        let mut device = BuddyDevice::new(DeviceConfig {
+            device_capacity: 32 << 20,
+            carve_out_factor: 3,
+        });
         for (idx, ((spec, entries), choice)) in bench
             .allocation_layout()
             .into_iter()
@@ -106,7 +104,7 @@ fn pooled_pipeline_round_trips_concurrently() {
             device_capacity: 16 << 20,
             carve_out_factor: 3,
         },
-        codec: CodecKind::Bpc,
+        ..PoolConfig::default()
     });
     // One client per allocation, all writing and verifying concurrently.
     std::thread::scope(|scope| {
